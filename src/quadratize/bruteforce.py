@@ -188,20 +188,30 @@ def exhaustive_c4_capacity(n: int, m: int, *, cancel=None) -> int:
 def document_violations(system: ODESystem, document: ResultDocument) -> list[str]:
     """Check an emitted quadratic system (standard or Laurent) term by term.
 
-    Verifies that every factor is 1, an original variable, or an introduced
-    variable (so each term has degree at most two over the extended variable
-    set), and that substituting the factor monomials back into each equation
-    reproduces the Lie derivative of that variable's monomial exactly.
+    Verifies that no introduced variable reuses an input variable or
+    parameter name, that every input variable has an equation, that every
+    factor is 1, an original variable, or an introduced variable (so each
+    term has degree at most two over the extended variable set), and that
+    substituting the factor monomials back into each equation reproduces the
+    Lie derivative of that variable's monomial exactly.
     Returns human-readable discrepancies (empty list = valid).
     """
     n = system.num_vars
+    input_names = set(system.variables) | set(system.parameters)
+    problems = []
+    for name, _mono, _display in document.new_variables:
+        if name in input_names:
+            problems.append(f"new variable {name} reuses an input name")
+    for var in system.variables:
+        if var not in document.quadratic_rhs:
+            problems.append(f"{var}: no equation")
+
     mono_of = {"1": unit_monomial(n)}
     for i, name in enumerate(system.variables):
         mono_of[name] = variable_monomial(n, i)
     for name, mono, _display in document.new_variables:
         mono_of[name] = mono
 
-    problems = []
     for var, terms in document.quadratic_rhs.items():
         expected = lie_derivative(mono_of[var], system)
         actual: dict = {}

@@ -8,13 +8,10 @@ Exit codes: 0 success, 1 unreadable or unparseable input, 2 invalid options.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .bruteforce import exhaustive_c4_capacity
 from .output import render_result
 from .parsing import ParseError, parse_system
-from .pruning import C4_CAPACITY_TABLE
 from .solver import SolveOptions, benchmark_system, bnb_search, laurent_quadratize
 
 _BENCHMARKS_WITH_SIZE = ("scalar_power", "cubic_cycle", "cubic_bicycle")
@@ -45,19 +42,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-order", type=int, metavar="N", default=None,
                         help="abandon branches needing more than N new variables; "
                              "the result may then be non-optimal")
-    parser.add_argument("--regen-c4-table", action="store_true",
-                        help=argparse.SUPPRESS)  # regenerate the capacity table
     return parser
-
-
-def _regen_c4_table() -> str:
-    computed = {n: [exhaustive_c4_capacity(n, m) for m in range(n + 1)]
-                for n in range(1, 7)}
-    payload = {
-        "computed_exhaustively": {str(n): row for n, row in computed.items()},
-        "pinned_row_7": list(C4_CAPACITY_TABLE[7]),
-    }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def _load_system(args, parser):
@@ -88,10 +73,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    if args.regen_c4_table:
-        sys.stdout.write(_regen_c4_table())
-        return 0
-
     if args.max_order is not None and args.max_order < 0:
         parser.print_usage(sys.stderr)
         sys.stderr.write("quadratize: error: --max-order must be nonnegative\n")
@@ -102,7 +83,7 @@ def main(argv=None) -> int:
             system = _load_system(args, parser)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"quadratize: error: {exc}\n")
         return 1
 

@@ -8,6 +8,7 @@ and CI can diff outputs directly.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,13 +41,16 @@ class ResultDocument:
 
 
 def choose_new_variable_names(taken: set[str], count: int) -> list[str]:
-    """Deterministic fresh names z1, z2, ... (w1, u1, ... if an input name collides)."""
-    for prefix in ("z", "w", "u", "q"):
+    """Deterministic fresh names z1, z2, ... avoiding every name in taken.
+
+    The prefixes tried in turn are z, w, u, q, then zz, zzz, ...; the first
+    whose names are all free is used.
+    """
+    longer = ("z" * length for length in itertools.count(2))
+    for prefix in itertools.chain(("z", "w", "u", "q"), longer):
         names = [f"{prefix}{i}" for i in range(1, count + 1)]
-        if not any(name in taken for name in names):
+        if taken.isdisjoint(names):
             return names
-    # Input deliberately squats on every prefix family: disambiguate by length.
-    return [f"zz{i}" for i in range(1, count + 1)]
 
 
 def format_monomial(m: Monomial, names: tuple[str, ...]) -> str:

@@ -50,6 +50,11 @@ _SINGLE = {
 }
 
 
+# Only ASCII digits: str.isdigit also accepts characters such as "²" that
+# int() rejects.
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
     tokens = []
     i, n = 0, len(text)
@@ -60,9 +65,9 @@ def _tokenize_line(text: str, line_no: int) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and (text[j].isalpha() or text[j] == "_" or text[j] == "."):
                 raise ParseError(line_no, j + 1, f"unexpected character {text[j]!r} in number")

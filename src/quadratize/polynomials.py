@@ -45,18 +45,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def monomial_div(m: Monomial, v: Monomial) -> Monomial | None:
-    """Componentwise quotient m / v, or None if some exponent would go negative."""
-    q = tuple(x - y for x, y in zip(m, v))
-    if min(q) < 0:
-        return None
-    return q
-
-
-def total_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def grlex_key(m: Monomial) -> tuple[int, Monomial]:
     """Sort key for graded lexicographic order: degree first, then exponents."""
     return (sum(m), m)
@@ -75,9 +63,6 @@ def divisors(m: Monomial):
     return (tuple(d) for d in product(*(range(e + 1) for e in m)))
 
 
-_DECOMP_CACHE: dict[Monomial, tuple[tuple[Monomial, Monomial], ...]] = {}
-
-
 def decompositions(m: Monomial) -> tuple[tuple[Monomial, Monomial], ...]:
     """All unordered factorizations m = m1 * m2 into two monomials.
 
@@ -85,18 +70,13 @@ def decompositions(m: Monomial) -> tuple[tuple[Monomial, Monomial], ...]:
     and the list is sorted by m1's exponent vector.  The number of pairs is
     always ceil(divisor_count(m) / 2).
     """
-    cached = _DECOMP_CACHE.get(m)
-    if cached is not None:
-        return cached
     pairs = []
     for d in divisors(m):
         rest = tuple(x - y for x, y in zip(m, d))
         if d <= rest:
             pairs.append((d, rest))
     pairs.sort()
-    result = tuple(pairs)
-    _DECOMP_CACHE[m] = result
-    return result
+    return tuple(pairs)
 
 
 class Polynomial:

@@ -20,6 +20,7 @@ products, which is what forbids such walks in the covering graph.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from math import isqrt
 
 from .polynomials import Monomial
@@ -84,20 +85,10 @@ def build_squarefree_subset(monomials) -> tuple[Monomial, ...]:
     return tuple(chosen)
 
 
-def smallest_k_quadratic(count: int, mult: list[int]) -> int:
-    """Least k with count <= mult[1] + ... + mult[k] + k(k+1)/2."""
+def smallest_k(count: int, mult: list[int], capacity: Callable[[int], int]) -> int:
+    """Least k with count <= mult[1] + ... + mult[k] + capacity(k)."""
     k, prefix = 0, 0
-    while count > prefix + k * (k + 1) // 2:
-        k += 1
-        if k <= len(mult):
-            prefix += mult[k - 1]
-    return k
-
-
-def smallest_k_c4(count: int, mult: list[int], loops: int) -> int:
-    """Least k with count <= mult[1] + ... + mult[k] + c4_capacity(k, loops)."""
-    k, prefix = 0, 0
-    while count > prefix + c4_capacity(k, loops):
+    while count > prefix + capacity(k):
         k += 1
         if k <= len(mult):
             prefix += mult[k - 1]
@@ -108,7 +99,7 @@ def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:
     """True if no extension can quadratize with fewer than incumbent_order vars."""
     var_monomials = [m for _, m in state.vars_sorted]
     mult = quotient_multiplicities(state.nonsquares, var_monomials)
-    k = smallest_k_quadratic(len(state.nonsquares), mult)
+    k = smallest_k(len(state.nonsquares), mult, lambda k: k * (k + 1) // 2)
     return k + len(state.new_vars) >= incumbent_order
 
 
@@ -118,5 +109,5 @@ def prune_by_c4_bound(state: SearchState, incumbent_order: int) -> bool:
     var_monomials = [m for _, m in state.vars_sorted]
     mult = quotient_multiplicities(subset, var_monomials)
     loops = sum(1 for m in subset if all(e % 2 == 0 for e in m))
-    k = smallest_k_c4(len(subset), mult, loops)
+    k = smallest_k(len(subset), mult, lambda k: c4_capacity(k, loops))
     return k + len(state.new_vars) >= incumbent_order

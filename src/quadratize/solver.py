@@ -5,13 +5,16 @@ inside the per-variable degree box of the system (minus 1 and the variables
 themselves), which supplies the initial incumbent order, and explores the
 subproblem tree depth first with the two pruning rules.  The result is a
 monomial quadratization of provably minimal order, plus search statistics.
+The order of the box is counted in closed form; the box itself is built only
+when it is returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .branching import generate_children
 from .output import (
@@ -36,9 +39,7 @@ from .state import SearchState
 class SolveOptions:
     enable_rule_quadratic: bool = True
     enable_rule_c4: bool = True
-    laurent_mode: bool = False      # construction only, never combined with B&B
     max_order_cap: int | None = None
-    collect_stats: bool = True      # controls stats embedding in the document
 
 
 @dataclass
@@ -83,8 +84,18 @@ def per_variable_degrees(system: ODESystem) -> tuple[int, ...]:
     return tuple(maxes)
 
 
+def degree_box_order(system: ODESystem) -> int:
+    """Order of the degree-box quadratization, without building the box.
+
+    The box holds prod(D_i + 1) monomials, of which 1 and every variable x_i
+    with D_i >= 1 are not introduced.
+    """
+    degrees = per_variable_degrees(system)
+    return prod(d + 1 for d in degrees) - 1 - sum(1 for d in degrees if d >= 1)
+
+
 def initial_incumbent(system: ODESystem) -> tuple[tuple[Monomial, ...], int]:
-    """Degree-box quadratization used as the starting incumbent.
+    """Degree-box quadratization, the result when the search finds no smaller one.
 
     Every monomial with exponents bounded by the per-variable degrees, except
     1 and the variables themselves, is introduced.  Any monomial in any
@@ -149,25 +160,21 @@ def bnb_search(system: ODESystem,
     order does not exceed the cap.
     """
     opts = options or SolveOptions()
-    if opts.laurent_mode:
-        raise ValueError("the Laurent construction does not use the search; "
-                         "call laurent_quadratize instead")
-    incumbent_vars, incumbent_order = initial_incumbent(system)
     stats = SearchStats()
-    searcher = _Searcher(system, opts, incumbent_order, stats)
+    searcher = _Searcher(system, opts, degree_box_order(system), stats)
     root = SearchState.initial(system)
     searcher.visit(root)
 
-    best = searcher.best_vars if searcher.best_vars is not None else incumbent_vars
+    best = searcher.best_vars
+    if best is None:
+        best = initial_incumbent(system)[0]
     order = len(best)
     stats.optimal_order = order
     optimal = opts.max_order_cap is None or order <= opts.max_order_cap
 
     final_state = root.extended(best)
-    document = final_state.extract_quadratic_system(
-        stats=stats.as_dict() if opts.collect_stats else None,
-        optimal=optimal,
-    )
+    document = final_state.extract_quadratic_system(stats=stats.as_dict(),
+                                                    optimal=optimal)
     result = QuadratizationResult(new_vars=best, order=order, optimal=optimal,
                                   document=document)
     return result, stats

@@ -42,19 +42,14 @@ class SearchState:
     def initial(cls, system: ODESystem) -> "SearchState":
         n = system.num_vars
         base = [unit_monomial(n)] + [variable_monomial(n, i) for i in range(n)]
-        vars_set = frozenset(base)
         vars_sorted = tuple(sorted((sum(m), m) for m in base))
-        state = cls(system, (), vars_set, vars_sorted, n, frozenset())
-        candidates = set()
-        for i in range(n):
-            candidates |= lie_derivative_support(variable_monomial(n, i), system)
-        state.nonsquares = frozenset(
-            m for m in candidates if not state.in_product_span(m)
-        )
+        state = cls(system, (), frozenset(base), vars_sorted, n, frozenset())
+        state.nonsquares = state.recomputed_nonsquares()
         return state
 
-    def in_product_span(self, m: Monomial) -> bool:
-        """True iff m = v*w for generalized variables v, w of this state."""
+    def factor_pair(self, m: Monomial) -> tuple[Monomial, Monomial] | None:
+        """Generalized variables (v, q) with m = v*q and v the least in graded-lex
+        order, or None if m is not such a product."""
         deg_m = sum(m)
         vset = self.vars_set
         for deg_v, v in self.vars_sorted:
@@ -62,8 +57,8 @@ class SearchState:
                 break
             q = tuple(a - b for a, b in zip(m, v))
             if min(q) >= 0 and q in vset:
-                return True
-        return False
+                return v, q
+        return None
 
     def extended(self, monomials) -> "SearchState":
         """New state with the given monomials introduced as variables.
@@ -105,7 +100,7 @@ class SearchState:
         for a in added:
             fresh |= lie_derivative_support(a, system)
         fresh -= self.nonsquares
-        keep.extend(m for m in fresh if not new_state.in_product_span(m))
+        keep.extend(m for m in fresh if new_state.factor_pair(m) is None)
         new_state.nonsquares = frozenset(keep)
         return new_state
 
@@ -117,29 +112,15 @@ class SearchState:
         """All generalized variables in ascending graded-lex order."""
         return tuple(m for _, m in self.vars_sorted)
 
-    def derivative_of(self, v: Monomial):
-        return lie_derivative(v, self.system)
-
     def recomputed_nonsquares(self) -> frozenset[Monomial]:
-        """Nonsquares recomputed from the definition (for consistency checks)."""
+        """Nonsquares from the definition: the root's, and a check on ``extended``."""
         n = self.system.num_vars
         candidates = set()
         for i in range(n):
             candidates |= lie_derivative_support(variable_monomial(n, i), self.system)
         for z in self.new_vars:
             candidates |= lie_derivative_support(z, self.system)
-        return frozenset(m for m in candidates if not self.in_product_span(m))
-
-    def _factor_pair(self, m: Monomial) -> tuple[Monomial, Monomial]:
-        deg_m = sum(m)
-        vset = self.vars_set
-        for deg_v, v in self.vars_sorted:
-            if 2 * deg_v > deg_m:
-                break
-            q = tuple(a - b for a, b in zip(m, v))
-            if min(q) >= 0 and q in vset:
-                return v, q
-        raise AssertionError(f"monomial {m} is not a product of two variables")
+        return frozenset(m for m in candidates if self.factor_pair(m) is None)
 
     def extract_quadratic_system(self, *, stats: dict[str, int] | None = None,
                                  optimal: bool = True) -> ResultDocument:
@@ -167,7 +148,7 @@ class SearchState:
         for v in ordered:
             terms = []
             for mono, params, coeff in lie_derivative(v, system).sorted_terms():
-                f1, f2 = self._factor_pair(mono)
+                f1, f2 = self.factor_pair(mono)
                 terms.append(ResultTerm(coeff, params, name_of[f1], name_of[f2]))
             equations[name_of[v]] = tuple(terms)
 

@@ -131,3 +131,21 @@ class TestValidityCheckers:
         broken["x"] = ()
         doc.quadratic_rhs = broken
         assert document_violations(system, doc) != []
+
+    def test_document_checker_flags_missing_equation(self):
+        from quadratize.solver import bnb_search
+
+        system = parse_system("x' = x^5\ny' = x")
+        doc = bnb_search(system)[0].document
+        doc.quadratic_rhs = {k: v for k, v in doc.quadratic_rhs.items() if k != "y"}
+        assert document_violations(system, doc) == ["y: no equation"]
+
+    def test_document_checker_flags_reused_input_name(self, monkeypatch):
+        from quadratize.solver import bnb_search
+
+        # Name the new variable after an input variable, as a naming bug would.
+        monkeypatch.setattr("quadratize.state.choose_new_variable_names",
+                            lambda taken, count: ["y"] * count)
+        system = parse_system("x' = x^5\ny' = 0")
+        doc = bnb_search(system)[0].document
+        assert "new variable y reuses an input name" in document_violations(system, doc)

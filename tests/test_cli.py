@@ -4,7 +4,6 @@ import json
 import pytest
 
 from quadratize.cli import main
-from quadratize.pruning import C4_CAPACITY_TABLE
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +53,14 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, str(path))
         assert code == 1
         assert "line 1" in err
+
+    def test_non_utf8_file_is_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("x' = \xe9*x^3\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("quadratize: error: ")
 
     def test_missing_file_is_1(self, capsys):
         code, _, err = run_cli(capsys, "/nonexistent/system.txt")
@@ -131,10 +138,10 @@ class TestOutputs:
         assert code == 0
         assert "not certified optimal" in out
 
-    def test_regen_c4_table(self, capsys):
-        code, out, _ = run_cli(capsys, "--regen-c4-table")
+    def test_new_names_avoid_every_input_name(self, capsys, monkeypatch):
+        text = "z1' = z1^3\nw1' = 0\nu1' = 0\nq1' = 0\nzz1' = 0\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, _ = run_cli(capsys)
         assert code == 0
-        payload = json.loads(out)
-        for n in range(1, 7):
-            assert payload["computed_exhaustively"][str(n)] == list(C4_CAPACITY_TABLE[n])
-        assert payload["pinned_row_7"] == list(C4_CAPACITY_TABLE[7])
+        assert "zzz1 = z1^2" in out
+        assert "  zz1' = 0\n" in out

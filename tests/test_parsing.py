@@ -77,6 +77,8 @@ class TestErrors:
         ("x' = x/2", 1, 7),            # division only inside rational literals
         ("x' = 1/0", 1, 8),            # zero denominator
         ("x' = 2 x", 1, 8),            # implicit multiplication
+        ("x' = x^\u00b2", 1, 8),        # only ASCII digits are numbers
+        ("x' = 1/\u00b2", 1, 8),
         ("x' = x^2\nx' = x", 2, 1),    # duplicate left-hand side
     ])
     def test_located_errors(self, text, line, column):

@@ -13,7 +13,6 @@ from quadratize.polynomials import (
     decompositions,
     divisor_count,
     lie_derivative,
-    monomial_div,
     monomial_mul,
     unit_monomial,
     variable_monomial,
@@ -37,11 +36,6 @@ class TestMonomialOps:
         assert monomial_mul((0, 0), (1, 2)) == (1, 2)
         assert monomial_mul((1, 2), (0, 1)) == (1, 3)
 
-    def test_div(self):
-        assert monomial_div((3,), (1,)) == (2,)
-        assert monomial_div((1,), (2,)) is None
-        assert monomial_div((1, 2), (0, 2)) == (1, 0)
-
     def test_divisor_count(self):
         assert divisor_count((3,)) == 4
         assert divisor_count((0, 0)) == 1
@@ -61,12 +55,6 @@ class TestMonomialOps:
         for m1, m2 in pairs:
             assert monomial_mul(m1, m2) == m
         assert list(pairs) == sorted(pairs, key=lambda p: p[0])
-
-    @given(paired_monomials())
-    @settings(max_examples=100, deadline=None)
-    def test_div_inverts_mul(self, pair):
-        a, b = pair
-        assert monomial_div(monomial_mul(a, b), b) == a
 
 
 class TestPolynomial:

@@ -13,8 +13,7 @@ from quadratize.pruning import (
     prune_by_c4_bound,
     prune_by_quadratic_bound,
     quotient_multiplicities,
-    smallest_k_c4,
-    smallest_k_quadratic,
+    smallest_k,
 )
 from quadratize.solver import benchmark_system
 from quadratize.state import SearchState
@@ -32,13 +31,17 @@ class TestQuotientMultiplicities:
         assert quotient_multiplicities([(2,)], [(0,), (1,), (2,)]) == [1, 1, 1]
 
 
+def pair_capacity(k):
+    return k * (k + 1) // 2
+
+
 class TestSmallestK:
     def test_quadratic_example(self):
-        assert smallest_k_quadratic(2, [2, 1, 1]) == 1
+        assert smallest_k(2, [2, 1, 1], pair_capacity) == 1
 
     def test_zero_count(self):
-        assert smallest_k_quadratic(0, []) == 0
-        assert smallest_k_c4(0, [], 0) == 0
+        assert smallest_k(0, [], pair_capacity) == 0
+        assert smallest_k(0, [], lambda k: c4_capacity(k, 0)) == 0
 
     @given(st.lists(st.integers(1, 5), max_size=6), st.integers(0, 40),
            st.integers(0, 3))
@@ -47,17 +50,17 @@ class TestSmallestK:
         mult = sorted(mult, reverse=True)
 
         def q_bound(k):
-            return sum(mult[:k]) + k * (k + 1) // 2
+            return sum(mult[:k]) + pair_capacity(k)
 
         def c_bound(k):
             return sum(mult[:k]) + c4_capacity(k, loops)
 
-        k = smallest_k_quadratic(count, mult)
+        k = smallest_k(count, mult, pair_capacity)
         assert count <= q_bound(k)
         if k:
             assert count > q_bound(k - 1)
 
-        k = smallest_k_c4(count, mult, loops)
+        k = smallest_k(count, mult, lambda k: c4_capacity(k, loops))
         assert count <= c_bound(k)
         if k:
             assert count > c_bound(k - 1)

@@ -11,6 +11,7 @@ from quadratize.solver import (
     SolveOptions,
     benchmark_system,
     bnb_search,
+    degree_box_order,
     initial_incumbent,
     laurent_quadratize,
     per_variable_degrees,
@@ -47,6 +48,12 @@ class TestInitialIncumbent:
     def test_linear_system_has_empty_incumbent(self):
         vars_, order = initial_incumbent(parse_system("x' = 2*x"))
         assert vars_ == () and order == 0
+
+    def test_closed_form_order_counts_the_box(self, worked_systems, random_corpus):
+        systems = list(worked_systems.values()) + random_corpus
+        systems.append(parse_system("x' = 2*x\ny' = 0"))
+        for system in systems:
+            assert degree_box_order(system) == len(initial_incumbent(system)[0])
 
 
 class TestSearch:
@@ -114,16 +121,19 @@ class TestSearch:
             assert (render_result(r1.document, "structured")
                     == render_result(r2.document, "structured"))
 
-    def test_laurent_mode_option_is_rejected(self):
-        with pytest.raises(ValueError):
-            bnb_search(parse_system("x' = x^5"), SolveOptions(laurent_mode=True))
-
-    def test_stats_embedding_toggle(self):
-        system = parse_system("x' = x^5")
-        with_stats, _ = bnb_search(system)
-        without, _ = bnb_search(system, SolveOptions(collect_stats=False))
-        assert with_stats.document.stats is not None
-        assert without.document.stats is None
+    def test_twelve_variable_allen_cahn_chain(self):
+        # The degree box of this chain holds 4^12 monomials; only its order
+        # may be computed for the search to start.
+        n = 12
+        lines = []
+        for i in range(1, n + 1):
+            neighbours = [f"x{j}" for j in (i - 1, i + 1) if 1 <= j <= n]
+            lines.append(f"x{i}' = " + " + ".join(neighbours) + f" - x{i} - x{i}^3")
+        system = parse_system("\n".join(lines))
+        result, stats = bnb_search(system)
+        assert result.order == stats.optimal_order == 12
+        assert result.optimal
+        assert document_violations(system, result.document) == []
 
 
 class TestMaxOrderCap:

@@ -101,8 +101,8 @@ class TestExtended:
         root = SearchState.initial(system)
         child = root.extended([(2,)])
         for m in [(0,), (1,), (2,), (3,), (4,)]:
-            if root.in_product_span(m):
-                assert child.in_product_span(m)
+            if root.factor_pair(m) is not None:
+                assert child.factor_pair(m) is not None
 
 
 class TestIsQuadratization:
