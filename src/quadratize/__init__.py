@@ -26,6 +26,7 @@ from .polynomials import (
 )
 from .solver import (
     LaurentQuadratization,
+    NoQuadratizationWithinCap,
     QuadratizationResult,
     SearchStats,
     SolveOptions,
@@ -41,6 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LaurentQuadratization",
     "Monomial",
+    "NoQuadratizationWithinCap",
     "ODESystem",
     "ParseError",
     "Polynomial",

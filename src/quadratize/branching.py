@@ -2,16 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .polynomials import Monomial, decompositions, divisor_count, grlex_key
 from .state import SearchState
-
-
-@dataclass(frozen=True)
-class ChildSubproblem:
-    added: tuple[Monomial, ...]  # 1 or 2 monomials, disjoint from the parent's vars
-    order_key: int
 
 
 def select_branch_monomial(state: SearchState) -> Monomial:
@@ -21,24 +13,21 @@ def select_branch_monomial(state: SearchState) -> Monomial:
     return min(state.nonsquares, key=lambda m: (divisor_count(m), grlex_key(m)))
 
 
-def generate_children(state: SearchState) -> list[ChildSubproblem]:
+def generate_children(state: SearchState) -> list[tuple[Monomial, ...]]:
     """One child per factorization of the selected nonsquare, cheapest first.
 
-    A child adds the factors not already among the generalized variables
-    (always at least one).  Children whose additions coincide are merged.
-    The sort key is the child's sum of variable degrees plus n times its
-    variable count; ties break on the added monomials in graded-lex order.
+    A child is the tuple of factors not already among the generalized
+    variables (always at least one), in graded-lex order; coinciding children
+    are merged.  Children are sorted by their sum of degrees plus n times
+    their length, then by their monomials in graded-lex order.
     """
     m = select_branch_monomial(state)
     n = state.system.num_vars
-    children: dict[tuple[Monomial, ...], ChildSubproblem] = {}
+    children = set()
     for m1, m2 in decompositions(m):
         added = tuple(sorted({f for f in (m1, m2) if f not in state.vars_set},
                              key=grlex_key))
-        if not added or added in children:
-            continue
-        degree_sum = state.degree_sum + sum(sum(f) for f in added)
-        var_count = len(state.vars_sorted) + len(added)
-        children[added] = ChildSubproblem(added, degree_sum + n * var_count)
-    return sorted(children.values(),
-                  key=lambda c: (c.order_key, tuple(grlex_key(f) for f in c.added)))
+        if added:
+            children.add(added)
+    return sorted(children, key=lambda added: (sum(map(sum, added)) + n * len(added),
+                                               tuple(map(grlex_key, added))))

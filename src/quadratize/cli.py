@@ -2,7 +2,8 @@
 
 Reads a system from a file (or standard input), finds an optimal monomial
 quadratization, and prints it as text or as the structured JSON document.
-Exit codes: 0 success, 1 unreadable or unparseable input, 2 invalid options.
+Exit codes: 0 success, 1 unreadable or unparseable input, 2 invalid options,
+3 no quadratization within --max-order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ import sys
 
 from .output import render_result
 from .parsing import ParseError, parse_system
-from .solver import SolveOptions, benchmark_system, bnb_search, laurent_quadratize
+from .solver import (
+    NoQuadratizationWithinCap,
+    SolveOptions,
+    benchmark_system,
+    bnb_search,
+    laurent_quadratize,
+)
 
 _BENCHMARKS_WITH_SIZE = ("scalar_power", "cubic_cycle", "cubic_bicycle")
 
@@ -40,8 +47,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stats", action="store_true",
                         help="also print search statistics (text format)")
     parser.add_argument("--max-order", type=int, metavar="N", default=None,
-                        help="abandon branches needing more than N new variables; "
-                             "the result may then be non-optimal")
+                        help="search only for quadratizations with at most N new "
+                             "variables; exit 3 if there is none")
     return parser
 
 
@@ -97,7 +104,11 @@ def main(argv=None) -> int:
         enable_rule_c4=not args.no_prune_c4,
         max_order_cap=args.max_order,
     )
-    result, stats = bnb_search(system, options)
+    try:
+        result, stats = bnb_search(system, options)
+    except NoQuadratizationWithinCap as exc:
+        sys.stderr.write(f"quadratize: error: {exc}\n")
+        return 3
     sys.stdout.write(render_result(result.document, args.format))
     if args.stats and args.format == "text":
         sys.stdout.write("Search statistics:\n")

@@ -63,48 +63,42 @@ def format_monomial(m: Monomial, names: tuple[str, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _scaled(coeff: str, factors: str) -> str:
+    """The product coeff*factors, where factors "1" is the empty product."""
+    if factors == "1":
+        return coeff
+    if coeff == "1":
+        return factors
+    if coeff == "-1":
+        return "-" + factors
+    return f"{coeff}*{factors}"
+
+
+def _signed_sum(pieces: list[str]) -> str:
+    """Join signed terms as ``a + b - c``; the empty sum is ``0``."""
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for piece in pieces[1:]:
+        if piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out
+
+
 def format_coefficient(coeff: Fraction, params: ParamExponents,
                        param_names: tuple[str, ...]) -> str:
     """Display a rational-times-parameter coefficient, e.g. ``-3/2*a^2``."""
-    factors = []
-    for name, e in zip(param_names, params):
-        if e == 0:
-            continue
-        factors.append(name if e == 1 else f"{name}^{e}")
-    if not factors:
-        return str(coeff)
-    if coeff == 1:
-        return "*".join(factors)
-    if coeff == -1:
-        return "-" + "*".join(factors)
-    return "*".join([str(coeff)] + factors)
+    return _scaled(str(coeff), format_monomial(params, param_names))
 
 
 def _format_term(term: ResultTerm, param_names: tuple[str, ...]) -> str:
     factors = [f for f in (term.factor1, term.factor2) if f != "1"]
     if len(factors) == 2 and factors[0] == factors[1]:
         factors = [f"{factors[0]}^2"]
-    coeff = format_coefficient(term.coeff, term.params, param_names)
-    if not factors:
-        return coeff
-    if coeff == "1":
-        return "*".join(factors)
-    if coeff == "-1":
-        return "-" + "*".join(factors)
-    return "*".join([coeff] + factors)
-
-
-def _render_equation(terms: tuple[ResultTerm, ...], param_names: tuple[str, ...]) -> str:
-    if not terms:
-        return "0"
-    rendered = [_format_term(t, param_names) for t in terms]
-    out = rendered[0]
-    for piece in rendered[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+    return _scaled(format_coefficient(term.coeff, term.params, param_names),
+                   "*".join(factors) or "1")
 
 
 def render_result(doc: ResultDocument, format: str = "text") -> str:
@@ -121,7 +115,8 @@ def render_result(doc: ResultDocument, format: str = "text") -> str:
             lines.append("Note: result is not certified optimal")
         lines.append("Quadratic system:")
         for var, terms in doc.quadratic_rhs.items():
-            lines.append(f"  {var}' = " + _render_equation(terms, doc.parameters))
+            lines.append(f"  {var}' = "
+                         + _signed_sum([_format_term(t, doc.parameters) for t in terms]))
         return "\n".join(lines) + "\n"
     if format == "structured":
         payload = {
@@ -152,26 +147,8 @@ def render_system(system: ODESystem) -> str:
     """Echo a system in the input format (parseable back to an equal system)."""
     lines = []
     for name, poly in zip(system.variables, system.rhs):
-        if poly.is_zero():
-            lines.append(f"{name}' = 0")
-            continue
-        pieces = []
-        for mono, params, coeff in poly.sorted_terms():
-            coeff_str = format_coefficient(coeff, params, system.parameters)
-            mono_str = format_monomial(mono, system.variables)
-            if mono_str == "1":
-                pieces.append(coeff_str)
-            elif coeff_str == "1":
-                pieces.append(mono_str)
-            elif coeff_str == "-1":
-                pieces.append("-" + mono_str)
-            else:
-                pieces.append(f"{coeff_str}*{mono_str}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        lines.append(f"{name}' = {out}")
+        pieces = [_scaled(format_coefficient(coeff, params, system.parameters),
+                          format_monomial(mono, system.variables))
+                  for mono, params, coeff in poly.sorted_terms()]
+        lines.append(f"{name}' = {_signed_sum(pieces)}")
     return "\n".join(lines) + "\n"

@@ -54,6 +54,9 @@ _SINGLE = {
 # int() rejects.
 _DIGITS = frozenset("0123456789")
 
+# Each nesting level costs a few Python frames in the recursive descent.
+MAX_NESTING = 100
+
 
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
     tokens = []
@@ -96,6 +99,7 @@ class _ExpressionParser:
     def __init__(self, tokens, var_index, param_index):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.var_index = var_index
         self.param_index = param_index
         self.num_vars = len(var_index)
@@ -117,6 +121,12 @@ class _ExpressionParser:
 
     def fail(self, tok: _Token, message: str):
         raise ParseError(tok.line, tok.column, message)
+
+    def integer(self, tok: _Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            self.fail(tok, "integer literal too long")
 
     def parse_expression(self) -> Polynomial:
         sign = 1
@@ -144,11 +154,12 @@ class _ExpressionParser:
         if self.peek().kind == "CARET":
             caret = self.take()
             tok = self.take()
-            if tok.kind != "INT" or int(tok.text) < 1:
+            exponent = self.integer(tok) if tok.kind == "INT" else 0
+            if exponent < 1:
                 self.fail(tok if tok.kind != "END" else caret,
                           "exponent must be a positive integer literal")
             power = base
-            for _ in range(int(tok.text) - 1):
+            for _ in range(exponent - 1):
                 power = power * base
             return power
         return base
@@ -156,15 +167,16 @@ class _ExpressionParser:
     def parse_base(self) -> Polynomial:
         tok = self.take()
         if tok.kind == "INT":
-            value = Fraction(int(tok.text))
+            value = Fraction(self.integer(tok))
             if self.peek().kind == "SLASH":
                 self.take()
                 den = self.take()
                 if den.kind != "INT":
                     self.fail(den, "expected an integer denominator")
-                if int(den.text) == 0:
+                denominator = self.integer(den)
+                if denominator == 0:
                     self.fail(den, "zero denominator")
-                value = Fraction(int(tok.text), int(den.text))
+                value /= denominator
             return Polynomial.from_term(value, unit_monomial(self.num_vars),
                                         (0,) * self.num_params)
         if tok.kind == "IDENT":
@@ -177,8 +189,12 @@ class _ExpressionParser:
             params[pidx] = 1
             return Polynomial.from_term(1, unit_monomial(self.num_vars), tuple(params))
         if tok.kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                self.fail(tok, f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             inner = self.parse_expression()
             self.expect("RPAREN", "')'")
+            self.depth -= 1
             return inner
         self.fail(tok, "expected a number, identifier or '('")
 

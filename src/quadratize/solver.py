@@ -2,16 +2,17 @@
 
 The search starts from the guaranteed quadratization given by all monomials
 inside the per-variable degree box of the system (minus 1 and the variables
-themselves), which supplies the initial incumbent order, and explores the
-subproblem tree depth first with the two pruning rules.  The result is a
-monomial quadratization of provably minimal order, plus search statistics.
-The order of the box is counted in closed form; the box itself is built only
-when it is returned.
+themselves), which supplies the initial incumbent order (an order cap, when
+smaller, is the initial bound instead), and explores the subproblem tree
+depth first with the two pruning rules.  The result is a monomial
+quadratization of provably minimal order, plus search statistics.  The order
+of the box is counted in closed form; the box itself is built only when it is
+the optimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -51,13 +52,7 @@ class SearchStats:
     optimal_order: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "nodes_visited": self.nodes_visited,
-            "pruned_by_quadratic": self.pruned_by_quadratic,
-            "pruned_by_c4": self.pruned_by_c4,
-            "incumbent_updates": self.incumbent_updates,
-            "optimal_order": self.optimal_order,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -111,43 +106,12 @@ def initial_incumbent(system: ODESystem) -> tuple[tuple[Monomial, ...], int]:
     return tuple(box), len(box)
 
 
-class _Searcher:
-    def __init__(self, system: ODESystem, options: SolveOptions,
-                 incumbent_order: int, stats: SearchStats):
-        self.system = system
-        self.options = options
-        self.stats = stats
-        self.best_vars: tuple[Monomial, ...] | None = None
-        self.bound = incumbent_order
+class NoQuadratizationWithinCap(ValueError):
+    """Every monomial quadratization of the system needs more than the cap."""
 
-    def visit(self, state: SearchState) -> None:
-        stats = self.stats
-        stats.nodes_visited += 1
-        depth = len(state.new_vars)
-        if state.is_quadratization:
-            if depth < self.bound:
-                self.best_vars = state.new_vars
-                self.bound = depth
-                stats.incumbent_updates += 1
-            return
-        opts = self.options
-        if opts.enable_rule_quadratic and prune_by_quadratic_bound(state, self.bound):
-            stats.pruned_by_quadratic += 1
-            return
-        if opts.enable_rule_c4 and prune_by_c4_bound(state, self.bound):
-            stats.pruned_by_c4 += 1
-            return
-        if depth >= self.bound:
-            # Baseline incumbent bound: a deeper node cannot beat the
-            # incumbent since every child only adds variables.  With either
-            # rule enabled this is unreachable (the rules subsume it), so it
-            # does not perturb their node counts.
-            return
-        cap = opts.max_order_cap
-        for child in generate_children(state):
-            if cap is not None and depth + len(child.added) > cap:
-                continue
-            self.visit(state.extended(child.added))
+    def __init__(self, cap: int):
+        super().__init__(f"no monomial quadratization with at most {cap} new variables")
+        self.lower_bound = cap + 1
 
 
 def bnb_search(system: ODESystem,
@@ -155,27 +119,53 @@ def bnb_search(system: ODESystem,
     """Find a minimal-order monomial quadratization by branch and bound.
 
     Deterministic: identical inputs and options give identical results and
-    statistics.  With max_order_cap set, branches needing more variables than
-    the cap are abandoned, and the result is certified optimal only if its
-    order does not exceed the cap.
+    statistics.  max_order_cap, when set, is the search's initial bound: the
+    result is still optimal, and NoQuadratizationWithinCap is raised when
+    every quadratization needs more than cap new variables.
     """
     opts = options or SolveOptions()
     stats = SearchStats()
-    searcher = _Searcher(system, opts, degree_box_order(system), stats)
+    cap = opts.max_order_cap
+    box = degree_box_order(system)
+    bound = box if cap is None else min(box, cap + 1)
+    best = None
     root = SearchState.initial(system)
-    searcher.visit(root)
+    # Depth-first over a stack of child iterators; map extends each child
+    # only when it is visited.
+    stack = [iter((root,))]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        stats.nodes_visited += 1
+        depth = len(state.new_vars)
+        if state.is_quadratization:
+            if depth < bound:
+                best, bound = state.new_vars, depth
+                stats.incumbent_updates += 1
+            continue
+        if opts.enable_rule_quadratic and prune_by_quadratic_bound(state, bound):
+            stats.pruned_by_quadratic += 1
+            continue
+        if opts.enable_rule_c4 and prune_by_c4_bound(state, bound):
+            stats.pruned_by_c4 += 1
+            continue
+        if depth >= bound:
+            # Baseline incumbent bound: a deeper node cannot beat the
+            # incumbent since every child only adds variables.  With either
+            # rule enabled this is unreachable (the rules subsume it), so it
+            # does not perturb their node counts.
+            continue
+        stack.append(map(state.extended, generate_children(state)))
 
-    best = searcher.best_vars
     if best is None:
+        if cap is not None and cap < box:
+            raise NoQuadratizationWithinCap(cap)
         best = initial_incumbent(system)[0]
-    order = len(best)
-    stats.optimal_order = order
-    optimal = opts.max_order_cap is None or order <= opts.max_order_cap
-
-    final_state = root.extended(best)
-    document = final_state.extract_quadratic_system(stats=stats.as_dict(),
-                                                    optimal=optimal)
-    result = QuadratizationResult(new_vars=best, order=order, optimal=optimal,
+    stats.optimal_order = len(best)
+    document = root.extended(best).extract_quadratic_system(stats=stats.as_dict())
+    result = QuadratizationResult(new_vars=best, order=len(best), optimal=True,
                                   document=document)
     return result, stats
 

@@ -26,16 +26,13 @@ from .polynomials import (
 
 
 class SearchState:
-    __slots__ = ("system", "new_vars", "vars_set", "vars_sorted", "degree_sum",
-                 "nonsquares")
+    __slots__ = ("system", "new_vars", "vars_set", "vars_sorted", "nonsquares")
 
-    def __init__(self, system: ODESystem, new_vars, vars_set, vars_sorted,
-                 degree_sum, nonsquares):
+    def __init__(self, system: ODESystem, new_vars, vars_set, vars_sorted, nonsquares):
         self.system = system
         self.new_vars = new_vars          # tuple[Monomial], insertion order
         self.vars_set = vars_set          # frozenset[Monomial], incl. 1 and x_i
         self.vars_sorted = vars_sorted    # tuple[(degree, Monomial)], ascending
-        self.degree_sum = degree_sum      # sum of degrees over vars_set
         self.nonsquares = nonsquares      # frozenset[Monomial]
 
     @classmethod
@@ -43,7 +40,7 @@ class SearchState:
         n = system.num_vars
         base = [unit_monomial(n)] + [variable_monomial(n, i) for i in range(n)]
         vars_sorted = tuple(sorted((sum(m), m) for m in base))
-        state = cls(system, (), frozenset(base), vars_sorted, n, frozenset())
+        state = cls(system, (), frozenset(base), vars_sorted, frozenset())
         state.nonsquares = state.recomputed_nonsquares()
         return state
 
@@ -77,14 +74,8 @@ class SearchState:
         vars_set = self.vars_set | set(added)
         vars_sorted = tuple(sorted(self.vars_sorted
                                    + tuple((sum(m), m) for m in added)))
-        new_state = SearchState(
-            system,
-            self.new_vars + added,
-            vars_set,
-            vars_sorted,
-            self.degree_sum + sum(sum(m) for m in added),
-            frozenset(),
-        )
+        new_state = SearchState(system, self.new_vars + added, vars_set, vars_sorted,
+                                frozenset())
 
         # Every product new to the enlarged span involves an added variable,
         # so surviving old nonsquares only need checking against those.
@@ -122,8 +113,8 @@ class SearchState:
             candidates |= lie_derivative_support(z, self.system)
         return frozenset(m for m in candidates if self.factor_pair(m) is None)
 
-    def extract_quadratic_system(self, *, stats: dict[str, int] | None = None,
-                                 optimal: bool = True) -> ResultDocument:
+    def extract_quadratic_system(self, *,
+                                 stats: dict[str, int] | None = None) -> ResultDocument:
         """Rewrite every derivative over factor pairs of generalized variables.
 
         Requires an empty nonsquare set.  Factor pairs are chosen
@@ -161,6 +152,5 @@ class SearchState:
             parameters=system.parameters,
             new_variables=new_variables,
             quadratic_rhs=equations,
-            optimal=optimal,
             stats=stats,
         )

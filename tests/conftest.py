@@ -23,6 +23,15 @@ WORKED_EXAMPLES = {
 }
 
 
+def allen_cahn_text(n: int) -> str:
+    """x_i' = x_{i-1} + x_{i+1} - x_i - x_i^3: optimum n, degree box 4^n monomials."""
+    lines = []
+    for i in range(1, n + 1):
+        neighbours = [f"x{j}" for j in (i - 1, i + 1) if 1 <= j <= n]
+        lines.append(f"x{i}' = " + " + ".join(neighbours) + f" - x{i} - x{i}^3")
+    return "\n".join(lines)
+
+
 @pytest.fixture(scope="session")
 def worked_systems():
     return {name: parse_system(text) for name, text in WORKED_EXAMPLES.items()}

@@ -1,9 +1,12 @@
 import io
 import json
+import time
 
 import pytest
 
 from quadratize.cli import main
+
+from conftest import allen_cahn_text
 
 
 def run_cli(capsys, *argv):
@@ -132,11 +135,15 @@ class TestOutputs:
         assert "x1^-1*x2^4" in out
         assert "not certified optimal" in out
 
-    def test_max_order_labels_non_optimal(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("x' = x^5\n"))
-        code, out, _ = run_cli(capsys, "--max-order", "0")
-        assert code == 0
-        assert "not certified optimal" in out
+    def test_max_order_below_optimum_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(allen_cahn_text(10)))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "--max-order", "5")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err == ("quadratize: error: no monomial quadratization with at most 5 "
+                       "new variables\n")
 
     def test_new_names_avoid_every_input_name(self, capsys, monkeypatch):
         text = "z1' = z1^3\nw1' = 0\nu1' = 0\nq1' = 0\nzz1' = 0\n"

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadratize.output import render_system
-from quadratize.parsing import ParseError, parse_system
+from quadratize.parsing import MAX_NESTING, ParseError, parse_system
 from quadratize.polynomials import Polynomial
 
 from conftest import WORKED_EXAMPLES, build_random_corpus
@@ -89,6 +91,41 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_system("# only a comment\n")
+
+    def test_deep_nesting_is_located(self):
+        # After the 5 characters of "x' = ", the opening parenthesis one
+        # level past the limit is at column 5 + MAX_NESTING + 1.
+        with pytest.raises(ParseError) as err:
+            parse_system("x' = " + "(" * 300 + "x" + ")" * 300)
+        assert (err.value.line, err.value.column) == (1, 6 + MAX_NESTING)
+        nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_system("x' = " + nested) == parse_system("x' = x")
+
+    @pytest.mark.parametrize("prefix", ["x' = ", "x' = x^", "x' = 1/"])
+    def test_overlong_literal_is_located(self, prefix):
+        with pytest.raises(ParseError) as err:
+            parse_system(prefix + "9" * 5000)
+        assert (err.value.line, err.value.column) == (1, len(prefix) + 1)
+
+
+_EXPRESSION_ALPHABET = "xya_+-*^/()0129. "
+_ALPHABET = _EXPRESSION_ALPHABET + "'=#\t\n"
+_EQUATIONS = st.lists(
+    st.tuples(st.sampled_from("xy"), st.text(_EXPRESSION_ALPHABET, max_size=30)),
+    min_size=1, max_size=3,
+).map(lambda lines: "\n".join(f"{lhs}' = {rhs}" for lhs, rhs in lines))
+
+
+class TestFuzz:
+    @given(st.text(_ALPHABET, max_size=40) | _EQUATIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_only_parse_errors(self, text):
+        # Random text and random right-hand sides over the grammar's
+        # alphabet: a system or a ParseError, never another exception.
+        try:
+            parse_system(text)
+        except ParseError:
+            pass
 
 
 class TestRoundTrip:

@@ -1,3 +1,6 @@
+import sys
+import time
+
 import pytest
 
 from quadratize.bruteforce import (
@@ -8,6 +11,7 @@ from quadratize.bruteforce import (
 from quadratize.output import render_result
 from quadratize.parsing import parse_system
 from quadratize.solver import (
+    NoQuadratizationWithinCap,
     SolveOptions,
     benchmark_system,
     bnb_search,
@@ -17,12 +21,21 @@ from quadratize.solver import (
     per_variable_degrees,
 )
 
+from conftest import allen_cahn_text
+
 ALL_CONFIGS = {
     "none": SolveOptions(enable_rule_quadratic=False, enable_rule_c4=False),
     "quadratic": SolveOptions(enable_rule_c4=False),
     "c4": SolveOptions(enable_rule_quadratic=False),
     "both": SolveOptions(),
 }
+
+
+def frame_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 class TestInitialIncumbent:
@@ -122,14 +135,9 @@ class TestSearch:
                     == render_result(r2.document, "structured"))
 
     def test_twelve_variable_allen_cahn_chain(self):
-        # The degree box of this chain holds 4^12 monomials; only its order
-        # may be computed for the search to start.
-        n = 12
-        lines = []
-        for i in range(1, n + 1):
-            neighbours = [f"x{j}" for j in (i - 1, i + 1) if 1 <= j <= n]
-            lines.append(f"x{i}' = " + " + ".join(neighbours) + f" - x{i} - x{i}^3")
-        system = parse_system("\n".join(lines))
+        # Only the order of the degree box may be computed for the search
+        # to start.
+        system = parse_system(allen_cahn_text(12))
         result, stats = bnb_search(system)
         assert result.order == stats.optimal_order == 12
         assert result.optimal
@@ -137,18 +145,55 @@ class TestSearch:
 
 
 class TestMaxOrderCap:
-    def test_cap_below_optimum_falls_back_to_incumbent(self):
+    def test_cap_below_optimum_raises(self):
         system = parse_system("x' = x^5")
-        result, _ = bnb_search(system, SolveOptions(max_order_cap=0))
-        assert result.order == 4  # the degree-box incumbent
-        assert not result.optimal
-        assert not result.document.optimal
+        with pytest.raises(NoQuadratizationWithinCap) as err:
+            bnb_search(system, SolveOptions(max_order_cap=0))
+        assert err.value.lower_bound == 1
+        assert str(err.value) == "no monomial quadratization with at most 0 new variables"
+
+    def test_cap_below_optimum_does_not_build_the_box(self):
+        # The cap is the search's first bound, so nothing of the 4^10 box
+        # is built when the cap is too small.
+        start = time.perf_counter()
+        with pytest.raises(NoQuadratizationWithinCap):
+            bnb_search(parse_system(allen_cahn_text(10)), SolveOptions(max_order_cap=5))
+        assert time.perf_counter() - start < 1.0
 
     def test_cap_at_optimum_is_still_optimal(self):
         system = parse_system("x' = x^5")
         result, _ = bnb_search(system, SolveOptions(max_order_cap=1))
         assert result.order == 1
         assert result.optimal
+
+    def test_cap_around_optimum_on_corpus(self, random_corpus):
+        for system in random_corpus:
+            result, _ = bnb_search(system)
+            if result.order:
+                with pytest.raises(NoQuadratizationWithinCap):
+                    bnb_search(system, SolveOptions(max_order_cap=result.order - 1))
+            capped, _ = bnb_search(system, SolveOptions(max_order_cap=result.order))
+            assert capped.new_vars == result.new_vars
+
+    def test_cap_at_box_order_returns_box(self):
+        # Here the box is empty and optimal: the search finds nothing below
+        # it, which is not a failure of the cap.
+        result, _ = bnb_search(parse_system("x' = 2*x"), SolveOptions(max_order_cap=0))
+        assert result.new_vars == ()
+
+
+class TestSearchDepth:
+    def test_depth_is_not_bound_by_the_recursion_limit(self):
+        # The search goes 52 levels deep on this system; bnb_search
+        # is a loop, so its stack does not grow with the search depth.
+        system = parse_system("x' = x^3 + x^100")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 45)
+        try:
+            result, _ = bnb_search(system)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.order == 2
 
 
 class TestLaurent:
