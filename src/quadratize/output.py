@@ -10,34 +10,48 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .polynomials import Monomial, ODESystem, ParamExponents
 
 
-@dataclass(frozen=True)
-class ResultTerm:
-    """One degree-<=2 term: coeff * factor1 * factor2, factors named, "1" = unit."""
-
-    coeff: Fraction
-    params: ParamExponents
-    factor1: str
-    factor2: str
+# One degree-<=2 term: coeff * factor1 * factor2, factors named, "1" = unit.
+ResultTerm = namedtuple("ResultTerm", "coeff params factor1 factor2")
 
 
-@dataclass
 class ResultDocument:
     """A quadratic system over the original and the introduced variables."""
 
-    variables: tuple[str, ...]
-    parameters: tuple[str, ...]
-    # (name, exponent vector over the original variables, display string)
-    new_variables: tuple[tuple[str, Monomial, str], ...]
-    # variable name -> terms of its right-hand side, canonical order
-    quadratic_rhs: dict[str, tuple[ResultTerm, ...]]
-    optimal: bool = True
-    stats: dict[str, int] | None = None
+    __slots__ = ("variables", "parameters", "new_variables", "quadratic_rhs",
+                 "optimal", "stats")
+
+    def __init__(self, variables: tuple[str, ...], parameters: tuple[str, ...],
+                 new_variables: tuple[tuple[str, Monomial, str], ...],
+                 quadratic_rhs: dict[str, tuple[ResultTerm, ...]],
+                 optimal: bool = True, stats: dict[str, int] | None = None):
+        self.variables = variables
+        self.parameters = parameters
+        # (name, exponent vector over the original variables, display string)
+        self.new_variables = new_variables
+        # variable name -> terms of its right-hand side, canonical order
+        self.quadratic_rhs = quadratic_rhs
+        self.optimal = optimal
+        self.stats = stats
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ResultDocument):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "ResultDocument(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
 def choose_new_variable_names(taken: set[str], count: int) -> list[str]:

@@ -8,15 +8,23 @@ where the expression is built from integer or rational literals (``3``,
 ``1/2``), identifiers, ``+ - * ^`` and parentheses.  ``^`` binds tighter than
 ``*``, multiplication requires an explicit ``*``, a single leading minus is
 allowed in any (sub)expression, and ``#`` starts a comment.  Identifiers that
-never appear on a left-hand side are treated as symbolic parameters.
+never appear on a left-hand side are symbolic parameters; one whose terms all
+cancel (``x' = a - a``) is dropped, so a rendered system parses back equal.
+
+Each term is built in one pass: one coefficient and one exponent list each
+for the variables and the parameters.  A power of a number, an identifier or
+a one-term parenthesized expression only scales that accumulator, so
+``x^3000000`` costs no more than ``x^3``.  A power of a parenthesized
+expression with several terms is still expanded in full, one polynomial
+product per unit of the exponent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
-from .polynomials import ODESystem, Polynomial, unit_monomial, variable_monomial
+from .polynomials import ODESystem, Polynomial
 
 
 class ParseError(ValueError):
@@ -29,15 +37,17 @@ class ParseError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT INT PRIME EQ PLUS MINUS STAR CARET SLASH LPAREN RPAREN END
-    text: str
-    line: int
-    column: int
+def _fail(tok, message: str):
+    raise ParseError(tok[2], tok[3], message)
 
 
-_SINGLE = {
+# One token after optional whitespace: a number (only ASCII digits, since
+# int() rejects characters such as "²" that str.isdigit accepts), a word, a
+# symbol, the end of the line or a comment, or any other character.  For str
+# patterns \s and \w match exactly str.isspace and str.isalnum or "_".
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|(\w+)|([-'=+*^/()])|(#|\Z)|(.))", re.S)
+
+_SYMBOLS = {
     "'": "PRIME",
     "=": "EQ",
     "+": "PLUS",
@@ -49,47 +59,37 @@ _SINGLE = {
     ")": "RPAREN",
 }
 
-
-# Only ASCII digits: str.isdigit also accepts characters such as "²" that
-# int() rejects.
-_DIGITS = frozenset("0123456789")
-
 # Each nesting level costs a few Python frames in the recursive descent.
 MAX_NESTING = 100
 
 
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
+def _tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) tuples, the last of kind END.
+
+    Kinds: IDENT INT PRIME EQ PLUS MINUS STAR CARET SLASH LPAREN RPAREN END.
+    """
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        start, end = match.span(group)
+        word = match.group(group)
+        if group == 1:
+            if end < len(text) and (text[end].isalpha() or text[end] in "_."):
+                raise ParseError(line_no, end + 1,
+                                 f"unexpected character {text[end]!r} in number")
+            tokens.append(("INT", word, line_no, start + 1))
+        elif group == 2:
+            # \w also matches digits such as "²" that cannot start a name.
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(line_no, start + 1, f"stray character {word[0]!r}")
+            tokens.append(("IDENT", word, line_no, start + 1))
+        elif group == 3:
+            tokens.append((_SYMBOLS[word], word, line_no, start + 1))
+        elif group == 4:
             break
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and (text[j].isalpha() or text[j] == "_" or text[j] == "."):
-                raise ParseError(line_no, j + 1, f"unexpected character {text[j]!r} in number")
-            tokens.append(_Token("INT", text[i:j], line_no, i + 1))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line_no, i + 1))
-            i = j
-            continue
-        kind = _SINGLE.get(ch)
-        if kind is None:
-            raise ParseError(line_no, i + 1, f"stray character {ch!r}")
-        tokens.append(_Token(kind, ch, line_no, i + 1))
-        i += 1
-    tokens.append(_Token("END", "", line_no, len(text) + 1))
+        else:
+            raise ParseError(line_no, start + 1, f"stray character {word!r}")
+    tokens.append(("END", "", line_no, len(text) + 1))
     return tokens
 
 
@@ -102,101 +102,130 @@ class _ExpressionParser:
         self.depth = 0
         self.var_index = var_index
         self.param_index = param_index
-        self.num_vars = len(var_index)
-        self.num_params = len(param_index)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
+    def take(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.take()
-        if tok.kind != kind:
-            raise ParseError(tok.line, tok.column, f"expected {what}")
-        return tok
-
-    def fail(self, tok: _Token, message: str):
-        raise ParseError(tok.line, tok.column, message)
-
-    def integer(self, tok: _Token) -> int:
+    def integer(self, tok) -> int:
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # more digits than int() converts
-            self.fail(tok, "integer literal too long")
+            _fail(tok, "integer literal too long")
+
+    def exponent(self) -> int:
+        """The power after a factor: 1, or the literal after '^'."""
+        if self.tokens[self.pos][0] != "CARET":
+            return 1
+        caret = self.take()
+        tok = self.take()
+        exponent = self.integer(tok) if tok[0] == "INT" else 0
+        if exponent < 1:
+            _fail(tok if tok[0] != "END" else caret,
+                      "exponent must be a positive integer literal")
+        return exponent
 
     def parse_expression(self) -> Polynomial:
-        sign = 1
-        if self.peek().kind in ("PLUS", "MINUS"):
-            if self.take().kind == "MINUS":
-                sign = -1
-        result = self.parse_term()
-        if sign < 0:
-            result = -result
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.take()
-            term = self.parse_term()
-            result = result + term if op.kind == "PLUS" else result - term
+        """Signed terms, summed in place in the order Polynomial.__add__ would."""
+        tokens = self.tokens
+        kind = tokens[self.pos][0]
+        negate = kind == "MINUS"
+        if negate or kind == "PLUS":
+            self.pos += 1
+        terms = {}
+        while True:
+            for key, coeff in self.parse_term().items():
+                if negate:
+                    coeff = -coeff
+                acc = terms.get(key)
+                if acc is None:
+                    terms[key] = coeff
+                else:
+                    acc += coeff
+                    if acc:
+                        terms[key] = acc
+                    else:
+                        del terms[key]
+            kind = tokens[self.pos][0]
+            if kind != "PLUS" and kind != "MINUS":
+                break
+            negate = kind == "MINUS"
+            self.pos += 1
+        result = Polynomial.__new__(Polynomial)
+        result.terms = terms
         return result
 
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while self.peek().kind == "STAR":
-            self.take()
-            result = result * self.parse_factor()
-        return result
+    def parse_term(self) -> dict:
+        """One product of factors as {(monomial, params): coefficient}.
 
-    def parse_factor(self) -> Polynomial:
-        base = self.parse_base()
-        if self.peek().kind == "CARET":
-            caret = self.take()
+        Numbers, identifiers and one-term parenthesized factors, with their
+        powers, go into one accumulator; parenthesized factors with several
+        terms are multiplied as polynomials, and the accumulated term last.
+        """
+        tokens = self.tokens
+        mono = [0] * len(self.var_index)
+        params = [0] * len(self.param_index)
+        num = den = 1
+        product = None
+        while True:
             tok = self.take()
-            exponent = self.integer(tok) if tok.kind == "INT" else 0
-            if exponent < 1:
-                self.fail(tok if tok.kind != "END" else caret,
-                          "exponent must be a positive integer literal")
-            power = base
-            for _ in range(exponent - 1):
-                power = power * base
-            return power
-        return base
-
-    def parse_base(self) -> Polynomial:
-        tok = self.take()
-        if tok.kind == "INT":
-            value = Fraction(self.integer(tok))
-            if self.peek().kind == "SLASH":
-                self.take()
-                den = self.take()
-                if den.kind != "INT":
-                    self.fail(den, "expected an integer denominator")
-                denominator = self.integer(den)
-                if denominator == 0:
-                    self.fail(den, "zero denominator")
-                value /= denominator
-            return Polynomial.from_term(value, unit_monomial(self.num_vars),
-                                        (0,) * self.num_params)
-        if tok.kind == "IDENT":
-            idx = self.var_index.get(tok.text)
-            if idx is not None:
-                return Polynomial.from_term(1, variable_monomial(self.num_vars, idx),
-                                            (0,) * self.num_params)
-            pidx = self.param_index[tok.text]
-            params = [0] * self.num_params
-            params[pidx] = 1
-            return Polynomial.from_term(1, unit_monomial(self.num_vars), tuple(params))
-        if tok.kind == "LPAREN":
-            if self.depth == MAX_NESTING:
-                self.fail(tok, f"parentheses nested deeper than {MAX_NESTING}")
-            self.depth += 1
-            inner = self.parse_expression()
-            self.expect("RPAREN", "')'")
-            self.depth -= 1
-            return inner
-        self.fail(tok, "expected a number, identifier or '('")
+            kind = tok[0]
+            if kind == "INT":
+                n, d = self.integer(tok), 1
+                if tokens[self.pos][0] == "SLASH":
+                    self.pos += 1
+                    den_tok = self.take()
+                    if den_tok[0] != "INT":
+                        _fail(den_tok, "expected an integer denominator")
+                    d = self.integer(den_tok)
+                    if d == 0:
+                        _fail(den_tok, "zero denominator")
+                k = self.exponent()
+                num *= n ** k
+                den *= d ** k
+            elif kind == "IDENT":
+                k = self.exponent()
+                idx = self.var_index.get(tok[1])
+                if idx is not None:
+                    mono[idx] += k
+                else:
+                    params[self.param_index[tok[1]]] += k
+            elif kind == "LPAREN":
+                if self.depth == MAX_NESTING:
+                    _fail(tok, f"parentheses nested deeper than {MAX_NESTING}")
+                self.depth += 1
+                inner = self.parse_expression()
+                close = self.take()
+                if close[0] != "RPAREN":
+                    _fail(close, "expected ')'")
+                self.depth -= 1
+                k = self.exponent()
+                if len(inner.terms) > 1:
+                    power = inner
+                    for _ in range(k - 1):
+                        power = power * inner
+                    product = power if product is None else product * power
+                elif inner.terms:
+                    ((m, p), c), = inner.terms.items()
+                    mono = [a + e * k for a, e in zip(mono, m)]
+                    params = [a + e * k for a, e in zip(params, p)]
+                    num *= c.numerator ** k
+                    den *= c.denominator ** k
+                else:
+                    num = 0
+            else:
+                _fail(tok, "expected a number, identifier or '('")
+            if tokens[self.pos][0] != "STAR":
+                break
+            self.pos += 1
+        if not num:
+            return {}
+        term = {(tuple(mono), tuple(params)): Fraction(num, den)}
+        if product is None:
+            return term
+        # A one-term left factor keeps the product's term order.
+        return (Polynomial(term) * product).terms
 
 
 def parse_system(text: str) -> ODESystem:
@@ -205,47 +234,51 @@ def parse_system(text: str) -> ODESystem:
     Raises ParseError (with line and column) on any input outside the grammar,
     on duplicate left-hand sides, and on non-positive-integer exponents.
     """
-    token_lines: list[list[_Token]] = []
+    token_lines = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, line_no)
-        if tokens[0].kind != "END":
+        if tokens[0][0] != "END":
             token_lines.append(tokens)
     if not token_lines:
         raise ParseError(1, 1, "no equations found")
 
     # First pass: left-hand sides fix the state variables (in order of
-    # appearance); every other identifier is a parameter.
+    # appearance); every other identifier is a parameter candidate.
     variables: list[str] = []
     for tokens in token_lines:
         head = tokens[0]
-        if head.kind != "IDENT":
-            raise ParseError(head.line, head.column, "expected a variable name")
-        if tokens[1].kind != "PRIME":
-            raise ParseError(tokens[1].line, tokens[1].column,
-                             "expected \"'\" after the variable name")
-        if tokens[2].kind != "EQ":
-            raise ParseError(tokens[2].line, tokens[2].column, "expected '='")
-        if head.text in variables:
-            raise ParseError(head.line, head.column,
-                             f"duplicate left-hand side {head.text!r}")
-        variables.append(head.text)
+        if head[0] != "IDENT":
+            _fail(head, "expected a variable name")
+        if tokens[1][0] != "PRIME":
+            _fail(tokens[1], "expected \"'\" after the variable name")
+        if tokens[2][0] != "EQ":
+            _fail(tokens[2], "expected '='")
+        if head[1] in variables:
+            _fail(head, f"duplicate left-hand side {head[1]!r}")
+        variables.append(head[1])
 
-    var_set = set(variables)
-    parameters = sorted(
-        {tok.text for tokens in token_lines for tok in tokens
-         if tok.kind == "IDENT" and tok.text not in var_set}
-    )
     var_index = {name: i for i, name in enumerate(variables)}
+    parameters = sorted(
+        {tok[1] for tokens in token_lines for tok in tokens
+         if tok[0] == "IDENT" and tok[1] not in var_index}
+    )
     param_index = {name: i for i, name in enumerate(parameters)}
 
     rhs = []
     for tokens in token_lines:
         parser = _ExpressionParser(tokens[3:], var_index, param_index)
         poly = parser.parse_expression()
-        trailing = parser.peek()
-        if trailing.kind != "END":
-            raise ParseError(trailing.line, trailing.column,
-                             f"unexpected {trailing.text!r} after the expression")
+        trailing = parser.tokens[parser.pos]
+        if trailing[0] != "END":
+            _fail(trailing, f"unexpected {trailing[1]!r} after the expression")
         rhs.append(poly)
+
+    # Keep only the parameters of surviving terms.
+    used = sorted({i for poly in rhs for _, p in poly.terms for i, e in enumerate(p) if e})
+    if len(used) < len(parameters):
+        parameters = [parameters[i] for i in used]
+        rhs = [Polynomial({(m, tuple(p[i] for i in used)): c
+                           for (m, p), c in poly.terms.items()})
+               for poly in rhs]
 
     return ODESystem(tuple(variables), tuple(parameters), tuple(rhs))

@@ -20,7 +20,6 @@ All values are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -195,7 +194,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
 class ODESystem:
     """A polynomial ODE system x_i' = f_i(x) with optional symbolic parameters.
 
@@ -203,28 +201,42 @@ class ODESystem:
     they live in coefficients and contribute no exponent to state monomials.
     """
 
-    variables: tuple[str, ...]
-    parameters: tuple[str, ...]
-    rhs: tuple[Polynomial, ...]
-    # Memo for Lie derivatives of monomials along this system.  Populating it
-    # is idempotent, so sharing between threads is harmless.
-    _lie_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("variables", "parameters", "rhs", "_lie_cache")
 
-    def __post_init__(self):
-        if not self.variables:
+    def __init__(self, variables: tuple[str, ...], parameters: tuple[str, ...],
+                 rhs: tuple[Polynomial, ...]):
+        if not variables:
             raise ValueError("system must have at least one variable")
-        names = list(self.variables) + list(self.parameters)
+        names = list(variables) + list(parameters)
         if len(set(names)) != len(names):
             raise ValueError("variable and parameter names must be distinct")
-        if len(self.rhs) != len(self.variables):
+        if len(rhs) != len(variables):
             raise ValueError("need exactly one right-hand side per variable")
-        n, np_ = len(self.variables), len(self.parameters)
-        for poly in self.rhs:
+        n, np_ = len(variables), len(parameters)
+        for poly in rhs:
             for mono, params in poly.terms:
                 if len(mono) != n or len(params) != np_:
                     raise ValueError("term shape does not match the declared symbols")
                 if min(mono) < 0:
                     raise ValueError("negative exponents are not allowed in a system")
+        self.variables = variables
+        self.parameters = parameters
+        self.rhs = rhs
+        # Memo for Lie derivatives of monomials along this system.  Populating
+        # it is idempotent, so sharing between threads is harmless.
+        self._lie_cache = {}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ODESystem):
+            return NotImplemented
+        return (self.variables, self.parameters, self.rhs) == (
+            other.variables, other.parameters, other.rhs)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"ODESystem(variables={self.variables!r}, "
+                f"parameters={self.parameters!r}, rhs={self.rhs!r})")
 
     @property
     def num_vars(self) -> int:

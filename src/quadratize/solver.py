@@ -12,7 +12,7 @@ the optimum.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -36,37 +36,24 @@ from .pruning import prune_by_c4_bound, prune_by_quadratic_bound
 from .state import SearchState
 
 
-@dataclass(frozen=True)
-class SolveOptions:
-    enable_rule_quadratic: bool = True
-    enable_rule_c4: bool = True
-    max_order_cap: int | None = None
+SolveOptions = namedtuple("SolveOptions",
+                          "enable_rule_quadratic enable_rule_c4 max_order_cap",
+                          defaults=(True, True, None))
 
 
-@dataclass
-class SearchStats:
-    nodes_visited: int = 0
-    pruned_by_quadratic: int = 0
-    pruned_by_c4: int = 0
-    incumbent_updates: int = 0
-    optimal_order: int = 0
+class SearchStats(namedtuple("SearchStats", "nodes_visited pruned_by_quadratic pruned_by_c4 "
+                                            "incumbent_updates optimal_order",
+                             defaults=(0, 0, 0, 0, 0))):
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class QuadratizationResult:
-    new_vars: tuple[Monomial, ...]
-    order: int
-    optimal: bool
-    document: ResultDocument
+QuadratizationResult = namedtuple("QuadratizationResult", "new_vars order optimal document")
 
-
-@dataclass(frozen=True)
-class LaurentQuadratization:
-    new_vars: tuple[Monomial, ...]  # Laurent exponent vectors
-    document: ResultDocument
+# new_vars are Laurent exponent vectors.
+LaurentQuadratization = namedtuple("LaurentQuadratization", "new_vars document")
 
 
 def per_variable_degrees(system: ODESystem) -> tuple[int, ...]:
@@ -124,7 +111,7 @@ def bnb_search(system: ODESystem,
     every quadratization needs more than cap new variables.
     """
     opts = options or SolveOptions()
-    stats = SearchStats()
+    nodes = pruned_quadratic = pruned_c4 = updates = 0
     cap = opts.max_order_cap
     box = degree_box_order(system)
     bound = box if cap is None else min(box, cap + 1)
@@ -138,18 +125,18 @@ def bnb_search(system: ODESystem,
         if state is None:
             stack.pop()
             continue
-        stats.nodes_visited += 1
+        nodes += 1
         depth = len(state.new_vars)
         if state.is_quadratization:
             if depth < bound:
                 best, bound = state.new_vars, depth
-                stats.incumbent_updates += 1
+                updates += 1
             continue
         if opts.enable_rule_quadratic and prune_by_quadratic_bound(state, bound):
-            stats.pruned_by_quadratic += 1
+            pruned_quadratic += 1
             continue
         if opts.enable_rule_c4 and prune_by_c4_bound(state, bound):
-            stats.pruned_by_c4 += 1
+            pruned_c4 += 1
             continue
         if depth >= bound:
             # Baseline incumbent bound: a deeper node cannot beat the
@@ -163,7 +150,7 @@ def bnb_search(system: ODESystem,
         if cap is not None and cap < box:
             raise NoQuadratizationWithinCap(cap)
         best = initial_incumbent(system)[0]
-    stats.optimal_order = len(best)
+    stats = SearchStats(nodes, pruned_quadratic, pruned_c4, updates, len(best))
     document = root.extended(best).extract_quadratic_system(stats=stats.as_dict())
     result = QuadratizationResult(new_vars=best, order=len(best), optimal=True,
                                   document=document)

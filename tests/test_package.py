@@ -1,0 +1,34 @@
+"""The package as a user starts it: its import path and the demo scripts."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(args, timeout):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, timeout=timeout,
+                          capture_output=True, text=True)
+
+
+def test_import_loads_no_heavy_modules():
+    # -S skips site hooks, which may import typing and would hide a regression.
+    heavy = ("ast", "dataclasses", "inspect", "typing")
+    code = f"import quadratize, sys; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    proc = run_python(["-S", "-c", code], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("demo", ["01_worked_examples.py", "03_laurent_lifting.py",
+                                  "04_graph_capacity.py"])
+def test_demo_runs(demo):
+    # Each takes under a second; the timeout only stops a hang.
+    proc = run_python([str(ROOT / "demos" / demo)], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

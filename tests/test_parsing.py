@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,19 @@ class TestGrammar:
         sys = parse_system("# heading\n\nx' = x^2  # trailing\n")
         assert sys.rhs[0].terms == {((2,), ()): Fraction(1)}
 
+    def test_huge_atom_power_is_direct(self):
+        start = time.perf_counter()
+        sys = parse_system("x' = x^3000000")
+        assert time.perf_counter() - start < 1
+        assert sys.rhs[0].terms == {((3000000,), ()): Fraction(1)}
+
+    def test_cancelled_parameters_are_dropped(self):
+        sys = parse_system("x' = a - a + b*x\ny' = c*y - y*c")
+        assert sys.parameters == ("b",)
+        assert sys.rhs[0].terms == {((1, 0), (1,)): Fraction(1)}
+        assert sys.rhs[1].is_zero()
+        assert parse_system("x' = a - a").parameters == ()
+
 
 class TestErrors:
     @pytest.mark.parametrize("text,line,column", [
@@ -81,12 +95,21 @@ class TestErrors:
         ("x' = 2 x", 1, 8),            # implicit multiplication
         ("x' = x^\u00b2", 1, 8),        # only ASCII digits are numbers
         ("x' = 1/\u00b2", 1, 8),
+        ("x' = 2\u00e9", 1, 7),        # a letter glued to a number
+        ("x' = \u00b2*x", 1, 6),        # a digit that is no letter starts no name
         ("x' = x^2\nx' = x", 2, 1),    # duplicate left-hand side
     ])
     def test_located_errors(self, text, line, column):
         with pytest.raises(ParseError) as err:
             parse_system(text)
         assert (err.value.line, err.value.column) == (line, column)
+
+    def test_unicode_names_and_whitespace(self):
+        # Names are runs of str.isalnum characters (or "_") starting with a
+        # letter; any str.isspace character separates tokens.
+        assert parse_system("x' = \u00e9*x").parameters == ("\u00e9",)
+        assert parse_system("x'\u00a0= x") == parse_system("x' = x")
+        assert parse_system("x' = x\u00b2*x").parameters == ("x\u00b2",)
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
@@ -121,11 +144,74 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     def test_only_parse_errors(self, text):
         # Random text and random right-hand sides over the grammar's
-        # alphabet: a system or a ParseError, never another exception.
+        # alphabet: a system or a ParseError, never another exception; every
+        # system renders to text that parses back equal.
         try:
-            parse_system(text)
+            system = parse_system(text)
         except ParseError:
-            pass
+            return
+        assert parse_system(render_system(system)) == system
+
+
+_SYMBOL_NAMES = "xyab"
+_LEAVES = (st.fractions(min_value=-5, max_value=5, max_denominator=4).map(lambda c: ("num", c))
+           | st.sampled_from(_SYMBOL_NAMES).map(lambda name: ("sym", name)))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda kids: (st.tuples(st.sampled_from("+-*"), kids, kids)
+                  | st.tuples(st.just("^"), kids, st.integers(1, 3))
+                  | st.tuples(st.just("neg"), kids)),
+    max_leaves=10,
+)
+
+
+def render_tree(tree) -> str:
+    tag = tree[0]
+    if tag == "num":
+        text = str(abs(tree[1]))
+        return text if tree[1] >= 0 else f"(-{text})"
+    if tag == "sym":
+        return tree[1]
+    if tag == "neg":
+        return f"(-{render_tree(tree[1])})"
+    if tag == "^":
+        base = render_tree(tree[1])
+        if tree[1][0] in ("*", "^"):
+            base = f"({base})"
+        return f"{base}^{tree[2]}"
+    if tag == "*":
+        return f"{render_tree(tree[1])}*{render_tree(tree[2])}"
+    return f"({render_tree(tree[1])} {tag} {render_tree(tree[2])})"
+
+
+def evaluate_tree(tree) -> Polynomial:
+    """The tree's value by Polynomial arithmetic over x, y and parameters a, b."""
+    tag = tree[0]
+    if tag == "num":
+        return Polynomial.from_term(tree[1], (0, 0), (0, 0))
+    if tag == "sym":
+        exponents = [0, 0, 0, 0]
+        exponents[_SYMBOL_NAMES.index(tree[1])] = 1
+        return Polynomial.from_term(1, tuple(exponents[:2]), tuple(exponents[2:]))
+    if tag == "neg":
+        return -evaluate_tree(tree[1])
+    if tag == "^":
+        base = power = evaluate_tree(tree[1])
+        for _ in range(tree[2] - 1):
+            power = power * base
+        return power
+    left, right = evaluate_tree(tree[1]), evaluate_tree(tree[2])
+    return {"+": left + right, "-": left - right, "*": left * right}[tag]
+
+
+class TestTermAccumulator:
+    @given(_TREES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_polynomial_arithmetic(self, tree):
+        # The y equation keeps both parameters, so their indices are fixed.
+        system = parse_system(f"x' = {render_tree(tree)}\ny' = a*b")
+        assert system.parameters == ("a", "b")
+        assert system.rhs[0] == evaluate_tree(tree)
 
 
 class TestRoundTrip:
