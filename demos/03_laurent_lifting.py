@@ -22,7 +22,7 @@ lifting = laurent_quadratize(system)
 print(render_result(lifting.document))
 
 print(f"monomial optimum: {result.order} variables; "
-      f"Laurent lifting: {len(lifting.new_vars)} variables.")
+      f"Laurent lifting: {lifting.order} variables.")
 print("Here the non-optimal Laurent construction is smaller than the best")
 print("possible ordinary monomial quadratization, which is why searching")
 print("over Laurent candidates is an interesting open direction.")

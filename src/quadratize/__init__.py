@@ -25,7 +25,6 @@ from .polynomials import (
     lie_derivative,
 )
 from .solver import (
-    LaurentQuadratization,
     NoQuadratizationWithinCap,
     QuadratizationResult,
     SearchStats,
@@ -40,7 +39,6 @@ from .state import SearchState
 __version__ = "0.1.0"
 
 __all__ = [
-    "LaurentQuadratization",
     "Monomial",
     "NoQuadratizationWithinCap",
     "ODESystem",

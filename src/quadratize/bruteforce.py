@@ -188,38 +188,44 @@ def exhaustive_c4_capacity(n: int, m: int, *, cancel=None) -> int:
 def document_violations(system: ODESystem, document: ResultDocument) -> list[str]:
     """Check an emitted quadratic system (standard or Laurent) term by term.
 
-    Verifies that no introduced variable reuses an input variable or
-    parameter name, that every input variable has an equation, that every
-    factor is 1, an original variable, or an introduced variable (so each
-    term has degree at most two over the extended variable set), and that
-    substituting the factor monomials back into each equation reproduces the
-    Lie derivative of that variable's monomial exactly.
+    Verifies that every introduced variable has a name of its own (no input
+    variable or parameter name, no name used twice), that exactly the input
+    and introduced variables have equations, that every factor is 1, an
+    original variable, or an introduced variable (so each term has degree at
+    most two over the extended variable set), and that substituting the
+    factor monomials back into each equation reproduces the Lie derivative
+    of that variable's monomial exactly.
     Returns human-readable discrepancies (empty list = valid).
     """
     n = system.num_vars
     input_names = set(system.variables) | set(system.parameters)
     problems = []
-    for name, _mono, _display in document.new_variables:
-        if name in input_names:
-            problems.append(f"new variable {name} reuses an input name")
-    for var in system.variables:
-        if var not in document.quadratic_rhs:
-            problems.append(f"{var}: no equation")
-
-    mono_of = {"1": unit_monomial(n)}
+    mono_of = {}
     for i, name in enumerate(system.variables):
         mono_of[name] = variable_monomial(n, i)
     for name, mono, _display in document.new_variables:
-        mono_of[name] = mono
+        if name in input_names:
+            problems.append(f"new variable {name} reuses an input name")
+        elif name in mono_of:
+            problems.append(f"new variable name {name} is used twice")
+        else:
+            mono_of[name] = mono
+    for var in mono_of:
+        if var not in document.quadratic_rhs:
+            problems.append(f"{var}: no equation")
+    factor_mono = {"1": unit_monomial(n), **mono_of}
 
     for var, terms in document.quadratic_rhs.items():
+        if var not in mono_of:
+            problems.append(f"{var}: equation for an unknown variable")
+            continue
         expected = lie_derivative(mono_of[var], system)
         actual: dict = {}
         for t in terms:
-            if t.factor1 not in mono_of or t.factor2 not in mono_of:
+            if t.factor1 not in factor_mono or t.factor2 not in factor_mono:
                 problems.append(f"{var}: unknown factor in {t}")
                 continue
-            key = (monomial_mul(mono_of[t.factor1], mono_of[t.factor2]), t.params)
+            key = (monomial_mul(factor_mono[t.factor1], factor_mono[t.factor2]), t.params)
             actual[key] = actual.get(key, 0) + t.coeff
         actual = {k: c for k, c in actual.items() if c}
         if actual != expected.terms:

@@ -2,8 +2,9 @@
 
 Reads a system from a file (or standard input), finds an optimal monomial
 quadratization, and prints it as text or as the structured JSON document.
-Exit codes: 0 success, 1 unreadable or unparseable input, 2 invalid options,
-3 no quadratization within --max-order.
+Exit codes: 0 success, 1 unreadable or unparseable input, 2 invalid options
+(including a search option given with --laurent), 3 no quadratization within
+--max-order.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ def _load_system(args, parser):
         return parse_system(handle.read())
 
 
+def _usage_error(parser, message: str) -> int:
+    parser.print_usage(sys.stderr)
+    sys.stderr.write(f"quadratize: error: {message}\n")
+    return 2
+
+
 def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
@@ -81,9 +88,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     if args.max_order is not None and args.max_order < 0:
-        parser.print_usage(sys.stderr)
-        sys.stderr.write("quadratize: error: --max-order must be nonnegative\n")
-        return 2
+        return _usage_error(parser, "--max-order must be nonnegative")
+    if args.laurent and (args.max_order is not None or args.no_prune_quadratic
+                         or args.no_prune_c4):
+        return _usage_error(parser, "--laurent takes none of the search options "
+                                    "--max-order, --no-prune-quadratic, --no-prune-c4")
 
     try:
         try:

@@ -14,9 +14,11 @@ cancel (``x' = a - a``) is dropped, so a rendered system parses back equal.
 Each term is built in one pass: one coefficient and one exponent list each
 for the variables and the parameters.  A power of a number, an identifier or
 a one-term parenthesized expression only scales that accumulator, so
-``x^3000000`` costs no more than ``x^3``.  A power of a parenthesized
-expression with several terms is still expanded in full, one polynomial
-product per unit of the exponent.
+``x^3000000`` costs no more than ``x^3``.  Products and powers of
+parenthesized expressions with several terms are multiplied out, one
+polynomial product per unit of the exponent; one equation may spend at most
+``MAX_EXPANSION`` term products on them, and an input needing more is
+rejected with a ``ParseError`` at the ``(`` whose expansion crosses the bound.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ _SYMBOLS = {
 # Each nesting level costs a few Python frames in the recursive descent.
 MAX_NESTING = 100
 
+# Term products one equation may spend multiplying out products and powers of
+# parenthesized sums, a few microseconds each: (x+y+1)^20 needs 4,617 and
+# (x+1)^k needs k*(k+1) - 2.
+MAX_EXPANSION = 20_000
+
 
 def _tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
     """(kind, text, line, column) tuples, the last of kind END.
@@ -100,6 +107,7 @@ class _ExpressionParser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.expansion = 0
         self.var_index = var_index
         self.param_index = param_index
 
@@ -113,6 +121,14 @@ class _ExpressionParser:
             return int(tok[1])
         except ValueError:  # more digits than int() converts
             _fail(tok, "integer literal too long")
+
+    def multiply(self, left: Polynomial, right: Polynomial, paren) -> Polynomial:
+        """left * right, counted against MAX_EXPANSION before it is formed."""
+        self.expansion += len(left.terms) * len(right.terms)
+        if self.expansion > MAX_EXPANSION:
+            _fail(paren, f"expanding parenthesized sums needs more than "
+                         f"{MAX_EXPANSION} term products")
+        return left * right
 
     def exponent(self) -> int:
         """The power after a factor: 1, or the literal after '^'."""
@@ -204,8 +220,8 @@ class _ExpressionParser:
                 if len(inner.terms) > 1:
                     power = inner
                     for _ in range(k - 1):
-                        power = power * inner
-                    product = power if product is None else product * power
+                        power = self.multiply(power, inner, tok)
+                    product = power if product is None else self.multiply(product, power, tok)
                 elif inner.terms:
                     ((m, p), c), = inner.terms.items()
                     mono = [a + e * k for a, e in zip(mono, m)]

@@ -13,17 +13,10 @@ the optimum.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 from math import prod
 
 from .branching import generate_children
-from .output import (
-    ResultDocument,
-    ResultTerm,
-    choose_new_variable_names,
-    format_monomial,
-)
 from .parsing import parse_system
 from .polynomials import (
     Monomial,
@@ -50,10 +43,8 @@ class SearchStats(namedtuple("SearchStats", "nodes_visited pruned_by_quadratic p
         return self._asdict()
 
 
+# optimal is False only for the Laurent lifting.
 QuadratizationResult = namedtuple("QuadratizationResult", "new_vars order optimal document")
-
-# new_vars are Laurent exponent vectors.
-LaurentQuadratization = namedtuple("LaurentQuadratization", "new_vars document")
 
 
 def per_variable_degrees(system: ODESystem) -> tuple[int, ...]:
@@ -157,85 +148,25 @@ def bnb_search(system: ODESystem,
     return result, stats
 
 
-def laurent_quadratize(system: ODESystem) -> LaurentQuadratization:
+def laurent_quadratize(system: ODESystem) -> QuadratizationResult:
     """Linear-size quadratization with Laurent-monomial variables.
 
-    For the j-th monomial m of the i-th right-hand side, introduce
-    z = m / x_i.  Then x_i' is a sum of terms z * x_i, and the derivative of
-    each z expands into terms proportional to products of two such z's, so
-    every right-hand side has degree at most two over the extended variables.
-    Duplicates are merged, and z's equal to 1 or to an original variable are
-    not introduced (the products above then fall back to existing variables).
+    For every monomial m of the i-th right-hand side, introduce z = m / x_i
+    unless it is 1 or an original variable.  Then x_i' is a sum of terms
+    z * x_i, and the derivative of each z is a sum of products of z with
+    another such ratio, so the ratios quadratize the system (Carothers et al.,
+    EJDE 2005).  The ratios are introduced into the search's own state and
+    the result is extracted the same way, which checks that the nonsquare
+    set is empty: names follow graded-lex order and every term uses the
+    least factor pair.  The order is not certified optimal.
     """
-    n = system.num_vars
-    unit = unit_monomial(n)
-    originals = {variable_monomial(n, i): name
-                 for i, name in enumerate(system.variables)}
-
-    ratio_of: dict[tuple[int, Monomial], Monomial] = {}
-    introduced: list[Monomial] = []
-    seen: set[Monomial] = set()
-    for i, poly in enumerate(system.rhs):
-        for mono, _params, _coeff in poly.sorted_terms():
-            z = tuple(e - (1 if s == i else 0) for s, e in enumerate(mono))
-            ratio_of[(i, mono)] = z
-            if z == unit or z in originals or z in seen:
-                continue
-            seen.add(z)
-            introduced.append(z)
-
-    taken = set(system.variables) | set(system.parameters)
-    new_names = choose_new_variable_names(taken, len(introduced))
-    name_of: dict[Monomial, str] = {unit: "1"}
-    name_of.update(originals)
-    for name, z in zip(new_names, introduced):
-        name_of[z] = name
-    mono_of = {name: z for z, name in name_of.items()}
-
-    def build_equation(terms) -> tuple[ResultTerm, ...]:
-        merged: dict[tuple, Fraction] = {}
-        for coeff, params, f1, f2 in terms:
-            a, b = sorted((f1, f2), key=lambda name: grlex_key(mono_of[name]))
-            key = (params, a, b)
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        out = []
-        for (params, a, b), coeff in merged.items():
-            if coeff:
-                out.append(ResultTerm(coeff, params, a, b))
-        product_key = lambda t: grlex_key(
-            tuple(x + y for x, y in zip(mono_of[t.factor1], mono_of[t.factor2])))
-        return tuple(sorted(
-            out, key=lambda t: (product_key(t), t.params, t.factor1, t.factor2)))
-
-    equations: dict[str, tuple[ResultTerm, ...]] = {}
-    for i, poly in enumerate(system.rhs):
-        terms = []
-        for mono, params, coeff in poly.sorted_terms():
-            z = ratio_of[(i, mono)]
-            terms.append((coeff, params, name_of[z], system.variables[i]))
-        equations[system.variables[i]] = build_equation(terms)
-
-    for z in introduced:
-        terms = []
-        for s, degree in enumerate(z):
-            if not degree:
-                continue
-            for mono, params, coeff in system.rhs[s].sorted_terms():
-                partner = ratio_of[(s, mono)]
-                terms.append((coeff * degree, params, name_of[partner], name_of[z]))
-        equations[name_of[z]] = build_equation(terms)
-
-    document = ResultDocument(
-        variables=system.variables,
-        parameters=system.parameters,
-        new_variables=tuple(
-            (name_of[z], z, format_monomial(z, system.variables)) for z in introduced
-        ),
-        quadratic_rhs=equations,
-        optimal=False,
-        stats=None,
-    )
-    return LaurentQuadratization(new_vars=tuple(introduced), document=document)
+    ratios = {tuple(e - (s == i) for s, e in enumerate(mono))
+              for i, poly in enumerate(system.rhs) for mono, _ in poly.terms}
+    root = SearchState.initial(system)
+    state = root.extended(ratios - root.vars_set)
+    return QuadratizationResult(new_vars=state.new_vars, order=len(state.new_vars),
+                                optimal=False,
+                                document=state.extract_quadratic_system(optimal=False))
 
 
 def benchmark_system(name: str, n: int | None = None) -> ODESystem:

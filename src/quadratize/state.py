@@ -7,8 +7,14 @@ the generalized variables that are not a product of two generalized
 variables.  An empty nonsquare set means the introduced variables form a
 monomial quadratization.
 
-States are immutable snapshots: ``extended`` returns a new state sharing the
-derivative cache entries of its parent, which is what makes deep DFS cheap.
+States are immutable snapshots: ``extended`` returns a new state and only
+updates the nonsquares its additions can change, taking derivatives from the
+memo on the ``ODESystem``, which is what makes deep DFS cheap.
+
+In the search every generalized variable has non-negative exponents.  The
+Laurent lifting (``solver.laurent_quadratize``) builds a state whose
+variables are Laurent monomials; nothing here assumes exponents are
+non-negative, so the same state and extraction serve both.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ class SearchState:
             if 2 * deg_v > deg_m:
                 break
             q = tuple(a - b for a, b in zip(m, v))
-            if min(q) >= 0 and q in vset:
+            if q in vset:
                 return v, q
         return None
 
@@ -82,8 +88,7 @@ class SearchState:
         keep = []
         for m in self.nonsquares:
             for a in added:
-                q = tuple(x - y for x, y in zip(m, a))
-                if min(q) >= 0 and q in vars_set:
+                if tuple(x - y for x, y in zip(m, a)) in vars_set:
                     break
             else:
                 keep.append(m)
@@ -113,11 +118,12 @@ class SearchState:
             candidates |= lie_derivative_support(z, self.system)
         return frozenset(m for m in candidates if self.factor_pair(m) is None)
 
-    def extract_quadratic_system(self, *,
+    def extract_quadratic_system(self, *, optimal: bool = True,
                                  stats: dict[str, int] | None = None) -> ResultDocument:
         """Rewrite every derivative over factor pairs of generalized variables.
 
-        Requires an empty nonsquare set.  Factor pairs are chosen
+        Raises ValueError unless the nonsquare set is empty, so every emitted
+        system is checked to be quadratic.  Factor pairs are chosen
         deterministically: first valid pair scanning the generalized
         variables in ascending graded-lex order.
         """
@@ -152,5 +158,6 @@ class SearchState:
             parameters=system.parameters,
             new_variables=new_variables,
             quadratic_rhs=equations,
+            optimal=optimal,
             stats=stats,
         )

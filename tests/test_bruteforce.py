@@ -149,3 +149,27 @@ class TestValidityCheckers:
         system = parse_system("x' = x^5\ny' = 0")
         doc = bnb_search(system)[0].document
         assert "new variable y reuses an input name" in document_violations(system, doc)
+
+    def test_document_checker_flags_equation_of_unknown_variable(self):
+        from quadratize.solver import bnb_search
+
+        system = parse_system("x' = x^3")
+        doc = bnb_search(system)[0].document
+        doc.quadratic_rhs = {**doc.quadratic_rhs, "bogus": ()}
+        assert document_violations(system, doc) == ["bogus: equation for an unknown variable"]
+
+    def test_document_checker_flags_new_variable_without_equation(self):
+        from quadratize.solver import bnb_search
+
+        system = parse_system("x' = x^3")
+        doc = bnb_search(system)[0].document
+        doc.quadratic_rhs = {k: v for k, v in doc.quadratic_rhs.items() if k != "z1"}
+        assert document_violations(system, doc) == ["z1: no equation"]
+
+    def test_document_checker_flags_shared_new_name(self):
+        from quadratize.solver import bnb_search
+
+        system = parse_system("x' = x^5")
+        doc = bnb_search(system)[0].document
+        doc.new_variables = doc.new_variables * 2
+        assert document_violations(system, doc) == ["new variable name z1 is used twice"]

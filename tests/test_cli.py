@@ -86,6 +86,14 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "--benchmark", argument)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--max-order", "3"], ["--no-prune-quadratic"],
+                                      ["--no-prune-c4"]])
+    def test_search_option_with_laurent_is_2(self, capsys, flag):
+        code, out, err = run_cli(capsys, "--benchmark", "rf", "--laurent", *flag)
+        assert code == 2
+        assert out == ""
+        assert "--laurent takes none of the search options" in err
+
     def test_negative_max_order_is_2(self, capsys):
         code, _, _ = run_cli(capsys, "--benchmark", "rf", "--max-order", "-1")
         assert code == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadratize.output import render_system
-from quadratize.parsing import MAX_NESTING, ParseError, parse_system
+from quadratize.parsing import MAX_EXPANSION, MAX_NESTING, ParseError, parse_system
 from quadratize.polynomials import Polynomial
 
 from conftest import WORKED_EXAMPLES, build_random_corpus
@@ -123,6 +123,29 @@ class TestErrors:
         assert (err.value.line, err.value.column) == (1, 6 + MAX_NESTING)
         nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
         assert parse_system("x' = " + nested) == parse_system("x' = x")
+
+    @pytest.mark.parametrize("text,column", [
+        ("(x+1)^2000", 6),
+        ("(x+y+1)^250", 6),
+        ("(x+y)^200*(x+z)^200*(y+z)^200", 6),
+        # Each factor alone is within the bound; the product of all three is not.
+        ("(x+y)^60*(x+z)^60*(y+z)^60", 24),
+    ])
+    def test_expansion_bound_is_located(self, text, column):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_system(f"x' = {text}\ny' = 0\nz' = 0")
+        assert time.perf_counter() - start < 1
+        assert (err.value.line, err.value.column) == (1, column)
+        assert str(MAX_EXPANSION) in err.value.reason
+
+    def test_expansion_within_bound(self):
+        for factor in ("(x+y)^60", "(x+z)^60", "(y+z)^60"):
+            parse_system(f"x' = {factor}\ny' = 0\nz' = 0")
+        base = power = parse_system("x' = x + y + 1\ny' = 0").rhs[0]
+        for _ in range(19):
+            power = power * base
+        assert parse_system("x' = (x+y+1)^20\ny' = 0").rhs[0] == power
 
     @pytest.mark.parametrize("prefix", ["x' = ", "x' = x^", "x' = 1/"])
     def test_overlong_literal_is_located(self, prefix):

@@ -1,9 +1,12 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadratize.solver
+from quadratize.bruteforce import box_candidates, is_quadratization
 from quadratize.parsing import parse_system
 from quadratize.polynomials import monomial_mul
 from quadratize.pruning import (
@@ -15,8 +18,10 @@ from quadratize.pruning import (
     quotient_multiplicities,
     smallest_k,
 )
-from quadratize.solver import benchmark_system
+from quadratize.solver import SolveOptions, benchmark_system, bnb_search
 from quadratize.state import SearchState
+
+from conftest import wide_box
 
 
 class TestQuotientMultiplicities:
@@ -158,3 +163,39 @@ class TestPruneRules:
                 fired = [n for n in range(0, 8) if rule(state, n)]
                 # if it fires for N it fires for every smaller N
                 assert fired == list(range(0, len(fired)))
+
+
+class TestPrunedNodesAreSound:
+    @pytest.mark.parametrize("rule,options", [
+        ("prune_by_quadratic_bound", SolveOptions(enable_rule_c4=False)),
+        ("prune_by_c4_bound", SolveOptions(enable_rule_quadratic=False)),
+    ])
+    def test_no_smaller_completion_in_the_wide_box(self, random_corpus, monkeypatch,
+                                                   rule, options):
+        # Every node a rule prunes at bound N: the brute-force checker finds no
+        # quadratization among the supersets of its variables, drawn from the
+        # wide-box candidates, with fewer than N variables.
+        pruned = []
+        original = getattr(quadratize.solver, rule)
+
+        def recording(state, bound):
+            if original(state, bound):
+                pruned.append((state.new_vars, bound))
+                return True
+            return False
+
+        monkeypatch.setattr(quadratize.solver, rule, recording)
+        checked = 0
+        for system in random_corpus[:20]:
+            pruned.clear()
+            bnb_search(system, options)
+            pool = box_candidates(system, wide_box(system))
+            for new_vars, bound in pruned:
+                free = [m for m in pool if m not in new_vars]
+                for size in range(bound - len(new_vars)):
+                    for extra in combinations(free, size):
+                        assert not is_quadratization(system, new_vars + extra), (
+                            f"{rule} pruned {new_vars} at bound {bound}, "
+                            f"but adding {extra} quadratizes")
+                checked += 1
+        assert checked > 100

@@ -20,6 +20,7 @@ from quadratize.solver import (
     laurent_quadratize,
     per_variable_degrees,
 )
+from quadratize.state import SearchState
 
 from conftest import allen_cahn_text
 
@@ -211,7 +212,18 @@ class TestLaurent:
     def test_counterexample(self):
         system = parse_system("x1' = x2^4\nx2' = x1^2")
         lifting = laurent_quadratize(system)
-        assert set(lifting.new_vars) == {(-1, 4), (2, -1)}
+        # Named in graded-lex order; each term uses the least factor pair.
+        assert lifting.new_vars == ((2, -1), (-1, 4))
+        assert render_result(lifting.document) == (
+            "New variables (order 2):\n"
+            "  z1 = x1^2*x2^-1\n"
+            "  z2 = x1^-1*x2^4\n"
+            "Note: result is not certified optimal\n"
+            "Quadratic system:\n"
+            "  x1' = x1*z2\n"
+            "  x2' = x2*z1\n"
+            "  z1' = -z1^2 + 2*z1*z2\n"
+            "  z2' = 4*z1*z2 - z2^2\n")
         assert document_violations(system, lifting.document) == []
 
     def test_drops_unit_ratio(self):
@@ -237,7 +249,15 @@ class TestLaurent:
 
     def test_not_marked_optimal(self):
         lifting = laurent_quadratize(parse_system("x' = x^5"))
+        assert lifting.optimal is False
         assert lifting.document.optimal is False
+        assert lifting.order == 1
+
+    def test_lifted_state_has_no_nonsquares(self, random_corpus, worked_systems):
+        for system in random_corpus + list(worked_systems.values()):
+            lifting = laurent_quadratize(system)
+            state = SearchState.initial(system).extended(lifting.new_vars)
+            assert state.nonsquares == state.recomputed_nonsquares() == frozenset()
 
 
 class TestBenchmarks:
