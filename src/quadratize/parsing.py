@@ -19,6 +19,9 @@ parenthesized expressions with several terms are multiplied out, one
 polynomial product per unit of the exponent; one equation may spend at most
 ``MAX_EXPANSION`` term products on them, and an input needing more is
 rejected with a ``ParseError`` at the ``(`` whose expansion crosses the bound.
+A coefficient's numerator and denominator stay below ``MAX_COEFFICIENT_DIGITS``
+decimal digits; a power that would cross the bound is rejected before it is
+computed, at the number or ``(`` it raises.
 """
 
 from __future__ import annotations
@@ -68,6 +71,23 @@ MAX_NESTING = 100
 # parenthesized sums, a few microseconds each: (x+y+1)^20 needs 4,617 and
 # (x+1)^k needs k*(k+1) - 2.
 MAX_EXPANSION = 20_000
+
+# Digits of a coefficient's numerator or denominator.  Derivatives multiply
+# coefficients by exponents and add them up, and Python converts at most
+# 4,300 digits of an int to text by default; the 300 digits between leave
+# room for those factors.
+MAX_COEFFICIENT_DIGITS = 4_000
+_COEFFICIENT_LIMIT = 10 ** MAX_COEFFICIENT_DIGITS
+# 2**_LIMIT_BITS > _COEFFICIENT_LIMIT: a power at least that large is too big.
+_LIMIT_BITS = _COEFFICIENT_LIMIT.bit_length()
+
+
+def _fail_coefficient(tok):
+    _fail(tok, f"coefficient has more than {MAX_COEFFICIENT_DIGITS} digits")
+
+
+def _too_long(coeff: Fraction) -> bool:
+    return abs(coeff.numerator) >= _COEFFICIENT_LIMIT or coeff.denominator >= _COEFFICIENT_LIMIT
 
 
 def _tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
@@ -128,7 +148,23 @@ class _ExpressionParser:
         if self.expansion > MAX_EXPANSION:
             _fail(paren, f"expanding parenthesized sums needs more than "
                          f"{MAX_EXPANSION} term products")
-        return left * right
+        return self.bounded(left * right, paren)
+
+    def power(self, acc: int, base: int, k: int, tok) -> int:
+        """acc * base**k, failing at tok when it has too many digits."""
+        # |base|**k >= 2**(k * (bits - 1)): a power past the bound is not computed.
+        if k * (base.bit_length() - 1) < _LIMIT_BITS:
+            result = acc * base ** k
+            if abs(result) < _COEFFICIENT_LIMIT:
+                return result
+        _fail_coefficient(tok)
+
+    def bounded(self, poly: Polynomial, tok) -> Polynomial:
+        """poly, after failing at tok if one of its coefficients has too many digits."""
+        for coeff in poly.terms.values():
+            if _too_long(coeff):
+                _fail_coefficient(tok)
+        return poly
 
     def exponent(self) -> int:
         """The power after a factor: 1, or the literal after '^'."""
@@ -151,6 +187,7 @@ class _ExpressionParser:
             self.pos += 1
         terms = {}
         while True:
+            start = tokens[self.pos]
             for key, coeff in self.parse_term().items():
                 if negate:
                     coeff = -coeff
@@ -159,6 +196,8 @@ class _ExpressionParser:
                     terms[key] = coeff
                 else:
                     acc += coeff
+                    if _too_long(acc):
+                        _fail_coefficient(start)
                     if acc:
                         terms[key] = acc
                     else:
@@ -180,6 +219,7 @@ class _ExpressionParser:
         terms are multiplied as polynomials, and the accumulated term last.
         """
         tokens = self.tokens
+        first = tokens[self.pos]
         mono = [0] * len(self.var_index)
         params = [0] * len(self.param_index)
         num = den = 1
@@ -198,8 +238,8 @@ class _ExpressionParser:
                     if d == 0:
                         _fail(den_tok, "zero denominator")
                 k = self.exponent()
-                num *= n ** k
-                den *= d ** k
+                num = self.power(num, n, k, tok)
+                den = self.power(den, d, k, tok)
             elif kind == "IDENT":
                 k = self.exponent()
                 idx = self.var_index.get(tok[1])
@@ -226,8 +266,8 @@ class _ExpressionParser:
                     ((m, p), c), = inner.terms.items()
                     mono = [a + e * k for a, e in zip(mono, m)]
                     params = [a + e * k for a, e in zip(params, p)]
-                    num *= c.numerator ** k
-                    den *= c.denominator ** k
+                    num = self.power(num, c.numerator, k, tok)
+                    den = self.power(den, c.denominator, k, tok)
                 else:
                     num = 0
             else:
@@ -241,7 +281,7 @@ class _ExpressionParser:
         if product is None:
             return term
         # A one-term left factor keeps the product's term order.
-        return (Polynomial(term) * product).terms
+        return self.bounded(Polynomial(term) * product, first).terms
 
 
 def parse_system(text: str) -> ODESystem:

@@ -8,13 +8,29 @@ depth first with the two pruning rules.  The result is a monomial
 quadratization of provably minimal order, plus search statistics.  The order
 of the box is counted in closed form; the box itself is built only when it is
 the optimum.
+
+The search also skips repeated and symmetric subproblems.  Once per search
+it finds the system's automorphisms: the permutations of the variables that
+map every right-hand side onto the right-hand side of the image variable,
+with equal coefficients and the parameters fixed.  The key of a set of new
+variables is its least image under that group, packed into one int, and a
+per-search table holds the key of every visited set.  A child whose key is
+already there is skipped before it is extended.  This never changes the
+answer: a visited set that is not an ancestor of the child has been fully
+explored under a bound at least the current one, ancestors are strictly
+smaller, and images of a set have completions of the same sizes, so the
+skipped subtree holds no strictly better incumbent.  When the group is
+larger than MAX_GROUP_ORDER, or finding it takes more than
+MAX_AUTOMORPHISM_STEPS steps, the identity alone is used, which still skips
+sets reached by a second path.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import chain, product
 from math import prod
+from operator import itemgetter
 
 from .branching import generate_children
 from .parsing import parse_system
@@ -35,8 +51,8 @@ SolveOptions = namedtuple("SolveOptions",
 
 
 class SearchStats(namedtuple("SearchStats", "nodes_visited pruned_by_quadratic pruned_by_c4 "
-                                            "incumbent_updates optimal_order",
-                             defaults=(0, 0, 0, 0, 0))):
+                                            "pruned_by_symmetry incumbent_updates optimal_order",
+                             defaults=(0, 0, 0, 0, 0, 0))):
     __slots__ = ()
 
     def as_dict(self) -> dict[str, int]:
@@ -92,6 +108,111 @@ class NoQuadratizationWithinCap(ValueError):
         self.lower_bound = cap + 1
 
 
+# The key of a set costs one image per group element, so a larger group is
+# replaced by the identity; so is one whose backtracking takes more steps.
+MAX_GROUP_ORDER = 64
+MAX_AUTOMORPHISM_STEPS = 10_000
+
+
+def automorphisms(system: ODESystem) -> tuple[tuple[int, ...], ...]:
+    """Variable permutations that map the system onto itself, identity first.
+
+    sigma[i] is the image of variable i.  sigma is an automorphism when, for
+    every i, renaming each variable j to sigma[j] in the right-hand side of i
+    gives the right-hand side of sigma[i] term for term: same monomials, same
+    coefficients, same parameter exponents.  Found by backtracking over
+    sigma[0], sigma[1], ..., among the variables with the same invariants,
+    checking each term as soon as its equation and its variables are all
+    assigned.  Returns the identity alone when the group has more than
+    MAX_GROUP_ORDER elements or the backtracking spends more than
+    MAX_AUTOMORPHISM_STEPS steps, one per candidate looked at and one per
+    term checked.
+    """
+    n = system.num_vars
+    identity = (tuple(range(n)),)
+    # Each term as (equation, sparse monomial, parameters, coefficient); a
+    # sparse monomial holds the (variable, exponent) pairs with exponent > 0.
+    terms = [(i, tuple((j, e) for j, e in enumerate(mono) if e), params, coeff)
+             for i, poly in enumerate(system.rhs)
+             for (mono, params), coeff in poly.terms.items()]
+    lookup = {(i, frozenset(sparse), params): coeff for i, sparse, params, coeff in terms}
+    # What every automorphism keeps of a variable: the terms of its own
+    # equation, and the terms that contain it, with its exponent there.
+    invariants = [[] for _ in range(n)]
+    # The terms to check once sigma[level] is assigned, where level is the
+    # last of the term's equation and its variables.
+    checks = [[] for _ in range(n)]
+    for term in terms:
+        i, sparse, params, coeff = term
+        degree = sum(e for _, e in sparse)
+        invariants[i].append((0, degree, params, coeff))
+        for j, e in sparse:
+            invariants[j].append((e, degree, params, coeff, j == i))
+        checks[max([i] + [j for j, _ in sparse])].append(term)
+    invariants = [tuple(sorted(inv)) for inv in invariants]
+    classes = {}
+    for v, inv in enumerate(invariants):
+        classes.setdefault(inv, []).append(v)
+    candidates = [classes[inv] for inv in invariants]
+
+    sigma = [None] * n
+    used = [False] * n
+    group = []
+    steps = 0
+    stack = [iter(candidates[0])]
+    while stack:
+        level = len(stack) - 1
+        if sigma[level] is not None:
+            used[sigma[level]] = False
+            sigma[level] = None
+        for t in stack[-1]:
+            steps += 1
+            if used[t]:
+                continue
+            steps += len(checks[level])
+            if steps > MAX_AUTOMORPHISM_STEPS:
+                return identity
+            sigma[level] = t
+            if all(lookup.get((sigma[i], frozenset((sigma[j], e) for j, e in sparse), params))
+                   == coeff for i, sparse, params, coeff in checks[level]):
+                used[t] = True
+                break
+        else:
+            sigma[level] = None
+            stack.pop()
+            continue
+        if level + 1 < n:
+            stack.append(iter(candidates[level + 1]))
+            continue
+        # Each term maps to a term of equal coefficient in the image
+        # equation, which has as many terms: the equations match.
+        group.append(tuple(sigma))
+        if len(group) > MAX_GROUP_ORDER:
+            return identity
+    return tuple(group)
+
+
+def orbit_key(monomials, group) -> int:
+    """The least image of a set of monomials under the group, as one int.
+
+    Equal exactly when the two sets are images of each other under some
+    element of the group.  Each image is a sorted list of exponent tuples.
+    The least one is packed behind a leading 1 bit, `width` bits per
+    exponent, where `width` is the bit length of the largest exponent (the
+    same in every image), so the bit length gives the number of monomials.
+    Below that come a 0 bit and `width` 1 bits, which give `width` back.  So
+    the key is injective for any exponent size.  The group must hold the
+    inverse of each element: the images computed here are those under the
+    inverses.
+    """
+    width = max(1, max((max(m) for m in monomials), default=0).bit_length())
+    least = min(sorted(map(itemgetter(*sigma), monomials)) for sigma in group)
+    packed = 1
+    for e in (chain.from_iterable(least) if len(group[0]) > 1 else least):
+        packed = packed << width | e
+    return (packed << (width + 1)) | ((1 << width) - 1)
+
+
 def bnb_search(system: ODESystem,
                options: SolveOptions | None = None) -> tuple[QuadratizationResult, SearchStats]:
     """Find a minimal-order monomial quadratization by branch and bound.
@@ -102,20 +223,30 @@ def bnb_search(system: ODESystem,
     every quadratization needs more than cap new variables.
     """
     opts = options or SolveOptions()
-    nodes = pruned_quadratic = pruned_c4 = updates = 0
+    nodes = pruned_quadratic = pruned_c4 = pruned_symmetry = updates = 0
     cap = opts.max_order_cap
     box = degree_box_order(system)
     bound = box if cap is None else min(box, cap + 1)
     best = None
     root = SearchState.initial(system)
-    # Depth-first over a stack of child iterators; map extends each child
-    # only when it is visited.
-    stack = [iter((root,))]
+    group = automorphisms(system)
+    seen = set()  # orbit keys of the visited sets of new variables
+    # Depth-first over a stack of (parent, iterator of its children); a child
+    # is extended only when it is visited, and skipped before that when an
+    # image of its set was visited already.
+    stack = [(root, iter(((),)))]
     while stack:
-        state = next(stack[-1], None)
-        if state is None:
+        parent, children = stack[-1]
+        added = next(children, None)
+        if added is None:
             stack.pop()
             continue
+        key = orbit_key(parent.new_vars + added, group)
+        if key in seen:
+            pruned_symmetry += 1
+            continue
+        seen.add(key)
+        state = parent.extended(added)
         nodes += 1
         depth = len(state.new_vars)
         if state.is_quadratization:
@@ -135,13 +266,13 @@ def bnb_search(system: ODESystem,
             # rule enabled this is unreachable (the rules subsume it), so it
             # does not perturb their node counts.
             continue
-        stack.append(map(state.extended, generate_children(state)))
+        stack.append((state, iter(generate_children(state))))
 
     if best is None:
         if cap is not None and cap < box:
             raise NoQuadratizationWithinCap(cap)
         best = initial_incumbent(system)[0]
-    stats = SearchStats(nodes, pruned_quadratic, pruned_c4, updates, len(best))
+    stats = SearchStats(nodes, pruned_quadratic, pruned_c4, pruned_symmetry, updates, len(best))
     document = root.extended(best).extract_quadratic_system(stats=stats.as_dict())
     result = QuadratizationResult(new_vars=best, order=len(best), optimal=True,
                                   document=document)

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from quadratize.cli import main
+from quadratize.parsing import MAX_COEFFICIENT_DIGITS
 
 from conftest import allen_cahn_text
 
@@ -123,6 +124,9 @@ class TestOutputs:
         code, out, _ = run_cli(capsys, "--stats")
         assert code == 0
         assert "nodes_visited: 4" in out
+        assert "  pruned_by_symmetry: 0\n" in out
+        _, out, _ = run_cli(capsys, "--benchmark", "cubic_cycle:4", "--stats")
+        assert "  pruned_by_symmetry: 22\n" in out
 
     def test_pruning_flags_change_node_counts(self, capsys):
         _, out_all, _ = run_cli(capsys, "--benchmark", "cubic_cycle:3", "--stats")
@@ -160,3 +164,25 @@ class TestOutputs:
         assert code == 0
         assert "zzz1 = z1^2" in out
         assert "  zz1' = 0\n" in out
+
+
+class TestCoefficientBound:
+    @pytest.mark.parametrize("text", ["x' = 7^30000000*x^3\n", "x' = 10^5000*x^3\n"])
+    def test_over_large_coefficient_is_a_one_line_error(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err == (f"quadratize: error: line 1, column 6: coefficient has more than "
+                       f"{MAX_COEFFICIENT_DIGITS} digits\n")
+
+    def test_largest_coefficient_renders_through_a_derivative(self, capsys, monkeypatch):
+        largest = 10 ** MAX_COEFFICIENT_DIGITS - 1
+        for fmt in ("text", "structured"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(f"x' = {largest}*x^3\n"))
+            code, out, _ = run_cli(capsys, "--format", fmt)
+            assert code == 0
+            # z1 = x^2 and z1' = 2*x*x' = 2*largest*z1^2, one digit longer.
+            assert str(2 * largest) in out

@@ -25,6 +25,15 @@ def test_import_loads_no_heavy_modules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_module_runs_as_the_command():
+    proc = subprocess.run([sys.executable, "-m", "quadratize", "--stats"], input="x' = x^5\n",
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          timeout=30, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "z1 = x^4" in proc.stdout
+    assert "pruned_by_symmetry: 0" in proc.stdout
+
+
 @pytest.mark.parametrize("demo", ["01_worked_examples.py", "03_laurent_lifting.py",
                                   "04_graph_capacity.py"])
 def test_demo_runs(demo):

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadratize.output import render_system
-from quadratize.parsing import MAX_EXPANSION, MAX_NESTING, ParseError, parse_system
+from quadratize.parsing import (
+    MAX_COEFFICIENT_DIGITS,
+    MAX_EXPANSION,
+    MAX_NESTING,
+    ParseError,
+    parse_system,
+)
 from quadratize.polynomials import Polynomial
 
 from conftest import WORKED_EXAMPLES, build_random_corpus
@@ -79,6 +85,10 @@ class TestGrammar:
         assert parse_system("x' = a - a").parameters == ()
 
 
+# Two of these add up to 10 ** MAX_COEFFICIENT_DIGITS, one digit too many.
+_HALF_LIMIT_TERM = f"5*10^{MAX_COEFFICIENT_DIGITS - 1}*x^2"
+
+
 class TestErrors:
     @pytest.mark.parametrize("text,line,column", [
         ("x' = x $ y", 1, 8),          # stray character
@@ -146,6 +156,31 @@ class TestErrors:
         for _ in range(19):
             power = power * base
         assert parse_system("x' = (x+y+1)^20\ny' = 0").rhs[0] == power
+
+    @pytest.mark.parametrize("text,column", [
+        ("7^30000000*x^3", 6),
+        ("10^5000*x^3", 6),
+        (f"10^{MAX_COEFFICIENT_DIGITS}*x", 6),
+        (f"1/10^{MAX_COEFFICIENT_DIGITS}*x", 6),
+        (f"x*(10^{MAX_COEFFICIENT_DIGITS // 2}*x)^2", 8),
+        # the product of the expansion, and the sum of two admitted terms
+        (f"(10^{MAX_COEFFICIENT_DIGITS - 1}*x + 1)^2", 6),
+        (f"x + {_HALF_LIMIT_TERM} + {_HALF_LIMIT_TERM}", 6 + len(f"x + {_HALF_LIMIT_TERM} + ")),
+    ])
+    def test_coefficient_bound_is_located(self, text, column):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_system(f"x' = {text}")
+        assert time.perf_counter() - start < 1
+        assert (err.value.line, err.value.column) == (1, column)
+        assert err.value.reason == f"coefficient has more than {MAX_COEFFICIENT_DIGITS} digits"
+
+    def test_largest_coefficient_is_admitted(self):
+        largest = 10 ** MAX_COEFFICIENT_DIGITS - 1
+        for text in (f"{largest}*x", f"1/{largest}*x", f"(3*x)^{MAX_COEFFICIENT_DIGITS}",
+                     f"5*10^{MAX_COEFFICIENT_DIGITS - 1}*x + 4*10^{MAX_COEFFICIENT_DIGITS - 1}*x"):
+            coeff, = parse_system(f"x' = {text}").rhs[0].terms.values()
+            assert max(abs(coeff.numerator), coeff.denominator) < 10 ** MAX_COEFFICIENT_DIGITS
 
     @pytest.mark.parametrize("prefix", ["x' = ", "x' = x^", "x' = 1/"])
     def test_overlong_literal_is_located(self, prefix):

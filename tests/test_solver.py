@@ -1,28 +1,35 @@
 import sys
 import time
+from itertools import combinations, product
 
 import pytest
 
+import quadratize.solver
 from quadratize.bruteforce import (
+    box_candidates,
     document_violations,
     is_quadratization,
     quadratization_violations,
 )
 from quadratize.output import render_result
 from quadratize.parsing import parse_system
+from quadratize.polynomials import ODESystem, Polynomial, divisors
 from quadratize.solver import (
     NoQuadratizationWithinCap,
+    SearchStats,
     SolveOptions,
+    automorphisms,
     benchmark_system,
     bnb_search,
     degree_box_order,
     initial_incumbent,
     laurent_quadratize,
+    orbit_key,
     per_variable_degrees,
 )
 from quadratize.state import SearchState
 
-from conftest import allen_cahn_text
+from conftest import allen_cahn_text, wide_box
 
 ALL_CONFIGS = {
     "none": SolveOptions(enable_rule_quadratic=False, enable_rule_c4=False),
@@ -298,3 +305,232 @@ class TestBenchmarks:
     def test_invalid_arguments(self, name, n):
         with pytest.raises(ValueError):
             benchmark_system(name, n)
+
+
+def permuted_monomial(mono, sigma):
+    """The monomial with the exponent of variable j moved to variable sigma[j]."""
+    out = [0] * len(mono)
+    for j, e in enumerate(mono):
+        out[sigma[j]] = e
+    return tuple(out)
+
+
+def permuted_system(system, sigma):
+    """The system with each variable j renamed to sigma[j]."""
+    rhs = [None] * system.num_vars
+    for i, poly in enumerate(system.rhs):
+        rhs[sigma[i]] = Polynomial({(permuted_monomial(m, sigma), p): c
+                                    for (m, p), c in poly.terms.items()})
+    return ODESystem(system.variables, system.parameters, tuple(rhs))
+
+
+def orbit(monomials, group):
+    return {frozenset(permuted_monomial(m, sigma) for m in monomials) for sigma in group}
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cubic_cycle_is_cyclic(self, n):
+        assert len(automorphisms(benchmark_system("cubic_cycle", n))) == n
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cubic_bicycle_is_dihedral(self, n):
+        assert len(automorphisms(benchmark_system("cubic_bicycle", n))) == 2 * n
+
+    def test_allen_cahn_chain_reverses(self):
+        group = automorphisms(parse_system(allen_cahn_text(10)))
+        assert group == (tuple(range(10)), tuple(range(9, -1, -1)))
+
+    def test_rf_has_only_the_identity(self):
+        assert automorphisms(benchmark_system("rf")) == ((0, 1, 2),)
+
+    def test_every_element_maps_the_system_onto_itself(self, random_corpus):
+        systems = [benchmark_system("cubic_cycle", 6), benchmark_system("cubic_bicycle", 6),
+                   benchmark_system("rf"), parse_system(allen_cahn_text(7)),
+                   parse_system("x' = a*y + x^2\ny' = a*x + y^2\nz' = x*y")]
+        for system in systems + random_corpus:
+            group = automorphisms(system)
+            assert group[0] == tuple(range(system.num_vars))
+            assert len(set(group)) == len(group)
+            for sigma in group:
+                assert permuted_system(system, sigma) == system
+
+    def test_finds_every_symmetry_of_small_systems(self, random_corpus):
+        for system in random_corpus:
+            n = system.num_vars
+            every = [sigma for sigma in product(range(n), repeat=n)
+                     if len(set(sigma)) == n and permuted_system(system, sigma) == system]
+            assert list(automorphisms(system)) == every
+
+    @pytest.mark.parametrize("text", [
+        # a coefficient breaks the cycle
+        "x1' = 2*x2^3\nx2' = x3^3\nx3' = x4^3\nx4' = x1^3",
+        # a parameter breaks it
+        "x1' = a*x2^3\nx2' = x3^3\nx3' = x4^3\nx4' = x1^3",
+        # swapping x and y would need a and b swapped, and parameters stay fixed
+        "x' = a*y^3\ny' = b*x^3",
+    ])
+    def test_broken_symmetry_leaves_the_identity(self, text):
+        system = parse_system(text)
+        assert automorphisms(system) == (tuple(range(system.num_vars)),)
+
+    def test_shared_parameter_keeps_the_swap(self):
+        assert len(automorphisms(parse_system("x' = a*y^3\ny' = a*x^3"))) == 2
+
+    def test_large_group_falls_back_to_the_identity(self):
+        # The symmetric group on 10 variables has 3,628,800 elements.
+        system = parse_system("\n".join(f"x{i}' = x{i}^3" for i in range(10)))
+        start = time.perf_counter()
+        group = automorphisms(system)
+        assert time.perf_counter() - start < 0.2
+        assert group == (tuple(range(10)),)
+
+    def test_step_budget_falls_back_to_the_identity(self):
+        start = time.perf_counter()
+        group = automorphisms(benchmark_system("cubic_cycle", 60))
+        assert time.perf_counter() - start < 0.5
+        assert group == (tuple(range(60)),)
+
+
+class TestOrbitKey:
+    @pytest.mark.parametrize("name,n", [("cubic_cycle", 3), ("cubic_bicycle", 3),
+                                        ("cubic_bicycle", 4)])
+    def test_equal_exactly_on_orbits(self, name, n):
+        group = automorphisms(benchmark_system(name, n))
+        pool = [m for m in product(range(3), repeat=n) if sum(m) > 1]
+        sets = [s for size in range(3) for s in combinations(pool, size)]
+        orbit_of_key = {}
+        for s in sets:
+            orbit_of_key.setdefault(orbit_key(s, group), set()).add(frozenset(s))
+        # One key per orbit, and each key's sets make up its whole orbit.
+        orbits = {frozenset(orbit(s, group)) for s in sets}
+        assert len(orbit_of_key) == len(orbits)
+        for members in orbit_of_key.values():
+            assert frozenset(orbit(next(iter(members)), group)) == members
+
+    def test_injective_with_large_exponents(self):
+        values = (0, 1, 2, 255, 256, 257, 65535, 65536, 2 ** 100)
+        pool = list(product(values, repeat=2))
+        sets = [s for size in range(3) for s in combinations(pool, size)]
+        identity = ((0, 1),)
+        keys = {orbit_key(s, identity) for s in sets}
+        assert len(keys) == len(sets)
+        assert all(isinstance(key, int) for key in keys)
+        swap = ((0, 1), (1, 0))
+        keys = {orbit_key(s, swap) for s in sets}
+        assert len(keys) == len({frozenset(orbit(s, swap)) for s in sets})
+
+    def test_does_not_depend_on_the_order_of_the_set(self):
+        group = automorphisms(benchmark_system("cubic_cycle", 4))
+        monomials = ((2, 0, 0, 0), (0, 1, 1, 0), (0, 0, 0, 3))
+        assert orbit_key(monomials, group) == orbit_key(monomials[::-1], group)
+
+
+def completion_below(system, new_vars, bound, pool):
+    """A quadratization inside new_vars + pool with fewer than `bound`
+    variables that contains new_vars, or None.
+
+    Definitional: it branches over the factor pairs of the first monomial the
+    brute-force checker reports, so it shares nothing with the search.
+    """
+    violations = quadratization_violations(system, new_vars)
+    if not violations:
+        return new_vars if len(new_vars) < bound else None
+    _, m = violations[0]
+    allowed = set(pool) | set(new_vars)
+    for d in divisors(m):
+        rest = tuple(a - b for a, b in zip(m, d))
+        added = {f for f in (d, rest) if sum(f) > 1 and f not in new_vars}
+        if not added or not added <= allowed or len(new_vars) + len(added) >= bound:
+            continue
+        found = completion_below(system, new_vars + tuple(sorted(added)), bound, pool)
+        if found is not None:
+            return found
+    return None
+
+
+class TestSkippedChildrenAreSound:
+    def test_no_smaller_completion_in_the_wide_box(self, random_corpus, monkeypatch):
+        # Every child skipped at bound N: no superset of its variables, drawn
+        # from the wide-box candidates, quadratizes with fewer than N
+        # variables.  The bound is followed from outside: it falls to the
+        # size of each visited quadratization smaller than it.
+        tracked = {}
+        skipped = []
+        original_key = quadratize.solver.orbit_key
+        original_extended = SearchState.extended
+
+        def recording_key(monomials, group):
+            key = original_key(monomials, group)
+            if key in tracked["seen"]:
+                skipped.append((monomials, tracked["bound"]))
+            tracked["seen"].add(key)
+            return key
+
+        def bounding_extended(state, monomials):
+            child = original_extended(state, monomials)
+            if child.is_quadratization:
+                tracked["bound"] = min(tracked["bound"], len(child.new_vars))
+            return child
+
+        monkeypatch.setattr(quadratize.solver, "orbit_key", recording_key)
+        monkeypatch.setattr(SearchState, "extended", bounding_extended)
+        systems = random_corpus[:20] + [benchmark_system("cubic_cycle", n) for n in (3, 4)]
+        checked = 0
+        for system in systems:
+            skipped.clear()
+            tracked.update(seen=set(), bound=degree_box_order(system))
+            _, stats = bnb_search(system)
+            assert len(skipped) == stats.pruned_by_symmetry
+            pool = box_candidates(system, wide_box(system))
+            for new_vars, bound in skipped:
+                found = completion_below(system, new_vars, bound, pool)
+                assert found is None, (
+                    f"skipped {new_vars} at bound {bound}, but {found} quadratizes")
+                checked += 1
+        assert checked > 40
+
+    def test_completion_below_finds_known_optima(self, worked_systems):
+        # The checker above is only as good as this search.
+        for system in worked_systems.values():
+            result, _ = bnb_search(system)
+            pool = box_candidates(system, wide_box(system))
+            assert completion_below(system, (), result.order, pool) is None
+            assert completion_below(system, (), result.order + 1, pool) is not None
+
+
+class TestSkippingKeepsTheAnswer:
+    @pytest.mark.parametrize("name,n,stats", [
+        ("cubic_cycle", 5, SearchStats(2446, 1436, 461, 0, 6, 10)),
+        ("cubic_bicycle", 5, SearchStats(778, 401, 177, 0, 6, 10)),
+    ])
+    def test_without_matches_the_stats_are_those_of_the_plain_search(
+            self, monkeypatch, name, n, stats):
+        system = benchmark_system(name, n)
+        skipping, _ = bnb_search(system)
+        monkeypatch.setattr(quadratize.solver, "orbit_key", lambda monomials, group: object())
+        plain, plain_stats = bnb_search(system)
+        assert plain_stats == stats
+        assert plain.new_vars == skipping.new_vars
+        assert (render_result(plain.document, "structured").split('"stats"')[0]
+                == render_result(skipping.document, "structured").split('"stats"')[0])
+
+    @pytest.mark.parametrize("name,n", [("cubic_cycle", 5), ("cubic_bicycle", 5)])
+    def test_caps_around_the_optimum(self, name, n):
+        system = benchmark_system(name, n)
+        result, _ = bnb_search(system)
+        with pytest.raises(NoQuadratizationWithinCap):
+            bnb_search(system, SolveOptions(max_order_cap=result.order - 1))
+        capped, _ = bnb_search(system, SolveOptions(max_order_cap=result.order))
+        assert capped.new_vars == result.new_vars
+
+    @pytest.mark.parametrize("name,n,stats", [
+        ("cubic_cycle", 6, SearchStats(3985, 2114, 923, 135, 10, 12)),
+        ("cubic_bicycle", 6, SearchStats(1155, 581, 253, 70, 10, 12)),
+    ])
+    def test_pinned_node_counts(self, name, n, stats):
+        assert bnb_search(benchmark_system(name, n))[1] == stats
+
+    def test_wide_chain_skips_nothing(self):
+        _, stats = bnb_search(parse_system(allen_cahn_text(10)))
+        assert (stats.nodes_visited, stats.pruned_by_symmetry) == (165, 0)

@@ -11,6 +11,7 @@ from quadratize.polynomials import (
     unit_monomial,
     variable_monomial,
 )
+from quadratize.solver import benchmark_system, bnb_search
 from quadratize.state import SearchState
 
 from conftest import random_polynomial_system
@@ -175,3 +176,25 @@ class TestExtraction:
                 key = (monomial_mul(mono_of[t.factor1], mono_of[t.factor2]), t.params)
                 actual[key] = actual.get(key, 0) + t.coeff
             assert {k: c for k, c in actual.items() if c} == expected.terms
+
+
+class TestEveryVisitedNode:
+    def test_incremental_nonsquares_match_a_recount(self, random_corpus, monkeypatch):
+        # Every state the search builds, so every node it visits: the
+        # nonsquares that extended carries over and updates equal the ones
+        # recounted from all the state's derivatives.
+        original = SearchState.extended
+        checked = []
+
+        def checking(state, monomials):
+            child = original(state, monomials)
+            assert child.nonsquares == child.recomputed_nonsquares(), child.new_vars
+            checked.append(child)
+            return child
+
+        monkeypatch.setattr(SearchState, "extended", checking)
+        for system in random_corpus + [benchmark_system("cubic_cycle", 4)]:
+            checked.clear()
+            _, stats = bnb_search(system)
+            # Every visited node, the root included, plus the extraction.
+            assert len(checked) == stats.nodes_visited + 1
