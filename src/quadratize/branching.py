@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .polynomials import Monomial, decompositions, divisor_count, grlex_key
+from .polynomials import Monomial, decompositions, degree, divisor_count, grlex_key
 from .state import SearchState
 
 
@@ -29,5 +29,5 @@ def generate_children(state: SearchState) -> list[tuple[Monomial, ...]]:
                              key=grlex_key))
         if added:
             children.add(added)
-    return sorted(children, key=lambda added: (sum(map(sum, added)) + n * len(added),
+    return sorted(children, key=lambda added: (sum(map(degree, added)) + n * len(added),
                                                tuple(map(grlex_key, added))))

@@ -64,15 +64,12 @@ def box_candidates(system: ODESystem, box: DegreeBox) -> list[Monomial]:
 
 
 def brute_force_optimal(system: ODESystem, box: DegreeBox, *,
-                        pool_limit: int = 64,
-                        cancel=None) -> tuple[int, tuple[Monomial, ...]]:
+                        pool_limit: int = 64) -> tuple[int, tuple[Monomial, ...]]:
     """Smallest subset of the box candidates that quadratizes the system.
 
     Subsets are enumerated by increasing cardinality, so the first hit is
     optimal *within the box* (an optimum may use monomials outside any fixed
-    box, so certification is box-relative).  `cancel` is an optional
-    zero-argument callable polled between subsets; returning True aborts
-    the enumeration with RuntimeError.
+    box, so certification is box-relative).
     """
     pool = box_candidates(system, box)
     if len(pool) > pool_limit:
@@ -86,8 +83,6 @@ def brute_force_optimal(system: ODESystem, box: DegreeBox, *,
 
     for size in range(len(pool) + 1):
         for subset in combinations(pool, size):
-            if cancel is not None and cancel():
-                raise RuntimeError("brute-force enumeration cancelled")
             gen_vars = base + list(subset)
             products = {monomial_mul(a, b)
                         for a, b in combinations_with_replacement(gen_vars, 2)}
@@ -137,14 +132,14 @@ def is_c4star_free(num_vertices: int, edges) -> bool:
     return True
 
 
-def exhaustive_c4_capacity(n: int, m: int, *, cancel=None) -> int:
+def exhaustive_c4_capacity(n: int, m: int) -> int:
     """Exact maximum edge count over the loop-limited walk-free graphs, n <= 6.
 
     Multi-edges and double loops are excluded up front (each is itself a
     forbidden walk); loop sets are placed on a vertex prefix, which loses no
     generality because unlabeled vertices are interchangeable.  The remaining
     edge subsets are searched exhaustively with the walk check of
-    is_c4star_free applied incrementally.  `cancel` as in brute_force_optimal.
+    is_c4star_free applied incrementally.
     """
     if n < 0 or m < 0:
         raise ValueError("vertex and loop counts must be nonnegative")
@@ -163,8 +158,6 @@ def exhaustive_c4_capacity(n: int, m: int, *, cancel=None) -> int:
 
         def extend(index: int, count: int) -> None:
             nonlocal best
-            if cancel is not None and cancel():
-                raise RuntimeError("capacity enumeration cancelled")
             if count > best:
                 best = count
             if count + (len(plain_edges) - index) <= best:

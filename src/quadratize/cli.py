@@ -3,8 +3,8 @@
 Reads a system from a file (or standard input), finds an optimal monomial
 quadratization, and prints it as text or as the structured JSON document.
 Exit codes: 0 success, 1 unreadable or unparseable input, 2 invalid options
-(including a search option given with --laurent), 3 no quadratization within
---max-order.
+(including a search option or --stats given with --laurent), 3 no
+quadratization within --max-order.
 """
 
 from __future__ import annotations
@@ -90,9 +90,10 @@ def main(argv=None) -> int:
     if args.max_order is not None and args.max_order < 0:
         return _usage_error(parser, "--max-order must be nonnegative")
     if args.laurent and (args.max_order is not None or args.no_prune_quadratic
-                         or args.no_prune_c4):
+                         or args.no_prune_c4 or args.stats):
         return _usage_error(parser, "--laurent takes none of the search options "
-                                    "--max-order, --no-prune-quadratic, --no-prune-c4")
+                                    "--max-order, --no-prune-quadratic, --no-prune-c4, "
+                                    "--stats")
 
     try:
         try:

@@ -20,38 +20,13 @@ from .polynomials import Monomial, ODESystem, ParamExponents
 ResultTerm = namedtuple("ResultTerm", "coeff params factor1 factor2")
 
 
-class ResultDocument:
-    """A quadratic system over the original and the introduced variables."""
-
-    __slots__ = ("variables", "parameters", "new_variables", "quadratic_rhs",
-                 "optimal", "stats")
-
-    def __init__(self, variables: tuple[str, ...], parameters: tuple[str, ...],
-                 new_variables: tuple[tuple[str, Monomial, str], ...],
-                 quadratic_rhs: dict[str, tuple[ResultTerm, ...]],
-                 optimal: bool = True, stats: dict[str, int] | None = None):
-        self.variables = variables
-        self.parameters = parameters
-        # (name, exponent vector over the original variables, display string)
-        self.new_variables = new_variables
-        # variable name -> terms of its right-hand side, canonical order
-        self.quadratic_rhs = quadratic_rhs
-        self.optimal = optimal
-        self.stats = stats
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ResultDocument):
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return "ResultDocument(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+# A quadratic system over the original and the introduced variables.
+# new_variables holds (name, exponent vector over the original variables,
+# display string); quadratic_rhs maps each variable name to the terms of its
+# right-hand side, in canonical order.
+ResultDocument = namedtuple("ResultDocument", "variables parameters new_variables "
+                                              "quadratic_rhs optimal stats",
+                            defaults=(True, None))
 
 
 def choose_new_variable_names(taken: set[str], count: int) -> list[str]:

@@ -21,7 +21,8 @@ All values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from operator import add, le, mod, sub
 
 Monomial = tuple[int, ...]
 ParamExponents = tuple[int, ...]
@@ -40,13 +41,36 @@ def variable_monomial(num_vars: int, index: int) -> Monomial:
     return tuple(exps)
 
 
+# The monomial kernel: every exponent-wise operation of the search goes
+# through these functions.
+
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
+
+def monomial_quotient(m: Monomial, v: Monomial) -> Monomial:
+    """The exponent vector of m / v.  Not checked: it is Laurent when v does not
+    divide m, which the Laurent lifting relies on."""
+    return tuple(map(sub, m, v))
+
+
+def divides(v: Monomial, m: Monomial) -> bool:
+    """Whether v divides m, i.e. m / v has no negative exponent."""
+    return all(map(le, v, m))
+
+
+def degree(m: Monomial) -> int:
+    return sum(m)
+
+
+def is_square(m: Monomial) -> bool:
+    """Whether m is the square of a monomial: every exponent is even."""
+    return not any(map(mod, m, repeat(2)))
 
 
 def grlex_key(m: Monomial) -> tuple[int, Monomial]:
     """Sort key for graded lexicographic order: degree first, then exponents."""
-    return (sum(m), m)
+    return (degree(m), m)
 
 
 def divisor_count(m: Monomial) -> int:
@@ -58,23 +82,23 @@ def divisor_count(m: Monomial) -> int:
 
 
 def divisors(m: Monomial):
-    """All monomial divisors of m (itertools.product order)."""
-    return (tuple(d) for d in product(*(range(e + 1) for e in m)))
+    """All monomial divisors of m, in ascending tuple order."""
+    return product(*(range(e + 1) for e in m))
 
 
 def decompositions(m: Monomial) -> tuple[tuple[Monomial, Monomial], ...]:
     """All unordered factorizations m = m1 * m2 into two monomials.
 
     Includes (1, m).  Each pair appears once with m1 <= m2 in tuple order,
-    and the list is sorted by m1's exponent vector.  The number of pairs is
-    always ceil(divisor_count(m) / 2).
+    and the list is sorted by m1's exponent vector, the order in which
+    divisors yields them.  The number of pairs is always
+    ceil(divisor_count(m) / 2).
     """
     pairs = []
     for d in divisors(m):
-        rest = tuple(x - y for x, y in zip(m, d))
+        rest = monomial_quotient(m, d)
         if d <= rest:
             pairs.append((d, rest))
-    pairs.sort()
     return tuple(pairs)
 
 
@@ -136,10 +160,7 @@ class Polynomial:
         out: dict[TermKey, Fraction] = {}
         for (m1, p1), c1 in self.terms.items():
             for (m2, p2), c2 in other.terms.items():
-                key = (
-                    tuple(a + b for a, b in zip(m1, m2)),
-                    tuple(a + b for a, b in zip(p1, p2)),
-                )
+                key = (monomial_mul(m1, m2), monomial_mul(p1, p2))
                 acc = out.get(key)
                 coeff = c1 * c2
                 if acc is None:
@@ -161,7 +182,7 @@ class Polynomial:
             return Polynomial.zero()
         result = Polynomial.__new__(Polynomial)
         result.terms = {
-            (tuple(a + b for a, b in zip(mono, mono_shift)), params): coeff * factor
+            (monomial_mul(mono, mono_shift), params): coeff * factor
             for (mono, params), coeff in self.terms.items()
         }
         return result
@@ -170,15 +191,6 @@ class Polynomial:
         """Terms in canonical order: graded-lex on the state monomial, then params."""
         keys = sorted(self.terms, key=lambda k: (grlex_key(k[0]), k[1]))
         return [(mono, params, self.terms[(mono, params)]) for mono, params in keys]
-
-    def max_exponents(self, num_vars: int) -> tuple[int, ...]:
-        """Per-variable maximum exponent over the support (all zeros if empty)."""
-        maxes = [0] * num_vars
-        for mono, _ in self.terms:
-            for i, e in enumerate(mono):
-                if e > maxes[i]:
-                    maxes[i] = e
-        return tuple(maxes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):

@@ -12,7 +12,9 @@ two new variables cover at most r(r+1)/2 more.
 
 Rule 2 replaces r(r+1)/2 by the maximum edge count of a pseudograph on r
 vertices containing no closed 4-edge walk with pairwise-distinct adjacent
-edges; loops correspond to squares, hence the count of even-degree members.
+edges.  Loops correspond to squares, so the loop count is the number of
+members that are perfect squares (every exponent even; x*y has even degree
+but is no square).
 The bound is applied to a subset of the nonsquares with pairwise-distinct
 products, which is what forbids such walks in the covering graph.
 """
@@ -23,7 +25,7 @@ from collections import Counter
 from collections.abc import Callable
 from math import isqrt
 
-from .polynomials import Monomial
+from .polynomials import Monomial, degree, divides, is_square, monomial_mul, monomial_quotient
 from .state import SearchState
 
 # Exact maximum edge counts, row n = vertices, column m = allowed loops
@@ -58,12 +60,8 @@ def quotient_multiplicities(targets, var_monomials) -> list[int]:
 
     Every divisible (target, variable) pair counts, including v = 1 and v = t.
     """
-    counts: Counter[Monomial] = Counter()
-    for t in targets:
-        for v in var_monomials:
-            q = tuple(a - b for a, b in zip(t, v))
-            if min(q) >= 0:
-                counts[q] += 1
+    counts = Counter(monomial_quotient(t, v)
+                     for t in targets for v in var_monomials if divides(v, t))
     return sorted(counts.values(), reverse=True)
 
 
@@ -75,9 +73,9 @@ def build_squarefree_subset(monomials) -> tuple[Monomial, ...]:
     """
     chosen: list[Monomial] = []
     products: set[Monomial] = set()
-    for m in sorted(monomials, key=lambda m: (-sum(m), m)):
-        new_products = [tuple(a + b for a, b in zip(m, e)) for e in chosen]
-        new_products.append(tuple(2 * a for a in m))
+    for m in sorted(monomials, key=lambda m: (-degree(m), m)):
+        new_products = [monomial_mul(m, e) for e in chosen]
+        new_products.append(monomial_mul(m, m))
         if any(p in products for p in new_products):
             continue
         chosen.append(m)
@@ -97,8 +95,7 @@ def smallest_k(count: int, mult: list[int], capacity: Callable[[int], int]) -> i
 
 def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:
     """True if no extension can quadratize with fewer than incumbent_order vars."""
-    var_monomials = [m for _, m in state.vars_sorted]
-    mult = quotient_multiplicities(state.nonsquares, var_monomials)
+    mult = quotient_multiplicities(state.nonsquares, state.vars_sorted)
     k = smallest_k(len(state.nonsquares), mult, lambda k: k * (k + 1) // 2)
     return k + len(state.new_vars) >= incumbent_order
 
@@ -106,8 +103,7 @@ def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:
 def prune_by_c4_bound(state: SearchState, incumbent_order: int) -> bool:
     """Same contract as prune_by_quadratic_bound, via the graph capacity bound."""
     subset = build_squarefree_subset(state.nonsquares)
-    var_monomials = [m for _, m in state.vars_sorted]
-    mult = quotient_multiplicities(subset, var_monomials)
-    loops = sum(1 for m in subset if all(e % 2 == 0 for e in m))
+    mult = quotient_multiplicities(subset, state.vars_sorted)
+    loops = sum(map(is_square, subset))
     k = smallest_k(len(subset), mult, lambda k: c4_capacity(k, loops))
     return k + len(state.new_vars) >= incumbent_order

@@ -38,6 +38,7 @@ from .polynomials import (
     Monomial,
     ODESystem,
     grlex_key,
+    monomial_quotient,
     unit_monomial,
     variable_monomial,
 )
@@ -65,12 +66,11 @@ QuadratizationResult = namedtuple("QuadratizationResult", "new_vars order optima
 
 def per_variable_degrees(system: ODESystem) -> tuple[int, ...]:
     """D_i = the largest exponent of variable i across all right-hand sides."""
-    maxes = [0] * system.num_vars
+    maxes = unit_monomial(system.num_vars)
     for poly in system.rhs:
-        for i, e in enumerate(poly.max_exponents(system.num_vars)):
-            if e > maxes[i]:
-                maxes[i] = e
-    return tuple(maxes)
+        for mono, _ in poly.terms:
+            maxes = tuple(map(max, maxes, mono))
+    return maxes
 
 
 def degree_box_order(system: ODESystem) -> int:
@@ -291,7 +291,8 @@ def laurent_quadratize(system: ODESystem) -> QuadratizationResult:
     set is empty: names follow graded-lex order and every term uses the
     least factor pair.  The order is not certified optimal.
     """
-    ratios = {tuple(e - (s == i) for s, e in enumerate(mono))
+    n = system.num_vars
+    ratios = {monomial_quotient(mono, variable_monomial(n, i))
               for i, poly in enumerate(system.rhs) for mono, _ in poly.terms}
     root = SearchState.initial(system)
     state = root.extended(ratios - root.vars_set)

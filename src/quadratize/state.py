@@ -23,9 +23,11 @@ from .output import ResultDocument, ResultTerm, choose_new_variable_names, forma
 from .polynomials import (
     Monomial,
     ODESystem,
+    degree,
     grlex_key,
     lie_derivative,
     lie_derivative_support,
+    monomial_quotient,
     unit_monomial,
     variable_monomial,
 )
@@ -38,27 +40,27 @@ class SearchState:
         self.system = system
         self.new_vars = new_vars          # tuple[Monomial], insertion order
         self.vars_set = vars_set          # frozenset[Monomial], incl. 1 and x_i
-        self.vars_sorted = vars_sorted    # tuple[(degree, Monomial)], ascending
+        self.vars_sorted = vars_sorted    # tuple[Monomial], ascending graded-lex
         self.nonsquares = nonsquares      # frozenset[Monomial]
 
     @classmethod
     def initial(cls, system: ODESystem) -> "SearchState":
         n = system.num_vars
         base = [unit_monomial(n)] + [variable_monomial(n, i) for i in range(n)]
-        vars_sorted = tuple(sorted((sum(m), m) for m in base))
-        state = cls(system, (), frozenset(base), vars_sorted, frozenset())
+        state = cls(system, (), frozenset(base), tuple(sorted(base, key=grlex_key)),
+                    frozenset())
         state.nonsquares = state.recomputed_nonsquares()
         return state
 
     def factor_pair(self, m: Monomial) -> tuple[Monomial, Monomial] | None:
         """Generalized variables (v, q) with m = v*q and v the least in graded-lex
         order, or None if m is not such a product."""
-        deg_m = sum(m)
+        deg_m = degree(m)
         vset = self.vars_set
-        for deg_v, v in self.vars_sorted:
-            if 2 * deg_v > deg_m:
+        for v in self.vars_sorted:
+            if 2 * degree(v) > deg_m:
                 break
-            q = tuple(a - b for a, b in zip(m, v))
+            q = monomial_quotient(m, v)
             if q in vset:
                 return v, q
         return None
@@ -78,20 +80,14 @@ class SearchState:
 
         system = self.system
         vars_set = self.vars_set | set(added)
-        vars_sorted = tuple(sorted(self.vars_sorted
-                                   + tuple((sum(m), m) for m in added)))
+        vars_sorted = tuple(sorted(self.vars_sorted + added, key=grlex_key))
         new_state = SearchState(system, self.new_vars + added, vars_set, vars_sorted,
                                 frozenset())
 
         # Every product new to the enlarged span involves an added variable,
         # so surviving old nonsquares only need checking against those.
-        keep = []
-        for m in self.nonsquares:
-            for a in added:
-                if tuple(x - y for x, y in zip(m, a)) in vars_set:
-                    break
-            else:
-                keep.append(m)
+        keep = [m for m in self.nonsquares
+                if all(monomial_quotient(m, a) not in vars_set for a in added)]
         fresh = set()
         for a in added:
             fresh |= lie_derivative_support(a, system)
@@ -103,10 +99,6 @@ class SearchState:
     @property
     def is_quadratization(self) -> bool:
         return not self.nonsquares
-
-    def generalized_vars(self) -> tuple[Monomial, ...]:
-        """All generalized variables in ascending graded-lex order."""
-        return tuple(m for _, m in self.vars_sorted)
 
     def recomputed_nonsquares(self) -> frozenset[Monomial]:
         """Nonsquares from the definition: the root's, and a check on ``extended``."""

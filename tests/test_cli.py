@@ -88,7 +88,7 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("flag", [["--max-order", "3"], ["--no-prune-quadratic"],
-                                      ["--no-prune-c4"]])
+                                      ["--no-prune-c4"], ["--stats"]])
     def test_search_option_with_laurent_is_2(self, capsys, flag):
         code, out, err = run_cli(capsys, "--benchmark", "rf", "--laurent", *flag)
         assert code == 2

@@ -11,9 +11,14 @@ from quadratize.polynomials import (
     ODESystem,
     Polynomial,
     decompositions,
+    degree,
+    divides,
     divisor_count,
+    grlex_key,
+    is_square,
     lie_derivative,
     monomial_mul,
+    monomial_quotient,
     unit_monomial,
     variable_monomial,
 )
@@ -21,13 +26,32 @@ from quadratize.polynomials import (
 monomials = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple)
 
 
-def paired_monomials():
-    return st.integers(1, 3).flatmap(
+def paired_monomials(exponents=st.integers(0, 4), lengths=st.integers(1, 3)):
+    return lengths.flatmap(
         lambda n: st.tuples(
-            st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple),
-            st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple),
+            st.lists(exponents, min_size=n, max_size=n).map(tuple),
+            st.lists(exponents, min_size=n, max_size=n).map(tuple),
         )
     )
+
+
+# Small exponents, so that divisibility and equal degrees are common, and
+# exponents past one byte, which a packed representation would overflow.
+kernel_exponents = st.one_of(st.integers(0, 3), st.integers(255, 70_000))
+
+
+def grlex_less(a, b):
+    """Graded-lex order from its definition: degree, then the first differing exponent."""
+    deg_a = deg_b = 0
+    for i in range(len(a)):
+        deg_a += a[i]
+        deg_b += b[i]
+    if deg_a != deg_b:
+        return deg_a < deg_b
+    for i in range(len(a)):
+        if a[i] != b[i]:
+            return a[i] < b[i]
+    return False
 
 
 class TestMonomialOps:
@@ -54,7 +78,21 @@ class TestMonomialOps:
         assert len(set(pairs)) == len(pairs)
         for m1, m2 in pairs:
             assert monomial_mul(m1, m2) == m
-        assert list(pairs) == sorted(pairs, key=lambda p: p[0])
+        assert list(pairs) == sorted(pairs)
+
+    @given(paired_monomials(kernel_exponents, st.integers(1, 4)))
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_per_exponent_definition(self, pair):
+        a, b = pair
+        n = len(a)
+        assert monomial_mul(a, b) == tuple(a[i] + b[i] for i in range(n))
+        assert monomial_quotient(a, b) == tuple(a[i] - b[i] for i in range(n))
+        assert divides(b, a) == all(b[i] <= a[i] for i in range(n))
+        assert degree(a) == sum(a[i] for i in range(n))
+        for m in (a, monomial_quotient(a, b), monomial_mul(a, a)):
+            assert is_square(m) == all(m[i] % 2 == 0 for i in range(n))
+        assert (grlex_key(a) < grlex_key(b)) == grlex_less(a, b)
+        assert (grlex_key(b) < grlex_key(a)) == grlex_less(b, a)
 
 
 class TestPolynomial:

@@ -19,7 +19,7 @@ from conftest import random_polynomial_system
 
 def explicit_product_set(state):
     """All pairwise products of the generalized variables, materialized."""
-    gen = state.generalized_vars()
+    gen = state.vars_sorted
     return {monomial_mul(a, b) for a, b in combinations_with_replacement(gen, 2)}
 
 
