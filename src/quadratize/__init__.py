@@ -28,7 +28,6 @@ from .solver import (
     NoQuadratizationWithinCap,
     QuadratizationResult,
     SearchStats,
-    SolveOptions,
     benchmark_system,
     bnb_search,
     initial_incumbent,
@@ -49,7 +48,6 @@ __all__ = [
     "ResultTerm",
     "SearchState",
     "SearchStats",
-    "SolveOptions",
     "benchmark_system",
     "bnb_search",
     "brute_force_optimal",

@@ -2,8 +2,11 @@
 
 Reads a system from a file (or standard input), finds an optimal monomial
 quadratization, and prints it as text or as the structured JSON document.
-Exit codes: 0 success, 1 unreadable or unparseable input, 2 invalid options
-(including a search option or --stats given with --laurent), 3 no
+The search always runs with both pruning rules; they change how many
+subproblems it visits, never the answer, and demos/02_pruning_rules.py
+measures what each buys.  Exit codes: 0 success, 1 unreadable or
+unparseable input, 2 invalid options (an unknown benchmark or a bad
+benchmark size, or --max-order or --stats given with --laurent), 3 no
 quadratization within --max-order.
 """
 
@@ -14,15 +17,7 @@ import sys
 
 from .output import render_result
 from .parsing import ParseError, parse_system
-from .solver import (
-    NoQuadratizationWithinCap,
-    SolveOptions,
-    benchmark_system,
-    bnb_search,
-    laurent_quadratize,
-)
-
-_BENCHMARKS_WITH_SIZE = ("scalar_power", "cubic_cycle", "cubic_bicycle")
+from .solver import NoQuadratizationWithinCap, benchmark_system, bnb_search, laurent_quadratize
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -39,10 +34,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--laurent", action="store_true",
                         help="emit the linear-size Laurent-monomial lifting "
                              "instead of searching for an optimum")
-    parser.add_argument("--no-prune-quadratic", action="store_true",
-                        help="disable the pair-count pruning rule")
-    parser.add_argument("--no-prune-c4", action="store_true",
-                        help="disable the graph-capacity pruning rule")
     parser.add_argument("--format", choices=("text", "structured"), default="text",
                         help="output format (default: text)")
     parser.add_argument("--stats", action="store_true",
@@ -53,24 +44,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_system(args, parser):
-    if args.benchmark is not None:
-        if args.input is not None:
-            parser.error("give either an input file or --benchmark, not both")
-        name, sep, size = args.benchmark.partition(":")
-        try:
-            if name in _BENCHMARKS_WITH_SIZE:
-                if not sep:
-                    parser.error(f"benchmark {name} needs a size, e.g. {name}:4")
-                return benchmark_system(name, int(size))
-            if sep:
-                parser.error(f"benchmark {name} does not take a size")
-            return benchmark_system(name)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.input is None or args.input == "-":
+def _read_system(path):
+    if path is None or path == "-":
         return parse_system(sys.stdin.read())
-    with open(args.input, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         return parse_system(handle.read())
 
 
@@ -89,33 +66,37 @@ def main(argv=None) -> int:
 
     if args.max_order is not None and args.max_order < 0:
         return _usage_error(parser, "--max-order must be nonnegative")
-    if args.laurent and (args.max_order is not None or args.no_prune_quadratic
-                         or args.no_prune_c4 or args.stats):
+    if args.laurent and (args.max_order is not None or args.stats):
         return _usage_error(parser, "--laurent takes none of the search options "
-                                    "--max-order, --no-prune-quadratic, --no-prune-c4, "
-                                    "--stats")
+                                    "--max-order, --stats")
 
-    try:
+    if args.benchmark is not None:
+        if args.input is not None:
+            return _usage_error(parser, "give either an input file or --benchmark, not both")
+        # benchmark_system alone decides which families take a size.
+        name, sep, size = args.benchmark.partition(":")
         try:
-            system = _load_system(args, parser)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
-        sys.stderr.write(f"quadratize: error: {exc}\n")
-        return 1
+            n = int(size) if sep else None
+        except ValueError:
+            return _usage_error(parser, f"benchmark size must be an integer, not {size!r}")
+        try:
+            system = benchmark_system(name, n)
+        except ValueError as exc:
+            return _usage_error(parser, str(exc))
+    else:
+        try:
+            system = _read_system(args.input)
+        except (ParseError, OSError, UnicodeDecodeError) as exc:
+            sys.stderr.write(f"quadratize: error: {exc}\n")
+            return 1
 
     if args.laurent:
         document = laurent_quadratize(system).document
         sys.stdout.write(render_result(document, args.format))
         return 0
 
-    options = SolveOptions(
-        enable_rule_quadratic=not args.no_prune_quadratic,
-        enable_rule_c4=not args.no_prune_c4,
-        max_order_cap=args.max_order,
-    )
     try:
-        result, stats = bnb_search(system, options)
+        result, stats = bnb_search(system, max_order_cap=args.max_order)
     except NoQuadratizationWithinCap as exc:
         sys.stderr.write(f"quadratize: error: {exc}\n")
         return 3

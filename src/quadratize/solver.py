@@ -46,11 +46,6 @@ from .pruning import prune_by_c4_bound, prune_by_quadratic_bound
 from .state import SearchState
 
 
-SolveOptions = namedtuple("SolveOptions",
-                          "enable_rule_quadratic enable_rule_c4 max_order_cap",
-                          defaults=(True, True, None))
-
-
 class SearchStats(namedtuple("SearchStats", "nodes_visited pruned_by_quadratic pruned_by_c4 "
                                             "pruned_by_symmetry incumbent_updates optimal_order",
                              defaults=(0, 0, 0, 0, 0, 0))):
@@ -213,20 +208,25 @@ def orbit_key(monomials, group) -> int:
     return (packed << (width + 1)) | ((1 << width) - 1)
 
 
-def bnb_search(system: ODESystem,
-               options: SolveOptions | None = None) -> tuple[QuadratizationResult, SearchStats]:
+def bnb_search(system: ODESystem, *,
+               max_order_cap: int | None = None) -> tuple[QuadratizationResult, SearchStats]:
     """Find a minimal-order monomial quadratization by branch and bound.
 
-    Deterministic: identical inputs and options give identical results and
-    statistics.  max_order_cap, when set, is the search's initial bound: the
-    result is still optimal, and NoQuadratizationWithinCap is raised when
-    every quadratization needs more than cap new variables.
+    Every node that is not a quadratization goes through the pair-count rule,
+    then the graph rule.  Both are sound lower bounds, so they change only
+    the number of nodes visited, never the answer.  Such a node has a
+    nonsquare to cover, so each rule's bound is at least its depth + 1: a
+    node the rules keep has depth + 1 < bound, and no separate depth cutoff
+    is needed.
+
+    Deterministic: identical inputs give identical results and statistics.
+    max_order_cap, when set, is the search's initial bound: the result is
+    still optimal, and NoQuadratizationWithinCap is raised when every
+    quadratization needs more than max_order_cap new variables.
     """
-    opts = options or SolveOptions()
     nodes = pruned_quadratic = pruned_c4 = pruned_symmetry = updates = 0
-    cap = opts.max_order_cap
     box = degree_box_order(system)
-    bound = box if cap is None else min(box, cap + 1)
+    bound = box if max_order_cap is None else min(box, max_order_cap + 1)
     best = None
     root = SearchState.initial(system)
     group = automorphisms(system)
@@ -248,29 +248,22 @@ def bnb_search(system: ODESystem,
         seen.add(key)
         state = parent.extended(added)
         nodes += 1
-        depth = len(state.new_vars)
         if state.is_quadratization:
-            if depth < bound:
-                best, bound = state.new_vars, depth
+            if len(state.new_vars) < bound:
+                best, bound = state.new_vars, len(state.new_vars)
                 updates += 1
             continue
-        if opts.enable_rule_quadratic and prune_by_quadratic_bound(state, bound):
+        if prune_by_quadratic_bound(state, bound):
             pruned_quadratic += 1
             continue
-        if opts.enable_rule_c4 and prune_by_c4_bound(state, bound):
+        if prune_by_c4_bound(state, bound):
             pruned_c4 += 1
-            continue
-        if depth >= bound:
-            # Baseline incumbent bound: a deeper node cannot beat the
-            # incumbent since every child only adds variables.  With either
-            # rule enabled this is unreachable (the rules subsume it), so it
-            # does not perturb their node counts.
             continue
         stack.append((state, iter(generate_children(state))))
 
     if best is None:
-        if cap is not None and cap < box:
-            raise NoQuadratizationWithinCap(cap)
+        if max_order_cap is not None and max_order_cap < box:
+            raise NoQuadratizationWithinCap(max_order_cap)
         best = initial_incumbent(system)[0]
     stats = SearchStats(nodes, pruned_quadratic, pruned_c4, pruned_symmetry, updates, len(best))
     document = root.extended(best).extract_quadratic_system(stats=stats.as_dict())
@@ -309,12 +302,12 @@ def benchmark_system(name: str, n: int | None = None) -> ODESystem:
         return parse_system(f"x' = x^{n}" if n > 1 else "x' = x")
     if name == "cubic_cycle":
         if n is None or n < 2:
-            raise ValueError("cubic_cycle needs n > 1")
+            raise ValueError("cubic_cycle needs a size n > 1")
         lines = [f"x{i}' = x{i % n + 1}^3" for i in range(1, n + 1)]
         return parse_system("\n".join(lines))
     if name == "cubic_bicycle":
         if n is None or n < 2:
-            raise ValueError("cubic_bicycle needs n > 1")
+            raise ValueError("cubic_bicycle needs a size n > 1")
         lines = []
         for i in range(1, n + 1):
             left = (i - 2) % n + 1

@@ -1,11 +1,14 @@
-"""Shared fixtures: worked example systems and the random test corpus."""
+"""Shared fixtures: worked example systems, the random test corpus, and the
+pruning-rule configurations of the ablation."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import quadratize.solver
 from quadratize.bruteforce import box_candidates
 from quadratize.parsing import parse_system
 from quadratize.polynomials import ODESystem, Polynomial
@@ -30,6 +33,31 @@ def allen_cahn_text(n: int) -> str:
         neighbours = [f"x{j}" for j in (i - 1, i + 1) if 1 <= j <= n]
         lines.append(f"x{i}' = " + " + ".join(neighbours) + f" - x{i} - x{i}^3")
     return "\n".join(lines)
+
+
+RULE_CONFIGS = ("none", "quadratic", "c4", "both")
+
+
+@contextmanager
+def rules(config):
+    """Run bnb_search with only the pruning rules that `config` names.
+
+    The search always calls both rules, so a rule is switched off by
+    substituting it in quadratize.solver: the pair-count rule by one that
+    never prunes, the graph rule by the trivial bound, which prunes a node
+    as deep as the incumbent.  The real rules are back on exit.
+    """
+    if config not in RULE_CONFIGS:
+        raise ValueError(f"unknown rule configuration {config!r}")
+    saved = quadratize.solver.prune_by_quadratic_bound, quadratize.solver.prune_by_c4_bound
+    if config in ("none", "c4"):
+        quadratize.solver.prune_by_quadratic_bound = lambda state, bound: False
+    if config in ("none", "quadratic"):
+        quadratize.solver.prune_by_c4_bound = lambda state, bound: len(state.new_vars) >= bound
+    try:
+        yield
+    finally:
+        quadratize.solver.prune_by_quadratic_bound, quadratize.solver.prune_by_c4_bound = saved
 
 
 @pytest.fixture(scope="session")

@@ -16,16 +16,9 @@ from quadratize.bruteforce import (
 from quadratize.output import render_result
 from quadratize.parsing import parse_system
 from quadratize.pruning import C4_CAPACITY_TABLE
-from quadratize.solver import SolveOptions, benchmark_system, bnb_search
+from quadratize.solver import benchmark_system, bnb_search
 
-from conftest import wide_box
-
-CONFIGS = {
-    "none": SolveOptions(enable_rule_quadratic=False, enable_rule_c4=False),
-    "quadratic": SolveOptions(enable_rule_c4=False),
-    "c4": SolveOptions(enable_rule_quadratic=False),
-    "both": SolveOptions(),
-}
+from conftest import RULE_CONFIGS, rules, wide_box
 
 _BENCH_CACHE = {}
 
@@ -35,7 +28,8 @@ def solve_benchmark(name, n, config="both"):
     if key not in _BENCH_CACHE:
         system = benchmark_system(name, n)
         started = time.monotonic()
-        result, stats = bnb_search(system, CONFIGS[config])
+        with rules(config):
+            result, stats = bnb_search(system)
         _BENCH_CACHE[key] = (system, result, stats, time.monotonic() - started)
     return _BENCH_CACHE[key]
 
@@ -142,7 +136,10 @@ def test_criterion_06_pruning_soundness(random_corpus, worked_systems):
     checked = 0
     ok = True
     for system in systems:
-        orders = {bnb_search(system, opts)[0].order for opts in CONFIGS.values()}
+        orders = set()
+        for config in RULE_CONFIGS:
+            with rules(config):
+                orders.add(bnb_search(system)[0].order)
         oracle_order, _ = brute_force_optimal(system, wide_box(system))
         ok = ok and len(orders) == 1 and orders == {oracle_order}
         checked += 1
@@ -162,7 +159,7 @@ def test_criterion_07_pruning_effectiveness():
         for n in (4, 5, 6):
             nodes = {}
             orders = set()
-            for config in CONFIGS:
+            for config in RULE_CONFIGS:
                 _, result, stats, _ = solve_benchmark(name, n, config)
                 nodes[config] = stats.nodes_visited
                 orders.add(result.order)

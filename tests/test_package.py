@@ -34,11 +34,10 @@ def test_module_runs_as_the_command():
     assert "pruned_by_symmetry: 0" in proc.stdout
 
 
-@pytest.mark.parametrize("demo", ["01_worked_examples.py", "02_pruning_rules.py",
-                                  "03_laurent_lifting.py", "04_graph_capacity.py"])
+@pytest.mark.parametrize("demo", sorted(ROOT.glob("demos/0*.py")), ids=lambda path: path.name)
 def test_demo_runs(demo):
-    # The pruning-rules demo takes about 8 s, the others under one; the
-    # timeout only stops a hang.
-    proc = run_python([str(ROOT / "demos" / demo)], timeout=30)
+    # Every demo script.  The pruning-rules demo takes about 8 s, the others
+    # under one; the timeout only stops a hang.
+    proc = run_python([str(demo)], timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -18,10 +18,10 @@ from quadratize.pruning import (
     quotient_multiplicities,
     smallest_k,
 )
-from quadratize.solver import SolveOptions, benchmark_system, bnb_search
+from quadratize.solver import benchmark_system, bnb_search
 from quadratize.state import SearchState
 
-from conftest import wide_box
+from conftest import rules, wide_box
 
 
 class TestQuotientMultiplicities:
@@ -166,15 +166,15 @@ class TestPruneRules:
 
 
 class TestPrunedNodesAreSound:
-    @pytest.mark.parametrize("rule,options", [
-        ("prune_by_quadratic_bound", SolveOptions(enable_rule_c4=False)),
-        ("prune_by_c4_bound", SolveOptions(enable_rule_quadratic=False)),
+    @pytest.mark.parametrize("rule,config,count", [
+        ("prune_by_quadratic_bound", "quadratic", 308),
+        ("prune_by_c4_bound", "c4", 278),
     ])
-    def test_no_smaller_completion_in_the_wide_box(self, random_corpus, monkeypatch,
-                                                   rule, options):
-        # Every node a rule prunes at bound N: the brute-force checker finds no
-        # quadratization among the supersets of its variables, drawn from the
-        # wide-box candidates, with fewer than N variables.
+    def test_no_smaller_completion_in_the_wide_box(self, random_corpus, rule, config, count):
+        # Every node a rule prunes at bound N, with the other rule off: the
+        # brute-force checker finds no quadratization among the supersets of
+        # its variables, drawn from the wide-box candidates, with fewer than N
+        # variables.
         pruned = []
         original = getattr(quadratize.solver, rule)
 
@@ -184,11 +184,12 @@ class TestPrunedNodesAreSound:
                 return True
             return False
 
-        monkeypatch.setattr(quadratize.solver, rule, recording)
         checked = 0
         for system in random_corpus[:20]:
             pruned.clear()
-            bnb_search(system, options)
+            with rules(config):
+                setattr(quadratize.solver, rule, recording)
+                bnb_search(system)
             pool = box_candidates(system, wide_box(system))
             for new_vars, bound in pruned:
                 free = [m for m in pool if m not in new_vars]
@@ -198,4 +199,4 @@ class TestPrunedNodesAreSound:
                             f"{rule} pruned {new_vars} at bound {bound}, "
                             f"but adding {extra} quadratizes")
                 checked += 1
-        assert checked > 100
+        assert checked == count

@@ -17,7 +17,6 @@ from quadratize.polynomials import ODESystem, Polynomial, divisors
 from quadratize.solver import (
     NoQuadratizationWithinCap,
     SearchStats,
-    SolveOptions,
     automorphisms,
     benchmark_system,
     bnb_search,
@@ -29,14 +28,12 @@ from quadratize.solver import (
 )
 from quadratize.state import SearchState
 
-from conftest import allen_cahn_text, wide_box
+from conftest import RULE_CONFIGS, allen_cahn_text, rules, wide_box
 
-ALL_CONFIGS = {
-    "none": SolveOptions(enable_rule_quadratic=False, enable_rule_c4=False),
-    "quadratic": SolveOptions(enable_rule_c4=False),
-    "c4": SolveOptions(enable_rule_quadratic=False),
-    "both": SolveOptions(),
-}
+
+def solve_with(system, config):
+    with rules(config):
+        return bnb_search(system)
 
 
 def frame_depth():
@@ -115,14 +112,13 @@ class TestSearch:
 
     def test_orders_agree_across_configs(self, worked_systems):
         for system in worked_systems.values():
-            orders = {bnb_search(system, opts)[0].order
-                      for opts in ALL_CONFIGS.values()}
+            orders = {solve_with(system, config)[0].order for config in RULE_CONFIGS}
             assert len(orders) == 1
 
     def test_pruning_reduces_nodes(self):
         system = benchmark_system("cubic_cycle", 4)
-        nodes = {name: bnb_search(system, opts)[1].nodes_visited
-                 for name, opts in ALL_CONFIGS.items()}
+        nodes = {config: solve_with(system, config)[1].nodes_visited
+                 for config in RULE_CONFIGS}
         assert nodes["none"] >= nodes["quadratic"] >= nodes["both"]
         assert nodes["none"] >= nodes["c4"] >= nodes["both"]
         assert nodes["none"] > nodes["both"]
@@ -156,7 +152,7 @@ class TestMaxOrderCap:
     def test_cap_below_optimum_raises(self):
         system = parse_system("x' = x^5")
         with pytest.raises(NoQuadratizationWithinCap) as err:
-            bnb_search(system, SolveOptions(max_order_cap=0))
+            bnb_search(system, max_order_cap=0)
         assert err.value.lower_bound == 1
         assert str(err.value) == "no monomial quadratization with at most 0 new variables"
 
@@ -165,12 +161,12 @@ class TestMaxOrderCap:
         # is built when the cap is too small.
         start = time.perf_counter()
         with pytest.raises(NoQuadratizationWithinCap):
-            bnb_search(parse_system(allen_cahn_text(10)), SolveOptions(max_order_cap=5))
+            bnb_search(parse_system(allen_cahn_text(10)), max_order_cap=5)
         assert time.perf_counter() - start < 1.0
 
     def test_cap_at_optimum_is_still_optimal(self):
         system = parse_system("x' = x^5")
-        result, _ = bnb_search(system, SolveOptions(max_order_cap=1))
+        result, _ = bnb_search(system, max_order_cap=1)
         assert result.order == 1
         assert result.optimal
 
@@ -179,15 +175,62 @@ class TestMaxOrderCap:
             result, _ = bnb_search(system)
             if result.order:
                 with pytest.raises(NoQuadratizationWithinCap):
-                    bnb_search(system, SolveOptions(max_order_cap=result.order - 1))
-            capped, _ = bnb_search(system, SolveOptions(max_order_cap=result.order))
+                    bnb_search(system, max_order_cap=result.order - 1)
+            capped, _ = bnb_search(system, max_order_cap=result.order)
             assert capped.new_vars == result.new_vars
 
     def test_cap_at_box_order_returns_box(self):
         # Here the box is empty and optimal: the search finds nothing below
         # it, which is not a failure of the cap.
-        result, _ = bnb_search(parse_system("x' = 2*x"), SolveOptions(max_order_cap=0))
+        result, _ = bnb_search(parse_system("x' = 2*x"), max_order_cap=0)
         assert result.new_vars == ()
+
+    def test_cap_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            bnb_search(parse_system("x' = x^5"), 1)
+
+
+class TestRuleConfigurations:
+    def test_rules_are_restored_after_an_error(self):
+        real = (quadratize.solver.prune_by_quadratic_bound, quadratize.solver.prune_by_c4_bound)
+        with pytest.raises(RuntimeError):
+            with rules("none"):
+                assert quadratize.solver.prune_by_quadratic_bound is not real[0]
+                assert quadratize.solver.prune_by_c4_bound is not real[1]
+                raise RuntimeError
+        assert (quadratize.solver.prune_by_quadratic_bound,
+                quadratize.solver.prune_by_c4_bound) == real
+
+    def test_every_expanded_node_can_still_beat_the_incumbent(
+            self, worked_systems, random_corpus, monkeypatch):
+        # A node that is not a quadratization has a nonsquare, so each rule
+        # bounds its completion by at least depth + 1 and prunes it when
+        # that reaches the bound.  So every node the search expands is at
+        # least two variables short of the incumbent, which is why the
+        # search needs no depth cutoff of its own.
+        last = [None, None]  # the state and bound of the latest c4 rule call
+        expanded = 0
+        real_c4 = quadratize.solver.prune_by_c4_bound
+        real_children = quadratize.solver.generate_children
+
+        def recording_c4(state, bound):
+            last[:] = state, bound
+            return real_c4(state, bound)
+
+        def checking_children(state):
+            nonlocal expanded
+            assert state is last[0]
+            assert len(state.new_vars) + 1 < last[1]
+            expanded += 1
+            return real_children(state)
+
+        monkeypatch.setattr(quadratize.solver, "prune_by_c4_bound", recording_c4)
+        monkeypatch.setattr(quadratize.solver, "generate_children", checking_children)
+        systems = (list(worked_systems.values()) + random_corpus
+                   + [benchmark_system("cubic_cycle", 4)])
+        for system in systems:
+            bnb_search(system)
+        assert expanded > 100
 
 
 class TestSearchDepth:
@@ -520,8 +563,8 @@ class TestSkippingKeepsTheAnswer:
         system = benchmark_system(name, n)
         result, _ = bnb_search(system)
         with pytest.raises(NoQuadratizationWithinCap):
-            bnb_search(system, SolveOptions(max_order_cap=result.order - 1))
-        capped, _ = bnb_search(system, SolveOptions(max_order_cap=result.order))
+            bnb_search(system, max_order_cap=result.order - 1)
+        capped, _ = bnb_search(system, max_order_cap=result.order)
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
