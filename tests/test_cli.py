@@ -102,7 +102,10 @@ class TestExitCodes:
         assert errors == [f"quadratize: error: {BAD_BENCHMARKS[argument]}"]
         assert "invalid literal" not in err
 
-    @pytest.mark.parametrize("flag", [["--max-order", "3"], ["--stats"]])
+    # The ids keep the names these cases had when flag1 and flag2 were the
+    # since-removed --no-prune-quadratic and --no-prune-c4 cases.
+    @pytest.mark.parametrize("flag", [pytest.param(["--max-order", "3"], id="flag0"),
+                                      pytest.param(["--stats"], id="flag3")])
     def test_search_option_with_laurent_is_2(self, capsys, flag):
         code, out, err = run_cli(capsys, "--benchmark", "rf", "--laurent", *flag)
         assert code == 2
