@@ -21,7 +21,6 @@ from .parsing import ParseError, parse_system
 from .polynomials import (
     Monomial,
     ODESystem,
-    Polynomial,
     lie_derivative,
 )
 from .solver import (
@@ -42,7 +41,6 @@ __all__ = [
     "NoQuadratizationWithinCap",
     "ODESystem",
     "ParseError",
-    "Polynomial",
     "QuadratizationResult",
     "ResultDocument",
     "ResultTerm",

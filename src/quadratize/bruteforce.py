@@ -221,6 +221,6 @@ def document_violations(system: ODESystem, document: ResultDocument) -> list[str
             key = (monomial_mul(factor_mono[t.factor1], factor_mono[t.factor2]), t.params)
             actual[key] = actual.get(key, 0) + t.coeff
         actual = {k: c for k, c in actual.items() if c}
-        if actual != expected.terms:
+        if actual != expected:
             problems.append(f"{var}: expanded right-hand side differs from the derivative")
     return problems

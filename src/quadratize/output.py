@@ -13,7 +13,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .polynomials import Monomial, ODESystem, ParamExponents
+from .polynomials import Monomial, ODESystem, ParamExponents, sorted_terms
 
 
 # One degree-<=2 term: coeff * factor1 * factor2, factors named, "1" = unit.
@@ -138,6 +138,6 @@ def render_system(system: ODESystem) -> str:
     for name, poly in zip(system.variables, system.rhs):
         pieces = [_scaled(format_coefficient(coeff, params, system.parameters),
                           format_monomial(mono, system.variables))
-                  for mono, params, coeff in poly.sorted_terms()]
+                  for mono, params, coeff in sorted_terms(poly)]
         lines.append(f"{name}' = {_signed_sum(pieces)}")
     return "\n".join(lines) + "\n"

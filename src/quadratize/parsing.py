@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .polynomials import ODESystem, Polynomial
+from .polynomials import ODESystem, polynomial_mul
 
 
 class ParseError(ValueError):
@@ -121,7 +121,7 @@ def _tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
 
 
 class _ExpressionParser:
-    """Recursive-descent parser producing a canonical Polynomial directly."""
+    """Recursive-descent parser producing each polynomial as a dict directly."""
 
     def __init__(self, tokens, var_index, param_index):
         self.tokens = tokens
@@ -142,13 +142,13 @@ class _ExpressionParser:
         except ValueError:  # more digits than int() converts
             _fail(tok, "integer literal too long")
 
-    def multiply(self, left: Polynomial, right: Polynomial, paren) -> Polynomial:
+    def multiply(self, left: dict, right: dict, paren) -> dict:
         """left * right, counted against MAX_EXPANSION before it is formed."""
-        self.expansion += len(left.terms) * len(right.terms)
+        self.expansion += len(left) * len(right)
         if self.expansion > MAX_EXPANSION:
             _fail(paren, f"expanding parenthesized sums needs more than "
                          f"{MAX_EXPANSION} term products")
-        return self.bounded(left * right, paren)
+        return self.bounded(polynomial_mul(left, right), paren)
 
     def power(self, acc: int, base: int, k: int, tok) -> int:
         """acc * base**k, failing at tok when it has too many digits."""
@@ -159,9 +159,9 @@ class _ExpressionParser:
                 return result
         _fail_coefficient(tok)
 
-    def bounded(self, poly: Polynomial, tok) -> Polynomial:
+    def bounded(self, poly: dict, tok) -> dict:
         """poly, after failing at tok if one of its coefficients has too many digits."""
-        for coeff in poly.terms.values():
+        for coeff in poly.values():
             if _too_long(coeff):
                 _fail_coefficient(tok)
         return poly
@@ -178,8 +178,9 @@ class _ExpressionParser:
                       "exponent must be a positive integer literal")
         return exponent
 
-    def parse_expression(self) -> Polynomial:
-        """Signed terms, summed in place in the order Polynomial.__add__ would."""
+    def parse_expression(self) -> dict:
+        """Signed terms, summed in place: a term that cancels is deleted, and
+        one that reappears after that goes to the end."""
         tokens = self.tokens
         kind = tokens[self.pos][0]
         negate = kind == "MINUS"
@@ -207,9 +208,7 @@ class _ExpressionParser:
                 break
             negate = kind == "MINUS"
             self.pos += 1
-        result = Polynomial.__new__(Polynomial)
-        result.terms = terms
-        return result
+        return terms
 
     def parse_term(self) -> dict:
         """One product of factors as {(monomial, params): coefficient}.
@@ -257,13 +256,13 @@ class _ExpressionParser:
                     _fail(close, "expected ')'")
                 self.depth -= 1
                 k = self.exponent()
-                if len(inner.terms) > 1:
+                if len(inner) > 1:
                     power = inner
                     for _ in range(k - 1):
                         power = self.multiply(power, inner, tok)
                     product = power if product is None else self.multiply(product, power, tok)
-                elif inner.terms:
-                    ((m, p), c), = inner.terms.items()
+                elif inner:
+                    ((m, p), c), = inner.items()
                     mono = [a + e * k for a, e in zip(mono, m)]
                     params = [a + e * k for a, e in zip(params, p)]
                     num = self.power(num, c.numerator, k, tok)
@@ -281,7 +280,7 @@ class _ExpressionParser:
         if product is None:
             return term
         # A one-term left factor keeps the product's term order.
-        return self.bounded(Polynomial(term) * product, first).terms
+        return self.bounded(polynomial_mul(term, product), first)
 
 
 def parse_system(text: str) -> ODESystem:
@@ -330,11 +329,10 @@ def parse_system(text: str) -> ODESystem:
         rhs.append(poly)
 
     # Keep only the parameters of surviving terms.
-    used = sorted({i for poly in rhs for _, p in poly.terms for i, e in enumerate(p) if e})
+    used = sorted({i for poly in rhs for _, p in poly for i, e in enumerate(p) if e})
     if len(used) < len(parameters):
         parameters = [parameters[i] for i in used]
-        rhs = [Polynomial({(m, tuple(p[i] for i in used)): c
-                           for (m, p), c in poly.terms.items()})
+        rhs = [{(m, tuple(p[i] for i in used)): c for (m, p), c in poly.items()}
                for poly in rhs]
 
     return ODESystem(tuple(variables), tuple(parameters), tuple(rhs))

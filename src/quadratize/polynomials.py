@@ -7,15 +7,19 @@ Representation conventions:
                Negative exponents are permitted only in Laurent contexts
                (they never occur inside an ODESystem right-hand side).
 
-  Polynomial = dict mapping (monomial, parameter exponents) -> Fraction.
-               Parameters (symbolic constants such as reaction rates) carry
-               their own exponent tuple so that e.g. a*x and x stay separate
-               terms of the same state monomial x; sums of such terms are not
-               representable as a single rational-times-parameter coefficient.
-               Zero coefficients are dropped eagerly, so equality of dicts is
-               equality of polynomials.
+  Polynomial = plain dict mapping (monomial, parameter exponents) to a
+               nonzero int or Fraction coefficient.  Parameters (symbolic
+               constants such as reaction rates) carry their own exponent
+               tuple so that e.g. a*x and x stay separate terms of the same
+               state monomial x; sums of such terms are not representable as
+               a single rational-times-parameter coefficient.  No term has a
+               zero coefficient, so equality of dicts is equality of
+               polynomials: ODESystem rejects a zero coefficient, and the
+               parser, polynomial_mul and lie_derivative delete a term as
+               soon as it cancels.
 
-All values are immutable after construction and safe to share between threads.
+Nothing mutates a polynomial once it is built, so values are safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -102,40 +106,15 @@ def decompositions(m: Monomial) -> tuple[tuple[Monomial, Monomial], ...]:
     return tuple(pairs)
 
 
-class Polynomial:
-    """Sparse polynomial with exact rational-times-parameter coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[TermKey, Fraction] | None = None):
-        clean: dict[TermKey, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[key] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-        self.terms = clean
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
-    def from_term(cls, coeff, mono: Monomial, params: ParamExponents = ()) -> "Polynomial":
-        return cls({(mono, params): Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self) -> frozenset[Monomial]:
-        """The set of state monomials carrying a nonzero coefficient."""
-        return frozenset(mono for mono, _ in self.terms)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
+def polynomial_mul(left: dict[TermKey, Fraction],
+                   right: dict[TermKey, Fraction]) -> dict[TermKey, Fraction]:
+    """left * right, its keys in the order the term pairs first produce them."""
+    out = {}
+    for (m1, p1), c1 in left.items():
+        for (m2, p2), c2 in right.items():
+            key = (monomial_mul(m1, m2), monomial_mul(p1, p2))
             acc = out.get(key)
+            coeff = c1 * c2
             if acc is None:
                 out[key] = coeff
             else:
@@ -144,66 +123,13 @@ class Polynomial:
                     out[key] = acc
                 else:
                     del out[key]
-        result = Polynomial.__new__(Polynomial)
-        result.terms = out
-        return result
+    return out
 
-    def __neg__(self) -> "Polynomial":
-        result = Polynomial.__new__(Polynomial)
-        result.terms = {key: -coeff for key, coeff in self.terms.items()}
-        return result
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[TermKey, Fraction] = {}
-        for (m1, p1), c1 in self.terms.items():
-            for (m2, p2), c2 in other.terms.items():
-                key = (monomial_mul(m1, m2), monomial_mul(p1, p2))
-                acc = out.get(key)
-                coeff = c1 * c2
-                if acc is None:
-                    out[key] = coeff
-                else:
-                    acc = acc + coeff
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        result = Polynomial.__new__(Polynomial)
-        result.terms = out
-        return result
-
-    def term_scaled(self, factor, mono_shift: Monomial) -> "Polynomial":
-        """Multiply by a rational constant times a (possibly Laurent) monomial."""
-        factor = Fraction(factor)
-        if not factor:
-            return Polynomial.zero()
-        result = Polynomial.__new__(Polynomial)
-        result.terms = {
-            (monomial_mul(mono, mono_shift), params): coeff * factor
-            for (mono, params), coeff in self.terms.items()
-        }
-        return result
-
-    def sorted_terms(self) -> list[tuple[Monomial, ParamExponents, Fraction]]:
-        """Terms in canonical order: graded-lex on the state monomial, then params."""
-        keys = sorted(self.terms, key=lambda k: (grlex_key(k[0]), k[1]))
-        return [(mono, params, self.terms[(mono, params)]) for mono, params in keys]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "Polynomial(0)"
-        parts = [f"{coeff}*{mono}|{params}" for mono, params, coeff in self.sorted_terms()]
-        return "Polynomial(" + " + ".join(parts) + ")"
+def sorted_terms(poly: dict[TermKey, Fraction]) -> list[tuple[Monomial, ParamExponents, Fraction]]:
+    """Terms in canonical order: graded-lex on the state monomial, then params."""
+    keys = sorted(poly, key=lambda k: (grlex_key(k[0]), k[1]))
+    return [(mono, params, poly[(mono, params)]) for mono, params in keys]
 
 
 class ODESystem:
@@ -216,7 +142,7 @@ class ODESystem:
     __slots__ = ("variables", "parameters", "rhs", "_lie_cache")
 
     def __init__(self, variables: tuple[str, ...], parameters: tuple[str, ...],
-                 rhs: tuple[Polynomial, ...]):
+                 rhs: tuple[dict[TermKey, Fraction], ...]):
         if not variables:
             raise ValueError("system must have at least one variable")
         names = list(variables) + list(parameters)
@@ -226,11 +152,14 @@ class ODESystem:
             raise ValueError("need exactly one right-hand side per variable")
         n, np_ = len(variables), len(parameters)
         for poly in rhs:
-            for mono, params in poly.terms:
+            for (mono, params), coeff in poly.items():
                 if len(mono) != n or len(params) != np_:
                     raise ValueError("term shape does not match the declared symbols")
                 if min(mono) < 0:
                     raise ValueError("negative exponents are not allowed in a system")
+                # Exact types: a bool is an int, but it renders as True.
+                if type(coeff) not in (int, Fraction) or not coeff:
+                    raise ValueError("coefficients must be nonzero ints or Fractions")
         self.variables = variables
         self.parameters = parameters
         self.rhs = rhs
@@ -255,21 +184,31 @@ class ODESystem:
         return len(self.variables)
 
 
-def lie_derivative(z: Monomial, system: ODESystem) -> Polynomial:
+def lie_derivative(z: Monomial, system: ODESystem) -> dict[TermKey, Fraction]:
     """Time derivative of the monomial z along the system: sum_s f_s * dz/dx_s.
 
     Valid for Laurent monomials (negative exponents) as well; the result is
-    fully expanded and canonical, with cancellation removing zero terms.
+    fully expanded, with cancellation removing zero terms.
     """
     cached = system._lie_cache.get(z)
     if cached is not None:
         return cached[0]
-    result = Polynomial.zero()
+    result = {}
     for s, e in enumerate(z):
         if e:
             shifted = z[:s] + (e - 1,) + z[s + 1:]
-            result = result + system.rhs[s].term_scaled(e, shifted)
-    system._lie_cache[z] = (result, result.support())
+            for (mono, params), coeff in system.rhs[s].items():
+                key = (monomial_mul(mono, shifted), params)
+                acc = result.get(key)
+                if acc is None:
+                    result[key] = coeff * e
+                else:
+                    acc += coeff * e
+                    if acc:
+                        result[key] = acc
+                    else:
+                        del result[key]
+    system._lie_cache[z] = (result, frozenset(mono for mono, _ in result))
     return result
 
 

@@ -46,13 +46,9 @@ from .pruning import prune_by_c4_bound, prune_by_quadratic_bound
 from .state import SearchState
 
 
-class SearchStats(namedtuple("SearchStats", "nodes_visited pruned_by_quadratic pruned_by_c4 "
-                                            "pruned_by_symmetry incumbent_updates optimal_order",
-                             defaults=(0, 0, 0, 0, 0, 0))):
-    __slots__ = ()
-
-    def as_dict(self) -> dict[str, int]:
-        return self._asdict()
+SearchStats = namedtuple("SearchStats", "nodes_visited pruned_by_quadratic pruned_by_c4 "
+                                        "pruned_by_symmetry incumbent_updates optimal_order")
+SearchStats.as_dict = SearchStats._asdict
 
 
 # optimal is False only for the Laurent lifting.
@@ -63,7 +59,7 @@ def per_variable_degrees(system: ODESystem) -> tuple[int, ...]:
     """D_i = the largest exponent of variable i across all right-hand sides."""
     maxes = unit_monomial(system.num_vars)
     for poly in system.rhs:
-        for mono, _ in poly.terms:
+        for mono, _ in poly:
             maxes = tuple(map(max, maxes, mono))
     return maxes
 
@@ -129,7 +125,7 @@ def automorphisms(system: ODESystem) -> tuple[tuple[int, ...], ...]:
     # sparse monomial holds the (variable, exponent) pairs with exponent > 0.
     terms = [(i, tuple((j, e) for j, e in enumerate(mono) if e), params, coeff)
              for i, poly in enumerate(system.rhs)
-             for (mono, params), coeff in poly.terms.items()]
+             for (mono, params), coeff in poly.items()]
     lookup = {(i, frozenset(sparse), params): coeff for i, sparse, params, coeff in terms}
     # What every automorphism keeps of a variable: the terms of its own
     # equation, and the terms that contain it, with its exponent there.
@@ -286,7 +282,7 @@ def laurent_quadratize(system: ODESystem) -> QuadratizationResult:
     """
     n = system.num_vars
     ratios = {monomial_quotient(mono, variable_monomial(n, i))
-              for i, poly in enumerate(system.rhs) for mono, _ in poly.terms}
+              for i, poly in enumerate(system.rhs) for mono, _ in poly}
     root = SearchState.initial(system)
     state = root.extended(ratios - root.vars_set)
     return QuadratizationResult(new_vars=state.new_vars, order=len(state.new_vars),

@@ -28,6 +28,7 @@ from .polynomials import (
     lie_derivative,
     lie_derivative_support,
     monomial_quotient,
+    sorted_terms,
     unit_monomial,
     variable_monomial,
 )
@@ -136,7 +137,7 @@ class SearchState:
         equations: dict[str, tuple[ResultTerm, ...]] = {}
         for v in ordered:
             terms = []
-            for mono, params, coeff in lie_derivative(v, system).sorted_terms():
+            for mono, params, coeff in sorted_terms(lie_derivative(v, system)):
                 f1, f2 = self.factor_pair(mono)
                 terms.append(ResultTerm(coeff, params, name_of[f1], name_of[f2]))
             equations[name_of[v]] = tuple(terms)

@@ -11,7 +11,7 @@ import pytest
 import quadratize.solver
 from quadratize.bruteforce import box_candidates
 from quadratize.parsing import parse_system
-from quadratize.polynomials import ODESystem, Polynomial
+from quadratize.polynomials import ODESystem
 from quadratize.solver import bnb_search, per_variable_degrees
 
 WORKED_EXAMPLES = {
@@ -89,14 +89,13 @@ def random_polynomial_system(rng: random.Random) -> ODESystem:
                              rng.choice((1, 1, 2)))
             key = (mono, params)
             terms[key] = terms.get(key, Fraction(0)) + coeff
-        rhs.append(Polynomial(terms))
-    if num_params and not any(params != (0,) for poly in rhs for _, params in poly.terms):
+        # terms that summed to zero go; ODESystem rejects zero coefficients
+        rhs.append({key: coeff for key, coeff in terms.items() if coeff})
+    if num_params and not any(params != (0,) for poly in rhs for _, params in poly):
         # cancellation can leave a declared parameter unused; drop it so the
         # system echoes through the text format unchanged
         parameters = ()
-        rhs = [Polynomial({(mono, ()): coeff
-                           for (mono, _), coeff in poly.terms.items()})
-               for poly in rhs]
+        rhs = [{(mono, ()): coeff for (mono, _), coeff in poly.items()} for poly in rhs]
     return ODESystem(variables, parameters, tuple(rhs))
 
 

@@ -196,7 +196,7 @@ def test_criterion_09_laurent_construction(random_corpus, worked_systems):
     checked = 0
     for system in list(random_corpus) + list(worked_systems.values()):
         lifting = laurent_quadratize(system)
-        total_monomials = sum(len(p.terms) for p in system.rhs)
+        total_monomials = sum(len(p) for p in system.rhs)
         ok = ok and len(lifting.new_vars) <= total_monomials
         ok = ok and document_violations(system, lifting.document) == []
         checked += 1

@@ -1,11 +1,16 @@
-"""The package as a user starts it: its import path and the demo scripts."""
+"""The package as a user starts it: its import path, the demo scripts, the
+README's example output and the benchmark's tracer."""
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from quadratize import bnb_search, parse_system, render_result
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,3 +46,35 @@ def test_demo_runs(demo):
     proc = run_python([str(demo)], timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_structured_example_matches_the_output():
+    readme = (ROOT / "README.md").read_text()
+    block, = re.findall(r"```json\n(.*?)```", readme, re.S)
+    result, _ = bnb_search(parse_system("x' = x^5"))
+    assert json.loads(block) == json.loads(render_result(result.document, "structured"))
+
+
+# The counters perfbench/layers.py gets by wrapping the package's internals by
+# name; each reads zero when a wrapped name is renamed or no longer looked up.
+TRACED_COUNTERS = ("pruning.quadratic_calls", "pruning.c4_calls", "pruning.quotient_pairs",
+                   "state.extended_calls", "branching.calls", "polynomials.lie_calls")
+
+
+def test_benchmark_tracer_sees_every_layer():
+    # A fresh interpreter: install() patches the package's modules for good.
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "from layers import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "from quadratize import benchmark_system, bnb_search\n"
+        "result, _ = bnb_search(benchmark_system('cubic_cycle', 4))\n"
+        "print(json.dumps([result.order, tracer.metrics()]))\n"
+    )
+    proc = run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    order, metrics = json.loads(proc.stdout)
+    assert order == 8
+    assert {name: metrics[name] for name in TRACED_COUNTERS if not metrics[name]} == {}

@@ -175,7 +175,7 @@ class TestExtraction:
             for t in terms:
                 key = (monomial_mul(mono_of[t.factor1], mono_of[t.factor2]), t.params)
                 actual[key] = actual.get(key, 0) + t.coeff
-            assert {k: c for k, c in actual.items() if c} == expected.terms
+            assert {k: c for k, c in actual.items() if c} == expected
 
 
 class TestEveryVisitedNode:
