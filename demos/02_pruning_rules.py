@@ -15,7 +15,10 @@ measure each, this demo switches a rule off by substituting it in
 quadratize.solver: the pair-count rule by one that never prunes, the graph
 rule by the trivial bound, which prunes a node only once it is as deep as
 the incumbent (a deeper node cannot beat it, since children only add
-variables).
+variables).  Two checks before a child is extended are not rules and stay
+on in every column, "no pruning" included: a child as large as the
+incumbent is skipped, and so is one a variable short of it that leaves a
+nonsquare of its parent uncovered.  Neither is counted as a visited node.
 
 Both families are symmetric: rotating the variables (and, for the bicycle,
 reversing them) maps the system onto itself.  The search skips a child whose

@@ -9,6 +9,14 @@ quadratization of provably minimal order, plus search statistics.  The order
 of the box is counted in closed form; the box itself is built only when it is
 the optimum.
 
+Two kinds of children are skipped before they are extended, decided from
+the parent alone.  A child with at least as many new variables as the bound
+is skipped: neither it nor any superset can beat the incumbent.  A child one
+variable short of the bound is skipped when some nonsquare of the parent
+stays uncovered by its additions (SearchState.uncovered): it is not a
+quadratization, and every superset of it reaches the bound.  Neither skip
+changes the answer.
+
 The search also skips repeated and symmetric subproblems.  Once per search
 it finds the system's automorphisms: the permutations of the variables that
 map every right-hand side onto the right-hand side of the image variable,
@@ -19,10 +27,12 @@ already there is skipped before it is extended.  This never changes the
 answer: a visited set that is not an ancestor of the child has been fully
 explored under a bound at least the current one, ancestors are strictly
 smaller, and images of a set have completions of the same sizes, so the
-skipped subtree holds no strictly better incumbent.  When the group is
-larger than MAX_GROUP_ORDER, or finding it takes more than
-MAX_AUTOMORPHISM_STEPS steps, the identity alone is used, which still skips
-sets reached by a second path.
+skipped subtree holds no strictly better incumbent.  The two skips above
+come first and their sets never enter the table, so it holds visited sets
+only and the argument is unchanged; a later image of a skipped set is judged
+afresh, like any child.  When the group is larger than MAX_GROUP_ORDER, or
+finding it takes more than MAX_AUTOMORPHISM_STEPS steps, the identity alone
+is used, which still skips sets reached by a second path.
 """
 
 from __future__ import annotations
@@ -208,12 +218,22 @@ def bnb_search(system: ODESystem, *,
                max_order_cap: int | None = None) -> tuple[QuadratizationResult, SearchStats]:
     """Find a minimal-order monomial quadratization by branch and bound.
 
-    Every node that is not a quadratization goes through the pair-count rule,
-    then the graph rule.  Both are sound lower bounds, so they change only
-    the number of nodes visited, never the answer.  Such a node has a
-    nonsquare to cover, so each rule's bound is at least its depth + 1: a
-    node the rules keep has depth + 1 < bound, and no separate depth cutoff
-    is needed.
+    Before a child is extended, with size its number of new variables, it
+    is skipped when size >= bound, or when size + 1 == bound and a nonsquare
+    of the parent stays uncovered by the child's additions.  In the first
+    case every completion has at least `bound` variables; in the second the
+    child is not a quadratization and each proper superset has at least
+    `bound`.  So neither skip loses a strictly better incumbent.  Skipped
+    children are counted in no statistic and never enter the orbit table,
+    which so holds visited sets only, as the module docstring's argument
+    needs.
+
+    Every visited node that is not a quadratization goes through the
+    pair-count rule, then the graph rule.  Both are sound lower bounds, so
+    they change only the number of nodes visited, never the answer.  Such a
+    node has a nonsquare to cover, so each rule's bound is at least its
+    depth + 1: a node the rules keep has depth + 1 < bound, and no separate
+    depth cutoff is needed.
 
     Deterministic: identical inputs give identical results and statistics.
     max_order_cap, when set, is the search's initial bound: the result is
@@ -228,14 +248,21 @@ def bnb_search(system: ODESystem, *,
     group = automorphisms(system)
     seen = set()  # orbit keys of the visited sets of new variables
     # Depth-first over a stack of (parent, iterator of its children); a child
-    # is extended only when it is visited, and skipped before that when an
-    # image of its set was visited already.
+    # is extended only when it is visited.  It is skipped before that when it
+    # is too large to beat the bound, or one short of it with a nonsquare of
+    # the parent left uncovered, or when an image of its set was visited.
     stack = [(root, iter(((),)))]
     while stack:
         parent, children = stack[-1]
         added = next(children, None)
         if added is None:
             stack.pop()
+            continue
+        size = len(parent.new_vars) + len(added)
+        if size >= bound:
+            continue
+        # A monomial is a non-empty tuple, so any() is true when one is left.
+        if size + 1 == bound and any(parent.uncovered(added, parent.vars_set.union(added))):
             continue
         key = orbit_key(parent.new_vars + added, group)
         if key in seen:

@@ -85,10 +85,7 @@ class SearchState:
         new_state = SearchState(system, self.new_vars + added, vars_set, vars_sorted,
                                 frozenset())
 
-        # Every product new to the enlarged span involves an added variable,
-        # so surviving old nonsquares only need checking against those.
-        keep = [m for m in self.nonsquares
-                if all(monomial_quotient(m, a) not in vars_set for a in added)]
+        keep = list(self.uncovered(added, vars_set))
         fresh = set()
         for a in added:
             fresh |= lie_derivative_support(a, system)
@@ -96,6 +93,18 @@ class SearchState:
         keep.extend(m for m in fresh if new_state.factor_pair(m) is None)
         new_state.nonsquares = frozenset(keep)
         return new_state
+
+    def uncovered(self, added, vars_set):
+        """The nonsquares of this state that stay nonsquares once `added` is
+        introduced, lazily; `vars_set` is the enlarged set of generalized
+        variables.
+
+        Every product new to the enlarged span involves an added variable,
+        so a nonsquare m stays one exactly when no a in `added` has m / a in
+        `vars_set`.
+        """
+        return (m for m in self.nonsquares
+                if all(monomial_quotient(m, a) not in vars_set for a in added))
 
     @property
     def is_quadratization(self) -> bool:

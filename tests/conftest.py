@@ -127,5 +127,15 @@ def build_random_corpus(count: int, seed: int) -> list[ODESystem]:
 
 
 @pytest.fixture(scope="session")
-def random_corpus():
-    return build_random_corpus(count=50, seed=20240811)
+def soundness_corpus():
+    """The random corpus and the next 50 systems of its stream.
+
+    The soundness tests check every pruned or skipped node by brute force;
+    on the first 50 systems alone the search prunes and skips too few.
+    """
+    return build_random_corpus(count=100, seed=20240811)
+
+
+@pytest.fixture(scope="session")
+def random_corpus(soundness_corpus):
+    return soundness_corpus[:50]

@@ -167,10 +167,10 @@ class TestPruneRules:
 
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
-        ("prune_by_quadratic_bound", "quadratic", 308),
-        ("prune_by_c4_bound", "c4", 278),
+        ("prune_by_quadratic_bound", "quadratic", 440),
+        ("prune_by_c4_bound", "c4", 472),
     ])
-    def test_no_smaller_completion_in_the_wide_box(self, random_corpus, rule, config, count):
+    def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, rule, config, count):
         # Every node a rule prunes at bound N, with the other rule off: the
         # brute-force checker finds no quadratization among the supersets of
         # its variables, drawn from the wide-box candidates, with fewer than N
@@ -185,7 +185,7 @@ class TestPrunedNodesAreSound:
             return False
 
         checked = 0
-        for system in random_corpus[:20]:
+        for system in soundness_corpus:
             pruned.clear()
             with rules(config):
                 setattr(quadratize.solver, rule, recording)

@@ -492,7 +492,7 @@ def completion_below(system, new_vars, bound, pool):
 
 
 class TestSkippedChildrenAreSound:
-    def test_no_smaller_completion_in_the_wide_box(self, random_corpus, monkeypatch):
+    def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, monkeypatch):
         # Every child skipped at bound N: no superset of its variables, drawn
         # from the wide-box candidates, quadratizes with fewer than N
         # variables.  The bound is followed from outside: it falls to the
@@ -517,7 +517,7 @@ class TestSkippedChildrenAreSound:
 
         monkeypatch.setattr(quadratize.solver, "orbit_key", recording_key)
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
-        systems = random_corpus[:20] + [benchmark_system("cubic_cycle", n) for n in (3, 4)]
+        systems = soundness_corpus + [benchmark_system("cubic_cycle", n) for n in (3, 4)]
         checked = 0
         for system in systems:
             skipped.clear()
@@ -530,7 +530,7 @@ class TestSkippedChildrenAreSound:
                 assert found is None, (
                     f"skipped {new_vars} at bound {bound}, but {found} quadratizes")
                 checked += 1
-        assert checked > 40
+        assert checked == 66
 
     def test_completion_below_finds_known_optima(self, worked_systems):
         # The checker above is only as good as this search.
@@ -541,10 +541,67 @@ class TestSkippedChildrenAreSound:
             assert completion_below(system, (), result.order + 1, pool) is not None
 
 
+class TestChildrenSkippedBeforeExtensionAreSound:
+    def test_no_extension_at_the_bound_and_no_quadratization_one_short(
+            self, random_corpus, monkeypatch):
+        # The bound is followed from outside, as above.  No child is
+        # extended once it is as large as the bound.  A child taken from
+        # generate_children that never reaches orbit_key was skipped before
+        # extension: unless it is as large as the bound, it is one variable
+        # short of it and the brute-force checker finds it is not a
+        # quadratization, so no set containing it beats the bound.
+        tracked = {}
+        pulled = []  # [parent, added, bound when the search took it, keyed]
+        extensions = []  # (size, bound) of every extended call
+        original_children = quadratize.solver.generate_children
+        original_key = quadratize.solver.orbit_key
+        original_extended = SearchState.extended
+
+        def recording_children(state):
+            for added in original_children(state):
+                pulled.append([state, added, tracked["bound"], False])
+                yield added
+
+        def recording_key(monomials, group):
+            pulled[-1][3] = True
+            return original_key(monomials, group)
+
+        def bounding_extended(state, monomials):
+            child = original_extended(state, monomials)
+            extensions.append((len(child.new_vars), tracked["bound"]))
+            if child.is_quadratization:
+                tracked["bound"] = min(tracked["bound"], len(child.new_vars))
+            return child
+
+        monkeypatch.setattr(quadratize.solver, "generate_children", recording_children)
+        monkeypatch.setattr(quadratize.solver, "orbit_key", recording_key)
+        monkeypatch.setattr(SearchState, "extended", bounding_extended)
+        systems = random_corpus + [benchmark_system("cubic_cycle", 4)]
+        checked = 0
+        for system in systems:
+            # The root's child is not pulled from generate_children.
+            pulled[:] = [[None, (), None, False]]
+            extensions.clear()
+            tracked.update(bound=degree_box_order(system))
+            _, stats = bnb_search(system)
+            # The last call extends the root by the answer, for the document.
+            search_extensions = extensions[:-1]
+            assert len(search_extensions) == stats.nodes_visited
+            assert all(size < bound for size, bound in search_extensions)
+            for parent, added, bound, keyed in pulled[1:]:
+                size = len(parent.new_vars) + len(added)
+                if keyed or size >= bound:
+                    continue
+                assert size == bound - 1
+                assert not is_quadratization(system, parent.new_vars + added)
+                checked += 1
+        assert checked == 273
+
+
 class TestSkippingKeepsTheAnswer:
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 5, SearchStats(2446, 1436, 461, 0, 6, 10)),
-        ("cubic_bicycle", 5, SearchStats(778, 401, 177, 0, 6, 10)),
+        ("cubic_cycle", 5, SearchStats(2116, 1122, 461, 0, 6, 10)),
+        ("cubic_bicycle", 5, SearchStats(743, 366, 177, 0, 6, 10)),
     ])
     def test_without_matches_the_stats_are_those_of_the_plain_search(
             self, monkeypatch, name, n, stats):
@@ -567,12 +624,12 @@ class TestSkippingKeepsTheAnswer:
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 6, SearchStats(3985, 2114, 923, 135, 10, 12)),
-        ("cubic_bicycle", 6, SearchStats(1155, 581, 253, 70, 10, 12)),
+        ("cubic_cycle", 6, SearchStats(3688, 1817, 923, 121, 10, 12)),
+        ("cubic_bicycle", 6, SearchStats(1090, 516, 253, 70, 10, 12)),
     ])
     def test_pinned_node_counts(self, name, n, stats):
         assert bnb_search(benchmark_system(name, n))[1] == stats
 
     def test_wide_chain_skips_nothing(self):
         _, stats = bnb_search(parse_system(allen_cahn_text(10)))
-        assert (stats.nodes_visited, stats.pruned_by_symmetry) == (165, 0)
+        assert (stats.nodes_visited, stats.pruned_by_symmetry) == (163, 0)
