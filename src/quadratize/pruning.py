@@ -95,7 +95,7 @@ def smallest_k(count: int, mult: list[int], capacity: Callable[[int], int]) -> i
 
 def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:
     """True if no extension can quadratize with fewer than incumbent_order vars."""
-    mult = quotient_multiplicities(state.nonsquares, state.vars_sorted)
+    mult = quotient_multiplicities(state.nonsquares, state.vars_set)
     k = smallest_k(len(state.nonsquares), mult, lambda k: k * (k + 1) // 2)
     return k + len(state.new_vars) >= incumbent_order
 
@@ -103,7 +103,7 @@ def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:
 def prune_by_c4_bound(state: SearchState, incumbent_order: int) -> bool:
     """Same contract as prune_by_quadratic_bound, via the graph capacity bound."""
     subset = build_squarefree_subset(state.nonsquares)
-    mult = quotient_multiplicities(subset, state.vars_sorted)
+    mult = quotient_multiplicities(subset, state.vars_set)
     loops = sum(map(is_square, subset))
     k = smallest_k(len(subset), mult, lambda k: c4_capacity(k, loops))
     return k + len(state.new_vars) >= incumbent_order

@@ -13,9 +13,9 @@ Two kinds of children are skipped before they are extended, decided from
 the parent alone.  A child with at least as many new variables as the bound
 is skipped: neither it nor any superset can beat the incumbent.  A child one
 variable short of the bound is skipped when some nonsquare of the parent
-stays uncovered by its additions (SearchState.uncovered): it is not a
-quadratization, and every superset of it reaches the bound.  Neither skip
-changes the answer.
+has none of its additions as a factor (state.is_product with the additions)
+and so stays a nonsquare: the child is not a quadratization, and every
+superset of it reaches the bound.  Neither skip changes the answer.
 
 The search also skips repeated and symmetric subproblems.  Once per search
 it finds the system's automorphisms: the permutations of the variables that
@@ -38,8 +38,7 @@ is used, which still skips sets reached by a second path.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, product
-from math import prod
+from itertools import chain
 from operator import itemgetter
 
 from .branching import generate_children
@@ -47,13 +46,15 @@ from .parsing import parse_system
 from .polynomials import (
     Monomial,
     ODESystem,
+    divisor_count,
+    divisors,
     grlex_key,
     monomial_quotient,
     unit_monomial,
     variable_monomial,
 )
 from .pruning import prune_by_c4_bound, prune_by_quadratic_bound
-from .state import SearchState
+from .state import SearchState, is_product
 
 
 SearchStats = namedtuple("SearchStats", "nodes_visited pruned_by_quadratic pruned_by_c4 "
@@ -81,7 +82,7 @@ def degree_box_order(system: ODESystem) -> int:
     with D_i >= 1 are not introduced.
     """
     degrees = per_variable_degrees(system)
-    return prod(d + 1 for d in degrees) - 1 - sum(1 for d in degrees if d >= 1)
+    return divisor_count(degrees) - 1 - sum(1 for d in degrees if d >= 1)
 
 
 def initial_incumbent(system: ODESystem) -> tuple[tuple[Monomial, ...], int]:
@@ -92,11 +93,9 @@ def initial_incumbent(system: ODESystem) -> tuple[tuple[Monomial, ...], int]:
     resulting derivative has exponents at most twice the box bound, so it
     splits into two box monomials; hence this is always a quadratization.
     """
-    degrees = per_variable_degrees(system)
     n = system.num_vars
     skip = {unit_monomial(n)} | {variable_monomial(n, i) for i in range(n)}
-    box = [m for m in product(*(range(d + 1) for d in degrees))
-           if m not in skip]
+    box = [m for m in divisors(per_variable_degrees(system)) if m not in skip]
     box.sort(key=grlex_key)
     return tuple(box), len(box)
 
@@ -220,13 +219,13 @@ def bnb_search(system: ODESystem, *,
 
     Before a child is extended, with size its number of new variables, it
     is skipped when size >= bound, or when size + 1 == bound and a nonsquare
-    of the parent stays uncovered by the child's additions.  In the first
-    case every completion has at least `bound` variables; in the second the
-    child is not a quadratization and each proper superset has at least
-    `bound`.  So neither skip loses a strictly better incumbent.  Skipped
-    children are counted in no statistic and never enter the orbit table,
-    which so holds visited sets only, as the module docstring's argument
-    needs.
+    of the parent is not a product with one of the child's additions as a
+    factor (is_product), so it stays a nonsquare.  In the first case every
+    completion has at least `bound` variables; in the second the child is
+    not a quadratization and each proper superset has at least `bound`.
+    So neither skip loses a strictly better incumbent.  Skipped children
+    are counted in no statistic and never enter the orbit table, which so
+    holds visited sets only, as the module docstring's argument needs.
 
     Every visited node that is not a quadratization goes through the
     pair-count rule, then the graph rule.  Both are sound lower bounds, so
@@ -261,9 +260,10 @@ def bnb_search(system: ODESystem, *,
         size = len(parent.new_vars) + len(added)
         if size >= bound:
             continue
-        # A monomial is a non-empty tuple, so any() is true when one is left.
-        if size + 1 == bound and any(parent.uncovered(added, parent.vars_set.union(added))):
-            continue
+        if size + 1 == bound:
+            vars_set = parent.vars_set.union(added)
+            if not all(is_product(m, vars_set, added) for m in parent.nonsquares):
+                continue
         key = orbit_key(parent.new_vars + added, group)
         if key in seen:
             pruned_symmetry += 1

@@ -7,14 +7,23 @@ the generalized variables that are not a product of two generalized
 variables.  An empty nonsquare set means the introduced variables form a
 monomial quadratization.
 
+One test, ``is_product``, decides whether a monomial m is such a product.
+Two of ``1, x_1..x_n`` multiply to exactly the monomials with no negative
+exponent and degree at most 2; any other product has an introduced
+variable z as a factor, and then m / z is a generalized variable.  So m is
+a product iff it has no negative exponent and degree at most 2, or m / z is
+a generalized variable for some introduced z.  A nonsquare of a state can
+only be covered in an extension through an added variable, so ``extended``
+tests the old nonsquares against the additions alone.
+
 States are immutable snapshots: ``extended`` returns a new state and only
 updates the nonsquares its additions can change, taking derivatives from the
 memo on the ``ODESystem``, which is what makes deep DFS cheap.
 
 In the search every generalized variable has non-negative exponents.  The
 Laurent lifting (``solver.laurent_quadratize``) builds a state whose
-variables are Laurent monomials; nothing here assumes exponents are
-non-negative, so the same state and extraction serve both.
+variables are Laurent monomials; the argument above assumes nothing about
+signs, so the same state and extraction serve both.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .polynomials import (
     Monomial,
     ODESystem,
     degree,
+    divides,
     grlex_key,
     lie_derivative,
     lie_derivative_support,
@@ -34,37 +44,32 @@ from .polynomials import (
 )
 
 
-class SearchState:
-    __slots__ = ("system", "new_vars", "vars_set", "vars_sorted", "nonsquares")
+def is_product(m: Monomial, vars_set, introduced) -> bool:
+    """Whether m is a product of two generalized variables, given all of them
+    (`vars_set`) and the introduced ones among them that may be a factor."""
+    return ((degree(m) <= 2 and divides(unit_monomial(len(m)), m))
+            or any(monomial_quotient(m, z) in vars_set for z in introduced))
 
-    def __init__(self, system: ODESystem, new_vars, vars_set, vars_sorted, nonsquares):
+
+class SearchState:
+    __slots__ = ("system", "new_vars", "vars_set", "nonsquares")
+
+    def __init__(self, system: ODESystem, new_vars, vars_set, nonsquares):
         self.system = system
         self.new_vars = new_vars          # tuple[Monomial], insertion order
         self.vars_set = vars_set          # frozenset[Monomial], incl. 1 and x_i
-        self.vars_sorted = vars_sorted    # tuple[Monomial], ascending graded-lex
         self.nonsquares = nonsquares      # frozenset[Monomial]
 
     @classmethod
     def initial(cls, system: ODESystem) -> "SearchState":
         n = system.num_vars
-        base = [unit_monomial(n)] + [variable_monomial(n, i) for i in range(n)]
-        state = cls(system, (), frozenset(base), tuple(sorted(base, key=grlex_key)),
-                    frozenset())
-        state.nonsquares = state.recomputed_nonsquares()
-        return state
-
-    def factor_pair(self, m: Monomial) -> tuple[Monomial, Monomial] | None:
-        """Generalized variables (v, q) with m = v*q and v the least in graded-lex
-        order, or None if m is not such a product."""
-        deg_m = degree(m)
-        vset = self.vars_set
-        for v in self.vars_sorted:
-            if 2 * degree(v) > deg_m:
-                break
-            q = monomial_quotient(m, v)
-            if q in vset:
-                return v, q
-        return None
+        variables = [variable_monomial(n, i) for i in range(n)]
+        vars_set = frozenset([unit_monomial(n)] + variables)
+        derived = set()
+        for x in variables:
+            derived |= lie_derivative_support(x, system)
+        return cls(system, (), vars_set,
+                   frozenset(m for m in derived if not is_product(m, vars_set, ())))
 
     def extended(self, monomials) -> "SearchState":
         """New state with the given monomials introduced as variables.
@@ -72,7 +77,13 @@ class SearchState:
         Derivatives of the additions are computed; monomials newly expressible
         as a product of two generalized variables leave the nonsquare set,
         while unexpressible monomials from the new derivatives enter it.
+        Raises ValueError unless every monomial is a tuple of num_vars ints.
         """
+        monomials = tuple(monomials)
+        n = self.system.num_vars
+        if not all(type(m) is tuple and len(m) == n and all(type(e) is int for e in m)
+                   for m in monomials):
+            raise ValueError(f"a monomial must be a tuple of {n} ints")
         added = tuple(sorted(set(monomials), key=grlex_key))
         if not added:
             return self
@@ -80,54 +91,29 @@ class SearchState:
             raise ValueError("monomial is already a generalized variable")
 
         system = self.system
-        vars_set = self.vars_set | set(added)
-        vars_sorted = tuple(sorted(self.vars_sorted + added, key=grlex_key))
-        new_state = SearchState(system, self.new_vars + added, vars_set, vars_sorted,
-                                frozenset())
-
-        keep = list(self.uncovered(added, vars_set))
+        vars_set = self.vars_set.union(added)
+        new_vars = self.new_vars + added
+        keep = [m for m in self.nonsquares if not is_product(m, vars_set, added)]
         fresh = set()
         for a in added:
             fresh |= lie_derivative_support(a, system)
         fresh -= self.nonsquares
-        keep.extend(m for m in fresh if new_state.factor_pair(m) is None)
-        new_state.nonsquares = frozenset(keep)
-        return new_state
-
-    def uncovered(self, added, vars_set):
-        """The nonsquares of this state that stay nonsquares once `added` is
-        introduced, lazily; `vars_set` is the enlarged set of generalized
-        variables.
-
-        Every product new to the enlarged span involves an added variable,
-        so a nonsquare m stays one exactly when no a in `added` has m / a in
-        `vars_set`.
-        """
-        return (m for m in self.nonsquares
-                if all(monomial_quotient(m, a) not in vars_set for a in added))
+        keep.extend(m for m in fresh if not is_product(m, vars_set, new_vars))
+        return SearchState(system, new_vars, vars_set, frozenset(keep))
 
     @property
     def is_quadratization(self) -> bool:
         return not self.nonsquares
-
-    def recomputed_nonsquares(self) -> frozenset[Monomial]:
-        """Nonsquares from the definition: the root's, and a check on ``extended``."""
-        n = self.system.num_vars
-        candidates = set()
-        for i in range(n):
-            candidates |= lie_derivative_support(variable_monomial(n, i), self.system)
-        for z in self.new_vars:
-            candidates |= lie_derivative_support(z, self.system)
-        return frozenset(m for m in candidates if self.factor_pair(m) is None)
 
     def extract_quadratic_system(self, *, optimal: bool = True,
                                  stats: dict[str, int] | None = None) -> ResultDocument:
         """Rewrite every derivative over factor pairs of generalized variables.
 
         Raises ValueError unless the nonsquare set is empty, so every emitted
-        system is checked to be quadratic.  Factor pairs are chosen
-        deterministically: first valid pair scanning the generalized
-        variables in ascending graded-lex order.
+        system is checked to be quadratic.  Each term uses its least factor
+        pair: the one whose first factor is least in graded-lex order, found
+        by scanning the generalized variables in that order, which stops at
+        the first pair.
         """
         if self.nonsquares:
             raise ValueError("state is not a quadratization")
@@ -142,12 +128,15 @@ class SearchState:
         for name, z in zip(new_names, self.new_vars):
             name_of[z] = name
 
+        vars_set = self.vars_set
+        by_grlex = sorted(vars_set, key=grlex_key)
         ordered = [variable_monomial(n, i) for i in range(n)] + list(self.new_vars)
         equations: dict[str, tuple[ResultTerm, ...]] = {}
         for v in ordered:
             terms = []
             for mono, params, coeff in sorted_terms(lie_derivative(v, system)):
-                f1, f2 = self.factor_pair(mono)
+                f1 = next(f for f in by_grlex if monomial_quotient(mono, f) in vars_set)
+                f2 = monomial_quotient(mono, f1)
                 terms.append(ResultTerm(coeff, params, name_of[f1], name_of[f2]))
             equations[name_of[v]] = tuple(terms)
 

@@ -1,9 +1,11 @@
-"""Shared fixtures: worked example systems, the random test corpus, and the
-pruning-rule configurations of the ablation."""
+"""Shared fixtures: worked example systems, the random test corpus, the
+nonsquares of a state from the definition, and the pruning-rule
+configurations of the ablation."""
 
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -11,7 +13,12 @@ import pytest
 import quadratize.solver
 from quadratize.bruteforce import box_candidates
 from quadratize.parsing import parse_system
-from quadratize.polynomials import ODESystem
+from quadratize.polynomials import (
+    ODESystem,
+    lie_derivative_support,
+    monomial_mul,
+    variable_monomial,
+)
 from quadratize.solver import bnb_search, per_variable_degrees
 
 WORKED_EXAMPLES = {
@@ -33,6 +40,22 @@ def allen_cahn_text(n: int) -> str:
         neighbours = [f"x{j}" for j in (i - 1, i + 1) if 1 <= j <= n]
         lines.append(f"x{i}' = " + " + ".join(neighbours) + f" - x{i} - x{i}^3")
     return "\n".join(lines)
+
+
+def explicit_product_set(state):
+    """All pairwise products of the generalized variables, materialized."""
+    return {monomial_mul(a, b) for a, b in combinations_with_replacement(state.vars_set, 2)}
+
+
+def definition_nonsquares(state):
+    """Nonsquares straight from the definition, via the materialized products."""
+    n = state.system.num_vars
+    derived = set()
+    for i in range(n):
+        derived |= lie_derivative_support(variable_monomial(n, i), state.system)
+    for z in state.new_vars:
+        derived |= lie_derivative_support(z, state.system)
+    return derived - explicit_product_set(state)
 
 
 RULE_CONFIGS = ("none", "quadratic", "c4", "both")

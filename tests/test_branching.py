@@ -15,8 +15,7 @@ from conftest import random_polynomial_system
 def synthetic_state(system_text, nonsquares):
     """A state with a hand-picked nonsquare set, for selection tests."""
     state = SearchState.initial(parse_system(system_text))
-    return SearchState(state.system, state.new_vars, state.vars_set,
-                       state.vars_sorted, frozenset(nonsquares))
+    return SearchState(state.system, state.new_vars, state.vars_set, frozenset(nonsquares))
 
 
 class TestSelection:

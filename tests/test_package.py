@@ -39,6 +39,22 @@ def test_module_runs_as_the_command():
     assert "pruned_by_symmetry: 0" in proc.stdout
 
 
+# The order in which a set iterates may change with the hash seed (string
+# hashes are salted by it); no such order may reach the output.
+@pytest.mark.parametrize("args", [["--benchmark", "cubic_cycle:5", "--format", "structured"],
+                                  ["--benchmark", "rf", "--format", "structured"],
+                                  ["--benchmark", "rf", "--laurent"]], ids=" ".join)
+def test_output_does_not_depend_on_the_hash_seed(args):
+    outputs = []
+    for seed in ("1", "987"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "quadratize", *args], cwd=ROOT, env=env,
+                              timeout=60, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("demo", sorted(ROOT.glob("demos/0*.py")), ids=lambda path: path.name)
 def test_demo_runs(demo):
     # Every demo script.  The pruning-rules demo takes about 8 s, the others

@@ -28,7 +28,7 @@ from quadratize.solver import (
 )
 from quadratize.state import SearchState
 
-from conftest import RULE_CONFIGS, allen_cahn_text, rules, wide_box
+from conftest import RULE_CONFIGS, allen_cahn_text, definition_nonsquares, rules, wide_box
 
 
 def solve_with(system, config):
@@ -307,7 +307,7 @@ class TestLaurent:
         for system in random_corpus + list(worked_systems.values()):
             lifting = laurent_quadratize(system)
             state = SearchState.initial(system).extended(lifting.new_vars)
-            assert state.nonsquares == state.recomputed_nonsquares() == frozenset()
+            assert state.nonsquares == definition_nonsquares(state) == frozenset()
 
 
 class TestBenchmarks:

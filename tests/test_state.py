@@ -1,37 +1,34 @@
 import random
-from itertools import combinations_with_replacement
 
 import pytest
 
 from quadratize.parsing import parse_system
 from quadratize.polynomials import (
+    decompositions,
+    grlex_key,
     lie_derivative,
     lie_derivative_support,
     monomial_mul,
+    monomial_quotient,
     unit_monomial,
     variable_monomial,
 )
-from quadratize.solver import benchmark_system, bnb_search
-from quadratize.state import SearchState
+from quadratize.solver import benchmark_system, bnb_search, laurent_quadratize
+from quadratize.state import SearchState, is_product
 
-from conftest import random_polynomial_system
-
-
-def explicit_product_set(state):
-    """All pairwise products of the generalized variables, materialized."""
-    gen = state.vars_sorted
-    return {monomial_mul(a, b) for a, b in combinations_with_replacement(gen, 2)}
+from conftest import definition_nonsquares, explicit_product_set, random_polynomial_system
 
 
-def definition_nonsquares(state):
-    """Nonsquares straight from the definition, via the materialized products."""
-    n = state.system.num_vars
-    derived = set()
-    for i in range(n):
-        derived |= lie_derivative_support(variable_monomial(n, i), state.system)
-    for z in state.new_vars:
-        derived |= lie_derivative_support(z, state.system)
-    return derived - explicit_product_set(state)
+def assert_product_test_matches(state):
+    """is_product against the materialized products, on every product, every
+    derivative monomial and each quotient of one by a generalized variable,
+    Laurent ones included."""
+    products = explicit_product_set(state)
+    derived = set().union(*(lie_derivative_support(z, state.system) for z in state.vars_set))
+    candidates = products | derived | {monomial_quotient(m, v)
+                                       for m in derived for v in state.vars_set}
+    for m in candidates:
+        assert is_product(m, state.vars_set, state.new_vars) == (m in products), m
 
 
 class TestInitialState:
@@ -80,6 +77,14 @@ class TestExtended:
         with pytest.raises(ValueError):
             state.extended([(1,)])
 
+    # A malformed monomial would otherwise pass the product test: () has no
+    # exponent to be negative, and (2.0,) is not a key the system knows.
+    @pytest.mark.parametrize("monomial", [(), (1, 2), (2.0,)], ids=["empty", "long", "float"])
+    def test_rejects_malformed_monomial(self, monomial):
+        state = SearchState.initial(parse_system("x' = x^5"))
+        with pytest.raises(ValueError, match="tuple of 1 ints"):
+            state.extended([monomial])
+
     def test_incremental_matches_definition(self):
         rng = random.Random(2024)
         for _ in range(40):
@@ -94,7 +99,6 @@ class TestExtended:
                     break
                 state = state.extended([mono])
                 assert state.nonsquares == definition_nonsquares(state)
-                assert state.nonsquares == state.recomputed_nonsquares()
                 assert not (state.nonsquares & explicit_product_set(state))
 
     def test_span_only_grows(self):
@@ -102,8 +106,54 @@ class TestExtended:
         root = SearchState.initial(system)
         child = root.extended([(2,)])
         for m in [(0,), (1,), (2,), (3,), (4,)]:
-            if root.factor_pair(m) is not None:
-                assert child.factor_pair(m) is not None
+            if is_product(m, root.vars_set, root.new_vars):
+                assert is_product(m, child.vars_set, child.new_vars)
+
+
+class TestProductTest:
+    def test_random_extensions(self):
+        # Each step adds the factors of a random factorization of a random
+        # nonsquare, as a search child does, so old variables cover some of
+        # the new derivatives.
+        rng = random.Random(7)
+        for _ in range(60):
+            state = SearchState.initial(random_polynomial_system(rng))
+            assert_product_test_matches(state)
+            for _ in range(rng.randint(1, 4)):
+                if not state.nonsquares:
+                    break
+                pair = rng.choice(decompositions(rng.choice(sorted(state.nonsquares))))
+                state = state.extended(f for f in pair if f not in state.vars_set)
+                assert_product_test_matches(state)
+                assert state.nonsquares == definition_nonsquares(state)
+
+    def test_laurent_liftings(self, random_corpus, worked_systems):
+        for system in random_corpus + list(worked_systems.values()):
+            lifting = laurent_quadratize(system)
+            assert_product_test_matches(SearchState.initial(system).extended(lifting.new_vars))
+
+    def test_base_pair_needs_no_variable(self):
+        vars_set = SearchState.initial(parse_system("x1' = x2\nx2' = x1")).vars_set
+        assert (1, 1) not in vars_set
+        assert is_product((1, 1), vars_set, ())
+        assert is_product((0, 2), vars_set, ())
+        assert not is_product((2, 1), vars_set, ())
+
+    def test_negative_exponent_of_degree_two(self):
+        root = SearchState.initial(parse_system("x1' = x2\nx2' = x1"))
+        assert not is_product((3, -1), root.vars_set, ())
+        state = root.extended([(2, -1)])
+        assert is_product((3, -1), state.vars_set, state.new_vars)
+        assert_product_test_matches(state)
+
+    def test_old_variable_times_base_variable(self):
+        # z = x2^2 first, then a = x1^2: a' = 2*x1*x2^2 = 2 * z * x1, covered
+        # by the old z and by no pair with a.
+        state = SearchState.initial(parse_system("x1' = x2^2\nx2' = x1^3")).extended([(0, 2)])
+        assert state.nonsquares == {(3, 0), (3, 1)}
+        state = state.extended([(2, 0)])
+        assert is_product((1, 2), state.vars_set, state.new_vars)
+        assert state.nonsquares == definition_nonsquares(state) == {(3, 1)}
 
 
 class TestIsQuadratization:
@@ -177,18 +227,39 @@ class TestExtraction:
                 actual[key] = actual.get(key, 0) + t.coeff
             assert {k: c for k, c in actual.items() if c} == expected
 
+    def test_each_term_uses_its_least_factor_pair(self, random_corpus, worked_systems):
+        # The least pair from the materialized products: its first factor is
+        # the graded-lex least of all first factors of a pair.
+        for system in random_corpus[:20] + list(worked_systems.values()):
+            for new_vars in (bnb_search(system)[0].new_vars,
+                             laurent_quadratize(system).new_vars):
+                state = SearchState.initial(system).extended(new_vars)
+                doc = state.extract_quadratic_system()
+                mono_of = {name: mono for name, mono, _ in doc.new_variables}
+                mono_of["1"] = unit_monomial(system.num_vars)
+                for i, name in enumerate(system.variables):
+                    mono_of[name] = variable_monomial(system.num_vars, i)
+                pairs = [(a, b) for a in state.vars_set for b in state.vars_set]
+                for terms in doc.quadratic_rhs.values():
+                    for t in terms:
+                        f1, f2 = mono_of[t.factor1], mono_of[t.factor2]
+                        m = monomial_mul(f1, f2)
+                        assert f1 == min((a for a, b in pairs if monomial_mul(a, b) == m),
+                                         key=grlex_key)
+
 
 class TestEveryVisitedNode:
     def test_incremental_nonsquares_match_a_recount(self, random_corpus, monkeypatch):
         # Every state the search builds, so every node it visits: the
         # nonsquares that extended carries over and updates equal the ones
-        # recounted from all the state's derivatives.
+        # from the definition: all the state's derivative monomials less the
+        # materialized products.
         original = SearchState.extended
         checked = []
 
         def checking(state, monomials):
             child = original(state, monomials)
-            assert child.nonsquares == child.recomputed_nonsquares(), child.new_vars
+            assert child.nonsquares == definition_nonsquares(child), child.new_vars
             checked.append(child)
             return child
 
