@@ -17,17 +17,19 @@ def generate_children(state: SearchState) -> list[tuple[Monomial, ...]]:
     """One child per factorization of the selected nonsquare, cheapest first.
 
     A child is the tuple of factors not already among the generalized
-    variables (always at least one), in graded-lex order; coinciding children
-    are merged.  Children are sorted by their sum of degrees plus n times
-    their length, then by their monomials in graded-lex order.
+    variables (always at least one), in graded-lex order.  Two factorizations
+    never give the same child: a child of two factors is the pair itself, and
+    a child of one factor f comes only from the pair {f, m / f}.  Children
+    are sorted by their sum of degrees plus n times their length, then by
+    their monomials in graded-lex order.
     """
     m = select_branch_monomial(state)
     n = state.system.num_vars
-    children = set()
+    children = []
     for m1, m2 in decompositions(m):
         added = tuple(sorted({f for f in (m1, m2) if f not in state.vars_set},
                              key=grlex_key))
         if added:
-            children.add(added)
+            children.append(added)
     return sorted(children, key=lambda added: (sum(map(degree, added)) + n * len(added),
                                                tuple(map(grlex_key, added))))

@@ -25,6 +25,9 @@ from .polynomials import (
 
 DegreeBox = tuple[int, ...]  # per-variable exponent bound for candidate monomials
 
+# Largest candidate pool brute_force_optimal enumerates subsets of.
+MAX_POOL = 64
+
 
 def quadratization_violations(system: ODESystem,
                               new_vars) -> list[tuple[Monomial, Monomial]]:
@@ -63,17 +66,17 @@ def box_candidates(system: ODESystem, box: DegreeBox) -> list[Monomial]:
     return pool
 
 
-def brute_force_optimal(system: ODESystem, box: DegreeBox, *,
-                        pool_limit: int = 64) -> tuple[int, tuple[Monomial, ...]]:
+def brute_force_optimal(system: ODESystem, box: DegreeBox) -> tuple[int, tuple[Monomial, ...]]:
     """Smallest subset of the box candidates that quadratizes the system.
 
     Subsets are enumerated by increasing cardinality, so the first hit is
     optimal *within the box* (an optimum may use monomials outside any fixed
-    box, so certification is box-relative).
+    box, so certification is box-relative).  Raises ValueError when the box
+    has more than MAX_POOL candidates.
     """
     pool = box_candidates(system, box)
-    if len(pool) > pool_limit:
-        raise ValueError(f"candidate pool of {len(pool)} exceeds limit {pool_limit}")
+    if len(pool) > MAX_POOL:
+        raise ValueError(f"candidate pool of {len(pool)} exceeds limit {MAX_POOL}")
 
     n = system.num_vars
     base = [unit_monomial(n)] + [variable_monomial(n, i) for i in range(n)]

@@ -19,9 +19,12 @@ parenthesized expressions with several terms are multiplied out, one
 polynomial product per unit of the exponent; one equation may spend at most
 ``MAX_EXPANSION`` term products on them, and an input needing more is
 rejected with a ``ParseError`` at the ``(`` whose expansion crosses the bound.
-A coefficient's numerator and denominator stay below ``MAX_COEFFICIENT_DIGITS``
-decimal digits; a power that would cross the bound is rejected before it is
-computed, at the number or ``(`` it raises.
+Terms are summed with ``polynomials.add_term``, which deletes a term that
+cancels.  A coefficient's numerator and denominator stay below
+``MAX_COEFFICIENT_DIGITS`` decimal digits, the bound ``polynomials`` defines
+and ``ODESystem`` applies again; the parser checks it early, so that an error
+has a location and a power that would cross the bound is rejected before it
+is computed, at the number or ``(`` it raises.
 """
 
 from __future__ import annotations
@@ -29,7 +32,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .polynomials import ODESystem, polynomial_mul
+from .polynomials import (
+    MAX_COEFFICIENT_DIGITS,
+    ODESystem,
+    add_term,
+    coefficient_too_long,
+    polynomial_mul,
+)
 
 
 class ParseError(ValueError):
@@ -52,18 +61,6 @@ def _fail(tok, message: str):
 # patterns \s and \w match exactly str.isspace and str.isalnum or "_".
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|(\w+)|([-'=+*^/()])|(#|\Z)|(.))", re.S)
 
-_SYMBOLS = {
-    "'": "PRIME",
-    "=": "EQ",
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "^": "CARET",
-    "/": "SLASH",
-    "(": "LPAREN",
-    ")": "RPAREN",
-}
-
 # Each nesting level costs a few Python frames in the recursive descent.
 MAX_NESTING = 100
 
@@ -72,28 +69,19 @@ MAX_NESTING = 100
 # (x+1)^k needs k*(k+1) - 2.
 MAX_EXPANSION = 20_000
 
-# Digits of a coefficient's numerator or denominator.  Derivatives multiply
-# coefficients by exponents and add them up, and Python converts at most
-# 4,300 digits of an int to text by default; the 300 digits between leave
-# room for those factors.
-MAX_COEFFICIENT_DIGITS = 4_000
-_COEFFICIENT_LIMIT = 10 ** MAX_COEFFICIENT_DIGITS
-# 2**_LIMIT_BITS > _COEFFICIENT_LIMIT: a power at least that large is too big.
-_LIMIT_BITS = _COEFFICIENT_LIMIT.bit_length()
+# 2**_LIMIT_BITS > 10**MAX_COEFFICIENT_DIGITS: a power at least that large
+# is too big.
+_LIMIT_BITS = (10 ** MAX_COEFFICIENT_DIGITS).bit_length()
 
 
 def _fail_coefficient(tok):
     _fail(tok, f"coefficient has more than {MAX_COEFFICIENT_DIGITS} digits")
 
 
-def _too_long(coeff: Fraction) -> bool:
-    return abs(coeff.numerator) >= _COEFFICIENT_LIMIT or coeff.denominator >= _COEFFICIENT_LIMIT
-
-
 def _tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
     """(kind, text, line, column) tuples, the last of kind END.
 
-    Kinds: IDENT INT PRIME EQ PLUS MINUS STAR CARET SLASH LPAREN RPAREN END.
+    Kinds: IDENT, INT, END, or the symbol itself (one of ' = + - * ^ / ( )).
     """
     tokens = []
     for match in _TOKEN.finditer(text):
@@ -111,7 +99,7 @@ def _tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
                 raise ParseError(line_no, start + 1, f"stray character {word[0]!r}")
             tokens.append(("IDENT", word, line_no, start + 1))
         elif group == 3:
-            tokens.append((_SYMBOLS[word], word, line_no, start + 1))
+            tokens.append((word, word, line_no, start + 1))
         elif group == 4:
             break
         else:
@@ -155,20 +143,20 @@ class _ExpressionParser:
         # |base|**k >= 2**(k * (bits - 1)): a power past the bound is not computed.
         if k * (base.bit_length() - 1) < _LIMIT_BITS:
             result = acc * base ** k
-            if abs(result) < _COEFFICIENT_LIMIT:
+            if not coefficient_too_long(result):
                 return result
         _fail_coefficient(tok)
 
     def bounded(self, poly: dict, tok) -> dict:
         """poly, after failing at tok if one of its coefficients has too many digits."""
         for coeff in poly.values():
-            if _too_long(coeff):
+            if coefficient_too_long(coeff):
                 _fail_coefficient(tok)
         return poly
 
     def exponent(self) -> int:
         """The power after a factor: 1, or the literal after '^'."""
-        if self.tokens[self.pos][0] != "CARET":
+        if self.tokens[self.pos][0] != "^":
             return 1
         caret = self.take()
         tok = self.take()
@@ -179,34 +167,23 @@ class _ExpressionParser:
         return exponent
 
     def parse_expression(self) -> dict:
-        """Signed terms, summed in place: a term that cancels is deleted, and
-        one that reappears after that goes to the end."""
+        """Signed terms, summed in place by add_term: a term that cancels is
+        deleted, and one that reappears after that goes to the end."""
         tokens = self.tokens
         kind = tokens[self.pos][0]
-        negate = kind == "MINUS"
-        if negate or kind == "PLUS":
+        negate = kind == "-"
+        if negate or kind == "+":
             self.pos += 1
         terms = {}
         while True:
             start = tokens[self.pos]
             for key, coeff in self.parse_term().items():
-                if negate:
-                    coeff = -coeff
-                acc = terms.get(key)
-                if acc is None:
-                    terms[key] = coeff
-                else:
-                    acc += coeff
-                    if _too_long(acc):
-                        _fail_coefficient(start)
-                    if acc:
-                        terms[key] = acc
-                    else:
-                        del terms[key]
+                if coefficient_too_long(add_term(terms, key, -coeff if negate else coeff)):
+                    _fail_coefficient(start)
             kind = tokens[self.pos][0]
-            if kind != "PLUS" and kind != "MINUS":
+            if kind != "+" and kind != "-":
                 break
-            negate = kind == "MINUS"
+            negate = kind == "-"
             self.pos += 1
         return terms
 
@@ -228,7 +205,7 @@ class _ExpressionParser:
             kind = tok[0]
             if kind == "INT":
                 n, d = self.integer(tok), 1
-                if tokens[self.pos][0] == "SLASH":
+                if tokens[self.pos][0] == "/":
                     self.pos += 1
                     den_tok = self.take()
                     if den_tok[0] != "INT":
@@ -246,13 +223,13 @@ class _ExpressionParser:
                     mono[idx] += k
                 else:
                     params[self.param_index[tok[1]]] += k
-            elif kind == "LPAREN":
+            elif kind == "(":
                 if self.depth == MAX_NESTING:
                     _fail(tok, f"parentheses nested deeper than {MAX_NESTING}")
                 self.depth += 1
                 inner = self.parse_expression()
                 close = self.take()
-                if close[0] != "RPAREN":
+                if close[0] != ")":
                     _fail(close, "expected ')'")
                 self.depth -= 1
                 k = self.exponent()
@@ -271,7 +248,7 @@ class _ExpressionParser:
                     num = 0
             else:
                 _fail(tok, "expected a number, identifier or '('")
-            if tokens[self.pos][0] != "STAR":
+            if tokens[self.pos][0] != "*":
                 break
             self.pos += 1
         if not num:
@@ -304,9 +281,9 @@ def parse_system(text: str) -> ODESystem:
         head = tokens[0]
         if head[0] != "IDENT":
             _fail(head, "expected a variable name")
-        if tokens[1][0] != "PRIME":
+        if tokens[1][0] != "'":
             _fail(tokens[1], "expected \"'\" after the variable name")
-        if tokens[2][0] != "EQ":
+        if tokens[2][0] != "=":
             _fail(tokens[2], "expected '='")
         if head[1] in variables:
             _fail(head, f"duplicate left-hand side {head[1]!r}")

@@ -14,9 +14,15 @@ Representation conventions:
                state monomial x; sums of such terms are not representable as
                a single rational-times-parameter coefficient.  No term has a
                zero coefficient, so equality of dicts is equality of
-               polynomials: ODESystem rejects a zero coefficient, and the
-               parser, polynomial_mul and lie_derivative delete a term as
-               soon as it cancels.
+               polynomials: ODESystem rejects a zero coefficient, and
+               add_term, through which the parser, polynomial_mul and
+               lie_derivative sum their terms, deletes a term as soon as it
+               cancels.
+
+This module alone decides what a term may be: is_exponent_tuple checks an
+exponent tuple, and MAX_COEFFICIENT_DIGITS bounds a coefficient's numerator
+and denominator (coefficient_too_long).  ODESystem applies both to every
+term; the parser and SearchState.extended call them too.
 
 Nothing mutates a polynomial once it is built, so values are safe to share
 between threads.
@@ -31,6 +37,25 @@ from operator import add, le, mod, sub
 Monomial = tuple[int, ...]
 ParamExponents = tuple[int, ...]
 TermKey = tuple[Monomial, ParamExponents]
+
+# Digits of a coefficient's numerator or denominator.  Derivatives multiply
+# coefficients by exponents and add them up, and Python converts at most
+# 4,300 digits of an int to text by default; the 300 digits between leave
+# room for those factors.
+MAX_COEFFICIENT_DIGITS = 4_000
+_COEFFICIENT_LIMIT = 10 ** MAX_COEFFICIENT_DIGITS
+
+
+def coefficient_too_long(coeff) -> bool:
+    """Whether an int or Fraction has more than MAX_COEFFICIENT_DIGITS digits
+    in its numerator or denominator."""
+    return abs(coeff.numerator) >= _COEFFICIENT_LIMIT or coeff.denominator >= _COEFFICIENT_LIMIT
+
+
+def is_exponent_tuple(exponents, length: int) -> bool:
+    """Whether exponents is a tuple of `length` ints; a bool is not one."""
+    return (type(exponents) is tuple and len(exponents) == length
+            and all(type(e) is int for e in exponents))
 
 
 def unit_monomial(num_vars: int) -> Monomial:
@@ -106,23 +131,29 @@ def decompositions(m: Monomial) -> tuple[tuple[Monomial, Monomial], ...]:
     return tuple(pairs)
 
 
+def add_term(poly: dict[TermKey, Fraction], key: TermKey, coeff) -> Fraction:
+    """Add coeff to the term key of poly and return its new coefficient.
+
+    A term whose sum is 0 is deleted; one added again after that goes to
+    the end of the dict.
+    """
+    acc = poly.get(key)
+    if acc is not None:
+        coeff = acc + coeff
+        if not coeff:
+            del poly[key]
+            return coeff
+    poly[key] = coeff
+    return coeff
+
+
 def polynomial_mul(left: dict[TermKey, Fraction],
                    right: dict[TermKey, Fraction]) -> dict[TermKey, Fraction]:
     """left * right, its keys in the order the term pairs first produce them."""
     out = {}
     for (m1, p1), c1 in left.items():
         for (m2, p2), c2 in right.items():
-            key = (monomial_mul(m1, m2), monomial_mul(p1, p2))
-            acc = out.get(key)
-            coeff = c1 * c2
-            if acc is None:
-                out[key] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+            add_term(out, (monomial_mul(m1, m2), monomial_mul(p1, p2)), c1 * c2)
     return out
 
 
@@ -153,13 +184,15 @@ class ODESystem:
         n, np_ = len(variables), len(parameters)
         for poly in rhs:
             for (mono, params), coeff in poly.items():
-                if len(mono) != n or len(params) != np_:
-                    raise ValueError("term shape does not match the declared symbols")
-                if min(mono) < 0:
+                if not (is_exponent_tuple(mono, n) and is_exponent_tuple(params, np_)):
+                    raise ValueError(f"a term's exponents must be tuples of {n} and {np_} ints")
+                if min(mono + params) < 0:
                     raise ValueError("negative exponents are not allowed in a system")
                 # Exact types: a bool is an int, but it renders as True.
                 if type(coeff) not in (int, Fraction) or not coeff:
                     raise ValueError("coefficients must be nonzero ints or Fractions")
+                if coefficient_too_long(coeff):
+                    raise ValueError(f"a coefficient has more than {MAX_COEFFICIENT_DIGITS} digits")
         self.variables = variables
         self.parameters = parameters
         self.rhs = rhs
@@ -198,16 +231,7 @@ def lie_derivative(z: Monomial, system: ODESystem) -> dict[TermKey, Fraction]:
         if e:
             shifted = z[:s] + (e - 1,) + z[s + 1:]
             for (mono, params), coeff in system.rhs[s].items():
-                key = (monomial_mul(mono, shifted), params)
-                acc = result.get(key)
-                if acc is None:
-                    result[key] = coeff * e
-                else:
-                    acc += coeff * e
-                    if acc:
-                        result[key] = acc
-                    else:
-                        del result[key]
+                add_term(result, (monomial_mul(mono, shifted), params), coeff * e)
     system._lie_cache[z] = (result, frozenset(mono for mono, _ in result))
     return result
 

@@ -272,9 +272,9 @@ def bnb_search(system: ODESystem, *,
         state = parent.extended(added)
         nodes += 1
         if state.is_quadratization:
-            if len(state.new_vars) < bound:
-                best, bound = state.new_vars, len(state.new_vars)
-                updates += 1
+            # size < bound was checked above, and extended adds exactly `added`.
+            best, bound = state.new_vars, size
+            updates += 1
             continue
         if prune_by_quadratic_bound(state, bound):
             pruned_quadratic += 1

@@ -35,6 +35,7 @@ from .polynomials import (
     degree,
     divides,
     grlex_key,
+    is_exponent_tuple,
     lie_derivative,
     lie_derivative_support,
     monomial_quotient,
@@ -81,8 +82,7 @@ class SearchState:
         """
         monomials = tuple(monomials)
         n = self.system.num_vars
-        if not all(type(m) is tuple and len(m) == n and all(type(e) is int for e in m)
-                   for m in monomials):
+        if not all(is_exponent_tuple(m, n) for m in monomials):
             raise ValueError(f"a monomial must be a tuple of {n} ints")
         added = tuple(sorted(set(monomials), key=grlex_key))
         if not added:

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 import quadratize.solver
-from quadratize.bruteforce import box_candidates
+from quadratize.bruteforce import MAX_POOL, box_candidates
 from quadratize.parsing import parse_system
 from quadratize.polynomials import (
     ODESystem,
@@ -132,7 +132,7 @@ def _oracle_feasible(system: ODESystem, order: int) -> bool:
     # Exhaustive certification must stay desk scale: bound the number of
     # candidate subsets the oracle will enumerate up to the claimed order.
     pool = len(box_candidates(system, wide_box(system)))
-    if pool > 64:
+    if pool > MAX_POOL:
         return False
     return sum(comb(pool, k) for k in range(order + 1)) <= 200_000
 

@@ -36,9 +36,10 @@ class TestBruteForceOptimal:
         assert wide <= narrow
 
     def test_pool_guard(self):
+        # the (8, 8) box holds 81 - 3 = 78 candidates, more than MAX_POOL
         system = parse_system("x1' = x2^4\nx2' = x1^2")
-        with pytest.raises(ValueError):
-            brute_force_optimal(system, (8, 8), pool_limit=16)
+        with pytest.raises(ValueError, match="exceeds limit"):
+            brute_force_optimal(system, (8, 8))
 
     def test_box_candidates_excludes_unit_and_variables(self):
         system = parse_system("x1' = x2^4\nx2' = x1^2")

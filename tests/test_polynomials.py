@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadratize.parsing import parse_system
+from quadratize.solver import bnb_search
+from quadratize.output import render_result
 from quadratize.polynomials import (
+    MAX_COEFFICIENT_DIGITS,
     ODESystem,
+    add_term,
     decompositions,
     degree,
     divides,
@@ -129,6 +133,23 @@ class TestPolynomial:
             ((2, 0), ()), ((2, 1), ()), ((0, 2), ()), ((1, 2), ()), ((0, 1), ()), ((1, 0), ()),
             ((1, 1), ())]
 
+    def test_add_term_sums(self):
+        poly = {((1,), ()): Fraction(1, 2)}
+        assert add_term(poly, ((1,), ()), Fraction(1, 3)) == Fraction(5, 6)
+        assert add_term(poly, ((2,), ()), 3) == 3
+        assert poly == {((1,), ()): Fraction(5, 6), ((2,), ()): 3}
+
+    def test_add_term_cancellation_deletes_the_key(self):
+        poly = {((1,), ()): Fraction(1, 2), ((2,), ()): 3}
+        assert add_term(poly, ((1,), ()), Fraction(-1, 2)) == 0
+        assert poly == {((2,), ()): 3}
+
+    def test_add_term_after_cancelling_goes_to_the_end(self):
+        poly = {((1,), ()): 1, ((2,), ()): 3}
+        add_term(poly, ((1,), ()), -1)
+        assert add_term(poly, ((1,), ()), 7) == 7
+        assert list(poly.items()) == [(((2,), ()), 3), (((1,), ()), 7)]
+
     def test_sorted_terms_is_grlex_then_params(self):
         poly = parse_system("x' = 3*y + a*x + x + 2*x^2 + y^2\ny' = a").rhs[0]
         assert sorted_terms(poly) == [
@@ -197,6 +218,31 @@ class TestODESystem:
     def test_rejects_zero_and_non_exact_coefficients(self, coeff):
         with pytest.raises(ValueError):
             ODESystem(("x",), (), ({((1,), ()): Fraction(1), ((2,), ()): coeff},))
+
+    # A float or bool exponent is not an exact int; the search and the
+    # renderer would fail on it or print it as "True".
+    @pytest.mark.parametrize("mono", [(2.5,), (3.0,), (True,)])
+    def test_rejects_non_int_variable_exponents(self, mono):
+        with pytest.raises(ValueError):
+            ODESystem(("x",), (), ({(mono, ()): 1},))
+
+    # a^1.5 and a^-1 would render as text that does not parse back
+    @pytest.mark.parametrize("params", [(1.5,), (-1,)])
+    def test_rejects_bad_parameter_exponents(self, params):
+        with pytest.raises(ValueError):
+            ODESystem(("x",), ("a",), ({((1,), params): 1},))
+
+    def test_rejects_too_long_coefficients(self):
+        for coeff in (10 ** 4400, Fraction(1, 10 ** MAX_COEFFICIENT_DIGITS)):
+            with pytest.raises(ValueError, match="digits"):
+                ODESystem(("x",), (), ({((3,), ()): coeff},))
+
+    def test_largest_coefficient_is_accepted_and_renders(self):
+        largest = 10 ** MAX_COEFFICIENT_DIGITS - 1
+        system = ODESystem(("x",), (), ({((3,), ()): largest},))
+        result, _ = bnb_search(system)
+        for fmt in ("text", "structured"):
+            assert str(largest) in render_result(result.document, fmt)
 
     def test_accepts_int_and_fraction_coefficients(self):
         system = ODESystem(("x",), (), ({((2,), ()): 3, ((1,), ()): Fraction(-1, 2)},))
