@@ -2,7 +2,7 @@
 
 Reads a system from a file (or standard input), finds an optimal monomial
 quadratization, and prints it as text or as the structured JSON document.
-The search always runs with both pruning rules; they change how many
+The search always runs with all three pruning rules; they change how many
 subproblems it visits, never the answer, and demos/02_pruning_rules.py
 measures what each buys.  Exit codes: 0 success, 1 unreadable or
 unparseable input, 2 invalid options (an unknown benchmark or a bad

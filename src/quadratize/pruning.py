@@ -1,16 +1,25 @@
-"""The two lower-bound pruning rules.
+"""The three lower-bound pruning rules.
 
-Both rules answer: can the current variable set still be extended to a
-monomial quadratization of order strictly below N?  They return True when
-that is provably impossible, and are sound but not complete (False promises
+Each rule answers: can the current variable set still be extended to a
+monomial quadratization of order strictly below N?  It returns True when
+that is provably impossible, and is sound but not complete (False promises
 nothing).
 
-Rule 1 bounds how many nonsquares r additional variables could cover: each
+Rule 1 packs disjoint factor sets.  A nonsquare m of a state S is written
+m = a*b in any quadratization T containing S, with a and b generalized
+variables of T, and at least one of a, b is not a variable of S.  So T has
+a new variable in C(m), the divisors of m that are not variables of S (the
+factors of m's decompositions outside vars_set).  If the C(m) of k
+nonsquares are pairwise disjoint, T needs at least k more variables: the
+disjoint-sets lower bound for hitting set.  The packing is greedy,
+smallest C(m) first.
+
+Rule 2 bounds how many nonsquares r additional variables could cover: each
 new variable z covers at most mult(z) nonsquares of the form z*v with v a
 current variable (mult taken from the quotient multiset), and products of
 two new variables cover at most r(r+1)/2 more.
 
-Rule 2 replaces r(r+1)/2 by the maximum edge count of a pseudograph on r
+Rule 3 replaces r(r+1)/2 by the maximum edge count of a pseudograph on r
 vertices containing no closed 4-edge walk with pairwise-distinct adjacent
 edges.  Loops correspond to squares, so the loop count is the number of
 members that are perfect squares (every exponent even; x*y has even degree
@@ -25,7 +34,16 @@ from collections import Counter
 from collections.abc import Callable
 from math import isqrt
 
-from .polynomials import Monomial, degree, divides, is_square, monomial_mul, monomial_quotient
+from .polynomials import (
+    Monomial,
+    degree,
+    divides,
+    divisors,
+    grlex_key,
+    is_square,
+    monomial_mul,
+    monomial_quotient,
+)
 from .state import SearchState
 
 # Exact maximum edge counts, row n = vertices, column m = allowed loops
@@ -91,6 +109,35 @@ def smallest_k(count: int, mult: list[int], capacity: Callable[[int], int]) -> i
         if k <= len(mult):
             prefix += mult[k - 1]
     return k
+
+
+def uncovered_factors(m: Monomial, vars_set) -> frozenset[Monomial]:
+    """C(m): the divisors of m that are not in vars_set."""
+    return frozenset(d for d in divisors(m) if d not in vars_set)
+
+
+def prune_by_packing_bound(state: SearchState, incumbent_order: int) -> bool:
+    """Same contract as prune_by_quadratic_bound, via disjoint factor sets.
+
+    The C(m) are taken in order of (size, graded-lex m) and each one
+    disjoint from those kept is kept.  k kept sets need k more variables,
+    and k never exceeds the number of nonsquares, so no set is built when
+    that number is already too small.
+    """
+    need = incumbent_order - len(state.new_vars)
+    if need <= 0:
+        return True
+    if len(state.nonsquares) < need:
+        return False
+    covers = [(uncovered_factors(m, state.vars_set), m) for m in state.nonsquares]
+    packed: set[Monomial] = set()
+    for cover, _ in sorted(covers, key=lambda c: (len(c[0]), grlex_key(c[1]))):
+        if packed.isdisjoint(cover):
+            packed |= cover
+            need -= 1
+            if not need:
+                return True
+    return False
 
 
 def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:

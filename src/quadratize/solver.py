@@ -4,7 +4,8 @@ The search starts from the guaranteed quadratization given by all monomials
 inside the per-variable degree box of the system (minus 1 and the variables
 themselves), which supplies the initial incumbent order (an order cap, when
 smaller, is the initial bound instead), and explores the subproblem tree
-depth first with the two pruning rules.  The result is a monomial
+depth first with the three pruning rules: disjoint factor-set packing, pair
+counting and the graph capacity bound.  The result is a monomial
 quadratization of provably minimal order, plus search statistics.  The order
 of the box is counted in closed form; the box itself is built only when it is
 the optimum.
@@ -53,12 +54,13 @@ from .polynomials import (
     unit_monomial,
     variable_monomial,
 )
-from .pruning import prune_by_c4_bound, prune_by_quadratic_bound
+from .pruning import prune_by_c4_bound, prune_by_packing_bound, prune_by_quadratic_bound
 from .state import SearchState, is_product
 
 
-SearchStats = namedtuple("SearchStats", "nodes_visited pruned_by_quadratic pruned_by_c4 "
-                                        "pruned_by_symmetry incumbent_updates optimal_order")
+SearchStats = namedtuple("SearchStats", "nodes_visited pruned_by_packing pruned_by_quadratic "
+                                        "pruned_by_c4 pruned_by_symmetry incumbent_updates "
+                                        "optimal_order")
 SearchStats.as_dict = SearchStats._asdict
 
 
@@ -228,18 +230,21 @@ def bnb_search(system: ODESystem, *,
     holds visited sets only, as the module docstring's argument needs.
 
     Every visited node that is not a quadratization goes through the
-    pair-count rule, then the graph rule.  Both are sound lower bounds, so
-    they change only the number of nodes visited, never the answer.  Such a
-    node has a nonsquare to cover, so each rule's bound is at least its
-    depth + 1: a node the rules keep has depth + 1 < bound, and no separate
-    depth cutoff is needed.
+    packing rule, then the pair-count rule, then the graph rule.  The
+    packing rule finds nonsquares whose sets of factors outside the current
+    variables are pairwise disjoint; any completion needs a new variable in
+    each such set, so k of them need k more variables.  All three are sound
+    lower bounds, so they change only the number of nodes visited, never
+    the answer.  Such a node has a nonsquare to cover, so each rule's bound
+    is at least its depth + 1: a node the rules keep has depth + 1 < bound,
+    and no separate depth cutoff is needed.
 
     Deterministic: identical inputs give identical results and statistics.
     max_order_cap, when set, is the search's initial bound: the result is
     still optimal, and NoQuadratizationWithinCap is raised when every
     quadratization needs more than max_order_cap new variables.
     """
-    nodes = pruned_quadratic = pruned_c4 = pruned_symmetry = updates = 0
+    nodes = pruned_packing = pruned_quadratic = pruned_c4 = pruned_symmetry = updates = 0
     box = degree_box_order(system)
     bound = box if max_order_cap is None else min(box, max_order_cap + 1)
     best = None
@@ -276,6 +281,9 @@ def bnb_search(system: ODESystem, *,
             best, bound = state.new_vars, size
             updates += 1
             continue
+        if prune_by_packing_bound(state, bound):
+            pruned_packing += 1
+            continue
         if prune_by_quadratic_bound(state, bound):
             pruned_quadratic += 1
             continue
@@ -288,7 +296,8 @@ def bnb_search(system: ODESystem, *,
         if max_order_cap is not None and max_order_cap < box:
             raise NoQuadratizationWithinCap(max_order_cap)
         best = initial_incumbent(system)[0]
-    stats = SearchStats(nodes, pruned_quadratic, pruned_c4, pruned_symmetry, updates, len(best))
+    stats = SearchStats(nodes, pruned_packing, pruned_quadratic, pruned_c4, pruned_symmetry,
+                        updates, len(best))
     document = root.extended(best).extract_quadratic_system(stats=stats.as_dict())
     result = QuadratizationResult(new_vars=best, order=len(best), optimal=True,
                                   document=document)

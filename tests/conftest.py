@@ -58,29 +58,34 @@ def definition_nonsquares(state):
     return derived - explicit_product_set(state)
 
 
-RULE_CONFIGS = ("none", "quadratic", "c4", "both")
+RULE_CONFIGS = ("none", "packing", "quadratic", "c4", "all")
 
 
 @contextmanager
 def rules(config):
     """Run bnb_search with only the pruning rules that `config` names.
 
-    The search always calls both rules, so a rule is switched off by
-    substituting it in quadratize.solver: the pair-count rule by one that
-    never prunes, the graph rule by the trivial bound, which prunes a node
-    as deep as the incumbent.  The real rules are back on exit.
+    The search always calls all three rules, so a rule is switched off by
+    substituting it in quadratize.solver: the packing and pair-count rules
+    by one that never prunes, the graph rule by the trivial bound, which
+    prunes a node as deep as the incumbent.  The real rules are back on
+    exit.
     """
     if config not in RULE_CONFIGS:
         raise ValueError(f"unknown rule configuration {config!r}")
-    saved = quadratize.solver.prune_by_quadratic_bound, quadratize.solver.prune_by_c4_bound
-    if config in ("none", "c4"):
+    names = ("prune_by_packing_bound", "prune_by_quadratic_bound", "prune_by_c4_bound")
+    saved = [getattr(quadratize.solver, name) for name in names]
+    if config not in ("packing", "all"):
+        quadratize.solver.prune_by_packing_bound = lambda state, bound: False
+    if config not in ("quadratic", "all"):
         quadratize.solver.prune_by_quadratic_bound = lambda state, bound: False
-    if config in ("none", "quadratic"):
+    if config not in ("c4", "all"):
         quadratize.solver.prune_by_c4_bound = lambda state, bound: len(state.new_vars) >= bound
     try:
         yield
     finally:
-        quadratize.solver.prune_by_quadratic_bound, quadratize.solver.prune_by_c4_bound = saved
+        for name, rule in zip(names, saved):
+            setattr(quadratize.solver, name, rule)
 
 
 @pytest.fixture(scope="session")

@@ -141,9 +141,10 @@ class TestOutputs:
         code, out, _ = run_cli(capsys, "--stats")
         assert code == 0
         assert "nodes_visited: 2" in out
+        assert "  pruned_by_packing: 0\n" in out
         assert "  pruned_by_symmetry: 0\n" in out
         _, out, _ = run_cli(capsys, "--benchmark", "cubic_cycle:4", "--stats")
-        assert "  pruned_by_symmetry: 16\n" in out
+        assert "  pruned_by_symmetry: 15\n" in out
 
     def test_laurent_flag(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("x1' = x2^4\nx2' = x1^2\n"))

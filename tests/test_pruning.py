@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadratize.pruning
 import quadratize.solver
 from quadratize.bruteforce import box_candidates, is_quadratization
 from quadratize.parsing import parse_system
-from quadratize.polynomials import monomial_mul
+from quadratize.polynomials import decompositions, monomial_mul
 from quadratize.pruning import (
     C4_CAPACITY_TABLE,
     build_squarefree_subset,
     c4_capacity,
     prune_by_c4_bound,
+    prune_by_packing_bound,
     prune_by_quadratic_bound,
     quotient_multiplicities,
     smallest_k,
+    uncovered_factors,
 )
 from quadratize.solver import benchmark_system, bnb_search
 from quadratize.state import SearchState
@@ -127,21 +130,23 @@ class TestCapacity:
 class TestPruneRules:
     def test_two_term_scalar_root_not_pruned(self):
         state = SearchState.initial(parse_system("x' = x^4 + x^3"))
+        assert not prune_by_packing_bound(state, 3)
         assert not prune_by_quadratic_bound(state, 3)
         assert not prune_by_c4_bound(state, 3)
 
     def test_boundary_prunes(self):
         state = SearchState.initial(parse_system("x' = x^4 + x^3"))
-        # both rules find k = 1 here, so any incumbent order <= 1 prunes
+        # every rule finds k = 1 here, so any incumbent order <= 1 prunes
+        assert prune_by_packing_bound(state, 1)
+        assert not prune_by_packing_bound(state, 2)
         assert prune_by_quadratic_bound(state, 1)
         assert prune_by_c4_bound(state, 1)
 
     def test_empty_nonsquares(self):
         state = SearchState.initial(parse_system("x' = x^2"))
-        assert prune_by_quadratic_bound(state, 0)
-        assert prune_by_c4_bound(state, 0)
-        assert not prune_by_quadratic_bound(state, 1)
-        assert not prune_by_c4_bound(state, 1)
+        for rule in (prune_by_packing_bound, prune_by_quadratic_bound, prune_by_c4_bound):
+            assert rule(state, 0)
+            assert not rule(state, 1)
 
     def test_c4_rule_can_dominate(self):
         # four cubes: pair products cover at most C(k, 0) < k(k+1)/2 of them
@@ -159,22 +164,68 @@ class TestPruneRules:
             if not state.nonsquares:
                 continue
             checked += 1
-            for rule in (prune_by_quadratic_bound, prune_by_c4_bound):
+            for rule in (prune_by_packing_bound, prune_by_quadratic_bound, prune_by_c4_bound):
                 fired = [n for n in range(0, 8) if rule(state, n)]
                 # if it fires for N it fires for every smaller N
                 assert fired == list(range(0, len(fired)))
 
 
+def packing_root_bound(system):
+    """The largest N at which the packing rule prunes the root."""
+    root = SearchState.initial(system)
+    return max(n for n in range(len(root.nonsquares) + 1) if prune_by_packing_bound(root, n))
+
+
+class TestPackingBound:
+    @given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)),
+           st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)),
+                   max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_uncovered_factors_are_the_new_factors_of_decompositions(self, m, vars_set):
+        factors = {f for pair in decompositions(m) for f in pair}
+        assert uncovered_factors(m, frozenset(vars_set)) == factors - vars_set
+
+    @pytest.mark.parametrize("name,n,bound", [
+        ("cubic_cycle", 6, 6),
+        ("cubic_bicycle", 6, 6),
+        ("rf", None, 2),
+    ])
+    def test_root_bounds(self, name, n, bound):
+        assert packing_root_bound(benchmark_system(name, n)) == bound
+
+    def test_packing_rule_can_dominate(self):
+        # six cubes x_i^3 with disjoint factor sets {x_i^2, x_i^3}; the
+        # other two rules stop at 3
+        state = SearchState.initial(benchmark_system("cubic_cycle", 6))
+        assert prune_by_packing_bound(state, 6)
+        assert not prune_by_quadratic_bound(state, 4)
+        assert not prune_by_c4_bound(state, 4)
+
+    def test_too_few_nonsquares_build_no_set(self, monkeypatch):
+        def failing(m, vars_set):
+            raise AssertionError("a factor set was built")
+
+        monkeypatch.setattr(quadratize.pruning, "uncovered_factors", failing)
+        state = SearchState.initial(parse_system("x' = x^100000"))
+        assert len(state.nonsquares) == 1
+        assert not prune_by_packing_bound(state, 2)
+        assert prune_by_packing_bound(state, 0)
+        with pytest.raises(AssertionError):
+            prune_by_packing_bound(state, 1)
+
+
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
+        ("prune_by_packing_bound", "packing", 386),
+        ("prune_by_packing_bound", "all", 383),
         ("prune_by_quadratic_bound", "quadratic", 440),
         ("prune_by_c4_bound", "c4", 472),
     ])
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, rule, config, count):
-        # Every node a rule prunes at bound N, with the other rule off: the
-        # brute-force checker finds no quadratization among the supersets of
-        # its variables, drawn from the wide-box candidates, with fewer than N
-        # variables.
+        # Every node a rule prunes at bound N, with the other rules off (or,
+        # under "all", in the search as it runs): the brute-force checker
+        # finds no quadratization among the supersets of its variables, drawn
+        # from the wide-box candidates, with fewer than N variables.
         pruned = []
         original = getattr(quadratize.solver, rule)
 

@@ -119,9 +119,9 @@ class TestSearch:
         system = benchmark_system("cubic_cycle", 4)
         nodes = {config: solve_with(system, config)[1].nodes_visited
                  for config in RULE_CONFIGS}
-        assert nodes["none"] >= nodes["quadratic"] >= nodes["both"]
-        assert nodes["none"] >= nodes["c4"] >= nodes["both"]
-        assert nodes["none"] > nodes["both"]
+        for config in ("packing", "quadratic", "c4"):
+            assert nodes["none"] >= nodes[config] >= nodes["all"]
+        assert nodes["none"] > nodes["all"]
 
     def test_results_are_valid(self, worked_systems):
         for system in worked_systems.values():
@@ -192,14 +192,14 @@ class TestMaxOrderCap:
 
 class TestRuleConfigurations:
     def test_rules_are_restored_after_an_error(self):
-        real = (quadratize.solver.prune_by_quadratic_bound, quadratize.solver.prune_by_c4_bound)
+        names = ("prune_by_packing_bound", "prune_by_quadratic_bound", "prune_by_c4_bound")
+        real = [getattr(quadratize.solver, name) for name in names]
         with pytest.raises(RuntimeError):
             with rules("none"):
-                assert quadratize.solver.prune_by_quadratic_bound is not real[0]
-                assert quadratize.solver.prune_by_c4_bound is not real[1]
+                for name, rule in zip(names, real):
+                    assert getattr(quadratize.solver, name) is not rule
                 raise RuntimeError
-        assert (quadratize.solver.prune_by_quadratic_bound,
-                quadratize.solver.prune_by_c4_bound) == real
+        assert [getattr(quadratize.solver, name) for name in names] == real
 
     def test_every_expanded_node_can_still_beat_the_incumbent(
             self, worked_systems, random_corpus, monkeypatch):
@@ -517,7 +517,8 @@ class TestSkippedChildrenAreSound:
 
         monkeypatch.setattr(quadratize.solver, "orbit_key", recording_key)
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
-        systems = soundness_corpus + [benchmark_system("cubic_cycle", n) for n in (3, 4)]
+        systems = soundness_corpus + [benchmark_system(family, n) for n in (3, 4)
+                                      for family in ("cubic_cycle", "cubic_bicycle")]
         checked = 0
         for system in systems:
             skipped.clear()
@@ -530,7 +531,7 @@ class TestSkippedChildrenAreSound:
                 assert found is None, (
                     f"skipped {new_vars} at bound {bound}, but {found} quadratizes")
                 checked += 1
-        assert checked == 66
+        assert checked == 78
 
     def test_completion_below_finds_known_optima(self, worked_systems):
         # The checker above is only as good as this search.
@@ -543,7 +544,7 @@ class TestSkippedChildrenAreSound:
 
 class TestChildrenSkippedBeforeExtensionAreSound:
     def test_no_extension_at_the_bound_and_no_quadratization_one_short(
-            self, random_corpus, monkeypatch):
+            self, soundness_corpus, monkeypatch):
         # The bound is followed from outside, as above.  No child is
         # extended once it is as large as the bound.  A child taken from
         # generate_children that never reaches orbit_key was skipped before
@@ -576,7 +577,7 @@ class TestChildrenSkippedBeforeExtensionAreSound:
         monkeypatch.setattr(quadratize.solver, "generate_children", recording_children)
         monkeypatch.setattr(quadratize.solver, "orbit_key", recording_key)
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
-        systems = random_corpus + [benchmark_system("cubic_cycle", 4)]
+        systems = soundness_corpus + [benchmark_system("cubic_cycle", 4)]
         checked = 0
         for system in systems:
             # The root's child is not pulled from generate_children.
@@ -595,13 +596,13 @@ class TestChildrenSkippedBeforeExtensionAreSound:
                 assert size == bound - 1
                 assert not is_quadratization(system, parent.new_vars + added)
                 checked += 1
-        assert checked == 273
+        assert checked == 583
 
 
 class TestSkippingKeepsTheAnswer:
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 5, SearchStats(2116, 1122, 461, 0, 6, 10)),
-        ("cubic_bicycle", 5, SearchStats(743, 366, 177, 0, 6, 10)),
+        ("cubic_cycle", 5, SearchStats(1620, 1015, 20, 182, 0, 6, 10)),
+        ("cubic_bicycle", 5, SearchStats(607, 322, 46, 74, 0, 6, 10)),
     ])
     def test_without_matches_the_stats_are_those_of_the_plain_search(
             self, monkeypatch, name, n, stats):
@@ -624,12 +625,12 @@ class TestSkippingKeepsTheAnswer:
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 6, SearchStats(3688, 1817, 923, 121, 10, 12)),
-        ("cubic_bicycle", 6, SearchStats(1090, 516, 253, 70, 10, 12)),
+        ("cubic_cycle", 6, SearchStats(2287, 1570, 6, 129, 104, 10, 12)),
+        ("cubic_bicycle", 6, SearchStats(592, 332, 20, 51, 51, 10, 12)),
     ])
     def test_pinned_node_counts(self, name, n, stats):
         assert bnb_search(benchmark_system(name, n))[1] == stats
 
     def test_wide_chain_skips_nothing(self):
         _, stats = bnb_search(parse_system(allen_cahn_text(10)))
-        assert (stats.nodes_visited, stats.pruned_by_symmetry) == (163, 0)
+        assert (stats.nodes_visited, stats.pruned_by_symmetry) == (19, 0)
