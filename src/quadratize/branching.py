@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .polynomials import Monomial, decompositions, degree, divisor_count, grlex_key
+from .polynomials import Monomial, divisor_count, divisors, grlex_key, monomial_quotient
 from .state import SearchState
 
 
@@ -14,22 +14,22 @@ def select_branch_monomial(state: SearchState) -> Monomial:
 
 
 def generate_children(state: SearchState) -> list[tuple[Monomial, ...]]:
-    """One child per factorization of the selected nonsquare, cheapest first.
+    """One child per factorization of the selected nonsquare m, fewest new
+    variables first, then in graded-lex order.
 
-    A child is the tuple of factors not already among the generalized
-    variables (always at least one), in graded-lex order.  Two factorizations
-    never give the same child: a child of two factors is the pair itself, and
-    a child of one factor f comes only from the pair {f, m / f}.  Children
-    are sorted by their sum of degrees plus n times their length, then by
-    their monomials in graded-lex order.
+    A factorization is an unordered pair {d, m / d} of divisors of m.  Its
+    child is the tuple of the factors not already among the generalized
+    variables, in graded-lex order.  Since m is a nonsquare, no pair lies
+    inside them, so every child adds one or two variables.  Two
+    factorizations never give the same child: a child of two factors is the
+    pair itself, and a child of one factor f comes only from the pair
+    {f, m / f}.
     """
     m = select_branch_monomial(state)
-    n = state.system.num_vars
+    vars_set = state.vars_set
     children = []
-    for m1, m2 in decompositions(m):
-        added = tuple(sorted({f for f in (m1, m2) if f not in state.vars_set},
-                             key=grlex_key))
-        if added:
-            children.append(added)
-    return sorted(children, key=lambda added: (sum(map(degree, added)) + n * len(added),
-                                               tuple(map(grlex_key, added))))
+    for d in divisors(m):
+        rest = monomial_quotient(m, d)
+        if d <= rest:
+            children.append(tuple(sorted({d, rest} - vars_set, key=grlex_key)))
+    return sorted(children, key=lambda added: (len(added), tuple(map(grlex_key, added))))

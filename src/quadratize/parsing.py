@@ -37,6 +37,7 @@ from .polynomials import (
     ODESystem,
     add_term,
     coefficient_too_long,
+    is_identifier,
     polynomial_mul,
 )
 
@@ -95,7 +96,7 @@ def _tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
             tokens.append(("INT", word, line_no, start + 1))
         elif group == 2:
             # \w also matches digits such as "²" that cannot start a name.
-            if not (word[0].isalpha() or word[0] == "_"):
+            if not is_identifier(word):
                 raise ParseError(line_no, start + 1, f"stray character {word[0]!r}")
             tokens.append(("IDENT", word, line_no, start + 1))
         elif group == 3:

@@ -22,7 +22,9 @@ Representation conventions:
 This module alone decides what a term may be: is_exponent_tuple checks an
 exponent tuple, and MAX_COEFFICIENT_DIGITS bounds a coefficient's numerator
 and denominator (coefficient_too_long).  ODESystem applies both to every
-term; the parser and SearchState.extended call them too.
+term; the parser and SearchState.extended call them too.  It also decides
+what a name may be: is_identifier, which ODESystem applies to every
+variable and parameter name and the parser's tokenizer to every word.
 
 Nothing mutates a polynomial once it is built, so values are safe to share
 between threads.
@@ -56,6 +58,13 @@ def is_exponent_tuple(exponents, length: int) -> bool:
     """Whether exponents is a tuple of `length` ints; a bool is not one."""
     return (type(exponents) is tuple and len(exponents) == length
             and all(type(e) is int for e in exponents))
+
+
+def is_identifier(name) -> bool:
+    """Whether name reads as one identifier of the text format: a letter or
+    "_", then letters, digits or "_" (str.isalpha, then str.isalnum or "_")."""
+    return (type(name) is str and name != "" and (name[0].isalpha() or name[0] == "_")
+            and all(c.isalnum() or c == "_" for c in name))
 
 
 def unit_monomial(num_vars: int) -> Monomial:
@@ -115,22 +124,6 @@ def divisors(m: Monomial):
     return product(*(range(e + 1) for e in m))
 
 
-def decompositions(m: Monomial) -> tuple[tuple[Monomial, Monomial], ...]:
-    """All unordered factorizations m = m1 * m2 into two monomials.
-
-    Includes (1, m).  Each pair appears once with m1 <= m2 in tuple order,
-    and the list is sorted by m1's exponent vector, the order in which
-    divisors yields them.  The number of pairs is always
-    ceil(divisor_count(m) / 2).
-    """
-    pairs = []
-    for d in divisors(m):
-        rest = monomial_quotient(m, d)
-        if d <= rest:
-            pairs.append((d, rest))
-    return tuple(pairs)
-
-
 def add_term(poly: dict[TermKey, Fraction], key: TermKey, coeff) -> Fraction:
     """Add coeff to the term key of poly and return its new coefficient.
 
@@ -177,6 +170,9 @@ class ODESystem:
         if not variables:
             raise ValueError("system must have at least one variable")
         names = list(variables) + list(parameters)
+        if not all(map(is_identifier, names)):
+            raise ValueError("variable and parameter names must be identifiers: a letter or _, "
+                             "then letters, digits or _")
         if len(set(names)) != len(names):
             raise ValueError("variable and parameter names must be distinct")
         if len(rhs) != len(variables):

@@ -9,7 +9,7 @@ Rule 1 packs disjoint factor sets.  A nonsquare m of a state S is written
 m = a*b in any quadratization T containing S, with a and b generalized
 variables of T, and at least one of a, b is not a variable of S.  So T has
 a new variable in C(m), the divisors of m that are not variables of S (the
-factors of m's decompositions outside vars_set).  If the C(m) of k
+factors of m's factorizations outside vars_set).  If the C(m) of k
 nonsquares are pairwise disjoint, T needs at least k more variables: the
 disjoint-sets lower bound for hitting set.  The packing is greedy,
 smallest C(m) first.

@@ -111,7 +111,7 @@ class NoQuadratizationWithinCap(ValueError):
 
 
 # The key of a set costs one image per group element, so a larger group is
-# replaced by the identity; so is one whose backtracking takes more steps.
+# replaced by the identity; so is one whose search takes more steps.
 MAX_GROUP_ORDER = 64
 MAX_AUTOMORPHISM_STEPS = 10_000
 
@@ -122,13 +122,14 @@ def automorphisms(system: ODESystem) -> tuple[tuple[int, ...], ...]:
     sigma[i] is the image of variable i.  sigma is an automorphism when, for
     every i, renaming each variable j to sigma[j] in the right-hand side of i
     gives the right-hand side of sigma[i] term for term: same monomials, same
-    coefficients, same parameter exponents.  Found by backtracking over
-    sigma[0], sigma[1], ..., among the variables with the same invariants,
-    checking each term as soon as its equation and its variables are all
-    assigned.  Returns the identity alone when the group has more than
-    MAX_GROUP_ORDER elements or the backtracking spends more than
-    MAX_AUTOMORPHISM_STEPS steps, one per candidate looked at and one per
-    term checked.
+    coefficients, same parameter exponents.  Found one level at a time: the
+    partial maps of variables 0..level-1 are each extended by every unused
+    variable with the same invariants as variable `level`, and a term is
+    checked as soon as its equation and its variables are all assigned.  So
+    the group comes out in lexicographic order.  Returns the identity alone
+    when the group has more than MAX_GROUP_ORDER elements or the search
+    spends more than MAX_AUTOMORPHISM_STEPS steps, one per unused candidate
+    and one per term checked.
     """
     n = system.num_vars
     identity = (tuple(range(n)),)
@@ -157,41 +158,29 @@ def automorphisms(system: ODESystem) -> tuple[tuple[int, ...], ...]:
         classes.setdefault(inv, []).append(v)
     candidates = [classes[inv] for inv in invariants]
 
-    sigma = [None] * n
-    used = [False] * n
-    group = []
+    # Each partial map is (images of variables 0..level-1, bitmask of those
+    # images), and has passed the checks of levels 0..level-1.
+    partials = [((), 0)]
     steps = 0
-    stack = [iter(candidates[0])]
-    while stack:
-        level = len(stack) - 1
-        if sigma[level] is not None:
-            used[sigma[level]] = False
-            sigma[level] = None
-        for t in stack[-1]:
-            steps += 1
-            if used[t]:
-                continue
-            steps += len(checks[level])
-            if steps > MAX_AUTOMORPHISM_STEPS:
-                return identity
-            sigma[level] = t
-            if all(lookup.get((sigma[i], frozenset((sigma[j], e) for j, e in sparse), params))
-                   == coeff for i, sparse, params, coeff in checks[level]):
-                used[t] = True
-                break
-        else:
-            sigma[level] = None
-            stack.pop()
-            continue
-        if level + 1 < n:
-            stack.append(iter(candidates[level + 1]))
-            continue
-        # Each term maps to a term of equal coefficient in the image
-        # equation, which has as many terms: the equations match.
-        group.append(tuple(sigma))
-        if len(group) > MAX_GROUP_ORDER:
-            return identity
-    return tuple(group)
+    for level in range(n):
+        extended = []
+        for images, used in partials:
+            for t in candidates[level]:
+                if used >> t & 1:
+                    continue
+                steps += 1 + len(checks[level])
+                if steps > MAX_AUTOMORPHISM_STEPS:
+                    return identity
+                sigma = images + (t,)
+                if all(lookup.get((sigma[i], frozenset((sigma[j], e) for j, e in sparse), params))
+                       == coeff for i, sparse, params, coeff in checks[level]):
+                    extended.append((sigma, used | 1 << t))
+        partials = extended
+    # Each term maps to a term of equal coefficient in the image equation,
+    # which has as many terms: the equations match.
+    if len(partials) > MAX_GROUP_ORDER:
+        return identity
+    return tuple(sigma for sigma, _ in partials)
 
 
 def orbit_key(monomials, group) -> int:
@@ -242,8 +231,13 @@ def bnb_search(system: ODESystem, *,
     Deterministic: identical inputs give identical results and statistics.
     max_order_cap, when set, is the search's initial bound: the result is
     still optimal, and NoQuadratizationWithinCap is raised when every
-    quadratization needs more than max_order_cap new variables.
+    quadratization needs more than max_order_cap new variables.  It must be
+    None or a non-negative int (a bool is not one); anything else raises
+    ValueError.
     """
+    if max_order_cap is not None and (type(max_order_cap) is not int or max_order_cap < 0):
+        raise ValueError("max_order_cap must be None or a non-negative int, "
+                         f"not {max_order_cap!r}")
     nodes = pruned_packing = pruned_quadratic = pruned_c4 = pruned_symmetry = updates = 0
     box = degree_box_order(system)
     bound = box if max_order_cap is None else min(box, max_order_cap + 1)

@@ -1,11 +1,11 @@
 """Shared fixtures: worked example systems, the random test corpus, the
-nonsquares of a state from the definition, and the pruning-rule
-configurations of the ablation."""
+factorizations of a monomial and the nonsquares of a state from the
+definition, and the pruning-rule configurations of the ablation."""
 
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -40,6 +40,17 @@ def allen_cahn_text(n: int) -> str:
         neighbours = [f"x{j}" for j in (i - 1, i + 1) if 1 <= j <= n]
         lines.append(f"x{i}' = " + " + ".join(neighbours) + f" - x{i} - x{i}^3")
     return "\n".join(lines)
+
+
+def factor_pairs(m):
+    """The unordered factorizations m = a * b, as pairs with a <= b in tuple
+    order, sorted by a; straight from the definition, one exponent at a time."""
+    pairs = []
+    for a in product(*(range(e + 1) for e in m)):
+        b = tuple(e - f for e, f in zip(m, a))
+        if a <= b:
+            pairs.append((a, b))
+    return pairs
 
 
 def explicit_product_set(state):

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from quadratize.branching import generate_children, select_branch_monomial
 from quadratize.parsing import parse_system
-from quadratize.polynomials import divisor_count
+from quadratize.polynomials import divisor_count, grlex_key
 from quadratize.state import SearchState
 
-from conftest import random_polynomial_system
+from conftest import factor_pairs, random_polynomial_system
 
 
 def synthetic_state(system_text, nonsquares):
@@ -41,13 +41,37 @@ class TestSelection:
 class TestChildren:
     def test_two_term_scalar_root(self):
         state = SearchState.initial(parse_system("x' = x^4 + x^3"))
-        # keys 2 + 1 and 3 + 1: degree sum plus n times the length
+        # x^3 = 1 * x^3 = x * x^2
         assert generate_children(state) == [((2,),), ((3,),)]
 
     def test_scalar_power_root(self):
         state = SearchState.initial(parse_system("x' = x^5"))
-        # keys 4 + 1, 5 + 1 and 5 + 2
+        # one new variable first, then the pair x^2 * x^3
         assert generate_children(state) == [((4,),), ((5,),), ((2,), (3,))]
+
+    def test_square_factorization_adds_one_variable(self):
+        # x^4 = 1 * x^4 = x * x^3 = x^2 * x^2, and the last adds x^2 once
+        state = SearchState.initial(parse_system("x' = x^4 + y\ny' = x"))
+        assert generate_children(state) == [((2, 0),), ((3, 0),), ((4, 0),)]
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_one_child_per_factorization(self, seed):
+        # Every unordered factorization of the selected nonsquare gives the
+        # child of its factors outside the generalized variables, never
+        # empty, and no two give the same child.
+        rng = random.Random(seed)
+        state = SearchState.initial(random_polynomial_system(rng))
+        while state.nonsquares and len(state.new_vars) <= 3:
+            m = select_branch_monomial(state)
+            pairs = factor_pairs(m)
+            expected = {frozenset({a, b} - state.vars_set) for a, b in pairs}
+            children = generate_children(state)
+            assert len(children) == len(pairs) == -(-divisor_count(m) // 2)
+            assert {frozenset(added) for added in children} == expected
+            assert len(expected) == len(pairs)
+            assert frozenset() not in expected
+            state = state.extended(rng.choice(children))
 
     def test_every_child_adds_a_variable(self):
         rng = random.Random(11)
@@ -71,9 +95,18 @@ class TestChildren:
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_children_sorted_by_key(self, seed):
+        # Fewest new variables first, then graded-lex, each child in
+        # graded-lex order.  This is also sorted by sum of degrees plus n
+        # times the length: a factor of m has degree at most deg(m), so
+        # every one-variable child comes before every pair.
         state = SearchState.initial(random_polynomial_system(random.Random(seed)))
         if not state.nonsquares:
             return
         n = state.system.num_vars
-        keys = [sum(map(sum, added)) + n * len(added) for added in generate_children(state)]
-        assert keys == sorted(keys)
+        children = generate_children(state)
+        for added in children:
+            assert list(added) == sorted(added, key=grlex_key)
+        keys = [(len(added), tuple(map(grlex_key, added))) for added in children]
+        assert keys == sorted(set(keys))
+        costs = [sum(map(sum, added)) + n * len(added) for added in children]
+        assert costs == sorted(costs)

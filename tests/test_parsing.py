@@ -13,6 +13,7 @@ from quadratize.parsing import (
     ParseError,
     parse_system,
 )
+from quadratize.polynomials import ODESystem, is_identifier
 
 from conftest import WORKED_EXAMPLES, build_random_corpus
 
@@ -323,3 +324,26 @@ class TestRoundTrip:
         text = "x' = -1/2*x^3 + 2*a*x - 3\n"
         system = parse_system(text)
         assert parse_system(render_system(system)) == system
+
+    # ODESystem accepts exactly the names the tokenizer reads as one word.
+    WORDS = ["x", "_", "_1", "x_1", "Alpha2", "é", "x²", "xⅫ", "1", "12", "1x", "²", "²x",
+             "Ⅻ", "", " x", "x y", "a*b", "x'", "a-b", "x.1", "#x"]
+
+    @pytest.mark.parametrize("word", WORDS)
+    def test_the_tokenizer_reads_exactly_the_identifiers(self, word):
+        try:
+            read = parse_system(f"{word}' = {word}^3").variables == (word,)
+        except ParseError:
+            read = False
+        assert read == is_identifier(word)
+
+    @pytest.mark.parametrize("word", WORDS)
+    def test_a_system_with_any_accepted_name_round_trips(self, word):
+        # "1" was accepted as a variable and rendered as text that reads
+        # the number 1, so x' = x^3 came back as a constant.
+        try:
+            system = ODESystem((word,), ("k",), ({((3,), (1,)): 1},))
+        except ValueError:
+            assert not is_identifier(word)
+        else:
+            assert parse_system(render_system(system)) == system

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +12,6 @@ from quadratize.polynomials import (
     MAX_COEFFICIENT_DIGITS,
     ODESystem,
     add_term,
-    decompositions,
     degree,
     divides,
     divisor_count,
@@ -69,21 +67,6 @@ class TestMonomialOps:
         assert divisor_count((3,)) == 4
         assert divisor_count((0, 0)) == 1
         assert divisor_count((2, 1)) == 6
-
-    def test_decompositions_examples(self):
-        assert decompositions((3,)) == (((0,), (3,)), ((1,), (2,)))
-        assert decompositions((2,)) == (((0,), (2,)), ((1,), (1,)))
-        assert decompositions((1, 1)) == (((0, 0), (1, 1)), ((0, 1), (1, 0)))
-
-    @given(monomials.filter(lambda m: sum(m) > 0))
-    @settings(max_examples=100, deadline=None)
-    def test_decompositions_count_and_products(self, m):
-        pairs = decompositions(m)
-        assert len(pairs) == ceil(divisor_count(m) / 2)
-        assert len(set(pairs)) == len(pairs)
-        for m1, m2 in pairs:
-            assert monomial_mul(m1, m2) == m
-        assert list(pairs) == sorted(pairs)
 
     @given(paired_monomials(kernel_exponents, st.integers(1, 4)))
     @settings(max_examples=300, deadline=None)
@@ -200,6 +183,15 @@ class TestODESystem:
     def test_rejects_shared_names(self):
         with pytest.raises(ValueError):
             ODESystem(("x",), ("x",), ({},))
+
+    # Each would render text that the parser reads otherwise or rejects:
+    # variable "1" solved to "1' = z1", its factor dropped as the unit.
+    @pytest.mark.parametrize("name", ["1", "", "x y", "a*b", "x'", "2x", "²", None, b"x"])
+    def test_rejects_names_that_are_not_identifiers(self, name):
+        with pytest.raises(ValueError, match="identifiers"):
+            ODESystem((name,), (), ({((3,), ()): 1},))
+        with pytest.raises(ValueError, match="identifiers"):
+            ODESystem(("x",), (name,), ({((3,), (1,)): 1},))
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):

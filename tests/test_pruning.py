@@ -9,7 +9,7 @@ import quadratize.pruning
 import quadratize.solver
 from quadratize.bruteforce import box_candidates, is_quadratization
 from quadratize.parsing import parse_system
-from quadratize.polynomials import decompositions, monomial_mul
+from quadratize.polynomials import monomial_mul
 from quadratize.pruning import (
     C4_CAPACITY_TABLE,
     build_squarefree_subset,
@@ -24,7 +24,7 @@ from quadratize.pruning import (
 from quadratize.solver import benchmark_system, bnb_search
 from quadratize.state import SearchState
 
-from conftest import rules, wide_box
+from conftest import factor_pairs, rules, wide_box
 
 
 class TestQuotientMultiplicities:
@@ -182,7 +182,7 @@ class TestPackingBound:
                    max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_uncovered_factors_are_the_new_factors_of_decompositions(self, m, vars_set):
-        factors = {f for pair in decompositions(m) for f in pair}
+        factors = {f for pair in factor_pairs(m) for f in pair}
         assert uncovered_factors(m, frozenset(vars_set)) == factors - vars_set
 
     @pytest.mark.parametrize("name,n,bound", [

@@ -1,6 +1,7 @@
+import random
 import sys
 import time
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -13,7 +14,7 @@ from quadratize.bruteforce import (
 )
 from quadratize.output import render_result
 from quadratize.parsing import parse_system
-from quadratize.polynomials import ODESystem, divisors
+from quadratize.polynomials import ODESystem, add_term, divisors
 from quadratize.solver import (
     NoQuadratizationWithinCap,
     SearchStats,
@@ -184,6 +185,12 @@ class TestMaxOrderCap:
         # it, which is not a failure of the cap.
         result, _ = bnb_search(parse_system("x' = 2*x"), max_order_cap=0)
         assert result.new_vars == ()
+
+    @pytest.mark.parametrize("cap", [-1, 2.5, 1.0, True, False, "1"])
+    def test_rejects_caps_that_are_not_non_negative_ints(self, cap):
+        with pytest.raises(ValueError, match="max_order_cap must be None") as err:
+            bnb_search(parse_system("x' = x^5"), max_order_cap=cap)
+        assert type(err.value) is ValueError
 
     def test_cap_is_keyword_only(self):
         with pytest.raises(TypeError):
@@ -366,16 +373,56 @@ def permuted_system(system, sigma):
     return ODESystem(system.variables, system.parameters, tuple(rhs))
 
 
+def permutation_closed_system(rng):
+    """A random system of 2 to 5 variables that a random permutation sigma,
+    not the identity, maps onto itself; returns (system, sigma).
+
+    A random right-hand side f is drawn for one variable i of each cycle of
+    sigma, and variable sigma^k(i) gets f renamed by sigma^k.  Around a
+    cycle of length L this comes back to f renamed by tau = sigma^L, which
+    fixes i, so f is first summed over the powers of tau, which makes it
+    invariant under tau.
+    """
+    n = rng.randint(2, 5)
+    identity = tuple(range(n))
+    sigma = identity
+    while sigma == identity:
+        sigma = tuple(rng.sample(range(n), n))
+    powers = [identity]  # powers[k] = sigma^k; 120 = 5! is a multiple of its order
+    for _ in range(120):
+        powers.append(tuple(sigma[j] for j in powers[-1]))
+    parameters = ("a",) if rng.random() < 0.5 else ()
+    rhs = [None] * n
+    for i in range(n):
+        if rhs[i] is not None:
+            continue
+        cycle = [i]
+        while sigma[cycle[-1]] != i:
+            cycle.append(sigma[cycle[-1]])
+        tau_powers = powers[::len(cycle)]
+        order = tau_powers.index(identity, 1)
+        f = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = tuple(rng.randint(0, 2) for _ in range(n))
+            params = tuple(rng.randint(0, 1) for _ in parameters)
+            coeff = rng.choice((-2, -1, 1, 2, 3))
+            for tau in tau_powers[:order]:
+                add_term(f, (permuted_monomial(mono, tau), params), coeff)
+        for k, v in enumerate(cycle):
+            rhs[v] = {(permuted_monomial(m, powers[k]), p): c for (m, p), c in f.items()}
+    return ODESystem(tuple(f"x{i}" for i in range(1, n + 1)), parameters, tuple(rhs)), sigma
+
+
 def orbit(monomials, group):
     return {frozenset(permuted_monomial(m, sigma) for m in monomials) for sigma in group}
 
 
 class TestAutomorphisms:
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", [*range(2, 9), 21])
     def test_cubic_cycle_is_cyclic(self, n):
         assert len(automorphisms(benchmark_system("cubic_cycle", n))) == n
 
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", [*range(3, 9), 15])
     def test_cubic_bicycle_is_dihedral(self, n):
         assert len(automorphisms(benchmark_system("cubic_bicycle", n))) == 2 * n
 
@@ -403,6 +450,19 @@ class TestAutomorphisms:
             every = [sigma for sigma in product(range(n), repeat=n)
                      if len(set(sigma)) == n and permuted_system(system, sigma) == system]
             assert list(automorphisms(system)) == every
+
+    def test_finds_every_symmetry_of_permutation_closed_systems(self):
+        rng = random.Random(14)
+        for _ in range(60):
+            system, sigma = permutation_closed_system(rng)
+            n = system.num_vars
+            every = [p for p in permutations(range(n)) if permuted_system(system, p) == system]
+            assert sigma in every
+            assert list(automorphisms(system)) == every
+
+    def test_long_allen_cahn_chain_reverses(self):
+        group = automorphisms(parse_system(allen_cahn_text(46)))
+        assert group == (tuple(range(46)), tuple(range(45, -1, -1)))
 
     @pytest.mark.parametrize("text", [
         # a coefficient breaks the cycle

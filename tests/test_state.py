@@ -4,7 +4,6 @@ import pytest
 
 from quadratize.parsing import parse_system
 from quadratize.polynomials import (
-    decompositions,
     grlex_key,
     lie_derivative,
     lie_derivative_support,
@@ -16,7 +15,12 @@ from quadratize.polynomials import (
 from quadratize.solver import benchmark_system, bnb_search, laurent_quadratize
 from quadratize.state import SearchState, is_product
 
-from conftest import definition_nonsquares, explicit_product_set, random_polynomial_system
+from conftest import (
+    definition_nonsquares,
+    explicit_product_set,
+    factor_pairs,
+    random_polynomial_system,
+)
 
 
 def assert_product_test_matches(state):
@@ -122,7 +126,7 @@ class TestProductTest:
             for _ in range(rng.randint(1, 4)):
                 if not state.nonsquares:
                     break
-                pair = rng.choice(decompositions(rng.choice(sorted(state.nonsquares))))
+                pair = rng.choice(factor_pairs(rng.choice(sorted(state.nonsquares))))
                 state = state.extended(f for f in pair if f not in state.vars_set)
                 assert_product_test_matches(state)
                 assert state.nonsquares == definition_nonsquares(state)
