@@ -18,10 +18,14 @@ measure each, this demo switches a rule off by substituting it in
 quadratize.solver: the packing and pair-count rules by one that never
 prunes, the graph rule by the trivial bound, which prunes a node only once
 it is as deep as the incumbent (a deeper node cannot beat it, since
-children only add variables).  Two checks before a child is extended are not rules and stay
-on in every column, "no pruning" included: a child as large as the
-incumbent is skipped, and so is one a variable short of it that leaves a
-nonsquare of its parent uncovered.  Neither is counted as a visited node.
+children only add variables).  The search also calls the packing rule on a
+parent and a child's additions before it extends the child, and skips the
+child when the parent's nonsquares it leaves uncovered already need
+enough variables to reach the incumbent's order; switching the packing
+rule off switches that skip off too.  One check before a child is extended is not a
+rule and stays on in every column, "no pruning" included: a child as large
+as the incumbent is skipped.  Skipped children are not counted as visited
+nodes.
 
 Both families are symmetric: rotating the variables (and, for the bicycle,
 reversing them) maps the system onto itself.  The search skips a child whose
@@ -39,7 +43,7 @@ packing_rule = solver.prune_by_packing_bound
 pair_count_rule, graph_rule = solver.prune_by_quadratic_bound, solver.prune_by_c4_bound
 
 
-def never(state, bound):
+def never(state, bound, *args):
     return False
 
 

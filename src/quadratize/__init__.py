@@ -24,6 +24,7 @@ from .polynomials import (
     lie_derivative,
 )
 from .solver import (
+    ExponentTooLarge,
     NoQuadratizationWithinCap,
     QuadratizationResult,
     SearchStats,
@@ -37,6 +38,7 @@ from .state import SearchState
 __version__ = "0.1.0"
 
 __all__ = [
+    "ExponentTooLarge",
     "Monomial",
     "NoQuadratizationWithinCap",
     "ODESystem",

@@ -12,7 +12,14 @@ a new variable in C(m), the divisors of m that are not variables of S (the
 factors of m's factorizations outside vars_set).  If the C(m) of k
 nonsquares are pairwise disjoint, T needs at least k more variables: the
 disjoint-sets lower bound for hitting set.  The packing is greedy,
-smallest C(m) first.
+smallest C(m) first (packs).  The search also applies it to a child before
+building it, from the parent and the child's additions A: a nonsquare of
+the parent that is not a product with a factor in A (state.is_product)
+stays a nonsquare of the child, with C(m) - A as its set there, and the
+bound holds for any subset of the nonsquares.  The search keeps each
+state's C(m) and passes them in, so each is built at most once; a child
+takes those of the nonsquares it carries over from its parent, minus the
+additions.
 
 Rule 2 bounds how many nonsquares r additional variables could cover: each
 new variable z covers at most mult(z) nonsquares of the form z*v with v a
@@ -44,7 +51,7 @@ from .polynomials import (
     monomial_mul,
     monomial_quotient,
 )
-from .state import SearchState
+from .state import SearchState, is_product
 
 # Exact maximum edge counts, row n = vertices, column m = allowed loops
 # (0 <= m <= n).  A pseudograph of this kind never has more than n loops,
@@ -116,28 +123,63 @@ def uncovered_factors(m: Monomial, vars_set) -> frozenset[Monomial]:
     return frozenset(d for d in divisors(m) if d not in vars_set)
 
 
-def prune_by_packing_bound(state: SearchState, incumbent_order: int) -> bool:
-    """Same contract as prune_by_quadratic_bound, via disjoint factor sets.
+def packs(sets, need: int) -> bool:
+    """Whether greedy packing keeps `need` pairwise disjoint sets.
 
-    The C(m) are taken in order of (size, graded-lex m) and each one
-    disjoint from those kept is kept.  k kept sets need k more variables,
-    and k never exceeds the number of nonsquares, so no set is built when
-    that number is already too small.
+    `sets` holds (C, m) pairs.  They are taken in order of (size of C,
+    graded-lex m), and each C disjoint from those kept is kept.
     """
-    need = incumbent_order - len(state.new_vars)
-    if need <= 0:
-        return True
-    if len(state.nonsquares) < need:
-        return False
-    covers = [(uncovered_factors(m, state.vars_set), m) for m in state.nonsquares]
     packed: set[Monomial] = set()
-    for cover, _ in sorted(covers, key=lambda c: (len(c[0]), grlex_key(c[1]))):
+    for cover, _ in sorted(sets, key=lambda c: (len(c[0]), grlex_key(c[1]))):
         if packed.isdisjoint(cover):
             packed |= cover
             need -= 1
             if not need:
                 return True
     return False
+
+
+def prune_by_packing_bound(state: SearchState, incumbent_order: int,
+                           added: tuple[Monomial, ...] = (),
+                           covers: dict[Monomial, frozenset[Monomial]] | None = None) -> bool:
+    """Same contract as prune_by_quadratic_bound for state.extended(added),
+    via disjoint factor sets, decided without building that state.
+
+    The sets packed are those of the state's nonsquares that the additions
+    leave uncovered (is_product with the additions): each stays a nonsquare
+    of the extended state, with C(m) - added as its set there.  Packing a
+    subset of the nonsquares keeps the bound sound; with no additions it is
+    the rule on the state itself.  k kept sets need k more variables, and k
+    never exceeds the number of sets, so no set is built when there are
+    already too few, nor when one variable is needed.  `covers`, when
+    given, maps nonsquares of the state to their C(m) over state.vars_set:
+    sets are read from it and the ones built are added to it, so a caller
+    that keeps it builds each set once.
+    """
+    need = incumbent_order - len(state.new_vars) - len(added)
+    if need <= 0:
+        return True
+    if len(state.nonsquares) < need:
+        return False
+    left = state.nonsquares
+    if added:
+        vars_set = state.vars_set.union(added)
+        left = (m for m in left if not is_product(m, vars_set, added))
+    if need == 1:
+        # Every C(m) holds m itself, so any one nonsquare left packs.
+        return any(True for _ in left)
+    left = list(left)
+    if len(left) < need:
+        return False
+    if covers is None:
+        covers = {}
+    sets = []
+    for m in left:
+        cover = covers.get(m)
+        if cover is None:
+            cover = covers[m] = uncovered_factors(m, state.vars_set)
+        sets.append((cover.difference(added), m))
+    return packs(sets, need)
 
 
 def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:

@@ -12,11 +12,19 @@ the optimum.
 
 Two kinds of children are skipped before they are extended, decided from
 the parent alone.  A child with at least as many new variables as the bound
-is skipped: neither it nor any superset can beat the incumbent.  A child one
-variable short of the bound is skipped when some nonsquare of the parent
-has none of its additions as a factor (state.is_product with the additions)
-and so stays a nonsquare: the child is not a quadratization, and every
-superset of it reaches the bound.  Neither skip changes the answer.
+is skipped: neither it nor any superset can beat the incumbent.  A child is
+also skipped when the packing rule, applied to the parent's nonsquares
+that the child's additions leave uncovered, needs as many more variables
+as the child is short of the bound.  Such a nonsquare is not a product
+with one of the additions as a factor (state.is_product with the
+additions), so it stays a nonsquare of the child, and its set of factors
+there is the parent's minus the additions; the rule's argument holds for
+any subset of the child's nonsquares.  One short of the bound, any such
+nonsquare is enough.  Neither skip changes the answer.  Each visited node
+keeps its factor sets in its stack frame for its children.  It takes the
+sets of the nonsquares it carries over from its parent, minus its
+additions, and builds each other set once, in its own packing rule or for
+its first child that needs it.
 
 The search also skips repeated and symmetric subproblems.  Once per search
 it finds the system's automorphisms: the permutations of the variables that
@@ -55,7 +63,7 @@ from .polynomials import (
     variable_monomial,
 )
 from .pruning import prune_by_c4_bound, prune_by_packing_bound, prune_by_quadratic_bound
-from .state import SearchState, is_product
+from .state import SearchState
 
 
 SearchStats = namedtuple("SearchStats", "nodes_visited pruned_by_packing pruned_by_quadratic "
@@ -108,6 +116,22 @@ class NoQuadratizationWithinCap(ValueError):
     def __init__(self, cap: int):
         super().__init__(f"no monomial quadratization with at most {cap} new variables")
         self.lower_bound = cap + 1
+
+
+# Branching enumerates the divisors of a nonsquare, at least one per unit
+# of its largest exponent: x' = x^1000000 takes about 12 s and 0.5 GB on
+# 2 vCPUs, and Python cannot enumerate a range past sys.maxsize at all.
+MAX_EXPONENT = 1_000_000
+
+
+class ExponentTooLarge(ValueError):
+    """The system has an exponent above MAX_EXPONENT, too large to search."""
+
+    def __init__(self, variable: str, exponent: int):
+        super().__init__(f"the exponent {exponent} of {variable} is above {MAX_EXPONENT}, "
+                         "the largest the search takes")
+        self.variable = variable
+        self.exponent = exponent
 
 
 # The key of a set costs one image per group element, so a larger group is
@@ -209,14 +233,15 @@ def bnb_search(system: ODESystem, *,
     """Find a minimal-order monomial quadratization by branch and bound.
 
     Before a child is extended, with size its number of new variables, it
-    is skipped when size >= bound, or when size + 1 == bound and a nonsquare
-    of the parent is not a product with one of the child's additions as a
-    factor (is_product), so it stays a nonsquare.  In the first case every
-    completion has at least `bound` variables; in the second the child is
-    not a quadratization and each proper superset has at least `bound`.
-    So neither skip loses a strictly better incumbent.  Skipped children
-    are counted in no statistic and never enter the orbit table, which so
-    holds visited sets only, as the module docstring's argument needs.
+    is skipped when size >= bound, or when the packing rule proves from the
+    parent that every completion of the child has at least `bound`
+    variables: the parent's nonsquares that the child's additions leave
+    uncovered (is_product) stay nonsquares of the child, with the parent's
+    factor sets minus the additions, and when greedy packing finds bound -
+    size of them pairwise disjoint, the child needs that many more.  So
+    neither skip loses a strictly better incumbent.  Skipped children are
+    counted in no statistic and never enter the orbit table, which so holds
+    visited sets only, as the module docstring's argument needs.
 
     Every visited node that is not a quadratization goes through the
     packing rule, then the pair-count rule, then the graph rule.  The
@@ -233,11 +258,15 @@ def bnb_search(system: ODESystem, *,
     still optimal, and NoQuadratizationWithinCap is raised when every
     quadratization needs more than max_order_cap new variables.  It must be
     None or a non-negative int (a bool is not one); anything else raises
-    ValueError.
+    ValueError.  A system with an exponent above MAX_EXPONENT raises
+    ExponentTooLarge, a ValueError, before the search starts.
     """
     if max_order_cap is not None and (type(max_order_cap) is not int or max_order_cap < 0):
         raise ValueError("max_order_cap must be None or a non-negative int, "
                          f"not {max_order_cap!r}")
+    for variable, exponent in zip(system.variables, per_variable_degrees(system)):
+        if exponent > MAX_EXPONENT:
+            raise ExponentTooLarge(variable, exponent)
     nodes = pruned_packing = pruned_quadratic = pruned_c4 = pruned_symmetry = updates = 0
     box = degree_box_order(system)
     bound = box if max_order_cap is None else min(box, max_order_cap + 1)
@@ -245,13 +274,15 @@ def bnb_search(system: ODESystem, *,
     root = SearchState.initial(system)
     group = automorphisms(system)
     seen = set()  # orbit keys of the visited sets of new variables
-    # Depth-first over a stack of (parent, iterator of its children); a child
-    # is extended only when it is visited.  It is skipped before that when it
-    # is too large to beat the bound, or one short of it with a nonsquare of
-    # the parent left uncovered, or when an image of its set was visited.
-    stack = [(root, iter(((),)))]
+    # Depth-first over a stack of (parent, iterator of its children, the
+    # parent's factor sets C(m) by nonsquare, as far as they are known); a
+    # child is extended only when it is visited.  It is skipped before that
+    # when it is too large to beat the bound, when the packing of the
+    # parent's nonsquares it leaves uncovered reaches the bound, or when an
+    # image of its set was visited.
+    stack = [(root, iter(((),)), {})]
     while stack:
-        parent, children = stack[-1]
+        parent, children, parent_covers = stack[-1]
         added = next(children, None)
         if added is None:
             stack.pop()
@@ -259,10 +290,8 @@ def bnb_search(system: ODESystem, *,
         size = len(parent.new_vars) + len(added)
         if size >= bound:
             continue
-        if size + 1 == bound:
-            vars_set = parent.vars_set.union(added)
-            if not all(is_product(m, vars_set, added) for m in parent.nonsquares):
-                continue
+        if prune_by_packing_bound(parent, bound, added, parent_covers):
+            continue
         key = orbit_key(parent.new_vars + added, group)
         if key in seen:
             pruned_symmetry += 1
@@ -275,7 +304,11 @@ def bnb_search(system: ODESystem, *,
             best, bound = state.new_vars, size
             updates += 1
             continue
-        if prune_by_packing_bound(state, bound):
+        # A nonsquare the child carries over has the parent's C(m) minus the
+        # additions; the packing rule builds the others when it needs them.
+        covers = {m: cover.difference(added) for m, cover in parent_covers.items()
+                  if m in state.nonsquares}
+        if prune_by_packing_bound(state, bound, (), covers):
             pruned_packing += 1
             continue
         if prune_by_quadratic_bound(state, bound):
@@ -284,7 +317,7 @@ def bnb_search(system: ODESystem, *,
         if prune_by_c4_bound(state, bound):
             pruned_c4 += 1
             continue
-        stack.append((state, iter(generate_children(state))))
+        stack.append((state, iter(generate_children(state)), covers))
 
     if best is None:
         if max_order_cap is not None and max_order_cap < box:

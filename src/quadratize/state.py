@@ -34,6 +34,8 @@ from .polynomials import (
     ODESystem,
     degree,
     divides,
+    divisor_count,
+    divisors,
     grlex_key,
     is_exponent_tuple,
     lie_derivative,
@@ -112,8 +114,11 @@ class SearchState:
         Raises ValueError unless the nonsquare set is empty, so every emitted
         system is checked to be quadratic.  Each term uses its least factor
         pair: the one whose first factor is least in graded-lex order, found
-        by scanning the generalized variables in that order, which stops at
-        the first pair.
+        by scanning candidates in that order, which stops at the first pair.
+        The candidates are the generalized variables, or the term's divisors
+        when it has fewer.  Both give the same pair when no variable has a
+        negative exponent, since then each factor divides the term; a
+        Laurent state scans its variables.
         """
         if self.nonsquares:
             raise ValueError("state is not a quadratization")
@@ -130,12 +135,16 @@ class SearchState:
 
         vars_set = self.vars_set
         by_grlex = sorted(vars_set, key=grlex_key)
+        walk_divisors = all(divides(unit_monomial(n), z) for z in self.new_vars)
         ordered = [variable_monomial(n, i) for i in range(n)] + list(self.new_vars)
         equations: dict[str, tuple[ResultTerm, ...]] = {}
         for v in ordered:
             terms = []
             for mono, params, coeff in sorted_terms(lie_derivative(v, system)):
-                f1 = next(f for f in by_grlex if monomial_quotient(mono, f) in vars_set)
+                candidates = by_grlex
+                if walk_divisors and divisor_count(mono) < len(by_grlex):
+                    candidates = sorted((d for d in divisors(mono) if d in vars_set), key=grlex_key)
+                f1 = next(f for f in candidates if monomial_quotient(mono, f) in vars_set)
                 f2 = monomial_quotient(mono, f1)
                 terms.append(ResultTerm(coeff, params, name_of[f1], name_of[f2]))
             equations[name_of[v]] = tuple(terms)

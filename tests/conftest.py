@@ -79,15 +79,16 @@ def rules(config):
     The search always calls all three rules, so a rule is switched off by
     substituting it in quadratize.solver: the packing and pair-count rules
     by one that never prunes, the graph rule by the trivial bound, which
-    prunes a node as deep as the incumbent.  The real rules are back on
-    exit.
+    prunes a node as deep as the incumbent.  The search also calls the
+    packing rule to skip children before extending them, so switching it
+    off switches that skip off too.  The real rules are back on exit.
     """
     if config not in RULE_CONFIGS:
         raise ValueError(f"unknown rule configuration {config!r}")
     names = ("prune_by_packing_bound", "prune_by_quadratic_bound", "prune_by_c4_bound")
     saved = [getattr(quadratize.solver, name) for name in names]
     if config not in ("packing", "all"):
-        quadratize.solver.prune_by_packing_bound = lambda state, bound: False
+        quadratize.solver.prune_by_packing_bound = lambda state, bound, *args: False
     if config not in ("quadratic", "all"):
         quadratize.solver.prune_by_quadratic_bound = lambda state, bound: False
     if config not in ("c4", "all"):

@@ -6,6 +6,7 @@ import pytest
 
 from quadratize.cli import main
 from quadratize.parsing import MAX_COEFFICIENT_DIGITS
+from quadratize.solver import MAX_EXPONENT
 
 from conftest import allen_cahn_text
 
@@ -192,3 +193,25 @@ class TestCoefficientBound:
             assert code == 0
             # z1 = x^2 and z1' = 2*x*x' = 2*largest*z1^2, one digit longer.
             assert str(2 * largest) in out
+
+
+class TestExponentBound:
+    HUGE = 10 ** 301
+
+    def test_huge_exponent_is_a_one_line_error(self, capsys, monkeypatch):
+        # Branching used to end in an OverflowError traceback from divisors.
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"x' = x^{self.HUGE}\n"))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err == (f"quadratize: error: the exponent {self.HUGE} of x is above "
+                       f"{MAX_EXPONENT}, the largest the search takes\n")
+
+    def test_laurent_takes_a_huge_exponent(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"x' = x^{self.HUGE}\n"))
+        code, out, err = run_cli(capsys, "--laurent")
+        assert code == 0
+        assert err == ""
+        assert f"z1 = x^{self.HUGE - 1}" in out

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -202,6 +203,7 @@ class TestPackingBound:
         assert not prune_by_c4_bound(state, 4)
 
     def test_too_few_nonsquares_build_no_set(self, monkeypatch):
+        # Nor does a need of one variable: every C(m) holds m itself.
         def failing(m, vars_set):
             raise AssertionError("a factor set was built")
 
@@ -210,28 +212,79 @@ class TestPackingBound:
         assert len(state.nonsquares) == 1
         assert not prune_by_packing_bound(state, 2)
         assert prune_by_packing_bound(state, 0)
+        assert prune_by_packing_bound(state, 1)
+        state = SearchState.initial(parse_system("x' = x^100000 + x^3"))
+        assert len(state.nonsquares) == 2
         with pytest.raises(AssertionError):
-            prune_by_packing_bound(state, 1)
+            prune_by_packing_bound(state, 2)
+
+
+class TestCarriedFactorSets:
+    def test_every_packed_set_is_a_recount(self, random_corpus, monkeypatch):
+        # The search keeps each node's C(m) in its stack frame and packs
+        # them for the node and, minus their additions, for its children; a
+        # visited child takes those of the nonsquares it carries over.
+        # Every set packed, at every visited node and every child checked
+        # before extension, must be C(m) recomputed over the variables of
+        # that node or child, for a nonsquare m of it.  No set is built
+        # twice in a search.
+        real_rule = quadratize.solver.prune_by_packing_bound
+        real_packs = quadratize.pruning.packs
+        real_factors = uncovered_factors
+        context = []
+        builds = Counter()
+        checked = 0
+
+        def tracking_rule(state, bound, added=(), covers=None):
+            context[:] = state, added
+            return real_rule(state, bound, added, covers)
+
+        def checking_packs(sets, need):
+            nonlocal checked
+            state, added = context
+            vars_set = state.vars_set.union(added)
+            nonsquares = state.extended(added).nonsquares
+            for cover, m in sets:
+                assert m in nonsquares
+                assert cover == real_factors(m, vars_set)
+                checked += 1
+            return real_packs(sets, need)
+
+        def counting_factors(m, vars_set):
+            builds[vars_set, m] += 1
+            return real_factors(m, vars_set)
+
+        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", tracking_rule)
+        monkeypatch.setattr(quadratize.pruning, "packs", checking_packs)
+        monkeypatch.setattr(quadratize.pruning, "uncovered_factors", counting_factors)
+        for system in random_corpus + [benchmark_system("cubic_cycle", 4)]:
+            builds.clear()
+            bnb_search(system)
+            assert set(builds.values()) <= {1}
+        assert checked == 1294
 
 
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
-        ("prune_by_packing_bound", "packing", 386),
-        ("prune_by_packing_bound", "all", 383),
-        ("prune_by_quadratic_bound", "quadratic", 440),
-        ("prune_by_c4_bound", "c4", 472),
+        ("prune_by_packing_bound", "packing", 1490),
+        ("prune_by_packing_bound", "all", 957),
+        ("prune_by_quadratic_bound", "quadratic", 1207),
+        ("prune_by_c4_bound", "c4", 1155),
     ])
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, rule, config, count):
         # Every node a rule prunes at bound N, with the other rules off (or,
         # under "all", in the search as it runs): the brute-force checker
         # finds no quadratization among the supersets of its variables, drawn
-        # from the wide-box candidates, with fewer than N variables.
+        # from the wide-box candidates, with fewer than N variables.  The
+        # packing rule also prunes children before they are extended, given
+        # the parent and the child's additions; those count as nodes too.
         pruned = []
         original = getattr(quadratize.solver, rule)
 
-        def recording(state, bound):
-            if original(state, bound):
-                pruned.append((state.new_vars, bound))
+        def recording(state, bound, *args):
+            if original(state, bound, *args):
+                added = args[0] if args else ()
+                pruned.append((state.new_vars + added, bound))
                 return True
             return False
 

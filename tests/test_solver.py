@@ -16,6 +16,8 @@ from quadratize.output import render_result
 from quadratize.parsing import parse_system
 from quadratize.polynomials import ODESystem, add_term, divisors
 from quadratize.solver import (
+    MAX_EXPONENT,
+    ExponentTooLarge,
     NoQuadratizationWithinCap,
     SearchStats,
     automorphisms,
@@ -195,6 +197,30 @@ class TestMaxOrderCap:
     def test_cap_is_keyword_only(self):
         with pytest.raises(TypeError):
             bnb_search(parse_system("x' = x^5"), 1)
+
+
+class TestExponentBound:
+    def test_exponent_above_the_bound_raises_before_the_search(self, monkeypatch):
+        def no_search(state):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(quadratize.solver, "generate_children", no_search)
+        for exponent in (MAX_EXPONENT + 1, 10 ** 301):
+            system = parse_system(f"x' = x + y^2\ny' = y^{exponent}")
+            with pytest.raises(ExponentTooLarge, match=f"exponent {exponent} of y ") as info:
+                bnb_search(system)
+            assert isinstance(info.value, ValueError)
+            assert (info.value.variable, info.value.exponent) == ("y", exponent)
+
+    def test_exponent_at_the_bound_is_searched(self, monkeypatch):
+        monkeypatch.setattr(quadratize.solver, "MAX_EXPONENT", 6)
+        assert bnb_search(parse_system("x' = x^6"))[0].order == 1
+        with pytest.raises(ExponentTooLarge, match="exponent 7 of x is above 6,"):
+            bnb_search(parse_system("x' = x^7"))
+
+    def test_laurent_lifting_takes_any_exponent(self):
+        result = laurent_quadratize(parse_system(f"x' = x^{10 ** 301}"))
+        assert result.new_vars == ((10 ** 301 - 1,),)
 
 
 class TestRuleConfigurations:
@@ -591,7 +617,7 @@ class TestSkippedChildrenAreSound:
                 assert found is None, (
                     f"skipped {new_vars} at bound {bound}, but {found} quadratizes")
                 checked += 1
-        assert checked == 78
+        assert checked == 61
 
     def test_completion_below_finds_known_optima(self, worked_systems):
         # The checker above is only as good as this search.
@@ -603,14 +629,14 @@ class TestSkippedChildrenAreSound:
 
 
 class TestChildrenSkippedBeforeExtensionAreSound:
-    def test_no_extension_at_the_bound_and_no_quadratization_one_short(
+    def test_no_extension_at_the_bound_and_no_smaller_completion(
             self, soundness_corpus, monkeypatch):
         # The bound is followed from outside, as above.  No child is
         # extended once it is as large as the bound.  A child taken from
         # generate_children that never reaches orbit_key was skipped before
-        # extension: unless it is as large as the bound, it is one variable
-        # short of it and the brute-force checker finds it is not a
-        # quadratization, so no set containing it beats the bound.
+        # extension: unless it is as large as the bound, no quadratization
+        # drawn from the wide-box candidates that contains it has fewer
+        # variables than the bound.
         tracked = {}
         pulled = []  # [parent, added, bound when the search took it, keyed]
         extensions = []  # (size, bound) of every extended call
@@ -640,29 +666,31 @@ class TestChildrenSkippedBeforeExtensionAreSound:
         systems = soundness_corpus + [benchmark_system("cubic_cycle", 4)]
         checked = 0
         for system in systems:
-            # The root's child is not pulled from generate_children.
-            pulled[:] = [[None, (), None, False]]
             extensions.clear()
             tracked.update(bound=degree_box_order(system))
+            # The root's child is not pulled from generate_children.
+            pulled[:] = [[SearchState.initial(system), (), tracked["bound"], False]]
             _, stats = bnb_search(system)
             # The last call extends the root by the answer, for the document.
             search_extensions = extensions[:-1]
             assert len(search_extensions) == stats.nodes_visited
             assert all(size < bound for size, bound in search_extensions)
-            for parent, added, bound, keyed in pulled[1:]:
-                size = len(parent.new_vars) + len(added)
-                if keyed or size >= bound:
+            pool = box_candidates(system, wide_box(system))
+            for parent, added, bound, keyed in pulled:
+                if keyed or len(parent.new_vars) + len(added) >= bound:
                     continue
-                assert size == bound - 1
-                assert not is_quadratization(system, parent.new_vars + added)
+                found = completion_below(system, parent.new_vars + added, bound, pool)
+                assert found is None, (
+                    f"skipped {parent.new_vars + added} at bound {bound}, "
+                    f"but {found} quadratizes")
                 checked += 1
-        assert checked == 583
+        assert checked == 643
 
 
 class TestSkippingKeepsTheAnswer:
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 5, SearchStats(1620, 1015, 20, 182, 0, 6, 10)),
-        ("cubic_bicycle", 5, SearchStats(607, 322, 46, 74, 0, 6, 10)),
+        ("cubic_cycle", 5, SearchStats(1425, 820, 20, 182, 0, 6, 10)),
+        ("cubic_bicycle", 5, SearchStats(394, 109, 46, 74, 0, 6, 10)),
     ])
     def test_without_matches_the_stats_are_those_of_the_plain_search(
             self, monkeypatch, name, n, stats):
@@ -685,12 +713,12 @@ class TestSkippingKeepsTheAnswer:
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 6, SearchStats(2287, 1570, 6, 129, 104, 10, 12)),
-        ("cubic_bicycle", 6, SearchStats(592, 332, 20, 51, 51, 10, 12)),
+        ("cubic_cycle", 6, SearchStats(1760, 1043, 6, 129, 100, 10, 12)),
+        ("cubic_bicycle", 6, SearchStats(369, 109, 20, 51, 38, 10, 12)),
     ])
     def test_pinned_node_counts(self, name, n, stats):
         assert bnb_search(benchmark_system(name, n))[1] == stats
 
     def test_wide_chain_skips_nothing(self):
         _, stats = bnb_search(parse_system(allen_cahn_text(10)))
-        assert (stats.nodes_visited, stats.pruned_by_symmetry) == (19, 0)
+        assert (stats.nodes_visited, stats.pruned_by_symmetry) == (11, 0)

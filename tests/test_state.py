@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import quadratize.state
 from quadratize.parsing import parse_system
 from quadratize.polynomials import (
     grlex_key,
@@ -16,6 +17,7 @@ from quadratize.solver import benchmark_system, bnb_search, laurent_quadratize
 from quadratize.state import SearchState, is_product
 
 from conftest import (
+    allen_cahn_text,
     definition_nonsquares,
     explicit_product_set,
     factor_pairs,
@@ -250,6 +252,24 @@ class TestExtraction:
                         m = monomial_mul(f1, f2)
                         assert f1 == min((a for a, b in pairs if monomial_mul(a, b) == m),
                                          key=grlex_key)
+
+
+    def test_walking_the_divisors_gives_the_pair_of_the_scan(self, random_corpus, monkeypatch):
+        # A term with fewer divisors than there are variables walks its
+        # divisors in graded-lex order instead of scanning the variables.
+        # With the scan forced, every document is the same.  In the
+        # five-variable system, x*y^2 has the pairs x * y^2 and y^2 * x, and
+        # its divisors in tuple order reach y^2 before x.
+        systems = random_corpus[:20] + [
+            parse_system("x' = x*y^2\ny' = y\nu' = u\nv' = v\nw' = w"),
+            parse_system(allen_cahn_text(12)),
+        ]
+        states = [SearchState.initial(system).extended(bnb_search(system)[0].new_vars)
+                  for system in systems]
+        walked = [state.extract_quadratic_system() for state in states]
+        monkeypatch.setattr(quadratize.state, "divisor_count", lambda m: float("inf"))
+        assert [state.extract_quadratic_system() for state in states] == walked
+        assert walked[-2].quadratic_rhs["x"][0].factor1 == "x"
 
 
 class TestEveryVisitedNode:
