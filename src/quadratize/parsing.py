@@ -24,7 +24,10 @@ cancels.  A coefficient's numerator and denominator stay below
 ``MAX_COEFFICIENT_DIGITS`` decimal digits, the bound ``polynomials`` defines
 and ``ODESystem`` applies again; the parser checks it early, so that an error
 has a location and a power that would cross the bound is rejected before it
-is computed, at the number or ``(`` it raises.
+is computed, at the number or ``(`` it raises.  Exponents of variables and
+parameters stay within ``MAX_EXPONENT_DIGITS`` digits the same way: an
+exponent that crosses the bound is rejected at the identifier or ``(`` it
+raises.
 """
 
 from __future__ import annotations
@@ -34,9 +37,11 @@ from fractions import Fraction
 
 from .polynomials import (
     MAX_COEFFICIENT_DIGITS,
+    MAX_EXPONENT_DIGITS,
     ODESystem,
     add_term,
     coefficient_too_long,
+    exponent_too_long,
     is_identifier,
     polynomial_mul,
 )
@@ -77,6 +82,10 @@ _LIMIT_BITS = (10 ** MAX_COEFFICIENT_DIGITS).bit_length()
 
 def _fail_coefficient(tok):
     _fail(tok, f"coefficient has more than {MAX_COEFFICIENT_DIGITS} digits")
+
+
+def _fail_exponent(tok):
+    _fail(tok, f"exponent has more than {MAX_EXPONENT_DIGITS} digits")
 
 
 def _tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
@@ -149,10 +158,13 @@ class _ExpressionParser:
         _fail_coefficient(tok)
 
     def bounded(self, poly: dict, tok) -> dict:
-        """poly, after failing at tok if one of its coefficients has too many digits."""
-        for coeff in poly.values():
+        """poly, after failing at tok if one of its coefficients or exponents
+        has too many digits."""
+        for (mono, params), coeff in poly.items():
             if coefficient_too_long(coeff):
                 _fail_coefficient(tok)
+            if exponent_too_long(max(mono + params)):
+                _fail_exponent(tok)
         return poly
 
     def exponent(self) -> int:
@@ -221,9 +233,12 @@ class _ExpressionParser:
                 k = self.exponent()
                 idx = self.var_index.get(tok[1])
                 if idx is not None:
-                    mono[idx] += k
+                    exponents = mono
                 else:
-                    params[self.param_index[tok[1]]] += k
+                    exponents, idx = params, self.param_index[tok[1]]
+                exponents[idx] += k
+                if exponent_too_long(exponents[idx]):
+                    _fail_exponent(tok)
             elif kind == "(":
                 if self.depth == MAX_NESTING:
                     _fail(tok, f"parentheses nested deeper than {MAX_NESTING}")
@@ -243,6 +258,8 @@ class _ExpressionParser:
                     ((m, p), c), = inner.items()
                     mono = [a + e * k for a, e in zip(mono, m)]
                     params = [a + e * k for a, e in zip(params, p)]
+                    if exponent_too_long(max(mono + params)):
+                        _fail_exponent(tok)
                     num = self.power(num, c.numerator, k, tok)
                     den = self.power(den, c.denominator, k, tok)
                 else:

@@ -20,9 +20,10 @@ Representation conventions:
                cancels.
 
 This module alone decides what a term may be: is_exponent_tuple checks an
-exponent tuple, and MAX_COEFFICIENT_DIGITS bounds a coefficient's numerator
-and denominator (coefficient_too_long).  ODESystem applies both to every
-term; the parser and SearchState.extended call them too.  It also decides
+exponent tuple, MAX_COEFFICIENT_DIGITS bounds a coefficient's numerator
+and denominator (coefficient_too_long), and MAX_EXPONENT_DIGITS bounds an
+exponent (exponent_too_long).  ODESystem applies all three to every term;
+the parser and SearchState.extended call them too.  It also decides
 what a name may be: is_identifier, which ODESystem applies to every
 variable and parameter name and the parser's tokenizer to every word.
 
@@ -47,11 +48,24 @@ TermKey = tuple[Monomial, ParamExponents]
 MAX_COEFFICIENT_DIGITS = 4_000
 _COEFFICIENT_LIMIT = 10 ** MAX_COEFFICIENT_DIGITS
 
+# Digits of an exponent, from the 300 digits above.  A coefficient of a
+# derivative sums at most one coefficient times exponent per variable
+# (lie_derivative), so exponents of 200 digits leave 100 digits for the
+# sum: more variables than any system has.  Fractions with unlike
+# denominators are not covered: their sum's denominator is the product.
+MAX_EXPONENT_DIGITS = 200
+_EXPONENT_LIMIT = 10 ** MAX_EXPONENT_DIGITS
+
 
 def coefficient_too_long(coeff) -> bool:
     """Whether an int or Fraction has more than MAX_COEFFICIENT_DIGITS digits
     in its numerator or denominator."""
     return abs(coeff.numerator) >= _COEFFICIENT_LIMIT or coeff.denominator >= _COEFFICIENT_LIMIT
+
+
+def exponent_too_long(exponent: int) -> bool:
+    """Whether a non-negative exponent has more than MAX_EXPONENT_DIGITS digits."""
+    return exponent >= _EXPONENT_LIMIT
 
 
 def is_exponent_tuple(exponents, length: int) -> bool:
@@ -184,6 +198,8 @@ class ODESystem:
                     raise ValueError(f"a term's exponents must be tuples of {n} and {np_} ints")
                 if min(mono + params) < 0:
                     raise ValueError("negative exponents are not allowed in a system")
+                if exponent_too_long(max(mono + params)):
+                    raise ValueError(f"an exponent has more than {MAX_EXPONENT_DIGITS} digits")
                 # Exact types: a bool is an int, but it renders as True.
                 if type(coeff) not in (int, Fraction) or not coeff:
                     raise ValueError("coefficients must be nonzero ints or Fractions")

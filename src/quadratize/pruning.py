@@ -16,10 +16,8 @@ smallest C(m) first (packs).  The search also applies it to a child before
 building it, from the parent and the child's additions A: a nonsquare of
 the parent that is not a product with a factor in A (state.is_product)
 stays a nonsquare of the child, with C(m) - A as its set there, and the
-bound holds for any subset of the nonsquares.  The search keeps each
-state's C(m) and passes them in, so each is built at most once; a child
-takes those of the nonsquares it carries over from its parent, minus the
-additions.
+bound holds for any subset of the nonsquares.  The sets come from the
+state (SearchState.factor_set), which builds each at most once.
 
 Rule 2 bounds how many nonsquares r additional variables could cover: each
 new variable z covers at most mult(z) nonsquares of the form z*v with v a
@@ -45,7 +43,6 @@ from .polynomials import (
     Monomial,
     degree,
     divides,
-    divisors,
     grlex_key,
     is_square,
     monomial_mul,
@@ -118,11 +115,6 @@ def smallest_k(count: int, mult: list[int], capacity: Callable[[int], int]) -> i
     return k
 
 
-def uncovered_factors(m: Monomial, vars_set) -> frozenset[Monomial]:
-    """C(m): the divisors of m that are not in vars_set."""
-    return frozenset(d for d in divisors(m) if d not in vars_set)
-
-
 def packs(sets, need: int) -> bool:
     """Whether greedy packing keeps `need` pairwise disjoint sets.
 
@@ -140,8 +132,7 @@ def packs(sets, need: int) -> bool:
 
 
 def prune_by_packing_bound(state: SearchState, incumbent_order: int,
-                           added: tuple[Monomial, ...] = (),
-                           covers: dict[Monomial, frozenset[Monomial]] | None = None) -> bool:
+                           added: tuple[Monomial, ...] = ()) -> bool:
     """Same contract as prune_by_quadratic_bound for state.extended(added),
     via disjoint factor sets, decided without building that state.
 
@@ -151,10 +142,7 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     subset of the nonsquares keeps the bound sound; with no additions it is
     the rule on the state itself.  k kept sets need k more variables, and k
     never exceeds the number of sets, so no set is built when there are
-    already too few, nor when one variable is needed.  `covers`, when
-    given, maps nonsquares of the state to their C(m) over state.vars_set:
-    sets are read from it and the ones built are added to it, so a caller
-    that keeps it builds each set once.
+    already too few, nor when one variable is needed.
     """
     need = incumbent_order - len(state.new_vars) - len(added)
     if need <= 0:
@@ -171,15 +159,7 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     left = list(left)
     if len(left) < need:
         return False
-    if covers is None:
-        covers = {}
-    sets = []
-    for m in left:
-        cover = covers.get(m)
-        if cover is None:
-            cover = covers[m] = uncovered_factors(m, state.vars_set)
-        sets.append((cover.difference(added), m))
-    return packs(sets, need)
+    return packs([(state.factor_set(m).difference(added), m) for m in left], need)
 
 
 def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:

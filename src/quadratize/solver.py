@@ -20,11 +20,9 @@ with one of the additions as a factor (state.is_product with the
 additions), so it stays a nonsquare of the child, and its set of factors
 there is the parent's minus the additions; the rule's argument holds for
 any subset of the child's nonsquares.  One short of the bound, any such
-nonsquare is enough.  Neither skip changes the answer.  Each visited node
-keeps its factor sets in its stack frame for its children.  It takes the
-sets of the nonsquares it carries over from its parent, minus its
-additions, and builds each other set once, in its own packing rule or for
-its first child that needs it.
+nonsquare is enough.  Neither skip changes the answer.  The factor sets
+are the state's own (SearchState.factor_set), so each node builds each set
+at most once, for its own packing rule and its children's.
 
 The search also skips repeated and symmetric subproblems.  Once per search
 it finds the system's automorphisms: the permutations of the variables that
@@ -237,8 +235,9 @@ def bnb_search(system: ODESystem, *,
     parent that every completion of the child has at least `bound`
     variables: the parent's nonsquares that the child's additions leave
     uncovered (is_product) stay nonsquares of the child, with the parent's
-    factor sets minus the additions, and when greedy packing finds bound -
-    size of them pairwise disjoint, the child needs that many more.  So
+    factor sets (SearchState.factor_set) minus the additions, and when
+    greedy packing finds bound - size of them pairwise disjoint, the child
+    needs that many more.  So
     neither skip loses a strictly better incumbent.  Skipped children are
     counted in no statistic and never enter the orbit table, which so holds
     visited sets only, as the module docstring's argument needs.
@@ -274,15 +273,14 @@ def bnb_search(system: ODESystem, *,
     root = SearchState.initial(system)
     group = automorphisms(system)
     seen = set()  # orbit keys of the visited sets of new variables
-    # Depth-first over a stack of (parent, iterator of its children, the
-    # parent's factor sets C(m) by nonsquare, as far as they are known); a
+    # Depth-first over a stack of (parent, iterator of its children); a
     # child is extended only when it is visited.  It is skipped before that
     # when it is too large to beat the bound, when the packing of the
     # parent's nonsquares it leaves uncovered reaches the bound, or when an
     # image of its set was visited.
-    stack = [(root, iter(((),)), {})]
+    stack = [(root, iter(((),)))]
     while stack:
-        parent, children, parent_covers = stack[-1]
+        parent, children = stack[-1]
         added = next(children, None)
         if added is None:
             stack.pop()
@@ -290,7 +288,7 @@ def bnb_search(system: ODESystem, *,
         size = len(parent.new_vars) + len(added)
         if size >= bound:
             continue
-        if prune_by_packing_bound(parent, bound, added, parent_covers):
+        if prune_by_packing_bound(parent, bound, added):
             continue
         key = orbit_key(parent.new_vars + added, group)
         if key in seen:
@@ -304,11 +302,7 @@ def bnb_search(system: ODESystem, *,
             best, bound = state.new_vars, size
             updates += 1
             continue
-        # A nonsquare the child carries over has the parent's C(m) minus the
-        # additions; the packing rule builds the others when it needs them.
-        covers = {m: cover.difference(added) for m, cover in parent_covers.items()
-                  if m in state.nonsquares}
-        if prune_by_packing_bound(state, bound, (), covers):
+        if prune_by_packing_bound(state, bound):
             pruned_packing += 1
             continue
         if prune_by_quadratic_bound(state, bound):
@@ -317,7 +311,7 @@ def bnb_search(system: ODESystem, *,
         if prune_by_c4_bound(state, bound):
             pruned_c4 += 1
             continue
-        stack.append((state, iter(generate_children(state)), covers))
+        stack.append((state, iter(generate_children(state))))
 
     if best is None:
         if max_order_cap is not None and max_order_cap < box:

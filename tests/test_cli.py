@@ -5,7 +5,7 @@ import time
 import pytest
 
 from quadratize.cli import main
-from quadratize.parsing import MAX_COEFFICIENT_DIGITS
+from quadratize.parsing import MAX_COEFFICIENT_DIGITS, MAX_EXPONENT_DIGITS
 from quadratize.solver import MAX_EXPONENT
 
 from conftest import allen_cahn_text
@@ -196,7 +196,7 @@ class TestCoefficientBound:
 
 
 class TestExponentBound:
-    HUGE = 10 ** 301
+    HUGE = 10 ** MAX_EXPONENT_DIGITS - 1  # the largest exponent the parser takes
 
     def test_huge_exponent_is_a_one_line_error(self, capsys, monkeypatch):
         # Branching used to end in an OverflowError traceback from divisors.
@@ -215,3 +215,32 @@ class TestExponentBound:
         assert code == 0
         assert err == ""
         assert f"z1 = x^{self.HUGE - 1}" in out
+
+    # Each used to end in a traceback: Python could not print the exponent,
+    # or the coefficient a derivative multiplies by it.
+    @pytest.mark.parametrize("text,column,options", [
+        (f"x' = (x^{'9' * 3000})^{'9' * 3000}", 7, ()),
+        (f"x' = (x^{'9' * 3000})^{'9' * 3000}", 7, ("--laurent",)),
+        (f"x' = x^2 + (a^{'9' * 3000})^{'9' * 3000}", 13, ()),
+        (f"x' = {'9' * 3999}*x^{'9' * 1000}", 4006, ("--laurent",)),
+    ])
+    def test_over_long_exponent_is_a_one_line_error(self, capsys, monkeypatch,
+                                                    text, column, options):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+        code, out, err = run_cli(capsys, *options)
+        assert code == 1
+        assert out == ""
+        assert err == (f"quadratize: error: line 1, column {column}: exponent has more than "
+                       f"{MAX_EXPONENT_DIGITS} digits\n")
+
+    def test_largest_exponent_and_coefficient_render_under_laurent(self, capsys, monkeypatch):
+        # z1 = x^(E-1)*y^(E-1), and z1' sums one term per variable:
+        # z1' = 2*(E-1)*C*z1^2, the largest coefficient a derivative forms
+        # from these bounds in two variables.
+        e, c = self.HUGE, 10 ** MAX_COEFFICIENT_DIGITS - 1
+        text = f"x' = {c}*x^{e}*y^{e - 1}\ny' = {c}*x^{e - 1}*y^{e}\n"
+        for fmt in ("text", "structured"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, err = run_cli(capsys, "--laurent", "--format", fmt)
+            assert (code, err) == (0, "")
+            assert str(2 * (e - 1) * c) in out

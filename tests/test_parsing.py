@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quadratize.output import render_system
 from quadratize.parsing import (
     MAX_COEFFICIENT_DIGITS,
+    MAX_EXPONENT_DIGITS,
     MAX_EXPANSION,
     MAX_NESTING,
     ParseError,
@@ -84,6 +85,9 @@ class TestGrammar:
         assert sys.rhs[1] == {}
         assert parse_system("x' = a - a").parameters == ()
 
+
+# The least exponent with one digit too many.
+_EXPONENT_LIMIT = 10 ** MAX_EXPONENT_DIGITS
 
 # Two of these add up to 10 ** MAX_COEFFICIENT_DIGITS, one digit too many.
 _HALF_LIMIT_TERM = f"5*10^{MAX_COEFFICIENT_DIGITS - 1}*x^2"
@@ -184,6 +188,27 @@ class TestErrors:
                      f"5*10^{MAX_COEFFICIENT_DIGITS - 1}*x + 4*10^{MAX_COEFFICIENT_DIGITS - 1}*x"):
             coeff, = parse_system(f"x' = {text}").rhs[0].values()
             assert max(abs(coeff.numerator), coeff.denominator) < 10 ** MAX_COEFFICIENT_DIGITS
+
+    @pytest.mark.parametrize("text,column", [
+        (f"x^{_EXPONENT_LIMIT}", 6),
+        (f"x^{_EXPONENT_LIMIT - 1}*x", 7 + len(f"x^{_EXPONENT_LIMIT - 1}")),
+        (f"x*a^{_EXPONENT_LIMIT}", 8),
+        (f"(x^{10 ** (MAX_EXPONENT_DIGITS // 2)})^{10 ** (MAX_EXPONENT_DIGITS // 2)}", 6),
+        # the product of the expansion, and a one-term factor times it
+        (f"(x^{_EXPONENT_LIMIT - 1} + 1)^2", 6),
+        (f"x*(x^{_EXPONENT_LIMIT - 1} + 1)", 6),
+    ])
+    def test_exponent_bound_is_located(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_system(f"x' = {text}")
+        assert (err.value.line, err.value.column) == (1, column)
+        assert err.value.reason == f"exponent has more than {MAX_EXPONENT_DIGITS} digits"
+
+    def test_largest_exponent_is_admitted(self):
+        largest = _EXPONENT_LIMIT - 1
+        system = parse_system(f"x' = a^{largest}*x^{largest} + (x^{largest - 1} + 1)*x")
+        assert set(system.rhs[0]) == {((largest,), (largest,)), ((largest,), (0,)),
+                                      ((1,), (0,))}
 
     @pytest.mark.parametrize("prefix", ["x' = ", "x' = x^", "x' = 1/"])
     def test_overlong_literal_is_located(self, prefix):

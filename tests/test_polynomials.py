@@ -10,6 +10,7 @@ from quadratize.solver import bnb_search
 from quadratize.output import render_result
 from quadratize.polynomials import (
     MAX_COEFFICIENT_DIGITS,
+    MAX_EXPONENT_DIGITS,
     ODESystem,
     add_term,
     degree,
@@ -228,6 +229,19 @@ class TestODESystem:
         for coeff in (10 ** 4400, Fraction(1, 10 ** MAX_COEFFICIENT_DIGITS)):
             with pytest.raises(ValueError, match="digits"):
                 ODESystem(("x",), (), ({((3,), ()): coeff},))
+
+    # 10 ** 5000 used to reach the search, whose error message could not
+    # print it.
+    @pytest.mark.parametrize("mono,params", [
+        ((10 ** MAX_EXPONENT_DIGITS,), (0,)),
+        ((1,), (10 ** MAX_EXPONENT_DIGITS,)),
+        ((10 ** 5000,), (0,)),
+    ])
+    def test_rejects_too_long_exponents(self, mono, params):
+        with pytest.raises(ValueError, match=f"more than {MAX_EXPONENT_DIGITS} digits"):
+            ODESystem(("x",), ("a",), ({(mono, params): 1},))
+        largest = 10 ** MAX_EXPONENT_DIGITS - 1
+        ODESystem(("x",), ("a",), ({((largest,), (largest,)): 1},))
 
     def test_largest_coefficient_is_accepted_and_renders(self):
         largest = 10 ** MAX_COEFFICIENT_DIGITS - 1

@@ -1,12 +1,10 @@
 import random
-from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import quadratize.pruning
 import quadratize.solver
 from quadratize.bruteforce import box_candidates, is_quadratization
 from quadratize.parsing import parse_system
@@ -20,10 +18,9 @@ from quadratize.pruning import (
     prune_by_quadratic_bound,
     quotient_multiplicities,
     smallest_k,
-    uncovered_factors,
 )
 from quadratize.solver import benchmark_system, bnb_search
-from quadratize.state import SearchState
+from quadratize.state import SearchState, uncovered_factors
 
 from conftest import factor_pairs, rules, wide_box
 
@@ -201,67 +198,6 @@ class TestPackingBound:
         assert prune_by_packing_bound(state, 6)
         assert not prune_by_quadratic_bound(state, 4)
         assert not prune_by_c4_bound(state, 4)
-
-    def test_too_few_nonsquares_build_no_set(self, monkeypatch):
-        # Nor does a need of one variable: every C(m) holds m itself.
-        def failing(m, vars_set):
-            raise AssertionError("a factor set was built")
-
-        monkeypatch.setattr(quadratize.pruning, "uncovered_factors", failing)
-        state = SearchState.initial(parse_system("x' = x^100000"))
-        assert len(state.nonsquares) == 1
-        assert not prune_by_packing_bound(state, 2)
-        assert prune_by_packing_bound(state, 0)
-        assert prune_by_packing_bound(state, 1)
-        state = SearchState.initial(parse_system("x' = x^100000 + x^3"))
-        assert len(state.nonsquares) == 2
-        with pytest.raises(AssertionError):
-            prune_by_packing_bound(state, 2)
-
-
-class TestCarriedFactorSets:
-    def test_every_packed_set_is_a_recount(self, random_corpus, monkeypatch):
-        # The search keeps each node's C(m) in its stack frame and packs
-        # them for the node and, minus their additions, for its children; a
-        # visited child takes those of the nonsquares it carries over.
-        # Every set packed, at every visited node and every child checked
-        # before extension, must be C(m) recomputed over the variables of
-        # that node or child, for a nonsquare m of it.  No set is built
-        # twice in a search.
-        real_rule = quadratize.solver.prune_by_packing_bound
-        real_packs = quadratize.pruning.packs
-        real_factors = uncovered_factors
-        context = []
-        builds = Counter()
-        checked = 0
-
-        def tracking_rule(state, bound, added=(), covers=None):
-            context[:] = state, added
-            return real_rule(state, bound, added, covers)
-
-        def checking_packs(sets, need):
-            nonlocal checked
-            state, added = context
-            vars_set = state.vars_set.union(added)
-            nonsquares = state.extended(added).nonsquares
-            for cover, m in sets:
-                assert m in nonsquares
-                assert cover == real_factors(m, vars_set)
-                checked += 1
-            return real_packs(sets, need)
-
-        def counting_factors(m, vars_set):
-            builds[vars_set, m] += 1
-            return real_factors(m, vars_set)
-
-        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", tracking_rule)
-        monkeypatch.setattr(quadratize.pruning, "packs", checking_packs)
-        monkeypatch.setattr(quadratize.pruning, "uncovered_factors", counting_factors)
-        for system in random_corpus + [benchmark_system("cubic_cycle", 4)]:
-            builds.clear()
-            bnb_search(system)
-            assert set(builds.values()) <= {1}
-        assert checked == 1294
 
 
 class TestPrunedNodesAreSound:

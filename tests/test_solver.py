@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import time
@@ -14,7 +15,7 @@ from quadratize.bruteforce import (
 )
 from quadratize.output import render_result
 from quadratize.parsing import parse_system
-from quadratize.polynomials import ODESystem, add_term, divisors
+from quadratize.polynomials import MAX_EXPONENT_DIGITS, ODESystem, add_term, divisors
 from quadratize.solver import (
     MAX_EXPONENT,
     ExponentTooLarge,
@@ -205,7 +206,7 @@ class TestExponentBound:
             raise AssertionError("the search started")
 
         monkeypatch.setattr(quadratize.solver, "generate_children", no_search)
-        for exponent in (MAX_EXPONENT + 1, 10 ** 301):
+        for exponent in (MAX_EXPONENT + 1, 10 ** MAX_EXPONENT_DIGITS - 1):
             system = parse_system(f"x' = x + y^2\ny' = y^{exponent}")
             with pytest.raises(ExponentTooLarge, match=f"exponent {exponent} of y ") as info:
                 bnb_search(system)
@@ -219,8 +220,9 @@ class TestExponentBound:
             bnb_search(parse_system("x' = x^7"))
 
     def test_laurent_lifting_takes_any_exponent(self):
-        result = laurent_quadratize(parse_system(f"x' = x^{10 ** 301}"))
-        assert result.new_vars == ((10 ** 301 - 1,),)
+        largest = 10 ** MAX_EXPONENT_DIGITS - 1
+        result = laurent_quadratize(parse_system(f"x' = x^{largest}"))
+        assert result.new_vars == ((largest - 1,),)
 
 
 class TestRuleConfigurations:
@@ -722,3 +724,23 @@ class TestSkippingKeepsTheAnswer:
     def test_wide_chain_skips_nothing(self):
         _, stats = bnb_search(parse_system(allen_cahn_text(10)))
         assert (stats.nodes_visited, stats.pruned_by_symmetry) == (11, 0)
+
+
+# SHA-256 over the answers for the systems of test_documents_hash_to_the_pin:
+# for each system in turn, its structured document without the stats, then
+# its Laurent document.  A change that keeps every answer keeps the pin.
+ANSWERS_SHA256 = "4de02e24e67907e11309a7bb07f1d07c34f8ad85574867dc6c86633d74a496d5"
+
+
+class TestAnswersUnchanged:
+    def test_documents_hash_to_the_pin(self, worked_systems, soundness_corpus):
+        systems = ([benchmark_system(family, n) for family in ("cubic_cycle", "cubic_bicycle")
+                    for n in (5, 6)]
+                   + [benchmark_system("rf"), parse_system(allen_cahn_text(10))]
+                   + list(worked_systems.values()) + soundness_corpus)
+        digest = hashlib.sha256()
+        for system in systems:
+            document = bnb_search(system)[0].document._replace(stats=None)
+            digest.update(render_result(document, "structured").encode())
+            digest.update(render_result(laurent_quadratize(system).document, "structured").encode())
+        assert digest.hexdigest() == ANSWERS_SHA256
