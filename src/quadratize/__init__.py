@@ -24,7 +24,6 @@ from .polynomials import (
     lie_derivative,
 )
 from .solver import (
-    ExponentTooLarge,
     NoQuadratizationWithinCap,
     QuadratizationResult,
     SearchStats,
@@ -38,7 +37,6 @@ from .state import SearchState
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExponentTooLarge",
     "Monomial",
     "NoQuadratizationWithinCap",
     "ODESystem",

@@ -5,10 +5,9 @@ quadratization, and prints it as text or as the structured JSON document.
 The search always runs with all three pruning rules; they change how many
 subproblems it visits, never the answer, and demos/02_pruning_rules.py
 measures what each buys.  Exit codes: 0 success, 1 unreadable or
-unparseable input, or an exponent above solver.MAX_EXPONENT without
---laurent, 2 invalid options (an unknown benchmark or a bad benchmark size,
-or --max-order or --stats given with --laurent), 3 no quadratization within
---max-order.
+unparseable input, 2 invalid options (an unknown benchmark or a bad
+benchmark size, or --max-order or --stats given with --laurent), 3 no
+quadratization within --max-order.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import sys
 from .output import render_result
 from .parsing import ParseError, parse_system
 from .solver import (
-    ExponentTooLarge,
     NoQuadratizationWithinCap,
     benchmark_system,
     bnb_search,
@@ -104,9 +102,6 @@ def main(argv=None) -> int:
 
     try:
         result, stats = bnb_search(system, max_order_cap=args.max_order)
-    except ExponentTooLarge as exc:
-        sys.stderr.write(f"quadratize: error: {exc}\n")
-        return 1
     except NoQuadratizationWithinCap as exc:
         sys.stderr.write(f"quadratize: error: {exc}\n")
         return 3

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 from .polynomials import Monomial, ODESystem, ParamExponents, sorted_terms
@@ -79,7 +80,11 @@ def _signed_sum(pieces: list[str]) -> str:
 def format_coefficient(coeff: Fraction, params: ParamExponents,
                        param_names: tuple[str, ...]) -> str:
     """Display a rational-times-parameter coefficient, e.g. ``-3/2*a^2``."""
-    return _scaled(str(coeff), format_monomial(params, param_names))
+    # str() of an int stops at 4,300 digits, Decimal at none: a derivative's
+    # coefficient can be longer than the input's.
+    num, den = Decimal(coeff.numerator), Decimal(coeff.denominator)
+    return _scaled(f"{num}/{den}" if den != 1 else f"{num}",
+                   format_monomial(params, param_names))
 
 
 def _format_term(term: ResultTerm, param_names: tuple[str, ...]) -> str:

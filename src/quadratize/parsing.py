@@ -14,7 +14,7 @@ cancel (``x' = a - a``) is dropped, so a rendered system parses back equal.
 Each term is built in one pass: one coefficient and one exponent list each
 for the variables and the parameters.  A power of a number, an identifier or
 a one-term parenthesized expression only scales that accumulator, so
-``x^3000000`` costs no more than ``x^3``.  Products and powers of
+``x^1000000`` costs no more than ``x^3``.  Products and powers of
 parenthesized expressions with several terms are multiplied out, one
 polynomial product per unit of the exponent; one equation may spend at most
 ``MAX_EXPANSION`` term products on them, and an input needing more is
@@ -24,10 +24,9 @@ cancels.  A coefficient's numerator and denominator stay below
 ``MAX_COEFFICIENT_DIGITS`` decimal digits, the bound ``polynomials`` defines
 and ``ODESystem`` applies again; the parser checks it early, so that an error
 has a location and a power that would cross the bound is rejected before it
-is computed, at the number or ``(`` it raises.  Exponents of variables and
-parameters stay within ``MAX_EXPONENT_DIGITS`` digits the same way: an
-exponent that crosses the bound is rejected at the identifier or ``(`` it
-raises.
+is computed, at the number or ``(`` it raises.  A term that crosses
+``polynomials.too_many_divisors`` is rejected the same way, at the identifier
+or ``(`` where it does: ``x^100*y^100*z^100`` at the ``z``.
 """
 
 from __future__ import annotations
@@ -37,13 +36,14 @@ from fractions import Fraction
 
 from .polynomials import (
     MAX_COEFFICIENT_DIGITS,
-    MAX_EXPONENT_DIGITS,
+    MAX_EXPONENT,
     ODESystem,
     add_term,
     coefficient_too_long,
-    exponent_too_long,
+    divisor_count,
     is_identifier,
     polynomial_mul,
+    too_many_divisors,
 )
 
 
@@ -84,8 +84,8 @@ def _fail_coefficient(tok):
     _fail(tok, f"coefficient has more than {MAX_COEFFICIENT_DIGITS} digits")
 
 
-def _fail_exponent(tok):
-    _fail(tok, f"exponent has more than {MAX_EXPONENT_DIGITS} digits")
+def _fail_divisors(tok):
+    _fail(tok, f"term has more than {MAX_EXPONENT + 1} divisors")
 
 
 def _tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
@@ -158,13 +158,13 @@ class _ExpressionParser:
         _fail_coefficient(tok)
 
     def bounded(self, poly: dict, tok) -> dict:
-        """poly, after failing at tok if one of its coefficients or exponents
-        has too many digits."""
+        """poly, after failing at tok if one of its coefficients has too many
+        digits or one of its terms too many divisors."""
         for (mono, params), coeff in poly.items():
             if coefficient_too_long(coeff):
                 _fail_coefficient(tok)
-            if exponent_too_long(max(mono + params)):
-                _fail_exponent(tok)
+            if too_many_divisors(mono) or too_many_divisors(params):
+                _fail_divisors(tok)
         return poly
 
     def exponent(self) -> int:
@@ -211,6 +211,9 @@ class _ExpressionParser:
         first = tokens[self.pos]
         mono = [0] * len(self.var_index)
         params = [0] * len(self.param_index)
+        # divisor_count of mono and of params, kept as each factor changes
+        # one exponent, so that a factor costs O(1) and not O(variables).
+        counts = [1, 1]
         num = den = 1
         product = None
         while True:
@@ -233,12 +236,14 @@ class _ExpressionParser:
                 k = self.exponent()
                 idx = self.var_index.get(tok[1])
                 if idx is not None:
-                    exponents = mono
+                    exponents, part = mono, 0
                 else:
-                    exponents, idx = params, self.param_index[tok[1]]
+                    exponents, part, idx = params, 1, self.param_index[tok[1]]
+                # too_many_divisors(exponents), from the count before the factor.
+                counts[part] = counts[part] // (exponents[idx] + 1) * (exponents[idx] + k + 1)
                 exponents[idx] += k
-                if exponent_too_long(exponents[idx]):
-                    _fail_exponent(tok)
+                if counts[part] > MAX_EXPONENT + 1:
+                    _fail_divisors(tok)
             elif kind == "(":
                 if self.depth == MAX_NESTING:
                     _fail(tok, f"parentheses nested deeper than {MAX_NESTING}")
@@ -258,8 +263,9 @@ class _ExpressionParser:
                     ((m, p), c), = inner.items()
                     mono = [a + e * k for a, e in zip(mono, m)]
                     params = [a + e * k for a, e in zip(params, p)]
-                    if exponent_too_long(max(mono + params)):
-                        _fail_exponent(tok)
+                    if too_many_divisors(mono) or too_many_divisors(params):
+                        _fail_divisors(tok)
+                    counts = [divisor_count(mono), divisor_count(params)]
                     num = self.power(num, c.numerator, k, tok)
                     den = self.power(den, c.denominator, k, tok)
                 else:

@@ -116,22 +116,6 @@ class NoQuadratizationWithinCap(ValueError):
         self.lower_bound = cap + 1
 
 
-# Branching enumerates the divisors of a nonsquare, at least one per unit
-# of its largest exponent: x' = x^1000000 takes about 12 s and 0.5 GB on
-# 2 vCPUs, and Python cannot enumerate a range past sys.maxsize at all.
-MAX_EXPONENT = 1_000_000
-
-
-class ExponentTooLarge(ValueError):
-    """The system has an exponent above MAX_EXPONENT, too large to search."""
-
-    def __init__(self, variable: str, exponent: int):
-        super().__init__(f"the exponent {exponent} of {variable} is above {MAX_EXPONENT}, "
-                         "the largest the search takes")
-        self.variable = variable
-        self.exponent = exponent
-
-
 # The key of a set costs one image per group element, so a larger group is
 # replaced by the identity; so is one whose search takes more steps.
 MAX_GROUP_ORDER = 64
@@ -257,15 +241,13 @@ def bnb_search(system: ODESystem, *,
     still optimal, and NoQuadratizationWithinCap is raised when every
     quadratization needs more than max_order_cap new variables.  It must be
     None or a non-negative int (a bool is not one); anything else raises
-    ValueError.  A system with an exponent above MAX_EXPONENT raises
-    ExponentTooLarge, a ValueError, before the search starts.
+    ValueError.  The search checks no size of its own: ODESystem admits no
+    term with more than MAX_EXPONENT + 1 divisors
+    (polynomials.too_many_divisors).
     """
     if max_order_cap is not None and (type(max_order_cap) is not int or max_order_cap < 0):
         raise ValueError("max_order_cap must be None or a non-negative int, "
                          f"not {max_order_cap!r}")
-    for variable, exponent in zip(system.variables, per_variable_degrees(system)):
-        if exponent > MAX_EXPONENT:
-            raise ExponentTooLarge(variable, exponent)
     nodes = pruned_packing = pruned_quadratic = pruned_c4 = pruned_symmetry = updates = 0
     box = degree_box_order(system)
     bound = box if max_order_cap is None else min(box, max_order_cap + 1)

@@ -5,8 +5,7 @@ import time
 import pytest
 
 from quadratize.cli import main
-from quadratize.parsing import MAX_COEFFICIENT_DIGITS, MAX_EXPONENT_DIGITS
-from quadratize.solver import MAX_EXPONENT
+from quadratize.polynomials import MAX_COEFFICIENT_DIGITS, MAX_EXPONENT
 
 from conftest import allen_cahn_text
 
@@ -20,6 +19,9 @@ BAD_BENCHMARKS = {
     "cubic_cycle:x": "benchmark size must be an integer, not 'x'",
     "cubic_cycle:": "benchmark size must be an integer, not ''",
     "scalar_power": "scalar_power needs an exponent n >= 1",
+    # the parser's error, raised through benchmark_system
+    f"scalar_power:{MAX_EXPONENT + 1}":
+        f"line 1, column 6: term has more than {MAX_EXPONENT + 1} divisors",
 }
 
 
@@ -194,53 +196,65 @@ class TestCoefficientBound:
             # z1 = x^2 and z1' = 2*x*x' = 2*largest*z1^2, one digit longer.
             assert str(2 * largest) in out
 
+    def test_derivative_coefficient_longer_than_str_renders(self, capsys, monkeypatch):
+        # z1 = x*y has z1' = (1/Q1 + 1/Q2)*z1^2, whose denominator Q1*Q2 has
+        # about 8,000 digits, more than str() renders of an int.
+        q1, q2 = 10 ** 3998 + 1, 10 ** 3998 + 3
+        text = f"x' = 1/{q1}*x^2*y\ny' = 1/{q2}*x*y^2\n"
+        # (Q1 + Q2)/(Q1*Q2) = (2*10^3998 + 4)/(10^7996 + 4*10^3998 + 3)
+        zeros = "0" * 3997
+        coeff = f"2{zeros}4/1{zeros}4{zeros}3"
+        for options in ((), ("--format", "structured"), ("--laurent",)):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, err = run_cli(capsys, *options)
+            assert (code, err) == (0, "")
+            assert coeff in out
+
 
 class TestExponentBound:
-    HUGE = 10 ** MAX_EXPONENT_DIGITS - 1  # the largest exponent the parser takes
+    @staticmethod
+    def error(column):
+        return (f"quadratize: error: line 1, column {column}: term has more than "
+                f"{MAX_EXPONENT + 1} divisors\n")
 
     def test_huge_exponent_is_a_one_line_error(self, capsys, monkeypatch):
-        # Branching used to end in an OverflowError traceback from divisors.
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"x' = x^{self.HUGE}\n"))
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys)
-        assert time.perf_counter() - start < 1.0
-        assert code == 1
-        assert out == ""
-        assert err == (f"quadratize: error: the exponent {self.HUGE} of x is above "
-                       f"{MAX_EXPONENT}, the largest the search takes\n")
+        # One above the bound, and one of 200 digits.
+        for exponent in (MAX_EXPONENT + 1, 10 ** 200 - 1):
+            monkeypatch.setattr("sys.stdin", io.StringIO(f"x' = x^{exponent}\n"))
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out, err) == (1, "", self.error(6))
 
-    def test_laurent_takes_a_huge_exponent(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"x' = x^{self.HUGE}\n"))
-        code, out, err = run_cli(capsys, "--laurent")
-        assert code == 0
-        assert err == ""
-        assert f"z1 = x^{self.HUGE - 1}" in out
-
-    # Each used to end in a traceback: Python could not print the exponent,
-    # or the coefficient a derivative multiplies by it.
+    # Each of the first four used to end in a traceback: Python could not
+    # print the exponent, or the coefficient a derivative multiplies by it.
+    # x^100*y^100*z^100 has 101^3 divisors: its search did not finish in 120 s.
     @pytest.mark.parametrize("text,column,options", [
         (f"x' = (x^{'9' * 3000})^{'9' * 3000}", 7, ()),
         (f"x' = (x^{'9' * 3000})^{'9' * 3000}", 7, ("--laurent",)),
         (f"x' = x^2 + (a^{'9' * 3000})^{'9' * 3000}", 13, ()),
         (f"x' = {'9' * 3999}*x^{'9' * 1000}", 4006, ("--laurent",)),
+        ("x' = x^100*y^100*z^100\ny' = y\nz' = z", 18, ()),
+        ("x' = x^100*y^100*z^100\ny' = y\nz' = z", 18, ("--laurent",)),
+        (f"x' = x^2 + a^{MAX_EXPONENT + 1}", 12, ()),
+        (f"x' = x^2 + a^{MAX_EXPONENT + 1}", 12, ("--laurent",)),
+        ("x' = (x^1000)^1001", 6, ()),
     ])
     def test_over_long_exponent_is_a_one_line_error(self, capsys, monkeypatch,
                                                     text, column, options):
         monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+        start = time.perf_counter()
         code, out, err = run_cli(capsys, *options)
-        assert code == 1
-        assert out == ""
-        assert err == (f"quadratize: error: line 1, column {column}: exponent has more than "
-                       f"{MAX_EXPONENT_DIGITS} digits\n")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", self.error(column))
 
     def test_largest_exponent_and_coefficient_render_under_laurent(self, capsys, monkeypatch):
-        # z1 = x^(E-1)*y^(E-1), and z1' sums one term per variable:
-        # z1' = 2*(E-1)*C*z1^2, the largest coefficient a derivative forms
-        # from these bounds in two variables.
-        e, c = self.HUGE, 10 ** MAX_COEFFICIENT_DIGITS - 1
-        text = f"x' = {c}*x^{e}*y^{e - 1}\ny' = {c}*x^{e - 1}*y^{e}\n"
+        # z1 = x^(E-1) and z1' = (E-1)*C*z1^2, one exponent times the
+        # largest coefficient.
+        e, c = MAX_EXPONENT, 10 ** MAX_COEFFICIENT_DIGITS - 1
         for fmt in ("text", "structured"):
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            monkeypatch.setattr("sys.stdin", io.StringIO(f"x' = {c}*x^{e}\n"))
             code, out, err = run_cli(capsys, "--laurent", "--format", fmt)
             assert (code, err) == (0, "")
-            assert str(2 * (e - 1) * c) in out
+            assert str((e - 1) * c) in out
+

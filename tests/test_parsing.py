@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from quadratize.output import render_system
 from quadratize.parsing import (
     MAX_COEFFICIENT_DIGITS,
-    MAX_EXPONENT_DIGITS,
     MAX_EXPANSION,
     MAX_NESTING,
     ParseError,
     parse_system,
 )
-from quadratize.polynomials import ODESystem, is_identifier
+from quadratize.polynomials import MAX_EXPONENT, ODESystem, is_identifier
 
 from conftest import WORKED_EXAMPLES, build_random_corpus
 
@@ -74,9 +73,9 @@ class TestGrammar:
 
     def test_huge_atom_power_is_direct(self):
         start = time.perf_counter()
-        sys = parse_system("x' = x^3000000")
+        sys = parse_system(f"x' = x^{MAX_EXPONENT}")
         assert time.perf_counter() - start < 1
-        assert sys.rhs[0] == {((3000000,), ()): Fraction(1)}
+        assert sys.rhs[0] == {((MAX_EXPONENT,), ()): Fraction(1)}
 
     def test_cancelled_parameters_are_dropped(self):
         sys = parse_system("x' = a - a + b*x\ny' = c*y - y*c")
@@ -86,8 +85,8 @@ class TestGrammar:
         assert parse_system("x' = a - a").parameters == ()
 
 
-# The least exponent with one digit too many.
-_EXPONENT_LIMIT = 10 ** MAX_EXPONENT_DIGITS
+# An exponent of 201 digits, far above the bound.
+_HUGE_EXPONENT = 10 ** 200
 
 # Two of these add up to 10 ** MAX_COEFFICIENT_DIGITS, one digit too many.
 _HALF_LIMIT_TERM = f"5*10^{MAX_COEFFICIENT_DIGITS - 1}*x^2"
@@ -190,25 +189,42 @@ class TestErrors:
             assert max(abs(coeff.numerator), coeff.denominator) < 10 ** MAX_COEFFICIENT_DIGITS
 
     @pytest.mark.parametrize("text,column", [
-        (f"x^{_EXPONENT_LIMIT}", 6),
-        (f"x^{_EXPONENT_LIMIT - 1}*x", 7 + len(f"x^{_EXPONENT_LIMIT - 1}")),
-        (f"x*a^{_EXPONENT_LIMIT}", 8),
-        (f"(x^{10 ** (MAX_EXPONENT_DIGITS // 2)})^{10 ** (MAX_EXPONENT_DIGITS // 2)}", 6),
+        (f"x^{_HUGE_EXPONENT}", 6),
+        (f"x^{_HUGE_EXPONENT - 1}*x", 6),
+        (f"x*a^{_HUGE_EXPONENT}", 8),
+        (f"(x^{10 ** 100})^{10 ** 100}", 7),
+        (f"(x^{_HUGE_EXPONENT - 1} + 1)^2", 7),
+        (f"x*(x^{_HUGE_EXPONENT - 1} + 1)", 9),
+        (f"x^{MAX_EXPONENT + 1}", 6),
+        (f"x^{MAX_EXPONENT}*x", 6 + len(f"x^{MAX_EXPONENT}*")),
+        ("(x^1000)^1001", 6),
+        # 101^3 divisors once z joins; the parameters are bounded on their own
+        ("x^100*y^100*z^100", 18),
+        (f"x^2 + a^{MAX_EXPONENT + 1}", 12),
+        ("x*a^1000*b^1000", 15),
+        ("(x^1000)*y^1000", 15),
         # the product of the expansion, and a one-term factor times it
-        (f"(x^{_EXPONENT_LIMIT - 1} + 1)^2", 6),
-        (f"x*(x^{_EXPONENT_LIMIT - 1} + 1)", 6),
+        (f"(x^{MAX_EXPONENT} + 1)^2", 6),
+        (f"x*(x^{MAX_EXPONENT} + 1)", 6),
     ])
     def test_exponent_bound_is_located(self, text, column):
+        start = time.perf_counter()
         with pytest.raises(ParseError) as err:
-            parse_system(f"x' = {text}")
+            parse_system(f"x' = {text}\ny' = 0\nz' = 0")
+        assert time.perf_counter() - start < 1
         assert (err.value.line, err.value.column) == (1, column)
-        assert err.value.reason == f"exponent has more than {MAX_EXPONENT_DIGITS} digits"
+        assert err.value.reason == f"term has more than {MAX_EXPONENT + 1} divisors"
 
     def test_largest_exponent_is_admitted(self):
-        largest = _EXPONENT_LIMIT - 1
-        system = parse_system(f"x' = a^{largest}*x^{largest} + (x^{largest - 1} + 1)*x")
-        assert set(system.rhs[0]) == {((largest,), (largest,)), ((largest,), (0,)),
-                                      ((1,), (0,))}
+        largest = MAX_EXPONENT
+        # 101 * 9,901 = MAX_EXPONENT + 1 divisors, as many as x^MAX_EXPONENT.
+        half = largest // 2
+        system = parse_system(f"x' = a^{largest}*x^{largest} + (x^{largest - 1} + 1)*x"
+                              f" + x^100*y^9900 + b^100*c^9900 + y^{half}*y^{half}\ny' = 0")
+        assert set(system.rhs[0]) == {((largest, 0), (largest, 0, 0)),
+                                      ((largest, 0), (0, 0, 0)), ((1, 0), (0, 0, 0)),
+                                      ((100, 9900), (0, 0, 0)), ((0, 0), (0, 100, 9900)),
+                                      ((0, largest), (0, 0, 0))}
 
     @pytest.mark.parametrize("prefix", ["x' = ", "x' = x^", "x' = 1/"])
     def test_overlong_literal_is_located(self, prefix):

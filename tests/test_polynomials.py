@@ -10,7 +10,7 @@ from quadratize.solver import bnb_search
 from quadratize.output import render_result
 from quadratize.polynomials import (
     MAX_COEFFICIENT_DIGITS,
-    MAX_EXPONENT_DIGITS,
+    MAX_EXPONENT,
     ODESystem,
     add_term,
     degree,
@@ -230,18 +230,21 @@ class TestODESystem:
             with pytest.raises(ValueError, match="digits"):
                 ODESystem(("x",), (), ({((3,), ()): coeff},))
 
+    # One divisor too many in either tuple: 2 * 3 * 166,667 = MAX_EXPONENT + 2.
     # 10 ** 5000 used to reach the search, whose error message could not
     # print it.
     @pytest.mark.parametrize("mono,params", [
-        ((10 ** MAX_EXPONENT_DIGITS,), (0,)),
-        ((1,), (10 ** MAX_EXPONENT_DIGITS,)),
-        ((10 ** 5000,), (0,)),
+        ((1, 2, 166666), (0, 0, 0)),
+        ((0, 0, 0), (MAX_EXPONENT + 1, 0, 0)),
+        ((10 ** 5000, 0, 0), (0, 0, 0)),
     ])
     def test_rejects_too_long_exponents(self, mono, params):
-        with pytest.raises(ValueError, match=f"more than {MAX_EXPONENT_DIGITS} digits"):
-            ODESystem(("x",), ("a",), ({(mono, params): 1},))
-        largest = 10 ** MAX_EXPONENT_DIGITS - 1
-        ODESystem(("x",), ("a",), ({((largest,), (largest,)): 1},))
+        names = (("x", "y", "z"), ("a", "b", "c"))
+        with pytest.raises(ValueError, match=f"more than {MAX_EXPONENT + 1} divisors"):
+            ODESystem(*names, ({(mono, params): 1}, {}, {}))
+        # 101 * 9,901 = MAX_EXPONENT + 1 divisors, as many as x^MAX_EXPONENT.
+        for largest in ((MAX_EXPONENT, 0, 0), (100, 9900, 0)):
+            ODESystem(*names, ({(largest, largest): 1}, {}, {}))
 
     def test_largest_coefficient_is_accepted_and_renders(self):
         largest = 10 ** MAX_COEFFICIENT_DIGITS - 1

@@ -6,6 +6,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+import quadratize.polynomials
 import quadratize.solver
 from quadratize.bruteforce import (
     box_candidates,
@@ -14,11 +15,9 @@ from quadratize.bruteforce import (
     quadratization_violations,
 )
 from quadratize.output import render_result
-from quadratize.parsing import parse_system
-from quadratize.polynomials import MAX_EXPONENT_DIGITS, ODESystem, add_term, divisors
+from quadratize.parsing import ParseError, parse_system
+from quadratize.polynomials import MAX_EXPONENT, ODESystem, add_term, divisors
 from quadratize.solver import (
-    MAX_EXPONENT,
-    ExponentTooLarge,
     NoQuadratizationWithinCap,
     SearchStats,
     automorphisms,
@@ -201,28 +200,24 @@ class TestMaxOrderCap:
 
 
 class TestExponentBound:
-    def test_exponent_above_the_bound_raises_before_the_search(self, monkeypatch):
-        def no_search(state):
-            raise AssertionError("the search started")
-
-        monkeypatch.setattr(quadratize.solver, "generate_children", no_search)
-        for exponent in (MAX_EXPONENT + 1, 10 ** MAX_EXPONENT_DIGITS - 1):
-            system = parse_system(f"x' = x + y^2\ny' = y^{exponent}")
-            with pytest.raises(ExponentTooLarge, match=f"exponent {exponent} of y ") as info:
-                bnb_search(system)
-            assert isinstance(info.value, ValueError)
-            assert (info.value.variable, info.value.exponent) == ("y", exponent)
+    # A term above the bound never reaches the search: the parser and
+    # ODESystem reject it, so bnb_search holds no check of its own.
+    def test_exponent_above_the_bound_raises_before_the_search(self):
+        for exponent in (MAX_EXPONENT + 1, 10 ** 200 - 1):
+            with pytest.raises(ParseError, match=f"more than {MAX_EXPONENT + 1} divisors"):
+                parse_system(f"x' = x + y^2\ny' = y^{exponent}")
+            with pytest.raises(ValueError, match=f"more than {MAX_EXPONENT + 1} divisors"):
+                ODESystem(("x", "y"), (), ({((1, 0), ()): 1}, {((0, exponent), ()): 1}))
 
     def test_exponent_at_the_bound_is_searched(self, monkeypatch):
-        monkeypatch.setattr(quadratize.solver, "MAX_EXPONENT", 6)
-        assert bnb_search(parse_system("x' = x^6"))[0].order == 1
-        with pytest.raises(ExponentTooLarge, match="exponent 7 of x is above 6,"):
-            bnb_search(parse_system("x' = x^7"))
-
-    def test_laurent_lifting_takes_any_exponent(self):
-        largest = 10 ** MAX_EXPONENT_DIGITS - 1
-        result = laurent_quadratize(parse_system(f"x' = x^{largest}"))
-        assert result.new_vars == ((largest - 1,),)
+        # With the bound at 5, a term may have 6 divisors: x^5 and x*y^2 do.
+        monkeypatch.setattr(quadratize.polynomials, "MAX_EXPONENT", 5)
+        system = ODESystem(("x", "y"), (), ({((5, 0), ()): 1}, {((1, 2), ()): 1}))
+        result, _ = bnb_search(system)
+        assert is_quadratization(system, result.new_vars)
+        for mono in ((6, 0), (1, 3)):
+            with pytest.raises(ValueError, match="more than 6 divisors"):
+                ODESystem(("x", "y"), (), ({(mono, ()): 1}, {((0, 1), ()): 1}))
 
 
 class TestRuleConfigurations:
@@ -507,8 +502,20 @@ class TestAutomorphisms:
     def test_shared_parameter_keeps_the_swap(self):
         assert len(automorphisms(parse_system("x' = a*y^3\ny' = a*x^3"))) == 2
 
+    def test_group_above_the_order_bound_falls_back_to_the_identity(self, monkeypatch):
+        def diagonal(n):
+            return parse_system("\n".join(f"x{i}' = x{i}^2" for i in range(n)))
+
+        assert sorted(automorphisms(diagonal(4))) == sorted(permutations(range(4)))
+        # The symmetric group on 5 variables has 120 elements, more than
+        # MAX_GROUP_ORDER, and is found within the step budget.
+        assert automorphisms(diagonal(5)) == (tuple(range(5)),)
+        monkeypatch.setattr(quadratize.solver, "MAX_GROUP_ORDER", 120)
+        assert len(automorphisms(diagonal(5))) == 120
+
     def test_large_group_falls_back_to_the_identity(self):
-        # The symmetric group on 10 variables has 3,628,800 elements.
+        # The symmetric group on 10 variables has 3,628,800 elements; the
+        # search passes MAX_AUTOMORPHISM_STEPS before it finds them.
         system = parse_system("\n".join(f"x{i}' = x{i}^3" for i in range(10)))
         start = time.perf_counter()
         group = automorphisms(system)
