@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product, repeat
-from operator import add, le, mod, sub
+from operator import add, countOf, le, mod, sub
 
 Monomial = tuple[int, ...]
 ParamExponents = tuple[int, ...]
@@ -71,7 +71,7 @@ def too_many_divisors(exponents) -> bool:
 def is_exponent_tuple(exponents, length: int) -> bool:
     """Whether exponents is a tuple of `length` ints; a bool is not one."""
     return (type(exponents) is tuple and len(exponents) == length
-            and all(type(e) is int for e in exponents))
+            and countOf(map(type, exponents), int) == length)
 
 
 def is_identifier(name) -> bool:
@@ -196,7 +196,7 @@ class ODESystem:
             for (mono, params), coeff in poly.items():
                 if not (is_exponent_tuple(mono, n) and is_exponent_tuple(params, np_)):
                     raise ValueError(f"a term's exponents must be tuples of {n} and {np_} ints")
-                if min(mono + params) < 0:
+                if min(mono) < 0 or min(params, default=0) < 0:
                     raise ValueError("negative exponents are not allowed in a system")
                 if too_many_divisors(mono) or too_many_divisors(params):
                     raise ValueError(f"a term has more than {MAX_EXPONENT + 1} divisors")

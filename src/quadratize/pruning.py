@@ -15,9 +15,12 @@ disjoint-sets lower bound for hitting set.  The packing is greedy,
 smallest C(m) first (packs).  The search also applies it to a child before
 building it, from the parent and the child's additions A: a nonsquare of
 the parent that is not a product with a factor in A (state.is_product)
-stays a nonsquare of the child, with C(m) - A as its set there, and the
-bound holds for any subset of the nonsquares.  The sets come from the
-state (SearchState.factor_set), which builds each at most once.
+stays a nonsquare of the child, with C(m) = D(m) - vars_set - A as its set
+there, and the bound holds for any subset of the nonsquares.  D(m), the
+set of all divisors of m, depends on m alone, so the rule keeps it in a
+dict the caller passes in, one per search, and builds each at most once
+there and only on demand: x^1000000 has a million divisors.  This module
+is the only one that builds a factor set.
 
 Rule 2 bounds how many nonsquares r additional variables could cover: each
 new variable z covers at most mult(z) nonsquares of the form z*v with v a
@@ -43,6 +46,7 @@ from .polynomials import (
     Monomial,
     degree,
     divides,
+    divisors,
     grlex_key,
     is_square,
     monomial_mul,
@@ -132,17 +136,21 @@ def packs(sets, need: int) -> bool:
 
 
 def prune_by_packing_bound(state: SearchState, incumbent_order: int,
-                           added: tuple[Monomial, ...] = ()) -> bool:
+                           added: tuple[Monomial, ...] = (),
+                           divisor_sets: dict | None = None) -> bool:
     """Same contract as prune_by_quadratic_bound for state.extended(added),
     via disjoint factor sets, decided without building that state.
 
     The sets packed are those of the state's nonsquares that the additions
     leave uncovered (is_product with the additions): each stays a nonsquare
-    of the extended state, with C(m) - added as its set there.  Packing a
-    subset of the nonsquares keeps the bound sound; with no additions it is
-    the rule on the state itself.  k kept sets need k more variables, and k
-    never exceeds the number of sets, so no set is built when there are
-    already too few, nor when one variable is needed.
+    of the extended state, with C(m) = D(m) - vars_set - added as its set
+    there.  Packing a subset of the nonsquares keeps the bound sound; with
+    no additions it is the rule on the state itself.  divisor_sets maps m
+    to D(m) and is filled here; the search passes one per search, and
+    without it each call uses a fresh one, with the same answer.  k kept
+    sets need k more variables, and k never exceeds the number of sets, so
+    no set is built when there are already too few, nor when one variable
+    is needed.
     """
     need = incumbent_order - len(state.new_vars) - len(added)
     if need <= 0:
@@ -159,7 +167,12 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     left = list(left)
     if len(left) < need:
         return False
-    return packs([(state.factor_set(m).difference(added), m) for m in left], need)
+    if divisor_sets is None:
+        divisor_sets = {}
+    for m in left:
+        if m not in divisor_sets:
+            divisor_sets[m] = frozenset(divisors(m))
+    return packs([(divisor_sets[m].difference(state.vars_set, added), m) for m in left], need)
 
 
 def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:

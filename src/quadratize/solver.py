@@ -15,14 +15,9 @@ the parent alone.  A child with at least as many new variables as the bound
 is skipped: neither it nor any superset can beat the incumbent.  A child is
 also skipped when the packing rule, applied to the parent's nonsquares
 that the child's additions leave uncovered, needs as many more variables
-as the child is short of the bound.  Such a nonsquare is not a product
-with one of the additions as a factor (state.is_product with the
-additions), so it stays a nonsquare of the child, and its set of factors
-there is the parent's minus the additions; the rule's argument holds for
-any subset of the child's nonsquares.  One short of the bound, any such
-nonsquare is enough.  Neither skip changes the answer.  The factor sets
-are the state's own (SearchState.factor_set), so each node builds each set
-at most once, for its own packing rule and its children's.
+as the child is short of the bound (prune_by_packing_bound, whose
+docstring and module give the argument).  Neither skip changes the
+answer.
 
 The search also skips repeated and symmetric subproblems.  Once per search
 it finds the system's automorphisms: the permutations of the variables that
@@ -216,27 +211,23 @@ def bnb_search(system: ODESystem, *,
 
     Before a child is extended, with size its number of new variables, it
     is skipped when size >= bound, or when the packing rule proves from the
-    parent that every completion of the child has at least `bound`
-    variables: the parent's nonsquares that the child's additions leave
-    uncovered (is_product) stay nonsquares of the child, with the parent's
-    factor sets (SearchState.factor_set) minus the additions, and when
-    greedy packing finds bound - size of them pairwise disjoint, the child
-    needs that many more.  So
-    neither skip loses a strictly better incumbent.  Skipped children are
-    counted in no statistic and never enter the orbit table, which so holds
+    parent and the child's additions that every completion of the child
+    has at least `bound` variables (prune_by_packing_bound).  So neither
+    skip loses a strictly better incumbent.  Skipped children are counted
+    in no statistic and never enter the orbit table, which so holds
     visited sets only, as the module docstring's argument needs.
 
     Every visited node that is not a quadratization goes through the
-    packing rule, then the pair-count rule, then the graph rule.  The
-    packing rule finds nonsquares whose sets of factors outside the current
-    variables are pairwise disjoint; any completion needs a new variable in
-    each such set, so k of them need k more variables.  All three are sound
-    lower bounds, so they change only the number of nodes visited, never
-    the answer.  Such a node has a nonsquare to cover, so each rule's bound
-    is at least its depth + 1: a node the rules keep has depth + 1 < bound,
-    and no separate depth cutoff is needed.
+    packing rule, then the pair-count rule, then the graph rule; one dict
+    of divisor sets serves every packing call of the search.  All three
+    are sound lower bounds, so they change only the number of nodes
+    visited, never the answer.  Such a node has a nonsquare to cover, so
+    each rule's bound is at least its depth + 1: a node the rules keep has
+    depth + 1 < bound, and no separate depth cutoff is needed.
 
     Deterministic: identical inputs give identical results and statistics.
+    The result's new_vars are in graded-lex order, the order of the
+    document's names: new_vars[i] is z(i+1).
     max_order_cap, when set, is the search's initial bound: the result is
     still optimal, and NoQuadratizationWithinCap is raised when every
     quadratization needs more than max_order_cap new variables.  It must be
@@ -255,6 +246,7 @@ def bnb_search(system: ODESystem, *,
     root = SearchState.initial(system)
     group = automorphisms(system)
     seen = set()  # orbit keys of the visited sets of new variables
+    divisor_sets = {}  # the packing rule's D(m), for both of its calls
     # Depth-first over a stack of (parent, iterator of its children); a
     # child is extended only when it is visited.  It is skipped before that
     # when it is too large to beat the bound, when the packing of the
@@ -270,7 +262,7 @@ def bnb_search(system: ODESystem, *,
         size = len(parent.new_vars) + len(added)
         if size >= bound:
             continue
-        if prune_by_packing_bound(parent, bound, added):
+        if prune_by_packing_bound(parent, bound, added, divisor_sets):
             continue
         key = orbit_key(parent.new_vars + added, group)
         if key in seen:
@@ -284,7 +276,7 @@ def bnb_search(system: ODESystem, *,
             best, bound = state.new_vars, size
             updates += 1
             continue
-        if prune_by_packing_bound(state, bound):
+        if prune_by_packing_bound(state, bound, (), divisor_sets):
             pruned_packing += 1
             continue
         if prune_by_quadratic_bound(state, bound):
@@ -301,9 +293,9 @@ def bnb_search(system: ODESystem, *,
         best = initial_incumbent(system)[0]
     stats = SearchStats(nodes, pruned_packing, pruned_quadratic, pruned_c4, pruned_symmetry,
                         updates, len(best))
-    document = root.extended(best).extract_quadratic_system(stats=stats.as_dict())
-    result = QuadratizationResult(new_vars=best, order=len(best), optimal=True,
-                                  document=document)
+    final = root.extended(best)
+    result = QuadratizationResult(new_vars=final.new_vars, order=len(best), optimal=True,
+                                  document=final.extract_quadratic_system(stats=stats.as_dict()))
     return result, stats
 
 

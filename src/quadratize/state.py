@@ -19,10 +19,9 @@ tests the old nonsquares against the additions alone.
 States are immutable snapshots: their four fields never change.
 ``extended`` returns a new state and only updates the nonsquares its
 additions can change, taking derivatives from the memo on the
-``ODESystem``, which is what makes deep DFS cheap.  The packing rule's
-factor sets C(m) are derived data in a memo filled once per key, like
-that one, and only on demand (``factor_set``): ``x^1000000`` has a million
-divisors.  A carried nonsquare keeps its set minus the additions.
+``ODESystem``, which is what makes deep DFS cheap.  What the pruning rules
+derive from a state (the packing rule's factor sets among it) is theirs to
+build and keep; see ``pruning.py``.
 
 In the search every generalized variable has non-negative exponents.  The
 Laurent lifting (``solver.laurent_quadratize``) builds a state whose
@@ -51,11 +50,6 @@ from .polynomials import (
 )
 
 
-def uncovered_factors(m: Monomial, vars_set) -> frozenset[Monomial]:
-    """C(m): the divisors of m that are not in vars_set."""
-    return frozenset(d for d in divisors(m) if d not in vars_set)
-
-
 def is_product(m: Monomial, vars_set, introduced) -> bool:
     """Whether m is a product of two generalized variables, given all of them
     (`vars_set`) and the introduced ones among them that may be a factor."""
@@ -64,14 +58,13 @@ def is_product(m: Monomial, vars_set, introduced) -> bool:
 
 
 class SearchState:
-    __slots__ = ("system", "new_vars", "vars_set", "nonsquares", "_factor_sets")
+    __slots__ = ("system", "new_vars", "vars_set", "nonsquares")
 
     def __init__(self, system: ODESystem, new_vars, vars_set, nonsquares):
         self.system = system
         self.new_vars = new_vars          # tuple[Monomial], insertion order
         self.vars_set = vars_set          # frozenset[Monomial], incl. 1 and x_i
         self.nonsquares = nonsquares      # frozenset[Monomial]
-        self._factor_sets = {}            # nonsquare -> C(m), filled by factor_set
 
     @classmethod
     def initial(cls, system: ODESystem) -> "SearchState":
@@ -111,19 +104,7 @@ class SearchState:
             fresh |= lie_derivative_support(a, system)
         fresh -= self.nonsquares
         keep.extend(m for m in fresh if not is_product(m, vars_set, new_vars))
-        child = SearchState(system, new_vars, vars_set, frozenset(keep))
-        # fresh excludes this state's nonsquares, so the memo's keys that
-        # are nonsquares of the child are the ones it carries over.
-        child._factor_sets = {m: cover.difference(added)
-                              for m, cover in self._factor_sets.items() if m in child.nonsquares}
-        return child
-
-    def factor_set(self, m: Monomial) -> frozenset[Monomial]:
-        """C(m) for a nonsquare m: its divisors outside vars_set, built once."""
-        cover = self._factor_sets.get(m)
-        if cover is None:
-            cover = self._factor_sets[m] = uncovered_factors(m, self.vars_set)
-        return cover
+        return SearchState(system, new_vars, vars_set, frozenset(keep))
 
     @property
     def is_quadratization(self) -> bool:

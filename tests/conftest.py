@@ -1,6 +1,7 @@
 """Shared fixtures: worked example systems, the random test corpus, the
-factorizations of a monomial and the nonsquares of a state from the
-definition, and the pruning-rule configurations of the ablation."""
+factorizations of a monomial, and the nonsquares of a state and the
+packing rule's factor sets from the definition, and the pruning-rule
+configurations of the ablation."""
 
 import random
 from contextlib import contextmanager
@@ -67,6 +68,12 @@ def definition_nonsquares(state):
     for z in state.new_vars:
         derived |= lie_derivative_support(z, state.system)
     return derived - explicit_product_set(state)
+
+
+def definition_factor_set(m, vars_set):
+    """C(m) straight from the definition: the factors of m's factorizations
+    that are not in vars_set."""
+    return {f for pair in factor_pairs(m) for f in pair} - set(vars_set)
 
 
 RULE_CONFIGS = ("none", "packing", "quadratic", "c4", "all")

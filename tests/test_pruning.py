@@ -1,10 +1,12 @@
 import random
 from itertools import combinations, combinations_with_replacement
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadratize.pruning
 import quadratize.solver
 from quadratize.bruteforce import box_candidates, is_quadratization
 from quadratize.parsing import parse_system
@@ -20,9 +22,9 @@ from quadratize.pruning import (
     smallest_k,
 )
 from quadratize.solver import benchmark_system, bnb_search
-from quadratize.state import SearchState, uncovered_factors
+from quadratize.state import SearchState, is_product
 
-from conftest import factor_pairs, rules, wide_box
+from conftest import definition_factor_set, rules, wide_box
 
 
 class TestQuotientMultiplicities:
@@ -174,14 +176,36 @@ def packing_root_bound(system):
     return max(n for n in range(len(root.nonsquares) + 1) if prune_by_packing_bound(root, n))
 
 
+MONOMIALS = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
+
+
 class TestPackingBound:
-    @given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)),
-           st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)),
-                   max_size=12))
+    @given(st.sets(MONOMIALS, min_size=2, max_size=4), st.sets(MONOMIALS, max_size=12),
+           st.sets(MONOMIALS, max_size=3))
     @settings(max_examples=150, deadline=None)
-    def test_uncovered_factors_are_the_new_factors_of_decompositions(self, m, vars_set):
-        factors = {f for pair in factor_pairs(m) for f in pair}
-        assert uncovered_factors(m, frozenset(vars_set)) == factors - vars_set
+    def test_uncovered_factors_are_the_new_factors_of_decompositions(self, nonsquares,
+                                                                     vars_set, added):
+        # At need 2, the rule packs one set for each nonsquare the additions
+        # leave uncovered, when there are two or more: C(m) over the state's
+        # variables and the additions, as the definition gives it.
+        vars_set = frozenset(vars_set | {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)})
+        nonsquares = {m for m in nonsquares if not is_product(m, vars_set, vars_set)}
+        state = SearchState(None, (), vars_set, frozenset(nonsquares))
+        added = tuple(sorted(added - vars_set))
+        after = state.vars_set.union(added)
+        left = {m for m in state.nonsquares if not is_product(m, after, added)}
+        packed = []
+
+        def recording(sets, need):
+            packed.extend(sets)
+            return real_packs(sets, need)
+
+        real_packs = quadratize.pruning.packs
+        with mock.patch.object(quadratize.pruning, "packs", recording):
+            prune_by_packing_bound(state, len(added) + 2, added)
+        assert sorted(m for _, m in packed) == (sorted(left) if len(left) >= 2 else [])
+        for cover, m in packed:
+            assert cover == definition_factor_set(m, after), m
 
     @pytest.mark.parametrize("name,n,bound", [
         ("cubic_cycle", 6, 6),

@@ -10,13 +10,14 @@ import quadratize.polynomials
 import quadratize.solver
 from quadratize.bruteforce import (
     box_candidates,
+    brute_force_optimal,
     document_violations,
     is_quadratization,
     quadratization_violations,
 )
 from quadratize.output import render_result
 from quadratize.parsing import ParseError, parse_system
-from quadratize.polynomials import MAX_EXPONENT, ODESystem, add_term, divisors
+from quadratize.polynomials import MAX_EXPONENT, ODESystem, add_term, divisors, grlex_key
 from quadratize.solver import (
     NoQuadratizationWithinCap,
     SearchStats,
@@ -131,6 +132,30 @@ class TestSearch:
             result, _ = bnb_search(system)
             assert quadratization_violations(system, result.new_vars) == []
             assert document_violations(system, result.document) == []
+
+    def test_new_vars_are_in_the_order_of_the_names(self, worked_systems, random_corpus):
+        # new_vars[i] is the variable the document names z(i+1), so new_vars
+        # is in graded-lex order, not the order of the path that found it.
+        result, _ = bnb_search(worked_systems["rabinovich_fabrikant"])
+        assert result.new_vars == ((0, 2, 0), (1, 1, 0), (2, 0, 0))
+        assert [name for name, _, _ in result.document.new_variables] == ["z1", "z2", "z3"]
+        for system in list(worked_systems.values()) + random_corpus:
+            result, _ = bnb_search(system)
+            assert result.new_vars == tuple(z for _, z, _ in result.document.new_variables)
+            assert list(result.new_vars) == sorted(result.new_vars, key=grlex_key)
+
+    def test_every_soundness_system_matches_the_oracle(self, soundness_corpus):
+        # The oracle is exhaustive within a box, and the search may use a
+        # variable outside the wide box: system 59's optimum of 3 holds
+        # x2^5, and within the wide box the least order there is 4.  So
+        # the box also holds the search's variables.
+        system = soundness_corpus[59]
+        assert bnb_search(system)[0].order == 3
+        assert brute_force_optimal(system, wide_box(system))[0] == 4
+        for system in soundness_corpus:
+            result, _ = bnb_search(system)
+            box = tuple(map(max, zip(wide_box(system), *result.new_vars)))
+            assert brute_force_optimal(system, box)[0] == result.order
 
     def test_deterministic(self, worked_systems):
         for system in worked_systems.values():

@@ -17,10 +17,11 @@ from quadratize.polynomials import (
     variable_monomial,
 )
 from quadratize.solver import benchmark_system, bnb_search, laurent_quadratize
-from quadratize.state import SearchState, is_product, uncovered_factors
+from quadratize.state import SearchState, is_product
 
 from conftest import (
     allen_cahn_text,
+    definition_factor_set,
     definition_nonsquares,
     explicit_product_set,
     factor_pairs,
@@ -298,90 +299,73 @@ class TestEveryVisitedNode:
             assert len(checked) == stats.nodes_visited + 1
 
     def test_factor_sets_are_recounts_built_once(self, random_corpus, monkeypatch):
-        # The packing rule's factor sets live in the state's memo.  At every
-        # node the search builds, and at every visited node once the search
-        # is done, the memo holds only current nonsquares m, each with C(m)
-        # recomputed over the node's variables.  Every set the rule packs,
-        # for a node or for a child before it is extended, is the node's
-        # set minus the child's additions, for a nonsquare of the child.  No
-        # set over the same variables is built twice in a search.
-        original = SearchState.extended
+        # The packing rule's sets, for a node or for a child before it is
+        # extended: every set packed is C(m) over the child's variables, as
+        # the definition gives it, for a nonsquare m of the child.  The rule
+        # keeps the divisors of each m in one memo per search, so no
+        # monomial's divisors are listed twice in a search.
         real_rule = quadratize.solver.prune_by_packing_bound
         real_packs = quadratize.pruning.packs
-        visited = []
+        real_divisors = quadratize.pruning.divisors
         context = []
         builds = Counter()
         checked = 0
 
-        def assert_memo_is_a_recount(state):
-            for m, cover in state._factor_sets.items():
-                assert m in state.nonsquares, (state.new_vars, m)
-                assert cover == uncovered_factors(m, state.vars_set), (state.new_vars, m)
-
-        def checking(state, monomials):
-            child = original(state, monomials)
-            assert_memo_is_a_recount(child)
-            visited.append(child)
-            return child
-
-        def tracking_rule(state, bound, added=()):
+        def tracking_rule(state, bound, added, divisor_sets):
             context[:] = state, added
-            return real_rule(state, bound, added)
+            return real_rule(state, bound, added, divisor_sets)
 
         def checking_packs(sets, need):
             nonlocal checked
             state, added = context
-            nonsquares = original(state, added).nonsquares
+            child = state.extended(added)
             for cover, m in sets:
-                assert m in nonsquares
-                assert cover == state._factor_sets[m].difference(added)
+                assert m in child.nonsquares, (child.new_vars, m)
+                assert cover == definition_factor_set(m, child.vars_set), (child.new_vars, m)
                 checked += 1
             return real_packs(sets, need)
 
-        def counting_factors(m, vars_set):
-            builds[vars_set, m] += 1
-            return uncovered_factors(m, vars_set)
+        def counting_divisors(m):
+            builds[m] += 1
+            return real_divisors(m)
 
-        monkeypatch.setattr(SearchState, "extended", checking)
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", tracking_rule)
         monkeypatch.setattr(quadratize.pruning, "packs", checking_packs)
-        monkeypatch.setattr(quadratize.state, "uncovered_factors", counting_factors)
+        monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
         for system in random_corpus + [benchmark_system("cubic_cycle", 4)]:
-            visited.clear()
             builds.clear()
             bnb_search(system)
-            for state in visited:
-                assert_memo_is_a_recount(state)
             assert set(builds.values()) <= {1}
         assert checked == 1294
 
     def test_too_few_nonsquares_build_no_set(self, random_corpus, monkeypatch):
         # k packed sets need k more variables, and k never exceeds the
-        # number of sets, so the packing rule builds no set when fewer
+        # number of sets, so the packing rule lists no divisors when fewer
         # nonsquares are left than it needs, nor when it needs one variable
         # (every C(m) holds m itself).
         real_rule = quadratize.solver.prune_by_packing_bound
+        real_divisors = quadratize.pruning.divisors
         builds = 0
         lazy_calls = 0
 
-        def counting_factors(m, vars_set):
+        def counting_divisors(m):
             nonlocal builds
             builds += 1
-            return uncovered_factors(m, vars_set)
+            return real_divisors(m)
 
-        def checking_rule(state, bound, added=()):
+        def checking_rule(state, bound, added, divisor_sets):
             nonlocal lazy_calls
             need = bound - len(state.new_vars) - len(added)
             vars_set = state.vars_set.union(added)
             left = [m for m in state.nonsquares if not is_product(m, vars_set, added)]
             before = builds
-            pruned = real_rule(state, bound, added)
+            pruned = real_rule(state, bound, added, divisor_sets)
             if need <= 1 or len(left) < need:
                 assert builds == before, (state.new_vars, added, bound)
                 lazy_calls += 1
             return pruned
 
-        monkeypatch.setattr(quadratize.state, "uncovered_factors", counting_factors)
+        monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", checking_rule)
         for system in random_corpus + [benchmark_system("cubic_cycle", 4)]:
             bnb_search(system)
