@@ -22,10 +22,14 @@ children only add variables).  The search also calls the packing rule on a
 parent and a child's additions before it extends the child, and skips the
 child when the parent's nonsquares it leaves uncovered already need
 enough variables to reach the incumbent's order; switching the packing
-rule off switches that skip off too.  One check before a child is extended is not a
-rule and stays on in every column, "no pruning" included: a child as large
-as the incumbent is skipped.  Skipped children are not counted as visited
-nodes.
+rule off switches that skip off too.  Two checks before a child is
+extended are not rules and stay on in every column, "no pruning" included:
+a child as large as the incumbent is skipped, and so is a child that
+contains what an earlier sibling of it or of an ancestor added (sibling
+exclusion: once that sibling's subtree is done, no set containing it can
+beat the incumbent).  Exclusion's banned variables, single forbidden
+additions, reach the packing rule only, so they count only where it is
+on.  Skipped children are not counted as visited nodes.
 
 Both families are symmetric: rotating the variables (and, for the bicycle,
 reversing them) maps the system onto itself.  The search skips a child whose

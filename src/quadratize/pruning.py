@@ -22,6 +22,12 @@ dict the caller passes in, one per search, and builds each at most once
 there and only on demand: x^1000000 has a million divisors.  This module
 is the only one that builds a factor set.
 
+Both calls may also get banned variables: monomials that no completion
+below the bound contains (sibling exclusion; see solver.py).  The rule
+then bounds only the completions that avoid them, which have a new
+variable in C(m) minus the banned ones, so it packs those sets; a
+nonsquare with nothing left has no such completion at all.
+
 Rule 2 bounds how many nonsquares r additional variables could cover: each
 new variable z covers at most mult(z) nonsquares of the form z*v with v a
 current variable (mult taken from the quotient multiset), and products of
@@ -123,10 +129,13 @@ def packs(sets, need: int) -> bool:
     """Whether greedy packing keeps `need` pairwise disjoint sets.
 
     `sets` holds (C, m) pairs.  They are taken in order of (size of C,
-    graded-lex m), and each C disjoint from those kept is kept.
+    graded-lex m), and each C disjoint from those kept is kept.  An empty
+    C comes first and packs any need: nothing can cover its m.
     """
     packed: set[Monomial] = set()
     for cover, _ in sorted(sets, key=lambda c: (len(c[0]), grlex_key(c[1]))):
+        if not cover:
+            return True
         if packed.isdisjoint(cover):
             packed |= cover
             need -= 1
@@ -137,7 +146,8 @@ def packs(sets, need: int) -> bool:
 
 def prune_by_packing_bound(state: SearchState, incumbent_order: int,
                            added: tuple[Monomial, ...] = (),
-                           divisor_sets: dict | None = None) -> bool:
+                           divisor_sets: dict | None = None,
+                           banned=frozenset()) -> bool:
     """Same contract as prune_by_quadratic_bound for state.extended(added),
     via disjoint factor sets, decided without building that state.
 
@@ -145,7 +155,10 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     leave uncovered (is_product with the additions): each stays a nonsquare
     of the extended state, with C(m) = D(m) - vars_set - added as its set
     there.  Packing a subset of the nonsquares keeps the bound sound; with
-    no additions it is the rule on the state itself.  divisor_sets maps m
+    no additions it is the rule on the state itself.  With banned
+    variables, which the caller guarantees no completion below
+    incumbent_order contains, each set also loses them, and a nonsquare
+    left with an empty set prunes at once.  divisor_sets maps m
     to D(m) and is filled here; the search passes one per search, and
     without it each call uses a fresh one, with the same answer.  k kept
     sets need k more variables, and k never exceeds the number of sets, so
@@ -172,7 +185,8 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     for m in left:
         if m not in divisor_sets:
             divisor_sets[m] = frozenset(divisors(m))
-    return packs([(divisor_sets[m].difference(state.vars_set, added), m) for m in left], need)
+    return packs([(divisor_sets[m].difference(state.vars_set, added, banned), m) for m in left],
+                 need)
 
 
 def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:

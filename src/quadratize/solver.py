@@ -10,14 +10,28 @@ quadratization of provably minimal order, plus search statistics.  The order
 of the box is counted in closed form; the box itself is built only when it is
 the optimum.
 
-Two kinds of children are skipped before they are extended, decided from
-the parent alone.  A child with at least as many new variables as the bound
-is skipped: neither it nor any superset can beat the incumbent.  A child is
-also skipped when the packing rule, applied to the parent's nonsquares
-that the child's additions leave uncovered, needs as many more variables
-as the child is short of the bound (prune_by_packing_bound, whose
-docstring and module give the argument).  Neither skip changes the
-answer.
+Three kinds of children are skipped before they are extended, decided
+from the parent alone.  A child with at least as many new variables as the
+bound is skipped: neither it nor any superset can beat the incumbent.  A
+child is also skipped when it contains a forbidden set (sibling
+exclusion, below).  And a child is skipped when the packing rule, applied
+to the parent's nonsquares that the child's additions leave uncovered,
+needs as many more variables as the child is short of the bound
+(prune_by_packing_bound, whose docstring and module give the argument).
+None of the three changes the answer.
+
+Sibling exclusion.  The children of a node P cover every quadratization
+T that contains P: T covers the branch monomial, so it contains one of
+the children.  Depth first, the child P + A is handled (skipped, pruned,
+or visited with its whole subtree) before the next child is drawn, and
+after that no quadratization containing P + A is smaller than the bound,
+which only falls.  So in the subtrees of P's later children a set that
+contains A cannot beat the bound: A is forbidden there, and a child whose
+variables contain a forbidden set is skipped.  A forbidden set of one
+variable z bans z: a completion that beats the bound avoids z, so the
+packing rule leaves z out of every factor set, in both of its calls.  A
+child's forbidden sets are its parent's plus the additions of its earlier
+siblings.
 
 The search also skips repeated and symmetric subproblems.  Once per search
 it finds the system's automorphisms: the permutations of the variables that
@@ -29,10 +43,14 @@ already there is skipped before it is extended.  This never changes the
 answer: a visited set that is not an ancestor of the child has been fully
 explored under a bound at least the current one, ancestors are strictly
 smaller, and images of a set have completions of the same sizes, so the
-skipped subtree holds no strictly better incumbent.  The two skips above
-come first and their sets never enter the table, so it holds visited sets
-only and the argument is unchanged; a later image of a skipped set is judged
-afresh, like any child.  When the group is larger than MAX_GROUP_ORDER, or
+skipped subtree holds no strictly better incumbent.  Exclusion keeps
+"fully explored": the completions of a visited set that contain a
+forbidden set are at least the bound that held when it was forbidden, so
+its subtree still holds every completion below the bound or one no
+larger.  The three skips above come first and their sets never enter the
+table, so it holds visited sets only and the argument is unchanged; a
+later image of a skipped set is judged afresh, like any child.  When the
+group is larger than MAX_GROUP_ORDER, or
 finding it takes more than MAX_AUTOMORPHISM_STEPS steps, the identity alone
 is used, which still skips sets reached by a second path.
 """
@@ -125,9 +143,14 @@ def automorphisms(system: ODESystem) -> tuple[tuple[int, ...], ...]:
     gives the right-hand side of sigma[i] term for term: same monomials, same
     coefficients, same parameter exponents.  Found one level at a time: the
     partial maps of variables 0..level-1 are each extended by every unused
-    variable with the same invariants as variable `level`, and a term is
-    checked as soon as its equation and its variables are all assigned.  So
-    the group comes out in lexicographic order.  Returns the identity alone
+    candidate with the same invariants as variable `level`, and a term is
+    checked as soon as its equation and its variables are all assigned.
+    When such a term holds variable `level`, the candidates are the
+    variables that complete its image under the partial map to a term of
+    the system, usually one or two, which keeps the search about linear
+    in n on cycles and chains; otherwise they are every variable with
+    those invariants.  Candidates are taken in increasing order, so the
+    group comes out in lexicographic order.  Returns the identity alone
     when the group has more than MAX_GROUP_ORDER elements or the search
     spends more than MAX_AUTOMORPHISM_STEPS steps, one per unused candidate
     and one per term checked.
@@ -157,7 +180,23 @@ def automorphisms(system: ODESystem) -> tuple[tuple[int, ...], ...]:
     classes = {}
     for v, inv in enumerate(invariants):
         classes.setdefault(inv, []).append(v)
-    candidates = [classes[inv] for inv in invariants]
+    kind = [classes[inv][0] for inv in invariants]  # the least variable of the class
+
+    def hole(term, v, sigma):
+        """The term renamed by sigma, with -1 wherever variable v stands."""
+        i, sparse, params, coeff = term
+        return (sigma[i] if i != v else -1,
+                frozenset((sigma[j] if j != v else -1, e) for j, e in sparse), params, coeff)
+
+    # Each term with a hole at one of its variables, to the variables that
+    # fill the hole with a term of the system.
+    fillers = {}
+    for term in terms:
+        i, sparse, _, _ = term
+        for v in {i}.union(j for j, _ in sparse):
+            fillers.setdefault(hole(term, v, identity[0]), []).append(v)
+    for filling in fillers.values():
+        filling.sort()
 
     # Each partial map is (images of variables 0..level-1, bitmask of those
     # images), and has passed the checks of levels 0..level-1.
@@ -166,8 +205,12 @@ def automorphisms(system: ODESystem) -> tuple[tuple[int, ...], ...]:
     for level in range(n):
         extended = []
         for images, used in partials:
-            for t in candidates[level]:
-                if used >> t & 1:
+            # A term of checks[level] holds `level`, and its other variables
+            # are assigned.
+            candidates = (fillers.get(hole(checks[level][0], level, images), ())
+                          if checks[level] else classes[invariants[level]])
+            for t in candidates:
+                if used >> t & 1 or kind[t] != kind[level]:
                     continue
                 steps += 1 + len(checks[level])
                 if steps > MAX_AUTOMORPHISM_STEPS:
@@ -210,16 +253,21 @@ def bnb_search(system: ODESystem, *,
     """Find a minimal-order monomial quadratization by branch and bound.
 
     Before a child is extended, with size its number of new variables, it
-    is skipped when size >= bound, or when the packing rule proves from the
-    parent and the child's additions that every completion of the child
-    has at least `bound` variables (prune_by_packing_bound).  So neither
-    skip loses a strictly better incumbent.  Skipped children are counted
-    in no statistic and never enter the orbit table, which so holds
-    visited sets only, as the module docstring's argument needs.
+    is skipped when size >= bound; when its variables contain a forbidden
+    set, the additions of an earlier sibling of it or of an ancestor; or
+    when the packing rule proves from the parent and the child's additions
+    that every completion of the child that avoids the banned variables
+    (the forbidden sets of one variable) has at least `bound` variables
+    (prune_by_packing_bound).  So no skip loses a strictly better
+    incumbent (the module docstring gives the exclusion argument).
+    Skipped children are counted in no statistic and never enter the
+    orbit table, which so holds visited sets only, as the module
+    docstring's argument needs.
 
     Every visited node that is not a quadratization goes through the
-    packing rule, then the pair-count rule, then the graph rule; one dict
-    of divisor sets serves every packing call of the search.  All three
+    packing rule, with the node's banned variables, then the pair-count
+    rule, then the graph rule; one dict of divisor sets serves every
+    packing call of the search.  All three
     are sound lower bounds, so they change only the number of nodes
     visited, never the answer.  Such a node has a nonsquare to cover, so
     each rule's bound is at least its depth + 1: a node the rules keep has
@@ -247,22 +295,53 @@ def bnb_search(system: ODESystem, *,
     group = automorphisms(system)
     seen = set()  # orbit keys of the visited sets of new variables
     divisor_sets = {}  # the packing rule's D(m), for both of its calls
-    # Depth-first over a stack of (parent, iterator of its children); a
-    # child is extended only when it is visited.  It is skipped before that
-    # when it is too large to beat the bound, when the packing of the
+    # The sets forbidden on the stack, kept in place: a set of one variable
+    # is banned, and a pair {a, b} makes b a partner of a and a of b.  Each
+    # frame lists the sets it forbade, and they are lifted when it is popped.
+    # So a child's test looks only at the forbidden sets that meet its
+    # additions, and a child too large for the bound costs none.
+    banned = set()
+    partners = {}
+    # Depth-first over a stack of (parent, iterator of its children, the
+    # sets its children forbade); a child is extended only when it is
+    # visited.  It is skipped before that when it is too large to beat the
+    # bound, when it contains a forbidden set, when the packing of the
     # parent's nonsquares it leaves uncovered reaches the bound, or when an
     # image of its set was visited.
-    stack = [(root, iter(((),)))]
+    stack = [(root, iter(((),)), [])]
     while stack:
-        parent, children = stack[-1]
+        parent, children, settled = stack[-1]
         added = next(children, None)
         if added is None:
             stack.pop()
+            for forbidden in settled:
+                if len(forbidden) == 1:
+                    banned.remove(forbidden[0])
+                else:
+                    a, b = forbidden
+                    partners[a].remove(b)
+                    partners[b].remove(a)
             continue
         size = len(parent.new_vars) + len(added)
         if size >= bound:
-            continue
-        if prune_by_packing_bound(parent, bound, added, divisor_sets):
+            continue  # so is every set that contains it: forbidding it cuts nothing
+        # Only a forbidden set that meets `added` can newly fit: the parent
+        # holds none but the additions of the nodes on the stack, which are
+        # still forbidden in their own subtrees and never meet `added`.
+        if not banned.isdisjoint(added) or any(
+                b in added or b in parent.vars_set for a in added for b in partners.get(a, ())):
+            continue  # forbidding it excludes nothing new: it holds a forbidden set
+        # Depth first, this child is handled before its next sibling is
+        # drawn, so it is forbidden from here on.
+        if len(added) == 1:
+            banned.add(added[0])
+            settled.append(added)
+        elif added:
+            a, b = added
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
+            settled.append(added)
+        if prune_by_packing_bound(parent, bound, added, divisor_sets, banned):
             continue
         key = orbit_key(parent.new_vars + added, group)
         if key in seen:
@@ -276,7 +355,7 @@ def bnb_search(system: ODESystem, *,
             best, bound = state.new_vars, size
             updates += 1
             continue
-        if prune_by_packing_bound(state, bound, (), divisor_sets):
+        if prune_by_packing_bound(state, bound, (), divisor_sets, banned):
             pruned_packing += 1
             continue
         if prune_by_quadratic_bound(state, bound):
@@ -285,7 +364,7 @@ def bnb_search(system: ODESystem, *,
         if prune_by_c4_bound(state, bound):
             pruned_c4 += 1
             continue
-        stack.append((state, iter(generate_children(state))))
+        stack.append((state, iter(generate_children(state)), []))
 
     if best is None:
         if max_order_cap is not None and max_order_cap < box:

@@ -88,7 +88,9 @@ def rules(config):
     by one that never prunes, the graph rule by the trivial bound, which
     prunes a node as deep as the incumbent.  The search also calls the
     packing rule to skip children before extending them, so switching it
-    off switches that skip off too.  The real rules are back on exit.
+    off switches that skip off too.  Sibling exclusion is no rule and stays
+    on in every configuration; its banned variables act only through the
+    packing rule.  The real rules are back on exit.
     """
     if config not in RULE_CONFIGS:
         raise ValueError(f"unknown rule configuration {config!r}")

@@ -547,9 +547,27 @@ class TestAutomorphisms:
         assert time.perf_counter() - start < 0.2
         assert group == (tuple(range(10)),)
 
-    def test_step_budget_falls_back_to_the_identity(self):
+    def test_long_cycles_and_bicycles_are_found_whole(self):
+        # Each level after the first takes its candidates from a term whose
+        # other variables are assigned: one on a cycle, two on a bicycle.
+        for n in range(22, 31):
+            rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
+            assert automorphisms(benchmark_system("cubic_cycle", n)) == tuple(rotations)
+        for n in range(16, 21):
+            rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
+            reflections = [tuple((k - i) % n for i in range(n)) for k in range(n)]
+            assert (automorphisms(benchmark_system("cubic_bicycle", n))
+                    == tuple(sorted(rotations + reflections)))
+
+    def test_step_budget_falls_back_to_the_identity(self, monkeypatch):
+        system = benchmark_system("cubic_cycle", 60)
         start = time.perf_counter()
-        group = automorphisms(benchmark_system("cubic_cycle", 60))
+        assert len(automorphisms(system)) == 60
+        assert time.perf_counter() - start < 0.5
+        # Its search takes 7,200 steps.
+        monkeypatch.setattr(quadratize.solver, "MAX_AUTOMORPHISM_STEPS", 1_000)
+        start = time.perf_counter()
+        group = automorphisms(system)
         assert time.perf_counter() - start < 0.5
         assert group == (tuple(range(60)),)
 
@@ -651,7 +669,7 @@ class TestSkippedChildrenAreSound:
                 assert found is None, (
                     f"skipped {new_vars} at bound {bound}, but {found} quadratizes")
                 checked += 1
-        assert checked == 61
+        assert checked == 25
 
     def test_completion_below_finds_known_optima(self, worked_systems):
         # The checker above is only as good as this search.
@@ -718,13 +736,109 @@ class TestChildrenSkippedBeforeExtensionAreSound:
                     f"skipped {parent.new_vars + added} at bound {bound}, "
                     f"but {found} quadratizes")
                 checked += 1
-        assert checked == 643
+        assert checked == 636
+
+
+class TestExcludedChildrenAreSound:
+    # Once a child P + A of a node P has been handled, no quadratization
+    # that contains P + A beats the bound, so the later subtrees of P skip
+    # every set that contains A, and a banned variable (an A of one member)
+    # is left out of their packing sets.  The bound is followed from
+    # outside, as above.
+
+    def test_excluded_children_have_no_smaller_completion(
+            self, soundness_corpus, monkeypatch):
+        # A child below the bound that never reaches the packing skip, which
+        # runs right after exclusion, was excluded: no quadratization drawn
+        # from the wide-box candidates that contains it has fewer variables
+        # than the bound.
+        tracked = {}
+        pulled = []  # [parent, added, bound when the search took it, packed]
+        original_children = quadratize.solver.generate_children
+        original_rule = quadratize.solver.prune_by_packing_bound
+        original_extended = SearchState.extended
+
+        def recording_children(state):
+            for added in original_children(state):
+                pulled.append([state, added, tracked["bound"], False])
+                yield added
+
+        def recording_rule(state, bound, *args):
+            if pulled and state is pulled[-1][0]:
+                pulled[-1][3] = True
+            return original_rule(state, bound, *args)
+
+        def bounding_extended(state, monomials):
+            child = original_extended(state, monomials)
+            if child.is_quadratization:
+                tracked["bound"] = min(tracked["bound"], len(child.new_vars))
+            return child
+
+        monkeypatch.setattr(quadratize.solver, "generate_children", recording_children)
+        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", recording_rule)
+        monkeypatch.setattr(SearchState, "extended", bounding_extended)
+        checked = 0
+        for system in soundness_corpus + [benchmark_system("cubic_cycle", 4)]:
+            pulled.clear()
+            tracked.update(bound=degree_box_order(system))
+            bnb_search(system)
+            pool = box_candidates(system, wide_box(system))
+            for parent, added, bound, packed in pulled:
+                if packed or len(parent.new_vars) + len(added) >= bound:
+                    continue
+                found = completion_below(system, parent.new_vars + added, bound, pool)
+                assert found is None, (
+                    f"excluded {parent.new_vars + added} at bound {bound}, "
+                    f"but {found} quadratizes")
+                checked += 1
+        assert checked == 112
+
+    def test_nodes_only_the_banned_variables_prune_have_no_smaller_completion(
+            self, soundness_corpus, monkeypatch):
+        # Every call of the packing rule that prunes with the banned
+        # variables but would keep the node without them, whether for a
+        # visited node or for a child before it is extended.
+        pruned = []  # (new variables, bound, visited)
+        original_rule = quadratize.solver.prune_by_packing_bound
+
+        def recording_rule(state, bound, added, divisor_sets, banned):
+            if not original_rule(state, bound, added, divisor_sets, banned):
+                return False
+            if not original_rule(state, bound, added, divisor_sets):
+                pruned.append((state.new_vars + added, bound, not added))
+            return True
+
+        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", recording_rule)
+        visited = skipped = 0
+        for system in soundness_corpus + [benchmark_system("cubic_cycle", 4)]:
+            pruned.clear()
+            bnb_search(system)
+            pool = box_candidates(system, wide_box(system))
+            for new_vars, bound, is_visited in pruned:
+                found = completion_below(system, new_vars, bound, pool)
+                assert found is None, (
+                    f"banned variables pruned {new_vars} at bound {bound}, "
+                    f"but {found} quadratizes")
+                visited += is_visited
+                skipped += not is_visited
+        assert (visited, skipped) == (51, 40)
+
+    def test_many_siblings_cost_no_more_each(self):
+        # The root of x^200000 has 100,001 children.  The first, x^199999,
+        # sets the bound to 1, and each later one must then be skipped by
+        # size in constant time: work per child that grows with the
+        # siblings drawn before it takes minutes here.
+        start = time.perf_counter()
+        result, stats = bnb_search(benchmark_system("scalar_power", 200_000))
+        assert time.perf_counter() - start < 10
+        assert result.new_vars == ((199_999,),)
+        assert stats.optimal_order == 1
 
 
 class TestSkippingKeepsTheAnswer:
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 5, SearchStats(1425, 820, 20, 182, 0, 6, 10)),
-        ("cubic_bicycle", 5, SearchStats(394, 109, 46, 74, 0, 6, 10)),
+        ("cubic_cycle", 5, SearchStats(769, 526, 0, 3, 0, 6, 10)),
+        ("cubic_bicycle", 5, SearchStats(174, 58, 0, 2, 0, 6, 10)),
     ])
     def test_without_matches_the_stats_are_those_of_the_plain_search(
             self, monkeypatch, name, n, stats):
@@ -747,8 +861,8 @@ class TestSkippingKeepsTheAnswer:
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 6, SearchStats(1760, 1043, 6, 129, 100, 10, 12)),
-        ("cubic_bicycle", 6, SearchStats(369, 109, 20, 51, 38, 10, 12)),
+        ("cubic_cycle", 6, SearchStats(1041, 651, 0, 18, 58, 10, 12)),
+        ("cubic_bicycle", 6, SearchStats(207, 71, 0, 0, 21, 10, 12)),
     ])
     def test_pinned_node_counts(self, name, n, stats):
         assert bnb_search(benchmark_system(name, n))[1] == stats

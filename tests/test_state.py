@@ -301,7 +301,8 @@ class TestEveryVisitedNode:
     def test_factor_sets_are_recounts_built_once(self, random_corpus, monkeypatch):
         # The packing rule's sets, for a node or for a child before it is
         # extended: every set packed is C(m) over the child's variables, as
-        # the definition gives it, for a nonsquare m of the child.  The rule
+        # the definition gives it, less the banned variables, for a
+        # nonsquare m of the child.  The rule
         # keeps the divisors of each m in one memo per search, so no
         # monomial's divisors are listed twice in a search.
         real_rule = quadratize.solver.prune_by_packing_bound
@@ -311,17 +312,18 @@ class TestEveryVisitedNode:
         builds = Counter()
         checked = 0
 
-        def tracking_rule(state, bound, added, divisor_sets):
-            context[:] = state, added
-            return real_rule(state, bound, added, divisor_sets)
+        def tracking_rule(state, bound, added, divisor_sets, banned):
+            context[:] = state, added, banned
+            return real_rule(state, bound, added, divisor_sets, banned)
 
         def checking_packs(sets, need):
             nonlocal checked
-            state, added = context
+            state, added, banned = context
             child = state.extended(added)
             for cover, m in sets:
                 assert m in child.nonsquares, (child.new_vars, m)
-                assert cover == definition_factor_set(m, child.vars_set), (child.new_vars, m)
+                assert cover == definition_factor_set(m, child.vars_set) - banned, (
+                    child.new_vars, m)
                 checked += 1
             return real_packs(sets, need)
 
@@ -336,7 +338,7 @@ class TestEveryVisitedNode:
             builds.clear()
             bnb_search(system)
             assert set(builds.values()) <= {1}
-        assert checked == 1294
+        assert checked == 966
 
     def test_too_few_nonsquares_build_no_set(self, random_corpus, monkeypatch):
         # k packed sets need k more variables, and k never exceeds the
@@ -353,13 +355,13 @@ class TestEveryVisitedNode:
             builds += 1
             return real_divisors(m)
 
-        def checking_rule(state, bound, added, divisor_sets):
+        def checking_rule(state, bound, added, divisor_sets, banned):
             nonlocal lazy_calls
             need = bound - len(state.new_vars) - len(added)
             vars_set = state.vars_set.union(added)
             left = [m for m in state.nonsquares if not is_product(m, vars_set, added)]
             before = builds
-            pruned = real_rule(state, bound, added, divisor_sets)
+            pruned = real_rule(state, bound, added, divisor_sets, banned)
             if need <= 1 or len(left) < need:
                 assert builds == before, (state.new_vars, added, bound)
                 lazy_calls += 1
@@ -369,7 +371,7 @@ class TestEveryVisitedNode:
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", checking_rule)
         for system in random_corpus + [benchmark_system("cubic_cycle", 4)]:
             bnb_search(system)
-        assert lazy_calls == 1091
+        assert lazy_calls == 1022
 
         # The set of x^100000 would hold 10^5 divisors.
         builds = 0
