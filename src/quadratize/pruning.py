@@ -23,8 +23,9 @@ there and only on demand: x^1000000 has a million divisors.  This module
 is the only one that builds a factor set.
 
 Both calls may also get banned variables: monomials that no completion
-below the bound contains (sibling exclusion; see solver.py).  The rule
-then bounds only the completions that avoid them, which have a new
+below the bound contains.  They are the sets of one variable that sibling
+exclusion forbids (solver.py), each kept there as a pair with 1.  The
+rule then bounds only the completions that avoid them, which have a new
 variable in C(m) minus the banned ones, so it packs those sets; a
 nonsquare with nothing left has no such completion at all.
 

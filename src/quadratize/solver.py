@@ -31,28 +31,30 @@ variables contain a forbidden set is skipped.  A forbidden set of one
 variable z bans z: a completion that beats the bound avoids z, so the
 packing rule leaves z out of every factor set, in both of its calls.  A
 child's forbidden sets are its parent's plus the additions of its earlier
-siblings.
+siblings.  So no set is visited twice: on the later of two paths to it,
+it holds the additions of a child the earlier path visited.
 
-The search also skips repeated and symmetric subproblems.  Once per search
-it finds the system's automorphisms: the permutations of the variables that
-map every right-hand side onto the right-hand side of the image variable,
+The search also skips symmetric subproblems.  Once per search it finds
+the system's automorphisms: the permutations of the variables that map
+every right-hand side onto the right-hand side of the image variable,
 with equal coefficients and the parameters fixed.  The key of a set of new
 variables is its least image under that group, packed into one int, and a
 per-search table holds the key of every visited set.  A child whose key is
-already there is skipped before it is extended.  This never changes the
-answer: a visited set that is not an ancestor of the child has been fully
-explored under a bound at least the current one, ancestors are strictly
-smaller, and images of a set have completions of the same sizes, so the
-skipped subtree holds no strictly better incumbent.  Exclusion keeps
-"fully explored": the completions of a visited set that contain a
-forbidden set are at least the bound that held when it was forbidden, so
-its subtree still holds every completion below the bound or one no
-larger.  The three skips above come first and their sets never enter the
-table, so it holds visited sets only and the argument is unchanged; a
-later image of a skipped set is judged afresh, like any child.  When the
-group is larger than MAX_GROUP_ORDER, or
-finding it takes more than MAX_AUTOMORPHISM_STEPS steps, the identity alone
-is used, which still skips sets reached by a second path.
+there, an image of a visited set, is skipped before it is extended.  This
+never changes the answer: a visited set that is not an ancestor of the
+child has been fully explored under a bound at least the current one,
+ancestors are strictly smaller, and images of a set have completions of
+the same sizes, so the skipped subtree holds no strictly better
+incumbent.  Exclusion keeps "fully explored": the completions of a
+visited set that contain a forbidden set are at least the bound that
+held when it was forbidden, so its subtree still holds every completion
+below the bound or one no larger.  The three skips above come first and
+their sets never enter the table, so it holds visited sets only and the
+argument is unchanged; a later image of a skipped set is judged afresh,
+like any child.  When the group is larger than MAX_GROUP_ORDER, or
+finding it takes more than MAX_AUTOMORPHISM_STEPS steps, the identity
+alone is used.  Under the identity alone no table is kept: it could only
+find a set visited twice.
 """
 
 from __future__ import annotations
@@ -238,12 +240,13 @@ def orbit_key(monomials, group) -> int:
     Below that come a 0 bit and `width` 1 bits, which give `width` back.  So
     the key is injective for any exponent size.  The group must hold the
     inverse of each element: the images computed here are those under the
-    inverses.
+    inverses.  Monomials have two or more variables (one-variable groups
+    are trivial, and the search keys no set under a trivial group).
     """
     width = max(1, max((max(m) for m in monomials), default=0).bit_length())
     least = min(sorted(map(itemgetter(*sigma), monomials)) for sigma in group)
     packed = 1
-    for e in (chain.from_iterable(least) if len(group[0]) > 1 else least):
+    for e in chain.from_iterable(least):
         packed = packed << width | e
     return (packed << (width + 1)) | ((1 << width) - 1)
 
@@ -262,7 +265,7 @@ def bnb_search(system: ODESystem, *,
     incumbent (the module docstring gives the exclusion argument).
     Skipped children are counted in no statistic and never enter the
     orbit table, which so holds visited sets only, as the module
-    docstring's argument needs.
+    docstring's argument needs; under the identity alone there is none.
 
     Every visited node that is not a quadratization goes through the
     packing rule, with the node's banned variables, then the pair-count
@@ -293,17 +296,21 @@ def bnb_search(system: ODESystem, *,
     best = None
     root = SearchState.initial(system)
     group = automorphisms(system)
-    seen = set()  # orbit keys of the visited sets of new variables
+    # Orbit keys of the visited sets of new variables, kept only when the
+    # group is more than the identity: exclusion alone visits no set twice.
+    seen = set() if len(group) > 1 else None
     divisor_sets = {}  # the packing rule's D(m), for both of its calls
-    # The sets forbidden on the stack, kept in place: a set of one variable
-    # is banned, and a pair {a, b} makes b a partner of a and a of b.  Each
-    # frame lists the sets it forbade, and they are lifted when it is popped.
-    # So a child's test looks only at the forbidden sets that meet its
+    # The sets forbidden on the stack, kept in place as pairs: a pair
+    # {a, b} makes b a partner of a and a of b.  A single variable z is the
+    # pair {1, z}: 1 is a variable of every state, so the pair test covers
+    # it, and the banned variables are the partners of 1.  Each frame lists
+    # the pairs it forbade, and they are lifted when it is popped.  So a
+    # child's test looks only at the forbidden sets that meet its
     # additions, and a child too large for the bound costs none.
-    banned = set()
-    partners = {}
+    unit = unit_monomial(system.num_vars)
+    partners = {unit: set()}
     # Depth-first over a stack of (parent, iterator of its children, the
-    # sets its children forbade); a child is extended only when it is
+    # pairs its children forbade); a child is extended only when it is
     # visited.  It is skipped before that when it is too large to beat the
     # bound, when it contains a forbidden set, when the packing of the
     # parent's nonsquares it leaves uncovered reaches the bound, or when an
@@ -314,13 +321,9 @@ def bnb_search(system: ODESystem, *,
         added = next(children, None)
         if added is None:
             stack.pop()
-            for forbidden in settled:
-                if len(forbidden) == 1:
-                    banned.remove(forbidden[0])
-                else:
-                    a, b = forbidden
-                    partners[a].remove(b)
-                    partners[b].remove(a)
+            for a, b in settled:
+                partners[a].remove(b)
+                partners[b].remove(a)
             continue
         size = len(parent.new_vars) + len(added)
         if size >= bound:
@@ -328,26 +331,23 @@ def bnb_search(system: ODESystem, *,
         # Only a forbidden set that meets `added` can newly fit: the parent
         # holds none but the additions of the nodes on the stack, which are
         # still forbidden in their own subtrees and never meet `added`.
-        if not banned.isdisjoint(added) or any(
-                b in added or b in parent.vars_set for a in added for b in partners.get(a, ())):
+        if any(b in added or b in parent.vars_set for a in added for b in partners.get(a, ())):
             continue  # forbidding it excludes nothing new: it holds a forbidden set
         # Depth first, this child is handled before its next sibling is
         # drawn, so it is forbidden from here on.
-        if len(added) == 1:
-            banned.add(added[0])
-            settled.append(added)
-        elif added:
-            a, b = added
+        if added:
+            a, b = added if len(added) == 2 else (unit, *added)
             partners.setdefault(a, set()).add(b)
             partners.setdefault(b, set()).add(a)
-            settled.append(added)
-        if prune_by_packing_bound(parent, bound, added, divisor_sets, banned):
+            settled.append((a, b))
+        if prune_by_packing_bound(parent, bound, added, divisor_sets, partners[unit]):
             continue
-        key = orbit_key(parent.new_vars + added, group)
-        if key in seen:
-            pruned_symmetry += 1
-            continue
-        seen.add(key)
+        if seen is not None:
+            key = orbit_key(parent.new_vars + added, group)
+            if key in seen:
+                pruned_symmetry += 1
+                continue
+            seen.add(key)
         state = parent.extended(added)
         nodes += 1
         if state.is_quadratization:
@@ -355,7 +355,7 @@ def bnb_search(system: ODESystem, *,
             best, bound = state.new_vars, size
             updates += 1
             continue
-        if prune_by_packing_bound(state, bound, (), divisor_sets, banned):
+        if prune_by_packing_bound(state, bound, (), divisor_sets, partners[unit]):
             pruned_packing += 1
             continue
         if prune_by_quadratic_bound(state, bound):

@@ -685,12 +685,14 @@ class TestChildrenSkippedBeforeExtensionAreSound:
             self, soundness_corpus, monkeypatch):
         # The bound is followed from outside, as above.  No child is
         # extended once it is as large as the bound.  A child taken from
-        # generate_children that never reaches orbit_key was skipped before
-        # extension: unless it is as large as the bound, no quadratization
-        # drawn from the wide-box candidates that contains it has fewer
-        # variables than the bound.
+        # generate_children that is neither extended nor skipped as an
+        # image of a visited set was skipped before either: unless it is as
+        # large as the bound, no quadratization drawn from the wide-box
+        # candidates that contains it has fewer variables than the bound.
+        # Every child that passes the packing skip is one of the two,
+        # whatever the group.
         tracked = {}
-        pulled = []  # [parent, added, bound when the search took it, keyed]
+        pulled = []  # [parent, added, bound when the search took it, passed]
         extensions = []  # (size, bound) of every extended call
         original_children = quadratize.solver.generate_children
         original_key = quadratize.solver.orbit_key
@@ -702,10 +704,16 @@ class TestChildrenSkippedBeforeExtensionAreSound:
                 yield added
 
         def recording_key(monomials, group):
-            pulled[-1][3] = True
-            return original_key(monomials, group)
+            key = original_key(monomials, group)
+            if key in tracked["seen"]:
+                pulled[-1][3] = True
+            tracked["seen"].add(key)
+            return key
 
         def bounding_extended(state, monomials):
+            parent, added = pulled[-1][:2]
+            if state.new_vars == parent.new_vars and monomials == added:
+                pulled[-1][3] = True
             child = original_extended(state, monomials)
             extensions.append((len(child.new_vars), tracked["bound"]))
             if child.is_quadratization:
@@ -719,7 +727,7 @@ class TestChildrenSkippedBeforeExtensionAreSound:
         checked = 0
         for system in systems:
             extensions.clear()
-            tracked.update(bound=degree_box_order(system))
+            tracked.update(seen=set(), bound=degree_box_order(system))
             # The root's child is not pulled from generate_children.
             pulled[:] = [[SearchState.initial(system), (), tracked["bound"], False]]
             _, stats = bnb_search(system)
@@ -728,8 +736,8 @@ class TestChildrenSkippedBeforeExtensionAreSound:
             assert len(search_extensions) == stats.nodes_visited
             assert all(size < bound for size, bound in search_extensions)
             pool = box_candidates(system, wide_box(system))
-            for parent, added, bound, keyed in pulled:
-                if keyed or len(parent.new_vars) + len(added) >= bound:
+            for parent, added, bound, passed in pulled:
+                if passed or len(parent.new_vars) + len(added) >= bound:
                     continue
                 found = completion_below(system, parent.new_vars + added, bound, pool)
                 assert found is None, (
@@ -833,6 +841,57 @@ class TestExcludedChildrenAreSound:
         assert time.perf_counter() - start < 10
         assert result.new_vars == ((199_999,),)
         assert stats.optimal_order == 1
+
+
+class TestNoSetVisitedTwice:
+    # Exclusion alone keeps the search from reaching a visited set again,
+    # so under the identity alone an orbit table would skip nothing, and
+    # the search keeps none.
+
+    @pytest.fixture
+    def systems(self, soundness_corpus, worked_systems):
+        return (soundness_corpus + list(worked_systems.values()) + [benchmark_system("rf")]
+                + [benchmark_system(family, n) for family in ("cubic_cycle", "cubic_bicycle")
+                   for n in (4, 5, 6)])
+
+    def test_under_the_identity_no_set_is_extended_twice(self, systems, monkeypatch):
+        extended = []
+        original_extended = SearchState.extended
+
+        def recording_extended(state, monomials):
+            child = original_extended(state, monomials)
+            extended.append(frozenset(child.new_vars))
+            return child
+
+        monkeypatch.setattr(SearchState, "extended", recording_extended)
+        monkeypatch.setattr(quadratize.solver, "automorphisms",
+                            lambda system: (tuple(range(system.num_vars)),))
+        for system in systems:
+            extended.clear()
+            _, stats = bnb_search(system)
+            # The last call extends the root by the answer, for the document.
+            visited = extended[:-1]
+            assert len(visited) == stats.nodes_visited
+            assert len(set(visited)) == len(visited)
+
+    def test_no_orbit_key_under_a_trivial_group(self, systems, monkeypatch):
+        keyed = []
+        original_key = quadratize.solver.orbit_key
+
+        def recording_key(monomials, group):
+            keyed.append(monomials)
+            return original_key(monomials, group)
+
+        monkeypatch.setattr(quadratize.solver, "orbit_key", recording_key)
+        trivial = [system for system in systems if len(automorphisms(system)) == 1]
+        assert len(trivial) > 100
+        for system in trivial:
+            bnb_search(system)
+        assert keyed == []
+        monkeypatch.setattr(quadratize.solver, "automorphisms",
+                            lambda system: (tuple(range(system.num_vars)),))
+        bnb_search(benchmark_system("cubic_cycle", 4))
+        assert keyed == []
 
 
 class TestSkippingKeepsTheAnswer:
