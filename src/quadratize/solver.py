@@ -1,14 +1,16 @@
 """Depth-first branch-and-bound driver, Laurent lifting, and benchmark systems.
 
-The search starts from the guaranteed quadratization given by all monomials
-inside the per-variable degree box of the system (minus 1 and the variables
-themselves), which supplies the initial incumbent order (an order cap, when
-smaller, is the initial bound instead), and explores the subproblem tree
-depth first with the three pruning rules: disjoint factor-set packing, pair
+The search first builds a greedy quadratization inside the per-variable
+degree box of the system (initial_incumbent): a descent that takes the
+child with the fewest nonsquares, then the reverse-delete step of greedy
+set cover.  Its order, or an order cap when smaller, sets the initial
+bound one above it, and the search explores the subproblem tree depth
+first with the three pruning rules: disjoint factor-set packing, pair
 counting and the graph capacity bound.  The result is a monomial
-quadratization of provably minimal order, plus search statistics.  The order
-of the box is counted in closed form; the box itself is built only when it is
-the optimum.
+quadratization of provably minimal order, plus search statistics.  The
+bound starts one above the greedy order, not at it, so the search returns
+the first optimum it reaches depth first rather than the greedy set; the
+tests pin that a start from the degree box gives the same answers.
 
 Three kinds of children are skipped before they are extended, decided
 from the parent alone.  A child with at least as many new variables as the
@@ -68,15 +70,15 @@ from .parsing import parse_system
 from .polynomials import (
     Monomial,
     ODESystem,
-    divisor_count,
-    divisors,
+    divides,
     grlex_key,
+    lie_derivative_support,
     monomial_quotient,
     unit_monomial,
     variable_monomial,
 )
 from .pruning import prune_by_c4_bound, prune_by_packing_bound, prune_by_quadratic_bound
-from .state import SearchState
+from .state import SearchState, is_product
 
 
 SearchStats = namedtuple("SearchStats", "nodes_visited pruned_by_packing pruned_by_quadratic "
@@ -98,29 +100,53 @@ def per_variable_degrees(system: ODESystem) -> tuple[int, ...]:
     return maxes
 
 
-def degree_box_order(system: ODESystem) -> int:
-    """Order of the degree-box quadratization, without building the box.
-
-    The box holds prod(D_i + 1) monomials, of which 1 and every variable x_i
-    with D_i >= 1 are not introduced.
-    """
-    degrees = per_variable_degrees(system)
-    return divisor_count(degrees) - 1 - sum(1 for d in degrees if d >= 1)
-
-
 def initial_incumbent(system: ODESystem) -> tuple[tuple[Monomial, ...], int]:
-    """Degree-box quadratization, the result when the search finds no smaller one.
+    """A greedy quadratization, in graded-lex order: the search's first bound.
 
-    Every monomial with exponents bounded by the per-variable degrees, except
-    1 and the variables themselves, is introduced.  Any monomial in any
-    resulting derivative has exponents at most twice the box bound, so it
-    splits into two box monomials; hence this is always a quadratization.
+    Descent: from the root, extend every child (generate_children) whose
+    additions all divide the degree-box monomial D = per_variable_degrees,
+    and go on from the one with the fewest nonsquares; a tie goes to the
+    earlier child, and the scan stops at a child with none.  Then reverse
+    delete, as in greedy set cover: each variable, last added first, is
+    dropped when the rest still quadratize.
+
+    The descent ends, inside the box.  Every generalized variable v divides
+    D or is a variable x_i, and each monomial of v' is v / x_i times a term
+    of x_i', so every nonsquare m divides D^2.  Its pair {a, m / a} with
+    a = min(m, D), taken exponent by exponent, is two box monomials, and
+    they are not both generalized variables, so some child lies in the box.
+    Every step adds a box monomial other than 1 and the x_i, so the descent
+    stops within the box's order, prod(D_i + 1) - 1 - #{i : D_i >= 1},
+    steps, at a quadratization of at most that order.
+
+    Dropping z keeps a quadratization exactly when every monomial that z
+    divides, in the derivatives of the other generalized variables, is
+    still a product over them: a factorization of any other monomial never
+    uses z, and z' need no longer be covered.
     """
-    n = system.num_vars
-    skip = {unit_monomial(n)} | {variable_monomial(n, i) for i in range(n)}
-    box = [m for m in divisors(per_variable_degrees(system)) if m not in skip]
-    box.sort(key=grlex_key)
-    return tuple(box), len(box)
+    box = per_variable_degrees(system)
+    state = SearchState.initial(system)
+    while state.nonsquares:
+        best = None
+        for added in generate_children(state):
+            if all(divides(a, box) for a in added):
+                child = state.extended(added)
+                if best is None or len(child.nonsquares) < len(best.nonsquares):
+                    best = child
+                    if not best.nonsquares:
+                        break
+        state = best
+    kept = set(state.new_vars)
+    vars_set = set(state.vars_set)
+    for z in reversed(state.new_vars):
+        kept.remove(z)
+        vars_set.remove(z)
+        if not all(is_product(m, vars_set, kept)
+                   for v in vars_set for m in lie_derivative_support(v, system)
+                   if divides(z, m)):
+            kept.add(z)
+            vars_set.add(z)
+    return tuple(sorted(kept, key=grlex_key)), len(kept)
 
 
 class NoQuadratizationWithinCap(ValueError):
@@ -276,11 +302,16 @@ def bnb_search(system: ODESystem, *,
     each rule's bound is at least its depth + 1: a node the rules keep has
     depth + 1 < bound, and no separate depth cutoff is needed.
 
+    The first bound is one above the order of initial_incumbent, or above
+    max_order_cap when that is smaller.  A quadratization of the greedy
+    order exists, so without a cap the search always finds one itself:
+    incumbent_updates counts the quadratizations it visits, at least 1.
+
     Deterministic: identical inputs give identical results and statistics.
     The result's new_vars are in graded-lex order, the order of the
     document's names: new_vars[i] is z(i+1).
-    max_order_cap, when set, is the search's initial bound: the result is
-    still optimal, and NoQuadratizationWithinCap is raised when every
+    max_order_cap, when set, bounds the answer: the result is still
+    optimal, and NoQuadratizationWithinCap is raised when every
     quadratization needs more than max_order_cap new variables.  It must be
     None or a non-negative int (a bool is not one); anything else raises
     ValueError.  The search checks no size of its own: ODESystem admits no
@@ -291,8 +322,8 @@ def bnb_search(system: ODESystem, *,
         raise ValueError("max_order_cap must be None or a non-negative int, "
                          f"not {max_order_cap!r}")
     nodes = pruned_packing = pruned_quadratic = pruned_c4 = pruned_symmetry = updates = 0
-    box = degree_box_order(system)
-    bound = box if max_order_cap is None else min(box, max_order_cap + 1)
+    order = initial_incumbent(system)[1]
+    bound = (order if max_order_cap is None else min(order, max_order_cap)) + 1
     best = None
     root = SearchState.initial(system)
     group = automorphisms(system)
@@ -366,10 +397,8 @@ def bnb_search(system: ODESystem, *,
             continue
         stack.append((state, iter(generate_children(state)), []))
 
-    if best is None:
-        if max_order_cap is not None and max_order_cap < box:
-            raise NoQuadratizationWithinCap(max_order_cap)
-        best = initial_incumbent(system)[0]
+    if best is None:  # the greedy order is within reach, so only a cap leaves none
+        raise NoQuadratizationWithinCap(max_order_cap)
     stats = SearchStats(nodes, pruned_packing, pruned_quadratic, pruned_c4, pruned_symmetry,
                         updates, len(best))
     final = root.extended(best)

@@ -1,7 +1,8 @@
 """Shared fixtures: worked example systems, the random test corpus, the
 factorizations of a monomial, and the nonsquares of a state and the
-packing rule's factor sets from the definition, and the pruning-rule
-configurations of the ablation."""
+packing rule's factor sets from the definition, the pruning-rule
+configurations of the ablation, the degree-box quadratization, and a
+record of the bound the search starts from."""
 
 import random
 from contextlib import contextmanager
@@ -16,8 +17,11 @@ from quadratize.bruteforce import MAX_POOL, box_candidates
 from quadratize.parsing import parse_system
 from quadratize.polynomials import (
     ODESystem,
+    divisors,
+    grlex_key,
     lie_derivative_support,
     monomial_mul,
+    unit_monomial,
     variable_monomial,
 )
 from quadratize.solver import bnb_search, per_variable_degrees
@@ -107,6 +111,44 @@ def rules(config):
     finally:
         for name, rule in zip(names, saved):
             setattr(quadratize.solver, name, rule)
+
+
+def degree_box_incumbent(system):
+    """The degree-box quadratization and its order, in graded-lex order.
+
+    Every monomial dividing D = per_variable_degrees(system), except 1 and
+    the variables, materialized: the search's starting incumbent before
+    the greedy one, and a stand-in for initial_incumbent where a test needs
+    a loose first bound.
+    """
+    n = system.num_vars
+    skip = {unit_monomial(n)} | {variable_monomial(n, i) for i in range(n)}
+    box = sorted((m for m in divisors(per_variable_degrees(system)) if m not in skip),
+                 key=grlex_key)
+    return tuple(box), len(box)
+
+
+def follow_incumbent(monkeypatch, tracked):
+    """Start a bound followed from outside where the search starts its own.
+
+    Wraps quadratize.solver.initial_incumbent so that tracked["bound"]
+    becomes its order + 1, the search's first bound without a cap, and
+    tracked["descent"] is True while it runs: wrappers of generate_children
+    or SearchState.extended pass its calls through unrecorded.
+    """
+    real = quadratize.solver.initial_incumbent
+    tracked["descent"] = False
+
+    def following(system):
+        tracked["descent"] = True
+        try:
+            result = real(system)
+        finally:
+            tracked["descent"] = False
+        tracked["bound"] = result[1] + 1
+        return result
+
+    monkeypatch.setattr(quadratize.solver, "initial_incumbent", following)
 
 
 @pytest.fixture(scope="session")

@@ -237,10 +237,10 @@ class TestPackingBound:
 
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
-        ("prune_by_packing_bound", "packing", 1069),
-        ("prune_by_packing_bound", "all", 837),
-        ("prune_by_quadratic_bound", "quadratic", 1056),
-        ("prune_by_c4_bound", "c4", 1011),
+        ("prune_by_packing_bound", "packing", 939),
+        ("prune_by_packing_bound", "all", 673),
+        ("prune_by_quadratic_bound", "quadratic", 911),
+        ("prune_by_c4_bound", "c4", 871),
     ])
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, rule, config, count):
         # Every node a rule prunes at bound N, with the other rules off (or,

@@ -17,14 +17,21 @@ from quadratize.bruteforce import (
 )
 from quadratize.output import render_result
 from quadratize.parsing import ParseError, parse_system
-from quadratize.polynomials import MAX_EXPONENT, ODESystem, add_term, divisors, grlex_key
+from quadratize.polynomials import (
+    MAX_EXPONENT,
+    ODESystem,
+    add_term,
+    divides,
+    divisor_count,
+    divisors,
+    grlex_key,
+)
 from quadratize.solver import (
     NoQuadratizationWithinCap,
     SearchStats,
     automorphisms,
     benchmark_system,
     bnb_search,
-    degree_box_order,
     initial_incumbent,
     laurent_quadratize,
     orbit_key,
@@ -32,7 +39,15 @@ from quadratize.solver import (
 )
 from quadratize.state import SearchState
 
-from conftest import RULE_CONFIGS, allen_cahn_text, definition_nonsquares, rules, wide_box
+from conftest import (
+    RULE_CONFIGS,
+    allen_cahn_text,
+    definition_nonsquares,
+    degree_box_incumbent,
+    follow_incumbent,
+    rules,
+    wide_box,
+)
 
 
 def solve_with(system, config):
@@ -47,35 +62,106 @@ def frame_depth():
     return depth
 
 
+def degree_box_order(system):
+    """prod(D_i + 1) - 1 - #{i : D_i >= 1}: the box less 1 and the variables."""
+    degrees = per_variable_degrees(system)
+    return divisor_count(degrees) - 1 - sum(1 for d in degrees if d >= 1)
+
+
 class TestInitialIncumbent:
+    @pytest.fixture
+    def systems(self, worked_systems, soundness_corpus):
+        return (list(worked_systems.values()) + soundness_corpus
+                + [benchmark_system(family, n) for family in ("cubic_cycle", "cubic_bicycle")
+                   for n in (3, 4, 5)]
+                + [benchmark_system("rf"), parse_system(allen_cahn_text(6)),
+                   parse_system("x' = 2*x\ny' = 0"), parse_system("x' = x^3 + x^100")])
+
+    def test_incumbents_quadratize(self, systems):
+        for system in systems:
+            vars_, order = initial_incumbent(system)
+            assert is_quadratization(system, vars_)
+            assert order == len(vars_) <= degree_box_order(system)
+            assert list(vars_) == sorted(set(vars_), key=grlex_key)
+            box = per_variable_degrees(system)
+            assert all(divides(z, box) for z in vars_)
+
+    def test_irredundant(self, systems):
+        # Reverse delete leaves no variable that the others can do without.
+        for system in systems:
+            vars_, _ = initial_incumbent(system)
+            for i in range(len(vars_)):
+                assert not is_quadratization(system, vars_[:i] + vars_[i + 1:]), (vars_, i)
+
+    @pytest.mark.parametrize("name,n", [*(("cubic_cycle", n) for n in (5, 6, 7)),
+                                        *(("cubic_bicycle", n) for n in (5, 6, 7, 8))])
+    def test_optimal_on_the_cubic_families(self, name, n):
+        system = benchmark_system(name, n)
+        assert initial_incumbent(system)[1] == 2 * n == bnb_search(system)[0].order
+
+    def test_rf_is_optimal_inside_its_box(self):
+        # rf's optimum of 3 holds y^2, outside its box (3, 1, 1); the descent
+        # never leaves the box, where the least order is 4.
+        system = benchmark_system("rf")
+        assert bnb_search(system)[0].new_vars == ((0, 2, 0), (1, 1, 0), (2, 0, 0))
+        vars_, order = initial_incumbent(system)
+        assert (order, vars_) == brute_force_optimal(system, (3, 1, 1))
+        assert order == 4
+
+    def test_optimal_on_the_allen_cahn_chain(self):
+        # Its box holds 4^10 monomials; the greedy quadratization is x_i^2.
+        system = parse_system(allen_cahn_text(10))
+        vars_, order = initial_incumbent(system)
+        assert order == 10
+        assert set(vars_) == {tuple(2 * (j == i) for j in range(10)) for i in range(10)}
+
+    def test_linear_system_has_empty_incumbent(self):
+        assert initial_incumbent(parse_system("x' = 2*x")) == ((), 0)
+
     def test_scalar_power(self):
         system = parse_system("x' = x^5")
-        vars_, order = initial_incumbent(system)
-        assert vars_ == ((2,), (3,), (4,), (5,))
-        assert order == 4
-        assert is_quadratization(system, vars_)
+        assert initial_incumbent(system) == (((4,),), 1)
+
+    def test_reverse_delete_matches_a_full_rebuild(self, soundness_corpus, monkeypatch):
+        # The descent's last extension is its quadratization.  Dropping each
+        # variable in turn, last added first, when the root extended by the
+        # rest quadratizes gives the same set: each variable is in it
+        # exactly when its decision kept it, so every decision agrees.
+        last = []
+        original_extended = SearchState.extended
+
+        def recording_extended(state, monomials):
+            child = original_extended(state, monomials)
+            last[:] = [child]
+            return child
+
+        monkeypatch.setattr(SearchState, "extended", recording_extended)
+        dropped = 0
+        for system in soundness_corpus:
+            root = SearchState.initial(system)
+            last[:] = [root]
+            vars_, _ = initial_incumbent(system)
+            kept = list(last[0].new_vars)
+            for z in reversed(last[0].new_vars):
+                rest = [v for v in kept if v != z]
+                if original_extended(root, rest).is_quadratization:
+                    kept = rest
+                    dropped += 1
+            assert tuple(sorted(kept, key=grlex_key)) == vars_
+        assert dropped > 0
+
+    def test_closed_form_order_counts_the_box(self, systems):
+        # The closed form that bounds the greedy order above counts the
+        # materialized box that the tests below substitute for it.
+        for system in systems:
+            assert degree_box_order(system) == degree_box_incumbent(system)[1]
 
     def test_counterexample_box_cardinality(self):
         system = parse_system("x1' = x2^4\nx2' = x1^2")
-        vars_, order = initial_incumbent(system)
+        vars_, order = degree_box_incumbent(system)
         assert per_variable_degrees(system) == (2, 4)
-        assert order == 3 * 5 - 3  # box minus 1 and the two variables
+        assert order == 3 * 5 - 3 == degree_box_order(system)
         assert is_quadratization(system, vars_)
-
-    def test_incumbents_quadratize(self, worked_systems):
-        for system in worked_systems.values():
-            vars_, _ = initial_incumbent(system)
-            assert is_quadratization(system, vars_)
-
-    def test_linear_system_has_empty_incumbent(self):
-        vars_, order = initial_incumbent(parse_system("x' = 2*x"))
-        assert vars_ == () and order == 0
-
-    def test_closed_form_order_counts_the_box(self, worked_systems, random_corpus):
-        systems = list(worked_systems.values()) + random_corpus
-        systems.append(parse_system("x' = 2*x\ny' = 0"))
-        for system in systems:
-            assert degree_box_order(system) == len(initial_incumbent(system)[0])
 
 
 class TestSearch:
@@ -167,8 +253,8 @@ class TestSearch:
                     == render_result(r2.document, "structured"))
 
     def test_twelve_variable_allen_cahn_chain(self):
-        # Only the order of the degree box may be computed for the search
-        # to start.
+        # The box holds 4^12 monomials; the search starts from the greedy
+        # incumbent and never builds it.
         system = parse_system(allen_cahn_text(12))
         result, stats = bnb_search(system)
         assert result.order == stats.optimal_order == 12
@@ -185,8 +271,8 @@ class TestMaxOrderCap:
         assert str(err.value) == "no monomial quadratization with at most 0 new variables"
 
     def test_cap_below_optimum_does_not_build_the_box(self):
-        # The cap is the search's first bound, so nothing of the 4^10 box
-        # is built when the cap is too small.
+        # The cap, below the greedy order, is the search's first bound, and
+        # nothing of the 4^10 box is built.
         start = time.perf_counter()
         with pytest.raises(NoQuadratizationWithinCap):
             bnb_search(parse_system(allen_cahn_text(10)), max_order_cap=5)
@@ -208,8 +294,8 @@ class TestMaxOrderCap:
             assert capped.new_vars == result.new_vars
 
     def test_cap_at_box_order_returns_box(self):
-        # Here the box is empty and optimal: the search finds nothing below
-        # it, which is not a failure of the cap.
+        # Here the greedy incumbent, like the box, is empty and optimal: a
+        # cap of 0 is met, not a failure.
         result, _ = bnb_search(parse_system("x' = 2*x"), max_order_cap=0)
         assert result.new_vars == ()
 
@@ -265,6 +351,8 @@ class TestRuleConfigurations:
         # search needs no depth cutoff of its own.
         last = [None, None]  # the state and bound of the latest c4 rule call
         expanded = 0
+        tracked = {}
+        follow_incumbent(monkeypatch, tracked)
         real_c4 = quadratize.solver.prune_by_c4_bound
         real_children = quadratize.solver.generate_children
 
@@ -274,6 +362,8 @@ class TestRuleConfigurations:
 
         def checking_children(state):
             nonlocal expanded
+            if tracked["descent"]:
+                return real_children(state)
             assert state is last[0]
             assert len(state.new_vars) + 1 < last[1]
             expanded += 1
@@ -633,7 +723,8 @@ class TestSkippedChildrenAreSound:
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, monkeypatch):
         # Every child skipped at bound N: no superset of its variables, drawn
         # from the wide-box candidates, quadratizes with fewer than N
-        # variables.  The bound is followed from outside: it falls to the
+        # variables.  The bound is followed from outside: it starts where
+        # the search starts it, after its first incumbent, and falls to the
         # size of each visited quadratization smaller than it.
         tracked = {}
         skipped = []
@@ -649,18 +740,19 @@ class TestSkippedChildrenAreSound:
 
         def bounding_extended(state, monomials):
             child = original_extended(state, monomials)
-            if child.is_quadratization:
+            if child.is_quadratization and not tracked["descent"]:
                 tracked["bound"] = min(tracked["bound"], len(child.new_vars))
             return child
 
         monkeypatch.setattr(quadratize.solver, "orbit_key", recording_key)
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
+        follow_incumbent(monkeypatch, tracked)
         systems = soundness_corpus + [benchmark_system(family, n) for n in (3, 4)
                                       for family in ("cubic_cycle", "cubic_bicycle")]
         checked = 0
         for system in systems:
             skipped.clear()
-            tracked.update(seen=set(), bound=degree_box_order(system))
+            tracked.update(seen=set())
             _, stats = bnb_search(system)
             assert len(skipped) == stats.pruned_by_symmetry
             pool = box_candidates(system, wide_box(system))
@@ -669,7 +761,7 @@ class TestSkippedChildrenAreSound:
                 assert found is None, (
                     f"skipped {new_vars} at bound {bound}, but {found} quadratizes")
                 checked += 1
-        assert checked == 25
+        assert checked == 24
 
     def test_completion_below_finds_known_optima(self, worked_systems):
         # The checker above is only as good as this search.
@@ -699,6 +791,9 @@ class TestChildrenSkippedBeforeExtensionAreSound:
         original_extended = SearchState.extended
 
         def recording_children(state):
+            if tracked["descent"]:
+                yield from original_children(state)
+                return
             for added in original_children(state):
                 pulled.append([state, added, tracked["bound"], False])
                 yield added
@@ -711,6 +806,8 @@ class TestChildrenSkippedBeforeExtensionAreSound:
             return key
 
         def bounding_extended(state, monomials):
+            if tracked["descent"]:
+                return original_extended(state, monomials)
             parent, added = pulled[-1][:2]
             if state.new_vars == parent.new_vars and monomials == added:
                 pulled[-1][3] = True
@@ -723,13 +820,15 @@ class TestChildrenSkippedBeforeExtensionAreSound:
         monkeypatch.setattr(quadratize.solver, "generate_children", recording_children)
         monkeypatch.setattr(quadratize.solver, "orbit_key", recording_key)
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
+        follow_incumbent(monkeypatch, tracked)
         systems = soundness_corpus + [benchmark_system("cubic_cycle", 4)]
         checked = 0
         for system in systems:
             extensions.clear()
-            tracked.update(seen=set(), bound=degree_box_order(system))
-            # The root's child is not pulled from generate_children.
-            pulled[:] = [[SearchState.initial(system), (), tracked["bound"], False]]
+            tracked.update(seen=set())
+            # The root's child is not pulled from generate_children, and it
+            # is always extended, so its bound is never read.
+            pulled[:] = [[SearchState.initial(system), (), None, False]]
             _, stats = bnb_search(system)
             # The last call extends the root by the answer, for the document.
             search_extensions = extensions[:-1]
@@ -744,7 +843,7 @@ class TestChildrenSkippedBeforeExtensionAreSound:
                     f"skipped {parent.new_vars + added} at bound {bound}, "
                     f"but {found} quadratizes")
                 checked += 1
-        assert checked == 636
+        assert checked == 471
 
 
 class TestExcludedChildrenAreSound:
@@ -767,6 +866,9 @@ class TestExcludedChildrenAreSound:
         original_extended = SearchState.extended
 
         def recording_children(state):
+            if tracked["descent"]:
+                yield from original_children(state)
+                return
             for added in original_children(state):
                 pulled.append([state, added, tracked["bound"], False])
                 yield added
@@ -778,17 +880,17 @@ class TestExcludedChildrenAreSound:
 
         def bounding_extended(state, monomials):
             child = original_extended(state, monomials)
-            if child.is_quadratization:
+            if child.is_quadratization and not tracked["descent"]:
                 tracked["bound"] = min(tracked["bound"], len(child.new_vars))
             return child
 
         monkeypatch.setattr(quadratize.solver, "generate_children", recording_children)
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", recording_rule)
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
+        follow_incumbent(monkeypatch, tracked)
         checked = 0
         for system in soundness_corpus + [benchmark_system("cubic_cycle", 4)]:
             pulled.clear()
-            tracked.update(bound=degree_box_order(system))
             bnb_search(system)
             pool = box_candidates(system, wide_box(system))
             for parent, added, bound, packed in pulled:
@@ -799,7 +901,7 @@ class TestExcludedChildrenAreSound:
                     f"excluded {parent.new_vars + added} at bound {bound}, "
                     f"but {found} quadratizes")
                 checked += 1
-        assert checked == 112
+        assert checked == 101
 
     def test_nodes_only_the_banned_variables_prune_have_no_smaller_completion(
             self, soundness_corpus, monkeypatch):
@@ -829,7 +931,7 @@ class TestExcludedChildrenAreSound:
                     f"but {found} quadratizes")
                 visited += is_visited
                 skipped += not is_visited
-        assert (visited, skipped) == (51, 40)
+        assert (visited, skipped) == (50, 38)
 
     def test_many_siblings_cost_no_more_each(self):
         # The root of x^200000 has 100,001 children.  The first, x^199999,
@@ -856,14 +958,17 @@ class TestNoSetVisitedTwice:
 
     def test_under_the_identity_no_set_is_extended_twice(self, systems, monkeypatch):
         extended = []
+        tracked = {}
         original_extended = SearchState.extended
 
         def recording_extended(state, monomials):
             child = original_extended(state, monomials)
-            extended.append(frozenset(child.new_vars))
+            if not tracked["descent"]:
+                extended.append(frozenset(child.new_vars))
             return child
 
         monkeypatch.setattr(SearchState, "extended", recording_extended)
+        follow_incumbent(monkeypatch, tracked)
         monkeypatch.setattr(quadratize.solver, "automorphisms",
                             lambda system: (tuple(range(system.num_vars)),))
         for system in systems:
@@ -896,8 +1001,8 @@ class TestNoSetVisitedTwice:
 
 class TestSkippingKeepsTheAnswer:
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 5, SearchStats(769, 526, 0, 3, 0, 6, 10)),
-        ("cubic_bicycle", 5, SearchStats(174, 58, 0, 2, 0, 6, 10)),
+        ("cubic_cycle", 5, SearchStats(637, 448, 0, 2, 0, 1, 10)),
+        ("cubic_bicycle", 5, SearchStats(132, 48, 0, 2, 0, 1, 10)),
     ])
     def test_without_matches_the_stats_are_those_of_the_plain_search(
             self, monkeypatch, name, n, stats):
@@ -920,8 +1025,8 @@ class TestSkippingKeepsTheAnswer:
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 6, SearchStats(1041, 651, 0, 18, 58, 10, 12)),
-        ("cubic_bicycle", 6, SearchStats(207, 71, 0, 0, 21, 10, 12)),
+        ("cubic_cycle", 6, SearchStats(468, 301, 0, 2, 57, 1, 12)),
+        ("cubic_bicycle", 6, SearchStats(86, 22, 0, 0, 21, 1, 12)),
     ])
     def test_pinned_node_counts(self, name, n, stats):
         assert bnb_search(benchmark_system(name, n))[1] == stats
@@ -929,6 +1034,23 @@ class TestSkippingKeepsTheAnswer:
     def test_wide_chain_skips_nothing(self):
         _, stats = bnb_search(parse_system(allen_cahn_text(10)))
         assert (stats.nodes_visited, stats.pruned_by_symmetry) == (11, 0)
+
+
+class TestStartingBound:
+    def test_answers_do_not_depend_on_the_first_incumbent(
+            self, worked_systems, random_corpus, monkeypatch):
+        # The search starts one above the greedy order, so it still finds
+        # its own first optimum in depth-first order: from the degree box,
+        # a looser start, it returns the same variables and documents.
+        systems = ([benchmark_system("cubic_cycle", 5), benchmark_system("cubic_bicycle", 5),
+                    benchmark_system("rf")] + list(worked_systems.values()) + random_corpus)
+        greedy = [bnb_search(system)[0] for system in systems]
+        monkeypatch.setattr(quadratize.solver, "initial_incumbent", degree_box_incumbent)
+        for system, result in zip(systems, greedy):
+            boxed, _ = bnb_search(system)
+            assert boxed.new_vars == result.new_vars
+            assert (render_result(boxed.document._replace(stats=None), "structured")
+                    == render_result(result.document._replace(stats=None), "structured"))
 
 
 # SHA-256 over the answers for the systems of test_documents_hash_to_the_pin:
