@@ -57,6 +57,22 @@ like any child.  When the group is larger than MAX_GROUP_ORDER, or
 finding it takes more than MAX_AUTOMORPHISM_STEPS steps, the identity
 alone is used.  Under the identity alone no table is kept: it could only
 find a set visited twice.
+
+Stabilizer exclusion (orbital branching: Ostrowski, Linderoth, Rossi and
+Smriglio, Math. Program. 2011).  The stabilizer of a node P is the group
+elements that map its set of new variables onto itself.  Such a sigma
+permutes 1 and the x_i too, so it maps P's generalized variables onto
+themselves, and an addition A of P onto a set sigma(A) disjoint from them.
+Once the child P + A is settled, so is P + sigma(A): a quadratization T
+that contains it gives sigma^-1(T), of the same size, which contains
+P + A, so T is no smaller than the bound that held when A was forbidden.
+So the images of A are forbidden as A is, in P's later subtrees.  Not
+before A's own subtree is done, though: it may hold sigma(A), and a better
+incumbent with it.  A itself can be forbidden at once, because every set
+of its subtree contains A and the exclusion test looks only at forbidden
+sets that meet a child's additions; its images are forbidden when P draws
+its next child.  An image is settled as A is, so the orbit table's
+argument above is unchanged, and so are the incumbents the search finds.
 """
 
 from __future__ import annotations
@@ -255,6 +271,18 @@ def automorphisms(system: ODESystem) -> tuple[tuple[int, ...], ...]:
     return tuple(sigma for sigma, _ in partials)
 
 
+def image(monomials, sigma):
+    """The monomials renamed by the inverse of sigma, as an iterator.
+
+    Exponent i of an image is exponent sigma[i] of its monomial: variable
+    sigma[i] becomes variable i.  A group holds the inverse of each
+    element, so over a whole group these are the images under the group.
+    Monomials have two or more variables (one-variable groups are trivial,
+    and the search takes no image under a trivial group).
+    """
+    return map(itemgetter(*sigma), monomials)
+
+
 def orbit_key(monomials, group) -> int:
     """The least image of a set of monomials under the group, as one int.
 
@@ -264,13 +292,10 @@ def orbit_key(monomials, group) -> int:
     exponent, where `width` is the bit length of the largest exponent (the
     same in every image), so the bit length gives the number of monomials.
     Below that come a 0 bit and `width` 1 bits, which give `width` back.  So
-    the key is injective for any exponent size.  The group must hold the
-    inverse of each element: the images computed here are those under the
-    inverses.  Monomials have two or more variables (one-variable groups
-    are trivial, and the search keys no set under a trivial group).
+    the key is injective for any exponent size.
     """
     width = max(1, max((max(m) for m in monomials), default=0).bit_length())
-    least = min(sorted(map(itemgetter(*sigma), monomials)) for sigma in group)
+    least = min(sorted(image(monomials, sigma)) for sigma in group)
     packed = 1
     for e in chain.from_iterable(least):
         packed = packed << width | e
@@ -283,7 +308,10 @@ def bnb_search(system: ODESystem, *,
 
     Before a child is extended, with size its number of new variables, it
     is skipped when size >= bound; when its variables contain a forbidden
-    set, the additions of an earlier sibling of it or of an ancestor; or
+    set: the additions of an earlier sibling of it or of an ancestor, and,
+    once that sibling's subtree is done, their images under the stabilizer
+    of its parent (the group elements that map the parent's set of new
+    variables onto itself; none is computed under the identity alone); or
     when the packing rule proves from the parent and the child's additions
     that every completion of the child that avoids the banned variables
     (the forbidden sets of one variable) has at least `bound` variables
@@ -327,9 +355,10 @@ def bnb_search(system: ODESystem, *,
     best = None
     root = SearchState.initial(system)
     group = automorphisms(system)
+    symmetric = len(group) > 1
     # Orbit keys of the visited sets of new variables, kept only when the
     # group is more than the identity: exclusion alone visits no set twice.
-    seen = set() if len(group) > 1 else None
+    seen = set() if symmetric else None
     divisor_sets = {}  # the packing rule's D(m), for both of its calls
     # The sets forbidden on the stack, kept in place as pairs: a pair
     # {a, b} makes b a partner of a and a of b.  A single variable z is the
@@ -340,15 +369,35 @@ def bnb_search(system: ODESystem, *,
     # additions, and a child too large for the bound costs none.
     unit = unit_monomial(system.num_vars)
     partners = {unit: set()}
+
+    def forbid(added, settled):
+        # A pair already forbidden, by an ancestor's frame or as another
+        # image, is left alone: each pair is lifted only by the frame that
+        # added it, so no pop lifts a pair that is still forbidden below it.
+        a, b = added if len(added) == 2 else (unit, *added)
+        if b in partners.setdefault(a, set()):
+            return
+        partners[a].add(b)
+        partners.setdefault(b, set()).add(a)
+        settled.append((a, b))
+
     # Depth-first over a stack of (parent, iterator of its children, the
-    # pairs its children forbade); a child is extended only when it is
-    # visited.  It is skipped before that when it is too large to beat the
-    # bound, when it contains a forbidden set, when the packing of the
-    # parent's nonsquares it leaves uncovered reaches the bound, or when an
-    # image of its set was visited.
-    stack = [(root, iter(((),)), [])]
+    # pairs its children forbade, the parent's stabilizer without the
+    # identity, the last forbidden child whose images wait); a child is
+    # extended only when it is visited.  It is skipped before that when it
+    # is too large to beat the bound, when it contains a forbidden set,
+    # when the packing of the parent's nonsquares it leaves uncovered
+    # reaches the bound, or when an image of its set was visited.
+    stack = [(root, iter(((),)), [], (), [])]
     while stack:
-        parent, children, settled = stack[-1]
+        parent, children, settled, stabilizer, pending = stack[-1]
+        if pending:
+            # The last child's subtree is done, so its images under the
+            # stabilizer are settled too; forbidden earlier, they would cut
+            # that subtree, which may hold them.
+            last = pending.pop()
+            for sigma in stabilizer:
+                forbid(tuple(image(last, sigma)), settled)
         added = next(children, None)
         if added is None:
             stack.pop()
@@ -365,12 +414,13 @@ def bnb_search(system: ODESystem, *,
         if any(b in added or b in parent.vars_set for a in added for b in partners.get(a, ())):
             continue  # forbidding it excludes nothing new: it holds a forbidden set
         # Depth first, this child is handled before its next sibling is
-        # drawn, so it is forbidden from here on.
+        # drawn, so it is forbidden from here on: every set of its subtree
+        # contains it, and the test above only sees forbidden sets that meet
+        # the additions.
         if added:
-            a, b = added if len(added) == 2 else (unit, *added)
-            partners.setdefault(a, set()).add(b)
-            partners.setdefault(b, set()).add(a)
-            settled.append((a, b))
+            forbid(added, settled)
+            if stabilizer:
+                pending.append(added)
         if prune_by_packing_bound(parent, bound, added, divisor_sets, partners[unit]):
             continue
         if seen is not None:
@@ -395,7 +445,15 @@ def bnb_search(system: ODESystem, *,
         if prune_by_c4_bound(state, bound):
             pruned_c4 += 1
             continue
-        stack.append((state, iter(generate_children(state)), []))
+        stabilizer = ()
+        if symmetric:
+            # The elements that map the set of new variables onto itself;
+            # sigma does exactly when its inverse does, so image's
+            # convention does not matter here.
+            new_vars = set(state.new_vars)
+            stabilizer = [sigma for sigma in group[1:]
+                          if new_vars.issuperset(image(new_vars, sigma))]
+        stack.append((state, iter(generate_children(state)), [], stabilizer, []))
 
     if best is None:  # the greedy order is within reach, so only a cap leaves none
         raise NoQuadratizationWithinCap(max_order_cap)

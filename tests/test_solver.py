@@ -55,6 +55,11 @@ def solve_with(system, config):
         return bnb_search(system)
 
 
+def identity_group(system):
+    """The identity alone: a stand-in for automorphisms."""
+    return (tuple(range(system.num_vars)),)
+
+
 def frame_depth():
     frame, depth = sys._getframe(1), 0
     while frame is not None:
@@ -725,7 +730,9 @@ class TestSkippedChildrenAreSound:
         # from the wide-box candidates, quadratizes with fewer than N
         # variables.  The bound is followed from outside: it starts where
         # the search starts it, after its first incumbent, and falls to the
-        # size of each visited quadratization smaller than it.
+        # size of each visited quadratization smaller than it.  Exclusion
+        # forbids most images of a settled child before the table sees them,
+        # so two 3-cycles join the cubic families, whose tables skip little.
         tracked = {}
         skipped = []
         original_key = quadratize.solver.orbit_key
@@ -748,7 +755,9 @@ class TestSkippedChildrenAreSound:
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
         follow_incumbent(monkeypatch, tracked)
         systems = soundness_corpus + [benchmark_system(family, n) for n in (3, 4)
-                                      for family in ("cubic_cycle", "cubic_bicycle")]
+                                      for family in ("cubic_cycle", "cubic_bicycle")] + [
+            parse_system("x1' = x2^2*x3\nx2' = x3^2*x1\nx3' = x1^2*x2"),
+            parse_system("x1' = x2^2*x3^2\nx2' = x1^2*x3^2\nx3' = x1^2*x2^2")]
         checked = 0
         for system in systems:
             skipped.clear()
@@ -761,7 +770,7 @@ class TestSkippedChildrenAreSound:
                 assert found is None, (
                     f"skipped {new_vars} at bound {bound}, but {found} quadratizes")
                 checked += 1
-        assert checked == 24
+        assert checked == 15
 
     def test_completion_below_finds_known_optima(self, worked_systems):
         # The checker above is only as good as this search.
@@ -843,7 +852,7 @@ class TestChildrenSkippedBeforeExtensionAreSound:
                     f"skipped {parent.new_vars + added} at bound {bound}, "
                     f"but {found} quadratizes")
                 checked += 1
-        assert checked == 471
+        assert checked == 479
 
 
 class TestExcludedChildrenAreSound:
@@ -858,9 +867,14 @@ class TestExcludedChildrenAreSound:
         # A child below the bound that never reaches the packing skip, which
         # runs right after exclusion, was excluded: no quadratization drawn
         # from the wide-box candidates that contains it has fewer variables
-        # than the bound.
+        # than the bound.  On symmetric systems some are excluded only by an
+        # image of a settled child: they contain no forbidden addition of
+        # an earlier sibling of theirs or of an ancestor.
         tracked = {}
         pulled = []  # [parent, added, bound when the search took it, packed]
+        # The id of a visited state, to the index of its pulled entry; every
+        # parent stays alive in `pulled`, so its id is never reused.
+        entry_of = {}
         original_children = quadratize.solver.generate_children
         original_rule = quadratize.solver.prune_by_packing_bound
         original_extended = SearchState.extended
@@ -880,20 +894,35 @@ class TestExcludedChildrenAreSound:
 
         def bounding_extended(state, monomials):
             child = original_extended(state, monomials)
-            if child.is_quadratization and not tracked["descent"]:
-                tracked["bound"] = min(tracked["bound"], len(child.new_vars))
+            if not tracked["descent"]:
+                if pulled and state is pulled[-1][0] and monomials == pulled[-1][1]:
+                    entry_of[id(child)] = len(pulled) - 1
+                if child.is_quadratization:
+                    tracked["bound"] = min(tracked["bound"], len(child.new_vars))
             return child
+
+        def path(state):
+            """The indices of the pulled entries from the root to state."""
+            indices = []
+            while id(state) in entry_of:
+                indices.append(entry_of[id(state)])
+                state = pulled[indices[-1]][0]
+            return indices
 
         monkeypatch.setattr(quadratize.solver, "generate_children", recording_children)
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", recording_rule)
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
         follow_incumbent(monkeypatch, tracked)
-        checked = 0
-        for system in soundness_corpus + [benchmark_system("cubic_cycle", 4)]:
+        checked = by_image = 0
+        systems = soundness_corpus + [
+            benchmark_system("cubic_cycle", 4), benchmark_system("cubic_bicycle", 3),
+            parse_system("x1' = x1^3\nx2' = x2^3\nx3' = x3^3")]
+        for system in systems:
             pulled.clear()
+            entry_of.clear()
             bnb_search(system)
             pool = box_candidates(system, wide_box(system))
-            for parent, added, bound, packed in pulled:
+            for i, (parent, added, bound, packed) in enumerate(pulled):
                 if packed or len(parent.new_vars) + len(added) >= bound:
                     continue
                 found = completion_below(system, parent.new_vars + added, bound, pool)
@@ -901,7 +930,17 @@ class TestExcludedChildrenAreSound:
                     f"excluded {parent.new_vars + added} at bound {bound}, "
                     f"but {found} quadratizes")
                 checked += 1
-        assert checked == 101
+                # The forbidden additions: the children that reached the
+                # packing skip before this one, of its parent or of an
+                # ancestor, other than the nodes on its path.
+                on_path = path(parent)
+                ancestors = {id(parent)} | {id(pulled[j][0]) for j in on_path}
+                members = set(parent.new_vars + added)
+                by_image += not any(
+                    earlier[3] and id(earlier[0]) in ancestors and j not in on_path
+                    and members.issuperset(earlier[1])
+                    for j, earlier in enumerate(pulled[:i]))
+        assert (checked, by_image) == (116, 14)
 
     def test_nodes_only_the_banned_variables_prune_have_no_smaller_completion(
             self, soundness_corpus, monkeypatch):
@@ -969,8 +1008,7 @@ class TestNoSetVisitedTwice:
 
         monkeypatch.setattr(SearchState, "extended", recording_extended)
         follow_incumbent(monkeypatch, tracked)
-        monkeypatch.setattr(quadratize.solver, "automorphisms",
-                            lambda system: (tuple(range(system.num_vars)),))
+        monkeypatch.setattr(quadratize.solver, "automorphisms", identity_group)
         for system in systems:
             extended.clear()
             _, stats = bnb_search(system)
@@ -993,8 +1031,7 @@ class TestNoSetVisitedTwice:
         for system in trivial:
             bnb_search(system)
         assert keyed == []
-        monkeypatch.setattr(quadratize.solver, "automorphisms",
-                            lambda system: (tuple(range(system.num_vars)),))
+        monkeypatch.setattr(quadratize.solver, "automorphisms", identity_group)
         bnb_search(benchmark_system("cubic_cycle", 4))
         assert keyed == []
 
@@ -1006,14 +1043,33 @@ class TestSkippingKeepsTheAnswer:
     ])
     def test_without_matches_the_stats_are_those_of_the_plain_search(
             self, monkeypatch, name, n, stats):
+        # Under the identity alone there is neither an orbit table nor a
+        # stabilizer to forbid images with.
         system = benchmark_system(name, n)
         skipping, _ = bnb_search(system)
-        monkeypatch.setattr(quadratize.solver, "orbit_key", lambda monomials, group: object())
+        monkeypatch.setattr(quadratize.solver, "automorphisms", identity_group)
         plain, plain_stats = bnb_search(system)
         assert plain_stats == stats
         assert plain.new_vars == skipping.new_vars
         assert (render_result(plain.document, "structured").split('"stats"')[0]
                 == render_result(skipping.document, "structured").split('"stats"')[0])
+
+    def test_the_group_keeps_the_answer(self, monkeypatch):
+        # The images of a settled child are forbidden only once its subtree
+        # is done: that subtree may hold them, and the answer with them.
+        systems = ([benchmark_system(family, n) for family in ("cubic_cycle", "cubic_bicycle")
+                    for n in range(2, 7)]
+                   + [parse_system(allen_cahn_text(10))]
+                   + [parse_system("\n".join(f"x{i}' = x{i}^3" for i in range(1, n + 1)))
+                      for n in (3, 4)])
+        assert all(len(automorphisms(system)) > 1 for system in systems)
+        symmetric = [bnb_search(system)[0] for system in systems]
+        monkeypatch.setattr(quadratize.solver, "automorphisms", identity_group)
+        for system, result in zip(systems, symmetric):
+            plain, _ = bnb_search(system)
+            assert plain.new_vars == result.new_vars
+            assert (render_result(plain.document, "structured").split('"stats"')[0]
+                    == render_result(result.document, "structured").split('"stats"')[0])
 
     @pytest.mark.parametrize("name,n", [("cubic_cycle", 5), ("cubic_bicycle", 5)])
     def test_caps_around_the_optimum(self, name, n):
@@ -1025,8 +1081,8 @@ class TestSkippingKeepsTheAnswer:
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 6, SearchStats(468, 301, 0, 2, 57, 1, 12)),
-        ("cubic_bicycle", 6, SearchStats(86, 22, 0, 0, 21, 1, 12)),
+        ("cubic_cycle", 6, SearchStats(390, 254, 0, 2, 20, 1, 12)),
+        ("cubic_bicycle", 6, SearchStats(82, 18, 0, 0, 4, 1, 12)),
     ])
     def test_pinned_node_counts(self, name, n, stats):
         assert bnb_search(benchmark_system(name, n))[1] == stats
