@@ -6,8 +6,9 @@ Cubic Bicycle(n): x1' = xn^3 + x2^3, ..., xn' = x(n-1)^3 + x1^3
 Each rule computes a lower bound on how many variables any completion still
 needs and cuts the subtree when the bound meets the incumbent.  The packing
 rule finds nonsquares whose factors outside the current variables form
-pairwise disjoint sets: a completion needs a new variable in each set.  The
-pair-count rule uses a counting argument (k new variables cover at most
+pairwise disjoint sets: a completion needs a new variable in each set;
+where the incumbent leaves room for only one more variable, it decides
+exactly whether one finishes the node.  The pair-count rule uses a counting argument (k new variables cover at most
 k(k+1)/2 pair products); the graph rule sharpens the pair-product term with
 the exact maximum edge count of graphs without a closed 4-edge walk, which
 is much stronger in higher dimension.  Node counts, unlike wall times, are

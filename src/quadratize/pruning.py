@@ -22,12 +22,22 @@ dict the caller passes in, one per search, and builds each at most once
 there and only on demand: x^1000000 has a million divisors.  This module
 is the only one that builds a factor set.
 
+When the bound leaves room for exactly one more variable z (need 2: the
+bound less the new variables and the additions), the rule decides instead
+whether one exists, a last-level probe: with V the generalized variables
+of S + A, each uncovered nonsquare m is z*w with w in V or w = z, so z
+lies in every P(m) = {m/v : v in V, v divides m}, plus the square root of
+m when m is a square; and z' must be covered over V and z.  Two disjoint
+C(m) give two disjoint P(m), so greedy packing adds nothing there, and
+packs runs only at need 3 or more.
+
 Both calls may also get banned variables: monomials that no completion
 below the bound contains.  They are the sets of one variable that sibling
 exclusion forbids (solver.py), each kept there as a pair with 1.  The
 rule then bounds only the completions that avoid them, which have a new
 variable in C(m) minus the banned ones, so it packs those sets; a
-nonsquare with nothing left has no such completion at all.
+nonsquare with nothing left has no such completion at all.  At need 2 a
+banned monomial is no candidate for z.
 
 Rule 2 bounds how many nonsquares r additional variables could cover: each
 new variable z covers at most mult(z) nonsquares of the form z*v with v a
@@ -56,6 +66,7 @@ from .polynomials import (
     divisors,
     grlex_key,
     is_square,
+    lie_derivative_support,
     monomial_mul,
     monomial_quotient,
 )
@@ -145,39 +156,89 @@ def packs(sets, need: int) -> bool:
     return False
 
 
+def one_variable_completes(state: SearchState, vars_set, added, left, banned) -> bool:
+    """Whether at most one more variable z, not in vars_set nor banned,
+    covers every monomial of `left`, and z' when there is one, with the
+    additions made; vars_set is state.vars_set with the additions.
+
+    A covered m is z * w with w in vars_set or w = z, so z lies in P(m): the
+    quotients m / v by the v in vars_set that divide m, and the square root
+    of m when m is a square.  The candidates are those of the first m, and
+    each later m keeps the ones with m / z in vars_set or equal to z (a z
+    that does not divide m leaves a negative exponent there).  A candidate
+    completes when every monomial of its derivative is a product over
+    vars_set and z: is_product over the state's new variables and the
+    additions, or a quotient by z in vars_set or equal to z.
+    """
+    left = iter(left)
+    first = next(left, None)
+    if first is None:
+        return True
+    candidates = {monomial_quotient(first, v) for v in vars_set if divides(v, first)}
+    if is_square(first):
+        candidates.add(tuple(e // 2 for e in first))
+    candidates.difference_update(vars_set, banned)
+    for m in left:
+        candidates = {z for z in candidates
+                      if (w := monomial_quotient(m, z)) in vars_set or w == z}
+        if not candidates:
+            return False
+    introduced = state.new_vars + added
+    system = state.system
+    return any(all((w := monomial_quotient(d, z)) in vars_set or w == z
+                   or is_product(d, vars_set, introduced)
+                   for d in lie_derivative_support(z, system))
+               for z in candidates)
+
+
 def prune_by_packing_bound(state: SearchState, incumbent_order: int,
                            added: tuple[Monomial, ...] = (),
                            divisor_sets: dict | None = None,
                            banned=frozenset()) -> bool:
     """Same contract as prune_by_quadratic_bound for state.extended(added),
-    via disjoint factor sets, decided without building that state.
+    decided without building that state.
 
-    The sets packed are those of the state's nonsquares that the additions
+    The nonsquares it bounds are those of the state that the additions
     leave uncovered (is_product with the additions): each stays a nonsquare
     of the extended state, with C(m) = D(m) - vars_set - added as its set
-    there.  Packing a subset of the nonsquares keeps the bound sound; with
+    there.  Bounding a subset of the nonsquares keeps the rule sound; with
     no additions it is the rule on the state itself.  With banned
     variables, which the caller guarantees no completion below
-    incumbent_order contains, each set also loses them, and a nonsquare
-    left with an empty set prunes at once.  divisor_sets maps m
-    to D(m) and is filled here; the search passes one per search, and
-    without it each call uses a fresh one, with the same answer.  k kept
-    sets need k more variables, and k never exceeds the number of sets, so
-    no set is built when there are already too few, nor when one variable
-    is needed.
+    incumbent_order contains, each set also loses them.
+
+    need = incumbent_order - |new_vars| - |added| is how many more
+    variables a completion below the bound may have, plus one.  At need 1
+    none: any nonsquare left prunes.  At need 2 one, z, and the rule
+    decides exactly whether one exists (one_variable_completes): a
+    completion T with fewer than incumbent_order variables adds at most one
+    z, and at least one, since an uncovered m stays a nonsquare; T covers
+    each such m as a * b with a and b not both generalized variables, so
+    one factor is z and the other a generalized variable or z, and T covers
+    z' too; z is not banned.  With no additions and at a visited node the
+    test is exact; before extension it ignores the child's fresh
+    nonsquares, a subset again.  At need 3 or more the rule packs the sets
+    C(m) greedily (packs): k disjoint ones need k more variables, and a
+    nonsquare left with an empty set prunes at once.  k never exceeds the
+    number of sets, so no set is built when there are too few.
+    divisor_sets maps m to D(m) and is filled here; the search passes one
+    per search, and without it each call uses a fresh one, with the same
+    answer.  Only packing builds a divisor set.
     """
     need = incumbent_order - len(state.new_vars) - len(added)
     if need <= 0:
         return True
-    if len(state.nonsquares) < need:
+    if need > 2 and len(state.nonsquares) < need:
         return False
     left = state.nonsquares
+    vars_set = state.vars_set
     if added:
-        vars_set = state.vars_set.union(added)
+        vars_set = vars_set.union(added)
         left = (m for m in left if not is_product(m, vars_set, added))
     if need == 1:
         # Every C(m) holds m itself, so any one nonsquare left packs.
         return any(True for _ in left)
+    if need == 2:
+        return not one_variable_completes(state, vars_set, added, left, banned)
     left = list(left)
     if len(left) < need:
         return False

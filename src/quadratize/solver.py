@@ -20,6 +20,9 @@ exclusion, below).  And a child is skipped when the packing rule, applied
 to the parent's nonsquares that the child's additions leave uncovered,
 needs as many more variables as the child is short of the bound
 (prune_by_packing_bound, whose docstring and module give the argument).
+When the child is two short, so that one more variable z is all a better
+incumbent could add, the rule asks whether some z covers every such
+nonsquare and its own derivative, and skips the child when none does.
 None of the three changes the answer.
 
 Sibling exclusion.  The children of a node P cover every quadratization
@@ -324,11 +327,13 @@ def bnb_search(system: ODESystem, *,
     Every visited node that is not a quadratization goes through the
     packing rule, with the node's banned variables, then the pair-count
     rule, then the graph rule; one dict of divisor sets serves every
-    packing call of the search.  All three
-    are sound lower bounds, so they change only the number of nodes
-    visited, never the answer.  Such a node has a nonsquare to cover, so
-    each rule's bound is at least its depth + 1: a node the rules keep has
-    depth + 1 < bound, and no separate depth cutoff is needed.
+    packing call of the search.  All three are sound lower bounds, so they
+    change only the number of nodes visited, never the answer.  Two short
+    of the bound the packing rule is exact: it keeps a node only when one
+    more variable completes it, and then the other two keep it too.  Such
+    a node has a nonsquare to cover, so each rule's bound is at least its
+    depth + 1: a node the rules keep has depth + 1 < bound, and no
+    separate depth cutoff is needed.
 
     The first bound is one above the order of initial_incumbent, or above
     max_order_cap when that is smaller.  A quadratization of the greedy

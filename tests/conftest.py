@@ -2,13 +2,16 @@
 factorizations of a monomial, and the nonsquares of a state and the
 packing rule's factor sets from the definition, the pruning-rule
 configurations of the ablation, the degree-box quadratization, and a
-record of the bound the search starts from."""
+record of the bound the search starts from, and the benchmark's workloads."""
 
+import importlib.util
 import random
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +152,19 @@ def follow_incumbent(monkeypatch, tracked):
         return result
 
     monkeypatch.setattr(quadratize.solver, "initial_incumbent", following)
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, imported by path and only read: the
+    instances the benchmark builds, as source text."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclass looks its module up there
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 @pytest.fixture(scope="session")

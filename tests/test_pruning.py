@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 import quadratize.pruning
 import quadratize.solver
-from quadratize.bruteforce import box_candidates, is_quadratization
+from quadratize.bruteforce import box_candidates, is_quadratization, quadratization_violations
 from quadratize.parsing import parse_system
-from quadratize.polynomials import monomial_mul
+from quadratize.polynomials import divisors, monomial_mul, unit_monomial, variable_monomial
 from quadratize.pruning import (
     C4_CAPACITY_TABLE,
     build_squarefree_subset,
@@ -24,7 +24,12 @@ from quadratize.pruning import (
 from quadratize.solver import benchmark_system, bnb_search
 from quadratize.state import SearchState, is_product
 
-from conftest import definition_factor_set, rules, wide_box
+from conftest import (
+    benchmark_workloads,
+    definition_factor_set,
+    rules,
+    wide_box,
+)
 
 
 class TestQuotientMultiplicities:
@@ -135,12 +140,20 @@ class TestPruneRules:
         assert not prune_by_c4_bound(state, 3)
 
     def test_boundary_prunes(self):
-        state = SearchState.initial(parse_system("x' = x^4 + x^3"))
-        # every rule finds k = 1 here, so any incumbent order <= 1 prunes
+        system = parse_system("x' = x^4 + x^3")
+        state = SearchState.initial(system)
+        # Every rule finds k = 1 here, so any incumbent order <= 1 prunes.
         assert prune_by_packing_bound(state, 1)
-        assert not prune_by_packing_bound(state, 2)
         assert prune_by_quadratic_bound(state, 1)
         assert prune_by_c4_bound(state, 1)
+        # No single variable quadratizes the system, and at incumbent order
+        # 2 the packing rule decides exactly that; the other two rules
+        # still find k = 1.
+        pool = box_candidates(system, wide_box(system))
+        assert not any(is_quadratization(system, (z,)) for z in pool)
+        assert prune_by_packing_bound(state, 2)
+        assert not prune_by_quadratic_bound(state, 2)
+        assert not prune_by_c4_bound(state, 2)
 
     def test_empty_nonsquares(self):
         state = SearchState.initial(parse_system("x' = x^2"))
@@ -180,14 +193,14 @@ MONOMIALS = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
 
 
 class TestPackingBound:
-    @given(st.sets(MONOMIALS, min_size=2, max_size=4), st.sets(MONOMIALS, max_size=12),
+    @given(st.sets(MONOMIALS, min_size=3, max_size=5), st.sets(MONOMIALS, max_size=12),
            st.sets(MONOMIALS, max_size=3))
     @settings(max_examples=150, deadline=None)
     def test_uncovered_factors_are_the_new_factors_of_decompositions(self, nonsquares,
                                                                      vars_set, added):
-        # At need 2, the rule packs one set for each nonsquare the additions
-        # leave uncovered, when there are two or more: C(m) over the state's
-        # variables and the additions, as the definition gives it.
+        # At need 3, the rule packs one set for each nonsquare the additions
+        # leave uncovered, when there are three or more: C(m) over the
+        # state's variables and the additions, as the definition gives it.
         vars_set = frozenset(vars_set | {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)})
         nonsquares = {m for m in nonsquares if not is_product(m, vars_set, vars_set)}
         state = SearchState(None, (), vars_set, frozenset(nonsquares))
@@ -202,8 +215,8 @@ class TestPackingBound:
 
         real_packs = quadratize.pruning.packs
         with mock.patch.object(quadratize.pruning, "packs", recording):
-            prune_by_packing_bound(state, len(added) + 2, added)
-        assert sorted(m for _, m in packed) == (sorted(left) if len(left) >= 2 else [])
+            prune_by_packing_bound(state, len(added) + 3, added)
+        assert sorted(m for _, m in packed) == (sorted(left) if len(left) >= 3 else [])
         for cover, m in packed:
             assert cover == definition_factor_set(m, after), m
 
@@ -224,21 +237,29 @@ class TestPackingBound:
         assert not prune_by_c4_bound(state, 4)
 
     def test_banned_variables_leave_the_sets(self):
-        # x^4 and x^5 have the overlapping sets {x^2, x^3, x^4} and
-        # {x^2, .., x^5}, which pack 1, short of 2.  Banning x^2 and x^3
-        # leaves {x^4} and {x^4, x^5}, which still overlap; banning x^4 too
-        # empties the first, and no completion that avoids all three exists.
-        state = SearchState.initial(parse_system("x' = x^4 + x^5"))
-        assert sorted(state.nonsquares) == [(4,), (5,)]
+        # At need 2: z = x^4 alone quadratizes x' = x^5, and no other single
+        # variable does, so banning x^4 prunes the root at incumbent order
+        # 2 and banning x^5 does not.
+        state = SearchState.initial(parse_system("x' = x^5"))
         assert not prune_by_packing_bound(state, 2)
-        assert not prune_by_packing_bound(state, 2, (), {}, {(2,), (3,)})
-        assert prune_by_packing_bound(state, 2, (), {}, {(2,), (3,), (4,)})
+        assert not prune_by_packing_bound(state, 2, (), {}, {(5,)})
+        assert prune_by_packing_bound(state, 2, (), {}, {(4,)})
+        # At need 3: x^2*y and x*y^2 have the sets {x*y, x^2, x^2*y} and
+        # {x*y, y^2, x*y^2}, which meet in x*y, and z^3 has {z^2, z^3}, so
+        # they pack 2, short of 3.  Banning x*y makes all three disjoint;
+        # banning z^2 and z^3 empties the last set, and no completion that
+        # avoids them exists.
+        state = SearchState.initial(parse_system("x' = x^2*y\ny' = x*y^2\nz' = z^3"))
+        assert sorted(state.nonsquares) == [(0, 0, 3), (1, 2, 0), (2, 1, 0)]
+        assert not prune_by_packing_bound(state, 3)
+        assert prune_by_packing_bound(state, 3, (), {}, {(1, 1, 0)})
+        assert prune_by_packing_bound(state, 3, (), {}, {(0, 0, 2), (0, 0, 3)})
 
 
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
-        ("prune_by_packing_bound", "packing", 939),
-        ("prune_by_packing_bound", "all", 673),
+        ("prune_by_packing_bound", "packing", 505),
+        ("prune_by_packing_bound", "all", 505),
         ("prune_by_quadratic_bound", "quadratic", 911),
         ("prune_by_c4_bound", "c4", 871),
     ])
@@ -275,3 +296,91 @@ class TestPrunedNodesAreSound:
                             f"but adding {extra} quadratizes")
                 checked += 1
         assert checked == count
+
+
+class TestNeedTwoIsExact:
+    # With one more variable allowed below the bound (need 2), a completion
+    # adds exactly one variable z, and the packing rule decides whether one
+    # exists.  Checked by brute force over every divisor z of every
+    # monomial the variables leave uncovered, outside them and not banned:
+    # a z that completes divides every such monomial, so none is missed.
+
+    @pytest.fixture(scope="class")
+    def need_two(self, soundness_corpus):
+        """Every need-2 call of the packing rule, as (system, new_vars,
+        added, banned, pruned), and (need, pruned) for every call of the
+        pair-count and graph rules, over corpus seed 11 of the benchmark,
+        cubic_cycle(4..6) and the soundness corpus."""
+        calls = []
+        other_calls = []
+        real_packing = quadratize.solver.prune_by_packing_bound
+
+        def recording_packing(state, bound, added, divisor_sets, banned):
+            pruned = real_packing(state, bound, added, divisor_sets, banned)
+            if bound - len(state.new_vars) - len(added) == 2:
+                calls.append((state.system, state.new_vars, added, frozenset(banned), pruned))
+            return pruned
+
+        def recording(real):
+            def rule(state, bound):
+                pruned = real(state, bound)
+                other_calls.append((bound - len(state.new_vars), pruned))
+                return pruned
+            return rule
+
+        systems = ([parse_system(instance.text)
+                    for instance in benchmark_workloads().corpus(11)]
+                   + [benchmark_system("cubic_cycle", n) for n in (4, 5, 6)]
+                   + soundness_corpus)
+        with mock.patch.multiple(
+                quadratize.solver, prune_by_packing_bound=recording_packing,
+                prune_by_quadratic_bound=recording(quadratize.solver.prune_by_quadratic_bound),
+                prune_by_c4_bound=recording(quadratize.solver.prune_by_c4_bound)):
+            for system in systems:
+                bnb_search(system)
+        return calls, other_calls
+
+    @staticmethod
+    def one_variable_candidates(system, new_vars, banned):
+        """The monomials of the derivatives that new_vars leaves uncovered
+        (quadratization_violations), and their divisors outside the
+        generalized variables and not banned."""
+        n = system.num_vars
+        variables = {unit_monomial(n)} | {variable_monomial(n, i) for i in range(n)} | set(new_vars)
+        uncovered = {m for _, m in quadratization_violations(system, new_vars)}
+        return uncovered, {z for m in uncovered for z in divisors(m)} - variables - banned
+
+    def test_pruned_calls_have_no_one_variable_completion(self, need_two):
+        calls, _ = need_two
+        checked = 0
+        for system, new_vars, added, banned, pruned in calls:
+            if not pruned:
+                continue
+            uncovered, candidates = self.one_variable_candidates(system, new_vars + added, banned)
+            assert uncovered, (new_vars, added)
+            for z in candidates:
+                assert not is_quadratization(system, new_vars + added + (z,)), (
+                    f"pruned {new_vars + added} at need 2, but adding {z} quadratizes")
+            checked += 1
+        assert checked == 2261
+
+    def test_kept_visited_nodes_have_one(self, need_two):
+        # A call with no additions is for a visited node; the root's is made
+        # twice, before and after it is "extended" by nothing.
+        calls, _ = need_two
+        checked = 0
+        for system, new_vars, added, banned, pruned in calls:
+            if pruned or added:
+                continue
+            _, candidates = self.one_variable_candidates(system, new_vars, banned)
+            assert any(is_quadratization(system, new_vars + (z,)) for z in candidates), (
+                f"kept {new_vars} at need 2, but no one variable completes it")
+            checked += 1
+        assert checked == 353
+
+    def test_other_rules_prune_no_node_at_need_two(self, need_two):
+        # A visited node reaches them only when the packing rule keeps it,
+        # and at need 2 it then has a completion below the bound.
+        _, other_calls = need_two
+        assert sum(need == 2 for need, _ in other_calls) == 554
+        assert not any(pruned for need, pruned in other_calls if need == 2)

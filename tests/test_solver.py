@@ -42,6 +42,7 @@ from quadratize.state import SearchState
 from conftest import (
     RULE_CONFIGS,
     allen_cahn_text,
+    benchmark_workloads,
     definition_nonsquares,
     degree_box_incumbent,
     follow_incumbent,
@@ -724,6 +725,25 @@ def completion_below(system, new_vars, bound, pool):
     return None
 
 
+# Systems that the 3-cycle x1 -> x2 -> x3 -> x1 maps onto itself, small
+# enough for completion_below.
+THREE_CYCLE_TEXTS = (
+    "x1' = x2^2*x3\nx2' = x3^2*x1\nx3' = x1^2*x2",
+    "x1' = x2^2*x3^2\nx2' = x1^2*x3^2\nx3' = x1^2*x2^2",
+    "x1' = 3*x3^2 + 3*x1^2*x2^2\nx2' = 3*x1^2 + 3*x2^2*x3^2\nx3' = 3*x2^2 + 3*x1^2*x3^2",
+    "x1' = x2*x3^2 - 3*x1\nx2' = x1^2*x3 - 3*x2\nx3' = x1*x2^2 - 3*x3",
+)
+
+# Systems that swapping two variables maps onto themselves, on whose searches
+# the banned variables prune many nodes.
+SWAP_TEXTS = (
+    "x1' = 3*x1*x2^2\nx2' = 3*x1^2*x2\n"
+    "x3' = 2*a*x1^2*x2*x3^2 + 2*a*x1*x2^2*x3^2 + 2*a*x2*x3 + 2*a*x1*x3 - x1*x3^2 - x2*x3^2",
+    "x1' = x1*x2 + 3*x1^2*x3^2 - a*x1*x3^2\nx2' = -x1^2*x2^2*x3 - x1*x2^2*x3^2\n"
+    "x3' = x2*x3 + 3*x1^2*x3^2 - a*x1^2*x3",
+)
+
+
 class TestSkippedChildrenAreSound:
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, monkeypatch):
         # Every child skipped at bound N: no superset of its variables, drawn
@@ -732,7 +752,8 @@ class TestSkippedChildrenAreSound:
         # the search starts it, after its first incumbent, and falls to the
         # size of each visited quadratization smaller than it.  Exclusion
         # forbids most images of a settled child before the table sees them,
-        # so two 3-cycles join the cubic families, whose tables skip little.
+        # so four systems with a 3-cycle symmetry join the cubic families,
+        # whose tables skip little.
         tracked = {}
         skipped = []
         original_key = quadratize.solver.orbit_key
@@ -756,8 +777,7 @@ class TestSkippedChildrenAreSound:
         follow_incumbent(monkeypatch, tracked)
         systems = soundness_corpus + [benchmark_system(family, n) for n in (3, 4)
                                       for family in ("cubic_cycle", "cubic_bicycle")] + [
-            parse_system("x1' = x2^2*x3\nx2' = x3^2*x1\nx3' = x1^2*x2"),
-            parse_system("x1' = x2^2*x3^2\nx2' = x1^2*x3^2\nx3' = x1^2*x2^2")]
+            parse_system(text) for text in THREE_CYCLE_TEXTS]
         checked = 0
         for system in systems:
             skipped.clear()
@@ -770,7 +790,7 @@ class TestSkippedChildrenAreSound:
                 assert found is None, (
                     f"skipped {new_vars} at bound {bound}, but {found} quadratizes")
                 checked += 1
-        assert checked == 15
+        assert checked == 17
 
     def test_completion_below_finds_known_optima(self, worked_systems):
         # The checker above is only as good as this search.
@@ -852,7 +872,7 @@ class TestChildrenSkippedBeforeExtensionAreSound:
                     f"skipped {parent.new_vars + added} at bound {bound}, "
                     f"but {found} quadratizes")
                 checked += 1
-        assert checked == 479
+        assert checked == 462
 
 
 class TestExcludedChildrenAreSound:
@@ -916,7 +936,8 @@ class TestExcludedChildrenAreSound:
         checked = by_image = 0
         systems = soundness_corpus + [
             benchmark_system("cubic_cycle", 4), benchmark_system("cubic_bicycle", 3),
-            parse_system("x1' = x1^3\nx2' = x2^3\nx3' = x3^3")]
+            parse_system("x1' = x1^3\nx2' = x2^3\nx3' = x3^3")] + [
+            parse_system(text) for text in THREE_CYCLE_TEXTS]
         for system in systems:
             pulled.clear()
             entry_of.clear()
@@ -940,7 +961,7 @@ class TestExcludedChildrenAreSound:
                     earlier[3] and id(earlier[0]) in ancestors and j not in on_path
                     and members.issuperset(earlier[1])
                     for j, earlier in enumerate(pulled[:i]))
-        assert (checked, by_image) == (116, 14)
+        assert (checked, by_image) == (471, 188)
 
     def test_nodes_only_the_banned_variables_prune_have_no_smaller_completion(
             self, soundness_corpus, monkeypatch):
@@ -959,7 +980,11 @@ class TestExcludedChildrenAreSound:
 
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", recording_rule)
         visited = skipped = 0
-        for system in soundness_corpus + [benchmark_system("cubic_cycle", 4)]:
+        systems = soundness_corpus + [
+            benchmark_system("cubic_cycle", 4), benchmark_system("cubic_bicycle", 3),
+            parse_system("x1' = x1^3\nx2' = x2^3\nx3' = x3^3")] + [
+            parse_system(text) for text in THREE_CYCLE_TEXTS + SWAP_TEXTS]
+        for system in systems:
             pruned.clear()
             bnb_search(system)
             pool = box_candidates(system, wide_box(system))
@@ -970,7 +995,7 @@ class TestExcludedChildrenAreSound:
                     f"but {found} quadratizes")
                 visited += is_visited
                 skipped += not is_visited
-        assert (visited, skipped) == (50, 38)
+        assert (visited, skipped) == (47, 51)
 
     def test_many_siblings_cost_no_more_each(self):
         # The root of x^200000 has 100,001 children.  The first, x^199999,
@@ -1038,7 +1063,7 @@ class TestNoSetVisitedTwice:
 
 class TestSkippingKeepsTheAnswer:
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 5, SearchStats(637, 448, 0, 2, 0, 1, 10)),
+        ("cubic_cycle", 5, SearchStats(411, 235, 0, 2, 0, 1, 10)),
         ("cubic_bicycle", 5, SearchStats(132, 48, 0, 2, 0, 1, 10)),
     ])
     def test_without_matches_the_stats_are_those_of_the_plain_search(
@@ -1081,7 +1106,7 @@ class TestSkippingKeepsTheAnswer:
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 6, SearchStats(390, 254, 0, 2, 20, 1, 12)),
+        ("cubic_cycle", 6, SearchStats(313, 179, 0, 2, 20, 1, 12)),
         ("cubic_bicycle", 6, SearchStats(82, 18, 0, 0, 4, 1, 12)),
     ])
     def test_pinned_node_counts(self, name, n, stats):
@@ -1114,6 +1139,11 @@ class TestStartingBound:
 # its Laurent document.  A change that keeps every answer keeps the pin.
 ANSWERS_SHA256 = "4de02e24e67907e11309a7bb07f1d07c34f8ad85574867dc6c86633d74a496d5"
 
+# SHA-256 over the structured documents, without the stats, of the
+# benchmark's corpus workload at seed 11 (perfbench/workloads.py), in its
+# order.
+CORPUS_SHA256 = "0907909a1f053f8abc17e21810b69a64540de6b64a6e887d31bd12cd4952fddf"
+
 
 class TestAnswersUnchanged:
     def test_documents_hash_to_the_pin(self, worked_systems, soundness_corpus):
@@ -1127,3 +1157,10 @@ class TestAnswersUnchanged:
             digest.update(render_result(document, "structured").encode())
             digest.update(render_result(laurent_quadratize(system).document, "structured").encode())
         assert digest.hexdigest() == ANSWERS_SHA256
+
+    def test_benchmark_corpus_hashes_to_the_pin(self):
+        digest = hashlib.sha256()
+        for instance in benchmark_workloads().corpus(11):
+            document = bnb_search(parse_system(instance.text))[0].document._replace(stats=None)
+            digest.update(render_result(document, "structured").encode())
+        assert digest.hexdigest() == CORPUS_SHA256

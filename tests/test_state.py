@@ -342,13 +342,14 @@ class TestEveryVisitedNode:
             builds.clear()
             bnb_search(system)
             assert set(builds.values()) <= {1}
-        assert checked == 861
+        assert checked == 259
 
     def test_too_few_nonsquares_build_no_set(self, random_corpus, monkeypatch):
         # k packed sets need k more variables, and k never exceeds the
         # number of sets, so the packing rule lists no divisors when fewer
         # nonsquares are left than it needs, nor when it needs one variable
-        # (every C(m) holds m itself).
+        # (every C(m) holds m itself), nor at need 2, where it looks for the
+        # one more variable among the quotients by the variables.
         real_rule = quadratize.solver.prune_by_packing_bound
         real_divisors = quadratize.pruning.divisors
         builds = 0
@@ -366,7 +367,7 @@ class TestEveryVisitedNode:
             left = [m for m in state.nonsquares if not is_product(m, vars_set, added)]
             before = builds
             pruned = real_rule(state, bound, added, divisor_sets, banned)
-            if need <= 1 or len(left) < need:
+            if need <= 2 or len(left) < need:
                 assert builds == before, (state.new_vars, added, bound)
                 lazy_calls += 1
             return pruned
@@ -375,7 +376,7 @@ class TestEveryVisitedNode:
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", checking_rule)
         for system in random_corpus + [benchmark_system("cubic_cycle", 4)]:
             bnb_search(system)
-        assert lazy_calls == 744
+        assert lazy_calls == 674
 
         # The set of x^100000 would hold 10^5 divisors.
         builds = 0
@@ -385,7 +386,9 @@ class TestEveryVisitedNode:
         assert real_rule(state, 0)
         assert real_rule(state, 1)
         assert builds == 0
-        state = SearchState.initial(parse_system("x' = x^100000 + x^3"))
-        assert len(state.nonsquares) == 2
+        state = SearchState.initial(parse_system("x' = x^100000 + x^4 + x^3"))
+        assert len(state.nonsquares) == 3
         real_rule(state, 2)
-        assert builds == 2
+        assert builds == 0
+        real_rule(state, 3)
+        assert builds == 3
