@@ -25,10 +25,11 @@ child when the parent's nonsquares it leaves uncovered already need
 enough variables to reach the incumbent's order; switching the packing
 rule off switches that skip off too.  Two checks before a child is
 extended are not rules and stay on in every column, "no pruning" included:
-a child as large as the incumbent is skipped, and so is a child that
-contains what an earlier sibling of it or of an ancestor added (sibling
-exclusion: once that sibling's subtree is done, no set containing it can
-beat the incumbent).  Exclusion's banned variables, single forbidden
+a child as large as the incumbent ends its parent's list of children,
+since the later ones are no smaller, and a child is skipped that contains
+what an earlier sibling of it or of an ancestor added (sibling exclusion:
+once that sibling's subtree is done, no set containing it can beat the
+incumbent).  Exclusion's banned variables, single forbidden
 additions, reach the packing rule only, so they count only where it is
 on.  Skipped children are not counted as visited nodes.
 

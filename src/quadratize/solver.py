@@ -12,18 +12,20 @@ bound starts one above the greedy order, not at it, so the search returns
 the first optimum it reaches depth first rather than the greedy set; the
 tests pin that a start from the degree box gives the same answers.
 
-Three kinds of children are skipped before they are extended, decided
-from the parent alone.  A child with at least as many new variables as the
-bound is skipped: neither it nor any superset can beat the incumbent.  A
-child is also skipped when it contains a forbidden set (sibling
-exclusion, below).  And a child is skipped when the packing rule, applied
-to the parent's nonsquares that the child's additions leave uncovered,
-needs as many more variables as the child is short of the bound
-(prune_by_packing_bound, whose docstring and module give the argument).
-When the child is two short, so that one more variable z is all a better
-incumbent could add, the rule asks whether some z covers every such
-nonsquare and its own derivative, and skips the child when none does.
-None of the three changes the answer.
+A node's children are drawn fewest new variables first, and the bound
+only falls, so the first child with at least as many new variables as the
+bound ends the node: neither it, nor any later sibling, nor any superset
+of them can beat the incumbent.  Two kinds of children below the bound are
+skipped before they are extended, decided from the parent alone.  A child
+is skipped when it contains a forbidden set (sibling exclusion, below).
+And a child is skipped when the packing rule, applied to the parent's
+nonsquares that the child's additions leave uncovered, needs as many more
+variables as the child is short of the bound (prune_by_packing_bound,
+whose docstring and module give the argument).  When the child is two
+short, so that one more variable z is all a better incumbent could add,
+the rule asks whether some z covers every such nonsquare and its own
+derivative, and skips the child when none does.  Neither changes the
+answer.
 
 Sibling exclusion.  The children of a node P cover every quadratization
 T that contains P: T covers the branch monomial, so it contains one of
@@ -53,12 +55,12 @@ the same sizes, so the skipped subtree holds no strictly better
 incumbent.  Exclusion keeps "fully explored": the completions of a
 visited set that contain a forbidden set are at least the bound that
 held when it was forbidden, so its subtree still holds every completion
-below the bound or one no larger.  The three skips above come first and
-their sets never enter the table, so it holds visited sets only and the
-argument is unchanged; a later image of a skipped set is judged afresh,
-like any child.  When the group is larger than MAX_GROUP_ORDER, or
-finding it takes more than MAX_AUTOMORPHISM_STEPS steps, the identity
-alone is used.  Under the identity alone no table is kept: it could only
+below the bound or one no larger.  The size test and the two skips above
+come first and their sets never enter the table, so it holds visited sets
+only and the argument is unchanged; a later image of a skipped set is
+judged afresh, like any child.  When the group is larger than
+MAX_GROUP_ORDER, or finding it takes more than MAX_AUTOMORPHISM_STEPS
+steps, the identity alone is used.  Under the identity alone no table is kept: it could only
 find a set visited twice.
 
 Stabilizer exclusion (orbital branching: Ostrowski, Linderoth, Rossi and
@@ -74,7 +76,7 @@ before A's own subtree is done, though: it may hold sigma(A), and a better
 incumbent with it.  A itself can be forbidden at once, because every set
 of its subtree contains A and the exclusion test looks only at forbidden
 sets that meet a child's additions; its images are forbidden when P draws
-its next child.  An image is settled as A is, so the orbit table's
+a next child below the bound.  An image is settled as A is, so the orbit table's
 argument above is unchanged, and so are the incumbents the search finds.
 """
 
@@ -309,20 +311,23 @@ def bnb_search(system: ODESystem, *,
                max_order_cap: int | None = None) -> tuple[QuadratizationResult, SearchStats]:
     """Find a minimal-order monomial quadratization by branch and bound.
 
-    Before a child is extended, with size its number of new variables, it
-    is skipped when size >= bound; when its variables contain a forbidden
-    set: the additions of an earlier sibling of it or of an ancestor, and,
-    once that sibling's subtree is done, their images under the stabilizer
-    of its parent (the group elements that map the parent's set of new
-    variables onto itself; none is computed under the identity alone); or
-    when the packing rule proves from the parent and the child's additions
-    that every completion of the child that avoids the banned variables
-    (the forbidden sets of one variable) has at least `bound` variables
+    A node's children are drawn until the first one whose size, its number
+    of new variables, reaches the bound; that one and every later sibling
+    are at least as large, so none of them is drawn.  Before a child is
+    extended it is skipped when its variables contain a forbidden set: the
+    additions of an earlier sibling of it or of an ancestor, and, once that
+    sibling's subtree is done, their images under the stabilizer of its
+    parent (the group elements that map the parent's set of new variables
+    onto itself; none is computed under the identity alone); or when the
+    packing rule proves from the parent and the child's additions that
+    every completion of the child that avoids the banned variables (the
+    forbidden sets of one variable) has at least `bound` variables
     (prune_by_packing_bound).  So no skip loses a strictly better
     incumbent (the module docstring gives the exclusion argument).
     Skipped children are counted in no statistic and never enter the
     orbit table, which so holds visited sets only, as the module
     docstring's argument needs; under the identity alone there is none.
+    The root is visited without either test and takes no orbit key.
 
     Every visited node that is not a quadratization goes through the
     packing rule, with the node's banned variables, then the pair-count
@@ -371,7 +376,7 @@ def bnb_search(system: ODESystem, *,
     # it, and the banned variables are the partners of 1.  Each frame lists
     # the pairs it forbade, and they are lifted when it is popped.  So a
     # child's test looks only at the forbidden sets that meet its
-    # additions, and a child too large for the bound costs none.
+    # additions.
     unit = unit_monomial(system.num_vars)
     partners = {unit: set()}
 
@@ -389,51 +394,54 @@ def bnb_search(system: ODESystem, *,
     # Depth-first over a stack of (parent, iterator of its children, the
     # pairs its children forbade, the parent's stabilizer without the
     # identity, the last forbidden child whose images wait); a child is
-    # extended only when it is visited.  It is skipped before that when it
-    # is too large to beat the bound, when it contains a forbidden set,
+    # extended only when it is visited.  A frame ends at its first child too
+    # large to beat the bound: children come fewest additions first and the
+    # bound only falls, so every later sibling is too large as well.  A
+    # child below the bound is skipped when it contains a forbidden set,
     # when the packing of the parent's nonsquares it leaves uncovered
-    # reaches the bound, or when an image of its set was visited.
+    # reaches the bound, or when an image of its set was visited.  The root
+    # is the one child, (), of a frame over itself; it adds nothing, so it
+    # skips those tests and is always visited.
     stack = [(root, iter(((),)), [], (), [])]
     while stack:
         parent, children, settled, stabilizer, pending = stack[-1]
-        if pending:
-            # The last child's subtree is done, so its images under the
-            # stabilizer are settled too; forbidden earlier, they would cut
-            # that subtree, which may hold them.
-            last = pending.pop()
-            for sigma in stabilizer:
-                forbid(tuple(image(last, sigma)), settled)
         added = next(children, None)
-        if added is None:
+        if added is None or (size := len(parent.new_vars) + len(added)) >= bound:
             stack.pop()
             for a, b in settled:
                 partners[a].remove(b)
                 partners[b].remove(a)
             continue
-        size = len(parent.new_vars) + len(added)
-        if size >= bound:
-            continue  # so is every set that contains it: forbidding it cuts nothing
-        # Only a forbidden set that meets `added` can newly fit: the parent
-        # holds none but the additions of the nodes on the stack, which are
-        # still forbidden in their own subtrees and never meet `added`.
-        if any(b in added or b in parent.vars_set for a in added for b in partners.get(a, ())):
-            continue  # forbidding it excludes nothing new: it holds a forbidden set
-        # Depth first, this child is handled before its next sibling is
-        # drawn, so it is forbidden from here on: every set of its subtree
-        # contains it, and the test above only sees forbidden sets that meet
-        # the additions.
+        if pending:
+            # A sibling is about to be tested and the last child's subtree
+            # is done, so its images under the stabilizer are settled too;
+            # forbidden earlier, they would cut that subtree, which may hold
+            # them.
+            last = pending.pop()
+            for sigma in stabilizer:
+                forbid(tuple(image(last, sigma)), settled)
         if added:
+            # Only a forbidden set that meets `added` can newly fit: the
+            # parent holds none but the additions of the nodes on the stack,
+            # which are still forbidden in their own subtrees and never meet
+            # `added`.
+            if any(b in added or b in parent.vars_set for a in added for b in partners.get(a, ())):
+                continue  # forbidding it excludes nothing new: it holds a forbidden set
+            # Depth first, this child is handled before its next sibling is
+            # drawn, so it is forbidden from here on: every set of its
+            # subtree contains it, and the test above only sees forbidden
+            # sets that meet the additions.
             forbid(added, settled)
             if stabilizer:
                 pending.append(added)
-        if prune_by_packing_bound(parent, bound, added, divisor_sets, partners[unit]):
-            continue
-        if seen is not None:
-            key = orbit_key(parent.new_vars + added, group)
-            if key in seen:
-                pruned_symmetry += 1
+            if prune_by_packing_bound(parent, bound, added, divisor_sets, partners[unit]):
                 continue
-            seen.add(key)
+            if seen is not None:
+                key = orbit_key(parent.new_vars + added, group)
+                if key in seen:
+                    pruned_symmetry += 1
+                    continue
+                seen.add(key)
         state = parent.extended(added)
         nodes += 1
         if state.is_quadratization:

@@ -53,7 +53,7 @@ from .polynomials import (
 def is_product(m: Monomial, vars_set, introduced) -> bool:
     """Whether m is a product of two generalized variables, given all of them
     (`vars_set`) and the introduced ones among them that may be a factor."""
-    return ((degree(m) <= 2 and divides(unit_monomial(len(m)), m))
+    return ((degree(m) <= 2 and min(m) >= 0)
             or any(monomial_quotient(m, z) in vars_set for z in introduced))
 
 

@@ -57,8 +57,8 @@ def test_output_does_not_depend_on_the_hash_seed(args):
 
 @pytest.mark.parametrize("demo", sorted(ROOT.glob("demos/0*.py")), ids=lambda path: path.name)
 def test_demo_runs(demo):
-    # Every demo script.  The pruning-rules demo takes about 8 s, the others
-    # under one; the timeout only stops a hang.
+    # Every demo script.  The pruning-rules demo takes about 1 s on a
+    # 2-vCPU machine, the others well under; the timeout only stops a hang.
     proc = run_python([str(demo)], timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -365,8 +365,7 @@ class TestNeedTwoIsExact:
         assert checked == 2261
 
     def test_kept_visited_nodes_have_one(self, need_two):
-        # A call with no additions is for a visited node; the root's is made
-        # twice, before and after it is "extended" by nothing.
+        # A call with no additions is for a visited node.
         calls, _ = need_two
         checked = 0
         for system, new_vars, added, banned, pruned in calls:
@@ -376,7 +375,7 @@ class TestNeedTwoIsExact:
             assert any(is_quadratization(system, new_vars + (z,)) for z in candidates), (
                 f"kept {new_vars} at need 2, but no one variable completes it")
             checked += 1
-        assert checked == 353
+        assert checked == 277
 
     def test_other_rules_prune_no_node_at_need_two(self, need_two):
         # A visited node reaches them only when the packing rule keeps it,

@@ -997,16 +997,94 @@ class TestExcludedChildrenAreSound:
                 skipped += not is_visited
         assert (visited, skipped) == (47, 51)
 
-    def test_many_siblings_cost_no_more_each(self):
-        # The root of x^200000 has 100,001 children.  The first, x^199999,
-        # sets the bound to 1, and each later one must then be skipped by
-        # size in constant time: work per child that grows with the
-        # siblings drawn before it takes minutes here.
+    def test_many_siblings_cost_no_more_each(self, monkeypatch):
+        # The root of x^200000 has 100,001 children, one variable each
+        # first: x^100000, pruned at need 1, x^199999, the answer, which
+        # sets the bound to 1, and x^200000, as large as that bound, which
+        # ends the root's frame.  So the later siblings are never drawn.
+        tracked = {}
+        drawn = []
+        original_children = quadratize.solver.generate_children
+
+        def recording_children(state):
+            if tracked["descent"]:
+                yield from original_children(state)
+                return
+            for added in original_children(state):
+                drawn.append((state.new_vars, added))
+                yield added
+
+        monkeypatch.setattr(quadratize.solver, "generate_children", recording_children)
+        follow_incumbent(monkeypatch, tracked)
         start = time.perf_counter()
         result, stats = bnb_search(benchmark_system("scalar_power", 200_000))
         assert time.perf_counter() - start < 10
         assert result.new_vars == ((199_999,),)
         assert stats.optimal_order == 1
+        assert drawn == [((), ((100_000,),)), ((), ((199_999,),)), ((), ((200_000,),))]
+        assert (stats.nodes_visited, stats.pruned_by_packing) == (3, 1)
+
+
+class TestFrameEnds:
+    def test_no_child_after_one_at_the_bound_and_one_packing_call_per_node(
+            self, soundness_corpus, worked_systems, monkeypatch):
+        # Children come fewest additions first and the bound only falls, so
+        # a frame ends at its first child as large as the bound: no later
+        # sibling is drawn.  The bound is followed from outside, as above.
+        # The root is visited as it is, so like every visited node it
+        # reaches the packing rule with no additions once.
+        tracked = {}
+        late = []  # (parent's new variables, child) drawn after a sibling at the bound
+        ends = 0  # children drawn at the bound, each ending its frame
+        unextended = {}  # id of a state the rule saw with no additions, to it
+        twice = []  # the new variables of each state the rule saw so twice
+        original_children = quadratize.solver.generate_children
+        original_rule = quadratize.solver.prune_by_packing_bound
+        original_extended = SearchState.extended
+
+        def recording_children(state):
+            nonlocal ends
+            if tracked["descent"]:
+                yield from original_children(state)
+                return
+            at_bound = False
+            for added in original_children(state):
+                if at_bound:
+                    late.append((state.new_vars, added))
+                at_bound = len(state.new_vars) + len(added) >= tracked["bound"]
+                ends += at_bound
+                yield added
+
+        def recording_rule(state, bound, added, divisor_sets, banned):
+            if not added:
+                if id(state) in unextended:
+                    twice.append(state.new_vars)
+                unextended[id(state)] = state  # kept alive, so its id is not reused
+            return original_rule(state, bound, added, divisor_sets, banned)
+
+        def bounding_extended(state, monomials):
+            child = original_extended(state, monomials)
+            if child.is_quadratization and not tracked["descent"]:
+                tracked["bound"] = min(tracked["bound"], len(child.new_vars))
+            return child
+
+        monkeypatch.setattr(quadratize.solver, "generate_children", recording_children)
+        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", recording_rule)
+        monkeypatch.setattr(SearchState, "extended", bounding_extended)
+        follow_incumbent(monkeypatch, tracked)
+        systems = soundness_corpus + list(worked_systems.values()) + [
+            benchmark_system("cubic_cycle", 4), benchmark_system("cubic_bicycle", 3),
+            benchmark_system("scalar_power", 64)]
+        calls = kept = 0
+        for system in systems:
+            unextended.clear()
+            _, stats = bnb_search(system)
+            calls += len(unextended)
+            kept += stats.nodes_visited - stats.incumbent_updates
+        assert late == []
+        assert twice == []
+        assert calls == kept
+        assert (ends, calls) == (117, 548)
 
 
 class TestNoSetVisitedTwice:

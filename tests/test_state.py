@@ -342,7 +342,7 @@ class TestEveryVisitedNode:
             builds.clear()
             bnb_search(system)
             assert set(builds.values()) <= {1}
-        assert checked == 259
+        assert checked == 248
 
     def test_too_few_nonsquares_build_no_set(self, random_corpus, monkeypatch):
         # k packed sets need k more variables, and k never exceeds the
@@ -376,7 +376,7 @@ class TestEveryVisitedNode:
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", checking_rule)
         for system in random_corpus + [benchmark_system("cubic_cycle", 4)]:
             bnb_search(system)
-        assert lazy_calls == 674
+        assert lazy_calls == 626
 
         # The set of x^100000 would hold 10^5 divisors.
         builds = 0
