@@ -8,7 +8,8 @@ needs and cuts the subtree when the bound meets the incumbent.  The packing
 rule finds nonsquares whose factors outside the current variables form
 pairwise disjoint sets: a completion needs a new variable in each set;
 where the incumbent leaves room for only one more variable, it decides
-exactly whether one finishes the node.  The pair-count rule uses a counting argument (k new variables cover at most
+exactly whether one finishes the node, and where it leaves room for two,
+whether two do.  The pair-count rule uses a counting argument (k new variables cover at most
 k(k+1)/2 pair products); the graph rule sharpens the pair-product term with
 the exact maximum edge count of graphs without a closed 4-edge walk, which
 is much stronger in higher dimension.  Node counts, unlike wall times, are

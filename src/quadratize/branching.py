@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .polynomials import Monomial, divisor_count, divisors, grlex_key, monomial_quotient
 from .state import SearchState
 
@@ -27,9 +29,19 @@ def generate_children(state: SearchState) -> list[tuple[Monomial, ...]]:
     """
     m = select_branch_monomial(state)
     vars_set = state.vars_set
-    children = []
+    # (sort key, child), one list per number of additions, each key taken once.
+    ones, twos = [], []
     for d in divisors(m):
         rest = monomial_quotient(m, d)
-        if d <= rest:
-            children.append(tuple(sorted({d, rest} - vars_set, key=grlex_key)))
-    return sorted(children, key=lambda added: (len(added), tuple(map(grlex_key, added))))
+        if d > rest:
+            continue
+        if d == rest or rest in vars_set:
+            ones.append((grlex_key(d), (d,)))
+        elif d in vars_set:
+            ones.append((grlex_key(rest), (rest,)))
+        else:
+            kd, kr = grlex_key(d), grlex_key(rest)
+            twos.append(((kd, kr), (d, rest)) if kd < kr else ((kr, kd), (rest, d)))
+    ones.sort(key=itemgetter(0))
+    twos.sort(key=itemgetter(0))
+    return [child for _, child in ones + twos]

@@ -208,8 +208,11 @@ class ODESystem:
         self.variables = variables
         self.parameters = parameters
         self.rhs = rhs
-        # Memo for Lie derivatives of monomials along this system.  Populating
-        # it is idempotent, so sharing between threads is harmless.
+        # Memo of the supports of Lie derivatives of monomials along this
+        # system (lie_derivative_support).  bnb_search empties it when it
+        # ends, so it holds no more than one search's supports.
+        # lie_derivative_support reads an entry once and returns what it
+        # read, so sharing between threads, emptying included, is harmless.
         self._lie_cache = {}
 
     def __eq__(self, other) -> bool:
@@ -233,25 +236,22 @@ def lie_derivative(z: Monomial, system: ODESystem) -> dict[TermKey, Fraction]:
     """Time derivative of the monomial z along the system: sum_s f_s * dz/dx_s.
 
     Valid for Laurent monomials (negative exponents) as well; the result is
-    fully expanded, with cancellation removing zero terms.
+    fully expanded, with cancellation removing zero terms.  Not memoized:
+    the search needs only supports, and takes whole derivatives only to
+    write out its answer.
     """
-    cached = system._lie_cache.get(z)
-    if cached is not None:
-        return cached[0]
     result = {}
     for s, e in enumerate(z):
         if e:
             shifted = z[:s] + (e - 1,) + z[s + 1:]
             for (mono, params), coeff in system.rhs[s].items():
                 add_term(result, (monomial_mul(mono, shifted), params), coeff * e)
-    system._lie_cache[z] = (result, frozenset(mono for mono, _ in result))
     return result
 
 
 def lie_derivative_support(z: Monomial, system: ODESystem) -> frozenset[Monomial]:
-    """Support of lie_derivative(z, system), memoized alongside the polynomial."""
-    cached = system._lie_cache.get(z)
-    if cached is None:
-        lie_derivative(z, system)
-        cached = system._lie_cache[z]
-    return cached[1]
+    """The monomials of lie_derivative(z, system), memoized on the system."""
+    support = system._lie_cache.get(z)
+    if support is None:
+        support = system._lie_cache[z] = frozenset(mono for mono, _ in lie_derivative(z, system))
+    return support

@@ -27,17 +27,21 @@ bound less the new variables and the additions), the rule decides instead
 whether one exists, a last-level probe: with V the generalized variables
 of S + A, each uncovered nonsquare m is z*w with w in V or w = z, so z
 lies in every P(m) = {m/v : v in V, v divides m}, plus the square root of
-m when m is a square; and z' must be covered over V and z.  Two disjoint
-C(m) give two disjoint P(m), so greedy packing adds nothing there, and
-packs runs only at need 3 or more.
+m when m is a square (partners); and z' must be covered over V and z.
+Two disjoint C(m) give two disjoint P(m), so greedy packing adds nothing
+there.  When it leaves room for two (need 3), the rule decides whether at
+most two more variables complete the node (two_variables_complete): an
+uncovered m1 is z*w with z new and w in V or w = z (case A), or z1*z2 with
+both new and distinct (case B), and each case leaves few candidates.  So
+packs runs only at need 4 or more.
 
 Both calls may also get banned variables: monomials that no completion
 below the bound contains.  They are the sets of one variable that sibling
 exclusion forbids (solver.py), each kept there as a pair with 1.  The
 rule then bounds only the completions that avoid them, which have a new
 variable in C(m) minus the banned ones, so it packs those sets; a
-nonsquare with nothing left has no such completion at all.  At need 2 a
-banned monomial is no candidate for z.
+nonsquare with nothing left has no such completion at all.  At need 2 and
+3 a banned monomial is no candidate for a new variable.
 
 Rule 2 bounds how many nonsquares r additional variables could cover: each
 new variable z covers at most mult(z) nonsquares of the form z*v with v a
@@ -156,39 +160,131 @@ def packs(sets, need: int) -> bool:
     return False
 
 
+def partners(m: Monomial, vars_set, introduced, banned) -> set[Monomial]:
+    """P(m): the z outside vars_set and not banned with m = z * w for some
+    w in vars_set or w = z, as a new set; vars_set is 1, the x_i and the
+    `introduced` monomials.
+
+    They are the quotients of m by the members of vars_set that divide it:
+    m itself, m / x_i for each x_i in m, and m / v for each introduced v
+    that divides m; and the square root of m when m is a square.
+    """
+    found = {monomial_quotient(m, v) for v in introduced if divides(v, m)}
+    found.add(m)
+    found.update(m[:i] + (e - 1,) + m[i + 1:] for i, e in enumerate(m) if e)
+    if is_square(m):
+        found.add(tuple(e // 2 for e in m))
+    found.difference_update(vars_set, banned)
+    return found
+
+
+def covered(d: Monomial, vars_set, introduced, fresh) -> bool:
+    """Whether d is a product of two of vars_set and the `fresh` monomials;
+    `introduced` holds the members of vars_set that may be a factor."""
+    return (any((w := monomial_quotient(d, z)) in vars_set or w in fresh for z in fresh)
+            or is_product(d, vars_set, introduced))
+
+
 def one_variable_completes(state: SearchState, vars_set, added, left, banned) -> bool:
     """Whether at most one more variable z, not in vars_set nor banned,
     covers every monomial of `left`, and z' when there is one, with the
     additions made; vars_set is state.vars_set with the additions.
 
-    A covered m is z * w with w in vars_set or w = z, so z lies in P(m): the
-    quotients m / v by the v in vars_set that divide m, and the square root
-    of m when m is a square.  The candidates are those of the first m, and
-    each later m keeps the ones with m / z in vars_set or equal to z (a z
-    that does not divide m leaves a negative exponent there).  A candidate
-    completes when every monomial of its derivative is a product over
-    vars_set and z: is_product over the state's new variables and the
-    additions, or a quotient by z in vars_set or equal to z.
+    A covered m is z * w with w in vars_set or w = z, so z lies in
+    partners(m).  The candidates are those of the first m, and each later m
+    keeps the ones with m / z in vars_set or equal to z (a z that does not
+    divide m leaves a negative exponent there).  A candidate completes when
+    every monomial of its derivative is covered over vars_set and z.
     """
     left = iter(left)
     first = next(left, None)
     if first is None:
         return True
-    candidates = {monomial_quotient(first, v) for v in vars_set if divides(v, first)}
-    if is_square(first):
-        candidates.add(tuple(e // 2 for e in first))
-    candidates.difference_update(vars_set, banned)
+    introduced = state.new_vars + added
+    candidates = partners(first, vars_set, introduced, banned)
     for m in left:
         candidates = {z for z in candidates
                       if (w := monomial_quotient(m, z)) in vars_set or w == z}
         if not candidates:
             return False
-    introduced = state.new_vars + added
     system = state.system
-    return any(all((w := monomial_quotient(d, z)) in vars_set or w == z
-                   or is_product(d, vars_set, introduced)
+    return any(all(covered(d, vars_set, introduced, (z,))
                    for d in lie_derivative_support(z, system))
                for z in candidates)
+
+
+def two_variables_complete(state: SearchState, vars_set, added, left, banned) -> bool:
+    """Whether at most two more variables, not in vars_set nor banned, cover
+    every monomial of the list `left` and their own derivatives, with the
+    additions made; vars_set is state.vars_set with the additions.  With
+    fewer than two monomials in `left` it answers True: it does not look
+    for two new factors of a lone monomial.
+
+    Let m1 be the monomial of `left` with the fewest partners (graded-lex
+    order breaks ties).  A completion covers it in one of two ways.  Case A:
+    m1 = z * w with z new and w in vars_set or w = z, so z is in
+    partners(m1).  Every other m that z does not cover is z2 * w with w in
+    vars_set, z or z2, so a second variable z2 lies in partners(m), or is
+    m / z; so does every monomial of z' that is not covered over vars_set
+    and z.  z completes alone when no monomial asks for a z2; otherwise a
+    candidate z2 completes when its own derivative is covered over
+    vars_set, z and z2.  Case B: m1 = z1 * z2 with both new and distinct.
+    The next monomial m2 is no product of the two, which is m1, so it is
+    zi * w with w in vars_set or w = zi, and zi is in partners(m2) and
+    divides m1.  So p runs over partners(m2) that divide m1 and q = m1 / p,
+    outside vars_set, not banned and other than p, and the pair completes
+    when every monomial of `left` and of p' and q' is covered over vars_set,
+    p and q.
+    """
+    if len(left) < 2:
+        return True
+    introduced = state.new_vars + added
+    system = state.system
+    ranked = sorted(((partners(m, vars_set, introduced, banned), m) for m in left),
+                    key=lambda pm: (len(pm[0]), grlex_key(pm[1])))
+    (first, m1), rest = ranked[0], ranked[1:]
+    for z in first:
+        # The candidates for z2, None while no monomial asks for one.
+        candidates = None
+        for group, m in rest:
+            w = monomial_quotient(m, z)
+            if w in vars_set or w == z:
+                continue
+            if min(w) >= 0 and w not in banned:
+                group = group | {w}
+            candidates = group if candidates is None else candidates & group
+            if not candidates:
+                break
+        if candidates is not None and not candidates:
+            continue
+        for d in lie_derivative_support(z, system):
+            if covered(d, vars_set, introduced, (z,)):
+                continue
+            group = partners(d, vars_set, introduced, banned)
+            w = monomial_quotient(d, z)
+            if min(w) >= 0 and w not in banned:
+                group.add(w)
+            candidates = group if candidates is None else candidates & group
+            if not candidates:
+                break
+        if candidates is None:
+            return True
+        if any(all(covered(d, vars_set, introduced, (z, z2))
+                   for d in lie_derivative_support(z2, system))
+               for z2 in candidates):
+            return True
+    for p in rest[0][0]:
+        if not divides(p, m1):
+            continue
+        q = monomial_quotient(m1, p)
+        if q == p or q in vars_set or q in banned:
+            continue
+        pair = (p, q)
+        if (all(covered(m, vars_set, introduced, pair) for m in left)
+                and all(covered(d, vars_set, introduced, pair)
+                        for z in pair for d in lie_derivative_support(z, system))):
+            return True
+    return False
 
 
 def prune_by_packing_bound(state: SearchState, incumbent_order: int,
@@ -216,10 +312,16 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     one factor is z and the other a generalized variable or z, and T covers
     z' too; z is not banned.  With no additions and at a visited node the
     test is exact; before extension it ignores the child's fresh
-    nonsquares, a subset again.  At need 3 or more the rule packs the sets
-    C(m) greedily (packs): k disjoint ones need k more variables, and a
-    nonsquare left with an empty set prunes at once.  k never exceeds the
-    number of sets, so no set is built when there are too few.
+    nonsquares, a subset again.  At need 3 two, and the rule decides
+    whether at most two complete the node (two_variables_complete, which
+    gives the two ways a completion covers a nonsquare), by the same
+    argument; it is exact at a visited node with two nonsquares or more,
+    and keeps a node with one.  Neither probe looks at forbidden pairs,
+    which only keeps more nodes.  At need
+    4 or more the rule packs the sets C(m) greedily (packs): k disjoint
+    ones need k more variables, and a nonsquare left with an empty set
+    prunes at once.  k never exceeds the number of sets, so no set is
+    built when there are too few.
     divisor_sets maps m to D(m) and is filled here; the search passes one
     per search, and without it each call uses a fresh one, with the same
     answer.  Only packing builds a divisor set.
@@ -227,7 +329,7 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     need = incumbent_order - len(state.new_vars) - len(added)
     if need <= 0:
         return True
-    if need > 2 and len(state.nonsquares) < need:
+    if need > 3 and len(state.nonsquares) < need:
         return False
     left = state.nonsquares
     vars_set = state.vars_set
@@ -240,6 +342,8 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     if need == 2:
         return not one_variable_completes(state, vars_set, added, left, banned)
     left = list(left)
+    if need == 3:
+        return not two_variables_complete(state, vars_set, added, left, banned)
     if len(left) < need:
         return False
     if divisor_sets is None:

@@ -24,8 +24,8 @@ variables as the child is short of the bound (prune_by_packing_bound,
 whose docstring and module give the argument).  When the child is two
 short, so that one more variable z is all a better incumbent could add,
 the rule asks whether some z covers every such nonsquare and its own
-derivative, and skips the child when none does.  Neither changes the
-answer.
+derivative, and skips the child when none does; when it is three short,
+whether at most two more variables do.  Neither changes the answer.
 
 Sibling exclusion.  The children of a node P cover every quadratization
 T that contains P: T covers the branch monomial, so it contains one of
@@ -335,10 +335,13 @@ def bnb_search(system: ODESystem, *,
     packing call of the search.  All three are sound lower bounds, so they
     change only the number of nodes visited, never the answer.  Two short
     of the bound the packing rule is exact: it keeps a node only when one
-    more variable completes it, and then the other two keep it too.  Such
-    a node has a nonsquare to cover, so each rule's bound is at least its
-    depth + 1: a node the rules keep has depth + 1 < bound, and no
-    separate depth cutoff is needed.
+    more variable completes it, and then the other two keep it too.  Three
+    short it is exact at a node with two nonsquares or more, keeping it
+    only when at most two more variables complete it; with one nonsquare
+    the other two bound the node by one variable, so again they keep
+    whatever it keeps.  Such a node has a nonsquare to cover, so each
+    rule's bound is at least its depth + 1: a node the rules keep has
+    depth + 1 < bound, and no separate depth cutoff is needed.
 
     The first bound is one above the order of initial_incumbent, or above
     max_order_cap when that is smaller.  A quadratization of the greedy
@@ -354,128 +357,133 @@ def bnb_search(system: ODESystem, *,
     None or a non-negative int (a bool is not one); anything else raises
     ValueError.  The search checks no size of its own: ODESystem admits no
     term with more than MAX_EXPONENT + 1 divisors
-    (polynomials.too_many_divisors).
+    (polynomials.too_many_divisors).  The search fills the system's memo of
+    derivative supports (lie_derivative_support) and empties it when it
+    returns or raises, so a caller that keeps its systems keeps none of it.
     """
     if max_order_cap is not None and (type(max_order_cap) is not int or max_order_cap < 0):
         raise ValueError("max_order_cap must be None or a non-negative int, "
                          f"not {max_order_cap!r}")
-    nodes = pruned_packing = pruned_quadratic = pruned_c4 = pruned_symmetry = updates = 0
-    order = initial_incumbent(system)[1]
-    bound = (order if max_order_cap is None else min(order, max_order_cap)) + 1
-    best = None
-    root = SearchState.initial(system)
-    group = automorphisms(system)
-    symmetric = len(group) > 1
-    # Orbit keys of the visited sets of new variables, kept only when the
-    # group is more than the identity: exclusion alone visits no set twice.
-    seen = set() if symmetric else None
-    divisor_sets = {}  # the packing rule's D(m), for both of its calls
-    # The sets forbidden on the stack, kept in place as pairs: a pair
-    # {a, b} makes b a partner of a and a of b.  A single variable z is the
-    # pair {1, z}: 1 is a variable of every state, so the pair test covers
-    # it, and the banned variables are the partners of 1.  Each frame lists
-    # the pairs it forbade, and they are lifted when it is popped.  So a
-    # child's test looks only at the forbidden sets that meet its
-    # additions.
-    unit = unit_monomial(system.num_vars)
-    partners = {unit: set()}
+    try:
+        nodes = pruned_packing = pruned_quadratic = pruned_c4 = pruned_symmetry = updates = 0
+        order = initial_incumbent(system)[1]
+        bound = (order if max_order_cap is None else min(order, max_order_cap)) + 1
+        best = None
+        root = SearchState.initial(system)
+        group = automorphisms(system)
+        symmetric = len(group) > 1
+        # Orbit keys of the visited sets of new variables, kept only when the
+        # group is more than the identity: exclusion alone visits no set twice.
+        seen = set() if symmetric else None
+        divisor_sets = {}  # the packing rule's D(m), for both of its calls
+        # The sets forbidden on the stack, kept in place as pairs: a pair
+        # {a, b} makes b a partner of a and a of b.  A single variable z is the
+        # pair {1, z}: 1 is a variable of every state, so the pair test covers
+        # it, and the banned variables are the partners of 1.  Each frame lists
+        # the pairs it forbade, and they are lifted when it is popped.  So a
+        # child's test looks only at the forbidden sets that meet its
+        # additions.
+        unit = unit_monomial(system.num_vars)
+        partners = {unit: set()}
 
-    def forbid(added, settled):
-        # A pair already forbidden, by an ancestor's frame or as another
-        # image, is left alone: each pair is lifted only by the frame that
-        # added it, so no pop lifts a pair that is still forbidden below it.
-        a, b = added if len(added) == 2 else (unit, *added)
-        if b in partners.setdefault(a, set()):
-            return
-        partners[a].add(b)
-        partners.setdefault(b, set()).add(a)
-        settled.append((a, b))
+        def forbid(added, settled):
+            # A pair already forbidden, by an ancestor's frame or as another
+            # image, is left alone: each pair is lifted only by the frame that
+            # added it, so no pop lifts a pair that is still forbidden below it.
+            a, b = added if len(added) == 2 else (unit, *added)
+            if b in partners.setdefault(a, set()):
+                return
+            partners[a].add(b)
+            partners.setdefault(b, set()).add(a)
+            settled.append((a, b))
 
-    # Depth-first over a stack of (parent, iterator of its children, the
-    # pairs its children forbade, the parent's stabilizer without the
-    # identity, the last forbidden child whose images wait); a child is
-    # extended only when it is visited.  A frame ends at its first child too
-    # large to beat the bound: children come fewest additions first and the
-    # bound only falls, so every later sibling is too large as well.  A
-    # child below the bound is skipped when it contains a forbidden set,
-    # when the packing of the parent's nonsquares it leaves uncovered
-    # reaches the bound, or when an image of its set was visited.  The root
-    # is the one child, (), of a frame over itself; it adds nothing, so it
-    # skips those tests and is always visited.
-    stack = [(root, iter(((),)), [], (), [])]
-    while stack:
-        parent, children, settled, stabilizer, pending = stack[-1]
-        added = next(children, None)
-        if added is None or (size := len(parent.new_vars) + len(added)) >= bound:
-            stack.pop()
-            for a, b in settled:
-                partners[a].remove(b)
-                partners[b].remove(a)
-            continue
-        if pending:
-            # A sibling is about to be tested and the last child's subtree
-            # is done, so its images under the stabilizer are settled too;
-            # forbidden earlier, they would cut that subtree, which may hold
-            # them.
-            last = pending.pop()
-            for sigma in stabilizer:
-                forbid(tuple(image(last, sigma)), settled)
-        if added:
-            # Only a forbidden set that meets `added` can newly fit: the
-            # parent holds none but the additions of the nodes on the stack,
-            # which are still forbidden in their own subtrees and never meet
-            # `added`.
-            if any(b in added or b in parent.vars_set for a in added for b in partners.get(a, ())):
-                continue  # forbidding it excludes nothing new: it holds a forbidden set
-            # Depth first, this child is handled before its next sibling is
-            # drawn, so it is forbidden from here on: every set of its
-            # subtree contains it, and the test above only sees forbidden
-            # sets that meet the additions.
-            forbid(added, settled)
-            if stabilizer:
-                pending.append(added)
-            if prune_by_packing_bound(parent, bound, added, divisor_sets, partners[unit]):
+        # Depth-first over a stack of (parent, iterator of its children, the
+        # pairs its children forbade, the parent's stabilizer without the
+        # identity, the last forbidden child whose images wait); a child is
+        # extended only when it is visited.  A frame ends at its first child too
+        # large to beat the bound: children come fewest additions first and the
+        # bound only falls, so every later sibling is too large as well.  A
+        # child below the bound is skipped when it contains a forbidden set,
+        # when the packing of the parent's nonsquares it leaves uncovered
+        # reaches the bound, or when an image of its set was visited.  The root
+        # is the one child, (), of a frame over itself; it adds nothing, so it
+        # skips those tests and is always visited.
+        stack = [(root, iter(((),)), [], (), [])]
+        while stack:
+            parent, children, settled, stabilizer, pending = stack[-1]
+            added = next(children, None)
+            if added is None or (size := len(parent.new_vars) + len(added)) >= bound:
+                stack.pop()
+                for a, b in settled:
+                    partners[a].remove(b)
+                    partners[b].remove(a)
                 continue
-            if seen is not None:
-                key = orbit_key(parent.new_vars + added, group)
-                if key in seen:
-                    pruned_symmetry += 1
+            if pending:
+                # A sibling is about to be tested and the last child's subtree
+                # is done, so its images under the stabilizer are settled too;
+                # forbidden earlier, they would cut that subtree, which may hold
+                # them.
+                last = pending.pop()
+                for sigma in stabilizer:
+                    forbid(tuple(image(last, sigma)), settled)
+            if added:
+                # Only a forbidden set that meets `added` can newly fit: the
+                # parent holds none but the additions of the nodes on the stack,
+                # which are still forbidden in their own subtrees and never meet
+                # `added`.
+                if any(b in added or b in parent.vars_set for a in added for b in partners.get(a, ())):
+                    continue  # forbidding it excludes nothing new: it holds a forbidden set
+                # Depth first, this child is handled before its next sibling is
+                # drawn, so it is forbidden from here on: every set of its
+                # subtree contains it, and the test above only sees forbidden
+                # sets that meet the additions.
+                forbid(added, settled)
+                if stabilizer:
+                    pending.append(added)
+                if prune_by_packing_bound(parent, bound, added, divisor_sets, partners[unit]):
                     continue
-                seen.add(key)
-        state = parent.extended(added)
-        nodes += 1
-        if state.is_quadratization:
-            # size < bound was checked above, and extended adds exactly `added`.
-            best, bound = state.new_vars, size
-            updates += 1
-            continue
-        if prune_by_packing_bound(state, bound, (), divisor_sets, partners[unit]):
-            pruned_packing += 1
-            continue
-        if prune_by_quadratic_bound(state, bound):
-            pruned_quadratic += 1
-            continue
-        if prune_by_c4_bound(state, bound):
-            pruned_c4 += 1
-            continue
-        stabilizer = ()
-        if symmetric:
-            # The elements that map the set of new variables onto itself;
-            # sigma does exactly when its inverse does, so image's
-            # convention does not matter here.
-            new_vars = set(state.new_vars)
-            stabilizer = [sigma for sigma in group[1:]
-                          if new_vars.issuperset(image(new_vars, sigma))]
-        stack.append((state, iter(generate_children(state)), [], stabilizer, []))
+                if seen is not None:
+                    key = orbit_key(parent.new_vars + added, group)
+                    if key in seen:
+                        pruned_symmetry += 1
+                        continue
+                    seen.add(key)
+            state = parent.extended(added)
+            nodes += 1
+            if state.is_quadratization:
+                # size < bound was checked above, and extended adds exactly `added`.
+                best, bound = state.new_vars, size
+                updates += 1
+                continue
+            if prune_by_packing_bound(state, bound, (), divisor_sets, partners[unit]):
+                pruned_packing += 1
+                continue
+            if prune_by_quadratic_bound(state, bound):
+                pruned_quadratic += 1
+                continue
+            if prune_by_c4_bound(state, bound):
+                pruned_c4 += 1
+                continue
+            stabilizer = ()
+            if symmetric:
+                # The elements that map the set of new variables onto itself;
+                # sigma does exactly when its inverse does, so image's
+                # convention does not matter here.
+                new_vars = set(state.new_vars)
+                stabilizer = [sigma for sigma in group[1:]
+                              if new_vars.issuperset(image(new_vars, sigma))]
+            stack.append((state, iter(generate_children(state)), [], stabilizer, []))
 
-    if best is None:  # the greedy order is within reach, so only a cap leaves none
-        raise NoQuadratizationWithinCap(max_order_cap)
-    stats = SearchStats(nodes, pruned_packing, pruned_quadratic, pruned_c4, pruned_symmetry,
-                        updates, len(best))
-    final = root.extended(best)
-    result = QuadratizationResult(new_vars=final.new_vars, order=len(best), optimal=True,
-                                  document=final.extract_quadratic_system(stats=stats.as_dict()))
-    return result, stats
+        if best is None:  # the greedy order is within reach, so only a cap leaves none
+            raise NoQuadratizationWithinCap(max_order_cap)
+        stats = SearchStats(nodes, pruned_packing, pruned_quadratic, pruned_c4, pruned_symmetry,
+                            updates, len(best))
+        final = root.extended(best)
+        result = QuadratizationResult(new_vars=final.new_vars, order=len(best), optimal=True,
+                                      document=final.extract_quadratic_system(stats=stats.as_dict()))
+        return result, stats
+    finally:
+        system._lie_cache.clear()
 
 
 def laurent_quadratize(system: ODESystem) -> QuadratizationResult:

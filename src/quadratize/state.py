@@ -18,7 +18,7 @@ tests the old nonsquares against the additions alone.
 
 States are immutable snapshots: their four fields never change.
 ``extended`` returns a new state and only updates the nonsquares its
-additions can change, taking derivatives from the memo on the
+additions can change, taking derivative supports from the memo on the
 ``ODESystem``, which is what makes deep DFS cheap.  What the pruning rules
 derive from a state (the packing rule's factor sets among it) is theirs to
 build and keep; see ``pruning.py``.

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from quadratize.branching import generate_children, select_branch_monomial
 from quadratize.parsing import parse_system
-from quadratize.polynomials import divisor_count, grlex_key
+from quadratize.polynomials import divisor_count, divisors, grlex_key, monomial_quotient
 from quadratize.state import SearchState
 
 from conftest import factor_pairs, random_polynomial_system
@@ -16,6 +16,19 @@ def synthetic_state(system_text, nonsquares):
     """A state with a hand-picked nonsquare set, for selection tests."""
     state = SearchState.initial(parse_system(system_text))
     return SearchState(state.system, state.new_vars, state.vars_set, frozenset(nonsquares))
+
+
+def definition_children(state):
+    """The children as first defined: each pair's factors outside the
+    generalized variables as a set, sorted, and the list sorted once by
+    number of additions, then graded-lex keys."""
+    m = select_branch_monomial(state)
+    children = []
+    for d in divisors(m):
+        rest = monomial_quotient(m, d)
+        if d <= rest:
+            children.append(tuple(sorted({d, rest} - state.vars_set, key=grlex_key)))
+    return sorted(children, key=lambda added: (len(added), tuple(map(grlex_key, added))))
 
 
 class TestSelection:
@@ -71,6 +84,18 @@ class TestChildren:
             assert {frozenset(added) for added in children} == expected
             assert len(expected) == len(pairs)
             assert frozenset() not in expected
+            state = state.extended(rng.choice(children))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_definition(self, seed):
+        # The same list as the definition, at every node of a random
+        # descent.
+        rng = random.Random(seed)
+        state = SearchState.initial(random_polynomial_system(rng))
+        while state.nonsquares and len(state.new_vars) <= 4:
+            children = generate_children(state)
+            assert children == definition_children(state)
             state = state.extended(rng.choice(children))
 
     def test_every_child_adds_a_variable(self):

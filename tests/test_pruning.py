@@ -193,14 +193,16 @@ MONOMIALS = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
 
 
 class TestPackingBound:
-    @given(st.sets(MONOMIALS, min_size=3, max_size=5), st.sets(MONOMIALS, max_size=12),
+    @given(st.sets(MONOMIALS, min_size=4, max_size=6), st.sets(MONOMIALS, max_size=12),
            st.sets(MONOMIALS, max_size=3))
     @settings(max_examples=150, deadline=None)
     def test_uncovered_factors_are_the_new_factors_of_decompositions(self, nonsquares,
                                                                      vars_set, added):
-        # At need 3, the rule packs one set for each nonsquare the additions
-        # leave uncovered, when there are three or more: C(m) over the
+        # At need 4, the rule packs one set for each nonsquare the additions
+        # leave uncovered, when there are four or more: C(m) over the
         # state's variables and the additions, as the definition gives it.
+        # Below need 4 it takes derivatives, which a state without a
+        # system has none of.
         vars_set = frozenset(vars_set | {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)})
         nonsquares = {m for m in nonsquares if not is_product(m, vars_set, vars_set)}
         state = SearchState(None, (), vars_set, frozenset(nonsquares))
@@ -215,15 +217,16 @@ class TestPackingBound:
 
         real_packs = quadratize.pruning.packs
         with mock.patch.object(quadratize.pruning, "packs", recording):
-            prune_by_packing_bound(state, len(added) + 3, added)
-        assert sorted(m for _, m in packed) == (sorted(left) if len(left) >= 3 else [])
+            prune_by_packing_bound(state, len(added) + 4, added)
+        assert sorted(m for _, m in packed) == (sorted(left) if len(left) >= 4 else [])
         for cover, m in packed:
             assert cover == definition_factor_set(m, after), m
 
     @pytest.mark.parametrize("name,n,bound", [
         ("cubic_cycle", 6, 6),
         ("cubic_bicycle", 6, 6),
-        ("rf", None, 2),
+        # No two variables complete rf's root, so the bound is its optimum.
+        ("rf", None, 3),
     ])
     def test_root_bounds(self, name, n, bound):
         assert packing_root_bound(benchmark_system(name, n)) == bound
@@ -244,22 +247,31 @@ class TestPackingBound:
         assert not prune_by_packing_bound(state, 2)
         assert not prune_by_packing_bound(state, 2, (), {}, {(5,)})
         assert prune_by_packing_bound(state, 2, (), {}, {(4,)})
-        # At need 3: x^2*y and x*y^2 have the sets {x*y, x^2, x^2*y} and
-        # {x*y, y^2, x*y^2}, which meet in x*y, and z^3 has {z^2, z^3}, so
-        # they pack 2, short of 3.  Banning x*y makes all three disjoint;
-        # banning z^2 and z^3 empties the last set, and no completion that
-        # avoids them exists.
+        # At need 3: x*y and z^2 quadratize x' = x^2*y, y' = x*y^2,
+        # z' = z^3.  z^3 needs z^2 or z^3, and neither covers x^2*y, whose
+        # other partners, x^2 and x^2*y, cover no x*y^2, so banning x*y
+        # prunes; so does banning z^2 and z^3, which leaves z^3 uncovered.
         state = SearchState.initial(parse_system("x' = x^2*y\ny' = x*y^2\nz' = z^3"))
         assert sorted(state.nonsquares) == [(0, 0, 3), (1, 2, 0), (2, 1, 0)]
         assert not prune_by_packing_bound(state, 3)
         assert prune_by_packing_bound(state, 3, (), {}, {(1, 1, 0)})
         assert prune_by_packing_bound(state, 3, (), {}, {(0, 0, 2), (0, 0, 3)})
+        # At need 4, with w' = w^3 too: x^2*y and x*y^2 have the sets
+        # {x*y, x^2, x^2*y} and {x*y, y^2, x*y^2}, which meet in x*y, and
+        # z^3 and w^3 have {z^2, z^3} and {w^2, w^3}, so they pack 3, short
+        # of 4.  Banning x*y makes all four disjoint; banning w^2 and w^3
+        # empties the last set, and no completion that avoids them exists.
+        state = SearchState.initial(parse_system("x' = x^2*y\ny' = x*y^2\nz' = z^3\nw' = w^3"))
+        assert len(state.nonsquares) == 4
+        assert not prune_by_packing_bound(state, 4)
+        assert prune_by_packing_bound(state, 4, (), {}, {(1, 1, 0, 0)})
+        assert prune_by_packing_bound(state, 4, (), {}, {(0, 0, 0, 2), (0, 0, 0, 3)})
 
 
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
-        ("prune_by_packing_bound", "packing", 505),
-        ("prune_by_packing_bound", "all", 505),
+        ("prune_by_packing_bound", "packing", 356),
+        ("prune_by_packing_bound", "all", 356),
         ("prune_by_quadratic_bound", "quadratic", 911),
         ("prune_by_c4_bound", "c4", 871),
     ])
@@ -298,6 +310,44 @@ class TestPrunedNodesAreSound:
         assert checked == count
 
 
+@pytest.fixture(scope="module")
+def packing_calls(soundness_corpus):
+    """Every call of the packing rule at need 2 or 3, as (need, system,
+    new_vars, added, banned, nonsquares of the state, pruned), and (need,
+    pruned) for every call of the pair-count and graph rules, over corpus
+    seed 11 of the benchmark, cubic_cycle(4..6) and the soundness corpus."""
+    calls = []
+    other_calls = []
+    real_packing = quadratize.solver.prune_by_packing_bound
+
+    def recording_packing(state, bound, added, divisor_sets, banned):
+        pruned = real_packing(state, bound, added, divisor_sets, banned)
+        need = bound - len(state.new_vars) - len(added)
+        if need in (2, 3):
+            calls.append((need, state.system, state.new_vars, added, frozenset(banned),
+                          len(state.nonsquares), pruned))
+        return pruned
+
+    def recording(real):
+        def rule(state, bound):
+            pruned = real(state, bound)
+            other_calls.append((bound - len(state.new_vars), pruned))
+            return pruned
+        return rule
+
+    systems = ([parse_system(instance.text)
+                for instance in benchmark_workloads().corpus(11)]
+               + [benchmark_system("cubic_cycle", n) for n in (4, 5, 6)]
+               + soundness_corpus)
+    with mock.patch.multiple(
+            quadratize.solver, prune_by_packing_bound=recording_packing,
+            prune_by_quadratic_bound=recording(quadratize.solver.prune_by_quadratic_bound),
+            prune_by_c4_bound=recording(quadratize.solver.prune_by_c4_bound)):
+        for system in systems:
+            bnb_search(system)
+    return calls, other_calls
+
+
 class TestNeedTwoIsExact:
     # With one more variable allowed below the bound (need 2), a completion
     # adds exactly one variable z, and the packing rule decides whether one
@@ -306,39 +356,13 @@ class TestNeedTwoIsExact:
     # a z that completes divides every such monomial, so none is missed.
 
     @pytest.fixture(scope="class")
-    def need_two(self, soundness_corpus):
-        """Every need-2 call of the packing rule, as (system, new_vars,
-        added, banned, pruned), and (need, pruned) for every call of the
-        pair-count and graph rules, over corpus seed 11 of the benchmark,
-        cubic_cycle(4..6) and the soundness corpus."""
-        calls = []
-        other_calls = []
-        real_packing = quadratize.solver.prune_by_packing_bound
-
-        def recording_packing(state, bound, added, divisor_sets, banned):
-            pruned = real_packing(state, bound, added, divisor_sets, banned)
-            if bound - len(state.new_vars) - len(added) == 2:
-                calls.append((state.system, state.new_vars, added, frozenset(banned), pruned))
-            return pruned
-
-        def recording(real):
-            def rule(state, bound):
-                pruned = real(state, bound)
-                other_calls.append((bound - len(state.new_vars), pruned))
-                return pruned
-            return rule
-
-        systems = ([parse_system(instance.text)
-                    for instance in benchmark_workloads().corpus(11)]
-                   + [benchmark_system("cubic_cycle", n) for n in (4, 5, 6)]
-                   + soundness_corpus)
-        with mock.patch.multiple(
-                quadratize.solver, prune_by_packing_bound=recording_packing,
-                prune_by_quadratic_bound=recording(quadratize.solver.prune_by_quadratic_bound),
-                prune_by_c4_bound=recording(quadratize.solver.prune_by_c4_bound)):
-            for system in systems:
-                bnb_search(system)
-        return calls, other_calls
+    def need_two(self, packing_calls):
+        """The need-2 calls of packing_calls, as (system, new_vars, added,
+        banned, pruned), and the other rules' calls."""
+        calls, other_calls = packing_calls
+        return ([(system, new_vars, added, banned, pruned)
+                 for need, system, new_vars, added, banned, _, pruned in calls if need == 2],
+                other_calls)
 
     @staticmethod
     def one_variable_candidates(system, new_vars, banned):
@@ -362,7 +386,7 @@ class TestNeedTwoIsExact:
                 assert not is_quadratization(system, new_vars + added + (z,)), (
                     f"pruned {new_vars + added} at need 2, but adding {z} quadratizes")
             checked += 1
-        assert checked == 2261
+        assert checked == 417
 
     def test_kept_visited_nodes_have_one(self, need_two):
         # A call with no additions is for a visited node.
@@ -383,3 +407,71 @@ class TestNeedTwoIsExact:
         _, other_calls = need_two
         assert sum(need == 2 for need, _ in other_calls) == 554
         assert not any(pruned for need, pruned in other_calls if need == 2)
+
+
+def completes_within(system, new_vars, banned, more):
+    """Whether at most `more` monomials, outside the generalized variables
+    and not banned, complete new_vars to a quadratization, by brute force
+    with the checker (quadratization_violations).
+
+    A completion covers each monomial the checker reports as a product with
+    one of its members as a factor, so some member divides the first; and
+    with one member left to add, that member divides every one.
+    """
+    uncovered = sorted({m for _, m in quadratization_violations(system, new_vars)})
+    if not uncovered:
+        return True
+    if not more:
+        return False
+    n = system.num_vars
+    variables = {unit_monomial(n)} | {variable_monomial(n, i) for i in range(n)} | set(new_vars)
+    candidates = set(divisors(uncovered[0]))
+    if more == 1:
+        for m in uncovered[1:]:
+            candidates.intersection_update(divisors(m))
+    return any(completes_within(system, new_vars + (z,), banned, more - 1)
+               for z in sorted(candidates - variables - banned))
+
+
+class TestNeedThreeIsExact:
+    # With two more variables allowed below the bound (need 3), the packing
+    # rule decides whether at most two complete the node; checked by brute
+    # force (completes_within).  Before a child is extended the rule sees
+    # only the parent's nonsquares that the additions leave uncovered, so a
+    # kept call is checked only at a visited node; and with one nonsquare
+    # it does not look for two new factors of it, so a kept call is checked
+    # only with two or more.
+
+    @pytest.fixture(scope="class")
+    def need_three(self, packing_calls):
+        calls, other_calls = packing_calls
+        return ([call[1:] for call in calls if call[0] == 3],
+                [pruned for need, pruned in other_calls if need == 3])
+
+    def test_pruned_calls_have_no_two_variable_completion(self, need_three):
+        calls, _ = need_three
+        checked = 0
+        for system, new_vars, added, banned, _, pruned in calls:
+            if pruned:
+                assert not completes_within(system, new_vars + added, banned, 2), (
+                    f"pruned {new_vars + added} at need 3, but two variables complete it")
+                checked += 1
+        assert checked == 740
+
+    def test_kept_visited_nodes_with_two_nonsquares_have_one(self, need_three):
+        calls, _ = need_three
+        checked = 0
+        for system, new_vars, added, banned, nonsquares, pruned in calls:
+            if not (pruned or added) and nonsquares >= 2:
+                assert completes_within(system, new_vars, banned, 2), (
+                    f"kept {new_vars} at need 3, but no two variables complete it")
+                checked += 1
+        assert checked == 169
+
+    def test_other_rules_prune_no_node_at_need_three(self, need_three):
+        # A visited node reaches them only when the packing rule keeps it:
+        # with two nonsquares or more it then has a completion below the
+        # bound, and with one each of them bounds it by one variable.
+        _, other_calls = need_three
+        assert len(other_calls) == 404
+        assert not any(other_calls)

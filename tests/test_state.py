@@ -308,7 +308,9 @@ class TestEveryVisitedNode:
         # the definition gives it, less the banned variables, for a
         # nonsquare m of the child.  The rule
         # keeps the divisors of each m in one memo per search, so no
-        # monomial's divisors are listed twice in a search.
+        # monomial's divisors are listed twice in a search.  It packs only
+        # at need 4 or more, which the corpus rarely reaches, so two cubic
+        # systems join it.
         real_rule = quadratize.solver.prune_by_packing_bound
         real_packs = quadratize.pruning.packs
         real_divisors = quadratize.pruning.divisors
@@ -338,18 +340,20 @@ class TestEveryVisitedNode:
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", tracking_rule)
         monkeypatch.setattr(quadratize.pruning, "packs", checking_packs)
         monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
-        for system in random_corpus + [benchmark_system("cubic_cycle", 4)]:
+        for system in random_corpus + [benchmark_system("cubic_cycle", n) for n in (4, 5)] + [
+                benchmark_system("cubic_bicycle", 4)]:
             builds.clear()
             bnb_search(system)
             assert set(builds.values()) <= {1}
-        assert checked == 248
+        assert checked == 307
 
     def test_too_few_nonsquares_build_no_set(self, random_corpus, monkeypatch):
         # k packed sets need k more variables, and k never exceeds the
         # number of sets, so the packing rule lists no divisors when fewer
         # nonsquares are left than it needs, nor when it needs one variable
-        # (every C(m) holds m itself), nor at need 2, where it looks for the
-        # one more variable among the quotients by the variables.
+        # (every C(m) holds m itself), nor at need 2 or 3, where it looks
+        # for the one or two more variables among the quotients by the
+        # variables.
         real_rule = quadratize.solver.prune_by_packing_bound
         real_divisors = quadratize.pruning.divisors
         builds = 0
@@ -367,7 +371,7 @@ class TestEveryVisitedNode:
             left = [m for m in state.nonsquares if not is_product(m, vars_set, added)]
             before = builds
             pruned = real_rule(state, bound, added, divisor_sets, banned)
-            if need <= 2 or len(left) < need:
+            if need <= 3 or len(left) < need:
                 assert builds == before, (state.new_vars, added, bound)
                 lazy_calls += 1
             return pruned
@@ -376,7 +380,7 @@ class TestEveryVisitedNode:
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", checking_rule)
         for system in random_corpus + [benchmark_system("cubic_cycle", 4)]:
             bnb_search(system)
-        assert lazy_calls == 626
+        assert lazy_calls == 548
 
         # The set of x^100000 would hold 10^5 divisors.
         builds = 0
@@ -386,9 +390,10 @@ class TestEveryVisitedNode:
         assert real_rule(state, 0)
         assert real_rule(state, 1)
         assert builds == 0
-        state = SearchState.initial(parse_system("x' = x^100000 + x^4 + x^3"))
-        assert len(state.nonsquares) == 3
+        state = SearchState.initial(parse_system("x' = x^100000 + x^5 + x^4 + x^3"))
+        assert len(state.nonsquares) == 4
         real_rule(state, 2)
-        assert builds == 0
         real_rule(state, 3)
-        assert builds == 3
+        assert builds == 0
+        real_rule(state, 4)
+        assert builds == 4
