@@ -71,13 +71,11 @@ themselves, and an addition A of P onto a set sigma(A) disjoint from them.
 Once the child P + A is settled, so is P + sigma(A): a quadratization T
 that contains it gives sigma^-1(T), of the same size, which contains
 P + A, so T is no smaller than the bound that held when A was forbidden.
-So the images of A are forbidden as A is, in P's later subtrees.  Not
-before A's own subtree is done, though: it may hold sigma(A), and a better
-incumbent with it.  A itself can be forbidden at once, because every set
-of its subtree contains A and the exclusion test looks only at forbidden
-sets that meet a child's additions; its images are forbidden when P draws
-a next child below the bound.  An image is settled as A is, so the orbit table's
-argument above is unchanged, and so are the incumbents the search finds.
+So P forbids its last child's additions A and their stabilizer images
+when it draws its next child below the bound: A's subtree is done then,
+and earlier the images would cut it, since it may hold sigma(A) and a
+better incumbent with it.  An image is settled as A is, so the orbit
+table's argument above is unchanged, and so are the incumbents found.
 """
 
 from __future__ import annotations
@@ -315,10 +313,10 @@ def bnb_search(system: ODESystem, *,
     of new variables, reaches the bound; that one and every later sibling
     are at least as large, so none of them is drawn.  Before a child is
     extended it is skipped when its variables contain a forbidden set: the
-    additions of an earlier sibling of it or of an ancestor, and, once that
-    sibling's subtree is done, their images under the stabilizer of its
-    parent (the group elements that map the parent's set of new variables
-    onto itself; none is computed under the identity alone); or when the
+    additions of an earlier sibling of it or of an ancestor and their
+    images under the stabilizer of that sibling's parent (the group
+    elements that map the parent's set of new variables onto itself),
+    forbidden once that sibling's subtree is done; or when the
     packing rule proves from the parent and the child's additions that
     every completion of the child that avoids the banned variables (the
     forbidden sets of one variable) has at least `bound` variables
@@ -371,10 +369,9 @@ def bnb_search(system: ODESystem, *,
         best = None
         root = SearchState.initial(system)
         group = automorphisms(system)
-        symmetric = len(group) > 1
         # Orbit keys of the visited sets of new variables, kept only when the
         # group is more than the identity: exclusion alone visits no set twice.
-        seen = set() if symmetric else None
+        seen = set() if len(group) > 1 else None
         divisor_sets = {}  # the packing rule's D(m), for both of its calls
         # The sets forbidden on the stack, kept in place as pairs: a pair
         # {a, b} makes b a partner of a and a of b.  A single variable z is the
@@ -399,15 +396,17 @@ def bnb_search(system: ODESystem, *,
 
         # Depth-first over a stack of (parent, iterator of its children, the
         # pairs its children forbade, the parent's stabilizer without the
-        # identity, the last forbidden child whose images wait); a child is
-        # extended only when it is visited.  A frame ends at its first child too
-        # large to beat the bound: children come fewest additions first and the
-        # bound only falls, so every later sibling is too large as well.  A
-        # child below the bound is skipped when it contains a forbidden set,
-        # when the packing of the parent's nonsquares it leaves uncovered
-        # reaches the bound, or when an image of its set was visited.  The root
-        # is the one child, (), of a frame over itself; it adds nothing, so it
-        # skips those tests and is always visited.
+        # identity, the last child that passed the exclusion test); a frame
+        # forbids that child's additions and their stabilizer images when it
+        # draws its next child below the bound.  A child is extended only when
+        # it is visited.  A frame ends at its first child too large to beat the
+        # bound: children come fewest additions first and the bound only falls,
+        # so every later sibling is too large as well.  A child below the bound
+        # is skipped when it contains a forbidden set, when the packing of the
+        # parent's nonsquares it leaves uncovered reaches the bound, or when an
+        # image of its set was visited.  The root is the one child, (), of a
+        # frame over itself; it adds nothing, so it skips those tests and is
+        # always visited.
         stack = [(root, iter(((),)), [], (), [])]
         while stack:
             parent, children, settled, stabilizer, pending = stack[-1]
@@ -419,27 +418,19 @@ def bnb_search(system: ODESystem, *,
                     partners[b].remove(a)
                 continue
             if pending:
-                # A sibling is about to be tested and the last child's subtree
-                # is done, so its images under the stabilizer are settled too;
-                # forbidden earlier, they would cut that subtree, which may hold
-                # them.
+                # The last child's subtree is done, so it is settled, and so are
+                # its images, which forbidden earlier would cut that subtree.
                 last = pending.pop()
+                forbid(last, settled)
                 for sigma in stabilizer:
                     forbid(tuple(image(last, sigma)), settled)
             if added:
-                # Only a forbidden set that meets `added` can newly fit: the
-                # parent holds none but the additions of the nodes on the stack,
-                # which are still forbidden in their own subtrees and never meet
-                # `added`.
+                # Only a forbidden set that meets `added` can fit: the parent
+                # passed this test, and of the sets forbidden since, only its own
+                # frame's are still forbidden, all outside its variables.
                 if any(b in added or b in parent.vars_set for a in added for b in partners.get(a, ())):
                     continue  # forbidding it excludes nothing new: it holds a forbidden set
-                # Depth first, this child is handled before its next sibling is
-                # drawn, so it is forbidden from here on: every set of its
-                # subtree contains it, and the test above only sees forbidden
-                # sets that meet the additions.
-                forbid(added, settled)
-                if stabilizer:
-                    pending.append(added)
+                pending.append(added)
                 if prune_by_packing_bound(parent, bound, added, divisor_sets, partners[unit]):
                     continue
                 if seen is not None:
@@ -464,14 +455,11 @@ def bnb_search(system: ODESystem, *,
             if prune_by_c4_bound(state, bound):
                 pruned_c4 += 1
                 continue
-            stabilizer = ()
-            if symmetric:
-                # The elements that map the set of new variables onto itself;
-                # sigma does exactly when its inverse does, so image's
-                # convention does not matter here.
-                new_vars = set(state.new_vars)
-                stabilizer = [sigma for sigma in group[1:]
-                              if new_vars.issuperset(image(new_vars, sigma))]
+            # The elements that map the set of new variables onto itself;
+            # sigma does exactly when its inverse does, so image's convention
+            # does not matter here.
+            new_vars = set(state.new_vars)
+            stabilizer = [sigma for sigma in group[1:] if new_vars.issuperset(image(new_vars, sigma))]
             stack.append((state, iter(generate_children(state)), [], stabilizer, []))
 
         if best is None:  # the greedy order is within reach, so only a cap leaves none

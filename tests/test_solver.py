@@ -737,13 +737,22 @@ class TestOrbitKey:
         assert orbit_key(monomials, group) == orbit_key(monomials[::-1], group)
 
 
-def completion_below(system, new_vars, bound, pool):
+def completion_below(system, new_vars, bound, pool, refuted=None):
     """A quadratization inside new_vars + pool with fewer than `bound`
     variables that contains new_vars, or None.
 
     Definitional: it branches over the factor pairs of the first monomial the
     brute-force checker reports, so it shares nothing with the search.
+    `refuted` holds the sets of new variables already found to have no such
+    completion, fresh for each top-level call: whether one exists depends on
+    the set alone, so a set reached by another order of additions is not
+    searched again.
     """
+    if refuted is None:
+        refuted = set()
+    key = frozenset(new_vars)
+    if key in refuted:
+        return None
     violations = quadratization_violations(system, new_vars)
     if not violations:
         return new_vars if len(new_vars) < bound else None
@@ -754,9 +763,10 @@ def completion_below(system, new_vars, bound, pool):
         added = {f for f in (d, rest) if sum(f) > 1 and f not in new_vars}
         if not added or not added <= allowed or len(new_vars) + len(added) >= bound:
             continue
-        found = completion_below(system, new_vars + tuple(sorted(added)), bound, pool)
+        found = completion_below(system, new_vars + tuple(sorted(added)), bound, pool, refuted)
         if found is not None:
             return found
+    refuted.add(key)
     return None
 
 
@@ -769,8 +779,7 @@ THREE_CYCLE_TEXTS = (
     "x1' = x2*x3^2 - 3*x1\nx2' = x1^2*x3 - 3*x2\nx3' = x1*x2^2 - 3*x3",
 )
 
-# Two more such systems, on whose searches the orbit table skips sets.  The
-# exclusion test would take minutes on them, so it leaves them out.
+# Two more such systems, on whose searches the orbit table skips sets.
 THREE_CYCLE_SKIP_TEXTS = (
     "x1' = x2*x3 + x1^2*x2^2*x3^2\nx2' = x1*x3 + x1^2*x2^2*x3^2\nx3' = x1*x2 + x1^2*x2^2*x3^2",
     "x1' = x2*x3^2 + x1^2*x2*x3\nx2' = x1^2*x3 + x1*x2^2*x3\nx3' = x1*x2^2 + x1*x2*x3^2",
@@ -984,7 +993,7 @@ class TestExcludedChildrenAreSound:
         systems = soundness_corpus + [
             benchmark_system("cubic_cycle", 4), benchmark_system("cubic_bicycle", 3),
             parse_system("x1' = x1^3\nx2' = x2^3\nx3' = x3^3")] + [
-            parse_system(text) for text in THREE_CYCLE_TEXTS]
+            parse_system(text) for text in THREE_CYCLE_TEXTS + THREE_CYCLE_SKIP_TEXTS]
         for system in systems:
             pulled.clear()
             entry_of.clear()
@@ -1008,7 +1017,7 @@ class TestExcludedChildrenAreSound:
                     earlier[3] and id(earlier[0]) in ancestors and j not in on_path
                     and members.issuperset(earlier[1])
                     for j, earlier in enumerate(pulled[:i]))
-        assert (checked, by_image) == (189, 99)
+        assert (checked, by_image) == (1678, 744)
 
     def test_nodes_only_the_banned_variables_prune_have_no_smaller_completion(
             self, soundness_corpus, monkeypatch):
