@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .polynomials import Monomial, divisor_count, divisors, grlex_key, monomial_quotient
 from .state import SearchState
 
@@ -29,7 +27,8 @@ def generate_children(state: SearchState) -> list[tuple[Monomial, ...]]:
     """
     m = select_branch_monomial(state)
     vars_set = state.vars_set
-    # (sort key, child), one list per number of additions, each key taken once.
+    # (sort key, child), one list per number of additions.  Each key is taken
+    # once, so sorting the pairs sorts by key alone.
     ones, twos = [], []
     for d in divisors(m):
         rest = monomial_quotient(m, d)
@@ -42,6 +41,6 @@ def generate_children(state: SearchState) -> list[tuple[Monomial, ...]]:
         else:
             kd, kr = grlex_key(d), grlex_key(rest)
             twos.append(((kd, kr), (d, rest)) if kd < kr else ((kr, kd), (rest, d)))
-    ones.sort(key=itemgetter(0))
-    twos.sort(key=itemgetter(0))
+    ones.sort()
+    twos.sort()
     return [child for _, child in ones + twos]

@@ -35,8 +35,8 @@ between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product, repeat
-from operator import add, countOf, le, mod, sub
+from itertools import chain, product, repeat
+from operator import add, countOf, itemgetter, le, mod, sub
 
 Monomial = tuple[int, ...]
 ParamExponents = tuple[int, ...]
@@ -94,7 +94,14 @@ def variable_monomial(num_vars: int, index: int) -> Monomial:
 
 
 # The monomial kernel: every exponent-wise operation of the search goes
-# through these functions.
+# through these functions, and no other module reads the exponents of the
+# monomials the search works on (its new variables, nonsquares, children
+# and orbit keys).  Outside it only the input edge reads exponents: the
+# parser builds them, ODESystem and SearchState.extended check them,
+# solver.automorphisms and solver.per_variable_degrees read the input's
+# terms, and output.format_monomial prints them; bruteforce.py stays
+# independent of the kernel on purpose.  Monomials compare as tuples, and
+# `<` and sorted on them elsewhere rely on that order.
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
@@ -109,6 +116,11 @@ def monomial_quotient(m: Monomial, v: Monomial) -> Monomial:
 def divides(v: Monomial, m: Monomial) -> bool:
     """Whether v divides m, i.e. m / v has no negative exponent."""
     return all(map(le, v, m))
+
+
+def is_nonnegative(m: Monomial) -> bool:
+    """Whether m has no negative exponent; an empty tuple has none."""
+    return min(m, default=0) >= 0
 
 
 def degree(m: Monomial) -> int:
@@ -136,6 +148,55 @@ def divisor_count(m: Monomial) -> int:
 def divisors(m: Monomial):
     """All monomial divisors of m, in ascending tuple order."""
     return product(*(range(e + 1) for e in m))
+
+
+def partners(m: Monomial, vars_set, introduced, banned) -> set[Monomial]:
+    """P(m): the z outside vars_set and not banned with m = z * w for some
+    w in vars_set or w = z, as a new set; vars_set is 1, the x_i and the
+    `introduced` monomials.
+
+    They are the quotients of m by the members of vars_set that divide it:
+    m itself, m / x_i for each x_i in m, and m / v for each introduced v
+    that divides m; and the square root of m when m is a square.
+    """
+    found = {monomial_quotient(m, v) for v in introduced if divides(v, m)}
+    found.add(m)
+    found.update(m[:i] + (e - 1,) + m[i + 1:] for i, e in enumerate(m) if e)
+    if is_square(m):
+        found.add(tuple(e // 2 for e in m))
+    found.difference_update(vars_set, banned)
+    return found
+
+
+def image(monomials, sigma):
+    """The monomials renamed by the inverse of sigma, as an iterator.
+
+    Exponent i of an image is exponent sigma[i] of its monomial: variable
+    sigma[i] becomes variable i.  A group holds the inverse of each
+    element, so over a whole group these are the images under the group.
+    Monomials have two or more variables (one-variable groups are trivial,
+    and the search takes no image under a trivial group).
+    """
+    return map(itemgetter(*sigma), monomials)
+
+
+def orbit_key(monomials, group) -> int:
+    """The least image of a set of monomials under the group, as one int.
+
+    Equal exactly when the two sets are images of each other under some
+    element of the group.  Each image is a sorted list of exponent tuples.
+    The least one is packed behind a leading 1 bit, `width` bits per
+    exponent, where `width` is the bit length of the largest exponent (the
+    same in every image), so the bit length gives the number of monomials.
+    Below that come a 0 bit and `width` 1 bits, which give `width` back.  So
+    the key is injective for any exponent size.
+    """
+    width = max(1, max((max(m) for m in monomials), default=0).bit_length())
+    least = min(sorted(image(monomials, sigma)) for sigma in group)
+    packed = 1
+    for e in chain.from_iterable(least):
+        packed = packed << width | e
+    return (packed << (width + 1)) | ((1 << width) - 1)
 
 
 def add_term(poly: dict[TermKey, Fraction], key: TermKey, coeff) -> Fraction:
@@ -196,7 +257,7 @@ class ODESystem:
             for (mono, params), coeff in poly.items():
                 if not (is_exponent_tuple(mono, n) and is_exponent_tuple(params, np_)):
                     raise ValueError(f"a term's exponents must be tuples of {n} and {np_} ints")
-                if min(mono) < 0 or min(params, default=0) < 0:
+                if not (is_nonnegative(mono) and is_nonnegative(params)):
                     raise ValueError("negative exponents are not allowed in a system")
                 if too_many_divisors(mono) or too_many_divisors(params):
                     raise ValueError(f"a term has more than {MAX_EXPONENT + 1} divisors")

@@ -27,7 +27,8 @@ bound less the new variables and the additions), the rule decides instead
 whether one exists, a last-level probe: with V the generalized variables
 of S + A, each uncovered nonsquare m is z*w with w in V or w = z, so z
 lies in every P(m) = {m/v : v in V, v divides m}, plus the square root of
-m when m is a square (partners); and z' must be covered over V and z.
+m when m is a square (polynomials.partners); and z' must be covered
+over V and z.
 Two disjoint C(m) give two disjoint P(m), so greedy packing adds nothing
 there.  When it leaves room for two (need 3), the rule decides whether at
 most two more variables complete the node (two_variables_complete): an
@@ -73,6 +74,7 @@ from .polynomials import (
     lie_derivative_support,
     monomial_mul,
     monomial_quotient,
+    partners,
 )
 from .state import SearchState, is_product
 
@@ -160,24 +162,6 @@ def packs(sets, need: int) -> bool:
     return False
 
 
-def partners(m: Monomial, vars_set, introduced, banned) -> set[Monomial]:
-    """P(m): the z outside vars_set and not banned with m = z * w for some
-    w in vars_set or w = z, as a new set; vars_set is 1, the x_i and the
-    `introduced` monomials.
-
-    They are the quotients of m by the members of vars_set that divide it:
-    m itself, m / x_i for each x_i in m, and m / v for each introduced v
-    that divides m; and the square root of m when m is a square.
-    """
-    found = {monomial_quotient(m, v) for v in introduced if divides(v, m)}
-    found.add(m)
-    found.update(m[:i] + (e - 1,) + m[i + 1:] for i, e in enumerate(m) if e)
-    if is_square(m):
-        found.add(tuple(e // 2 for e in m))
-    found.difference_update(vars_set, banned)
-    return found
-
-
 def covered(d: Monomial, vars_set, introduced, fresh) -> bool:
     """Whether d is a product of two of vars_set and the `fresh` monomials;
     `introduced` holds the members of vars_set that may be a factor."""
@@ -185,10 +169,10 @@ def covered(d: Monomial, vars_set, introduced, fresh) -> bool:
             or is_product(d, vars_set, introduced))
 
 
-def one_variable_completes(state: SearchState, vars_set, added, left, banned) -> bool:
+def one_variable_completes(system, vars_set, introduced, left, banned) -> bool:
     """Whether at most one more variable z, not in vars_set nor banned,
-    covers every monomial of `left`, and z' when there is one, with the
-    additions made; vars_set is state.vars_set with the additions.
+    covers every monomial of `left`, and z' when there is one; vars_set is
+    1, the x_i and the `introduced` monomials.
 
     A covered m is z * w with w in vars_set or w = z, so z lies in
     partners(m).  The candidates are those of the first m, and each later m
@@ -200,25 +184,23 @@ def one_variable_completes(state: SearchState, vars_set, added, left, banned) ->
     first = next(left, None)
     if first is None:
         return True
-    introduced = state.new_vars + added
     candidates = partners(first, vars_set, introduced, banned)
     for m in left:
         candidates = {z for z in candidates
                       if (w := monomial_quotient(m, z)) in vars_set or w == z}
         if not candidates:
             return False
-    system = state.system
     return any(all(covered(d, vars_set, introduced, (z,))
                    for d in lie_derivative_support(z, system))
                for z in candidates)
 
 
-def two_variables_complete(state: SearchState, vars_set, added, left, banned) -> bool:
+def two_variables_complete(system, vars_set, introduced, left, banned) -> bool:
     """Whether at most two more variables, not in vars_set nor banned, cover
-    every monomial of the list `left` and their own derivatives, with the
-    additions made; vars_set is state.vars_set with the additions.  With
-    fewer than two monomials in `left` it answers True: it does not look
-    for two new factors of a lone monomial.
+    every monomial of the list `left` and their own derivatives; vars_set
+    is 1, the x_i and the `introduced` monomials.  With fewer than two
+    monomials in `left` it answers True: it does not look for two new
+    factors of a lone monomial.
 
     Let m1 be the monomial of `left` with the fewest partners (graded-lex
     order breaks ties).  A completion covers it in one of two ways.  Case A:
@@ -238,8 +220,6 @@ def two_variables_complete(state: SearchState, vars_set, added, left, banned) ->
     """
     if len(left) < 2:
         return True
-    introduced = state.new_vars + added
-    system = state.system
     ranked = sorted(((partners(m, vars_set, introduced, banned), m) for m in left),
                     key=lambda pm: (len(pm[0]), grlex_key(pm[1])))
     (first, m1), rest = ranked[0], ranked[1:]
@@ -250,7 +230,7 @@ def two_variables_complete(state: SearchState, vars_set, added, left, banned) ->
             w = monomial_quotient(m, z)
             if w in vars_set or w == z:
                 continue
-            if min(w) >= 0 and w not in banned:
+            if divides(z, m) and w not in banned:
                 group = group | {w}
             candidates = group if candidates is None else candidates & group
             if not candidates:
@@ -262,7 +242,7 @@ def two_variables_complete(state: SearchState, vars_set, added, left, banned) ->
                 continue
             group = partners(d, vars_set, introduced, banned)
             w = monomial_quotient(d, z)
-            if min(w) >= 0 and w not in banned:
+            if divides(z, d) and w not in banned:
                 group.add(w)
             candidates = group if candidates is None else candidates & group
             if not candidates:
@@ -326,7 +306,8 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     per search, and without it each call uses a fresh one, with the same
     answer.  Only packing builds a divisor set.
     """
-    need = incumbent_order - len(state.new_vars) - len(added)
+    introduced = state.new_vars + added
+    need = incumbent_order - len(introduced)
     if need <= 0:
         return True
     if need > 3 and len(state.nonsquares) < need:
@@ -340,10 +321,10 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
         # Every C(m) holds m itself, so any one nonsquare left packs.
         return any(True for _ in left)
     if need == 2:
-        return not one_variable_completes(state, vars_set, added, left, banned)
+        return not one_variable_completes(state.system, vars_set, introduced, left, banned)
     left = list(left)
     if need == 3:
-        return not two_variables_complete(state, vars_set, added, left, banned)
+        return not two_variables_complete(state.system, vars_set, introduced, left, banned)
     if len(left) < need:
         return False
     if divisor_sets is None:
@@ -351,8 +332,7 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     for m in left:
         if m not in divisor_sets:
             divisor_sets[m] = frozenset(divisors(m))
-    return packs([(divisor_sets[m].difference(state.vars_set, added, banned), m) for m in left],
-                 need)
+    return packs([(divisor_sets[m].difference(vars_set, banned), m) for m in left], need)
 
 
 def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:

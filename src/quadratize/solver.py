@@ -81,8 +81,6 @@ table's argument above is unchanged, and so are the incumbents found.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
-from operator import itemgetter
 
 from .branching import generate_children
 from .parsing import parse_system
@@ -91,8 +89,10 @@ from .polynomials import (
     ODESystem,
     divides,
     grlex_key,
+    image,
     lie_derivative_support,
     monomial_quotient,
+    orbit_key,
     unit_monomial,
     variable_monomial,
 )
@@ -142,6 +142,11 @@ def initial_incumbent(system: ODESystem) -> tuple[tuple[Monomial, ...], int]:
     divides, in the derivatives of the other generalized variables, is
     still a product over them: a factorization of any other monomial never
     uses z, and z' need no longer be covered.
+
+    It leaves the supports it derives in the system's memo
+    (lie_derivative_support), unlike bnb_search and laurent_quadratize:
+    bnb_search calls it first, reuses them, and empties the memo when it
+    ends.
     """
     box = per_variable_degrees(system)
     state = SearchState.initial(system)
@@ -272,37 +277,6 @@ def automorphisms(system: ODESystem) -> tuple[tuple[int, ...], ...]:
     if len(partials) > MAX_GROUP_ORDER:
         return identity
     return tuple(sigma for sigma, _ in partials)
-
-
-def image(monomials, sigma):
-    """The monomials renamed by the inverse of sigma, as an iterator.
-
-    Exponent i of an image is exponent sigma[i] of its monomial: variable
-    sigma[i] becomes variable i.  A group holds the inverse of each
-    element, so over a whole group these are the images under the group.
-    Monomials have two or more variables (one-variable groups are trivial,
-    and the search takes no image under a trivial group).
-    """
-    return map(itemgetter(*sigma), monomials)
-
-
-def orbit_key(monomials, group) -> int:
-    """The least image of a set of monomials under the group, as one int.
-
-    Equal exactly when the two sets are images of each other under some
-    element of the group.  Each image is a sorted list of exponent tuples.
-    The least one is packed behind a leading 1 bit, `width` bits per
-    exponent, where `width` is the bit length of the largest exponent (the
-    same in every image), so the bit length gives the number of monomials.
-    Below that come a 0 bit and `width` 1 bits, which give `width` back.  So
-    the key is injective for any exponent size.
-    """
-    width = max(1, max((max(m) for m in monomials), default=0).bit_length())
-    least = min(sorted(image(monomials, sigma)) for sigma in group)
-    packed = 1
-    for e in chain.from_iterable(least):
-        packed = packed << width | e
-    return (packed << (width + 1)) | ((1 << width) - 1)
 
 
 def bnb_search(system: ODESystem, *,
@@ -484,16 +458,21 @@ def laurent_quadratize(system: ODESystem) -> QuadratizationResult:
     EJDE 2005).  The ratios are introduced into the search's own state and
     the result is extracted the same way, which checks that the nonsquare
     set is empty: names follow graded-lex order and every term uses the
-    least factor pair.  The order is not certified optimal.
+    least factor pair.  The order is not certified optimal.  Like
+    bnb_search, it empties the system's memo of derivative supports when it
+    returns or raises.
     """
     n = system.num_vars
     ratios = {monomial_quotient(mono, variable_monomial(n, i))
               for i, poly in enumerate(system.rhs) for mono, _ in poly}
-    root = SearchState.initial(system)
-    state = root.extended(ratios - root.vars_set)
-    return QuadratizationResult(new_vars=state.new_vars, order=len(state.new_vars),
-                                optimal=False,
-                                document=state.extract_quadratic_system(optimal=False))
+    try:
+        root = SearchState.initial(system)
+        state = root.extended(ratios - root.vars_set)
+        return QuadratizationResult(new_vars=state.new_vars, order=len(state.new_vars),
+                                    optimal=False,
+                                    document=state.extract_quadratic_system(optimal=False))
+    finally:
+        system._lie_cache.clear()
 
 
 def benchmark_system(name: str, n: int | None = None) -> ODESystem:

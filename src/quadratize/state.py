@@ -36,11 +36,11 @@ from .polynomials import (
     Monomial,
     ODESystem,
     degree,
-    divides,
     divisor_count,
     divisors,
     grlex_key,
     is_exponent_tuple,
+    is_nonnegative,
     lie_derivative,
     lie_derivative_support,
     monomial_quotient,
@@ -53,7 +53,7 @@ from .polynomials import (
 def is_product(m: Monomial, vars_set, introduced) -> bool:
     """Whether m is a product of two generalized variables, given all of them
     (`vars_set`) and the introduced ones among them that may be a factor."""
-    return ((degree(m) <= 2 and min(m) >= 0)
+    return ((degree(m) <= 2 and is_nonnegative(m))
             or any(monomial_quotient(m, z) in vars_set for z in introduced))
 
 
@@ -138,7 +138,7 @@ class SearchState:
 
         vars_set = self.vars_set
         by_grlex = sorted(vars_set, key=grlex_key)
-        walk_divisors = all(divides(unit_monomial(n), z) for z in self.new_vars)
+        walk_divisors = all(map(is_nonnegative, self.new_vars))
         ordered = [variable_monomial(n, i) for i in range(n)] + list(self.new_vars)
         equations: dict[str, tuple[ResultTerm, ...]] = {}
         for v in ordered:

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadratize.pruning
 from quadratize.parsing import parse_system
-from quadratize.solver import bnb_search
+from quadratize.solver import benchmark_system, bnb_search
 from quadratize.output import render_result
 from quadratize.polynomials import (
     MAX_COEFFICIENT_DIGITS,
@@ -17,15 +19,19 @@ from quadratize.polynomials import (
     divides,
     divisor_count,
     grlex_key,
+    is_nonnegative,
     is_square,
     lie_derivative,
     monomial_mul,
     monomial_quotient,
+    partners,
     polynomial_mul,
     sorted_terms,
     unit_monomial,
     variable_monomial,
 )
+
+from conftest import benchmark_workloads, factor_pairs
 
 monomials = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple)
 
@@ -82,6 +88,57 @@ class TestMonomialOps:
             assert is_square(m) == all(m[i] % 2 == 0 for i in range(n))
         assert (grlex_key(a) < grlex_key(b)) == grlex_less(a, b)
         assert (grlex_key(b) < grlex_key(a)) == grlex_less(b, a)
+
+    @pytest.mark.parametrize("m,expected", [
+        ((), True),
+        ((0,), True),
+        ((0, 0, 0), True),
+        ((3, 1), True),
+        ((-1,), False),
+        ((3, -1), False),
+        ((0, -2, 5), False),
+        ((-1, -1), False),
+    ])
+    def test_is_nonnegative(self, m, expected):
+        # Laurent monomials have a negative exponent; an empty tuple, the
+        # parameter exponents of a system without parameters, has none.
+        assert is_nonnegative(m) is expected
+
+
+class TestPartners:
+    # partners(m) against its definition: the z outside vars_set and not
+    # banned with m = z * w for some w in vars_set or w = z, read off the
+    # factorizations of m.  Checked on every call the search makes.
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        """Every call of partners over corpus seed 11 of the benchmark and
+        cubic_cycle(4..6), as (m, vars_set, introduced, banned, result)."""
+        calls = []
+        real = partners
+
+        def recording(m, vars_set, introduced, banned):
+            found = real(m, vars_set, introduced, banned)
+            calls.append((m, vars_set, introduced, frozenset(banned), set(found)))
+            return found
+
+        systems = ([parse_system(instance.text) for instance in benchmark_workloads().corpus(11)]
+                   + [benchmark_system("cubic_cycle", n) for n in (4, 5, 6)])
+        with mock.patch.object(quadratize.pruning, "partners", recording):
+            for system in systems:
+                bnb_search(system)
+        return calls
+
+    def test_matches_the_definition(self, calls):
+        for m, vars_set, introduced, banned, found in calls:
+            n = len(m)
+            assert vars_set == ({unit_monomial(n)} | set(introduced)
+                                | {variable_monomial(n, i) for i in range(n)})
+            expected = {z for a, b in factor_pairs(m) for z, w in ((a, b), (b, a))
+                        if w in vars_set or w == z}
+            assert found == expected - vars_set - banned, (m, introduced, banned)
+        assert len(calls) == 5860
+        assert sum(bool(banned) for *_, banned, _ in calls) == 4957
 
 
 class TestPolynomial:

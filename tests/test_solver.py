@@ -333,6 +333,13 @@ class TestLieMemo:
             bnb_search(system, max_order_cap=2)
         assert system._lie_cache == {}
 
+    def test_empty_after_a_laurent_lifting(self):
+        # The lifting derives the supports of its ratios through the same
+        # state, and so fills the memo as a search does.
+        system = parse_system("x' = y^3 + x*y\ny' = x^4")
+        laurent_quadratize(system)
+        assert system._lie_cache == {}
+
     def test_solved_systems_keep_little(self):
         # Held as a batch caller holds them: the 200 systems of the
         # benchmark's corpus at seed 11 kept about 2.2 MB of derivatives
