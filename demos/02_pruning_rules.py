@@ -32,7 +32,9 @@ what an earlier sibling of it or of an ancestor added (sibling exclusion:
 once that sibling's subtree is done, no set containing it can beat the
 incumbent).  Exclusion's banned variables, single forbidden
 additions, reach the packing rule only, so they count only where it is
-on.  Skipped children are not counted as visited nodes.
+on.  Skipped children are not counted as visited nodes.  The root lower
+bound, which ends a search at an answer that meets it, stays on in every
+column too; on these families it is half the optimum and ends none.
 
 Both families are symmetric: rotating the variables (and, for the bicycle,
 reversing them) maps the system onto itself.  The search skips a child whose

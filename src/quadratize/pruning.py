@@ -1,9 +1,12 @@
-"""The three lower-bound pruning rules.
+"""The three lower-bound pruning rules, and the root lower bound.
 
 Each rule answers: can the current variable set still be extended to a
 monomial quadratization of order strictly below N?  It returns True when
 that is provably impossible, and is sound but not complete (False promises
-nothing).
+nothing).  The two counting rules compare a number with N: the state's new
+variables plus the k more they prove (quadratic_bound, c4_bound).
+lower_bound takes the largest of the three rules' bounds at a state; the
+search takes it once, at the root.
 
 Rule 1 packs disjoint factor sets.  A nonsquare m of a state S is written
 m = a*b in any quadratization T containing S, with a and b generalized
@@ -34,7 +37,7 @@ there.  When it leaves room for two (need 3), the rule decides whether at
 most two more variables complete the node (two_variables_complete): an
 uncovered m1 is z*w with z new and w in V or w = z (case A), or z1*z2 with
 both new and distinct (case B), and each case leaves few candidates.  So
-packs runs only at need 4 or more.
+the rule packs only at need 4 or more.
 
 Both calls may also get banned variables: monomials that no completion
 below the bound contains.  They are the sets of one variable that sibling
@@ -143,23 +146,35 @@ def smallest_k(count: int, mult: list[int], capacity: Callable[[int], int]) -> i
     return k
 
 
-def packs(sets, need: int) -> bool:
-    """Whether greedy packing keeps `need` pairwise disjoint sets.
+def packs(sets, need: int) -> int:
+    """How many pairwise disjoint sets greedy packing keeps, at most `need`.
 
     `sets` holds (C, m) pairs.  They are taken in order of (size of C,
-    graded-lex m), and each C disjoint from those kept is kept.  An empty
-    C comes first and packs any need: nothing can cover its m.
+    graded-lex m), and each C disjoint from those kept is kept; the count
+    stops at `need`.  An empty C comes first and counts as `need`: nothing
+    can cover its m.
     """
     packed: set[Monomial] = set()
+    count = 0
     for cover, _ in sorted(sets, key=lambda c: (len(c[0]), grlex_key(c[1]))):
         if not cover:
-            return True
+            return need
         if packed.isdisjoint(cover):
             packed |= cover
-            need -= 1
-            if not need:
-                return True
-    return False
+            count += 1
+            if count == need:
+                break
+    return count
+
+
+def factor_sets(left, vars_set, banned, divisor_sets: dict) -> list:
+    """The (C(m), m) pairs of the monomials `left`: C(m) = D(m) less
+    vars_set and the banned monomials, with D(m) taken from divisor_sets
+    and added there when missing."""
+    for m in left:
+        if m not in divisor_sets:
+            divisor_sets[m] = frozenset(divisors(m))
+    return [(divisor_sets[m].difference(vars_set, banned), m) for m in left]
 
 
 def covered(d: Monomial, vars_set, introduced, fresh) -> bool:
@@ -329,23 +344,58 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
         return False
     if divisor_sets is None:
         divisor_sets = {}
-    for m in left:
-        if m not in divisor_sets:
-            divisor_sets[m] = frozenset(divisors(m))
-    return packs([(divisor_sets[m].difference(vars_set, banned), m) for m in left], need)
+    return packs(factor_sets(left, vars_set, banned, divisor_sets), need) == need
+
+
+def quadratic_bound(state: SearchState) -> int:
+    """The pair-count rule's lower bound on the order of every quadratization
+    that contains the state: its new variables and k more."""
+    mult = quotient_multiplicities(state.nonsquares, state.vars_set)
+    return len(state.new_vars) + smallest_k(len(state.nonsquares), mult,
+                                            lambda k: k * (k + 1) // 2)
+
+
+def c4_bound(state: SearchState) -> int:
+    """The same bound as quadratic_bound, via the graph capacity bound."""
+    subset = build_squarefree_subset(state.nonsquares)
+    mult = quotient_multiplicities(subset, state.vars_set)
+    loops = sum(map(is_square, subset))
+    return len(state.new_vars) + smallest_k(len(subset), mult, lambda k: c4_capacity(k, loops))
 
 
 def prune_by_quadratic_bound(state: SearchState, incumbent_order: int) -> bool:
     """True if no extension can quadratize with fewer than incumbent_order vars."""
-    mult = quotient_multiplicities(state.nonsquares, state.vars_set)
-    k = smallest_k(len(state.nonsquares), mult, lambda k: k * (k + 1) // 2)
-    return k + len(state.new_vars) >= incumbent_order
+    return quadratic_bound(state) >= incumbent_order
 
 
 def prune_by_c4_bound(state: SearchState, incumbent_order: int) -> bool:
     """Same contract as prune_by_quadratic_bound, via the graph capacity bound."""
-    subset = build_squarefree_subset(state.nonsquares)
-    mult = quotient_multiplicities(subset, state.vars_set)
-    loops = sum(map(is_square, subset))
-    k = smallest_k(len(subset), mult, lambda k: c4_capacity(k, loops))
-    return k + len(state.new_vars) >= incumbent_order
+    return c4_bound(state) >= incumbent_order
+
+
+def lower_bound(state: SearchState, divisor_sets: dict) -> int:
+    """A proven lower bound on the order of every quadratization that
+    contains the state: the largest of the three rules' bounds.
+
+    A state with a nonsquare needs one more variable at least.  The probes
+    are exact with no additions and no banned variables: two more when no
+    one variable completes the state, three when no two do either (which
+    needs two nonsquares or more).  The packing count and the counting
+    rules' k never exceed the number of nonsquares, so they are taken only
+    when there are more nonsquares than that; the packing's divisor sets go
+    to divisor_sets, the search's memo.  So, with no banned variables, the
+    three rules prune the state at bound N exactly when N is at most this.
+    """
+    left = state.nonsquares
+    if not left:
+        return len(state.new_vars)
+    system, vars_set, introduced, banned = state.system, state.vars_set, state.new_vars, ()
+    more = 1
+    if not one_variable_completes(system, vars_set, introduced, left, banned):
+        two = two_variables_complete(system, vars_set, introduced, list(left), banned)
+        more = 2 if two else 3
+    if len(left) > more:
+        more = max(more, packs(factor_sets(left, vars_set, banned, divisor_sets), len(left)))
+    if len(left) > more:
+        return max(len(introduced) + more, quadratic_bound(state), c4_bound(state))
+    return len(introduced) + more

@@ -12,6 +12,16 @@ bound starts one above the greedy order, not at it, so the search returns
 the first optimum it reaches depth first rather than the greedy set; the
 tests pin that a start from the degree box gives the same answers.
 
+Before the first node the rules also bound the order of every
+quadratization from the root (pruning.lower_bound): the packing count, the
+two counting rules' k, and the exact probes for one and for two more
+variables.  The search ends at the first quadratization it visits whose
+order meets that bound.  A later incumbent would have to be smaller, and
+none is, so the answer and the incumbents found are those of the search
+run to its end; only the nodes that would prove again what the root bound
+proves go.  The three rules would prune the root exactly when that bound
+reaches the search's, so the root takes none of them.
+
 A node's children are drawn fewest new variables first, and the bound
 only falls, so the first child with at least as many new variables as the
 bound ends the node: neither it, nor any later sibling, nor any superset
@@ -96,7 +106,12 @@ from .polynomials import (
     unit_monomial,
     variable_monomial,
 )
-from .pruning import prune_by_c4_bound, prune_by_packing_bound, prune_by_quadratic_bound
+from .pruning import (
+    lower_bound,
+    prune_by_c4_bound,
+    prune_by_packing_bound,
+    prune_by_quadratic_bound,
+)
 from .state import SearchState, is_product
 
 
@@ -174,11 +189,14 @@ def initial_incumbent(system: ODESystem) -> tuple[tuple[Monomial, ...], int]:
 
 
 class NoQuadratizationWithinCap(ValueError):
-    """Every monomial quadratization of the system needs more than the cap."""
+    """Every monomial quadratization of the system needs more than the cap.
 
-    def __init__(self, cap: int):
+    lower_bound is the larger of cap + 1 and the search's root lower bound.
+    """
+
+    def __init__(self, cap: int, floor: int = 0):
         super().__init__(f"no monomial quadratization with at most {cap} new variables")
-        self.lower_bound = cap + 1
+        self.lower_bound = max(cap + 1, floor)
 
 
 # The key of a set costs one image per group element, so a larger group is
@@ -301,37 +319,49 @@ def bnb_search(system: ODESystem, *,
     docstring's argument needs; under the identity alone there is none.
     The root is visited without either test and takes no orbit key.
 
-    Every visited node that is not a quadratization goes through the
-    packing rule, with the node's banned variables, then the pair-count
-    rule, then the graph rule; one dict of divisor sets serves every
-    packing call of the search.  All three are sound lower bounds, so they
-    change only the number of nodes visited, never the answer.  Two short
-    of the bound the packing rule is exact: it keeps a node only when one
-    more variable completes it, and then the other two keep it too.  Three
-    short it is exact at a node with two nonsquares or more, keeping it
-    only when at most two more variables complete it; with one nonsquare
-    the other two bound the node by one variable, so again they keep
-    whatever it keeps.  Such a node has a nonsquare to cover, so each
-    rule's bound is at least its depth + 1: a node the rules keep has
-    depth + 1 < bound, and no separate depth cutoff is needed.
+    Every visited node other than the root that is not a quadratization
+    goes through the packing rule, with the node's banned variables, then
+    the pair-count rule, then the graph rule; one dict of divisor sets
+    serves every packing call of the search and the root lower bound.  The
+    three rules would prune the root exactly when the root lower bound
+    reaches the bound, so the root is visited when it does not, and takes
+    no rule.  All three are sound lower bounds, so they change only the
+    number of nodes visited, never the answer.  Two short of the bound the
+    packing rule is exact: it keeps a node only when one more variable
+    completes it, and then the other two keep it too.  Three short it is
+    exact at a node with two nonsquares or more, keeping it only when at
+    most two more variables complete it; with one nonsquare the other two
+    bound the node by one variable, so again they keep whatever it
+    keeps.  Such a node has a nonsquare to cover, so each rule's bound is at
+    least its depth + 1: a node the rules keep has depth + 1 < bound, and
+    no separate depth cutoff is needed.
 
     The first bound is one above the order of initial_incumbent, or above
     max_order_cap when that is smaller.  A quadratization of the greedy
     order exists, so without a cap the search always finds one itself:
-    incumbent_updates counts the quadratizations it visits, at least 1.
+    incumbent_updates counts the quadratizations it visits, at least 1.  A
+    search that finds none without a cap has an unsound rule, and raises
+    RuntimeError.  The search returns at the first quadratization whose
+    order equals the root lower bound (pruning.lower_bound, the largest of
+    the three rules' bounds at the root, taken once per search).  Any later
+    incumbent would be smaller than that bound, so the answer,
+    incumbent_updates and optimal_order are those of the search run to its
+    end, and only nodes_visited and the prune counts fall.
 
     Deterministic: identical inputs give identical results and statistics.
     The result's new_vars are in graded-lex order, the order of the
     document's names: new_vars[i] is z(i+1).
     max_order_cap, when set, bounds the answer: the result is still
     optimal, and NoQuadratizationWithinCap is raised when every
-    quadratization needs more than max_order_cap new variables.  It must be
-    None or a non-negative int (a bool is not one); anything else raises
-    ValueError.  The search checks no size of its own: ODESystem admits no
-    term with more than MAX_EXPONENT + 1 divisors
-    (polynomials.too_many_divisors).  The search fills the system's memo of
-    derivative supports (lie_derivative_support) and empties it when it
-    returns or raises, so a caller that keeps its systems keeps none of it.
+    quadratization needs more than max_order_cap new variables; its
+    lower_bound is the larger of max_order_cap + 1 and the root lower
+    bound.  max_order_cap must be None or a non-negative int (a bool is not
+    one); anything else raises ValueError.  The search checks no size of
+    its own: ODESystem admits no term with more than MAX_EXPONENT + 1
+    divisors (polynomials.too_many_divisors).  The search fills the
+    system's memo of derivative supports (lie_derivative_support) and
+    empties it when it returns or raises, so a caller that keeps its
+    systems keeps none of it.
     """
     if max_order_cap is not None and (type(max_order_cap) is not int or max_order_cap < 0):
         raise ValueError("max_order_cap must be None or a non-negative int, "
@@ -346,7 +376,10 @@ def bnb_search(system: ODESystem, *,
         # Orbit keys of the visited sets of new variables, kept only when the
         # group is more than the identity: exclusion alone visits no set twice.
         seen = set() if len(group) > 1 else None
-        divisor_sets = {}  # the packing rule's D(m), for both of its calls
+        divisor_sets = {}  # the packing rule's D(m), for all of its calls
+        # No quadratization is smaller, so the first one this size ends the
+        # search.  The three rules prune the root exactly when floor >= bound.
+        floor = lower_bound(root, divisor_sets)
         # The sets forbidden on the stack, kept in place as pairs: a pair
         # {a, b} makes b a partner of a and a of b.  A single variable z is the
         # pair {1, z}: 1 is a variable of every state, so the pair test covers
@@ -379,9 +412,9 @@ def bnb_search(system: ODESystem, *,
         # is skipped when it contains a forbidden set, when the packing of the
         # parent's nonsquares it leaves uncovered reaches the bound, or when an
         # image of its set was visited.  The root is the one child, (), of a
-        # frame over itself; it adds nothing, so it skips those tests and is
-        # always visited.
-        stack = [(root, iter(((),)), [], (), [])]
+        # frame over itself; it adds nothing, so it skips those tests, and it
+        # takes no rule: it is visited exactly when the rules would keep it.
+        stack = [(root, iter(((),)), [], (), [])] if floor < bound else []
         while stack:
             parent, children, settled, stabilizer, pending = stack[-1]
             added = next(children, None)
@@ -419,16 +452,19 @@ def bnb_search(system: ODESystem, *,
                 # size < bound was checked above, and extended adds exactly `added`.
                 best, bound = state.new_vars, size
                 updates += 1
+                if size == floor:
+                    break
                 continue
-            if prune_by_packing_bound(state, bound, (), divisor_sets, partners[unit]):
-                pruned_packing += 1
-                continue
-            if prune_by_quadratic_bound(state, bound):
-                pruned_quadratic += 1
-                continue
-            if prune_by_c4_bound(state, bound):
-                pruned_c4 += 1
-                continue
+            if added:  # the root was checked against floor
+                if prune_by_packing_bound(state, bound, (), divisor_sets, partners[unit]):
+                    pruned_packing += 1
+                    continue
+                if prune_by_quadratic_bound(state, bound):
+                    pruned_quadratic += 1
+                    continue
+                if prune_by_c4_bound(state, bound):
+                    pruned_c4 += 1
+                    continue
             # The elements that map the set of new variables onto itself;
             # sigma does exactly when its inverse does, so image's convention
             # does not matter here.
@@ -436,8 +472,11 @@ def bnb_search(system: ODESystem, *,
             stabilizer = [sigma for sigma in group[1:] if new_vars.issuperset(image(new_vars, sigma))]
             stack.append((state, iter(generate_children(state)), [], stabilizer, []))
 
-        if best is None:  # the greedy order is within reach, so only a cap leaves none
-            raise NoQuadratizationWithinCap(max_order_cap)
+        if best is None:
+            if max_order_cap is None:
+                raise RuntimeError(f"no quadratization found, though the greedy one has order "
+                                   f"{order}: a pruning rule is unsound")
+            raise NoQuadratizationWithinCap(max_order_cap, floor)
         stats = SearchStats(nodes, pruned_packing, pruned_quadratic, pruned_c4, pruned_symmetry,
                             updates, len(best))
         final = root.extended(best)

@@ -111,9 +111,10 @@ class TestPartners:
     # factorizations of m.  Checked on every call the search makes.
 
     @pytest.fixture(scope="class")
-    def calls(self):
-        """Every call of partners over corpus seed 11 of the benchmark and
-        cubic_cycle(4..6), as (m, vars_set, introduced, banned, result)."""
+    def calls(self, later_corpus):
+        """Every call of partners over corpus seed 11 of the benchmark,
+        cubic_cycle(4..6) and the later corpus, as (m, vars_set, introduced,
+        banned, result)."""
         calls = []
         real = partners
 
@@ -123,7 +124,7 @@ class TestPartners:
             return found
 
         systems = ([parse_system(instance.text) for instance in benchmark_workloads().corpus(11)]
-                   + [benchmark_system("cubic_cycle", n) for n in (4, 5, 6)])
+                   + [benchmark_system("cubic_cycle", n) for n in (4, 5, 6)] + later_corpus)
         with mock.patch.object(quadratize.pruning, "partners", recording):
             for system in systems:
                 bnb_search(system)
@@ -137,8 +138,8 @@ class TestPartners:
             expected = {z for a, b in factor_pairs(m) for z, w in ((a, b), (b, a))
                         if w in vars_set or w == z}
             assert found == expected - vars_set - banned, (m, introduced, banned)
-        assert len(calls) == 5860
-        assert sum(bool(banned) for *_, banned, _ in calls) == 4957
+        assert len(calls) == 8373
+        assert sum(bool(banned) for *_, banned, _ in calls) == 6365
 
 
 class TestPolynomial:

@@ -270,12 +270,13 @@ class TestPackingBound:
 
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
-        ("prune_by_packing_bound", "packing", 356),
-        ("prune_by_packing_bound", "all", 356),
-        ("prune_by_quadratic_bound", "quadratic", 911),
-        ("prune_by_c4_bound", "c4", 871),
+        ("prune_by_packing_bound", "packing", 625),
+        ("prune_by_packing_bound", "all", 625),
+        ("prune_by_quadratic_bound", "quadratic", 2404),
+        ("prune_by_c4_bound", "c4", 2035),
     ])
-    def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, rule, config, count):
+    def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, later_corpus,
+                                                   rule, config, count):
         # Every node a rule prunes at bound N, with the other rules off (or,
         # under "all", in the search as it runs): the brute-force checker
         # finds no quadratization among the supersets of its variables, drawn
@@ -293,7 +294,7 @@ class TestPrunedNodesAreSound:
             return False
 
         checked = 0
-        for system in soundness_corpus:
+        for system in soundness_corpus + later_corpus:
             pruned.clear()
             with rules(config):
                 setattr(quadratize.solver, rule, recording)
@@ -311,11 +312,12 @@ class TestPrunedNodesAreSound:
 
 
 @pytest.fixture(scope="module")
-def packing_calls(soundness_corpus):
+def packing_calls(soundness_corpus, later_corpus):
     """Every call of the packing rule at need 2 or 3, as (need, system,
     new_vars, added, banned, nonsquares of the state, pruned), and (need,
     pruned) for every call of the pair-count and graph rules, over corpus
-    seed 11 of the benchmark, cubic_cycle(4..6) and the soundness corpus."""
+    seeds 11 and 12 of the benchmark, cubic_cycle(4..6), the soundness
+    corpus and the later corpus."""
     calls = []
     other_calls = []
     real_packing = quadratize.solver.prune_by_packing_bound
@@ -336,9 +338,9 @@ def packing_calls(soundness_corpus):
         return rule
 
     systems = ([parse_system(instance.text)
-                for instance in benchmark_workloads().corpus(11)]
+                for seed in (11, 12) for instance in benchmark_workloads().corpus(seed)]
                + [benchmark_system("cubic_cycle", n) for n in (4, 5, 6)]
-               + soundness_corpus)
+               + soundness_corpus + later_corpus)
     with mock.patch.multiple(
             quadratize.solver, prune_by_packing_bound=recording_packing,
             prune_by_quadratic_bound=recording(quadratize.solver.prune_by_quadratic_bound),
@@ -386,7 +388,7 @@ class TestNeedTwoIsExact:
                 assert not is_quadratization(system, new_vars + added + (z,)), (
                     f"pruned {new_vars + added} at need 2, but adding {z} quadratizes")
             checked += 1
-        assert checked == 417
+        assert checked == 665
 
     def test_kept_visited_nodes_have_one(self, need_two):
         # A call with no additions is for a visited node.
@@ -399,13 +401,13 @@ class TestNeedTwoIsExact:
             assert any(is_quadratization(system, new_vars + (z,)) for z in candidates), (
                 f"kept {new_vars} at need 2, but no one variable completes it")
             checked += 1
-        assert checked == 277
+        assert checked == 390
 
     def test_other_rules_prune_no_node_at_need_two(self, need_two):
         # A visited node reaches them only when the packing rule keeps it,
         # and at need 2 it then has a completion below the bound.
         _, other_calls = need_two
-        assert sum(need == 2 for need, _ in other_calls) == 554
+        assert sum(need == 2 for need, _ in other_calls) == 780
         assert not any(pruned for need, pruned in other_calls if need == 2)
 
 
@@ -456,7 +458,7 @@ class TestNeedThreeIsExact:
                 assert not completes_within(system, new_vars + added, banned, 2), (
                     f"pruned {new_vars + added} at need 3, but two variables complete it")
                 checked += 1
-        assert checked == 740
+        assert checked == 1373
 
     def test_kept_visited_nodes_with_two_nonsquares_have_one(self, need_three):
         calls, _ = need_three
@@ -466,12 +468,12 @@ class TestNeedThreeIsExact:
                 assert completes_within(system, new_vars, banned, 2), (
                     f"kept {new_vars} at need 3, but no two variables complete it")
                 checked += 1
-        assert checked == 169
+        assert checked == 215
 
     def test_other_rules_prune_no_node_at_need_three(self, need_three):
         # A visited node reaches them only when the packing rule keeps it:
         # with two nonsquares or more it then has a completion below the
         # bound, and with one each of them bounds it by one variable.
         _, other_calls = need_three
-        assert len(other_calls) == 404
+        assert len(other_calls) == 496
         assert not any(other_calls)

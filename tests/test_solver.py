@@ -28,6 +28,12 @@ from quadratize.polynomials import (
     divisors,
     grlex_key,
 )
+from quadratize.pruning import (
+    lower_bound,
+    prune_by_c4_bound,
+    prune_by_packing_bound,
+    prune_by_quadratic_bound,
+)
 from quadratize.solver import (
     NoQuadratizationWithinCap,
     SearchStats,
@@ -278,6 +284,22 @@ class TestMaxOrderCap:
         assert err.value.lower_bound == 1
         assert str(err.value) == "no monomial quadratization with at most 0 new variables"
 
+    def test_lower_bound_takes_the_root_lower_bound(self):
+        # The six cubes of cubic_cycle(6) have disjoint factor sets, so the
+        # root lower bound is 6, above the cap + 1.
+        with pytest.raises(NoQuadratizationWithinCap) as err:
+            bnb_search(benchmark_system("cubic_cycle", 6), max_order_cap=3)
+        assert err.value.lower_bound == 6
+        assert str(err.value) == "no monomial quadratization with at most 3 new variables"
+
+    def test_no_answer_without_a_cap_names_the_broken_invariant(self, monkeypatch):
+        # Without a cap the greedy order is within the bound, so a search that
+        # finds nothing has an unsound rule, here one that prunes every node.
+        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound",
+                            lambda state, bound, *args: True)
+        with pytest.raises(RuntimeError, match="order 1: a pruning rule is unsound"):
+            bnb_search(parse_system("x' = x^5"))
+
     def test_cap_below_optimum_does_not_build_the_box(self):
         # The cap, below the greedy order, is the search's first bound, and
         # nothing of the 4^10 box is built.
@@ -396,7 +418,9 @@ class TestRuleConfigurations:
         # bounds its completion by at least depth + 1 and prunes it when
         # that reaches the bound.  So every node the search expands is at
         # least two variables short of the incumbent, which is why the
-        # search needs no depth cutoff of its own.
+        # search needs no depth cutoff of its own.  The root takes no rule:
+        # the search starts only when the root lower bound, at least 1, is
+        # below the bound.
         last = [None, None]  # the state and bound of the latest c4 rule call
         expanded = 0
         tracked = {}
@@ -412,8 +436,11 @@ class TestRuleConfigurations:
             nonlocal expanded
             if tracked["descent"]:
                 return real_children(state)
-            assert state is last[0]
-            assert len(state.new_vars) + 1 < last[1]
+            if state.new_vars:
+                assert state is last[0]
+                assert len(state.new_vars) + 1 < last[1]
+            else:
+                assert 1 < tracked["bound"]
             expanded += 1
             return real_children(state)
 
@@ -866,7 +893,7 @@ class TestSkippedChildrenAreSound:
 
 class TestChildrenSkippedBeforeExtensionAreSound:
     def test_no_extension_at_the_bound_and_no_smaller_completion(
-            self, soundness_corpus, monkeypatch):
+            self, soundness_corpus, later_corpus, monkeypatch):
         # The bound is followed from outside, as above.  No child is
         # extended once it is as large as the bound.  A child taken from
         # generate_children that is neither extended nor skipped as an
@@ -913,7 +940,7 @@ class TestChildrenSkippedBeforeExtensionAreSound:
         monkeypatch.setattr(quadratize.solver, "orbit_key", recording_key)
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
         follow_incumbent(monkeypatch, tracked)
-        systems = soundness_corpus + [benchmark_system("cubic_cycle", 4)]
+        systems = soundness_corpus + [benchmark_system("cubic_cycle", 4)] + later_corpus
         checked = 0
         for system in systems:
             extensions.clear()
@@ -935,7 +962,7 @@ class TestChildrenSkippedBeforeExtensionAreSound:
                     f"skipped {parent.new_vars + added} at bound {bound}, "
                     f"but {found} quadratizes")
                 checked += 1
-        assert checked == 248
+        assert checked == 476
 
 
 class TestExcludedChildrenAreSound:
@@ -946,7 +973,7 @@ class TestExcludedChildrenAreSound:
     # outside, as above.
 
     def test_excluded_children_have_no_smaller_completion(
-            self, soundness_corpus, monkeypatch):
+            self, soundness_corpus, later_corpus, monkeypatch):
         # A child below the bound that never reaches the packing skip, which
         # runs right after exclusion, was excluded: no quadratization drawn
         # from the wide-box candidates that contains it has fewer variables
@@ -1000,7 +1027,8 @@ class TestExcludedChildrenAreSound:
         systems = soundness_corpus + [
             benchmark_system("cubic_cycle", 4), benchmark_system("cubic_bicycle", 3),
             parse_system("x1' = x1^3\nx2' = x2^3\nx3' = x3^3")] + [
-            parse_system(text) for text in THREE_CYCLE_TEXTS + THREE_CYCLE_SKIP_TEXTS]
+            parse_system(text) for text in THREE_CYCLE_TEXTS + THREE_CYCLE_SKIP_TEXTS
+        ] + later_corpus
         for system in systems:
             pulled.clear()
             entry_of.clear()
@@ -1024,7 +1052,7 @@ class TestExcludedChildrenAreSound:
                     earlier[3] and id(earlier[0]) in ancestors and j not in on_path
                     and members.issuperset(earlier[1])
                     for j, earlier in enumerate(pulled[:i]))
-        assert (checked, by_image) == (1678, 744)
+        assert (checked, by_image) == (1716, 744)
 
     def test_nodes_only_the_banned_variables_prune_have_no_smaller_completion(
             self, soundness_corpus, monkeypatch):
@@ -1062,9 +1090,9 @@ class TestExcludedChildrenAreSound:
 
     def test_many_siblings_cost_no_more_each(self, monkeypatch):
         # The root of x^200000 has 100,001 children, one variable each
-        # first: x^100000, pruned at need 1, x^199999, the answer, which
-        # sets the bound to 1, and x^200000, as large as that bound, which
-        # ends the root's frame.  So the later siblings are never drawn.
+        # first: x^100000, pruned at need 1, and x^199999, the answer.  Its
+        # order, 1, meets the root lower bound, so the search ends there,
+        # and the later siblings are never drawn.
         tracked = {}
         drawn = []
         original_children = quadratize.solver.generate_children
@@ -1084,18 +1112,19 @@ class TestExcludedChildrenAreSound:
         assert time.perf_counter() - start < 10
         assert result.new_vars == ((199_999,),)
         assert stats.optimal_order == 1
-        assert drawn == [((), ((100_000,),)), ((), ((199_999,),)), ((), ((200_000,),))]
+        assert drawn == [((), ((100_000,),)), ((), ((199_999,),))]
         assert (stats.nodes_visited, stats.pruned_by_packing) == (3, 1)
 
 
 class TestFrameEnds:
     def test_no_child_after_one_at_the_bound_and_one_packing_call_per_node(
-            self, soundness_corpus, worked_systems, monkeypatch):
+            self, soundness_corpus, later_corpus, worked_systems, monkeypatch):
         # Children come fewest additions first and the bound only falls, so
         # a frame ends at its first child as large as the bound: no later
         # sibling is drawn.  The bound is followed from outside, as above.
-        # The root is visited as it is, so like every visited node it
-        # reaches the packing rule with no additions once.
+        # Every visited node but the root reaches the packing rule with no
+        # additions once; the root reaches it never, since the root lower
+        # bound stands for the three rules there.
         tracked = {}
         late = []  # (parent's new variables, child) drawn after a sibling at the bound
         ends = 0  # children drawn at the bound, each ending its frame
@@ -1120,6 +1149,7 @@ class TestFrameEnds:
 
         def recording_rule(state, bound, added, divisor_sets, banned):
             if not added:
+                assert state.new_vars, "the root reached the packing rule"
                 if id(state) in unextended:
                     twice.append(state.new_vars)
                 unextended[id(state)] = state  # kept alive, so its id is not reused
@@ -1137,17 +1167,20 @@ class TestFrameEnds:
         follow_incumbent(monkeypatch, tracked)
         systems = soundness_corpus + list(worked_systems.values()) + [
             benchmark_system("cubic_cycle", 4), benchmark_system("cubic_bicycle", 3),
-            benchmark_system("scalar_power", 64)]
+            benchmark_system("scalar_power", 64)] + later_corpus + [
+            parse_system(text)
+            for text in THREE_CYCLE_TEXTS + THREE_CYCLE_SKIP_TEXTS + SWAP_TEXTS]
         calls = kept = 0
         for system in systems:
             unextended.clear()
             _, stats = bnb_search(system)
             calls += len(unextended)
             kept += stats.nodes_visited - stats.incumbent_updates
+            kept -= bool(SearchState.initial(system).nonsquares)  # the root
         assert late == []
         assert twice == []
         assert calls == kept
-        assert (ends, calls) == (117, 466)
+        assert (ends, calls) == (123, 2502)
 
 
 class TestNoSetVisitedTwice:
@@ -1273,6 +1306,80 @@ class TestStartingBound:
             assert boxed.new_vars == result.new_vars
             assert (render_result(boxed.document._replace(stats=None), "structured")
                     == render_result(result.document._replace(stats=None), "structured"))
+
+
+def no_root_lower_bound(root, divisor_sets):
+    """A stand-in for pruning.lower_bound that proves nothing."""
+    return 0
+
+
+class TestRootLowerBound:
+    # The search ends at the first quadratization whose order meets the root
+    # lower bound (pruning.lower_bound): no quadratization is smaller.
+
+    def test_no_smaller_quadratization_in_the_wide_box(self, soundness_corpus, worked_systems):
+        # Checked with the definitional completion_below; the bound is also
+        # at most the search's answer, and equal to it on most systems.
+        systems = (soundness_corpus + list(worked_systems.values())
+                   + [benchmark_system("cubic_cycle", n) for n in range(2, 6)]
+                   + [benchmark_system("rf")])
+        proven = 0
+        for system in systems:
+            floor = lower_bound(SearchState.initial(system), {})
+            pool = box_candidates(system, wide_box(system))
+            found = completion_below(system, (), floor, pool)
+            assert found is None, f"the root lower bound is {floor}, but {found} quadratizes"
+            order = bnb_search(system)[0].order
+            assert floor <= order
+            proven += floor == order
+        assert (len(systems), proven) == (109, 90)
+
+    @pytest.fixture(scope="class")
+    def systems(self, soundness_corpus):
+        return (soundness_corpus + [benchmark_system("rf"), parse_system(allen_cahn_text(10))]
+                + [benchmark_system(family, n) for family in ("cubic_cycle", "cubic_bicycle")
+                   for n in range(2, 7)])
+
+    def test_the_rules_prune_the_root_exactly_up_to_it(self, systems):
+        # So the search checks the root against it in place of the rules.
+        for system in systems:
+            root = SearchState.initial(system)
+            floor = lower_bound(root, {})
+            for bound in range(floor + 3):
+                pruned = (prune_by_packing_bound(root, bound)
+                          or prune_by_quadratic_bound(root, bound)
+                          or prune_by_c4_bound(root, bound))
+                assert pruned == (bound <= floor), (system, bound, floor)
+
+    def test_the_stop_changes_no_answer(self, systems, monkeypatch):
+        # Only the nodes after the answer go: a later incumbent would have
+        # to be smaller than the root lower bound.
+        stopped = [bnb_search(system) for system in systems]
+        monkeypatch.setattr(quadratize.solver, "lower_bound", no_root_lower_bound)
+        fewer = 0
+        for system, (result, stats) in zip(systems, stopped):
+            plain, plain_stats = bnb_search(system)
+            assert (result.new_vars, result.order) == (plain.new_vars, plain.order)
+            assert stats.incumbent_updates == plain_stats.incumbent_updates
+            assert stats.optimal_order == plain_stats.optimal_order
+            assert (render_result(result.document._replace(stats=None), "structured")
+                    == render_result(plain.document._replace(stats=None), "structured"))
+            assert stats.nodes_visited <= plain_stats.nodes_visited
+            fewer += stats.nodes_visited < plain_stats.nodes_visited
+        assert fewer == 32
+
+    def test_benchmark_corpus_node_count(self, monkeypatch):
+        # The benchmark's corpus at seed 11: the root lower bound proves 160
+        # of the 200 optima, and the search visits 62 fewer nodes.
+        systems = [parse_system(instance.text) for instance in benchmark_workloads().corpus(11)]
+        nodes = proven = 0
+        for system in systems:
+            result, stats = bnb_search(system)
+            nodes += stats.nodes_visited
+            proven += lower_bound(SearchState.initial(system), {}) == result.order
+        assert (nodes, proven) == (1082, 160)
+        monkeypatch.setattr(quadratize.solver, "lower_bound", no_root_lower_bound)
+        assert sum(bnb_search(system)[1].nodes_visited for system in systems) == 1144
 
 
 # SHA-256 over the answers for the systems of test_documents_hash_to_the_pin:

@@ -306,12 +306,14 @@ class TestEveryVisitedNode:
         # The packing rule's sets, for a node or for a child before it is
         # extended: every set packed is C(m) over the child's variables, as
         # the definition gives it, less the banned variables, for a
-        # nonsquare m of the child.  The rule
-        # keeps the divisors of each m in one memo per search, so no
-        # monomial's divisors are listed twice in a search.  It packs only
-        # at need 4 or more, which the corpus rarely reaches, so two cubic
-        # systems join it.
+        # nonsquare m of the child; and so is every set the root lower
+        # bound packs, for a nonsquare of the root.  The rule
+        # keeps the divisors of each m in one memo per search, which the
+        # root lower bound shares, so no monomial's divisors are listed
+        # twice in a search.  It packs only at need 4 or more, which the
+        # corpus rarely reaches, so two cubic systems join it.
         real_rule = quadratize.solver.prune_by_packing_bound
+        real_floor = quadratize.solver.lower_bound
         real_packs = quadratize.pruning.packs
         real_divisors = quadratize.pruning.divisors
         context = []
@@ -321,6 +323,10 @@ class TestEveryVisitedNode:
         def tracking_rule(state, bound, added, divisor_sets, banned):
             context[:] = state, added, banned
             return real_rule(state, bound, added, divisor_sets, banned)
+
+        def tracking_floor(root, divisor_sets):
+            context[:] = root, (), frozenset()
+            return real_floor(root, divisor_sets)
 
         def checking_packs(sets, need):
             nonlocal checked
@@ -338,6 +344,7 @@ class TestEveryVisitedNode:
             return real_divisors(m)
 
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", tracking_rule)
+        monkeypatch.setattr(quadratize.solver, "lower_bound", tracking_floor)
         monkeypatch.setattr(quadratize.pruning, "packs", checking_packs)
         monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
         for system in random_corpus + [benchmark_system("cubic_cycle", n) for n in (4, 5)] + [
@@ -345,9 +352,9 @@ class TestEveryVisitedNode:
             builds.clear()
             bnb_search(system)
             assert set(builds.values()) <= {1}
-        assert checked == 307
+        assert checked == 334
 
-    def test_too_few_nonsquares_build_no_set(self, random_corpus, monkeypatch):
+    def test_too_few_nonsquares_build_no_set(self, random_corpus, later_corpus, monkeypatch):
         # k packed sets need k more variables, and k never exceeds the
         # number of sets, so the packing rule lists no divisors when fewer
         # nonsquares are left than it needs, nor when it needs one variable
@@ -378,9 +385,9 @@ class TestEveryVisitedNode:
 
         monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", checking_rule)
-        for system in random_corpus + [benchmark_system("cubic_cycle", 4)]:
+        for system in random_corpus + [benchmark_system("cubic_cycle", 4)] + later_corpus:
             bnb_search(system)
-        assert lazy_calls == 548
+        assert lazy_calls == 1307
 
         # The set of x^100000 would hold 10^5 divisors.
         builds = 0
