@@ -1,4 +1,4 @@
-"""Measure what the three pruning rules buy on the cubic benchmark families.
+"""Measure what the two pruning rules buy on the cubic benchmark families.
 
 Cubic Cycle(n):   x1' = x2^3, x2' = x3^3, ..., xn' = x1^3
 Cubic Bicycle(n): x1' = xn^3 + x2^3, ..., xn' = x(n-1)^3 + x1^3
@@ -9,22 +9,24 @@ rule finds nonsquares whose factors outside the current variables form
 pairwise disjoint sets: a completion needs a new variable in each set;
 where the incumbent leaves room for only one more variable, it decides
 exactly whether one finishes the node, and where it leaves room for two,
-whether two do.  The pair-count rule uses a counting argument (k new variables cover at most
-k(k+1)/2 pair products); the graph rule sharpens the pair-product term with
-the exact maximum edge count of graphs without a closed 4-edge walk, which
-is much stronger in higher dimension.  Node counts, unlike wall times, are
-machine independent.
+whether two do.  The pair-count rule uses a counting argument (k new
+variables cover at most k(k+1)/2 pair products).  Node counts, unlike wall
+times, are machine independent.
 
-bnb_search always runs all three rules, since none changes the answer.  To
+The paper's graph bound, which sharpens the pair-product term with the
+exact maximum edge count of graphs without a closed 4-edge walk (see
+demos/04_graph_capacity.py), now acts only at the root, as one term of the
+root lower bound below: at the nodes under it the exact tests for one and
+two more variables and the pair-count rule leave it nothing to prune, so
+it has no column here.
+
+bnb_search always runs both rules, since neither changes the answer.  To
 measure each, this demo switches a rule off by substituting it in
-quadratize.solver: the packing and pair-count rules by one that never
-prunes, the graph rule by the trivial bound, which prunes a node only once
-it is as deep as the incumbent (a deeper node cannot beat it, since
-children only add variables).  The search also calls the packing rule on a
-parent and a child's additions before it extends the child, and skips the
-child when the parent's nonsquares it leaves uncovered already need
-enough variables to reach the incumbent's order; switching the packing
-rule off switches that skip off too.  Two checks before a child is
+quadratize.solver by one that never prunes.  The search also calls the
+packing rule on a parent and a child's additions before it extends the
+child, and skips the child when the parent's nonsquares it leaves
+uncovered already need enough variables to reach the incumbent's order;
+switching the packing rule off switches that skip off too.  Two checks before a child is
 extended are not rules and stay on in every column, "no pruning" included:
 a child as large as the incumbent ends its parent's list of children,
 since the later ones are no smaller, and a child is skipped that contains
@@ -49,38 +51,32 @@ import quadratize.solver as solver
 from quadratize import benchmark_system, bnb_search
 
 packing_rule = solver.prune_by_packing_bound
-pair_count_rule, graph_rule = solver.prune_by_quadratic_bound, solver.prune_by_c4_bound
+pair_count_rule = solver.prune_by_quadratic_bound
 
 
 def never(state, bound, *args):
     return False
 
 
-def trivial_bound(state, bound):
-    return len(state.new_vars) >= bound
-
-
-# (label, packing rule, pair-count rule, graph rule); the last one restores
-# the real rules.
+# (label, packing rule, pair-count rule); the last one restores the real
+# rules.
 CONFIGS = [
-    ("no pruning", never, never, trivial_bound),
-    ("packing rule", packing_rule, never, trivial_bound),
-    ("pair-count rule", never, pair_count_rule, trivial_bound),
-    ("graph rule", never, never, graph_rule),
-    ("all rules", packing_rule, pair_count_rule, graph_rule),
+    ("no pruning", never, never),
+    ("packing rule", packing_rule, never),
+    ("pair-count rule", never, pair_count_rule),
+    ("all rules", packing_rule, pair_count_rule),
 ]
 
 print(f"{'system':>18} {'order':>5} | " +
       " | ".join(f"{label:>15}" for label, *_ in CONFIGS))
-print("-" * 113)
+print("-" * 96)
 for family in ("cubic_cycle", "cubic_bicycle"):
     for n in (4, 5):
         system = benchmark_system(family, n)
         cells = []
         order = None
         for _, *rules in CONFIGS:
-            (solver.prune_by_packing_bound, solver.prune_by_quadratic_bound,
-             solver.prune_by_c4_bound) = rules
+            solver.prune_by_packing_bound, solver.prune_by_quadratic_bound = rules
             result, stats = bnb_search(system)
             cells.append(f"{stats.nodes_visited} [{stats.pruned_by_symmetry}]")
             order = result.order

@@ -3,9 +3,9 @@
 Given a system x_i' = f_i(x) with polynomial right-hand sides, find the
 smallest set of monomial variables z = x^d whose introduction makes every
 right-hand side (of the original and of the new variables) a polynomial of
-degree at most two.  The search is an exact branch and bound with three
-pruning bounds; a non-optimal linear-size construction over Laurent
-monomials is also provided.
+degree at most two.  The search is an exact branch and bound with two
+pruning rules and a root lower bound; a non-optimal linear-size
+construction over Laurent monomials is also provided.
 """
 
 from .bruteforce import (

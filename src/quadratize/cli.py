@@ -2,12 +2,12 @@
 
 Reads a system from a file (or standard input), finds an optimal monomial
 quadratization, and prints it as text or as the structured JSON document.
-The search always runs with all three pruning rules; they change how many
-subproblems it visits, never the answer, and demos/02_pruning_rules.py
-measures what each buys.  Exit codes: 0 success, 1 unreadable or
-unparseable input, 2 invalid options (an unknown benchmark or a bad
-benchmark size, or --max-order or --stats given with --laurent), 3 no
-quadratization within --max-order.
+The search always runs with both pruning rules and its root lower bound;
+they change how many subproblems it visits, never the answer, and
+demos/02_pruning_rules.py measures what each rule buys.  Exit codes: 0
+success, 1 unreadable or unparseable input, 2 invalid options (an unknown
+benchmark or a bad benchmark size, or --max-order or --stats given with
+--laurent), 3 no quadratization within --max-order.
 """
 
 from __future__ import annotations

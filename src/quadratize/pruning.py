@@ -1,12 +1,16 @@
-"""The three lower-bound pruning rules, and the root lower bound.
+"""The search's two pruning rules, the graph capacity bound, and the root
+lower bound.
 
 Each rule answers: can the current variable set still be extended to a
 monomial quadratization of order strictly below N?  It returns True when
 that is provably impossible, and is sound but not complete (False promises
-nothing).  The two counting rules compare a number with N: the state's new
+nothing).  The search runs rules 1 and 2 at every visited node below the
+root.  The two counting bounds compare a number with N: the state's new
 variables plus the k more they prove (quadratic_bound, c4_bound).
-lower_bound takes the largest of the three rules' bounds at a state; the
-search takes it once, at the root.
+lower_bound takes the largest of the three bounds at a state; the search
+takes it once, at the root, which is the only place the graph capacity
+bound acts: below it, the exact probes of rule 1 and rule 2 leave it
+nothing to prune.
 
 Rule 1 packs disjoint factor sets.  A nonsquare m of a state S is written
 m = a*b in any quadratization T containing S, with a and b generalized
@@ -52,13 +56,13 @@ new variable z covers at most mult(z) nonsquares of the form z*v with v a
 current variable (mult taken from the quotient multiset), and products of
 two new variables cover at most r(r+1)/2 more.
 
-Rule 3 replaces r(r+1)/2 by the maximum edge count of a pseudograph on r
-vertices containing no closed 4-edge walk with pairwise-distinct adjacent
-edges.  Loops correspond to squares, so the loop count is the number of
-members that are perfect squares (every exponent even; x*y has even degree
-but is no square).
-The bound is applied to a subset of the nonsquares with pairwise-distinct
-products, which is what forbids such walks in the covering graph.
+The graph capacity bound replaces r(r+1)/2 by the maximum edge count of a
+pseudograph on r vertices containing no closed 4-edge walk with
+pairwise-distinct adjacent edges.  Loops correspond to squares, so the loop
+count is the number of members that are perfect squares (every exponent
+even; x*y has even degree but is no square).  The bound is applied to a
+subset of the nonsquares with pairwise-distinct products, which is what
+forbids such walks in the covering graph.
 """
 
 from __future__ import annotations
@@ -375,7 +379,8 @@ def prune_by_c4_bound(state: SearchState, incumbent_order: int) -> bool:
 
 def lower_bound(state: SearchState, divisor_sets: dict) -> int:
     """A proven lower bound on the order of every quadratization that
-    contains the state: the largest of the three rules' bounds.
+    contains the state: the largest of the two rules' bounds and the graph
+    capacity bound.
 
     A state with a nonsquare needs one more variable at least.  The probes
     are exact with no additions and no banned variables: two more when no
@@ -384,7 +389,8 @@ def lower_bound(state: SearchState, divisor_sets: dict) -> int:
     rules' k never exceed the number of nonsquares, so they are taken only
     when there are more nonsquares than that; the packing's divisor sets go
     to divisor_sets, the search's memo.  So, with no banned variables, the
-    three rules prune the state at bound N exactly when N is at most this.
+    two rules and prune_by_c4_bound together prune the state at bound N
+    exactly when N is at most this.
     """
     left = state.nonsquares
     if not left:

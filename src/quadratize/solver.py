@@ -5,22 +5,24 @@ degree box of the system (initial_incumbent): a descent that takes the
 child with the fewest nonsquares, then the reverse-delete step of greedy
 set cover.  Its order, or an order cap when smaller, sets the initial
 bound one above it, and the search explores the subproblem tree depth
-first with the three pruning rules: disjoint factor-set packing, pair
-counting and the graph capacity bound.  The result is a monomial
-quadratization of provably minimal order, plus search statistics.  The
-bound starts one above the greedy order, not at it, so the search returns
-the first optimum it reaches depth first rather than the greedy set; the
-tests pin that a start from the degree box gives the same answers.
+first with two pruning rules at each node: disjoint factor-set packing
+and pair counting.  The result is a monomial quadratization of provably
+minimal order, plus search statistics.  The bound starts one above the
+greedy order, not at it, so the search returns the first optimum it
+reaches depth first rather than the greedy set; the tests pin that a
+start from the degree box gives the same answers.
 
-Before the first node the rules also bound the order of every
+Before the first node the search also bounds the order of every
 quadratization from the root (pruning.lower_bound): the packing count, the
-two counting rules' k, and the exact probes for one and for two more
-variables.  The search ends at the first quadratization it visits whose
-order meets that bound.  A later incumbent would have to be smaller, and
-none is, so the answer and the incumbents found are those of the search
-run to its end; only the nodes that would prove again what the root bound
-proves go.  The three rules would prune the root exactly when that bound
-reaches the search's, so the root takes none of them.
+k of the pair-count rule and of the graph capacity bound, and the exact
+probes for one and for two more variables.  The graph bound acts there
+only: below the root, the exact probes and the pair-count rule leave it
+nothing to prune.  The search ends at the first quadratization it visits
+whose order meets that bound.  A later incumbent would have to be
+smaller, and none is, so the answer and the incumbents found are those of
+the search run to its end; only the nodes that would prove again what the
+root bound proves go.  The root is visited only when that bound is below
+the search's, and then neither rule would prune it, so it takes neither.
 
 A node's children are drawn fewest new variables first, and the bound
 only falls, so the first child with at least as many new variables as the
@@ -106,6 +108,8 @@ from .polynomials import (
     unit_monomial,
     variable_monomial,
 )
+# The search never calls prune_by_c4_bound; the benchmark's tracer wraps
+# it here by name, and the import goes when the tracer reads an observer.
 from .pruning import (
     lower_bound,
     prune_by_c4_bound,
@@ -116,8 +120,7 @@ from .state import SearchState, is_product
 
 
 SearchStats = namedtuple("SearchStats", "nodes_visited pruned_by_packing pruned_by_quadratic "
-                                        "pruned_by_c4 pruned_by_symmetry incumbent_updates "
-                                        "optimal_order")
+                                        "pruned_by_symmetry incumbent_updates optimal_order")
 SearchStats.as_dict = SearchStats._asdict
 
 
@@ -321,20 +324,21 @@ def bnb_search(system: ODESystem, *,
 
     Every visited node other than the root that is not a quadratization
     goes through the packing rule, with the node's banned variables, then
-    the pair-count rule, then the graph rule; one dict of divisor sets
-    serves every packing call of the search and the root lower bound.  The
-    three rules would prune the root exactly when the root lower bound
-    reaches the bound, so the root is visited when it does not, and takes
-    no rule.  All three are sound lower bounds, so they change only the
-    number of nodes visited, never the answer.  Two short of the bound the
-    packing rule is exact: it keeps a node only when one more variable
-    completes it, and then the other two keep it too.  Three short it is
-    exact at a node with two nonsquares or more, keeping it only when at
-    most two more variables complete it; with one nonsquare the other two
-    bound the node by one variable, so again they keep whatever it
-    keeps.  Such a node has a nonsquare to cover, so each rule's bound is at
-    least its depth + 1: a node the rules keep has depth + 1 < bound, and
-    no separate depth cutoff is needed.
+    the pair-count rule; one dict of divisor sets serves every packing
+    call of the search and the root lower bound.  Both rules keep the root
+    whenever the root lower bound is below the bound, so the root is
+    visited exactly then, and takes no rule.  Both are sound lower bounds,
+    so they change only the number of nodes visited, never the answer.
+    Two short of the bound the packing rule is exact: it keeps a node only
+    when one more variable completes it, and then the pair-count rule keeps
+    it too.  Three short it is exact at a node with two nonsquares or more,
+    keeping it only when at most two more variables complete it; with one
+    nonsquare the pair-count rule bounds the node by one variable, so again
+    it keeps whatever the packing rule keeps.  Such a node has a nonsquare
+    to cover, so each rule's bound is at least its depth + 1: a node the
+    rules keep has depth + 1 < bound, and no separate depth cutoff is
+    needed.  The graph capacity bound is a term of the root lower bound
+    only.
 
     The first bound is one above the order of initial_incumbent, or above
     max_order_cap when that is smaller.  A quadratization of the greedy
@@ -343,10 +347,10 @@ def bnb_search(system: ODESystem, *,
     search that finds none without a cap has an unsound rule, and raises
     RuntimeError.  The search returns at the first quadratization whose
     order equals the root lower bound (pruning.lower_bound, the largest of
-    the three rules' bounds at the root, taken once per search).  Any later
-    incumbent would be smaller than that bound, so the answer,
-    incumbent_updates and optimal_order are those of the search run to its
-    end, and only nodes_visited and the prune counts fall.
+    the rules' bounds and the graph capacity bound at the root, taken once
+    per search).  Any later incumbent would be smaller than that bound, so
+    the answer, incumbent_updates and optimal_order are those of the search
+    run to its end, and only nodes_visited and the prune counts fall.
 
     Deterministic: identical inputs give identical results and statistics.
     The result's new_vars are in graded-lex order, the order of the
@@ -367,7 +371,7 @@ def bnb_search(system: ODESystem, *,
         raise ValueError("max_order_cap must be None or a non-negative int, "
                          f"not {max_order_cap!r}")
     try:
-        nodes = pruned_packing = pruned_quadratic = pruned_c4 = pruned_symmetry = updates = 0
+        nodes = pruned_packing = pruned_quadratic = pruned_symmetry = updates = 0
         order = initial_incumbent(system)[1]
         bound = (order if max_order_cap is None else min(order, max_order_cap)) + 1
         best = None
@@ -378,7 +382,7 @@ def bnb_search(system: ODESystem, *,
         seen = set() if len(group) > 1 else None
         divisor_sets = {}  # the packing rule's D(m), for all of its calls
         # No quadratization is smaller, so the first one this size ends the
-        # search.  The three rules prune the root exactly when floor >= bound.
+        # search.  The rules keep the root whenever floor < bound.
         floor = lower_bound(root, divisor_sets)
         # The sets forbidden on the stack, kept in place as pairs: a pair
         # {a, b} makes b a partner of a and a of b.  A single variable z is the
@@ -413,7 +417,8 @@ def bnb_search(system: ODESystem, *,
         # parent's nonsquares it leaves uncovered reaches the bound, or when an
         # image of its set was visited.  The root is the one child, (), of a
         # frame over itself; it adds nothing, so it skips those tests, and it
-        # takes no rule: it is visited exactly when the rules would keep it.
+        # takes no rule: it is visited only when floor < bound, where the
+        # rules would keep it.
         stack = [(root, iter(((),)), [], (), [])] if floor < bound else []
         while stack:
             parent, children, settled, stabilizer, pending = stack[-1]
@@ -462,9 +467,6 @@ def bnb_search(system: ODESystem, *,
                 if prune_by_quadratic_bound(state, bound):
                     pruned_quadratic += 1
                     continue
-                if prune_by_c4_bound(state, bound):
-                    pruned_c4 += 1
-                    continue
             # The elements that map the set of new variables onto itself;
             # sigma does exactly when its inverse does, so image's convention
             # does not matter here.
@@ -477,8 +479,8 @@ def bnb_search(system: ODESystem, *,
                 raise RuntimeError(f"no quadratization found, though the greedy one has order "
                                    f"{order}: a pruning rule is unsound")
             raise NoQuadratizationWithinCap(max_order_cap, floor)
-        stats = SearchStats(nodes, pruned_packing, pruned_quadratic, pruned_c4, pruned_symmetry,
-                            updates, len(best))
+        stats = SearchStats(nodes, pruned_packing, pruned_quadratic, pruned_symmetry, updates,
+                            len(best))
         final = root.extended(best)
         result = QuadratizationResult(new_vars=final.new_vars, order=len(best), optimal=True,
                                       document=final.extract_quadratic_system(stats=stats.as_dict()))

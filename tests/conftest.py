@@ -83,34 +83,31 @@ def definition_factor_set(m, vars_set):
     return {f for pair in factor_pairs(m) for f in pair} - set(vars_set)
 
 
-RULE_CONFIGS = ("none", "packing", "quadratic", "c4", "all")
+RULE_CONFIGS = ("none", "packing", "quadratic", "all")
 
 
 @contextmanager
 def rules(config):
     """Run bnb_search with only the pruning rules that `config` names.
 
-    The search always calls all three rules, so a rule is switched off by
-    substituting it in quadratize.solver: the packing and pair-count rules
-    by one that never prunes, the graph rule by the trivial bound, which
-    prunes a node as deep as the incumbent.  The search also calls the
-    packing rule to skip children before extending them, so switching it
-    off switches that skip off too.  Sibling exclusion is no rule and stays
-    on in every configuration; its banned variables act only through the
-    packing rule.  The root lower bound (pruning.lower_bound), which ends
-    the search at an answer that meets it, stays on too: it changes no
-    answer.  The real rules are back on exit.
+    The search always calls both rules, so a rule is switched off by
+    substituting it in quadratize.solver by one that never prunes.  The
+    search also calls the packing rule to skip children before extending
+    them, so switching it off switches that skip off too.  Sibling
+    exclusion is no rule and stays on in every configuration; its banned
+    variables act only through the packing rule.  The root lower bound
+    (pruning.lower_bound), which ends the search at an answer that meets it
+    and is the only place the graph capacity bound acts, stays on too: it
+    changes no answer.  The real rules are back on exit.
     """
     if config not in RULE_CONFIGS:
         raise ValueError(f"unknown rule configuration {config!r}")
-    names = ("prune_by_packing_bound", "prune_by_quadratic_bound", "prune_by_c4_bound")
+    names = ("prune_by_packing_bound", "prune_by_quadratic_bound")
     saved = [getattr(quadratize.solver, name) for name in names]
     if config not in ("packing", "all"):
         quadratize.solver.prune_by_packing_bound = lambda state, bound, *args: False
     if config not in ("quadratic", "all"):
         quadratize.solver.prune_by_quadratic_bound = lambda state, bound: False
-    if config not in ("c4", "all"):
-        quadratize.solver.prune_by_c4_bound = lambda state, bound: len(state.new_vars) >= bound
     try:
         yield
     finally:

@@ -73,8 +73,8 @@ def test_readme_structured_example_matches_the_output():
 
 # The counters perfbench/layers.py gets by wrapping the package's internals by
 # name; each reads zero when a wrapped name is renamed or no longer looked up.
-TRACED_COUNTERS = ("pruning.quadratic_calls", "pruning.c4_calls", "pruning.quotient_pairs",
-                   "state.extended_calls", "branching.calls", "polynomials.lie_calls")
+TRACED_COUNTERS = ("pruning.quadratic_calls", "pruning.quotient_pairs", "state.extended_calls",
+                   "branching.calls", "polynomials.lie_calls")
 
 
 def test_benchmark_tracer_sees_every_layer():

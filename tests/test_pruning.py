@@ -273,7 +273,7 @@ class TestPrunedNodesAreSound:
         ("prune_by_packing_bound", "packing", 625),
         ("prune_by_packing_bound", "all", 625),
         ("prune_by_quadratic_bound", "quadratic", 2404),
-        ("prune_by_c4_bound", "c4", 2035),
+        ("prune_by_c4_bound", "none", 2035),
     ])
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, later_corpus,
                                                    rule, config, count):
@@ -283,8 +283,12 @@ class TestPrunedNodesAreSound:
         # from the wide-box candidates, with fewer than N variables.  The
         # packing rule also prunes children before they are extended, given
         # the parent and the child's additions; those count as nodes too.
+        # The search takes the graph capacity bound at the root only, so it
+        # is checked in the pair-count rule's place, on the states the
+        # search hands to that rule, with both rules off.
         pruned = []
-        original = getattr(quadratize.solver, rule)
+        original = getattr(quadratize.pruning, rule)
+        slot = "prune_by_quadratic_bound" if rule == "prune_by_c4_bound" else rule
 
         def recording(state, bound, *args):
             if original(state, bound, *args):
@@ -297,7 +301,7 @@ class TestPrunedNodesAreSound:
         for system in soundness_corpus + later_corpus:
             pruned.clear()
             with rules(config):
-                setattr(quadratize.solver, rule, recording)
+                setattr(quadratize.solver, slot, recording)
                 bnb_search(system)
             pool = box_candidates(system, wide_box(system))
             for new_vars, bound in pruned:
@@ -315,7 +319,9 @@ class TestPrunedNodesAreSound:
 def packing_calls(soundness_corpus, later_corpus):
     """Every call of the packing rule at need 2 or 3, as (need, system,
     new_vars, added, banned, nonsquares of the state, pruned), and (need,
-    pruned) for every call of the pair-count and graph rules, over corpus
+    pruned) for every call of the pair-count rule and for the graph
+    capacity bound, which the search takes at the root only, on the state
+    of each such call that the pair-count rule keeps, over corpus
     seeds 11 and 12 of the benchmark, cubic_cycle(4..6), the soundness
     corpus and the later corpus."""
     calls = []
@@ -330,21 +336,20 @@ def packing_calls(soundness_corpus, later_corpus):
                           len(state.nonsquares), pruned))
         return pruned
 
-    def recording(real):
-        def rule(state, bound):
-            pruned = real(state, bound)
-            other_calls.append((bound - len(state.new_vars), pruned))
-            return pruned
-        return rule
+    def recording_quadratic(state, bound):
+        need = bound - len(state.new_vars)
+        pruned = prune_by_quadratic_bound(state, bound)
+        other_calls.append((need, pruned))
+        if not pruned:
+            other_calls.append((need, prune_by_c4_bound(state, bound)))
+        return pruned
 
     systems = ([parse_system(instance.text)
                 for seed in (11, 12) for instance in benchmark_workloads().corpus(seed)]
                + [benchmark_system("cubic_cycle", n) for n in (4, 5, 6)]
                + soundness_corpus + later_corpus)
-    with mock.patch.multiple(
-            quadratize.solver, prune_by_packing_bound=recording_packing,
-            prune_by_quadratic_bound=recording(quadratize.solver.prune_by_quadratic_bound),
-            prune_by_c4_bound=recording(quadratize.solver.prune_by_c4_bound)):
+    with mock.patch.multiple(quadratize.solver, prune_by_packing_bound=recording_packing,
+                             prune_by_quadratic_bound=recording_quadratic):
         for system in systems:
             bnb_search(system)
     return calls, other_calls
@@ -360,7 +365,7 @@ class TestNeedTwoIsExact:
     @pytest.fixture(scope="class")
     def need_two(self, packing_calls):
         """The need-2 calls of packing_calls, as (system, new_vars, added,
-        banned, pruned), and the other rules' calls."""
+        banned, pruned), and the other bounds' results."""
         calls, other_calls = packing_calls
         return ([(system, new_vars, added, banned, pruned)
                  for need, system, new_vars, added, banned, _, pruned in calls if need == 2],

@@ -9,6 +9,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 import quadratize.polynomials
+import quadratize.pruning
 import quadratize.solver
 from quadratize.bruteforce import (
     box_candidates,
@@ -33,6 +34,7 @@ from quadratize.pruning import (
     prune_by_c4_bound,
     prune_by_packing_bound,
     prune_by_quadratic_bound,
+    quadratic_bound,
 )
 from quadratize.solver import (
     NoQuadratizationWithinCap,
@@ -223,7 +225,7 @@ class TestSearch:
         system = benchmark_system("cubic_cycle", 4)
         nodes = {config: solve_with(system, config)[1].nodes_visited
                  for config in RULE_CONFIGS}
-        for config in ("packing", "quadratic", "c4"):
+        for config in ("packing", "quadratic"):
             assert nodes["none"] >= nodes[config] >= nodes["all"]
         assert nodes["none"] > nodes["all"]
 
@@ -403,7 +405,7 @@ class TestExponentBound:
 
 class TestRuleConfigurations:
     def test_rules_are_restored_after_an_error(self):
-        names = ("prune_by_packing_bound", "prune_by_quadratic_bound", "prune_by_c4_bound")
+        names = ("prune_by_packing_bound", "prune_by_quadratic_bound")
         real = [getattr(quadratize.solver, name) for name in names]
         with pytest.raises(RuntimeError):
             with rules("none"):
@@ -421,16 +423,16 @@ class TestRuleConfigurations:
         # search needs no depth cutoff of its own.  The root takes no rule:
         # the search starts only when the root lower bound, at least 1, is
         # below the bound.
-        last = [None, None]  # the state and bound of the latest c4 rule call
+        last = [None, None]  # the state and bound of the latest pair-count rule call
         expanded = 0
         tracked = {}
         follow_incumbent(monkeypatch, tracked)
-        real_c4 = quadratize.solver.prune_by_c4_bound
+        real_quadratic = quadratize.solver.prune_by_quadratic_bound
         real_children = quadratize.solver.generate_children
 
-        def recording_c4(state, bound):
+        def recording_quadratic(state, bound):
             last[:] = state, bound
-            return real_c4(state, bound)
+            return real_quadratic(state, bound)
 
         def checking_children(state):
             nonlocal expanded
@@ -444,7 +446,7 @@ class TestRuleConfigurations:
             expanded += 1
             return real_children(state)
 
-        monkeypatch.setattr(quadratize.solver, "prune_by_c4_bound", recording_c4)
+        monkeypatch.setattr(quadratize.solver, "prune_by_quadratic_bound", recording_quadratic)
         monkeypatch.setattr(quadratize.solver, "generate_children", checking_children)
         systems = (list(worked_systems.values()) + random_corpus
                    + [benchmark_system("cubic_cycle", 4)])
@@ -1124,7 +1126,7 @@ class TestFrameEnds:
         # sibling is drawn.  The bound is followed from outside, as above.
         # Every visited node but the root reaches the packing rule with no
         # additions once; the root reaches it never, since the root lower
-        # bound stands for the three rules there.
+        # bound stands for the rules there.
         tracked = {}
         late = []  # (parent's new variables, child) drawn after a sibling at the bound
         ends = 0  # children drawn at the bound, each ending its frame
@@ -1237,8 +1239,8 @@ class TestNoSetVisitedTwice:
 
 class TestSkippingKeepsTheAnswer:
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 5, SearchStats(232, 109, 0, 0, 0, 1, 10)),
-        ("cubic_bicycle", 5, SearchStats(118, 35, 0, 1, 0, 1, 10)),
+        ("cubic_cycle", 5, SearchStats(232, 109, 0, 0, 1, 10)),
+        ("cubic_bicycle", 5, SearchStats(118, 35, 0, 0, 1, 10)),
     ])
     def test_without_matches_the_stats_are_those_of_the_plain_search(
             self, monkeypatch, name, n, stats):
@@ -1280,8 +1282,8 @@ class TestSkippingKeepsTheAnswer:
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 6, SearchStats(221, 109, 0, 0, 19, 1, 12)),
-        ("cubic_bicycle", 6, SearchStats(82, 18, 0, 0, 4, 1, 12)),
+        ("cubic_cycle", 6, SearchStats(221, 109, 0, 19, 1, 12)),
+        ("cubic_bicycle", 6, SearchStats(82, 18, 0, 4, 1, 12)),
     ])
     def test_pinned_node_counts(self, name, n, stats):
         assert bnb_search(benchmark_system(name, n))[1] == stats
@@ -1341,7 +1343,8 @@ class TestRootLowerBound:
                    for n in range(2, 7)])
 
     def test_the_rules_prune_the_root_exactly_up_to_it(self, systems):
-        # So the search checks the root against it in place of the rules.
+        # So the search checks the root against it in place of the two rules
+        # and the graph capacity bound.
         for system in systems:
             root = SearchState.initial(system)
             floor = lower_bound(root, {})
@@ -1350,6 +1353,18 @@ class TestRootLowerBound:
                           or prune_by_quadratic_bound(root, bound)
                           or prune_by_c4_bound(root, bound))
                 assert pruned == (bound <= floor), (system, bound, floor)
+
+    def test_the_graph_bound_lifts_the_root_bound(self, monkeypatch):
+        # The graph capacity bound acts only as a term of the root lower
+        # bound.  On permutation-closed systems 7 and 27, counted from 0 in
+        # the order random.Random(14) draws them, it alone lifts that bound
+        # from the pair-count rule's 3 to 4.
+        rng = random.Random(14)
+        drawn = [permutation_closed_system(rng)[0] for _ in range(28)]
+        roots = [SearchState.initial(drawn[i]) for i in (7, 27)]
+        assert [(lower_bound(root, {}), quadratic_bound(root)) for root in roots] == [(4, 3)] * 2
+        monkeypatch.setattr(quadratize.pruning, "c4_bound", lambda state: 0)
+        assert [lower_bound(root, {}) for root in roots] == [3, 3]
 
     def test_the_stop_changes_no_answer(self, systems, monkeypatch):
         # Only the nodes after the answer go: a later incumbent would have
