@@ -7,10 +7,6 @@ that is provably impossible, and is sound but not complete (False promises
 nothing).  The search runs rules 1 and 2 at every visited node below the
 root.  The two counting bounds compare a number with N: the state's new
 variables plus the k more they prove (quadratic_bound, c4_bound).
-lower_bound takes the largest of the three bounds at a state; the search
-takes it once, at the root, which is the only place the graph capacity
-bound acts: below it, the exact probes of rule 1 and rule 2 leave it
-nothing to prune.
 
 Rule 1 packs disjoint factor sets.  A nonsquare m of a state S is written
 m = a*b in any quadratization T containing S, with a and b generalized
@@ -29,19 +25,29 @@ dict the caller passes in, one per search, and builds each at most once
 there and only on demand: x^1000000 has a million divisors.  This module
 is the only one that builds a factor set.
 
-When the bound leaves room for exactly one more variable z (need 2: the
-bound less the new variables and the additions), the rule decides instead
-whether one exists, a last-level probe: with V the generalized variables
-of S + A, each uncovered nonsquare m is z*w with w in V or w = z, so z
-lies in every P(m) = {m/v : v in V, v divides m}, plus the square root of
-m when m is a square (polynomials.partners); and z' must be covered
-over V and z.
-Two disjoint C(m) give two disjoint P(m), so greedy packing adds nothing
-there.  When it leaves room for two (need 3), the rule decides whether at
-most two more variables complete the node (two_variables_complete): an
-uncovered m1 is z*w with z new and w in V or w = z (case A), or z1*z2 with
-both new and distinct (case B), and each case leaves few candidates.  So
-the rule packs only at need 4 or more.
+The need ladder.  need = N - |new variables| - |A| is how many more
+variables a completion below N may have, plus one, and rule 1 acts by
+need (prune_by_packing_bound):
+- need 0 or less: the state is too large already, and the rule prunes.
+- need 1: no more variable, so any nonsquare left prunes (every C(m)
+  holds m itself).
+- need 2: a completion T below N adds at most one more variable z, and
+  at least one, since an uncovered m stays a nonsquare; the rule decides
+  whether such a z exists (one_variable_completes, whose docstring gives
+  why z is a partner of every such m, polynomials.partners).  Two
+  disjoint C(m) give two disjoint partner sets, so packing adds nothing
+  there.
+- need 3: at most two more, and the rule decides whether two complete the
+  node (two_variables_complete, whose docstring gives the two ways a
+  completion covers a nonsquare).  With one nonsquare left it keeps the
+  node.
+- need 4 or more: greedy packing, k disjoint sets need k more variables,
+  and a nonsquare left with an empty set prunes at once.  k never exceeds
+  the number of sets, so no set is built when there are too few.
+With no additions and at a visited node the probes are exact, the need-3
+probe when the node has two nonsquares or more; before extension they
+ignore the child's fresh nonsquares, a subset again.  Neither probe looks
+at forbidden pairs, which only keeps more nodes.
 
 Both calls may also get banned variables: monomials that no completion
 below the bound contains.  They are the sets of one variable that sibling
@@ -63,6 +69,20 @@ count is the number of members that are perfect squares (every exponent
 even; x*y has even degree but is no square).  The bound is applied to a
 subset of the nonsquares with pairwise-distinct products, which is what
 forbids such walks in the covering graph.
+
+The root lower bound, and why the root takes no rule.  lower_bound is the
+largest N at which the rules prune a state with no additions and no
+banned variables.  It raises its bound while rule 1 prunes at needs 1 to
+3, so there it is exact by construction.  Then, only when there are more
+nonsquares than the variables proven so far, it takes the greedy packing
+count and the k of rule 2 and of the graph capacity bound: none of them
+exceeds the number of nonsquares.  So rule 1, rule 2 and prune_by_c4_bound
+together prune the state at N exactly when N is at most lower_bound.  The
+search takes it once, at the root, and visits the root only when it is
+below the search's bound, where the rules would keep the root: so the
+root takes no rule.  The root is the only place the graph capacity bound
+acts: below it, the exact probes of rule 1 and rule 2 leave it nothing to
+prune.
 """
 
 from __future__ import annotations
@@ -193,8 +213,9 @@ def one_variable_completes(system, vars_set, introduced, left, banned) -> bool:
     covers every monomial of `left`, and z' when there is one; vars_set is
     1, the x_i and the `introduced` monomials.
 
-    A covered m is z * w with w in vars_set or w = z, so z lies in
-    partners(m).  The candidates are those of the first m, and each later m
+    A completion covers each m as a * b with a and b not both in vars_set
+    (m is no product over it), so as z * w with w in vars_set or w = z, and
+    z lies in partners(m).  The candidates are those of the first m, and each later m
     keeps the ones with m / z in vars_set or equal to z (a z that does not
     divide m leaves a negative exponent there).  A candidate completes when
     every monomial of its derivative is covered over vars_set and z.
@@ -293,34 +314,14 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     """Same contract as prune_by_quadratic_bound for state.extended(added),
     decided without building that state.
 
-    The nonsquares it bounds are those of the state that the additions
-    leave uncovered (is_product with the additions): each stays a nonsquare
-    of the extended state, with C(m) = D(m) - vars_set - added as its set
-    there.  Bounding a subset of the nonsquares keeps the rule sound; with
-    no additions it is the rule on the state itself.  With banned
-    variables, which the caller guarantees no completion below
-    incumbent_order contains, each set also loses them.
-
-    need = incumbent_order - |new_vars| - |added| is how many more
-    variables a completion below the bound may have, plus one.  At need 1
-    none: any nonsquare left prunes.  At need 2 one, z, and the rule
-    decides exactly whether one exists (one_variable_completes): a
-    completion T with fewer than incumbent_order variables adds at most one
-    z, and at least one, since an uncovered m stays a nonsquare; T covers
-    each such m as a * b with a and b not both generalized variables, so
-    one factor is z and the other a generalized variable or z, and T covers
-    z' too; z is not banned.  With no additions and at a visited node the
-    test is exact; before extension it ignores the child's fresh
-    nonsquares, a subset again.  At need 3 two, and the rule decides
-    whether at most two complete the node (two_variables_complete, which
-    gives the two ways a completion covers a nonsquare), by the same
-    argument; it is exact at a visited node with two nonsquares or more,
-    and keeps a node with one.  Neither probe looks at forbidden pairs,
-    which only keeps more nodes.  At need
-    4 or more the rule packs the sets C(m) greedily (packs): k disjoint
-    ones need k more variables, and a nonsquare left with an empty set
-    prunes at once.  k never exceeds the number of sets, so no set is
-    built when there are too few.
+    It bounds the nonsquares of the state that the additions leave
+    uncovered (is_product with the additions), and only the completions
+    that avoid the banned variables, which the caller guarantees no
+    completion below incumbent_order contains; with no additions and none
+    banned it is the rule on the state itself.  How it bounds them depends
+    on need = incumbent_order - |new_vars| - |added|: the module docstring
+    gives the need ladder, and the argument for each step, for the
+    additions and for the banned variables.
     divisor_sets maps m to D(m) and is filled here; the search passes one
     per search, and without it each call uses a fresh one, with the same
     answer.  Only packing builds a divisor set.
@@ -382,26 +383,19 @@ def lower_bound(state: SearchState, divisor_sets: dict) -> int:
     contains the state: the largest of the two rules' bounds and the graph
     capacity bound.
 
-    A state with a nonsquare needs one more variable at least.  The probes
-    are exact with no additions and no banned variables: two more when no
-    one variable completes the state, three when no two do either (which
-    needs two nonsquares or more).  The packing count and the counting
-    rules' k never exceed the number of nonsquares, so they are taken only
-    when there are more nonsquares than that; the packing's divisor sets go
-    to divisor_sets, the search's memo.  So, with no banned variables, the
-    two rules and prune_by_c4_bound together prune the state at bound N
-    exactly when N is at most this.
+    It raises the bound while prune_by_packing_bound prunes the state at
+    needs 1 to 3, then takes the greedy packing count and the counting
+    rules' k when there are more nonsquares than that; the packing's
+    divisor sets go to divisor_sets, the search's memo.  So, with no banned
+    variables, the two rules and prune_by_c4_bound together prune the
+    state at bound N exactly when N is at most this (the module docstring
+    gives why, and why the root takes no rule).
     """
-    left = state.nonsquares
-    if not left:
-        return len(state.new_vars)
-    system, vars_set, introduced, banned = state.system, state.vars_set, state.new_vars, ()
-    more = 1
-    if not one_variable_completes(system, vars_set, introduced, left, banned):
-        two = two_variables_complete(system, vars_set, introduced, list(left), banned)
-        more = 2 if two else 3
+    left, new, more = state.nonsquares, len(state.new_vars), 0
+    while more < 3 and prune_by_packing_bound(state, new + more + 1, (), divisor_sets):
+        more += 1
     if len(left) > more:
-        more = max(more, packs(factor_sets(left, vars_set, banned, divisor_sets), len(left)))
+        more = max(more, packs(factor_sets(left, state.vars_set, (), divisor_sets), len(left)))
     if len(left) > more:
-        return max(len(introduced) + more, quadratic_bound(state), c4_bound(state))
-    return len(introduced) + more
+        return max(new + more, quadratic_bound(state), c4_bound(state))
+    return new + more

@@ -13,16 +13,15 @@ reaches depth first rather than the greedy set; the tests pin that a
 start from the degree box gives the same answers.
 
 Before the first node the search also bounds the order of every
-quadratization from the root (pruning.lower_bound): the packing count, the
-k of the pair-count rule and of the graph capacity bound, and the exact
-probes for one and for two more variables.  The graph bound acts there
-only: below the root, the exact probes and the pair-count rule leave it
-nothing to prune.  The search ends at the first quadratization it visits
-whose order meets that bound.  A later incumbent would have to be
-smaller, and none is, so the answer and the incumbents found are those of
-the search run to its end; only the nodes that would prove again what the
-root bound proves go.  The root is visited only when that bound is below
-the search's, and then neither rule would prune it, so it takes neither.
+quadratization from the root (pruning.lower_bound): the largest bound at
+which its two rules and the graph capacity bound prune the root.  The
+search ends at the first quadratization it visits whose order meets that
+bound.  A later incumbent would have to be smaller, and none is, so the
+answer and the incumbents found are those of the search run to its end;
+only the nodes that would prove again what the root bound proves go.  The
+root is visited only when that bound is below the search's, and takes no
+rule; pruning's module docstring gives why, and why the graph bound acts
+at the root only.
 
 A node's children are drawn fewest new variables first, and the bound
 only falls, so the first child with at least as many new variables as the
@@ -32,12 +31,9 @@ skipped before they are extended, decided from the parent alone.  A child
 is skipped when it contains a forbidden set (sibling exclusion, below).
 And a child is skipped when the packing rule, applied to the parent's
 nonsquares that the child's additions leave uncovered, needs as many more
-variables as the child is short of the bound (prune_by_packing_bound,
-whose docstring and module give the argument).  When the child is two
-short, so that one more variable z is all a better incumbent could add,
-the rule asks whether some z covers every such nonsquare and its own
-derivative, and skips the child when none does; when it is three short,
-whether at most two more variables do.  Neither changes the answer.
+variables as the child is short of the bound (prune_by_packing_bound;
+pruning's module docstring gives its need ladder and the argument for
+each step).  Neither changes the answer.
 
 Sibling exclusion.  The children of a node P cover every quadratization
 T that contains P: T covers the branch monomial, so it contains one of
@@ -194,12 +190,14 @@ def initial_incumbent(system: ODESystem) -> tuple[tuple[Monomial, ...], int]:
 class NoQuadratizationWithinCap(ValueError):
     """Every monomial quadratization of the system needs more than the cap.
 
-    lower_bound is the larger of cap + 1 and the search's root lower bound.
+    lower_bound is the larger of cap + 1 and the search's root lower bound,
+    and the message names both the cap and it.
     """
 
     def __init__(self, cap: int, floor: int = 0):
-        super().__init__(f"no monomial quadratization with at most {cap} new variables")
         self.lower_bound = max(cap + 1, floor)
+        super().__init__(f"no monomial quadratization with at most {cap} new variables; "
+                         f"every one has at least {self.lower_bound}")
 
 
 # The key of a set costs one image per group element, so a larger group is
@@ -325,20 +323,14 @@ def bnb_search(system: ODESystem, *,
     Every visited node other than the root that is not a quadratization
     goes through the packing rule, with the node's banned variables, then
     the pair-count rule; one dict of divisor sets serves every packing
-    call of the search and the root lower bound.  Both rules keep the root
-    whenever the root lower bound is below the bound, so the root is
-    visited exactly then, and takes no rule.  Both are sound lower bounds,
-    so they change only the number of nodes visited, never the answer.
-    Two short of the bound the packing rule is exact: it keeps a node only
-    when one more variable completes it, and then the pair-count rule keeps
-    it too.  Three short it is exact at a node with two nonsquares or more,
-    keeping it only when at most two more variables complete it; with one
-    nonsquare the pair-count rule bounds the node by one variable, so again
-    it keeps whatever the packing rule keeps.  Such a node has a nonsquare
-    to cover, so each rule's bound is at least its depth + 1: a node the
-    rules keep has depth + 1 < bound, and no separate depth cutoff is
-    needed.  The graph capacity bound is a term of the root lower bound
-    only.
+    call of the search and the root lower bound.  The root is visited only
+    when the root lower bound is below the bound, and takes no rule
+    (pruning's module docstring gives why).  Both rules are sound lower
+    bounds, so they change only the number of nodes visited, never the
+    answer.  The packing rule prunes a node with a nonsquare left one short
+    of the bound, so a node the rules keep has depth + 1 < bound, and no
+    separate depth cutoff is needed.  The graph capacity bound is a term of
+    the root lower bound only.
 
     The first bound is one above the order of initial_incumbent, or above
     max_order_cap when that is smaller.  A quadratization of the greedy

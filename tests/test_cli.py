@@ -164,7 +164,7 @@ class TestOutputs:
         assert code == 3
         assert out == ""
         assert err == ("quadratize: error: no monomial quadratization with at most 5 "
-                       "new variables\n")
+                       "new variables; every one has at least 10\n")
 
     def test_new_names_avoid_every_input_name(self, capsys, monkeypatch):
         text = "z1' = z1^3\nw1' = 0\nu1' = 0\nq1' = 0\nzz1' = 0\n"
