@@ -208,10 +208,12 @@ def covered(d: Monomial, vars_set, introduced, fresh) -> bool:
             or is_product(d, vars_set, introduced))
 
 
-def one_variable_completes(system, vars_set, introduced, left, banned) -> bool:
-    """Whether at most one more variable z, not in vars_set nor banned,
-    covers every monomial of `left`, and z' when there is one; vars_set is
-    1, the x_i and the `introduced` monomials.
+def one_variable_completes(system, vars_set, introduced, left,
+                           banned) -> tuple[Monomial, ...] | None:
+    """The at most one more variable z, not in vars_set nor banned, that
+    covers every monomial of `left`, and z' when there is one: () when
+    `left` is empty, (z,) for the first such z found, None when there is
+    none.  vars_set is 1, the x_i and the `introduced` monomials.
 
     A completion covers each m as a * b with a and b not both in vars_set
     (m is no product over it), so as z * w with w in vars_set or w = z, and
@@ -223,16 +225,16 @@ def one_variable_completes(system, vars_set, introduced, left, banned) -> bool:
     left = iter(left)
     first = next(left, None)
     if first is None:
-        return True
+        return ()
     candidates = partners(first, vars_set, introduced, banned)
     for m in left:
         candidates = {z for z in candidates
                       if (w := monomial_quotient(m, z)) in vars_set or w == z}
         if not candidates:
-            return False
-    return any(all(covered(d, vars_set, introduced, (z,))
-                   for d in lie_derivative_support(z, system))
-               for z in candidates)
+            return None
+    return next(((z,) for z in candidates
+                 if all(covered(d, vars_set, introduced, (z,))
+                        for d in lie_derivative_support(z, system))), None)
 
 
 def two_variables_complete(system, vars_set, introduced, left, banned) -> bool:
@@ -341,7 +343,7 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
         # Every C(m) holds m itself, so any one nonsquare left packs.
         return any(True for _ in left)
     if need == 2:
-        return not one_variable_completes(state.system, vars_set, introduced, left, banned)
+        return one_variable_completes(state.system, vars_set, introduced, left, banned) is None
     left = list(left)
     if need == 3:
         return not two_variables_complete(state.system, vars_set, introduced, left, banned)

@@ -1,27 +1,29 @@
 """Depth-first branch-and-bound driver, Laurent lifting, and benchmark systems.
 
-The search first builds a greedy quadratization inside the per-variable
-degree box of the system (initial_incumbent): a descent that takes the
-child with the fewest nonsquares, then the reverse-delete step of greedy
-set cover.  Its order, or an order cap when smaller, sets the initial
-bound one above it, and the search explores the subproblem tree depth
-first with two pruning rules at each node: disjoint factor-set packing
-and pair counting.  The result is a monomial quadratization of provably
-minimal order, plus search statistics.  The bound starts one above the
-greedy order, not at it, so the search returns the first optimum it
-reaches depth first rather than the greedy set; the tests pin that a
-start from the degree box gives the same answers.
+The search first bounds the order of every quadratization from the root
+(pruning.lower_bound): the largest bound at which its two rules and the
+graph capacity bound prune the root.  A cap below it raises at once.
+Then it builds a greedy quadratization (initial_incumbent): a descent
+inside the per-variable degree box of the system that takes the child
+with the fewest nonsquares, the reverse-delete step of greedy set cover,
+and, while the order is above the root lower bound, a swap step of local
+search that trades two variables for at most one, possibly outside the
+box.  Its order, or an order cap when smaller, sets the initial bound one
+above it, and the search explores the subproblem tree depth first with
+two pruning rules at each node: disjoint factor-set packing and pair
+counting.  The result is a monomial quadratization of provably minimal
+order, plus search statistics.  The bound starts one above the greedy
+order, not at it, so the search returns the first optimum it reaches
+depth first rather than the greedy set; the tests pin that a start from
+the degree box gives the same answers.
 
-Before the first node the search also bounds the order of every
-quadratization from the root (pruning.lower_bound): the largest bound at
-which its two rules and the graph capacity bound prune the root.  The
-search ends at the first quadratization it visits whose order meets that
-bound.  A later incumbent would have to be smaller, and none is, so the
-answer and the incumbents found are those of the search run to its end;
-only the nodes that would prove again what the root bound proves go.  The
-root is visited only when that bound is below the search's, and takes no
-rule; pruning's module docstring gives why, and why the graph bound acts
-at the root only.
+The search ends at the first quadratization it visits whose order meets
+the root lower bound.  A later incumbent would have to be smaller, and
+none is, so the answer and the incumbents found are those of the search
+run to its end; only the nodes that would prove again what the root bound
+proves go.  The root is visited only when that bound is below the
+search's, and takes no rule; pruning's module docstring gives why, and
+why the graph bound acts at the root only.
 
 A node's children are drawn fewest new variables first, and the bound
 only falls, so the first child with at least as many new variables as the
@@ -89,6 +91,7 @@ table's argument above is unchanged, and so are the incumbents found.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 
 from .branching import generate_children
 from .parsing import parse_system
@@ -99,6 +102,7 @@ from .polynomials import (
     grlex_key,
     image,
     lie_derivative_support,
+    monomial_mul,
     monomial_quotient,
     orbit_key,
     unit_monomial,
@@ -108,6 +112,7 @@ from .polynomials import (
 # it here by name, and the import goes when the tracer reads an observer.
 from .pruning import (
     lower_bound,
+    one_variable_completes,
     prune_by_c4_bound,
     prune_by_packing_bound,
     prune_by_quadratic_bound,
@@ -133,7 +138,7 @@ def per_variable_degrees(system: ODESystem) -> tuple[int, ...]:
     return maxes
 
 
-def initial_incumbent(system: ODESystem) -> tuple[tuple[Monomial, ...], int]:
+def initial_incumbent(system: ODESystem, floor: int = 0) -> tuple[tuple[Monomial, ...], int]:
     """A greedy quadratization, in graded-lex order: the search's first bound.
 
     Descent: from the root, extend every child (generate_children) whose
@@ -157,10 +162,32 @@ def initial_incumbent(system: ODESystem) -> tuple[tuple[Monomial, ...], int]:
     still a product over them: a factorization of any other monomial never
     uses z, and z' need no longer be covered.
 
+    Swap step, while the order is above `floor` (bnb_search passes the root
+    lower bound, which no quadratization is below).  Each round takes the
+    pairs {a, b} of the kept set in graded-lex order, and the first that can
+    go for at most one variable z goes; then a new round starts.  Such a z
+    covers every monomial the drop leaves uncovered, as z * w with w a
+    remaining generalized variable or z, and its own derivative is covered:
+    one_variable_completes finds it among the partners of those monomials.
+    z may lie outside the box.  It may also be a or b, and then only the
+    other goes: a swap can leave a variable that the rest can do without,
+    and the pair of it and any other variable v then goes for v.  z divides
+    each of those monomials and has degree 2 or more, so a pair whose
+    uncovered monomials have no common divisor of degree 2 is passed over
+    without the probe.  The uncovered monomials come from one pass per round
+    over the products of a kept variable and a generalized variable that are
+    monomials of the derivatives: dropping {a, b} uncovers such a monomial
+    m, unless m is a product of 1 and the x_i, exactly when each of its
+    factor pairs holds a or b and m lies in the derivative of a variable
+    other than a and b.  Each change lowers the order, so the step ends,
+    within as many rounds as the descent's order, at a quadratization from
+    which no variable can be dropped and no pair traded for at most one
+    variable.  The descent stays in the box; the final set need not.
+
     It leaves the supports it derives in the system's memo
     (lie_derivative_support), unlike bnb_search and laurent_quadratize:
-    bnb_search calls it first, reuses them, and empties the memo when it
-    ends.
+    bnb_search calls it after the root lower bound, reuses them, and
+    empties the memo when it ends.
     """
     box = per_variable_degrees(system)
     state = SearchState.initial(system)
@@ -184,6 +211,45 @@ def initial_incumbent(system: ODESystem) -> tuple[tuple[Monomial, ...], int]:
                    if divides(z, m)):
             kept.add(z)
             vars_set.add(z)
+    base = vars_set - kept
+    while len(kept) > floor:
+        vars_set = base | kept
+        owners = {}  # m -> the generalized variables whose derivative holds m
+        for v in vars_set:
+            for m in lie_derivative_support(v, system):
+                owners.setdefault(m, set()).add(v)
+        factor_pairs = {}  # m -> its factor pairs that hold a kept variable
+        for z in kept:
+            for w in vars_set:
+                if (m := monomial_mul(z, w)) in owners:
+                    factor_pairs.setdefault(m, []).append((z, w))
+        # Of the monomials that are no product of 1 and the x_i, alone[a]
+        # holds those each factor pair of which holds a, and joint[{a, b}]
+        # those each factor pair of which holds a or b.
+        alone, joint = {}, {}
+        for m, pairs in factor_pairs.items():
+            if is_product(m, base, ()):
+                continue  # a product whatever goes
+            for a in kept.intersection(pairs[0]):
+                rest = [pair for pair in pairs if a not in pair]
+                if not rest:
+                    alone.setdefault(a, set()).add(m)
+                    continue
+                for b in kept.intersection(*rest):
+                    joint.setdefault(frozenset((a, b)), set()).add(m)
+        for a, b in combinations(sorted(kept, key=grlex_key), 2):
+            out = {a, b}
+            found = joint.get(frozenset(out), set()).union(alone.get(a, ()), alone.get(b, ()))
+            left = [m for m in found if not owners[m] <= out]  # uncovered and still needed
+            if left and sum(map(min, zip(*left))) < 2:
+                continue  # a replacement has degree 2 or more, and divides each
+            # z may be a or b: then only the other goes.
+            completion = one_variable_completes(system, vars_set - out, kept - out, left, ())
+            if completion is not None:
+                kept = (kept - out).union(completion)
+                break
+        else:
+            break
     return tuple(sorted(kept, key=grlex_key)), len(kept)
 
 
@@ -332,17 +398,21 @@ def bnb_search(system: ODESystem, *,
     separate depth cutoff is needed.  The graph capacity bound is a term of
     the root lower bound only.
 
-    The first bound is one above the order of initial_incumbent, or above
-    max_order_cap when that is smaller.  A quadratization of the greedy
-    order exists, so without a cap the search always finds one itself:
-    incumbent_updates counts the quadratizations it visits, at least 1.  A
-    search that finds none without a cap has an unsound rule, and raises
-    RuntimeError.  The search returns at the first quadratization whose
-    order equals the root lower bound (pruning.lower_bound, the largest of
-    the rules' bounds and the graph capacity bound at the root, taken once
-    per search).  Any later incumbent would be smaller than that bound, so
-    the answer, incumbent_updates and optimal_order are those of the search
-    run to its end, and only nodes_visited and the prune counts fall.
+    The root lower bound is taken first: a max_order_cap below it raises
+    NoQuadratizationWithinCap before the greedy descent, and it is
+    initial_incumbent's floor, so the swap step runs only while the greedy
+    order is above it.  The first bound is one above the order of
+    initial_incumbent, or above max_order_cap when that is smaller.  A
+    quadratization of the greedy order exists, so without a cap the search
+    always finds one itself: incumbent_updates counts the quadratizations it
+    visits, at least 1.  A search that finds none without a cap has an
+    unsound rule, and raises RuntimeError.  The search returns at the first
+    quadratization whose order equals the root lower bound
+    (pruning.lower_bound, the largest of the rules' bounds and the graph
+    capacity bound at the root, taken once per search).  Any later incumbent
+    would be smaller than that bound, so the answer, incumbent_updates and
+    optimal_order are those of the search run to its end, and only
+    nodes_visited and the prune counts fall.
 
     Deterministic: identical inputs give identical results and statistics.
     The result's new_vars are in graded-lex order, the order of the
@@ -364,18 +434,20 @@ def bnb_search(system: ODESystem, *,
                          f"not {max_order_cap!r}")
     try:
         nodes = pruned_packing = pruned_quadratic = pruned_symmetry = updates = 0
-        order = initial_incumbent(system)[1]
-        bound = (order if max_order_cap is None else min(order, max_order_cap)) + 1
-        best = None
         root = SearchState.initial(system)
-        group = automorphisms(system)
-        # Orbit keys of the visited sets of new variables, kept only when the
-        # group is more than the identity: exclusion alone visits no set twice.
-        seen = set() if len(group) > 1 else None
         divisor_sets = {}  # the packing rule's D(m), for all of its calls
         # No quadratization is smaller, so the first one this size ends the
         # search.  The rules keep the root whenever floor < bound.
         floor = lower_bound(root, divisor_sets)
+        if max_order_cap is not None and max_order_cap < floor:
+            raise NoQuadratizationWithinCap(max_order_cap, floor)
+        order = initial_incumbent(system, floor)[1]
+        bound = (order if max_order_cap is None else min(order, max_order_cap)) + 1
+        best = None
+        group = automorphisms(system)
+        # Orbit keys of the visited sets of new variables, kept only when the
+        # group is more than the identity: exclusion alone visits no set twice.
+        seen = set() if len(group) > 1 else None
         # The sets forbidden on the stack, kept in place as pairs: a pair
         # {a, b} makes b a partner of a and a of b.  A single variable z is the
         # pair {1, z}: 1 is a variable of every state, so the pair test covers

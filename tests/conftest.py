@@ -115,13 +115,13 @@ def rules(config):
             setattr(quadratize.solver, name, rule)
 
 
-def degree_box_incumbent(system):
+def degree_box_incumbent(system, floor=0):
     """The degree-box quadratization and its order, in graded-lex order.
 
     Every monomial dividing D = per_variable_degrees(system), except 1 and
     the variables, materialized: the search's starting incumbent before
     the greedy one, and a stand-in for initial_incumbent where a test needs
-    a loose first bound.
+    a loose first bound.  It takes initial_incumbent's floor and ignores it.
     """
     n = system.num_vars
     skip = {unit_monomial(n)} | {variable_monomial(n, i) for i in range(n)}
@@ -141,10 +141,10 @@ def follow_incumbent(monkeypatch, tracked):
     real = quadratize.solver.initial_incumbent
     tracked["descent"] = False
 
-    def following(system):
+    def following(system, floor):
         tracked["descent"] = True
         try:
-            result = real(system)
+            result = real(system, floor)
         finally:
             tracked["descent"] = False
         tracked["bound"] = result[1] + 1

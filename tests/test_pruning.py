@@ -270,10 +270,10 @@ class TestPackingBound:
 
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
-        ("prune_by_packing_bound", "packing", 625),
-        ("prune_by_packing_bound", "all", 625),
-        ("prune_by_quadratic_bound", "quadratic", 2404),
-        ("prune_by_c4_bound", "none", 2035),
+        ("prune_by_packing_bound", "packing", 574),
+        ("prune_by_packing_bound", "all", 574),
+        ("prune_by_quadratic_bound", "quadratic", 2281),
+        ("prune_by_c4_bound", "none", 1928),
     ])
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, later_corpus,
                                                    rule, config, count):
@@ -393,7 +393,7 @@ class TestNeedTwoIsExact:
                 assert not is_quadratization(system, new_vars + added + (z,)), (
                     f"pruned {new_vars + added} at need 2, but adding {z} quadratizes")
             checked += 1
-        assert checked == 665
+        assert checked == 592
 
     def test_kept_visited_nodes_have_one(self, need_two):
         # A call with no additions is for a visited node.
@@ -406,13 +406,13 @@ class TestNeedTwoIsExact:
             assert any(is_quadratization(system, new_vars + (z,)) for z in candidates), (
                 f"kept {new_vars} at need 2, but no one variable completes it")
             checked += 1
-        assert checked == 390
+        assert checked == 360
 
     def test_other_rules_prune_no_node_at_need_two(self, need_two):
         # A visited node reaches them only when the packing rule keeps it,
         # and at need 2 it then has a completion below the bound.
         _, other_calls = need_two
-        assert sum(need == 2 for need, _ in other_calls) == 780
+        assert sum(need == 2 for need, _ in other_calls) == 720
         assert not any(pruned for need, pruned in other_calls if need == 2)
 
 
@@ -463,7 +463,7 @@ class TestNeedThreeIsExact:
                 assert not completes_within(system, new_vars + added, banned, 2), (
                     f"pruned {new_vars + added} at need 3, but two variables complete it")
                 checked += 1
-        assert checked == 1373
+        assert checked == 1358
 
     def test_kept_visited_nodes_with_two_nonsquares_have_one(self, need_three):
         calls, _ = need_three
@@ -473,12 +473,12 @@ class TestNeedThreeIsExact:
                 assert completes_within(system, new_vars, banned, 2), (
                     f"kept {new_vars} at need 3, but no two variables complete it")
                 checked += 1
-        assert checked == 215
+        assert checked == 197
 
     def test_other_rules_prune_no_node_at_need_three(self, need_three):
         # A visited node reaches them only when the packing rule keeps it:
         # with two nonsquares or more it then has a completion below the
         # bound, and with one each of them bounds it by one variable.
         _, other_calls = need_three
-        assert len(other_calls) == 496
+        assert len(other_calls) == 450
         assert not any(other_calls)

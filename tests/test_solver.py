@@ -28,6 +28,7 @@ from quadratize.polynomials import (
     divisor_count,
     divisors,
     grlex_key,
+    partners,
 )
 from quadratize.pruning import (
     lower_bound,
@@ -84,6 +85,12 @@ def degree_box_order(system):
     return divisor_count(degrees) - 1 - sum(1 for d in degrees if d >= 1)
 
 
+def descent_incumbent(system):
+    """initial_incumbent without its swap step: at a floor of the box's
+    order, which bounds the greedy order, it has no gap to close."""
+    return initial_incumbent(system, degree_box_order(system))
+
+
 class TestInitialIncumbent:
     @pytest.fixture
     def systems(self, worked_systems, soundness_corpus):
@@ -99,11 +106,14 @@ class TestInitialIncumbent:
             assert is_quadratization(system, vars_)
             assert order == len(vars_) <= degree_box_order(system)
             assert list(vars_) == sorted(set(vars_), key=grlex_key)
+            # At a floor of the box's order no swap runs: the descent's own
+            # set stays in the box, though a swap may leave it.
             box = per_variable_degrees(system)
-            assert all(divides(z, box) for z in vars_)
+            assert all(divides(z, box) for z in descent_incumbent(system)[0])
 
     def test_irredundant(self, systems):
-        # Reverse delete leaves no variable that the others can do without.
+        # Neither the reverse delete nor the swap step leaves a variable that
+        # the others can do without.
         for system in systems:
             vars_, _ = initial_incumbent(system)
             for i in range(len(vars_)):
@@ -115,14 +125,18 @@ class TestInitialIncumbent:
         system = benchmark_system(name, n)
         assert initial_incumbent(system)[1] == 2 * n == bnb_search(system)[0].order
 
-    def test_rf_is_optimal_inside_its_box(self):
-        # rf's optimum of 3 holds y^2, outside its box (3, 1, 1); the descent
-        # never leaves the box, where the least order is 4.
+    def test_the_swap_reaches_rf_optimum_outside_its_box(self):
+        # rf's optimum of 3 holds y^2, outside its box (3, 1, 1).  The
+        # descent never leaves the box, where the least order is 4; the swap
+        # step trades two of its variables for y^2.
         system = benchmark_system("rf")
-        assert bnb_search(system)[0].new_vars == ((0, 2, 0), (1, 1, 0), (2, 0, 0))
-        vars_, order = initial_incumbent(system)
+        optimum = ((0, 2, 0), (1, 1, 0), (2, 0, 0))
+        assert bnb_search(system)[0].new_vars == optimum
+        vars_, order = descent_incumbent(system)
         assert (order, vars_) == brute_force_optimal(system, (3, 1, 1))
         assert order == 4
+        assert initial_incumbent(system) == (optimum, 3)
+        assert not divides((0, 2, 0), per_variable_degrees(system))
 
     def test_optimal_on_the_allen_cahn_chain(self):
         # Its box holds 4^10 monomials; the greedy quadratization is x_i^2.
@@ -156,7 +170,7 @@ class TestInitialIncumbent:
         for system in soundness_corpus:
             root = SearchState.initial(system)
             last[:] = [root]
-            vars_, _ = initial_incumbent(system)
+            vars_, _ = descent_incumbent(system)
             kept = list(last[0].new_vars)
             for z in reversed(last[0].new_vars):
                 rest = [v for v in kept if v != z]
@@ -165,6 +179,37 @@ class TestInitialIncumbent:
                     dropped += 1
             assert tuple(sorted(kept, key=grlex_key)) == vars_
         assert dropped > 0
+
+    def test_the_fast_pair_scan_misses_no_swap(self, soundness_corpus, worked_systems):
+        # Checked with a full rebuild of the root extended by the rest: no
+        # pair {a, b} of the incumbent can go with no replacement or for one
+        # variable z other than a and b.  Such a z covers each nonsquare of
+        # the rest, so it is a partner of the first one.  (A z that is a or
+        # b leaves the other alone out, which irredundancy rules out.)  The
+        # swap lowers the descent's order on 27 of the systems.
+        rng = random.Random(14)
+        systems = (soundness_corpus + list(worked_systems.values())
+                   + [benchmark_system(family, n) for family in ("cubic_cycle", "cubic_bicycle")
+                      for n in range(3, 7)]
+                   + [benchmark_system("rf")]
+                   + [permutation_closed_system(rng)[0] for _ in range(60)])
+        swapped = 0
+        for system in systems:
+            vars_, order = initial_incumbent(system)
+            assert is_quadratization(system, vars_)
+            for i in range(order):
+                assert not is_quadratization(system, vars_[:i] + vars_[i + 1:]), (vars_, i)
+            root = SearchState.initial(system)
+            for a, b in combinations(vars_, 2):
+                rest = root.extended(z for z in vars_ if z not in (a, b))
+                assert rest.nonsquares, (vars_, a, b)
+                first = min(rest.nonsquares, key=grlex_key)
+                for z in partners(first, rest.vars_set, rest.new_vars, {a, b}):
+                    assert not rest.extended([z]).is_quadratization, (vars_, a, b, z)
+            descent = descent_incumbent(system)[1]
+            assert order <= descent
+            swapped += order < descent
+        assert (len(systems), swapped) == (173, 27)
 
     def test_closed_form_order_counts_the_box(self, systems):
         # The closed form that bounds the greedy order above counts the
@@ -310,6 +355,16 @@ class TestMaxOrderCap:
         start = time.perf_counter()
         with pytest.raises(NoQuadratizationWithinCap):
             bnb_search(parse_system(allen_cahn_text(10)), max_order_cap=5)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_below_the_root_lower_bound_raises_before_the_descent(self):
+        # The greedy descent here extends some 260,000 children, but the
+        # root lower bound, 3, is taken first and is above the cap.
+        system = parse_system("x' = y^200\ny' = x^200")
+        start = time.perf_counter()
+        with pytest.raises(NoQuadratizationWithinCap) as err:
+            bnb_search(system, max_order_cap=2)
+        assert err.value.lower_bound == 3
         assert time.perf_counter() - start < 1.0
 
     def test_cap_at_optimum_is_still_optimal(self):
@@ -966,7 +1021,7 @@ class TestChildrenSkippedBeforeExtensionAreSound:
                     f"skipped {parent.new_vars + added} at bound {bound}, "
                     f"but {found} quadratizes")
                 checked += 1
-        assert checked == 476
+        assert checked == 441
 
 
 class TestExcludedChildrenAreSound:
@@ -1056,7 +1111,7 @@ class TestExcludedChildrenAreSound:
                     earlier[3] and id(earlier[0]) in ancestors and j not in on_path
                     and members.issuperset(earlier[1])
                     for j, earlier in enumerate(pulled[:i]))
-        assert (checked, by_image) == (1716, 744)
+        assert (checked, by_image) == (1714, 744)
 
     def test_nodes_only_the_banned_variables_prune_have_no_smaller_completion(
             self, soundness_corpus, monkeypatch):
@@ -1090,7 +1145,7 @@ class TestExcludedChildrenAreSound:
                     f"but {found} quadratizes")
                 visited += is_visited
                 skipped += not is_visited
-        assert (visited, skipped) == (17, 68)
+        assert (visited, skipped) == (13, 53)
 
     def test_many_siblings_cost_no_more_each(self, monkeypatch):
         # The root of x^200000 has 100,001 children, one variable each
@@ -1184,7 +1239,7 @@ class TestFrameEnds:
         assert late == []
         assert twice == []
         assert calls == kept
-        assert (ends, calls) == (123, 2502)
+        assert (ends, calls) == (94, 2257)
 
 
 class TestNoSetVisitedTwice:
@@ -1393,16 +1448,18 @@ class TestRootLowerBound:
 
     def test_benchmark_corpus_node_count(self, monkeypatch):
         # The benchmark's corpus at seed 11: the root lower bound proves 160
-        # of the 200 optima, and the search visits 62 fewer nodes.
+        # of the 200 optima, and the search visits 62 fewer nodes.  The
+        # swap step, which runs while the greedy order is above that bound
+        # (above 0 without it), starts 11 searches one lower than the descent.
         systems = [parse_system(instance.text) for instance in benchmark_workloads().corpus(11)]
         nodes = proven = 0
         for system in systems:
             result, stats = bnb_search(system)
             nodes += stats.nodes_visited
             proven += lower_bound(SearchState.initial(system), {}) == result.order
-        assert (nodes, proven) == (1082, 160)
+        assert (nodes, proven) == (1017, 160)
         monkeypatch.setattr(quadratize.solver, "lower_bound", no_root_lower_bound)
-        assert sum(bnb_search(system)[1].nodes_visited for system in systems) == 1144
+        assert sum(bnb_search(system)[1].nodes_visited for system in systems) == 1079
 
 
 # SHA-256 over the answers for the systems of test_documents_hash_to_the_pin:

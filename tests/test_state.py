@@ -387,7 +387,7 @@ class TestEveryVisitedNode:
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", checking_rule)
         for system in random_corpus + [benchmark_system("cubic_cycle", 4)] + later_corpus:
             bnb_search(system)
-        assert lazy_calls == 1307
+        assert lazy_calls == 1204
 
         # The set of x^100000 would hold 10^5 divisors.
         builds = 0
