@@ -39,15 +39,18 @@ need (prune_by_packing_bound):
   there.
 - need 3: at most two more, and the rule decides whether two complete the
   node (two_variables_complete, whose docstring gives the two ways a
-  completion covers a nonsquare).  With one nonsquare left it keeps the
-  node.
+  completion covers a nonsquare).  With one nonsquare m left, no other
+  nonsquare names a factor of a completion {p, m / p} of two new factors,
+  so the probe walks the factor pairs of m, half of D(m), and builds no
+  set.  The search pays as much without it: a node it keeps is branched
+  on m, generate_children lists the same divisors, and each child of two
+  new factors is extended, which takes both derivatives.
 - need 4 or more: greedy packing, k disjoint sets need k more variables,
   and a nonsquare left with an empty set prunes at once.  k never exceeds
   the number of sets, so no set is built when there are too few.
-With no additions and at a visited node the probes are exact, the need-3
-probe when the node has two nonsquares or more; before extension they
-ignore the child's fresh nonsquares, a subset again.  Neither probe looks
-at forbidden pairs, which only keeps more nodes.
+With no additions and at a visited node the probes are exact; before
+extension they ignore the child's fresh nonsquares, a subset again.
+Neither probe looks at forbidden pairs, which only keeps more nodes.
 
 Both calls may also get banned variables: monomials that no completion
 below the bound contains.  They are the sets of one variable that sibling
@@ -73,14 +76,14 @@ forbids such walks in the covering graph.
 The root lower bound, and why the root takes no rule.  lower_bound is the
 largest N at which the rules prune a state with no additions and no
 banned variables.  It raises its bound while rule 1 prunes at needs 1 to
-3, so there it is exact by construction.  Then, only when there are more
-nonsquares than the variables proven so far, it takes the greedy packing
-count and the k of rule 2 and of the graph capacity bound: none of them
-exceeds the number of nonsquares.  So rule 1, rule 2 and prune_by_c4_bound
-together prune the state at N exactly when N is at most lower_bound.  The
-search takes it once, at the root, and visits the root only when it is
-below the search's bound, where the rules would keep the root: so the
-root takes no rule.  The root is the only place the graph capacity bound
+3, so there it is exact by construction, on every root.  Then, only when
+there are more nonsquares than the variables proven so far, it takes the
+greedy packing count and the k of rule 2 and of the graph capacity bound:
+none of them exceeds the number of nonsquares.  So rule 1, rule 2 and
+prune_by_c4_bound together prune the state at N exactly when N is at most
+lower_bound.  The search takes it once, at the root, and visits the root
+only when it is below the search's bound, where the rules would keep the
+root: so the root takes no rule.  The root is the only place the graph capacity bound
 acts: below it, the exact probes of rule 1 and rule 2 leave it nothing to
 prune.
 """
@@ -89,6 +92,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
+from itertools import takewhile
 from math import isqrt
 
 from .polynomials import (
@@ -240,9 +244,8 @@ def one_variable_completes(system, vars_set, introduced, left,
 def two_variables_complete(system, vars_set, introduced, left, banned) -> bool:
     """Whether at most two more variables, not in vars_set nor banned, cover
     every monomial of the list `left` and their own derivatives; vars_set
-    is 1, the x_i and the `introduced` monomials.  With fewer than two
-    monomials in `left` it answers True: it does not look for two new
-    factors of a lone monomial.
+    is 1, the x_i and the `introduced` monomials.  It answers True when
+    `left` is empty.
 
     Let m1 be the monomial of `left` with the fewest partners (graded-lex
     order breaks ties).  A completion covers it in one of two ways.  Case A:
@@ -252,15 +255,20 @@ def two_variables_complete(system, vars_set, introduced, left, banned) -> bool:
     m / z; so does every monomial of z' that is not covered over vars_set
     and z.  z completes alone when no monomial asks for a z2; otherwise a
     candidate z2 completes when its own derivative is covered over
-    vars_set, z and z2.  Case B: m1 = z1 * z2 with both new and distinct.
-    The next monomial m2 is no product of the two, which is m1, so it is
-    zi * w with w in vars_set or w = zi, and zi is in partners(m2) and
-    divides m1.  So p runs over partners(m2) that divide m1 and q = m1 / p,
-    outside vars_set, not banned and other than p, and the pair completes
-    when every monomial of `left` and of p' and q' is covered over vars_set,
-    p and q.
+    vars_set, z and z2.  Case B: m1 = p * q with both new and distinct,
+    which covers m1.  A next monomial m2 is no product of the two, which is
+    m1, so it is p * w, say, with w in vars_set or w = p, and p is in
+    partners(m2) and divides m1: so p runs over those partners and
+    q = m1 / p.  With m1 alone nothing names a factor, so p runs over the
+    divisors of m1, walked lazily, and each unordered pair comes once: the
+    divisors come in ascending tuple order and m1 / p descends as p
+    ascends, so the walk stops where q is no longer above p.  A pair with p
+    or q in vars_set or banned, or with p = q, is skipped before any
+    derivative is taken, and a pair completes when every other monomial of
+    `left` and every monomial of p' and q' is covered over vars_set, p and
+    q.
     """
-    if len(left) < 2:
+    if not left:
         return True
     ranked = sorted(((partners(m, vars_set, introduced, banned), m) for m in left),
                     key=lambda pm: (len(pm[0]), grlex_key(pm[1])))
@@ -282,11 +290,15 @@ def two_variables_complete(system, vars_set, introduced, left, banned) -> bool:
         for d in lie_derivative_support(z, system):
             if covered(d, vars_set, introduced, (z,)):
                 continue
-            group = partners(d, vars_set, introduced, banned)
-            w = monomial_quotient(d, z)
-            if divides(z, d) and w not in banned:
-                group.add(w)
-            candidates = group if candidates is None else candidates & group
+            if candidates is None:
+                candidates = partners(d, vars_set, introduced, banned)
+                w = monomial_quotient(d, z)
+                if divides(z, d) and w not in banned:
+                    candidates.add(w)
+            else:
+                # The same intersection, without building partners(d).
+                candidates = {z2 for z2 in candidates
+                              if (w := monomial_quotient(d, z2)) in vars_set or w in (z, z2)}
             if not candidates:
                 break
         if candidates is None:
@@ -295,14 +307,16 @@ def two_variables_complete(system, vars_set, introduced, left, banned) -> bool:
                    for d in lie_derivative_support(z2, system))
                for z2 in candidates):
             return True
-    for p in rest[0][0]:
-        if not divides(p, m1):
+    if rest:
+        pairs = ((p, monomial_quotient(m1, p)) for p in rest[0][0] if divides(p, m1))
+    else:  # m1 alone: each pair {p, m1 / p} once, with p below m1 / p
+        pairs = takewhile(lambda pq: pq[0] < pq[1],
+                          ((p, monomial_quotient(m1, p)) for p in divisors(m1)))
+    for pair in pairs:
+        p, q = pair
+        if q == p or p in vars_set or q in vars_set or p in banned or q in banned:
             continue
-        q = monomial_quotient(m1, p)
-        if q == p or q in vars_set or q in banned:
-            continue
-        pair = (p, q)
-        if (all(covered(m, vars_set, introduced, pair) for m in left)
+        if (all(covered(m, vars_set, introduced, pair) for _, m in rest)
                 and all(covered(d, vars_set, introduced, pair)
                         for z in pair for d in lie_derivative_support(z, system))):
             return True
@@ -386,12 +400,15 @@ def lower_bound(state: SearchState, divisor_sets: dict) -> int:
     capacity bound.
 
     It raises the bound while prune_by_packing_bound prunes the state at
-    needs 1 to 3, then takes the greedy packing count and the counting
-    rules' k when there are more nonsquares than that; the packing's
-    divisor sets go to divisor_sets, the search's memo.  So, with no banned
-    variables, the two rules and prune_by_c4_bound together prune the
-    state at bound N exactly when N is at most this (the module docstring
-    gives why, and why the root takes no rule).
+    needs 1 to 3, where the rule is exact whatever the number of
+    nonsquares: so the bound is the optimum whenever the optimum has at
+    most two variables more than the state.  Then it takes the greedy
+    packing count and the counting rules' k when there are more nonsquares
+    than that; the packing's divisor sets go to divisor_sets, the search's
+    memo.  So, with no banned variables, the two rules and
+    prune_by_c4_bound together prune the state at bound N exactly when N
+    is at most this (the module docstring gives why, and why the root
+    takes no rule).
     """
     left, new, more = state.nonsquares, len(state.new_vars), 0
     while more < 3 and prune_by_packing_bound(state, new + more + 1, (), divisor_sets):

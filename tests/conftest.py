@@ -253,7 +253,7 @@ def later_corpus(random_stream):
     """The 100 systems of the stream after the soundness corpus.
 
     The search stops at an answer that meets its root lower bound, which
-    proves 84 of the soundness corpus's optima, so the nodes it would visit
+    proves 86 of the soundness corpus's optima, so the nodes it would visit
     after them go; these systems give the soundness tests more to check.
     """
     return random_stream[100:]

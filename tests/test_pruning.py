@@ -8,13 +8,25 @@ from hypothesis import strategies as st
 
 import quadratize.pruning
 import quadratize.solver
-from quadratize.bruteforce import box_candidates, is_quadratization, quadratization_violations
+from quadratize.bruteforce import (
+    box_candidates,
+    brute_force_optimal,
+    is_quadratization,
+    quadratization_violations,
+)
 from quadratize.parsing import parse_system
-from quadratize.polynomials import divisors, monomial_mul, unit_monomial, variable_monomial
+from quadratize.polynomials import (
+    divisor_count,
+    divisors,
+    monomial_mul,
+    unit_monomial,
+    variable_monomial,
+)
 from quadratize.pruning import (
     C4_CAPACITY_TABLE,
     build_squarefree_subset,
     c4_capacity,
+    lower_bound,
     prune_by_c4_bound,
     prune_by_packing_bound,
     prune_by_quadratic_bound,
@@ -270,10 +282,10 @@ class TestPackingBound:
 
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
-        ("prune_by_packing_bound", "packing", 574),
-        ("prune_by_packing_bound", "all", 574),
-        ("prune_by_quadratic_bound", "quadratic", 2281),
-        ("prune_by_c4_bound", "none", 1928),
+        ("prune_by_packing_bound", "packing", 552),
+        ("prune_by_packing_bound", "all", 552),
+        ("prune_by_quadratic_bound", "quadratic", 2253),
+        ("prune_by_c4_bound", "none", 1906),
     ])
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, later_corpus,
                                                    rule, config, count):
@@ -323,7 +335,7 @@ def packing_calls(soundness_corpus, later_corpus):
     capacity bound, which the search takes at the root only, on the state
     of each such call that the pair-count rule keeps, over corpus
     seeds 11 and 12 of the benchmark, cubic_cycle(4..6), the soundness
-    corpus and the later corpus."""
+    corpus and the later corpus; and those systems."""
     calls = []
     other_calls = []
     real_packing = quadratize.solver.prune_by_packing_bound
@@ -352,7 +364,7 @@ def packing_calls(soundness_corpus, later_corpus):
                              prune_by_quadratic_bound=recording_quadratic):
         for system in systems:
             bnb_search(system)
-    return calls, other_calls
+    return calls, other_calls, systems
 
 
 class TestNeedTwoIsExact:
@@ -366,7 +378,7 @@ class TestNeedTwoIsExact:
     def need_two(self, packing_calls):
         """The need-2 calls of packing_calls, as (system, new_vars, added,
         banned, pruned), and the other bounds' results."""
-        calls, other_calls = packing_calls
+        calls, other_calls, _ = packing_calls
         return ([(system, new_vars, added, banned, pruned)
                  for need, system, new_vars, added, banned, _, pruned in calls if need == 2],
                 other_calls)
@@ -393,7 +405,7 @@ class TestNeedTwoIsExact:
                 assert not is_quadratization(system, new_vars + added + (z,)), (
                     f"pruned {new_vars + added} at need 2, but adding {z} quadratizes")
             checked += 1
-        assert checked == 592
+        assert checked == 543
 
     def test_kept_visited_nodes_have_one(self, need_two):
         # A call with no additions is for a visited node.
@@ -445,28 +457,28 @@ class TestNeedThreeIsExact:
     # rule decides whether at most two complete the node; checked by brute
     # force (completes_within).  Before a child is extended the rule sees
     # only the parent's nonsquares that the additions leave uncovered, so a
-    # kept call is checked only at a visited node; and with one nonsquare
-    # it does not look for two new factors of it, so a kept call is checked
-    # only with two or more.
+    # kept call is checked only at a visited node.  A node with one
+    # nonsquare left is decided in both directions: the probe also walks
+    # that nonsquare's factor pairs for two new factors.
 
     @pytest.fixture(scope="class")
     def need_three(self, packing_calls):
-        calls, other_calls = packing_calls
+        calls, other_calls, systems = packing_calls
         return ([call[1:] for call in calls if call[0] == 3],
-                [pruned for need, pruned in other_calls if need == 3])
+                [pruned for need, pruned in other_calls if need == 3], systems)
 
     def test_pruned_calls_have_no_two_variable_completion(self, need_three):
-        calls, _ = need_three
+        calls, *_ = need_three
         checked = 0
         for system, new_vars, added, banned, _, pruned in calls:
             if pruned:
                 assert not completes_within(system, new_vars + added, banned, 2), (
                     f"pruned {new_vars + added} at need 3, but two variables complete it")
                 checked += 1
-        assert checked == 1358
+        assert checked == 1364
 
     def test_kept_visited_nodes_with_two_nonsquares_have_one(self, need_three):
-        calls, _ = need_three
+        calls, *_ = need_three
         checked = 0
         for system, new_vars, added, banned, nonsquares, pruned in calls:
             if not (pruned or added) and nonsquares >= 2:
@@ -475,10 +487,114 @@ class TestNeedThreeIsExact:
                 checked += 1
         assert checked == 197
 
+    def test_lone_nonsquare_is_decided_both_ways(self, need_three):
+        # With one nonsquare left, at a visited node or at a root the root
+        # lower bound probes at need 3, the rule keeps the state exactly
+        # when at most two variables complete it.
+        calls, _, systems = need_three
+        lone = [(system, new_vars, banned, pruned)
+                for system, new_vars, added, banned, nonsquares, pruned in calls
+                if not added and nonsquares == 1]
+        for system in systems:
+            root = SearchState.initial(system)
+            if len(root.nonsquares) == 1:
+                lone.append((system, (), frozenset(), prune_by_packing_bound(root, 3)))
+        for system, new_vars, banned, pruned in lone:
+            assert pruned != completes_within(system, new_vars, banned, 2), (
+                f"{'pruned' if pruned else 'kept'} {new_vars} at need 3 with one nonsquare")
+        assert (len(lone), sum(pruned for *_, pruned in lone)) == (228, 15)
+
     def test_other_rules_prune_no_node_at_need_three(self, need_three):
-        # A visited node reaches them only when the packing rule keeps it:
-        # with two nonsquares or more it then has a completion below the
-        # bound, and with one each of them bounds it by one variable.
-        _, other_calls = need_three
-        assert len(other_calls) == 450
+        # A visited node reaches them only when the packing rule keeps it,
+        # and at need 3 it then has a completion below the bound.
+        _, other_calls, _ = need_three
+        assert len(other_calls) == 438
         assert not any(other_calls)
+
+
+def two_variable_completions(system):
+    """Every set of one or two monomials that completes the root to a
+    quadratization, by brute force over the divisors of the monomials the
+    checker reports (quadratization_violations)."""
+    n = system.num_vars
+    variables = {unit_monomial(n)} | {variable_monomial(n, i) for i in range(n)}
+    found = set()
+    first = sorted({m for _, m in quadratization_violations(system, ())})[0]
+    for z in set(divisors(first)) - variables:
+        rest = sorted({m for _, m in quadratization_violations(system, (z,))})
+        if not rest:
+            found.add(frozenset((z,)))
+            continue
+        for z2 in set(divisors(rest[0])) - variables - {z}:
+            if is_quadratization(system, (z, z2)):
+                found.add(frozenset((z, z2)))
+    return found
+
+
+class TestLoneRootNonsquare:
+    # Roots with one nonsquare m that no single variable completes.  Two
+    # variables complete one through a partner of m (case A of
+    # two_variables_complete) or as the two new factors of m (case B), and
+    # the root lower bound takes need 3 from the probe, so it is the
+    # brute-force optimum on each of these roots.
+
+    @pytest.mark.parametrize("text,optimum,case", [
+        # m = x*y^2 = x * y^2: y^2 needs x^2 for its derivative 2*x^2*y.
+        ("x' = x*y^2\ny' = x^2", 2, "A"),
+        # m = x^2*y^2 = x^2 * y^2, and neither factor is a partner of m.
+        ("x' = y^2\ny' = x^2\nz' = x^2*y^2", 2, "B"),
+        # m = x^3: no two variables complete it.
+        ("x' = y^2\ny' = x^3", 3, None),
+    ])
+    def test_the_root_lower_bound_is_the_optimum(self, text, optimum, case):
+        system = parse_system(text)
+        root = SearchState.initial(system)
+        (m,) = root.nonsquares
+        assert brute_force_optimal(system, wide_box(system))[0] == optimum
+        assert lower_bound(root, {}) == optimum
+        completions = two_variable_completions(system)
+        assert bool(completions) == (case is not None)
+        assert all(len(c) == 2 for c in completions)
+        of_two_factors = {c for c in completions if monomial_mul(*c) == m}
+        assert of_two_factors == (completions if case == "B" else set())
+        # With the walk over m's factor pairs taken out, only case A is
+        # left: it still completes the case-A root, and the case-B root
+        # then seems to need three.
+        with mock.patch.object(quadratize.pruning, "divisors", lambda m: iter(())):
+            assert lower_bound(root, {}) == optimum + (case == "B")
+
+    def test_each_lone_call_walks_the_divisors_once(self):
+        # Lone nonsquares with 2,884 and 2,896 divisors, each refuted before
+        # a child is extended: each call lists D(m) at most once, from the
+        # start, and stops past the middle, where m / p falls below p.
+        system = parse_system("x' = x^720*y^3\ny' = x^5")
+        real_probe = quadratize.pruning.two_variables_complete
+        real_divisors = quadratize.pruning.divisors
+        calls = []  # (left, whether it completes, [[m, divisors listed]])
+
+        def counting_divisors(m):
+            walk = [m, 0]
+            calls[-1][2].append(walk)
+            for d in real_divisors(m):
+                walk[1] += 1
+                yield d
+
+        def recording_probe(system, vars_set, introduced, left, banned):
+            walks = []
+            calls.append((tuple(left), None, walks))
+            completes = real_probe(system, vars_set, introduced, left, banned)
+            calls[-1] = (tuple(left), completes, walks)
+            return completes
+
+        with mock.patch.multiple(quadratize.pruning, divisors=counting_divisors,
+                                 two_variables_complete=recording_probe):
+            result, stats = bnb_search(system)
+        assert (result.order, stats.nodes_visited) == (4, 9)
+        lone = [call for call in calls if len(call[0]) == 1]
+        assert sorted(divisor_count(m) for (m,), completes, _ in lone if not completes) == [
+            2884, 2896]
+        for (m,), _, walks in lone:
+            assert len(walks) <= 1
+            for walked, count in walks:
+                assert walked == m
+                assert count <= divisor_count(m) // 2 + 1

@@ -309,20 +309,28 @@ class TestEveryVisitedNode:
         # nonsquare m of the child; and so is every set the root lower
         # bound packs, for a nonsquare of the root.  The rule
         # keeps the divisors of each m in one memo per search, which the
-        # root lower bound shares, so no monomial's divisors are listed
+        # root lower bound shares, so no monomial's divisor set is built
         # twice in a search.  It packs only at need 4 or more, which the
-        # corpus rarely reaches, so two cubic systems join it.
+        # corpus rarely reaches, so two cubic systems join it.  The need-3
+        # probe walks the divisors of a lone nonsquare for its factor pairs
+        # too, and builds no set: the memo stays as it was.
         real_rule = quadratize.solver.prune_by_packing_bound
         real_floor = quadratize.solver.lower_bound
         real_packs = quadratize.pruning.packs
         real_divisors = quadratize.pruning.divisors
+        real_probe = quadratize.pruning.two_variables_complete
         context = []
         builds = Counter()
-        checked = 0
+        probing = []
+        checked = walks = 0
 
         def tracking_rule(state, bound, added, divisor_sets, banned):
             context[:] = state, added, banned
-            return real_rule(state, bound, added, divisor_sets, banned)
+            memo = dict(divisor_sets)
+            pruned = real_rule(state, bound, added, divisor_sets, banned)
+            if bound - len(state.new_vars) - len(added) <= 3:
+                assert divisor_sets == memo, (state.new_vars, added, bound)
+            return pruned
 
         def tracking_floor(root, divisor_sets):
             context[:] = root, (), frozenset()
@@ -340,57 +348,70 @@ class TestEveryVisitedNode:
             return real_packs(sets, need)
 
         def counting_divisors(m):
-            builds[m] += 1
+            nonlocal walks
+            if probing:
+                assert probing[-1] == [m], (probing[-1], m)
+                walks += 1
+            else:
+                builds[m] += 1
             return real_divisors(m)
+
+        def tracking_probe(system, vars_set, introduced, left, banned):
+            probing.append(list(left))
+            try:
+                return real_probe(system, vars_set, introduced, left, banned)
+            finally:
+                probing.pop()
 
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", tracking_rule)
         monkeypatch.setattr(quadratize.solver, "lower_bound", tracking_floor)
         monkeypatch.setattr(quadratize.pruning, "packs", checking_packs)
         monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
+        monkeypatch.setattr(quadratize.pruning, "two_variables_complete", tracking_probe)
         for system in random_corpus + [benchmark_system("cubic_cycle", n) for n in (4, 5)] + [
                 benchmark_system("cubic_bicycle", 4)]:
             builds.clear()
             bnb_search(system)
             assert set(builds.values()) <= {1}
-        assert checked == 334
+        assert (checked, walks) == (334, 21)
 
     def test_too_few_nonsquares_build_no_set(self, random_corpus, later_corpus, monkeypatch):
         # k packed sets need k more variables, and k never exceeds the
-        # number of sets, so the packing rule lists no divisors when fewer
-        # nonsquares are left than it needs, nor when it needs one variable
-        # (every C(m) holds m itself), nor at need 2 or 3, where it looks
-        # for the one or two more variables among the quotients by the
-        # variables.
+        # number of sets, so the packing rule builds no divisor set when
+        # fewer nonsquares are left than it needs, nor when it needs one
+        # variable (every C(m) holds m itself), nor at need 2 or 3, where it
+        # looks for the one or two more variables among the quotients by the
+        # variables and, for a lone nonsquare, among its factor pairs.
         real_rule = quadratize.solver.prune_by_packing_bound
-        real_divisors = quadratize.pruning.divisors
-        builds = 0
         lazy_calls = 0
-
-        def counting_divisors(m):
-            nonlocal builds
-            builds += 1
-            return real_divisors(m)
 
         def checking_rule(state, bound, added, divisor_sets, banned):
             nonlocal lazy_calls
             need = bound - len(state.new_vars) - len(added)
             vars_set = state.vars_set.union(added)
             left = [m for m in state.nonsquares if not is_product(m, vars_set, added)]
-            before = builds
+            before = dict(divisor_sets)
             pruned = real_rule(state, bound, added, divisor_sets, banned)
             if need <= 3 or len(left) < need:
-                assert builds == before, (state.new_vars, added, bound)
+                assert divisor_sets == before, (state.new_vars, added, bound)
                 lazy_calls += 1
             return pruned
 
-        monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", checking_rule)
         for system in random_corpus + [benchmark_system("cubic_cycle", 4)] + later_corpus:
             bnb_search(system)
-        assert lazy_calls == 1204
+        assert lazy_calls == 1136
 
-        # The set of x^100000 would hold 10^5 divisors.
+        real_divisors = quadratize.pruning.divisors
         builds = 0
+
+        def counting_divisors(m):
+            nonlocal builds
+            builds += 1
+            return real_divisors(m)
+
+        monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
+        # The set of x^100000 would hold 10^5 divisors.
         state = SearchState.initial(parse_system("x' = x^100000"))
         assert len(state.nonsquares) == 1
         assert not real_rule(state, 2)
