@@ -48,17 +48,31 @@ need (prune_by_packing_bound):
 - need 4 or more: greedy packing, k disjoint sets need k more variables,
   and a nonsquare left with an empty set prunes at once.  k never exceeds
   the number of sets, so no set is built when there are too few.
+- need 4 at a visited node, once greedy packing and then rule 2 have kept
+  it: the search decides whether three more variables complete the node
+  (three_variables_complete, which tries each partner z of one nonsquare
+  m1 and asks the need-3 probe about the node with z, then each pair of
+  two new factors of m1 and asks the need-2 probe), and counts a node it
+  refutes as pruned by rule 1.  So rule 1 is exact at a visited node
+  through need 4.  Three other places cost more than they save:
+  - before extension too: there the probe mostly refutes children that
+    building and then packing would prune anyway, so it removes about as
+    many nodes as it prunes and runs on every child;
+  - before rule 2: on dense systems rule 2 prunes the same nodes for a
+    count of quotients;
+  - in place of greedy packing: packing refutes most of those nodes from
+    sets the search keeps, where the probe takes derivatives.
 With no additions and at a visited node the probes are exact; before
 extension they ignore the child's fresh nonsquares, a subset again.
-Neither probe looks at forbidden pairs, which only keeps more nodes.
+No probe looks at forbidden pairs, which only keeps more nodes.
 
 Both calls may also get banned variables: monomials that no completion
 below the bound contains.  They are the sets of one variable that sibling
 exclusion forbids (solver.py), each kept there as a pair with 1.  The
 rule then bounds only the completions that avoid them, which have a new
 variable in C(m) minus the banned ones, so it packs those sets; a
-nonsquare with nothing left has no such completion at all.  At need 2 and
-3 a banned monomial is no candidate for a new variable.
+nonsquare with nothing left has no such completion at all.  At needs 2
+to 4 a banned monomial is no candidate for a new variable.
 
 Rule 2 bounds how many nonsquares r additional variables could cover: each
 new variable z covers at most mult(z) nonsquares of the form z*v with v a
@@ -76,23 +90,25 @@ forbids such walks in the covering graph.
 The root lower bound, and why the root takes no rule.  lower_bound is the
 largest N at which the rules prune a state with no additions and no
 banned variables.  It raises its bound while rule 1 prunes at needs 1 to
-3, so there it is exact by construction, on every root.  Then, only when
-there are more nonsquares than the variables proven so far, it takes the
-greedy packing count and the k of rule 2 and of the graph capacity bound:
-none of them exceeds the number of nonsquares.  So rule 1, rule 2 and
-prune_by_c4_bound together prune the state at N exactly when N is at most
-lower_bound.  The search takes it once, at the root, and visits the root
-only when it is below the search's bound, where the rules would keep the
-root: so the root takes no rule.  The root is the only place the graph capacity bound
-acts: below it, the exact probes of rule 1 and rule 2 leave it nothing to
-prune.
+3, and then once more when three_variables_complete refutes the state at
+need 4, the search's need-4 step at a visited node, before any greedy
+packing count: so it is exact through need 4 by construction, on every
+root.  Then, only when there are more nonsquares than the variables
+proven so far, it takes the greedy packing count and the k of rule 2 and
+of the graph capacity bound: none of them exceeds the number of
+nonsquares.  So rule 1 with its need-4 step, rule 2 and prune_by_c4_bound
+together prune the state at N exactly when N is at most lower_bound.  The
+search takes it once, at the root, and visits the root only when it is
+below the search's bound, where the rules would keep the root: so the root
+takes no rule.  The root is the only place the graph capacity bound acts:
+below it, the exact probes of rule 1 and rule 2 leave it nothing to prune.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
-from itertools import takewhile
+from itertools import chain
 from math import isqrt
 
 from .polynomials import (
@@ -205,11 +221,41 @@ def factor_sets(left, vars_set, banned, divisor_sets: dict) -> list:
     return [(divisor_sets[m].difference(vars_set, banned), m) for m in left]
 
 
+def covered_by(m: Monomial, vars_set, fresh) -> bool:
+    """Whether m, no product over vars_set, is a product of two of vars_set
+    and the `fresh` monomials: a factor is fresh, so some m / z, z fresh, is
+    in vars_set or fresh.  A nonsquare of the state qualifies: no probe needs
+    to test it against vars_set again."""
+    return any((w := monomial_quotient(m, z)) in vars_set or w in fresh for z in fresh)
+
+
 def covered(d: Monomial, vars_set, introduced, fresh) -> bool:
     """Whether d is a product of two of vars_set and the `fresh` monomials;
-    `introduced` holds the members of vars_set that may be a factor."""
-    return (any((w := monomial_quotient(d, z)) in vars_set or w in fresh for z in fresh)
-            or is_product(d, vars_set, introduced))
+    `introduced` holds the members of vars_set that may be a factor.  For a
+    monomial that is no product over vars_set, covered_by gives the same
+    answer for less: only a fresh derivative monomial needs this test."""
+    return covered_by(d, vars_set, fresh) or is_product(d, vars_set, introduced)
+
+
+def partner_groups(left, vars_set, introduced, banned) -> list:
+    """The (P(m), m) pairs of the monomials `left` (polynomials.partners)."""
+    return [(partners(m, vars_set, introduced, banned), m) for m in left]
+
+
+def new_factor_pairs(m: Monomial, vars_set, banned):
+    """The pairs (p, q) with m = p * q, p below q in tuple order and neither
+    in vars_set nor banned, each unordered pair once, walked lazily.
+
+    The divisors of m come in ascending tuple order and m / p descends as p
+    ascends, so the walk stops where m / p is no longer above p, half way
+    through D(m), and builds no set.
+    """
+    for p in divisors(m):
+        q = monomial_quotient(m, p)
+        if not p < q:
+            return
+        if not (p in vars_set or q in vars_set or p in banned or q in banned):
+            yield p, q
 
 
 def one_variable_completes(system, vars_set, introduced, left,
@@ -217,7 +263,9 @@ def one_variable_completes(system, vars_set, introduced, left,
     """The at most one more variable z, not in vars_set nor banned, that
     covers every monomial of `left`, and z' when there is one: () when
     `left` is empty, (z,) for the first such z found, None when there is
-    none.  vars_set is 1, the x_i and the `introduced` monomials.
+    none.  vars_set is 1, the x_i and the `introduced` monomials, and no
+    monomial of `left` is a product over it.  `left` may be an iterator,
+    read only while candidates remain.
 
     A completion covers each m as a * b with a and b not both in vars_set
     (m is no product over it), so as z * w with w in vars_set or w = z, and
@@ -241,14 +289,34 @@ def one_variable_completes(system, vars_set, introduced, left,
                         for d in lie_derivative_support(z, system))), None)
 
 
-def two_variables_complete(system, vars_set, introduced, left, banned) -> bool:
-    """Whether at most two more variables, not in vars_set nor banned, cover
-    every monomial of the list `left` and their own derivatives; vars_set
-    is 1, the x_i and the `introduced` monomials.  It answers True when
-    `left` is empty.
+def uncovered_groups(groups, z: Monomial, vars_set, banned):
+    """The (P(m), m) groups whose m is no product over vars_set and z, with
+    P(m) taken over vars_set and z, lazily.  No m is a product over
+    vars_set, so z covers m exactly when m / z is in vars_set or is z.  P(m)
+    then gains m / z when z divides m and m / z is not banned, and it loses
+    z, which it holds only when z covers m."""
+    for group, m in groups:
+        w = monomial_quotient(m, z)
+        if w in vars_set or w == z:
+            continue
+        yield (group | {w} if divides(z, m) and w not in banned else group), m
 
-    Let m1 be the monomial of `left` with the fewest partners (graded-lex
-    order breaks ties).  A completion covers it in one of two ways.  Case A:
+
+def ranked(groups) -> list:
+    """The (P(m), m) pairs in order of (size of P(m), graded-lex m)."""
+    return sorted(groups, key=lambda pm: (len(pm[0]), grlex_key(pm[1])))
+
+
+def two_variables_complete(system, vars_set, introduced, groups, banned) -> bool:
+    """Whether at most two more variables, not in vars_set nor banned, cover
+    every monomial m of the (P(m), m) pairs `groups` and their own
+    derivatives; vars_set is 1, the x_i and the `introduced` monomials, no
+    m is a product over it, and P(m) is partners(m) over it.  The caller
+    builds the groups (partner_groups), or updates those it holds
+    (three_variables_complete).  It answers True when there are none.
+
+    Let m1 be the monomial with the fewest partners (graded-lex order
+    breaks ties).  A completion covers it in one of two ways.  Case A:
     m1 = z * w with z new and w in vars_set or w = z, so z is in
     partners(m1).  Every other m that z does not cover is z2 * w with w in
     vars_set, z or z2, so a second variable z2 lies in partners(m), or is
@@ -259,29 +327,19 @@ def two_variables_complete(system, vars_set, introduced, left, banned) -> bool:
     which covers m1.  A next monomial m2 is no product of the two, which is
     m1, so it is p * w, say, with w in vars_set or w = p, and p is in
     partners(m2) and divides m1: so p runs over those partners and
-    q = m1 / p.  With m1 alone nothing names a factor, so p runs over the
-    divisors of m1, walked lazily, and each unordered pair comes once: the
-    divisors come in ascending tuple order and m1 / p descends as p
-    ascends, so the walk stops where q is no longer above p.  A pair with p
-    or q in vars_set or banned, or with p = q, is skipped before any
-    derivative is taken, and a pair completes when every other monomial of
-    `left` and every monomial of p' and q' is covered over vars_set, p and
-    q.
+    q = m1 / p.  With m1 alone nothing names a factor, so the pairs are
+    those of new_factor_pairs.  A pair with p or q in vars_set or banned,
+    or with p = q, is skipped before any derivative is taken, and a pair
+    completes when every other monomial and every monomial of p' and q' is
+    covered over vars_set, p and q.
     """
-    if not left:
+    if not groups:
         return True
-    ranked = sorted(((partners(m, vars_set, introduced, banned), m) for m in left),
-                    key=lambda pm: (len(pm[0]), grlex_key(pm[1])))
-    (first, m1), rest = ranked[0], ranked[1:]
+    (first, m1), *rest = ranked(groups)
     for z in first:
         # The candidates for z2, None while no monomial asks for one.
         candidates = None
-        for group, m in rest:
-            w = monomial_quotient(m, z)
-            if w in vars_set or w == z:
-                continue
-            if divides(z, m) and w not in banned:
-                group = group | {w}
+        for group, _ in uncovered_groups(rest, z, vars_set, banned):
             candidates = group if candidates is None else candidates & group
             if not candidates:
                 break
@@ -308,17 +366,59 @@ def two_variables_complete(system, vars_set, introduced, left, banned) -> bool:
                for z2 in candidates):
             return True
     if rest:
-        pairs = ((p, monomial_quotient(m1, p)) for p in rest[0][0] if divides(p, m1))
-    else:  # m1 alone: each pair {p, m1 / p} once, with p below m1 / p
-        pairs = takewhile(lambda pq: pq[0] < pq[1],
-                          ((p, monomial_quotient(m1, p)) for p in divisors(m1)))
+        # p is a partner of m2, so it is neither in vars_set nor banned.
+        pairs = ((p, q) for p in rest[0][0]
+                 if divides(p, m1) and (q := monomial_quotient(m1, p)) != p
+                 and q not in vars_set and q not in banned)
+    else:
+        pairs = new_factor_pairs(m1, vars_set, banned)
     for pair in pairs:
-        p, q = pair
-        if q == p or p in vars_set or q in vars_set or p in banned or q in banned:
-            continue
-        if (all(covered(m, vars_set, introduced, pair) for _, m in rest)
+        if (all(covered_by(m, vars_set, pair) for _, m in rest)
                 and all(covered(d, vars_set, introduced, pair)
                         for z in pair for d in lie_derivative_support(z, system))):
+            return True
+    return False
+
+
+def three_variables_complete(system, vars_set, introduced, left, banned) -> bool:
+    """Whether at most three more variables, not in vars_set nor banned,
+    cover every monomial of the set `left` and their own derivatives;
+    vars_set is 1, the x_i and the `introduced` monomials, and `left` holds
+    every monomial of their derivatives that is no product over it, the
+    nonsquares of a state.  It answers True when `left` is empty.
+
+    Let m1 be the monomial of `left` with the fewest partners (graded-lex
+    order breaks ties).  As in two_variables_complete, a completion covers
+    it in one of two ways, and each leaves a smaller completion to a probe
+    that is exact.  Case A: m1 = z * w with z new and w in vars_set or
+    w = z, so z is in partners(m1); then at most two more complete the
+    state with z, and two_variables_complete decides that.  Its monomials
+    are those of `left` that z leaves uncovered and those of z' that are
+    no product over vars_set and z.  The partner sets of the first are the
+    ones held here, updated for z (uncovered_groups).  Case B: m1 = p * q
+    with both new and distinct; then at most one more completes the state
+    with p and q, and one_variable_completes decides that, reading the
+    uncovered monomials of `left` before it takes p' and q'.  A third
+    variable may cover every other monomial, so no other monomial names p:
+    the pairs are those of new_factor_pairs, walked lazily.
+    """
+    if not left:
+        return True
+    (first, m1), *rest = ranked(partner_groups(left, vars_set, introduced, banned))
+    for z in first:
+        groups = list(uncovered_groups(rest, z, vars_set, banned))
+        after, more = vars_set | {z}, introduced + (z,)
+        groups.extend((partners(d, after, more, banned), d)
+                      for d in lie_derivative_support(z, system)
+                      if d not in left and not covered(d, vars_set, introduced, (z,)))
+        if two_variables_complete(system, after, more, groups, banned):
+            return True
+    for pair in new_factor_pairs(m1, vars_set, banned):
+        uncovered = chain((m for _, m in rest if not covered_by(m, vars_set, pair)),
+                          (d for z in pair for d in lie_derivative_support(z, system)
+                           if not covered(d, vars_set, introduced, pair)))
+        if one_variable_completes(system, vars_set.union(pair), introduced + pair, uncovered,
+                                  banned) is not None:
             return True
     return False
 
@@ -360,7 +460,9 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
         return one_variable_completes(state.system, vars_set, introduced, left, banned) is None
     left = list(left)
     if need == 3:
-        return not two_variables_complete(state.system, vars_set, introduced, left, banned)
+        return not two_variables_complete(state.system, vars_set, introduced,
+                                          partner_groups(left, vars_set, introduced, banned),
+                                          banned)
     if len(left) < need:
         return False
     if divisor_sets is None:
@@ -401,11 +503,13 @@ def lower_bound(state: SearchState, divisor_sets: dict) -> int:
 
     It raises the bound while prune_by_packing_bound prunes the state at
     needs 1 to 3, where the rule is exact whatever the number of
-    nonsquares: so the bound is the optimum whenever the optimum has at
-    most two variables more than the state.  Then it takes the greedy
-    packing count and the counting rules' k when there are more nonsquares
-    than that; the packing's divisor sets go to divisor_sets, the search's
-    memo.  So, with no banned variables, the two rules and
+    nonsquares, and then once more when three_variables_complete refutes
+    the state at need 4, the search's need-4 step at a visited node: so
+    the bound is the optimum whenever the optimum has at most three
+    variables more than the state.  Then it takes the greedy packing count
+    and the counting rules' k when there are more nonsquares than that;
+    the packing's divisor sets go to divisor_sets, the search's memo.  So,
+    with no banned variables, the two rules, the need-4 step and
     prune_by_c4_bound together prune the state at bound N exactly when N
     is at most this (the module docstring gives why, and why the root
     takes no rule).
@@ -413,6 +517,9 @@ def lower_bound(state: SearchState, divisor_sets: dict) -> int:
     left, new, more = state.nonsquares, len(state.new_vars), 0
     while more < 3 and prune_by_packing_bound(state, new + more + 1, (), divisor_sets):
         more += 1
+    if more == 3 and not three_variables_complete(state.system, state.vars_set,
+                                                  state.new_vars, left, ()):
+        more = 4
     if len(left) > more:
         more = max(more, packs(factor_sets(left, state.vars_set, (), divisor_sets), len(left)))
     if len(left) > more:

@@ -116,6 +116,7 @@ from .pruning import (
     prune_by_c4_bound,
     prune_by_packing_bound,
     prune_by_quadratic_bound,
+    three_variables_complete,
 )
 from .state import SearchState, is_product
 
@@ -388,14 +389,17 @@ def bnb_search(system: ODESystem, *,
 
     Every visited node other than the root that is not a quadratization
     goes through the packing rule, with the node's banned variables, then
-    the pair-count rule; one dict of divisor sets serves every packing
-    call of the search and the root lower bound.  The root is visited only
-    when the root lower bound is below the bound, and takes no rule
-    (pruning's module docstring gives why).  Both rules are sound lower
-    bounds, so they change only the number of nodes visited, never the
-    answer.  The packing rule prunes a node with a nonsquare left one short
-    of the bound, so a node the rules keep has depth + 1 < bound, and no
-    separate depth cutoff is needed.  The graph capacity bound is a term of
+    the pair-count rule, and at need 4 (bound - new variables) then the
+    packing rule's exact need-4 step, three_variables_complete, with the
+    same banned variables; its prunes count in pruned_by_packing.  A child
+    at need 4 is skipped before extension by greedy packing only.  One dict
+    of divisor sets serves every packing call of the search and the root
+    lower bound.  The root is visited only when the root lower bound is
+    below the bound, and takes no rule (pruning's module docstring gives
+    why).  Both rules are sound lower bounds, so they change only the
+    number of nodes visited, never the answer.  The packing rule prunes a
+    node with a nonsquare left one short of the bound, so a node the rules
+    keep has depth + 1 < bound, and no separate depth cutoff is needed.  The graph capacity bound is a term of
     the root lower bound only.
 
     The root lower bound is taken first: a max_order_cap below it raises
@@ -530,6 +534,11 @@ def bnb_search(system: ODESystem, *,
                     continue
                 if prune_by_quadratic_bound(state, bound):
                     pruned_quadratic += 1
+                    continue
+                if bound - len(state.new_vars) == 4 and not three_variables_complete(
+                        system, state.vars_set, state.new_vars, state.nonsquares,
+                        partners[unit]):
+                    pruned_packing += 1
                     continue
             # The elements that map the set of new variables onto itself;
             # sigma does exactly when its inverse does, so image's convention

@@ -93,7 +93,8 @@ def rules(config):
     The search always calls both rules, so a rule is switched off by
     substituting it in quadratize.solver by one that never prunes.  The
     search also calls the packing rule to skip children before extending
-    them, so switching it off switches that skip off too.  Sibling
+    them, so switching it off switches that skip off too, and its need-4
+    step at a visited node (three_variables_complete) as well.  Sibling
     exclusion is no rule and stays on in every configuration; its banned
     variables act only through the packing rule.  The root lower bound
     (pruning.lower_bound), which ends the search at an answer that meets it
@@ -102,10 +103,11 @@ def rules(config):
     """
     if config not in RULE_CONFIGS:
         raise ValueError(f"unknown rule configuration {config!r}")
-    names = ("prune_by_packing_bound", "prune_by_quadratic_bound")
+    names = ("prune_by_packing_bound", "three_variables_complete", "prune_by_quadratic_bound")
     saved = [getattr(quadratize.solver, name) for name in names]
     if config not in ("packing", "all"):
         quadratize.solver.prune_by_packing_bound = lambda state, bound, *args: False
+        quadratize.solver.three_variables_complete = lambda *args: True
     if config not in ("quadratic", "all"):
         quadratize.solver.prune_by_quadratic_bound = lambda state, bound: False
     try:
@@ -253,7 +255,7 @@ def later_corpus(random_stream):
     """The 100 systems of the stream after the soundness corpus.
 
     The search stops at an answer that meets its root lower bound, which
-    proves 86 of the soundness corpus's optima, so the nodes it would visit
+    proves 96 of the soundness corpus's optima, so the nodes it would visit
     after them go; these systems give the soundness tests more to check.
     """
     return random_stream[100:]

@@ -139,8 +139,8 @@ class TestPartners:
             expected = {z for a, b in factor_pairs(m) for z, w in ((a, b), (b, a))
                         if w in vars_set or w == z}
             assert found == expected - vars_set - banned, (m, introduced, banned)
-        assert len(calls) == 5930
-        assert sum(bool(banned) for *_, banned, _ in calls) == 4023
+        assert len(calls) == 6487
+        assert sum(bool(banned) for *_, banned, _ in calls) == 3457
 
 
 class TestPolynomial:

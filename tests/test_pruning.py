@@ -19,6 +19,7 @@ from quadratize.polynomials import (
     divisor_count,
     divisors,
     monomial_mul,
+    partners,
     unit_monomial,
     variable_monomial,
 )
@@ -282,10 +283,10 @@ class TestPackingBound:
 
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
-        ("prune_by_packing_bound", "packing", 552),
-        ("prune_by_packing_bound", "all", 552),
-        ("prune_by_quadratic_bound", "quadratic", 2253),
-        ("prune_by_c4_bound", "none", 1906),
+        ("prune_by_packing_bound", "packing", 323),
+        ("prune_by_packing_bound", "all", 323),
+        ("prune_by_quadratic_bound", "quadratic", 2090),
+        ("prune_by_c4_bound", "none", 1771),
     ])
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, later_corpus,
                                                    rule, config, count):
@@ -405,7 +406,7 @@ class TestNeedTwoIsExact:
                 assert not is_quadratization(system, new_vars + added + (z,)), (
                     f"pruned {new_vars + added} at need 2, but adding {z} quadratizes")
             checked += 1
-        assert checked == 543
+        assert checked == 325
 
     def test_kept_visited_nodes_have_one(self, need_two):
         # A call with no additions is for a visited node.
@@ -475,7 +476,7 @@ class TestNeedThreeIsExact:
                 assert not completes_within(system, new_vars + added, banned, 2), (
                     f"pruned {new_vars + added} at need 3, but two variables complete it")
                 checked += 1
-        assert checked == 1364
+        assert checked == 255
 
     def test_kept_visited_nodes_with_two_nonsquares_have_one(self, need_three):
         calls, *_ = need_three
@@ -510,6 +511,134 @@ class TestNeedThreeIsExact:
         _, other_calls, _ = need_three
         assert len(other_calls) == 438
         assert not any(other_calls)
+
+
+class TestNeedFourIsExact:
+    # With three more variables allowed below the bound (need 4), the search
+    # asks three_variables_complete about a visited node that greedy packing
+    # and the pair-count rule keep, and the root lower bound asks it about
+    # a root the packing rule prunes at need 3; checked by brute force
+    # (completes_within).  A child at need 4 before extension goes through
+    # greedy packing alone.
+
+    @pytest.fixture(scope="class")
+    def need_four(self, packing_calls):
+        """Over the systems of packing_calls: every call of the need-4 step,
+        as (where, system, new_vars, banned, completes) with where "search"
+        or "root"; for every call of the packing rule on a child at need 4
+        before extension, (nonsquares the additions leave, whether it
+        packed, whether it probed); and (monomial, partner set handed on,
+        partners recomputed) for every group of the need-3 probe."""
+        _, _, systems = packing_calls
+        calls, children, inside, groups_seen = [], [], [], []
+        real_probe = quadratize.pruning.three_variables_complete
+        real_need_three = quadratize.pruning.two_variables_complete
+        real_packs = quadratize.pruning.packs
+        real_rule = quadratize.solver.prune_by_packing_bound
+
+        def recording_need_three(system, vars_set, introduced, groups, banned):
+            groups_seen.extend((m, group, partners(m, vars_set, introduced, banned))
+                               for group, m in groups)
+            return real_need_three(system, vars_set, introduced, groups, banned)
+
+        def recording_probe(where):
+            def probe(system, vars_set, introduced, left, banned):
+                if inside:
+                    inside[-1].add("probe")
+                completes = real_probe(system, vars_set, introduced, left, banned)
+                calls.append((where, system, introduced, frozenset(banned), completes))
+                return completes
+            return probe
+
+        def recording_packs(sets, need):
+            if inside:
+                inside[-1].add("packs")
+            return real_packs(sets, need)
+
+        def recording_rule(state, bound, added, divisor_sets, banned):
+            inside.append(set())
+            try:
+                return real_rule(state, bound, added, divisor_sets, banned)
+            finally:
+                ran = inside.pop()
+                if added and bound - len(state.new_vars) - len(added) == 4:
+                    vars_set = state.vars_set.union(added)
+                    left = sum(not is_product(m, vars_set, added) for m in state.nonsquares)
+                    children.append((left, "packs" in ran, "probe" in ran))
+
+        with mock.patch.multiple(quadratize.solver, prune_by_packing_bound=recording_rule,
+                                 three_variables_complete=recording_probe("search")), \
+                mock.patch.multiple(quadratize.pruning, packs=recording_packs,
+                                    three_variables_complete=recording_probe("root"),
+                                    two_variables_complete=recording_need_three):
+            for system in systems:
+                bnb_search(system)
+        return calls, children, groups_seen
+
+    def test_refuted_nodes_have_no_three_variable_completion(self, need_four):
+        calls, *_ = need_four
+        checked = {"search": 0, "root": 0}
+        for where, system, new_vars, banned, completes in calls:
+            if not completes:
+                assert not completes_within(system, new_vars, banned, 3), (
+                    f"refuted {new_vars} at need 4, but three variables complete it")
+                checked[where] += 1
+        assert checked == {"search": 346, "root": 103}
+
+    def test_kept_nodes_have_one(self, need_four):
+        # Every node the step is asked about is a visited node or a root.
+        calls, *_ = need_four
+        checked = {"search": 0, "root": 0}
+        for where, system, new_vars, banned, completes in calls:
+            if completes:
+                assert completes_within(system, new_vars, banned, 3), (
+                    f"kept {new_vars} at need 4, but no three variables complete it")
+                checked[where] += 1
+        assert checked == {"search": 110, "root": 108}
+
+    def test_children_before_extension_are_only_packed(self, need_four):
+        # Greedy packing runs when four or more nonsquares are left, since
+        # k packed sets never exceed their number; the probe never runs.
+        _, children, _ = need_four
+        assert not any(probed for _, _, probed in children)
+        assert all(packed == (left >= 4) for left, packed, _ in children)
+        assert (len(children), sum(packed for _, packed, _ in children)) == (556, 149)
+
+    @pytest.mark.parametrize("text,optimum,case", [
+        # x^2*y^2 has the fewest partners of the two nonsquares, and no
+        # partner of it is in a completion of three: only its two new
+        # factors x^2 and y^2 cover it there, with u*v*w for u*v*w*t.
+        ("x' = y^2\ny' = x^2\nz' = x^2*y^2\nt' = u*v*w*t\nu' = u\nv' = v\nw' = w", 3, "B"),
+        # With t^3 and w^3 in its place, greedy packing counts three sets,
+        # and the need-4 step proves four.
+        ("x' = y^2\ny' = x^2\nz' = x^2*y^2\nt' = t^3\nw' = w^3", 4, None),
+    ])
+    def test_the_root_lower_bound_is_the_optimum(self, text, optimum, case):
+        system = parse_system(text)
+        root = SearchState.initial(system)
+        assert completes_within(system, (), frozenset(), optimum)
+        assert not completes_within(system, (), frozenset(), optimum - 1)
+        assert lower_bound(root, {}) == bnb_search(system)[0].order == optimum
+        m1 = (2, 2) + (0,) * (system.num_vars - 2)
+        assert m1 in root.nonsquares
+        if case == "B":
+            # So case A, over the partners of m1, finds no completion.
+            assert not any(completes_within(system, (z,), frozenset(), 2)
+                           for z in partners(m1, root.vars_set, (), ()))
+        else:
+            with mock.patch.object(quadratize.pruning, "three_variables_complete",
+                                   lambda *args: True):
+                assert lower_bound(root, {}) == optimum - 1
+
+    def test_partner_sets_handed_on_are_recounts(self, need_four):
+        # The need-4 probe hands the need-3 probe the partner sets it holds,
+        # updated for its first new variable z, in place of new ones: each
+        # equals partners(m) over the state with z.  The need-3 rule at a
+        # node builds its own, checked here as well.
+        *_, groups_seen = need_four
+        for m, handed, recomputed in groups_seen:
+            assert handed == recomputed, m
+        assert len(groups_seen) == 10244
 
 
 def two_variable_completions(system):
@@ -564,35 +693,39 @@ class TestLoneRootNonsquare:
             assert lower_bound(root, {}) == optimum + (case == "B")
 
     def test_each_lone_call_walks_the_divisors_once(self):
-        # Lone nonsquares with 2,884 and 2,896 divisors, each refuted before
-        # a child is extended: each call lists D(m) at most once, from the
-        # start, and stops past the middle, where m / p falls below p.
+        # A lone nonsquare with 2,896 divisors, refuted before a child is
+        # extended: each call lists D(m) at most once, from the start, and
+        # stops past the middle, where m / p falls below p.
         system = parse_system("x' = x^720*y^3\ny' = x^5")
         real_probe = quadratize.pruning.two_variables_complete
         real_divisors = quadratize.pruning.divisors
         calls = []  # (left, whether it completes, [[m, divisors listed]])
+        active = []  # the walks of the call under way, if any
 
         def counting_divisors(m):
             walk = [m, 0]
-            calls[-1][2].append(walk)
+            if active:
+                active[-1].append(walk)
             for d in real_divisors(m):
                 walk[1] += 1
                 yield d
 
-        def recording_probe(system, vars_set, introduced, left, banned):
+        def recording_probe(system, vars_set, introduced, groups, banned):
             walks = []
-            calls.append((tuple(left), None, walks))
-            completes = real_probe(system, vars_set, introduced, left, banned)
-            calls[-1] = (tuple(left), completes, walks)
+            active.append(walks)
+            try:
+                completes = real_probe(system, vars_set, introduced, groups, banned)
+            finally:
+                active.pop()
+            calls.append((tuple(m for _, m in groups), completes, walks))
             return completes
 
         with mock.patch.multiple(quadratize.pruning, divisors=counting_divisors,
                                  two_variables_complete=recording_probe):
             result, stats = bnb_search(system)
-        assert (result.order, stats.nodes_visited) == (4, 9)
+        assert (result.order, stats.nodes_visited) == (4, 5)
         lone = [call for call in calls if len(call[0]) == 1]
-        assert sorted(divisor_count(m) for (m,), completes, _ in lone if not completes) == [
-            2884, 2896]
+        assert sorted(divisor_count(m) for (m,), completes, _ in lone if not completes) == [2896]
         for (m,), _, walks in lone:
             assert len(walks) <= 1
             for walked, count in walks:

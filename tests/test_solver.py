@@ -31,11 +31,13 @@ from quadratize.polynomials import (
     partners,
 )
 from quadratize.pruning import (
+    c4_bound,
     lower_bound,
     prune_by_c4_bound,
     prune_by_packing_bound,
     prune_by_quadratic_bound,
     quadratic_bound,
+    three_variables_complete,
 )
 from quadratize.solver import (
     NoQuadratizationWithinCap,
@@ -359,12 +361,12 @@ class TestMaxOrderCap:
 
     def test_cap_below_the_root_lower_bound_raises_before_the_descent(self):
         # The greedy descent here extends some 260,000 children, but the
-        # root lower bound, 3, is taken first and is above the cap.
+        # root lower bound, 4, is taken first and is above the cap.
         system = parse_system("x' = y^200\ny' = x^200")
         start = time.perf_counter()
         with pytest.raises(NoQuadratizationWithinCap) as err:
             bnb_search(system, max_order_cap=2)
-        assert err.value.lower_bound == 3
+        assert err.value.lower_bound == 4
         assert time.perf_counter() - start < 1.0
 
     def test_cap_at_optimum_is_still_optimal(self):
@@ -462,7 +464,7 @@ class TestExponentBound:
 
 class TestRuleConfigurations:
     def test_rules_are_restored_after_an_error(self):
-        names = ("prune_by_packing_bound", "prune_by_quadratic_bound")
+        names = ("prune_by_packing_bound", "three_variables_complete", "prune_by_quadratic_bound")
         real = [getattr(quadratize.solver, name) for name in names]
         with pytest.raises(RuntimeError):
             with rules("none"):
@@ -939,7 +941,7 @@ class TestSkippedChildrenAreSound:
                 assert found is None, (
                     f"skipped {new_vars} at bound {bound}, but {found} quadratizes")
                 checked += 1
-        assert checked == 18
+        assert checked == 17
 
     def test_completion_below_finds_known_optima(self, worked_systems):
         # The checker above is only as good as this search.
@@ -1021,7 +1023,7 @@ class TestChildrenSkippedBeforeExtensionAreSound:
                     f"skipped {parent.new_vars + added} at bound {bound}, "
                     f"but {found} quadratizes")
                 checked += 1
-        assert checked == 467
+        assert checked == 235
 
 
 class TestExcludedChildrenAreSound:
@@ -1111,7 +1113,7 @@ class TestExcludedChildrenAreSound:
                     earlier[3] and id(earlier[0]) in ancestors and j not in on_path
                     and members.issuperset(earlier[1])
                     for j, earlier in enumerate(pulled[:i]))
-        assert (checked, by_image) == (1713, 744)
+        assert (checked, by_image) == (451, 249)
 
     def test_nodes_only_the_banned_variables_prune_have_no_smaller_completion(
             self, soundness_corpus, monkeypatch):
@@ -1145,7 +1147,7 @@ class TestExcludedChildrenAreSound:
                     f"but {found} quadratizes")
                 visited += is_visited
                 skipped += not is_visited
-        assert (visited, skipped) == (13, 67)
+        assert (visited, skipped) == (13, 8)
 
     def test_many_siblings_cost_no_more_each(self, monkeypatch):
         # The root of x^200000 has 100,001 children, one variable each
@@ -1239,7 +1241,7 @@ class TestFrameEnds:
         assert late == []
         assert twice == []
         assert calls == kept
-        assert (ends, calls) == (86, 2190)
+        assert (ends, calls) == (67, 2101)
 
 
 class TestNoSetVisitedTwice:
@@ -1296,8 +1298,8 @@ class TestNoSetVisitedTwice:
 
 class TestSkippingKeepsTheAnswer:
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 5, SearchStats(192, 69, 0, 0, 1, 10)),
-        ("cubic_bicycle", 5, SearchStats(118, 35, 0, 0, 1, 10)),
+        ("cubic_cycle", 5, SearchStats(190, 122, 0, 0, 1, 10)),
+        ("cubic_bicycle", 5, SearchStats(118, 51, 0, 0, 1, 10)),
     ])
     def test_without_matches_the_stats_are_those_of_the_plain_search(
             self, monkeypatch, name, n, stats):
@@ -1339,8 +1341,8 @@ class TestSkippingKeepsTheAnswer:
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 6, SearchStats(201, 89, 0, 19, 1, 12)),
-        ("cubic_bicycle", 6, SearchStats(82, 18, 0, 4, 1, 12)),
+        ("cubic_cycle", 6, SearchStats(201, 120, 0, 19, 1, 12)),
+        ("cubic_bicycle", 6, SearchStats(82, 22, 0, 4, 1, 12)),
     ])
     def test_pinned_node_counts(self, name, n, stats):
         assert bnb_search(benchmark_system(name, n))[1] == stats
@@ -1391,7 +1393,7 @@ class TestRootLowerBound:
             order = bnb_search(system)[0].order
             assert floor <= order
             proven += floor == order
-        assert (len(systems), proven) == (109, 92)
+        assert (len(systems), proven) == (109, 102)
 
     @pytest.fixture(scope="class")
     def systems(self, soundness_corpus):
@@ -1400,12 +1402,13 @@ class TestRootLowerBound:
                    for n in range(2, 7)])
 
     def test_the_rules_prune_the_root_exactly_up_to_it(self, systems):
-        # So the search checks the root against it in place of the two rules
-        # and the graph capacity bound.  Of the 60 permutation-closed roots
-        # that random.Random(14) draws, the packing count tops the probes on
-        # 4, the pair-count rule tops both on 5 and the graph bound tops all
-        # three on 2; none of the other systems has either counting term on
-        # top.  They are not in `systems`: many of their searches are slow.
+        # So the search checks the root against it in place of the two rules,
+        # the need-4 step and the graph capacity bound.  Of the 60
+        # permutation-closed roots that random.Random(14) draws, the packing
+        # count tops the probes on 2, the pair-count rule tops both on 1 and
+        # the graph bound tops all three on none; none of the other systems
+        # has either counting term on top.  They are not in `systems`: many
+        # of their searches are slow.
         rng = random.Random(14)
         closed = [permutation_closed_system(rng)[0] for _ in range(60)]
         for system in systems + closed:
@@ -1414,20 +1417,24 @@ class TestRootLowerBound:
             for bound in range(floor + 3):
                 pruned = (prune_by_packing_bound(root, bound)
                           or prune_by_quadratic_bound(root, bound)
-                          or prune_by_c4_bound(root, bound))
+                          or prune_by_c4_bound(root, bound)
+                          or bound == 4 and not three_variables_complete(
+                              system, root.vars_set, (), root.nonsquares, ()))
                 assert pruned == (bound <= floor), (system, bound, floor)
 
-    def test_the_graph_bound_lifts_the_root_bound(self, monkeypatch):
+    def test_the_need_four_step_matches_the_graph_bound(self, monkeypatch):
         # The graph capacity bound acts only as a term of the root lower
         # bound.  On permutation-closed systems 7 and 27, counted from 0 in
-        # the order random.Random(14) draws them, it alone lifts that bound
-        # from the pair-count rule's 3 to 4.
+        # the order random.Random(14) draws them, it is 4, above the
+        # pair-count rule's 3; the need-4 step proves 4 by itself, so the
+        # root bound is 4 without the graph term too.
         rng = random.Random(14)
         drawn = [permutation_closed_system(rng)[0] for _ in range(28)]
         roots = [SearchState.initial(drawn[i]) for i in (7, 27)]
-        assert [(lower_bound(root, {}), quadratic_bound(root)) for root in roots] == [(4, 3)] * 2
+        assert [(lower_bound(root, {}), quadratic_bound(root), c4_bound(root))
+                for root in roots] == [(4, 3, 4)] * 2
         monkeypatch.setattr(quadratize.pruning, "c4_bound", lambda state: 0)
-        assert [lower_bound(root, {}) for root in roots] == [3, 3]
+        assert [lower_bound(root, {}) for root in roots] == [4, 4]
 
     def test_the_stop_changes_no_answer(self, systems, monkeypatch):
         # Only the nodes after the answer go: a later incumbent would have
@@ -1444,11 +1451,11 @@ class TestRootLowerBound:
                     == render_result(plain.document._replace(stats=None), "structured"))
             assert stats.nodes_visited <= plain_stats.nodes_visited
             fewer += stats.nodes_visited < plain_stats.nodes_visited
-        assert fewer == 33
+        assert fewer == 43
 
     def test_benchmark_corpus_node_count(self, monkeypatch):
-        # The benchmark's corpus at seed 11: the root lower bound proves 163
-        # of the 200 optima, and the search visits 72 fewer nodes.  The
+        # The benchmark's corpus at seed 11: the root lower bound proves 184
+        # of the 200 optima, and the search visits 100 fewer nodes.  The
         # swap step, which runs while the greedy order is above that bound
         # (above 0 without it), starts 11 searches one lower than the descent.
         systems = [parse_system(instance.text) for instance in benchmark_workloads().corpus(11)]
@@ -1457,9 +1464,9 @@ class TestRootLowerBound:
             result, stats = bnb_search(system)
             nodes += stats.nodes_visited
             proven += lower_bound(SearchState.initial(system), {}) == result.order
-        assert (nodes, proven) == (945, 163)
+        assert (nodes, proven) == (868, 184)
         monkeypatch.setattr(quadratize.solver, "lower_bound", no_root_lower_bound)
-        assert sum(bnb_search(system)[1].nodes_visited for system in systems) == 1017
+        assert sum(bnb_search(system)[1].nodes_visited for system in systems) == 968
 
 
 # SHA-256 over the answers for the systems of test_documents_hash_to_the_pin:

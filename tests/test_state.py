@@ -313,12 +313,14 @@ class TestEveryVisitedNode:
         # twice in a search.  It packs only at need 4 or more, which the
         # corpus rarely reaches, so two cubic systems join it.  The need-3
         # probe walks the divisors of a lone nonsquare for its factor pairs
-        # too, and builds no set: the memo stays as it was.
+        # too, and the need-4 probe those of one of its nonsquares, and
+        # neither builds a set: the memo stays as it was.
         real_rule = quadratize.solver.prune_by_packing_bound
         real_floor = quadratize.solver.lower_bound
         real_packs = quadratize.pruning.packs
         real_divisors = quadratize.pruning.divisors
         real_probe = quadratize.pruning.two_variables_complete
+        real_need_four = quadratize.pruning.three_variables_complete
         context = []
         builds = Counter()
         probing = []
@@ -350,16 +352,24 @@ class TestEveryVisitedNode:
         def counting_divisors(m):
             nonlocal walks
             if probing:
-                assert probing[-1] == [m], (probing[-1], m)
+                assert m in probing[-1], (probing[-1], m)
                 walks += 1
             else:
                 builds[m] += 1
             return real_divisors(m)
 
-        def tracking_probe(system, vars_set, introduced, left, banned):
+        def tracking_probe(system, vars_set, introduced, groups, banned):
+            # The need-3 probe walks the divisors of a lone nonsquare only.
+            probing.append([m for _, m in groups] if len(groups) == 1 else [])
+            try:
+                return real_probe(system, vars_set, introduced, groups, banned)
+            finally:
+                probing.pop()
+
+        def tracking_need_four(system, vars_set, introduced, left, banned):
             probing.append(list(left))
             try:
-                return real_probe(system, vars_set, introduced, left, banned)
+                return real_need_four(system, vars_set, introduced, left, banned)
             finally:
                 probing.pop()
 
@@ -368,12 +378,14 @@ class TestEveryVisitedNode:
         monkeypatch.setattr(quadratize.pruning, "packs", checking_packs)
         monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
         monkeypatch.setattr(quadratize.pruning, "two_variables_complete", tracking_probe)
+        monkeypatch.setattr(quadratize.pruning, "three_variables_complete", tracking_need_four)
+        monkeypatch.setattr(quadratize.solver, "three_variables_complete", tracking_need_four)
         for system in random_corpus + [benchmark_system("cubic_cycle", n) for n in (4, 5)] + [
                 benchmark_system("cubic_bicycle", 4)]:
             builds.clear()
             bnb_search(system)
             assert set(builds.values()) <= {1}
-        assert (checked, walks) == (334, 21)
+        assert (checked, walks) == (318, 41)
 
     def test_too_few_nonsquares_build_no_set(self, random_corpus, later_corpus, monkeypatch):
         # k packed sets need k more variables, and k never exceeds the
@@ -400,7 +412,7 @@ class TestEveryVisitedNode:
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", checking_rule)
         for system in random_corpus + [benchmark_system("cubic_cycle", 4)] + later_corpus:
             bnb_search(system)
-        assert lazy_calls == 1136
+        assert lazy_calls == 886
 
         real_divisors = quadratize.pruning.divisors
         builds = 0
