@@ -7,12 +7,16 @@ they change how many subproblems it visits, never the answer, and
 demos/02_pruning_rules.py measures what each rule buys.  Exit codes: 0
 success, 1 unreadable or unparseable input, 2 invalid options (an unknown
 benchmark or a bad benchmark size, or --max-order or --stats given with
---laurent), 3 no quadratization within --max-order.
+--laurent), 3 no quadratization within --max-order, 141 standard output
+closed before the whole answer was written (as under `| head -1`; the
+shell gives a process that SIGPIPE ends the same 128 + 13), with nothing
+on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .output import render_result
@@ -62,6 +66,21 @@ def _usage_error(parser, message: str) -> int:
     return 2
 
 
+def _print(text: str) -> int:
+    """Write text to standard output and flush it: 0, or 141 when the
+    reader has closed the pipe.  Standard output then points at the null
+    device, so the flush at exit does not fail again over what is left."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return 0
+
+
 def main(argv=None) -> int:
     parser = build_arg_parser()
     try:
@@ -97,20 +116,18 @@ def main(argv=None) -> int:
 
     if args.laurent:
         document = laurent_quadratize(system).document
-        sys.stdout.write(render_result(document, args.format))
-        return 0
+        return _print(render_result(document, args.format))
 
     try:
         result, stats = bnb_search(system, max_order_cap=args.max_order)
     except NoQuadratizationWithinCap as exc:
         sys.stderr.write(f"quadratize: error: {exc}\n")
         return 3
-    sys.stdout.write(render_result(result.document, args.format))
+    text = render_result(result.document, args.format)
     if args.stats and args.format == "text":
-        sys.stdout.write("Search statistics:\n")
-        for key, value in stats.as_dict().items():
-            sys.stdout.write(f"  {key}: {value}\n")
-    return 0
+        text += "Search statistics:\n" + "".join(
+            f"  {key}: {value}\n" for key, value in stats.as_dict().items())
+    return _print(text)
 
 
 if __name__ == "__main__":

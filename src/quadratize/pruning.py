@@ -50,9 +50,10 @@ need (prune_by_packing_bound):
   the number of sets, so no set is built when there are too few.
 - need 4 at a visited node, once greedy packing and then rule 2 have kept
   it: the search decides whether three more variables complete the node
-  (three_variables_complete, which tries each partner z of one nonsquare
-  m1 and asks the need-3 probe about the node with z, then each pair of
-  two new factors of m1 and asks the need-2 probe), and counts a node it
+  (three_variables_complete, which hands the node's partner groups to
+  more_variables_complete: it tries each partner z of one nonsquare m1
+  and asks the need-3 probe about the node with z, then each pair of two
+  new factors of m1 and asks the need-2 probe), and counts a node it
   refutes as pruned by rule 1.  So rule 1 is exact at a visited node
   through need 4.  Three other places cost more than they save:
   - before extension too: there the probe mostly refutes children that
@@ -62,6 +63,11 @@ need (prune_by_packing_bound):
     count of quotients;
   - in place of greedy packing: packing refutes most of those nodes from
     sets the search keeps, where the probe takes derivatives.
+- need 5, on the root lower bound's ladder only: the same probe with a
+  count of 4 decides whether four more variables complete the root (z
+  goes to the need-4 probe and the pair to the need-3 probe).  At a
+  visited node it costs more than it saves: on cubic_cycle(9) 715 of 716
+  calls refute, and each costs about twice the nodes it saves.
 With no additions and at a visited node the probes are exact; before
 extension they ignore the child's fresh nonsquares, a subset again.
 No probe looks at forbidden pairs, which only keeps more nodes.
@@ -90,18 +96,21 @@ forbids such walks in the covering graph.
 The root lower bound, and why the root takes no rule.  lower_bound is the
 largest N at which the rules prune a state with no additions and no
 banned variables.  It raises its bound while rule 1 prunes at needs 1 to
-3, and then once more when three_variables_complete refutes the state at
-need 4, the search's need-4 step at a visited node, before any greedy
-packing count: so it is exact through need 4 by construction, on every
-root.  Then, only when there are more nonsquares than the variables
+3, and then while more_variables_complete refutes the state at need 4,
+the search's need-4 step at a visited node, and at need 5, before any
+greedy packing count: so it is exact through need 5 by construction, on
+every root.  Then, only when there are more nonsquares than the variables
 proven so far, it takes the greedy packing count and the k of rule 2 and
 of the graph capacity bound: none of them exceeds the number of
-nonsquares.  So rule 1 with its need-4 step, rule 2 and prune_by_c4_bound
-together prune the state at N exactly when N is at most lower_bound.  The
-search takes it once, at the root, and visits the root only when it is
-below the search's bound, where the rules would keep the root: so the root
-takes no rule.  The root is the only place the graph capacity bound acts:
-below it, the exact probes of rule 1 and rule 2 leave it nothing to prune.
+nonsquares.  So rule 1 with its need-4 step, the need-5 step, rule 2 and
+prune_by_c4_bound together prune the state at N exactly when N is at most
+lower_bound.  The search takes it once, at the root, and visits the root
+only when it is below the search's bound, where the rules would keep the
+root, since the need-5 step prunes no more than up to lower_bound either:
+so the root takes no rule.  The root is the only place the graph capacity
+bound and the need-5 step act: below it, the exact probes of rule 1 and
+rule 2 leave the graph bound nothing to prune, and the need-5 step costs
+more than it saves.
 """
 
 from __future__ import annotations
@@ -380,47 +389,70 @@ def two_variables_complete(system, vars_set, introduced, groups, banned) -> bool
     return False
 
 
-def three_variables_complete(system, vars_set, introduced, left, banned) -> bool:
-    """Whether at most three more variables, not in vars_set nor banned,
-    cover every monomial of the set `left` and their own derivatives;
-    vars_set is 1, the x_i and the `introduced` monomials, and `left` holds
-    every monomial of their derivatives that is no product over it, the
-    nonsquares of a state.  It answers True when `left` is empty.
+def more_variables_complete(system, vars_set, introduced, groups, banned, more: int) -> bool:
+    """Whether at most `more` more variables, 3 or 4, not in vars_set nor
+    banned, cover every monomial m of the (P(m), m) pairs `groups` and
+    their own derivatives; vars_set is 1, the x_i and the `introduced`
+    monomials, the monomials of the groups are every monomial of their
+    derivatives that is no product over it, the nonsquares of a state, and
+    P(m) is partners(m) over it.  It answers True when there are none.
 
-    Let m1 be the monomial of `left` with the fewest partners (graded-lex
-    order breaks ties).  As in two_variables_complete, a completion covers
-    it in one of two ways, and each leaves a smaller completion to a probe
-    that is exact.  Case A: m1 = z * w with z new and w in vars_set or
-    w = z, so z is in partners(m1); then at most two more complete the
-    state with z, and two_variables_complete decides that.  Its monomials
-    are those of `left` that z leaves uncovered and those of z' that are
-    no product over vars_set and z.  The partner sets of the first are the
-    ones held here, updated for z (uncovered_groups).  Case B: m1 = p * q
-    with both new and distinct; then at most one more completes the state
-    with p and q, and one_variable_completes decides that, reading the
-    uncovered monomials of `left` before it takes p' and q'.  A third
-    variable may cover every other monomial, so no other monomial names p:
-    the pairs are those of new_factor_pairs, walked lazily.
+    Let m1 be the monomial with the fewest partners (graded-lex order
+    breaks ties).  As in two_variables_complete, a completion covers it in
+    one of two ways, and each leaves a smaller completion to a probe that
+    is exact.  Case A: m1 = z * w with z new and w in vars_set or w = z, so
+    z is in partners(m1); then at most more - 1 complete the state with z,
+    and this probe or two_variables_complete decides that.  Its monomials
+    are those of the groups that z leaves uncovered, with the sets held
+    here updated for z (uncovered_groups), and those of z' that are no
+    product over vars_set and z.  Case B: m1 = p * q with both new and
+    distinct; then at most more - 2 complete the state with p and q.  At 3
+    one_variable_completes decides that, reading the uncovered monomials
+    before it takes p' and q'; at 4 two_variables_complete does, with the
+    held sets updated for p and then q.  The other variables may cover
+    every other monomial, so no other monomial names p: the pairs are those
+    of new_factor_pairs, walked lazily.
     """
-    if not left:
+    if not groups:
         return True
-    (first, m1), *rest = ranked(partner_groups(left, vars_set, introduced, banned))
+    (first, m1), *rest = ranked(groups)
+    held = {m for _, m in groups}
     for z in first:
-        groups = list(uncovered_groups(rest, z, vars_set, banned))
-        after, more = vars_set | {z}, introduced + (z,)
-        groups.extend((partners(d, after, more, banned), d)
-                      for d in lie_derivative_support(z, system)
-                      if d not in left and not covered(d, vars_set, introduced, (z,)))
-        if two_variables_complete(system, after, more, groups, banned):
+        after, grown = vars_set | {z}, introduced + (z,)
+        inner = list(uncovered_groups(rest, z, vars_set, banned))
+        inner.extend((partners(d, after, grown, banned), d)
+                     for d in lie_derivative_support(z, system)
+                     if d not in held and not covered(d, vars_set, introduced, (z,)))
+        if (more_variables_complete(system, after, grown, inner, banned, more - 1) if more > 3
+                else two_variables_complete(system, after, grown, inner, banned)):
             return True
     for pair in new_factor_pairs(m1, vars_set, banned):
-        uncovered = chain((m for _, m in rest if not covered_by(m, vars_set, pair)),
-                          (d for z in pair for d in lie_derivative_support(z, system)
-                           if not covered(d, vars_set, introduced, pair)))
-        if one_variable_completes(system, vars_set.union(pair), introduced + pair, uncovered,
-                                  banned) is not None:
+        after, grown = vars_set.union(pair), introduced + pair
+        fresh = (d for z in pair for d in lie_derivative_support(z, system)
+                 if d not in held and not covered(d, vars_set, introduced, pair))
+        if more == 3:
+            uncovered = chain((m for _, m in rest if not covered_by(m, vars_set, pair)), fresh)
+            completes = one_variable_completes(system, after, grown, uncovered, banned) is not None
+        else:
+            p, q = pair
+            inner = list(uncovered_groups(uncovered_groups(rest, p, vars_set, banned),
+                                          q, vars_set | {p}, banned))
+            # p' and q' may share a monomial: each is one group.
+            inner.extend((partners(d, after, grown, banned), d) for d in dict.fromkeys(fresh))
+            completes = two_variables_complete(system, after, grown, inner, banned)
+        if completes:
             return True
     return False
+
+
+def three_variables_complete(system, vars_set, introduced, left, banned) -> bool:
+    """Whether at most three more variables, not in vars_set nor banned,
+    cover every monomial of the set `left` and their own derivatives: the
+    need-4 step at a visited node.  `left` holds every monomial of the
+    derivatives that is no product over vars_set, the nonsquares of a
+    state; more_variables_complete decides it from their partner groups."""
+    return more_variables_complete(system, vars_set, introduced,
+                                   partner_groups(left, vars_set, introduced, banned), banned, 3)
 
 
 def prune_by_packing_bound(state: SearchState, incumbent_order: int,
@@ -498,28 +530,30 @@ def prune_by_c4_bound(state: SearchState, incumbent_order: int) -> bool:
 
 def lower_bound(state: SearchState, divisor_sets: dict) -> int:
     """A proven lower bound on the order of every quadratization that
-    contains the state: the largest of the two rules' bounds and the graph
-    capacity bound.
+    contains the state: the largest of the two rules' bounds, the need-5
+    step's and the graph capacity bound.
 
     It raises the bound while prune_by_packing_bound prunes the state at
     needs 1 to 3, where the rule is exact whatever the number of
-    nonsquares, and then once more when three_variables_complete refutes
-    the state at need 4, the search's need-4 step at a visited node: so
-    the bound is the optimum whenever the optimum has at most three
-    variables more than the state.  Then it takes the greedy packing count
-    and the counting rules' k when there are more nonsquares than that;
-    the packing's divisor sets go to divisor_sets, the search's memo.  So,
-    with no banned variables, the two rules, the need-4 step and
-    prune_by_c4_bound together prune the state at bound N exactly when N
-    is at most this (the module docstring gives why, and why the root
-    takes no rule).
+    nonsquares, and then while more_variables_complete refutes the state
+    at need 4, the search's need-4 step at a visited node, and at need 5,
+    from one set of partner groups: so the bound is the optimum whenever
+    the optimum has at most four variables more than the state.  Then it
+    takes the greedy packing count and the counting rules' k when there
+    are more nonsquares than that; the packing's divisor sets go to
+    divisor_sets, the search's memo.  So, with no banned variables, the two
+    rules, the need-4 and need-5 steps and prune_by_c4_bound together prune
+    the state at bound N exactly when N is at most this (the module
+    docstring gives why, and why the root takes no rule).
     """
     left, new, more = state.nonsquares, len(state.new_vars), 0
     while more < 3 and prune_by_packing_bound(state, new + more + 1, (), divisor_sets):
         more += 1
-    if more == 3 and not three_variables_complete(state.system, state.vars_set,
-                                                  state.new_vars, left, ()):
-        more = 4
+    if more == 3:
+        groups = partner_groups(left, state.vars_set, state.new_vars, ())
+        while more < 5 and not more_variables_complete(state.system, state.vars_set,
+                                                       state.new_vars, groups, (), more):
+            more += 1
     if len(left) > more:
         more = max(more, packs(factor_sets(left, state.vars_set, (), divisor_sets), len(left)))
     if len(left) > more:

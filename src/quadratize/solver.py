@@ -1,21 +1,22 @@
 """Depth-first branch-and-bound driver, Laurent lifting, and benchmark systems.
 
 The search first bounds the order of every quadratization from the root
-(pruning.lower_bound): the largest bound at which its two rules and the
-graph capacity bound prune the root.  A cap below it raises at once.
-Then it builds a greedy quadratization (initial_incumbent): a descent
-inside the per-variable degree box of the system that takes the child
-with the fewest nonsquares, the reverse-delete step of greedy set cover,
-and, while the order is above the root lower bound, a swap step of local
-search that trades two variables for at most one, possibly outside the
-box.  Its order, or an order cap when smaller, sets the initial bound one
-above it, and the search explores the subproblem tree depth first with
-two pruning rules at each node: disjoint factor-set packing and pair
-counting.  The result is a monomial quadratization of provably minimal
-order, plus search statistics.  The bound starts one above the greedy
-order, not at it, so the search returns the first optimum it reaches
-depth first rather than the greedy set; the tests pin that a start from
-the degree box gives the same answers.
+(pruning.lower_bound): the largest bound at which its two rules, the
+exact need-5 step and the graph capacity bound prune the root.  A cap
+below it raises at once.  Then it builds a greedy quadratization
+(initial_incumbent): a descent inside the per-variable degree box of the
+system that takes the child with the fewest nonsquares, the
+reverse-delete step of greedy set cover, and, while the order is above
+the root lower bound, a swap step of local search that trades two
+variables for at most one, possibly outside the box.  Its order, or an
+order cap when smaller, sets the initial bound one above it, and the
+search explores the subproblem tree depth first with two pruning rules
+at each node: disjoint factor-set packing and pair counting.  The result
+is a monomial quadratization of provably minimal order, plus search
+statistics.  The bound starts one above the greedy order, not at it, so
+the search returns the first optimum it reaches depth first rather than
+the greedy set; the tests pin that a start from the degree box gives the
+same answers.
 
 The search ends at the first quadratization it visits whose order meets
 the root lower bound.  A later incumbent would have to be smaller, and
@@ -23,7 +24,7 @@ none is, so the answer and the incumbents found are those of the search
 run to its end; only the nodes that would prove again what the root bound
 proves go.  The root is visited only when that bound is below the
 search's, and takes no rule; pruning's module docstring gives why, and
-why the graph bound acts at the root only.
+why the graph bound and the need-5 step act at the root only.
 
 A node's children are drawn fewest new variables first, and the bound
 only falls, so the first child with at least as many new variables as the
@@ -399,8 +400,9 @@ def bnb_search(system: ODESystem, *,
     why).  Both rules are sound lower bounds, so they change only the
     number of nodes visited, never the answer.  The packing rule prunes a
     node with a nonsquare left one short of the bound, so a node the rules
-    keep has depth + 1 < bound, and no separate depth cutoff is needed.  The graph capacity bound is a term of
-    the root lower bound only.
+    keep has depth + 1 < bound, and no separate depth cutoff is needed.
+    The graph capacity bound and the need-5 step are terms of the root
+    lower bound only.
 
     The root lower bound is taken first: a max_order_cap below it raises
     NoQuadratizationWithinCap before the greedy descent, and it is
@@ -412,11 +414,11 @@ def bnb_search(system: ODESystem, *,
     visits, at least 1.  A search that finds none without a cap has an
     unsound rule, and raises RuntimeError.  The search returns at the first
     quadratization whose order equals the root lower bound
-    (pruning.lower_bound, the largest of the rules' bounds and the graph
-    capacity bound at the root, taken once per search).  Any later incumbent
-    would be smaller than that bound, so the answer, incumbent_updates and
-    optimal_order are those of the search run to its end, and only
-    nodes_visited and the prune counts fall.
+    (pruning.lower_bound, the largest of the rules' bounds, the need-5
+    step's and the graph capacity bound at the root, taken once per
+    search).  Any later incumbent would be smaller than that bound, so the
+    answer, incumbent_updates and optimal_order are those of the search
+    run to its end, and only nodes_visited and the prune counts fall.
 
     Deterministic: identical inputs give identical results and statistics.
     The result's new_vars are in graded-lex order, the order of the

@@ -2,7 +2,9 @@
 factorizations of a monomial, and the nonsquares of a state and the
 packing rule's factor sets from the definition, the pruning-rule
 configurations of the ablation, the degree-box quadratization, and a
-record of the bound the search starts from, and the benchmark's workloads."""
+record of the bound the search starts from, the benchmark's workloads and
+random systems that a permutation of their variables maps onto
+themselves."""
 
 import importlib.util
 import random
@@ -20,6 +22,7 @@ from quadratize.bruteforce import MAX_POOL, box_candidates
 from quadratize.parsing import parse_system
 from quadratize.polynomials import (
     ODESystem,
+    add_term,
     divisors,
     grlex_key,
     lie_derivative_support,
@@ -236,8 +239,8 @@ def build_random_corpus(count: int, seed: int) -> list[ODESystem]:
 
 @pytest.fixture(scope="session")
 def random_stream():
-    """The first 200 systems of the random corpus's stream."""
-    return build_random_corpus(count=200, seed=20240811)
+    """The first 400 systems of the random corpus's stream."""
+    return build_random_corpus(count=400, seed=20240811)
 
 
 @pytest.fixture(scope="session")
@@ -255,12 +258,77 @@ def later_corpus(random_stream):
     """The 100 systems of the stream after the soundness corpus.
 
     The search stops at an answer that meets its root lower bound, which
-    proves 96 of the soundness corpus's optima, so the nodes it would visit
+    proves 99 of the soundness corpus's optima, so the nodes it would visit
     after them go; these systems give the soundness tests more to check.
     """
-    return random_stream[100:]
+    return random_stream[100:200]
+
+
+@pytest.fixture(scope="session")
+def stream_tail(random_stream):
+    """The 200 systems of the stream after the later corpus, for the same
+    reason: the root lower bound proves every optimum among them, but the
+    searches still visit the nodes before the first answer that meets it,
+    and the soundness tests check those."""
+    return random_stream[200:]
 
 
 @pytest.fixture(scope="session")
 def random_corpus(soundness_corpus):
     return soundness_corpus[:50]
+
+
+def permuted_monomial(mono, sigma):
+    """The monomial with the exponent of variable j moved to variable sigma[j]."""
+    out = [0] * len(mono)
+    for j, e in enumerate(mono):
+        out[sigma[j]] = e
+    return tuple(out)
+
+
+def permutation_closed_system(rng):
+    """A random system of 2 to 5 variables that a random permutation sigma,
+    not the identity, maps onto itself; returns (system, sigma).
+
+    A random right-hand side f is drawn for one variable i of each cycle of
+    sigma, and variable sigma^k(i) gets f renamed by sigma^k.  Around a
+    cycle of length L this comes back to f renamed by tau = sigma^L, which
+    fixes i, so f is first summed over the powers of tau, which makes it
+    invariant under tau.
+    """
+    n = rng.randint(2, 5)
+    identity = tuple(range(n))
+    sigma = identity
+    while sigma == identity:
+        sigma = tuple(rng.sample(range(n), n))
+    powers = [identity]  # powers[k] = sigma^k; 120 = 5! is a multiple of its order
+    for _ in range(120):
+        powers.append(tuple(sigma[j] for j in powers[-1]))
+    parameters = ("a",) if rng.random() < 0.5 else ()
+    rhs = [None] * n
+    for i in range(n):
+        if rhs[i] is not None:
+            continue
+        cycle = [i]
+        while sigma[cycle[-1]] != i:
+            cycle.append(sigma[cycle[-1]])
+        tau_powers = powers[::len(cycle)]
+        order = tau_powers.index(identity, 1)
+        f = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = tuple(rng.randint(0, 2) for _ in range(n))
+            params = tuple(rng.randint(0, 1) for _ in parameters)
+            coeff = rng.choice((-2, -1, 1, 2, 3))
+            for tau in tau_powers[:order]:
+                add_term(f, (permuted_monomial(mono, tau), params), coeff)
+        for k, v in enumerate(cycle):
+            rhs[v] = {(permuted_monomial(m, powers[k]), p): c for (m, p), c in f.items()}
+    return ODESystem(tuple(f"x{i}" for i in range(1, n + 1)), parameters, tuple(rhs)), sigma
+
+
+def closed_systems(count):
+    """The first `count` systems that permutation_closed_system draws from
+    random.Random(14), the permutation-closed systems the tests number from
+    0 in this order."""
+    rng = random.Random(14)
+    return [permutation_closed_system(rng)[0] for _ in range(count)]

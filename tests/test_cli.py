@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,22 @@ class TestExitCodes:
     def test_negative_max_order_is_2(self, capsys):
         code, _, _ = run_cli(capsys, "--benchmark", "rf", "--max-order", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("args", [["--benchmark", "cubic_cycle:3", "--stats"],
+                                      ["--benchmark", "rf", "--laurent"]], ids=" ".join)
+    def test_closed_stdout_is_141_without_a_traceback(self, args):
+        # As in `quadratize ... | head -1` once head has exited: the read end
+        # of the pipe is closed before anything is written.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        root = Path(__file__).resolve().parent.parent
+        try:
+            proc = subprocess.run([sys.executable, "-m", "quadratize", *args], stdout=write_end,
+                                  stderr=subprocess.PIPE, cwd=root, timeout=60,
+                                  env=dict(os.environ, PYTHONPATH=str(root / "src")))
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 class TestOutputs:

@@ -112,10 +112,10 @@ class TestPartners:
     # greedy swap step's among them.
 
     @pytest.fixture(scope="class")
-    def calls(self, later_corpus):
+    def calls(self, later_corpus, stream_tail):
         """Every call of partners over corpus seed 11 of the benchmark,
-        cubic_cycle(4..6) and the later corpus, as (m, vars_set, introduced,
-        banned, result)."""
+        cubic_cycle(4..6), the later corpus and the stream's tail, as (m,
+        vars_set, introduced, banned, result)."""
         calls = []
         real = partners
 
@@ -125,7 +125,8 @@ class TestPartners:
             return found
 
         systems = ([parse_system(instance.text) for instance in benchmark_workloads().corpus(11)]
-                   + [benchmark_system("cubic_cycle", n) for n in (4, 5, 6)] + later_corpus)
+                   + [benchmark_system("cubic_cycle", n) for n in (4, 5, 6)] + later_corpus
+                   + stream_tail)
         with mock.patch.object(quadratize.pruning, "partners", recording):
             for system in systems:
                 bnb_search(system)
@@ -139,8 +140,8 @@ class TestPartners:
             expected = {z for a, b in factor_pairs(m) for z, w in ((a, b), (b, a))
                         if w in vars_set or w == z}
             assert found == expected - vars_set - banned, (m, introduced, banned)
-        assert len(calls) == 6487
-        assert sum(bool(banned) for *_, banned, _ in calls) == 3457
+        assert len(calls) == 9414
+        assert sum(bool(banned) for *_, banned, _ in calls) == 3464
 
 
 class TestPolynomial:

@@ -1,4 +1,5 @@
 import random
+from contextlib import suppress
 from itertools import combinations, combinations_with_replacement
 from unittest import mock
 
@@ -34,11 +35,12 @@ from quadratize.pruning import (
     quotient_multiplicities,
     smallest_k,
 )
-from quadratize.solver import benchmark_system, bnb_search
+from quadratize.solver import NoQuadratizationWithinCap, benchmark_system, bnb_search
 from quadratize.state import SearchState, is_product
 
 from conftest import (
     benchmark_workloads,
+    closed_systems,
     definition_factor_set,
     rules,
     wide_box,
@@ -283,13 +285,13 @@ class TestPackingBound:
 
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
-        ("prune_by_packing_bound", "packing", 323),
-        ("prune_by_packing_bound", "all", 323),
-        ("prune_by_quadratic_bound", "quadratic", 2090),
-        ("prune_by_c4_bound", "none", 1771),
+        ("prune_by_packing_bound", "packing", 454),
+        ("prune_by_packing_bound", "all", 454),
+        ("prune_by_quadratic_bound", "quadratic", 2690),
+        ("prune_by_c4_bound", "none", 2288),
     ])
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, later_corpus,
-                                                   rule, config, count):
+                                                   stream_tail, rule, config, count):
         # Every node a rule prunes at bound N, with the other rules off (or,
         # under "all", in the search as it runs): the brute-force checker
         # finds no quadratization among the supersets of its variables, drawn
@@ -311,7 +313,7 @@ class TestPrunedNodesAreSound:
             return False
 
         checked = 0
-        for system in soundness_corpus + later_corpus:
+        for system in soundness_corpus + later_corpus + stream_tail:
             pruned.clear()
             with rules(config):
                 setattr(quadratize.solver, slot, recording)
@@ -328,15 +330,24 @@ class TestPrunedNodesAreSound:
         assert checked == count
 
 
+# Searches of permutation-closed systems, as (index in conftest.closed_systems
+# and max_order_cap or None), that visit nodes at needs 2 to 4: the root
+# lower bound is below the optimum of systems 14 and 57, and below the caps
+# of systems 17 and 35, which no quadratization meets; system 32 visits 11
+# nodes before its first answer.
+CLOSED_SEARCHES = ((14, None), (17, 7), (32, None), (35, 8), (57, None))
+
+
 @pytest.fixture(scope="module")
-def packing_calls(soundness_corpus, later_corpus):
+def packing_calls(soundness_corpus, later_corpus, stream_tail):
     """Every call of the packing rule at need 2 or 3, as (need, system,
     new_vars, added, banned, nonsquares of the state, pruned), and (need,
     pruned) for every call of the pair-count rule and for the graph
     capacity bound, which the search takes at the root only, on the state
     of each such call that the pair-count rule keeps, over corpus
     seeds 11 and 12 of the benchmark, cubic_cycle(4..6), the soundness
-    corpus and the later corpus; and those systems."""
+    corpus, the later corpus, the stream's tail and CLOSED_SEARCHES; and
+    those searches, as (system, max_order_cap)."""
     calls = []
     other_calls = []
     real_packing = quadratize.solver.prune_by_packing_bound
@@ -360,12 +371,16 @@ def packing_calls(soundness_corpus, later_corpus):
     systems = ([parse_system(instance.text)
                 for seed in (11, 12) for instance in benchmark_workloads().corpus(seed)]
                + [benchmark_system("cubic_cycle", n) for n in (4, 5, 6)]
-               + soundness_corpus + later_corpus)
+               + soundness_corpus + later_corpus + stream_tail)
+    closed = closed_systems(max(i for i, _ in CLOSED_SEARCHES) + 1)
+    searches = ([(system, None) for system in systems]
+                + [(closed[i], cap) for i, cap in CLOSED_SEARCHES])
     with mock.patch.multiple(quadratize.solver, prune_by_packing_bound=recording_packing,
                              prune_by_quadratic_bound=recording_quadratic):
-        for system in systems:
-            bnb_search(system)
-    return calls, other_calls, systems
+        for system, cap in searches:
+            with suppress(NoQuadratizationWithinCap):
+                bnb_search(system, max_order_cap=cap)
+    return calls, other_calls, searches
 
 
 class TestNeedTwoIsExact:
@@ -406,7 +421,7 @@ class TestNeedTwoIsExact:
                 assert not is_quadratization(system, new_vars + added + (z,)), (
                     f"pruned {new_vars + added} at need 2, but adding {z} quadratizes")
             checked += 1
-        assert checked == 325
+        assert checked == 338
 
     def test_kept_visited_nodes_have_one(self, need_two):
         # A call with no additions is for a visited node.
@@ -419,13 +434,13 @@ class TestNeedTwoIsExact:
             assert any(is_quadratization(system, new_vars + (z,)) for z in candidates), (
                 f"kept {new_vars} at need 2, but no one variable completes it")
             checked += 1
-        assert checked == 360
+        assert checked == 473
 
     def test_other_rules_prune_no_node_at_need_two(self, need_two):
         # A visited node reaches them only when the packing rule keeps it,
         # and at need 2 it then has a completion below the bound.
         _, other_calls = need_two
-        assert sum(need == 2 for need, _ in other_calls) == 720
+        assert sum(need == 2 for need, _ in other_calls) == 946
         assert not any(pruned for need, pruned in other_calls if need == 2)
 
 
@@ -435,8 +450,10 @@ def completes_within(system, new_vars, banned, more):
     with the checker (quadratization_violations).
 
     A completion covers each monomial the checker reports as a product with
-    one of its members as a factor, so some member divides the first; and
-    with one member left to add, that member divides every one.
+    one of its members as a factor, so some member divides each one: the
+    members tried are the divisors of the one with the fewest divisors
+    (the first in tuple order on ties); and with one member left to add,
+    that member divides every one.
     """
     uncovered = sorted({m for _, m in quadratization_violations(system, new_vars)})
     if not uncovered:
@@ -445,9 +462,9 @@ def completes_within(system, new_vars, banned, more):
         return False
     n = system.num_vars
     variables = {unit_monomial(n)} | {variable_monomial(n, i) for i in range(n)} | set(new_vars)
-    candidates = set(divisors(uncovered[0]))
+    candidates = set(divisors(min(uncovered, key=divisor_count)))
     if more == 1:
-        for m in uncovered[1:]:
+        for m in uncovered:
             candidates.intersection_update(divisors(m))
     return any(completes_within(system, new_vars + (z,), banned, more - 1)
                for z in sorted(candidates - variables - banned))
@@ -464,9 +481,9 @@ class TestNeedThreeIsExact:
 
     @pytest.fixture(scope="class")
     def need_three(self, packing_calls):
-        calls, other_calls, systems = packing_calls
+        calls, other_calls, searches = packing_calls
         return ([call[1:] for call in calls if call[0] == 3],
-                [pruned for need, pruned in other_calls if need == 3], systems)
+                [pruned for need, pruned in other_calls if need == 3], searches)
 
     def test_pruned_calls_have_no_two_variable_completion(self, need_three):
         calls, *_ = need_three
@@ -476,7 +493,7 @@ class TestNeedThreeIsExact:
                 assert not completes_within(system, new_vars + added, banned, 2), (
                     f"pruned {new_vars + added} at need 3, but two variables complete it")
                 checked += 1
-        assert checked == 255
+        assert checked == 356
 
     def test_kept_visited_nodes_with_two_nonsquares_have_one(self, need_three):
         calls, *_ = need_three
@@ -486,69 +503,86 @@ class TestNeedThreeIsExact:
                 assert completes_within(system, new_vars, banned, 2), (
                     f"kept {new_vars} at need 3, but no two variables complete it")
                 checked += 1
-        assert checked == 197
+        assert checked == 269
 
     def test_lone_nonsquare_is_decided_both_ways(self, need_three):
         # With one nonsquare left, at a visited node or at a root the root
         # lower bound probes at need 3, the rule keeps the state exactly
         # when at most two variables complete it.
-        calls, _, systems = need_three
+        calls, _, searches = need_three
         lone = [(system, new_vars, banned, pruned)
                 for system, new_vars, added, banned, nonsquares, pruned in calls
                 if not added and nonsquares == 1]
-        for system in systems:
+        for system, _ in searches:
             root = SearchState.initial(system)
             if len(root.nonsquares) == 1:
                 lone.append((system, (), frozenset(), prune_by_packing_bound(root, 3)))
         for system, new_vars, banned, pruned in lone:
             assert pruned != completes_within(system, new_vars, banned, 2), (
                 f"{'pruned' if pruned else 'kept'} {new_vars} at need 3 with one nonsquare")
-        assert (len(lone), sum(pruned for *_, pruned in lone)) == (228, 15)
+        assert (len(lone), sum(pruned for *_, pruned in lone)) == (307, 20)
 
     def test_other_rules_prune_no_node_at_need_three(self, need_three):
         # A visited node reaches them only when the packing rule keeps it,
         # and at need 3 it then has a completion below the bound.
         _, other_calls, _ = need_three
-        assert len(other_calls) == 438
+        assert len(other_calls) == 602
         assert not any(other_calls)
 
 
 class TestNeedFourIsExact:
     # With three more variables allowed below the bound (need 4), the search
-    # asks three_variables_complete about a visited node that greedy packing
-    # and the pair-count rule keep, and the root lower bound asks it about
-    # a root the packing rule prunes at need 3; checked by brute force
-    # (completes_within).  A child at need 4 before extension goes through
-    # greedy packing alone.
+    # asks the need-4 step (three_variables_complete, which hands the
+    # node's partner groups to more_variables_complete) about a visited
+    # node that greedy packing and the pair-count rule keep, and the root
+    # lower bound asks more_variables_complete about a root the packing
+    # rule prunes at need 3; checked by brute force (completes_within).  A
+    # child at need 4 before extension goes through greedy packing alone.
 
     @pytest.fixture(scope="class")
     def need_four(self, packing_calls):
-        """Over the systems of packing_calls: every call of the need-4 step,
+        """Over the searches of packing_calls: every call of the need-4 step,
         as (where, system, new_vars, banned, completes) with where "search"
         or "root"; for every call of the packing rule on a child at need 4
         before extension, (nonsquares the additions leave, whether it
         packed, whether it probed); and (monomial, partner set handed on,
-        partners recomputed) for every group of the need-3 probe."""
-        _, _, systems = packing_calls
+        partners recomputed) for every group of the need-3, need-4 and
+        need-5 probes, the root's need-5 step included."""
+        _, _, searches = packing_calls
         calls, children, inside, groups_seen = [], [], [], []
-        real_probe = quadratize.pruning.three_variables_complete
+        under_way = []  # the counts of the probes under way, outermost first
+        where = ["search"]
+        real_probe = quadratize.pruning.more_variables_complete
         real_need_three = quadratize.pruning.two_variables_complete
         real_packs = quadratize.pruning.packs
         real_rule = quadratize.solver.prune_by_packing_bound
+        real_floor = quadratize.solver.lower_bound
 
         def recording_need_three(system, vars_set, introduced, groups, banned):
             groups_seen.extend((m, group, partners(m, vars_set, introduced, banned))
                                for group, m in groups)
             return real_need_three(system, vars_set, introduced, groups, banned)
 
-        def recording_probe(where):
-            def probe(system, vars_set, introduced, left, banned):
-                if inside:
-                    inside[-1].add("probe")
-                completes = real_probe(system, vars_set, introduced, left, banned)
-                calls.append((where, system, introduced, frozenset(banned), completes))
-                return completes
-            return probe
+        def recording_probe(system, vars_set, introduced, groups, banned, more):
+            groups_seen.extend((m, group, partners(m, vars_set, introduced, banned))
+                               for group, m in groups)
+            if inside:
+                inside[-1].add("probe")
+            under_way.append(more)
+            try:
+                completes = real_probe(system, vars_set, introduced, groups, banned, more)
+            finally:
+                under_way.pop()
+            if not under_way and more == 3:
+                calls.append((where[0], system, introduced, frozenset(banned), completes))
+            return completes
+
+        def recording_floor(root, divisor_sets):
+            where[0] = "root"
+            try:
+                return real_floor(root, divisor_sets)
+            finally:
+                where[0] = "search"
 
         def recording_packs(sets, need):
             if inside:
@@ -567,12 +601,13 @@ class TestNeedFourIsExact:
                     children.append((left, "packs" in ran, "probe" in ran))
 
         with mock.patch.multiple(quadratize.solver, prune_by_packing_bound=recording_rule,
-                                 three_variables_complete=recording_probe("search")), \
+                                 lower_bound=recording_floor), \
                 mock.patch.multiple(quadratize.pruning, packs=recording_packs,
-                                    three_variables_complete=recording_probe("root"),
+                                    more_variables_complete=recording_probe,
                                     two_variables_complete=recording_need_three):
-            for system in systems:
-                bnb_search(system)
+            for system, cap in searches:
+                with suppress(NoQuadratizationWithinCap):
+                    bnb_search(system, max_order_cap=cap)
         return calls, children, groups_seen
 
     def test_refuted_nodes_have_no_three_variable_completion(self, need_four):
@@ -583,7 +618,7 @@ class TestNeedFourIsExact:
                 assert not completes_within(system, new_vars, banned, 3), (
                     f"refuted {new_vars} at need 4, but three variables complete it")
                 checked[where] += 1
-        assert checked == {"search": 346, "root": 103}
+        assert checked == {"search": 386, "root": 142}
 
     def test_kept_nodes_have_one(self, need_four):
         # Every node the step is asked about is a visited node or a root.
@@ -594,7 +629,7 @@ class TestNeedFourIsExact:
                 assert completes_within(system, new_vars, banned, 3), (
                     f"kept {new_vars} at need 4, but no three variables complete it")
                 checked[where] += 1
-        assert checked == {"search": 110, "root": 108}
+        assert checked == {"search": 152, "root": 148}
 
     def test_children_before_extension_are_only_packed(self, need_four):
         # Greedy packing runs when four or more nonsquares are left, since
@@ -602,7 +637,7 @@ class TestNeedFourIsExact:
         _, children, _ = need_four
         assert not any(probed for _, _, probed in children)
         assert all(packed == (left >= 4) for left, packed, _ in children)
-        assert (len(children), sum(packed for _, packed, _ in children)) == (556, 149)
+        assert (len(children), sum(packed for _, packed, _ in children)) == (798, 379)
 
     @pytest.mark.parametrize("text,optimum,case", [
         # x^2*y^2 has the fewest partners of the two nonsquares, and no
@@ -626,19 +661,106 @@ class TestNeedFourIsExact:
             assert not any(completes_within(system, (z,), frozenset(), 2)
                            for z in partners(m1, root.vars_set, (), ()))
         else:
-            with mock.patch.object(quadratize.pruning, "three_variables_complete",
+            with mock.patch.object(quadratize.pruning, "more_variables_complete",
                                    lambda *args: True):
                 assert lower_bound(root, {}) == optimum - 1
 
     def test_partner_sets_handed_on_are_recounts(self, need_four):
-        # The need-4 probe hands the need-3 probe the partner sets it holds,
-        # updated for its first new variable z, in place of new ones: each
-        # equals partners(m) over the state with z.  The need-3 rule at a
-        # node builds its own, checked here as well.
+        # A probe hands the next one the partner sets it holds, updated for
+        # its first new variable z (case A), or for p and then q (case B of
+        # the need-5 step), in place of new ones: each equals partners(m)
+        # over the state with them.  The need-3 rule and the need-4 step at a
+        # node and the root ladder build their own, checked here as well.
         *_, groups_seen = need_four
         for m, handed, recomputed in groups_seen:
             assert handed == recomputed, m
-        assert len(groups_seen) == 10244
+        assert len(groups_seen) == 24678
+
+
+class TestNeedFiveAtTheRoot:
+    # A root that the need-4 step refutes goes on to the need-5 step: the
+    # root lower bound asks more_variables_complete whether at most four
+    # more variables complete it, and takes 5 when not.  Checked by brute
+    # force (completes_within) on every root of corpus seeds 11 and 12 and
+    # of the soundness corpus whose ladder reaches that step.
+
+    @pytest.fixture(scope="class")
+    def need_five(self, soundness_corpus):
+        """(system, completes) for each call of the need-5 step."""
+        calls = []
+        under_way = []
+        real_probe = quadratize.pruning.more_variables_complete
+
+        def recording_probe(system, vars_set, introduced, groups, banned, more):
+            under_way.append(more)
+            try:
+                completes = real_probe(system, vars_set, introduced, groups, banned, more)
+            finally:
+                under_way.pop()
+            if not under_way and more == 4:
+                calls.append((system, completes))
+            return completes
+
+        systems = ([parse_system(instance.text)
+                    for seed in (11, 12) for instance in benchmark_workloads().corpus(seed)]
+                   + soundness_corpus)
+        with mock.patch.object(quadratize.pruning, "more_variables_complete", recording_probe):
+            for system in systems:
+                lower_bound(SearchState.initial(system), {})
+        return calls
+
+    def test_refuted_roots_have_no_four_variable_completion(self, need_five):
+        refuted = [system for system, completes in need_five if not completes]
+        for system in refuted:
+            assert not completes_within(system, (), frozenset(), 4), system
+        assert len(refuted) == 36
+
+    def test_kept_roots_have_one(self, need_five):
+        kept = [system for system, completes in need_five if completes]
+        for system in kept:
+            assert completes_within(system, (), frozenset(), 4), system
+        assert len(kept) == 52
+
+    def test_two_new_factors_of_the_first_nonsquare_complete(self):
+        # x^2*y^2 has the fewest partners of the three nonsquares, and no
+        # partner of it is in a completion of four: only its two new factors
+        # x^2 and y^2 cover it there, with u*v*w for u*v*w*t and e*f*g for
+        # e*f*g*r.  So case B of the need-5 step keeps the root at 4.
+        system = parse_system("x' = y^2\ny' = x^2\nz' = x^2*y^2\nt' = u*v*w*t\nu' = u\nv' = v\n"
+                              "w' = w\nr' = e*f*g*r\ne' = e\nf' = f\ng' = g")
+        root = SearchState.initial(system)
+        assert completes_within(system, (), frozenset(), 4)
+        assert not completes_within(system, (), frozenset(), 3)
+        assert lower_bound(root, {}) == bnb_search(system)[0].order == 4
+        m1 = (2, 2) + (0,) * (system.num_vars - 2)
+        assert m1 in root.nonsquares
+        assert not any(completes_within(system, (z,), frozenset(), 3)
+                       for z in partners(m1, root.vars_set, (), ()))
+
+    def test_it_lifts_product4_and_permutation_closed_roots(self, monkeypatch):
+        # x_i' = prod_{j != i} x_j^2 for i = 1..4 (product4), and 37 of the
+        # 60 permutation-closed roots that random.Random(14) draws, go from
+        # 4 to 5; without the step the ladder stops at the need-4 step.
+        product4 = parse_system("\n".join(
+            f"x{i}' = " + "*".join(f"x{j}^2" for j in range(1, 5) if j != i)
+            for i in range(1, 5)))
+        roots = [SearchState.initial(system) for system in [product4] + closed_systems(60)]
+        bounds = [lower_bound(root, {}) for root in roots]
+        real_probe = quadratize.pruning.more_variables_complete
+        monkeypatch.setattr(quadratize.pruning, "more_variables_complete",
+                            lambda *args: args[-1] == 4 or real_probe(*args))
+        without = [lower_bound(root, {}) for root in roots]
+        assert (without[0], bounds[0]) == (4, 5)
+        lifted = [(old, new) for old, new in zip(without[1:], bounds[1:]) if old != new]
+        assert lifted == [(4, 5)] * 37
+
+    def test_a_huge_power_builds_no_divisor_set(self):
+        # x^1000000 has a million divisors.  The need-5 step proves 5, the
+        # optimum, before any greedy packing count would list them.
+        system = parse_system("x' = x^1000000\ny' = y^3\nz' = z^3\nw' = w^3\nu' = u^3")
+        divisor_sets = {}
+        assert lower_bound(SearchState.initial(system), divisor_sets) == 5
+        assert (1000000, 0, 0, 0, 0) not in divisor_sets
 
 
 def two_variable_completions(system):

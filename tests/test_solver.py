@@ -23,7 +23,6 @@ from quadratize.parsing import ParseError, parse_system
 from quadratize.polynomials import (
     MAX_EXPONENT,
     ODESystem,
-    add_term,
     divides,
     divisor_count,
     divisors,
@@ -33,6 +32,8 @@ from quadratize.polynomials import (
 from quadratize.pruning import (
     c4_bound,
     lower_bound,
+    more_variables_complete,
+    partner_groups,
     prune_by_c4_bound,
     prune_by_packing_bound,
     prune_by_quadratic_bound,
@@ -56,9 +57,12 @@ from conftest import (
     RULE_CONFIGS,
     allen_cahn_text,
     benchmark_workloads,
+    closed_systems,
     definition_nonsquares,
     degree_box_incumbent,
     follow_incumbent,
+    permutation_closed_system,
+    permuted_monomial,
     rules,
     wide_box,
 )
@@ -189,12 +193,10 @@ class TestInitialIncumbent:
         # the rest, so it is a partner of the first one.  (A z that is a or
         # b leaves the other alone out, which irredundancy rules out.)  The
         # swap lowers the descent's order on 27 of the systems.
-        rng = random.Random(14)
         systems = (soundness_corpus + list(worked_systems.values())
                    + [benchmark_system(family, n) for family in ("cubic_cycle", "cubic_bicycle")
                       for n in range(3, 7)]
-                   + [benchmark_system("rf")]
-                   + [permutation_closed_system(rng)[0] for _ in range(60)])
+                   + [benchmark_system("rf")] + closed_systems(60))
         swapped = 0
         for system in systems:
             vars_, order = initial_incumbent(system)
@@ -361,12 +363,12 @@ class TestMaxOrderCap:
 
     def test_cap_below_the_root_lower_bound_raises_before_the_descent(self):
         # The greedy descent here extends some 260,000 children, but the
-        # root lower bound, 4, is taken first and is above the cap.
+        # root lower bound, 5, is taken first and is above the cap.
         system = parse_system("x' = y^200\ny' = x^200")
         start = time.perf_counter()
         with pytest.raises(NoQuadratizationWithinCap) as err:
             bnb_search(system, max_order_cap=2)
-        assert err.value.lower_bound == 4
+        assert err.value.lower_bound == 5
         assert time.perf_counter() - start < 1.0
 
     def test_cap_at_optimum_is_still_optimal(self):
@@ -631,60 +633,12 @@ class TestBenchmarks:
             benchmark_system(name, n)
 
 
-def permuted_monomial(mono, sigma):
-    """The monomial with the exponent of variable j moved to variable sigma[j]."""
-    out = [0] * len(mono)
-    for j, e in enumerate(mono):
-        out[sigma[j]] = e
-    return tuple(out)
-
-
 def permuted_system(system, sigma):
     """The system with each variable j renamed to sigma[j]."""
     rhs = [None] * system.num_vars
     for i, poly in enumerate(system.rhs):
         rhs[sigma[i]] = {(permuted_monomial(m, sigma), p): c for (m, p), c in poly.items()}
     return ODESystem(system.variables, system.parameters, tuple(rhs))
-
-
-def permutation_closed_system(rng):
-    """A random system of 2 to 5 variables that a random permutation sigma,
-    not the identity, maps onto itself; returns (system, sigma).
-
-    A random right-hand side f is drawn for one variable i of each cycle of
-    sigma, and variable sigma^k(i) gets f renamed by sigma^k.  Around a
-    cycle of length L this comes back to f renamed by tau = sigma^L, which
-    fixes i, so f is first summed over the powers of tau, which makes it
-    invariant under tau.
-    """
-    n = rng.randint(2, 5)
-    identity = tuple(range(n))
-    sigma = identity
-    while sigma == identity:
-        sigma = tuple(rng.sample(range(n), n))
-    powers = [identity]  # powers[k] = sigma^k; 120 = 5! is a multiple of its order
-    for _ in range(120):
-        powers.append(tuple(sigma[j] for j in powers[-1]))
-    parameters = ("a",) if rng.random() < 0.5 else ()
-    rhs = [None] * n
-    for i in range(n):
-        if rhs[i] is not None:
-            continue
-        cycle = [i]
-        while sigma[cycle[-1]] != i:
-            cycle.append(sigma[cycle[-1]])
-        tau_powers = powers[::len(cycle)]
-        order = tau_powers.index(identity, 1)
-        f = {}
-        for _ in range(rng.randint(1, 3)):
-            mono = tuple(rng.randint(0, 2) for _ in range(n))
-            params = tuple(rng.randint(0, 1) for _ in parameters)
-            coeff = rng.choice((-2, -1, 1, 2, 3))
-            for tau in tau_powers[:order]:
-                add_term(f, (permuted_monomial(mono, tau), params), coeff)
-        for k, v in enumerate(cycle):
-            rhs[v] = {(permuted_monomial(m, powers[k]), p): c for (m, p), c in f.items()}
-    return ODESystem(tuple(f"x{i}" for i in range(1, n + 1)), parameters, tuple(rhs)), sigma
 
 
 def orbit(monomials, group):
@@ -954,7 +908,7 @@ class TestSkippedChildrenAreSound:
 
 class TestChildrenSkippedBeforeExtensionAreSound:
     def test_no_extension_at_the_bound_and_no_smaller_completion(
-            self, soundness_corpus, later_corpus, monkeypatch):
+            self, soundness_corpus, later_corpus, stream_tail, monkeypatch):
         # The bound is followed from outside, as above.  No child is
         # extended once it is as large as the bound.  A child taken from
         # generate_children that is neither extended nor skipped as an
@@ -1001,7 +955,8 @@ class TestChildrenSkippedBeforeExtensionAreSound:
         monkeypatch.setattr(quadratize.solver, "orbit_key", recording_key)
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
         follow_incumbent(monkeypatch, tracked)
-        systems = soundness_corpus + [benchmark_system("cubic_cycle", 4)] + later_corpus
+        systems = (soundness_corpus + [benchmark_system("cubic_cycle", 4)] + later_corpus
+                   + stream_tail)
         checked = 0
         for system in systems:
             extensions.clear()
@@ -1023,7 +978,7 @@ class TestChildrenSkippedBeforeExtensionAreSound:
                     f"skipped {parent.new_vars + added} at bound {bound}, "
                     f"but {found} quadratizes")
                 checked += 1
-        assert checked == 235
+        assert checked == 321
 
 
 class TestExcludedChildrenAreSound:
@@ -1034,7 +989,7 @@ class TestExcludedChildrenAreSound:
     # outside, as above.
 
     def test_excluded_children_have_no_smaller_completion(
-            self, soundness_corpus, later_corpus, monkeypatch):
+            self, soundness_corpus, later_corpus, stream_tail, monkeypatch):
         # A child below the bound that never reaches the packing skip, which
         # runs right after exclusion, was excluded: no quadratization drawn
         # from the wide-box candidates that contains it has fewer variables
@@ -1089,7 +1044,7 @@ class TestExcludedChildrenAreSound:
             benchmark_system("cubic_cycle", 4), benchmark_system("cubic_bicycle", 3),
             parse_system("x1' = x1^3\nx2' = x2^3\nx3' = x3^3")] + [
             parse_system(text) for text in THREE_CYCLE_TEXTS + THREE_CYCLE_SKIP_TEXTS
-        ] + later_corpus
+        ] + later_corpus + stream_tail
         for system in systems:
             pulled.clear()
             entry_of.clear()
@@ -1113,7 +1068,7 @@ class TestExcludedChildrenAreSound:
                     earlier[3] and id(earlier[0]) in ancestors and j not in on_path
                     and members.issuperset(earlier[1])
                     for j, earlier in enumerate(pulled[:i]))
-        assert (checked, by_image) == (451, 249)
+        assert (checked, by_image) == (477, 249)
 
     def test_nodes_only_the_banned_variables_prune_have_no_smaller_completion(
             self, soundness_corpus, monkeypatch):
@@ -1136,6 +1091,10 @@ class TestExcludedChildrenAreSound:
             benchmark_system("cubic_cycle", 4), benchmark_system("cubic_bicycle", 3),
             parse_system("x1' = x1^3\nx2' = x2^3\nx3' = x3^3")] + [
             parse_system(text) for text in THREE_CYCLE_TEXTS + THREE_CYCLE_SKIP_TEXTS + SWAP_TEXTS]
+        # Permutation-closed systems whose searches visit nodes at need 2
+        # (test_pruning.CLOSED_SEARCHES).
+        closed = closed_systems(58)
+        systems += [closed[i] for i in (14, 32, 57)]
         for system in systems:
             pruned.clear()
             bnb_search(system)
@@ -1147,7 +1106,7 @@ class TestExcludedChildrenAreSound:
                     f"but {found} quadratizes")
                 visited += is_visited
                 skipped += not is_visited
-        assert (visited, skipped) == (13, 8)
+        assert (visited, skipped) == (13, 9)
 
     def test_many_siblings_cost_no_more_each(self, monkeypatch):
         # The root of x^200000 has 100,001 children, one variable each
@@ -1179,7 +1138,7 @@ class TestExcludedChildrenAreSound:
 
 class TestFrameEnds:
     def test_no_child_after_one_at_the_bound_and_one_packing_call_per_node(
-            self, soundness_corpus, later_corpus, worked_systems, monkeypatch):
+            self, soundness_corpus, later_corpus, stream_tail, worked_systems, monkeypatch):
         # Children come fewest additions first and the bound only falls, so
         # a frame ends at its first child as large as the bound: no later
         # sibling is drawn.  The bound is followed from outside, as above.
@@ -1228,9 +1187,13 @@ class TestFrameEnds:
         follow_incumbent(monkeypatch, tracked)
         systems = soundness_corpus + list(worked_systems.values()) + [
             benchmark_system("cubic_cycle", 4), benchmark_system("cubic_bicycle", 3),
-            benchmark_system("scalar_power", 64)] + later_corpus + [
+            benchmark_system("scalar_power", 64)] + later_corpus + stream_tail + [
             parse_system(text)
             for text in THREE_CYCLE_TEXTS + THREE_CYCLE_SKIP_TEXTS + SWAP_TEXTS]
+        # Permutation-closed systems whose searches visit nodes at need 2
+        # (test_pruning.CLOSED_SEARCHES).
+        closed = closed_systems(58)
+        systems += [closed[i] for i in (14, 32, 57)]
         calls = kept = 0
         for system in systems:
             unextended.clear()
@@ -1241,7 +1204,7 @@ class TestFrameEnds:
         assert late == []
         assert twice == []
         assert calls == kept
-        assert (ends, calls) == (67, 2101)
+        assert (ends, calls) == (67, 2470)
 
 
 class TestNoSetVisitedTwice:
@@ -1393,7 +1356,7 @@ class TestRootLowerBound:
             order = bnb_search(system)[0].order
             assert floor <= order
             proven += floor == order
-        assert (len(systems), proven) == (109, 102)
+        assert (len(systems), proven) == (109, 105)
 
     @pytest.fixture(scope="class")
     def systems(self, soundness_corpus):
@@ -1403,38 +1366,39 @@ class TestRootLowerBound:
 
     def test_the_rules_prune_the_root_exactly_up_to_it(self, systems):
         # So the search checks the root against it in place of the two rules,
-        # the need-4 step and the graph capacity bound.  Of the 60
-        # permutation-closed roots that random.Random(14) draws, the packing
-        # count tops the probes on 2, the pair-count rule tops both on 1 and
-        # the graph bound tops all three on none; none of the other systems
-        # has either counting term on top.  They are not in `systems`: many
-        # of their searches are slow.
-        rng = random.Random(14)
-        closed = [permutation_closed_system(rng)[0] for _ in range(60)]
-        for system in systems + closed:
+        # the need-4 and need-5 steps and the graph capacity bound.  Of the
+        # 60 permutation-closed roots that random.Random(14) draws, the
+        # packing count tops the exact steps on none, the pair-count rule
+        # tops both on 1 and the graph bound tops all three on none; none of
+        # the other systems has either counting term on top.  They are not
+        # in `systems`: many of their searches are slow.
+        for system in systems + closed_systems(60):
             root = SearchState.initial(system)
             floor = lower_bound(root, {})
+            groups = partner_groups(root.nonsquares, root.vars_set, (), ())
             for bound in range(floor + 3):
                 pruned = (prune_by_packing_bound(root, bound)
                           or prune_by_quadratic_bound(root, bound)
                           or prune_by_c4_bound(root, bound)
                           or bound == 4 and not three_variables_complete(
-                              system, root.vars_set, (), root.nonsquares, ()))
+                              system, root.vars_set, (), root.nonsquares, ())
+                          or bound == 5 and not more_variables_complete(
+                              system, root.vars_set, (), groups, (), 4))
                 assert pruned == (bound <= floor), (system, bound, floor)
 
     def test_the_need_four_step_matches_the_graph_bound(self, monkeypatch):
         # The graph capacity bound acts only as a term of the root lower
         # bound.  On permutation-closed systems 7 and 27, counted from 0 in
         # the order random.Random(14) draws them, it is 4, above the
-        # pair-count rule's 3; the need-4 step proves 4 by itself, so the
-        # root bound is 4 without the graph term too.
-        rng = random.Random(14)
-        drawn = [permutation_closed_system(rng)[0] for _ in range(28)]
+        # pair-count rule's 3; the need-4 step proves 4 by itself, and the
+        # need-5 step then 5, so the root bound is 5 without the graph term
+        # too.
+        drawn = closed_systems(28)
         roots = [SearchState.initial(drawn[i]) for i in (7, 27)]
         assert [(lower_bound(root, {}), quadratic_bound(root), c4_bound(root))
-                for root in roots] == [(4, 3, 4)] * 2
+                for root in roots] == [(5, 3, 4)] * 2
         monkeypatch.setattr(quadratize.pruning, "c4_bound", lambda state: 0)
-        assert [lower_bound(root, {}) for root in roots] == [4, 4]
+        assert [lower_bound(root, {}) for root in roots] == [5, 5]
 
     def test_the_stop_changes_no_answer(self, systems, monkeypatch):
         # Only the nodes after the answer go: a later incumbent would have
@@ -1451,11 +1415,11 @@ class TestRootLowerBound:
                     == render_result(plain.document._replace(stats=None), "structured"))
             assert stats.nodes_visited <= plain_stats.nodes_visited
             fewer += stats.nodes_visited < plain_stats.nodes_visited
-        assert fewer == 43
+        assert fewer == 46
 
     def test_benchmark_corpus_node_count(self, monkeypatch):
-        # The benchmark's corpus at seed 11: the root lower bound proves 184
-        # of the 200 optima, and the search visits 100 fewer nodes.  The
+        # The benchmark's corpus at seed 11: the root lower bound proves 194
+        # of the 200 optima, and the search visits 136 fewer nodes.  The
         # swap step, which runs while the greedy order is above that bound
         # (above 0 without it), starts 11 searches one lower than the descent.
         systems = [parse_system(instance.text) for instance in benchmark_workloads().corpus(11)]
@@ -1464,7 +1428,7 @@ class TestRootLowerBound:
             result, stats = bnb_search(system)
             nodes += stats.nodes_visited
             proven += lower_bound(SearchState.initial(system), {}) == result.order
-        assert (nodes, proven) == (868, 184)
+        assert (nodes, proven) == (832, 194)
         monkeypatch.setattr(quadratize.solver, "lower_bound", no_root_lower_bound)
         assert sum(bnb_search(system)[1].nodes_visited for system in systems) == 968
 

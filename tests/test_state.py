@@ -302,7 +302,7 @@ class TestEveryVisitedNode:
             # Every visited node, the root included, plus the extraction.
             assert len(checked) == stats.nodes_visited + 1
 
-    def test_factor_sets_are_recounts_built_once(self, random_corpus, monkeypatch):
+    def test_factor_sets_are_recounts_built_once(self, random_corpus, stream_tail, monkeypatch):
         # The packing rule's sets, for a node or for a child before it is
         # extended: every set packed is C(m) over the child's variables, as
         # the definition gives it, less the banned variables, for a
@@ -313,14 +313,14 @@ class TestEveryVisitedNode:
         # twice in a search.  It packs only at need 4 or more, which the
         # corpus rarely reaches, so two cubic systems join it.  The need-3
         # probe walks the divisors of a lone nonsquare for its factor pairs
-        # too, and the need-4 probe those of one of its nonsquares, and
-        # neither builds a set: the memo stays as it was.
+        # too, and the need-4 and need-5 probes those of one of their
+        # nonsquares, and none builds a set: the memo stays as it was.
         real_rule = quadratize.solver.prune_by_packing_bound
         real_floor = quadratize.solver.lower_bound
         real_packs = quadratize.pruning.packs
         real_divisors = quadratize.pruning.divisors
         real_probe = quadratize.pruning.two_variables_complete
-        real_need_four = quadratize.pruning.three_variables_complete
+        real_more = quadratize.pruning.more_variables_complete
         context = []
         builds = Counter()
         probing = []
@@ -366,10 +366,10 @@ class TestEveryVisitedNode:
             finally:
                 probing.pop()
 
-        def tracking_need_four(system, vars_set, introduced, left, banned):
-            probing.append(list(left))
+        def tracking_more(system, vars_set, introduced, groups, banned, more):
+            probing.append([m for _, m in groups])
             try:
-                return real_need_four(system, vars_set, introduced, left, banned)
+                return real_more(system, vars_set, introduced, groups, banned, more)
             finally:
                 probing.pop()
 
@@ -378,16 +378,16 @@ class TestEveryVisitedNode:
         monkeypatch.setattr(quadratize.pruning, "packs", checking_packs)
         monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
         monkeypatch.setattr(quadratize.pruning, "two_variables_complete", tracking_probe)
-        monkeypatch.setattr(quadratize.pruning, "three_variables_complete", tracking_need_four)
-        monkeypatch.setattr(quadratize.solver, "three_variables_complete", tracking_need_four)
+        monkeypatch.setattr(quadratize.pruning, "more_variables_complete", tracking_more)
         for system in random_corpus + [benchmark_system("cubic_cycle", n) for n in (4, 5)] + [
-                benchmark_system("cubic_bicycle", 4)]:
+                benchmark_system("cubic_bicycle", 4)] + stream_tail:
             builds.clear()
             bnb_search(system)
             assert set(builds.values()) <= {1}
-        assert (checked, walks) == (318, 41)
+        assert (checked, walks) == (421, 153)
 
-    def test_too_few_nonsquares_build_no_set(self, random_corpus, later_corpus, monkeypatch):
+    def test_too_few_nonsquares_build_no_set(self, random_corpus, later_corpus, stream_tail,
+                                             monkeypatch):
         # k packed sets need k more variables, and k never exceeds the
         # number of sets, so the packing rule builds no divisor set when
         # fewer nonsquares are left than it needs, nor when it needs one
@@ -410,9 +410,10 @@ class TestEveryVisitedNode:
             return pruned
 
         monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", checking_rule)
-        for system in random_corpus + [benchmark_system("cubic_cycle", 4)] + later_corpus:
+        for system in (random_corpus + [benchmark_system("cubic_cycle", 4)] + later_corpus
+                       + stream_tail):
             bnb_search(system)
-        assert lazy_calls == 886
+        assert lazy_calls == 1757
 
         real_divisors = quadratize.pruning.divisors
         builds = 0
