@@ -9,8 +9,9 @@ rule finds nonsquares whose factors outside the current variables form
 pairwise disjoint sets: a completion needs a new variable in each set;
 where the incumbent leaves room for only one more variable, it decides
 exactly whether one finishes the node, where it leaves room for two,
-whether two do, and at a node it visits with room for three, once the
-pair-count rule has kept it too, whether three do.  The pair-count rule uses a counting argument (k new
+whether two do, and at a node it visits with room for three or four,
+once the pair-count rule has kept it too, whether three or four do.  The
+pair-count rule uses a counting argument (k new
 variables cover at most k(k+1)/2 pair products).  Node counts, unlike wall
 times, are machine independent.
 
@@ -27,8 +28,8 @@ quadratize.solver by one that never prunes.  The search also calls the
 packing rule on a parent and a child's additions before it extends the
 child, and skips the child when the parent's nonsquares it leaves
 uncovered already need enough variables to reach the incumbent's order;
-switching the packing rule off switches that skip and the test for three
-off too.  Two checks before a child is
+switching the packing rule off switches that skip and the tests for three
+and four off too.  Two checks before a child is
 extended are not rules and stay on in every column, "no pruning" included:
 a child as large as the incumbent ends its parent's list of children,
 since the later ones are no smaller, and a child is skipped that contains
@@ -53,7 +54,7 @@ import quadratize.solver as solver
 from quadratize import benchmark_system, bnb_search
 
 packing_rule = solver.prune_by_packing_bound
-three_complete = solver.three_variables_complete
+few_complete = solver.node_completes
 pair_count_rule = solver.prune_by_quadratic_bound
 
 
@@ -65,13 +66,13 @@ def always(*args):
     return True
 
 
-# (label, packing rule, its test for three more variables, pair-count
-# rule); the last one restores the real rules.
+# (label, packing rule, its tests for three and four more variables,
+# pair-count rule); the last one restores the real rules.
 CONFIGS = [
     ("no pruning", never, always, never),
-    ("packing rule", packing_rule, three_complete, never),
+    ("packing rule", packing_rule, few_complete, never),
     ("pair-count rule", never, always, pair_count_rule),
-    ("all rules", packing_rule, three_complete, pair_count_rule),
+    ("all rules", packing_rule, few_complete, pair_count_rule),
 ]
 
 print(f"{'system':>18} {'order':>5} | " +
@@ -83,7 +84,7 @@ for family in ("cubic_cycle", "cubic_bicycle"):
         cells = []
         order = None
         for _, *rules in CONFIGS:
-            (solver.prune_by_packing_bound, solver.three_variables_complete,
+            (solver.prune_by_packing_bound, solver.node_completes,
              solver.prune_by_quadratic_bound) = rules
             result, stats = bnb_search(system)
             cells.append(f"{stats.nodes_visited} [{stats.pruned_by_symmetry}]")

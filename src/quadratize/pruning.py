@@ -48,14 +48,15 @@ need (prune_by_packing_bound):
 - need 4 or more: greedy packing, k disjoint sets need k more variables,
   and a nonsquare left with an empty set prunes at once.  k never exceeds
   the number of sets, so no set is built when there are too few.
-- need 4 at a visited node, once greedy packing and then rule 2 have kept
-  it: the search decides whether three more variables complete the node
-  (three_variables_complete, which hands the node's partner groups to
-  more_variables_complete: it tries each partner z of one nonsquare m1
-  and asks the need-3 probe about the node with z, then each pair of two
-  new factors of m1 and asks the need-2 probe), and counts a node it
-  refutes as pruned by rule 1.  So rule 1 is exact at a visited node
-  through need 4.  Three other places cost more than they save:
+- needs 4 and 5 at a visited node, once greedy packing and then rule 2
+  have kept it: the search decides whether three or four more variables
+  complete the node (node_completes, which hands the node's partner groups
+  to more_variables_complete: it tries each partner z of one nonsquare m1
+  and asks the probe with a count one less about the node with z, then
+  each pair of two new factors of m1 and asks the probe with a count two
+  less), and counts a node it refutes as pruned by rule 1.  So rule 1 is
+  exact at a visited node through need 5.  Three other places cost more
+  than they save:
   - before extension too: there the probe mostly refutes children that
     building and then packing would prune anyway, so it removes about as
     many nodes as it prunes and runs on every child;
@@ -63,11 +64,18 @@ need (prune_by_packing_bound):
     count of quotients;
   - in place of greedy packing: packing refutes most of those nodes from
     sets the search keeps, where the probe takes derivatives.
-- need 5, on the root lower bound's ladder only: the same probe with a
-  count of 4 decides whether four more variables complete the root (z
-  goes to the need-4 probe and the pair to the need-3 probe).  At a
-  visited node it costs more than it saves: on cubic_cycle(9) 715 of 716
-  calls refute, and each costs about twice the nodes it saves.
+  Nearly every need-5 call refutes (715 of 716 on cubic_cycle(9)), and
+  most of a refutation went to case A's nested states: the partner sets
+  and cover tests of the monomials of z'.  So before the probe asks about
+  a nested state that may add k more, k at least 2 (the node with z, or at
+  a count of 4 with p and q), it packs the monomials it holds that the
+  new variables leave uncovered, nonsquares of the nested state and so a
+  subset again: k + 1 disjoint C(m) among them refute it with no
+  derivative taken (packs_past).  The probe stays exact, so the packing's
+  order changes no answer; it goes fewest divisors first, tests the last
+  set it needs by divisibility and so never builds the largest set, and
+  fills the search's divisor memo.  Without it the need-5 step cost the
+  cubic families about 15% more time; with it they are no slower.
 With no additions and at a visited node the probes are exact; before
 extension they ignore the child's fresh nonsquares, a subset again.
 No probe looks at forbidden pairs, which only keeps more nodes.
@@ -78,7 +86,7 @@ exclusion forbids (solver.py), each kept there as a pair with 1.  The
 rule then bounds only the completions that avoid them, which have a new
 variable in C(m) minus the banned ones, so it packs those sets; a
 nonsquare with nothing left has no such completion at all.  At needs 2
-to 4 a banned monomial is no candidate for a new variable.
+to 5 a banned monomial is no candidate for a new variable.
 
 Rule 2 bounds how many nonsquares r additional variables could cover: each
 new variable z covers at most mult(z) nonsquares of the form z*v with v a
@@ -96,21 +104,19 @@ forbids such walks in the covering graph.
 The root lower bound, and why the root takes no rule.  lower_bound is the
 largest N at which the rules prune a state with no additions and no
 banned variables.  It raises its bound while rule 1 prunes at needs 1 to
-3, and then while more_variables_complete refutes the state at need 4,
-the search's need-4 step at a visited node, and at need 5, before any
-greedy packing count: so it is exact through need 5 by construction, on
-every root.  Then, only when there are more nonsquares than the variables
-proven so far, it takes the greedy packing count and the k of rule 2 and
-of the graph capacity bound: none of them exceeds the number of
-nonsquares.  So rule 1 with its need-4 step, the need-5 step, rule 2 and
-prune_by_c4_bound together prune the state at N exactly when N is at most
-lower_bound.  The search takes it once, at the root, and visits the root
-only when it is below the search's bound, where the rules would keep the
-root, since the need-5 step prunes no more than up to lower_bound either:
-so the root takes no rule.  The root is the only place the graph capacity
-bound and the need-5 step act: below it, the exact probes of rule 1 and
-rule 2 leave the graph bound nothing to prune, and the need-5 step costs
-more than it saves.
+3, and then while more_variables_complete refutes the state at needs 4
+and 5, the search's need-4 and need-5 steps at a visited node, before
+any greedy packing count: so it is exact through need 5 by construction,
+on every root.  Then, only when there are more nonsquares than the
+variables proven so far, it takes the greedy packing count and the k of
+rule 2 and of the graph capacity bound: none of them exceeds the number
+of nonsquares.  So rule 1 with its need-4 and need-5 steps, rule 2 and
+prune_by_c4_bound together prune the state at N exactly when N is at
+most lower_bound.  The search takes it once, at the root, and visits the
+root only when it is below the search's bound, where the rules would keep
+the root: so the root takes no rule.  The root is the only place the
+graph capacity bound acts: below it, the exact probes of rule 1 and rule
+2 leave it nothing to prune.
 """
 
 from __future__ import annotations
@@ -124,6 +130,7 @@ from .polynomials import (
     Monomial,
     degree,
     divides,
+    divisor_count,
     divisors,
     grlex_key,
     is_square,
@@ -220,14 +227,48 @@ def packs(sets, need: int) -> int:
     return count
 
 
+def divisor_set(m: Monomial, divisor_sets: dict) -> frozenset:
+    """D(m), taken from divisor_sets and added there when missing."""
+    if m not in divisor_sets:
+        divisor_sets[m] = frozenset(divisors(m))
+    return divisor_sets[m]
+
+
 def factor_sets(left, vars_set, banned, divisor_sets: dict) -> list:
     """The (C(m), m) pairs of the monomials `left`: C(m) = D(m) less
-    vars_set and the banned monomials, with D(m) taken from divisor_sets
-    and added there when missing."""
-    for m in left:
-        if m not in divisor_sets:
-            divisor_sets[m] = frozenset(divisors(m))
-    return [(divisor_sets[m].difference(vars_set, banned), m) for m in left]
+    vars_set and the banned monomials (divisor_set)."""
+    return [(divisor_set(m, divisor_sets).difference(vars_set, banned), m) for m in left]
+
+
+def packs_past(left, vars_set, banned, count: int, divisor_sets: dict) -> bool:
+    """Whether greedy packing finds count + 1 pairwise disjoint C(m) among
+    the monomials `left`, C(m) taken over vars_set and the banned
+    monomials (factor_sets).
+
+    The packed members are outside vars_set and not banned, so they meet
+    C(m) exactly when they meet D(m), and exactly when one divides m: C(m)
+    is built only for a set that is packed.  The monomials go by
+    divisor_count, fewest divisors first, and the walk stops once too few
+    are left.  The last set it needs is tested by divisibility unless
+    divisor_sets holds D(m) already, so the last monomial, one with the
+    most divisors, never has its set built.  Unlike packs, whose order sets
+    which nodes greedy packing prunes, this serves exact probes, where the
+    order changes no answer.
+    """
+    left = sorted(left, key=divisor_count)
+    packed: set[Monomial] = set()
+    need = count + 1
+    for i, m in enumerate(left):
+        if len(left) - i < need:
+            return False
+        if need == 1:
+            return any(packed.isdisjoint(divisor_sets[last]) if last in divisor_sets
+                       else not any(divides(d, last) for d in packed) for last in left[i:])
+        divs = divisor_set(m, divisor_sets)
+        if packed.isdisjoint(divs):
+            packed |= divs.difference(vars_set, banned)
+            need -= 1
+    return False
 
 
 def covered_by(m: Monomial, vars_set, fresh) -> bool:
@@ -322,7 +363,7 @@ def two_variables_complete(system, vars_set, introduced, groups, banned) -> bool
     derivatives; vars_set is 1, the x_i and the `introduced` monomials, no
     m is a product over it, and P(m) is partners(m) over it.  The caller
     builds the groups (partner_groups), or updates those it holds
-    (three_variables_complete).  It answers True when there are none.
+    (more_variables_complete).  It answers True when there are none.
 
     Let m1 be the monomial with the fewest partners (graded-lex order
     breaks ties).  A completion covers it in one of two ways.  Case A:
@@ -389,7 +430,8 @@ def two_variables_complete(system, vars_set, introduced, groups, banned) -> bool
     return False
 
 
-def more_variables_complete(system, vars_set, introduced, groups, banned, more: int) -> bool:
+def more_variables_complete(system, vars_set, introduced, groups, banned, more: int,
+                            divisor_sets: dict) -> bool:
     """Whether at most `more` more variables, 3 or 4, not in vars_set nor
     banned, cover every monomial m of the (P(m), m) pairs `groups` and
     their own derivatives; vars_set is 1, the x_i and the `introduced`
@@ -411,7 +453,11 @@ def more_variables_complete(system, vars_set, introduced, groups, banned, more: 
     before it takes p' and q'; at 4 two_variables_complete does, with the
     held sets updated for p and then q.  The other variables may cover
     every other monomial, so no other monomial names p: the pairs are those
-    of new_factor_pairs, walked lazily.
+    of new_factor_pairs, walked lazily.  Before either asks about a state
+    that may add two or three more variables, the held monomials that its
+    new variables leave uncovered are packed (packs_past, with D(m) from
+    divisor_sets, the search's memo): one disjoint set more than it may add
+    refutes it before any derivative of z, p or q is taken.
     """
     if not groups:
         return True
@@ -420,10 +466,13 @@ def more_variables_complete(system, vars_set, introduced, groups, banned, more: 
     for z in first:
         after, grown = vars_set | {z}, introduced + (z,)
         inner = list(uncovered_groups(rest, z, vars_set, banned))
+        if packs_past((m for _, m in inner), after, banned, more - 1, divisor_sets):
+            continue
         inner.extend((partners(d, after, grown, banned), d)
                      for d in lie_derivative_support(z, system)
                      if d not in held and not covered(d, vars_set, introduced, (z,)))
-        if (more_variables_complete(system, after, grown, inner, banned, more - 1) if more > 3
+        if (more_variables_complete(system, after, grown, inner, banned, more - 1, divisor_sets)
+                if more > 3
                 else two_variables_complete(system, after, grown, inner, banned)):
             return True
     for pair in new_factor_pairs(m1, vars_set, banned):
@@ -437,6 +486,8 @@ def more_variables_complete(system, vars_set, introduced, groups, banned, more: 
             p, q = pair
             inner = list(uncovered_groups(uncovered_groups(rest, p, vars_set, banned),
                                           q, vars_set | {p}, banned))
+            if packs_past((m for _, m in inner), after, banned, more - 2, divisor_sets):
+                continue
             # p' and q' may share a monomial: each is one group.
             inner.extend((partners(d, after, grown, banned), d) for d in dict.fromkeys(fresh))
             completes = two_variables_complete(system, after, grown, inner, banned)
@@ -445,14 +496,17 @@ def more_variables_complete(system, vars_set, introduced, groups, banned, more: 
     return False
 
 
-def three_variables_complete(system, vars_set, introduced, left, banned) -> bool:
-    """Whether at most three more variables, not in vars_set nor banned,
-    cover every monomial of the set `left` and their own derivatives: the
-    need-4 step at a visited node.  `left` holds every monomial of the
-    derivatives that is no product over vars_set, the nonsquares of a
-    state; more_variables_complete decides it from their partner groups."""
+def node_completes(system, vars_set, introduced, left, banned, more: int,
+                   divisor_sets: dict) -> bool:
+    """Whether at most `more` more variables, 3 or 4, not in vars_set nor
+    banned, cover every monomial of the set `left` and their own
+    derivatives: the need-4 and need-5 steps at a visited node.  `left`
+    holds every monomial of the derivatives that is no product over
+    vars_set, the nonsquares of a state; more_variables_complete decides it
+    from their partner groups."""
     return more_variables_complete(system, vars_set, introduced,
-                                   partner_groups(left, vars_set, introduced, banned), banned, 3)
+                                   partner_groups(left, vars_set, introduced, banned), banned,
+                                   more, divisor_sets)
 
 
 def prune_by_packing_bound(state: SearchState, incumbent_order: int,
@@ -530,21 +584,22 @@ def prune_by_c4_bound(state: SearchState, incumbent_order: int) -> bool:
 
 def lower_bound(state: SearchState, divisor_sets: dict) -> int:
     """A proven lower bound on the order of every quadratization that
-    contains the state: the largest of the two rules' bounds, the need-5
-    step's and the graph capacity bound.
+    contains the state: the largest of the two rules' bounds and the graph
+    capacity bound.
 
     It raises the bound while prune_by_packing_bound prunes the state at
     needs 1 to 3, where the rule is exact whatever the number of
     nonsquares, and then while more_variables_complete refutes the state
-    at need 4, the search's need-4 step at a visited node, and at need 5,
-    from one set of partner groups: so the bound is the optimum whenever
-    the optimum has at most four variables more than the state.  Then it
-    takes the greedy packing count and the counting rules' k when there
-    are more nonsquares than that; the packing's divisor sets go to
-    divisor_sets, the search's memo.  So, with no banned variables, the two
-    rules, the need-4 and need-5 steps and prune_by_c4_bound together prune
-    the state at bound N exactly when N is at most this (the module
-    docstring gives why, and why the root takes no rule).
+    at needs 4 and 5, the search's need-4 and need-5 steps at a visited
+    node, from one set of partner groups: so the bound is the optimum
+    whenever the optimum has at most four variables more than the state.
+    Then it takes the greedy packing count and the counting rules' k when
+    there are more nonsquares than that; the divisor sets that this
+    packing and the probe's packing build go to divisor_sets, the search's
+    memo.  So, with no banned variables, the two rules, the need-4 and
+    need-5 steps and prune_by_c4_bound together prune the state at bound N
+    exactly when N is at most this (the module docstring gives why, and why
+    the root takes no rule).
     """
     left, new, more = state.nonsquares, len(state.new_vars), 0
     while more < 3 and prune_by_packing_bound(state, new + more + 1, (), divisor_sets):
@@ -552,7 +607,8 @@ def lower_bound(state: SearchState, divisor_sets: dict) -> int:
     if more == 3:
         groups = partner_groups(left, state.vars_set, state.new_vars, ())
         while more < 5 and not more_variables_complete(state.system, state.vars_set,
-                                                       state.new_vars, groups, (), more):
+                                                       state.new_vars, groups, (), more,
+                                                       divisor_sets):
             more += 1
     if len(left) > more:
         more = max(more, packs(factor_sets(left, state.vars_set, (), divisor_sets), len(left)))

@@ -1,9 +1,9 @@
 """Depth-first branch-and-bound driver, Laurent lifting, and benchmark systems.
 
 The search first bounds the order of every quadratization from the root
-(pruning.lower_bound): the largest bound at which its two rules, the
-exact need-5 step and the graph capacity bound prune the root.  A cap
-below it raises at once.  Then it builds a greedy quadratization
+(pruning.lower_bound): the largest bound at which its two rules and the
+graph capacity bound prune the root.  A cap below it raises at once.
+Then it builds a greedy quadratization
 (initial_incumbent): a descent inside the per-variable degree box of the
 system that takes the child with the fewest nonsquares, the
 reverse-delete step of greedy set cover, and, while the order is above
@@ -24,7 +24,7 @@ none is, so the answer and the incumbents found are those of the search
 run to its end; only the nodes that would prove again what the root bound
 proves go.  The root is visited only when that bound is below the
 search's, and takes no rule; pruning's module docstring gives why, and
-why the graph bound and the need-5 step act at the root only.
+why the graph bound acts at the root only.
 
 A node's children are drawn fewest new variables first, and the bound
 only falls, so the first child with at least as many new variables as the
@@ -113,11 +113,11 @@ from .polynomials import (
 # it here by name, and the import goes when the tracer reads an observer.
 from .pruning import (
     lower_bound,
+    node_completes,
     one_variable_completes,
     prune_by_c4_bound,
     prune_by_packing_bound,
     prune_by_quadratic_bound,
-    three_variables_complete,
 )
 from .state import SearchState, is_product
 
@@ -390,19 +390,19 @@ def bnb_search(system: ODESystem, *,
 
     Every visited node other than the root that is not a quadratization
     goes through the packing rule, with the node's banned variables, then
-    the pair-count rule, and at need 4 (bound - new variables) then the
-    packing rule's exact need-4 step, three_variables_complete, with the
-    same banned variables; its prunes count in pruned_by_packing.  A child
-    at need 4 is skipped before extension by greedy packing only.  One dict
-    of divisor sets serves every packing call of the search and the root
-    lower bound.  The root is visited only when the root lower bound is
-    below the bound, and takes no rule (pruning's module docstring gives
-    why).  Both rules are sound lower bounds, so they change only the
-    number of nodes visited, never the answer.  The packing rule prunes a
-    node with a nonsquare left one short of the bound, so a node the rules
-    keep has depth + 1 < bound, and no separate depth cutoff is needed.
-    The graph capacity bound and the need-5 step are terms of the root
-    lower bound only.
+    the pair-count rule, and at need 4 or 5 (bound - new variables) then
+    the packing rule's exact need-4 or need-5 step, node_completes, with
+    the same banned variables; its prunes count in pruned_by_packing.  A
+    child at need 4 or 5 is skipped before extension by greedy packing
+    only.  One dict of divisor sets serves every packing call of the
+    search, the packing inside those steps and the root lower bound.  The
+    root is visited only when the root lower bound is below the bound, and
+    takes no rule (pruning's module docstring gives why).  Both rules are
+    sound lower bounds, so they change only the number of nodes visited,
+    never the answer.  The packing rule prunes a node with a nonsquare left
+    one short of the bound, so a node the rules keep has depth + 1 < bound,
+    and no separate depth cutoff is needed.  The graph capacity bound is a
+    term of the root lower bound only.
 
     The root lower bound is taken first: a max_order_cap below it raises
     NoQuadratizationWithinCap before the greedy descent, and it is
@@ -414,9 +414,8 @@ def bnb_search(system: ODESystem, *,
     visits, at least 1.  A search that finds none without a cap has an
     unsound rule, and raises RuntimeError.  The search returns at the first
     quadratization whose order equals the root lower bound
-    (pruning.lower_bound, the largest of the rules' bounds, the need-5
-    step's and the graph capacity bound at the root, taken once per
-    search).  Any later incumbent would be smaller than that bound, so the
+    (pruning.lower_bound, the largest of the rules' bounds and the graph
+    capacity bound at the root, taken once per search).  Any later incumbent would be smaller than that bound, so the
     answer, incumbent_updates and optimal_order are those of the search
     run to its end, and only nodes_visited and the prune counts fall.
 
@@ -537,9 +536,9 @@ def bnb_search(system: ODESystem, *,
                 if prune_by_quadratic_bound(state, bound):
                     pruned_quadratic += 1
                     continue
-                if bound - len(state.new_vars) == 4 and not three_variables_complete(
+                if (need := bound - len(state.new_vars)) in (4, 5) and not node_completes(
                         system, state.vars_set, state.new_vars, state.nonsquares,
-                        partners[unit]):
+                        partners[unit], need - 1, divisor_sets):
                     pruned_packing += 1
                     continue
             # The elements that map the set of new variables onto itself;

@@ -97,7 +97,7 @@ def rules(config):
     substituting it in quadratize.solver by one that never prunes.  The
     search also calls the packing rule to skip children before extending
     them, so switching it off switches that skip off too, and its need-4
-    step at a visited node (three_variables_complete) as well.  Sibling
+    and need-5 steps at a visited node (node_completes) as well.  Sibling
     exclusion is no rule and stays on in every configuration; its banned
     variables act only through the packing rule.  The root lower bound
     (pruning.lower_bound), which ends the search at an answer that meets it
@@ -106,11 +106,11 @@ def rules(config):
     """
     if config not in RULE_CONFIGS:
         raise ValueError(f"unknown rule configuration {config!r}")
-    names = ("prune_by_packing_bound", "three_variables_complete", "prune_by_quadratic_bound")
+    names = ("prune_by_packing_bound", "node_completes", "prune_by_quadratic_bound")
     saved = [getattr(quadratize.solver, name) for name in names]
     if config not in ("packing", "all"):
         quadratize.solver.prune_by_packing_bound = lambda state, bound, *args: False
-        quadratize.solver.three_variables_complete = lambda *args: True
+        quadratize.solver.node_completes = lambda *args: True
     if config not in ("quadratic", "all"):
         quadratize.solver.prune_by_quadratic_bound = lambda state, bound: False
     try:

@@ -140,8 +140,8 @@ class TestPartners:
             expected = {z for a, b in factor_pairs(m) for z, w in ((a, b), (b, a))
                         if w in vars_set or w == z}
             assert found == expected - vars_set - banned, (m, introduced, banned)
-        assert len(calls) == 9414
-        assert sum(bool(banned) for *_, banned, _ in calls) == 3464
+        assert len(calls) == 10150
+        assert sum(bool(banned) for *_, banned, _ in calls) == 3608
 
 
 class TestPolynomial:

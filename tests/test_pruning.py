@@ -337,6 +337,10 @@ class TestPrunedNodesAreSound:
 # nodes before its first answer.
 CLOSED_SEARCHES = ((14, None), (17, 7), (32, None), (35, 8), (57, None))
 
+# Dense permutation-closed searches, in the same form, whose visited nodes
+# sit mostly at needs 4 and 5: the need-4 check takes them too.
+DENSE_SEARCHES = ((10, 8), (42, 8), (50, 8))
+
 
 @pytest.fixture(scope="module")
 def packing_calls(soundness_corpus, later_corpus, stream_tail):
@@ -444,7 +448,7 @@ class TestNeedTwoIsExact:
         assert not any(pruned for need, pruned in other_calls if need == 2)
 
 
-def completes_within(system, new_vars, banned, more):
+def completes_within(system, new_vars, banned, more, refuted=None):
     """Whether at most `more` monomials, outside the generalized variables
     and not banned, complete new_vars to a quadratization, by brute force
     with the checker (quadratization_violations).
@@ -453,8 +457,17 @@ def completes_within(system, new_vars, banned, more):
     one of its members as a factor, so some member divides each one: the
     members tried are the divisors of the one with the fewest divisors
     (the first in tuple order on ties); and with one member left to add,
-    that member divides every one.
+    that member is a factor of every one.  `refuted` holds the sets of new
+    variables already found to have no such completion, fresh for each
+    top-level call: the sets of one call that have the same size may add
+    the same number more, so a set reached by another order of additions
+    is not searched again.
     """
+    if refuted is None:
+        refuted = set()
+    key = frozenset(new_vars)
+    if key in refuted:
+        return False
     uncovered = sorted({m for _, m in quadratization_violations(system, new_vars)})
     if not uncovered:
         return True
@@ -464,10 +477,18 @@ def completes_within(system, new_vars, banned, more):
     variables = {unit_monomial(n)} | {variable_monomial(n, i) for i in range(n)} | set(new_vars)
     candidates = set(divisors(min(uncovered, key=divisor_count)))
     if more == 1:
-        for m in uncovered:
-            candidates.intersection_update(divisors(m))
-    return any(completes_within(system, new_vars + (z,), banned, more - 1)
-               for z in sorted(candidates - variables - banned))
+        # No reported monomial is a product over the generalized variables,
+        # so the one member z left covers each as z * w, with w one of them
+        # or z itself (a z that does not divide it leaves a negative
+        # exponent in w).
+        candidates = {z for z in candidates
+                      if all((w := tuple(a - b for a, b in zip(m, z))) in variables or w == z
+                             for m in uncovered)}
+    if any(completes_within(system, new_vars + (z,), banned, more - 1, refuted)
+           for z in sorted(candidates - variables - banned)):
+        return True
+    refuted.add(key)
+    return False
 
 
 class TestNeedThreeIsExact:
@@ -493,7 +514,7 @@ class TestNeedThreeIsExact:
                 assert not completes_within(system, new_vars + added, banned, 2), (
                     f"pruned {new_vars + added} at need 3, but two variables complete it")
                 checked += 1
-        assert checked == 356
+        assert checked == 202
 
     def test_kept_visited_nodes_with_two_nonsquares_have_one(self, need_three):
         calls, *_ = need_three
@@ -532,25 +553,27 @@ class TestNeedThreeIsExact:
 
 class TestNeedFourIsExact:
     # With three more variables allowed below the bound (need 4), the search
-    # asks the need-4 step (three_variables_complete, which hands the
-    # node's partner groups to more_variables_complete) about a visited
-    # node that greedy packing and the pair-count rule keep, and the root
-    # lower bound asks more_variables_complete about a root the packing
-    # rule prunes at need 3; checked by brute force (completes_within).  A
+    # asks the need-4 step (node_completes, which hands the node's partner
+    # groups to more_variables_complete) about a visited node that greedy
+    # packing and the pair-count rule keep, and the root lower bound asks
+    # more_variables_complete about a root the packing rule prunes at need
+    # 3; checked by brute force (completes_within).  A
     # child at need 4 before extension goes through greedy packing alone.
 
     @pytest.fixture(scope="class")
     def need_four(self, packing_calls):
-        """Over the searches of packing_calls: every call of the need-4 step,
-        as (where, system, new_vars, banned, completes) with where "search"
-        or "root"; for every call of the packing rule on a child at need 4
-        before extension, (nonsquares the additions leave, whether it
-        packed, whether it probed); and (monomial, partner set handed on,
-        partners recomputed) for every group of the need-3, need-4 and
-        need-5 probes, the root's need-5 step included."""
+        """Over the searches of packing_calls and DENSE_SEARCHES: every call
+        of the need-4 step, as (where, system, new_vars, banned, completes)
+        with where "search" or "root"; for every call of the packing rule
+        on a child at need 4 before extension, (nonsquares the additions
+        leave, whether it packed, whether it probed); and (monomial,
+        partner set handed on, partners recomputed) for every group of the
+        need-3, need-4 and need-5 probes, the root's need-5 step included,
+        over the searches of packing_calls."""
         _, _, searches = packing_calls
         calls, children, inside, groups_seen = [], [], [], []
         under_way = []  # the counts of the probes under way, outermost first
+        recount = [True]  # whether partner sets are recounted
         where = ["search"]
         real_probe = quadratize.pruning.more_variables_complete
         real_need_three = quadratize.pruning.two_variables_complete
@@ -559,18 +582,21 @@ class TestNeedFourIsExact:
         real_floor = quadratize.solver.lower_bound
 
         def recording_need_three(system, vars_set, introduced, groups, banned):
-            groups_seen.extend((m, group, partners(m, vars_set, introduced, banned))
-                               for group, m in groups)
+            if recount:
+                groups_seen.extend((m, group, partners(m, vars_set, introduced, banned))
+                                   for group, m in groups)
             return real_need_three(system, vars_set, introduced, groups, banned)
 
-        def recording_probe(system, vars_set, introduced, groups, banned, more):
-            groups_seen.extend((m, group, partners(m, vars_set, introduced, banned))
-                               for group, m in groups)
+        def recording_probe(system, vars_set, introduced, groups, banned, more, divisor_sets):
+            if recount:
+                groups_seen.extend((m, group, partners(m, vars_set, introduced, banned))
+                                   for group, m in groups)
             if inside:
                 inside[-1].add("probe")
             under_way.append(more)
             try:
-                completes = real_probe(system, vars_set, introduced, groups, banned, more)
+                completes = real_probe(system, vars_set, introduced, groups, banned, more,
+                                       divisor_sets)
             finally:
                 under_way.pop()
             if not under_way and more == 3:
@@ -600,12 +626,20 @@ class TestNeedFourIsExact:
                     left = sum(not is_product(m, vars_set, added) for m in state.nonsquares)
                     children.append((left, "packs" in ran, "probe" in ran))
 
+        closed = closed_systems(max(i for i, _ in DENSE_SEARCHES) + 1)
+        dense = [(closed[i], cap) for i, cap in DENSE_SEARCHES]
         with mock.patch.multiple(quadratize.solver, prune_by_packing_bound=recording_rule,
                                  lower_bound=recording_floor), \
                 mock.patch.multiple(quadratize.pruning, packs=recording_packs,
                                     more_variables_complete=recording_probe,
                                     two_variables_complete=recording_need_three):
             for system, cap in searches:
+                with suppress(NoQuadratizationWithinCap):
+                    bnb_search(system, max_order_cap=cap)
+            # Recounting the partner sets of the dense searches too would
+            # double the time of this fixture.
+            recount.clear()
+            for system, cap in dense:
                 with suppress(NoQuadratizationWithinCap):
                     bnb_search(system, max_order_cap=cap)
         return calls, children, groups_seen
@@ -618,7 +652,7 @@ class TestNeedFourIsExact:
                 assert not completes_within(system, new_vars, banned, 3), (
                     f"refuted {new_vars} at need 4, but three variables complete it")
                 checked[where] += 1
-        assert checked == {"search": 386, "root": 142}
+        assert checked == {"search": 195, "root": 145}
 
     def test_kept_nodes_have_one(self, need_four):
         # Every node the step is asked about is a visited node or a root.
@@ -629,7 +663,7 @@ class TestNeedFourIsExact:
                 assert completes_within(system, new_vars, banned, 3), (
                     f"kept {new_vars} at need 4, but no three variables complete it")
                 checked[where] += 1
-        assert checked == {"search": 152, "root": 148}
+        assert checked == {"search": 156, "root": 148}
 
     def test_children_before_extension_are_only_packed(self, need_four):
         # Greedy packing runs when four or more nonsquares are left, since
@@ -637,7 +671,7 @@ class TestNeedFourIsExact:
         _, children, _ = need_four
         assert not any(probed for _, _, probed in children)
         assert all(packed == (left >= 4) for left, packed, _ in children)
-        assert (len(children), sum(packed for _, packed, _ in children)) == (798, 379)
+        assert (len(children), sum(packed for _, packed, _ in children)) == (400, 179)
 
     @pytest.mark.parametrize("text,optimum,case", [
         # x^2*y^2 has the fewest partners of the two nonsquares, and no
@@ -669,12 +703,13 @@ class TestNeedFourIsExact:
         # A probe hands the next one the partner sets it holds, updated for
         # its first new variable z (case A), or for p and then q (case B of
         # the need-5 step), in place of new ones: each equals partners(m)
-        # over the state with them.  The need-3 rule and the need-4 step at a
-        # node and the root ladder build their own, checked here as well.
+        # over the state with them.  The need-3 rule, the need-4 and need-5
+        # steps at a node and the root ladder build their own, checked here
+        # as well.
         *_, groups_seen = need_four
         for m, handed, recomputed in groups_seen:
             assert handed == recomputed, m
-        assert len(groups_seen) == 24678
+        assert len(groups_seen) == 45277
 
 
 class TestNeedFiveAtTheRoot:
@@ -691,10 +726,11 @@ class TestNeedFiveAtTheRoot:
         under_way = []
         real_probe = quadratize.pruning.more_variables_complete
 
-        def recording_probe(system, vars_set, introduced, groups, banned, more):
+        def recording_probe(system, vars_set, introduced, groups, banned, more, divisor_sets):
             under_way.append(more)
             try:
-                completes = real_probe(system, vars_set, introduced, groups, banned, more)
+                completes = real_probe(system, vars_set, introduced, groups, banned, more,
+                                       divisor_sets)
             finally:
                 under_way.pop()
             if not under_way and more == 4:
@@ -748,7 +784,7 @@ class TestNeedFiveAtTheRoot:
         bounds = [lower_bound(root, {}) for root in roots]
         real_probe = quadratize.pruning.more_variables_complete
         monkeypatch.setattr(quadratize.pruning, "more_variables_complete",
-                            lambda *args: args[-1] == 4 or real_probe(*args))
+                            lambda *args: args[5] == 4 or real_probe(*args))
         without = [lower_bound(root, {}) for root in roots]
         assert (without[0], bounds[0]) == (4, 5)
         lifted = [(old, new) for old, new in zip(without[1:], bounds[1:]) if old != new]
@@ -761,6 +797,79 @@ class TestNeedFiveAtTheRoot:
         divisor_sets = {}
         assert lower_bound(SearchState.initial(system), divisor_sets) == 5
         assert (1000000, 0, 0, 0, 0) not in divisor_sets
+
+
+class TestNeedFiveAtVisitedNodes:
+    # With four more variables allowed below the bound (need 5), the search
+    # asks the need-5 step (node_completes with a count of 4) about a
+    # visited node that greedy packing and the pair-count rule keep, and
+    # counts a node it refutes as pruned by the packing rule; checked by
+    # brute force (completes_within) over corpus seed 11 of the benchmark,
+    # cubic_cycle(6), cubic_bicycle(6) and the permutation-closed searches
+    # of packing_calls and DENSE_SEARCHES but systems 10 and 42 capped at 8:
+    # on their refuted nodes the check takes about 4 and 35 s.
+
+    @pytest.fixture(scope="class")
+    def need_five(self):
+        """(system, new_vars, banned, completes) for each call of the
+        need-5 step at a visited node."""
+        calls = []
+        real_step = quadratize.solver.node_completes
+
+        def recording_step(system, vars_set, introduced, left, banned, more, divisor_sets):
+            completes = real_step(system, vars_set, introduced, left, banned, more, divisor_sets)
+            if more == 4:
+                calls.append((system, introduced, frozenset(banned), completes))
+            return completes
+
+        closed = closed_systems(max(i for i, _ in CLOSED_SEARCHES + DENSE_SEARCHES) + 1)
+        searches = ([(parse_system(instance.text), None)
+                     for instance in benchmark_workloads().corpus(11)]
+                    + [(benchmark_system(family, 6), None)
+                       for family in ("cubic_cycle", "cubic_bicycle")]
+                    + [(closed[i], cap) for i, cap in CLOSED_SEARCHES + DENSE_SEARCHES
+                       if i not in (10, 42)])
+        with mock.patch.object(quadratize.solver, "node_completes", recording_step):
+            for system, cap in searches:
+                with suppress(NoQuadratizationWithinCap):
+                    bnb_search(system, max_order_cap=cap)
+        return calls
+
+    def test_refuted_nodes_have_no_four_variable_completion(self, need_five):
+        refuted = [call for call in need_five if not call[-1]]
+        for system, new_vars, banned, _ in refuted:
+            assert not completes_within(system, new_vars, banned, 4), (
+                f"refuted {new_vars} at need 5, but four variables complete it")
+        assert len(refuted) == 192
+
+    def test_kept_nodes_have_one(self, need_five):
+        kept = [call for call in need_five if call[-1]]
+        for system, new_vars, banned, _ in kept:
+            assert completes_within(system, new_vars, banned, 4), (
+                f"kept {new_vars} at need 5, but no four variables complete it")
+        assert len(kept) == 24
+
+    @pytest.mark.parametrize("cubes", [3, 4])
+    def test_a_huge_power_gets_no_factor_set(self, cubes, monkeypatch):
+        # x^100000 has 100,001 divisors.  The probe's packing takes its
+        # monomials fewest divisors first and tests the last set it needs
+        # by divisibility, so the largest set is never built; nor does any
+        # other rule of the search build it.  Every factor set is taken
+        # from a divisor set (divisor_set).
+        system = parse_system("x' = x^100000\n" + "\n".join(
+            f"{v}' = {v}^3" for v in "yzwu"[:cubes]))
+        real_divisor_set = quadratize.pruning.divisor_set
+        built = set()
+
+        def recording(m, divisor_sets):
+            built.add(m)
+            return real_divisor_set(m, divisor_sets)
+
+        monkeypatch.setattr(quadratize.pruning, "divisor_set", recording)
+        result, stats = bnb_search(system)
+        assert (result.order, stats.nodes_visited) == (cubes + 1, cubes + 3)
+        assert built
+        assert (100000,) + (0,) * cubes not in built
 
 
 def two_variable_completions(system):

@@ -4,6 +4,7 @@ import random
 import sys
 import time
 import tracemalloc
+from contextlib import suppress
 from itertools import combinations, permutations, product
 
 import pytest
@@ -32,13 +33,11 @@ from quadratize.polynomials import (
 from quadratize.pruning import (
     c4_bound,
     lower_bound,
-    more_variables_complete,
-    partner_groups,
+    node_completes,
     prune_by_c4_bound,
     prune_by_packing_bound,
     prune_by_quadratic_bound,
     quadratic_bound,
-    three_variables_complete,
 )
 from quadratize.solver import (
     NoQuadratizationWithinCap,
@@ -466,7 +465,7 @@ class TestExponentBound:
 
 class TestRuleConfigurations:
     def test_rules_are_restored_after_an_error(self):
-        names = ("prune_by_packing_bound", "three_variables_complete", "prune_by_quadratic_bound")
+        names = ("prune_by_packing_bound", "node_completes", "prune_by_quadratic_bound")
         real = [getattr(quadratize.solver, name) for name in names]
         with pytest.raises(RuntimeError):
             with rules("none"):
@@ -895,7 +894,7 @@ class TestSkippedChildrenAreSound:
                 assert found is None, (
                     f"skipped {new_vars} at bound {bound}, but {found} quadratizes")
                 checked += 1
-        assert checked == 17
+        assert checked == 6
 
     def test_completion_below_finds_known_optima(self, worked_systems):
         # The checker above is only as good as this search.
@@ -978,7 +977,7 @@ class TestChildrenSkippedBeforeExtensionAreSound:
                     f"skipped {parent.new_vars + added} at bound {bound}, "
                     f"but {found} quadratizes")
                 checked += 1
-        assert checked == 321
+        assert checked == 317
 
 
 class TestExcludedChildrenAreSound:
@@ -1068,7 +1067,7 @@ class TestExcludedChildrenAreSound:
                     earlier[3] and id(earlier[0]) in ancestors and j not in on_path
                     and members.issuperset(earlier[1])
                     for j, earlier in enumerate(pulled[:i]))
-        assert (checked, by_image) == (477, 249)
+        assert (checked, by_image) == (188, 92)
 
     def test_nodes_only_the_banned_variables_prune_have_no_smaller_completion(
             self, soundness_corpus, monkeypatch):
@@ -1092,12 +1091,17 @@ class TestExcludedChildrenAreSound:
             parse_system("x1' = x1^3\nx2' = x2^3\nx3' = x3^3")] + [
             parse_system(text) for text in THREE_CYCLE_TEXTS + THREE_CYCLE_SKIP_TEXTS + SWAP_TEXTS]
         # Permutation-closed systems whose searches visit nodes at need 2
-        # (test_pruning.CLOSED_SEARCHES).
+        # (test_pruning.CLOSED_SEARCHES).  Since the need-5 step, the
+        # banned variables prune visited nodes only in larger searches:
+        # the cubic families at 5, and system 41 capped at 8.
         closed = closed_systems(58)
-        systems += [closed[i] for i in (14, 32, 57)]
-        for system in systems:
+        searches = [(system, None) for system in systems + [closed[i] for i in (14, 32, 57)]
+                    + [benchmark_system(family, 5) for family in ("cubic_cycle", "cubic_bicycle")]]
+        searches.append((closed[41], 8))
+        for system, cap in searches:
             pruned.clear()
-            bnb_search(system)
+            with suppress(NoQuadratizationWithinCap):
+                bnb_search(system, max_order_cap=cap)
             pool = box_candidates(system, wide_box(system))
             for new_vars, bound, is_visited in pruned:
                 found = completion_below(system, new_vars, bound, pool)
@@ -1106,7 +1110,7 @@ class TestExcludedChildrenAreSound:
                     f"but {found} quadratizes")
                 visited += is_visited
                 skipped += not is_visited
-        assert (visited, skipped) == (13, 9)
+        assert (visited, skipped) == (3, 7)
 
     def test_many_siblings_cost_no_more_each(self, monkeypatch):
         # The root of x^200000 has 100,001 children, one variable each
@@ -1204,7 +1208,7 @@ class TestFrameEnds:
         assert late == []
         assert twice == []
         assert calls == kept
-        assert (ends, calls) == (67, 2470)
+        assert (ends, calls) == (67, 1488)
 
 
 class TestNoSetVisitedTwice:
@@ -1261,8 +1265,8 @@ class TestNoSetVisitedTwice:
 
 class TestSkippingKeepsTheAnswer:
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 5, SearchStats(190, 122, 0, 0, 1, 10)),
-        ("cubic_bicycle", 5, SearchStats(118, 51, 0, 0, 1, 10)),
+        ("cubic_cycle", 5, SearchStats(70, 33, 0, 0, 1, 10)),
+        ("cubic_bicycle", 5, SearchStats(68, 31, 0, 0, 1, 10)),
     ])
     def test_without_matches_the_stats_are_those_of_the_plain_search(
             self, monkeypatch, name, n, stats):
@@ -1304,8 +1308,8 @@ class TestSkippingKeepsTheAnswer:
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 6, SearchStats(201, 120, 0, 19, 1, 12)),
-        ("cubic_bicycle", 6, SearchStats(82, 22, 0, 4, 1, 12)),
+        ("cubic_cycle", 6, SearchStats(113, 56, 0, 19, 1, 12)),
+        ("cubic_bicycle", 6, SearchStats(73, 22, 0, 4, 1, 12)),
     ])
     def test_pinned_node_counts(self, name, n, stats):
         assert bnb_search(benchmark_system(name, n))[1] == stats
@@ -1375,15 +1379,12 @@ class TestRootLowerBound:
         for system in systems + closed_systems(60):
             root = SearchState.initial(system)
             floor = lower_bound(root, {})
-            groups = partner_groups(root.nonsquares, root.vars_set, (), ())
             for bound in range(floor + 3):
                 pruned = (prune_by_packing_bound(root, bound)
                           or prune_by_quadratic_bound(root, bound)
                           or prune_by_c4_bound(root, bound)
-                          or bound == 4 and not three_variables_complete(
-                              system, root.vars_set, (), root.nonsquares, ())
-                          or bound == 5 and not more_variables_complete(
-                              system, root.vars_set, (), groups, (), 4))
+                          or bound in (4, 5) and not node_completes(
+                              system, root.vars_set, (), root.nonsquares, (), bound - 1, {}))
                 assert pruned == (bound <= floor), (system, bound, floor)
 
     def test_the_need_four_step_matches_the_graph_bound(self, monkeypatch):
@@ -1428,9 +1429,9 @@ class TestRootLowerBound:
             result, stats = bnb_search(system)
             nodes += stats.nodes_visited
             proven += lower_bound(SearchState.initial(system), {}) == result.order
-        assert (nodes, proven) == (832, 194)
+        assert (nodes, proven) == (752, 194)
         monkeypatch.setattr(quadratize.solver, "lower_bound", no_root_lower_bound)
-        assert sum(bnb_search(system)[1].nodes_visited for system in systems) == 968
+        assert sum(bnb_search(system)[1].nodes_visited for system in systems) == 888
 
 
 # SHA-256 over the answers for the systems of test_documents_hash_to_the_pin:

@@ -314,17 +314,21 @@ class TestEveryVisitedNode:
         # corpus rarely reaches, so two cubic systems join it.  The need-3
         # probe walks the divisors of a lone nonsquare for its factor pairs
         # too, and the need-4 and need-5 probes those of one of their
-        # nonsquares, and none builds a set: the memo stays as it was.
+        # nonsquares; the need-3 probe builds no set, and the need-4 and
+        # need-5 probes build sets only for monomials of their groups, in
+        # the search's memo, to pack them (packs_past).
         real_rule = quadratize.solver.prune_by_packing_bound
         real_floor = quadratize.solver.lower_bound
         real_packs = quadratize.pruning.packs
         real_divisors = quadratize.pruning.divisors
+        real_divisor_set = quadratize.pruning.divisor_set
         real_probe = quadratize.pruning.two_variables_complete
         real_more = quadratize.pruning.more_variables_complete
         context = []
         builds = Counter()
         probing = []
-        checked = walks = 0
+        building = []
+        checked = walks = probe_builds = 0
 
         def tracking_rule(state, bound, added, divisor_sets, banned):
             context[:] = state, added, banned
@@ -349,27 +353,39 @@ class TestEveryVisitedNode:
                 checked += 1
             return real_packs(sets, need)
 
+        def tracking_divisor_set(m, divisor_sets):
+            nonlocal probe_builds
+            if probing and m not in divisor_sets:
+                assert m in probing[-1], (probing[-1], m)
+                probe_builds += 1
+            building.append(m)
+            try:
+                return real_divisor_set(m, divisor_sets)
+            finally:
+                building.pop()
+
         def counting_divisors(m):
             nonlocal walks
-            if probing:
-                assert m in probing[-1], (probing[-1], m)
-                walks += 1
-            else:
+            if building:
                 builds[m] += 1
+            else:
+                assert probing and m in probing[-1], (probing[-1] if probing else None, m)
+                walks += 1
             return real_divisors(m)
 
         def tracking_probe(system, vars_set, introduced, groups, banned):
-            # The need-3 probe walks the divisors of a lone nonsquare only.
+            # The need-3 probe walks the divisors of a lone nonsquare only,
+            # and builds no set.
             probing.append([m for _, m in groups] if len(groups) == 1 else [])
             try:
                 return real_probe(system, vars_set, introduced, groups, banned)
             finally:
                 probing.pop()
 
-        def tracking_more(system, vars_set, introduced, groups, banned, more):
+        def tracking_more(system, vars_set, introduced, groups, banned, more, divisor_sets):
             probing.append([m for _, m in groups])
             try:
-                return real_more(system, vars_set, introduced, groups, banned, more)
+                return real_more(system, vars_set, introduced, groups, banned, more, divisor_sets)
             finally:
                 probing.pop()
 
@@ -377,6 +393,7 @@ class TestEveryVisitedNode:
         monkeypatch.setattr(quadratize.solver, "lower_bound", tracking_floor)
         monkeypatch.setattr(quadratize.pruning, "packs", checking_packs)
         monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
+        monkeypatch.setattr(quadratize.pruning, "divisor_set", tracking_divisor_set)
         monkeypatch.setattr(quadratize.pruning, "two_variables_complete", tracking_probe)
         monkeypatch.setattr(quadratize.pruning, "more_variables_complete", tracking_more)
         for system in random_corpus + [benchmark_system("cubic_cycle", n) for n in (4, 5)] + [
@@ -384,7 +401,7 @@ class TestEveryVisitedNode:
             builds.clear()
             bnb_search(system)
             assert set(builds.values()) <= {1}
-        assert (checked, walks) == (421, 153)
+        assert (checked, walks, probe_builds) == (253, 197, 93)
 
     def test_too_few_nonsquares_build_no_set(self, random_corpus, later_corpus, stream_tail,
                                              monkeypatch):
@@ -413,7 +430,7 @@ class TestEveryVisitedNode:
         for system in (random_corpus + [benchmark_system("cubic_cycle", 4)] + later_corpus
                        + stream_tail):
             bnb_search(system)
-        assert lazy_calls == 1757
+        assert lazy_calls == 1728
 
         real_divisors = quadratize.pruning.divisors
         builds = 0
