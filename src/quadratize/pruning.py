@@ -64,7 +64,7 @@ need (prune_by_packing_bound):
     count of quotients;
   - in place of greedy packing: packing refutes most of those nodes from
     sets the search keeps, where the probe takes derivatives.
-  Nearly every need-5 call refutes (715 of 716 on cubic_cycle(9)), and
+  Nearly every need-5 call refutes (716 of 717 on cubic_cycle(9)), and
   most of a refutation went to case A's nested states: the partner sets
   and cover tests of the monomials of z'.  So before the probe asks about
   a nested state that may add k more, k at least 2 (the node with z, or at
