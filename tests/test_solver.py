@@ -848,6 +848,16 @@ SWAP_TEXTS = (
 )
 
 
+# Permutation-closed systems, by index in conftest.closed_systems, whose
+# searches take a fraction of a second and skip children that the
+# brute-force checker affords: since the need-5 step at visited nodes, the
+# searches of the other systems of these tests skip far fewer.  Systems 35,
+# 47 and 52 skip images of visited sets; the exclusion test leaves out 47,
+# whose checks take about 2 s.
+CLOSED_SKIP_SYSTEMS = (35, 47, 52)
+CLOSED_EXCLUSION_SYSTEMS = (14, 35, 52)
+
+
 class TestSkippedChildrenAreSound:
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, monkeypatch):
         # Every child skipped at bound N: no superset of its variables, drawn
@@ -856,8 +866,8 @@ class TestSkippedChildrenAreSound:
         # the search starts it, after its first incumbent, and falls to the
         # size of each visited quadratization smaller than it.  Exclusion
         # forbids most images of a settled child before the table sees them,
-        # so six systems with a 3-cycle symmetry join the cubic families,
-        # whose tables skip little.
+        # so six systems with a 3-cycle symmetry and CLOSED_SKIP_SYSTEMS join
+        # the cubic families, whose tables skip little.
         tracked = {}
         skipped = []
         original_key = quadratize.solver.orbit_key
@@ -882,6 +892,8 @@ class TestSkippedChildrenAreSound:
         systems = soundness_corpus + [benchmark_system(family, n) for n in (3, 4)
                                       for family in ("cubic_cycle", "cubic_bicycle")] + [
             parse_system(text) for text in THREE_CYCLE_TEXTS + THREE_CYCLE_SKIP_TEXTS]
+        closed = closed_systems(max(CLOSED_SKIP_SYSTEMS) + 1)
+        systems += [closed[i] for i in CLOSED_SKIP_SYSTEMS]
         checked = 0
         for system in systems:
             skipped.clear()
@@ -894,7 +906,7 @@ class TestSkippedChildrenAreSound:
                 assert found is None, (
                     f"skipped {new_vars} at bound {bound}, but {found} quadratizes")
                 checked += 1
-        assert checked == 6
+        assert checked == 16
 
     def test_completion_below_finds_known_optima(self, worked_systems):
         # The checker above is only as good as this search.
@@ -1044,6 +1056,8 @@ class TestExcludedChildrenAreSound:
             parse_system("x1' = x1^3\nx2' = x2^3\nx3' = x3^3")] + [
             parse_system(text) for text in THREE_CYCLE_TEXTS + THREE_CYCLE_SKIP_TEXTS
         ] + later_corpus + stream_tail
+        closed = closed_systems(max(CLOSED_EXCLUSION_SYSTEMS) + 1)
+        systems += [closed[i] for i in CLOSED_EXCLUSION_SYSTEMS]
         for system in systems:
             pulled.clear()
             entry_of.clear()
@@ -1067,7 +1081,7 @@ class TestExcludedChildrenAreSound:
                     earlier[3] and id(earlier[0]) in ancestors and j not in on_path
                     and members.issuperset(earlier[1])
                     for j, earlier in enumerate(pulled[:i]))
-        assert (checked, by_image) == (188, 92)
+        assert (checked, by_image) == (251, 120)
 
     def test_nodes_only_the_banned_variables_prune_have_no_smaller_completion(
             self, soundness_corpus, monkeypatch):
