@@ -6,13 +6,13 @@ Cubic Bicycle(n): x1' = xn^3 + x2^3, ..., xn' = x(n-1)^3 + x1^3
 Each rule computes a lower bound on how many variables any completion still
 needs and cuts the subtree when the bound meets the incumbent.  The packing
 rule finds nonsquares whose factors outside the current variables form
-pairwise disjoint sets: a completion needs a new variable in each set;
-where the incumbent leaves room for only one more variable, it decides
-exactly whether one finishes the node, where it leaves room for two,
-whether two do, and at a node it visits with room for three or four,
-once the pair-count rule has kept it too, whether three or four do.  The
-pair-count rule uses a counting argument (k new
-variables cover at most k(k+1)/2 pair products).  Node counts, unlike wall
+pairwise disjoint sets: a completion needs a new variable in each set.
+Where the incumbent leaves room for one to four more variables, it
+decides exactly whether that many finish the node; for three or four,
+only at a node it visits and once the pair-count rule has kept it too
+(src/quadratize/pruning.py's module docstring gives the argument).  The
+pair-count rule uses a counting argument (k new variables cover at most
+k(k+1)/2 pair products).  Node counts, unlike wall
 times, are machine independent.
 
 The paper's graph bound, which sharpens the pair-product term with the

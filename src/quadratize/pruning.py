@@ -25,68 +25,70 @@ dict the caller passes in, one per search, and builds each at most once
 there and only on demand: x^1000000 has a million divisors.  This module
 is the only one that builds a factor set.
 
+The exact step (node_completes).  It decides whether at most k more
+variables, k from 0 to 4, complete a state: cover every nonsquare and
+every monomial of their own derivatives.  A nonsquare stays one until a
+new variable covers it, so with k = 0 the step holds exactly when none is
+left.  With k = 1 the new z covers every nonsquare m, so it is a partner
+of each (one_variable_completes, whose docstring gives why,
+polynomials.partners).  With k from 2 to 4 a completion covers the
+nonsquare m1 with the fewest partners in one of two ways
+(two_variables_complete's docstring gives both): as z * w with z a new
+partner of m1, or as p * q with p and q new.  Each leaves the state with
+z, or with p and q, and at most k - 1 or k - 2 more variables, and the
+step for that smaller count decides exactly.  With one nonsquare m left,
+no other nonsquare names a factor of a completion {p, m / p} of two new
+factors, so the step walks the factor pairs of m, half of D(m), and builds
+no set.  The search pays as much without it: a node it keeps is branched
+on m, generate_children lists the same divisors, and each child of two new
+factors is extended, which takes both derivatives.
+
+Before the step asks about a nested state that may add two or three more
+variables, it packs the monomials it holds that the new variables leave
+uncovered, nonsquares of the nested state and so a subset again: one
+disjoint C(m) more than it may add refutes it with no derivative taken
+(packs_past).  The step stays exact, so the packing's order changes no
+answer; it goes fewest divisors first, tests the last set it needs by
+divisibility and so never builds the largest set, and fills the search's
+divisor memo.  Nearly every need-5 call at a visited node refutes (716 of
+717 on cubic_cycle(9)), and most of a refutation went to the nested states
+with a partner z: the partner sets and cover tests of the monomials of z'.
+Without the packing the need-5 step cost the cubic families about 15% more
+time; with it they are no slower.
+
 The need ladder.  need = N - |new variables| - |A| is how many more
 variables a completion below N may have, plus one, and rule 1 acts by
 need (prune_by_packing_bound):
 - need 0 or less: the state is too large already, and the rule prunes.
-- need 1: no more variable, so any nonsquare left prunes (every C(m)
-  holds m itself).
-- need 2: a completion T below N adds at most one more variable z, and
-  at least one, since an uncovered m stays a nonsquare; the rule decides
-  whether such a z exists (one_variable_completes, whose docstring gives
-  why z is a partner of every such m, polynomials.partners).  Two
-  disjoint C(m) give two disjoint partner sets, so packing adds nothing
-  there.
-- need 3: at most two more, and the rule decides whether two complete the
-  node (two_variables_complete, whose docstring gives the two ways a
-  completion covers a nonsquare).  With one nonsquare m left, no other
-  nonsquare names a factor of a completion {p, m / p} of two new factors,
-  so the probe walks the factor pairs of m, half of D(m), and builds no
-  set.  The search pays as much without it: a node it keeps is branched
-  on m, generate_children lists the same divisors, and each child of two
-  new factors is extended, which takes both derivatives.
+- needs 1 to 3: the exact step with k = need - 1.  At need 1 any
+  nonsquare left prunes: every C(m) holds m itself.  At need 2 two
+  disjoint C(m) give two disjoint partner sets, so packing adds nothing.
 - need 4 or more: greedy packing, k disjoint sets need k more variables,
   and a nonsquare left with an empty set prunes at once.  k never exceeds
   the number of sets, so no set is built when there are too few.
 - needs 4 and 5 at a visited node, once greedy packing and then rule 2
-  have kept it: the search decides whether three or four more variables
-  complete the node (node_completes, which hands the node's partner groups
-  to more_variables_complete: it tries each partner z of one nonsquare m1
-  and asks the probe with a count one less about the node with z, then
-  each pair of two new factors of m1 and asks the probe with a count two
-  less), and counts a node it refutes as pruned by rule 1.  So rule 1 is
-  exact at a visited node through need 5.  Three other places cost more
-  than they save:
-  - before extension too: there the probe mostly refutes children that
+  have kept it: the search asks the exact step with k = need - 1, and
+  counts a node it refutes as pruned by rule 1.  So rule 1 is exact at a
+  visited node through need 5.  Three other places cost more than they
+  save:
+  - before extension too: there the step mostly refutes children that
     building and then packing would prune anyway, so it removes about as
     many nodes as it prunes and runs on every child;
   - before rule 2: on dense systems rule 2 prunes the same nodes for a
     count of quotients;
   - in place of greedy packing: packing refutes most of those nodes from
-    sets the search keeps, where the probe takes derivatives.
-  Nearly every need-5 call refutes (716 of 717 on cubic_cycle(9)), and
-  most of a refutation went to case A's nested states: the partner sets
-  and cover tests of the monomials of z'.  So before the probe asks about
-  a nested state that may add k more, k at least 2 (the node with z, or at
-  a count of 4 with p and q), it packs the monomials it holds that the
-  new variables leave uncovered, nonsquares of the nested state and so a
-  subset again: k + 1 disjoint C(m) among them refute it with no
-  derivative taken (packs_past).  The probe stays exact, so the packing's
-  order changes no answer; it goes fewest divisors first, tests the last
-  set it needs by divisibility and so never builds the largest set, and
-  fills the search's divisor memo.  Without it the need-5 step cost the
-  cubic families about 15% more time; with it they are no slower.
-With no additions and at a visited node the probes are exact; before
-extension they ignore the child's fresh nonsquares, a subset again.
-No probe looks at forbidden pairs, which only keeps more nodes.
+    sets the search keeps, where the step takes derivatives.
+With no additions and at a visited node the step is exact; before
+extension it ignores the child's fresh nonsquares, a subset again.  The
+step looks at no forbidden pair, which only keeps more nodes.
 
 Both calls may also get banned variables: monomials that no completion
 below the bound contains.  They are the sets of one variable that sibling
 exclusion forbids (solver.py), each kept there as a pair with 1.  The
 rule then bounds only the completions that avoid them, which have a new
 variable in C(m) minus the banned ones, so it packs those sets; a
-nonsquare with nothing left has no such completion at all.  At needs 2
-to 5 a banned monomial is no candidate for a new variable.
+nonsquare with nothing left has no such completion at all.  In the
+exact step a banned monomial is no candidate for a new variable.
 
 Rule 2 bounds how many nonsquares r additional variables could cover: each
 new variable z covers at most mult(z) nonsquares of the form z*v with v a
@@ -103,19 +105,18 @@ forbids such walks in the covering graph.
 
 The root lower bound, and why the root takes no rule.  lower_bound is the
 largest N at which the rules prune a state with no additions and no
-banned variables.  It raises its bound while rule 1 prunes at needs 1 to
-3, and then while more_variables_complete refutes the state at needs 4
-and 5, the search's need-4 and need-5 steps at a visited node, before
-any greedy packing count: so it is exact through need 5 by construction,
-on every root.  Then, only when there are more nonsquares than the
-variables proven so far, it takes the greedy packing count and the k of
-rule 2 and of the graph capacity bound: none of them exceeds the number
-of nonsquares.  So rule 1 with its need-4 and need-5 steps, rule 2 and
+banned variables.  It raises its bound while the exact step refutes the
+state with k from 0 to 4, the steps of needs 1 to 5, before any greedy
+packing count: so it is exact through need 5 by construction, on every
+root.  Then, only when there are more nonsquares than the variables
+proven so far, it takes the greedy packing count and the k of rule 2 and
+of the graph capacity bound: none of them exceeds the number of
+nonsquares.  So rule 1 with its need-4 and need-5 steps, rule 2 and
 prune_by_c4_bound together prune the state at N exactly when N is at
 most lower_bound.  The search takes it once, at the root, and visits the
 root only when it is below the search's bound, where the rules would keep
 the root: so the root takes no rule.  The root is the only place the
-graph capacity bound acts: below it, the exact probes of rule 1 and rule
+graph capacity bound acts: below it, the exact steps of rule 1 and rule
 2 leave it nothing to prune.
 """
 
@@ -287,11 +288,6 @@ def covered(d: Monomial, vars_set, introduced, fresh) -> bool:
     return covered_by(d, vars_set, fresh) or is_product(d, vars_set, introduced)
 
 
-def partner_groups(left, vars_set, introduced, banned) -> list:
-    """The (P(m), m) pairs of the monomials `left` (polynomials.partners)."""
-    return [(partners(m, vars_set, introduced, banned), m) for m in left]
-
-
 def new_factor_pairs(m: Monomial, vars_set, banned):
     """The pairs (p, q) with m = p * q, p below q in tuple order and neither
     in vars_set nor banned, each unordered pair once, walked lazily.
@@ -340,11 +336,12 @@ def one_variable_completes(system, vars_set, introduced, left,
 
 
 def uncovered_groups(groups, z: Monomial, vars_set, banned):
-    """The (P(m), m) groups whose m is no product over vars_set and z, with
-    P(m) taken over vars_set and z, lazily.  No m is a product over
-    vars_set, so z covers m exactly when m / z is in vars_set or is z.  P(m)
-    then gains m / z when z divides m and m / z is not banned, and it loses
-    z, which it holds only when z covers m."""
+    """The (P(m), m) groups whose m z does not cover, with P(m) updated for
+    z, lazily.  vars_set holds the variables P(m) was taken over, over which
+    no m is a product, and may hold z and the other new variables too.  So
+    z covers m, as z * w with w in vars_set or w = z, exactly when m / z is
+    in vars_set or is z.  P(m) then gains m / z when z divides m and m / z
+    is not banned, and it loses z, which it holds only when z covers m."""
     for group, m in groups:
         w = monomial_quotient(m, z)
         if w in vars_set or w == z:
@@ -361,9 +358,8 @@ def two_variables_complete(system, vars_set, introduced, groups, banned) -> bool
     """Whether at most two more variables, not in vars_set nor banned, cover
     every monomial m of the (P(m), m) pairs `groups` and their own
     derivatives; vars_set is 1, the x_i and the `introduced` monomials, no
-    m is a product over it, and P(m) is partners(m) over it.  The caller
-    builds the groups (partner_groups), or updates those it holds
-    (more_variables_complete).  It answers True when there are none.
+    m is a product over it, and P(m) is partners(m) over it.  It answers
+    True when there are none.
 
     Let m1 be the monomial with the fewest partners (graded-lex order
     breaks ties).  A completion covers it in one of two ways.  Case A:
@@ -441,56 +437,46 @@ def more_variables_complete(system, vars_set, introduced, groups, banned, more: 
 
     Let m1 be the monomial with the fewest partners (graded-lex order
     breaks ties).  As in two_variables_complete, a completion covers it in
-    one of two ways, and each leaves a smaller completion to a probe that
-    is exact.  Case A: m1 = z * w with z new and w in vars_set or w = z, so
-    z is in partners(m1); then at most more - 1 complete the state with z,
-    and this probe or two_variables_complete decides that.  Its monomials
-    are those of the groups that z leaves uncovered, with the sets held
-    here updated for z (uncovered_groups), and those of z' that are no
-    product over vars_set and z.  Case B: m1 = p * q with both new and
-    distinct; then at most more - 2 complete the state with p and q.  At 3
-    one_variable_completes decides that, reading the uncovered monomials
-    before it takes p' and q'; at 4 two_variables_complete does, with the
-    held sets updated for p and then q.  The other variables may cover
-    every other monomial, so no other monomial names p: the pairs are those
-    of new_factor_pairs, walked lazily.  Before either asks about a state
-    that may add two or three more variables, the held monomials that its
-    new variables leave uncovered are packed (packs_past, with D(m) from
-    divisor_sets, the search's memo): one disjoint set more than it may add
-    refutes it before any derivative of z, p or q is taken.
+    one of two ways, each with new variables `new`: a partner z of m1 (case
+    A), or the two new factors p and q of m1 (case B), the pairs of
+    new_factor_pairs, walked lazily, since the other variables may cover
+    every other monomial and so none names p.  Then at most more - |new|
+    complete the state with them, which the probe for that count decides.
+    Its monomials are those of the groups that the new variables leave
+    uncovered and those of their derivatives that are no product over
+    vars_set and them.  With one more allowed they are read lazily, those
+    of the groups first; otherwise they come with their partner sets, the
+    held ones updated for each new variable (uncovered_groups).  Before
+    the probe asks about a state that may add two or three more variables,
+    the held monomials that the new variables leave uncovered are packed
+    (packs_past, with D(m) from divisor_sets, the search's memo): one
+    disjoint set more than it may add refutes it before any derivative of
+    the new variables is taken.
     """
     if not groups:
         return True
     (first, m1), *rest = ranked(groups)
     held = {m for _, m in groups}
-    for z in first:
-        after, grown = vars_set | {z}, introduced + (z,)
-        inner = list(uncovered_groups(rest, z, vars_set, banned))
-        if packs_past((m for _, m in inner), after, banned, more - 1, divisor_sets):
-            continue
-        inner.extend((partners(d, after, grown, banned), d)
-                     for d in lie_derivative_support(z, system)
-                     if d not in held and not covered(d, vars_set, introduced, (z,)))
-        if (more_variables_complete(system, after, grown, inner, banned, more - 1, divisor_sets)
-                if more > 3
-                else two_variables_complete(system, after, grown, inner, banned)):
-            return True
-    for pair in new_factor_pairs(m1, vars_set, banned):
-        after, grown = vars_set.union(pair), introduced + pair
-        fresh = (d for z in pair for d in lie_derivative_support(z, system)
-                 if d not in held and not covered(d, vars_set, introduced, pair))
-        if more == 3:
-            uncovered = chain((m for _, m in rest if not covered_by(m, vars_set, pair)), fresh)
+    # Case A's (z,) for each partner z of m1, then case B's pairs (p, q).
+    for new in chain(zip(first), new_factor_pairs(m1, vars_set, banned)):
+        after, grown, count = vars_set.union(new), introduced + new, more - len(new)
+        fresh = (d for z in new for d in lie_derivative_support(z, system)
+                 if d not in held and not covered(d, vars_set, introduced, new))
+        if count == 1:
+            uncovered = chain((m for _, m in rest if not covered_by(m, vars_set, new)), fresh)
             completes = one_variable_completes(system, after, grown, uncovered, banned) is not None
         else:
-            p, q = pair
-            inner = list(uncovered_groups(uncovered_groups(rest, p, vars_set, banned),
-                                          q, vars_set | {p}, banned))
-            if packs_past((m for _, m in inner), after, banned, more - 2, divisor_sets):
+            inner = rest
+            for z in new:
+                inner = uncovered_groups(inner, z, after, banned)
+            inner = list(inner)
+            if packs_past((m for _, m in inner), after, banned, count, divisor_sets):
                 continue
             # p' and q' may share a monomial: each is one group.
             inner.extend((partners(d, after, grown, banned), d) for d in dict.fromkeys(fresh))
-            completes = two_variables_complete(system, after, grown, inner, banned)
+            completes = (two_variables_complete(system, after, grown, inner, banned) if count == 2
+                         else more_variables_complete(system, after, grown, inner, banned, count,
+                                                      divisor_sets))
         if completes:
             return True
     return False
@@ -498,15 +484,22 @@ def more_variables_complete(system, vars_set, introduced, groups, banned, more: 
 
 def node_completes(system, vars_set, introduced, left, banned, more: int,
                    divisor_sets: dict) -> bool:
-    """Whether at most `more` more variables, 3 or 4, not in vars_set nor
-    banned, cover every monomial of the set `left` and their own
-    derivatives: the need-4 and need-5 steps at a visited node.  `left`
-    holds every monomial of the derivatives that is no product over
-    vars_set, the nonsquares of a state; more_variables_complete decides it
-    from their partner groups."""
-    return more_variables_complete(system, vars_set, introduced,
-                                   partner_groups(left, vars_set, introduced, banned), banned,
-                                   more, divisor_sets)
+    """Whether at most `more` more variables, 0 to 4, not in vars_set nor
+    banned, cover every monomial of `left` and their own derivatives: the
+    exact step of the module docstring.  vars_set is 1, the x_i and the
+    `introduced` monomials, and `left`, which may be an iterator, holds
+    every monomial of the derivatives that is no product over vars_set, the
+    nonsquares of a state.  From 2 on, the probe gets the partner groups of
+    `left` (polynomials.partners); divisor_sets is the search's memo."""
+    if more == 0:
+        return not any(True for _ in left)
+    if more == 1:
+        return one_variable_completes(system, vars_set, introduced, left, banned) is not None
+    groups = [(partners(m, vars_set, introduced, banned), m) for m in left]
+    if more == 2:
+        return two_variables_complete(system, vars_set, introduced, groups, banned)
+    return more_variables_complete(system, vars_set, introduced, groups, banned, more,
+                                   divisor_sets)
 
 
 def prune_by_packing_bound(state: SearchState, incumbent_order: int,
@@ -539,20 +532,14 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     if added:
         vars_set = vars_set.union(added)
         left = (m for m in left if not is_product(m, vars_set, added))
-    if need == 1:
-        # Every C(m) holds m itself, so any one nonsquare left packs.
-        return any(True for _ in left)
-    if need == 2:
-        return one_variable_completes(state.system, vars_set, introduced, left, banned) is None
-    left = list(left)
-    if need == 3:
-        return not two_variables_complete(state.system, vars_set, introduced,
-                                          partner_groups(left, vars_set, introduced, banned),
-                                          banned)
-    if len(left) < need:
-        return False
     if divisor_sets is None:
         divisor_sets = {}
+    if need <= 3:
+        return not node_completes(state.system, vars_set, introduced, left, banned, need - 1,
+                                  divisor_sets)
+    left = list(left)
+    if len(left) < need:
+        return False
     return packs(factor_sets(left, vars_set, banned, divisor_sets), need) == need
 
 
@@ -587,29 +574,20 @@ def lower_bound(state: SearchState, divisor_sets: dict) -> int:
     contains the state: the largest of the two rules' bounds and the graph
     capacity bound.
 
-    It raises the bound while prune_by_packing_bound prunes the state at
-    needs 1 to 3, where the rule is exact whatever the number of
-    nonsquares, and then while more_variables_complete refutes the state
-    at needs 4 and 5, the search's need-4 and need-5 steps at a visited
-    node, from one set of partner groups: so the bound is the optimum
-    whenever the optimum has at most four variables more than the state.
-    Then it takes the greedy packing count and the counting rules' k when
-    there are more nonsquares than that; the divisor sets that this
-    packing and the probe's packing build go to divisor_sets, the search's
-    memo.  So, with no banned variables, the two rules, the need-4 and
-    need-5 steps and prune_by_c4_bound together prune the state at bound N
-    exactly when N is at most this (the module docstring gives why, and why
-    the root takes no rule).
+    It raises the bound while the exact step (node_completes) refutes the
+    state with 0 to 4 more variables, so the bound is the optimum whenever
+    the optimum has at most four variables more than the state.  Then it
+    takes the greedy packing count and the counting rules' k when there are
+    more nonsquares than that.  Every divisor set it builds goes to
+    divisor_sets, the search's memo.  So, with no banned variables, the two
+    rules, the need-4 and need-5 steps and prune_by_c4_bound together prune
+    the state at bound N exactly when N is at most this (the module
+    docstring gives why, and why the root takes no rule).
     """
     left, new, more = state.nonsquares, len(state.new_vars), 0
-    while more < 3 and prune_by_packing_bound(state, new + more + 1, (), divisor_sets):
+    while more < 5 and not node_completes(state.system, state.vars_set, state.new_vars, left, (),
+                                          more, divisor_sets):
         more += 1
-    if more == 3:
-        groups = partner_groups(left, state.vars_set, state.new_vars, ())
-        while more < 5 and not more_variables_complete(state.system, state.vars_set,
-                                                       state.new_vars, groups, (), more,
-                                                       divisor_sets):
-            more += 1
     if len(left) > more:
         more = max(more, packs(factor_sets(left, state.vars_set, (), divisor_sets), len(left)))
     if len(left) > more:

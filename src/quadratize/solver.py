@@ -391,10 +391,11 @@ def bnb_search(system: ODESystem, *,
     Every visited node other than the root that is not a quadratization
     goes through the packing rule, with the node's banned variables, then
     the pair-count rule, and at need 4 or 5 (bound - new variables) then
-    the packing rule's exact need-4 or need-5 step, node_completes, with
-    the same banned variables; its prunes count in pruned_by_packing.  A
-    child at need 4 or 5 is skipped before extension by greedy packing
-    only.  One dict of divisor sets serves every packing call of the
+    the packing rule's exact step, node_completes, for need - 1 more
+    variables and with the same banned variables; its prunes count in
+    pruned_by_packing.  A child at need 4 or 5 is skipped before extension
+    by greedy packing only (pruning's module docstring gives the need
+    ladder and why).  One dict of divisor sets serves every packing call of the
     search, the packing inside those steps and the root lower bound.  The
     root is visited only when the root lower bound is below the bound, and
     takes no rule (pruning's module docstring gives why).  Both rules are

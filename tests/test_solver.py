@@ -4,8 +4,9 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from contextlib import suppress
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -28,7 +29,12 @@ from quadratize.polynomials import (
     divisor_count,
     divisors,
     grlex_key,
+    lie_derivative_support,
+    monomial_mul,
+    monomial_quotient,
     partners,
+    unit_monomial,
+    variable_monomial,
 )
 from quadratize.pruning import (
     c4_bound,
@@ -186,12 +192,12 @@ class TestInitialIncumbent:
         assert dropped > 0
 
     def test_the_fast_pair_scan_misses_no_swap(self, soundness_corpus, worked_systems):
-        # Checked with a full rebuild of the root extended by the rest: no
-        # pair {a, b} of the incumbent can go with no replacement or for one
-        # variable z other than a and b.  Such a z covers each nonsquare of
-        # the rest, so it is a partner of the first one.  (A z that is a or
-        # b leaves the other alone out, which irredundancy rules out.)  The
-        # swap lowers the descent's order on 27 of the systems.
+        # Checked by counting from the definition: no pair {a, b} of the
+        # incumbent can go with no replacement or for one variable z other
+        # than a and b.  Such a z covers each nonsquare of the rest, so it is
+        # a partner of the first one.  (A z that is a or b leaves the other
+        # alone out, which irredundancy rules out.)  The swap lowers the
+        # descent's order on 27 of the systems.
         systems = (soundness_corpus + list(worked_systems.values())
                    + [benchmark_system(family, n) for family in ("cubic_cycle", "cubic_bicycle")
                       for n in range(3, 7)]
@@ -202,13 +208,36 @@ class TestInitialIncumbent:
             assert is_quadratization(system, vars_)
             for i in range(order):
                 assert not is_quadratization(system, vars_[:i] + vars_[i + 1:]), (vars_, i)
-            root = SearchState.initial(system)
+            n = system.num_vars
+            gen = [unit_monomial(n)] + [variable_monomial(n, i) for i in range(n)] + list(vars_)
+            # How many unordered pairs of generalized variables multiply to
+            # each monomial, and how many of their derivatives hold it (1 has
+            # none).  The rest of a pair {a, b} loses the pairs with a or b
+            # and the derivatives of a and b.
+            products = Counter(monomial_mul(u, v) for u, v in combinations_with_replacement(gen, 2))
+            derived = Counter(chain.from_iterable(lie_derivative_support(v, system)
+                                                  for v in gen[1:]))
+            with_ = {a: Counter(monomial_mul(a, u) for u in gen) for a in vars_}
             for a, b in combinations(vars_, 2):
-                rest = root.extended(z for z in vars_ if z not in (a, b))
-                assert rest.nonsquares, (vars_, a, b)
-                first = min(rest.nonsquares, key=grlex_key)
-                for z in partners(first, rest.vars_set, rest.new_vars, {a, b}):
-                    assert not rest.extended([z]).is_quadratization, (vars_, a, b, z)
+                rest = [z for z in vars_ if z not in (a, b)]
+                rest_vars = set(gen) - {a, b}
+                lost = with_[a] + with_[b]
+                lost[monomial_mul(a, b)] -= 1
+                lost_derived = Counter(chain(lie_derivative_support(a, system),
+                                             lie_derivative_support(b, system)))
+                # Every monomial of a derivative is a product over the
+                # incumbent, so a nonsquare of the rest is one whose every
+                # factor pair holds a or b.
+                nonsquares = [m for m in lost
+                              if products[m] == lost[m] and derived[m] > lost_derived[m]]
+                assert nonsquares, (vars_, a, b)
+                first = min(nonsquares, key=grlex_key)
+                for z in partners(first, rest_vars, rest, {a, b}):
+                    # Some monomial is covered neither by the rest nor by z.
+                    assert any(products[m] == lost[m]
+                               and (w := monomial_quotient(m, z)) not in rest_vars and w != z
+                               for m in chain(nonsquares, lie_derivative_support(z, system))), (
+                        vars_, a, b, z)
             descent = descent_incumbent(system)[1]
             assert order <= descent
             swapped += order < descent
@@ -1458,6 +1487,12 @@ ANSWERS_SHA256 = "4de02e24e67907e11309a7bb07f1d07c34f8ad85574867dc6c86633d74a496
 # order.
 CORPUS_SHA256 = "0907909a1f053f8abc17e21810b69a64540de6b64a6e887d31bd12cd4952fddf"
 
+# SHA-256 over the search statistics: tuple(SearchStats) for each system of
+# test_documents_hash_to_the_pin in turn, then the root lower bound of each
+# of the 60 permutation-closed systems and of the benchmark's corpus at seed
+# 11.  A refactor that keeps every node count and root bound keeps the pin.
+STATS_SHA256 = "ff70ae0ede9f0ac602326243285fef563469cc2bbdcc4e55b05fa58528e91912"
+
 
 class TestAnswersUnchanged:
     def test_documents_hash_to_the_pin(self, worked_systems, soundness_corpus):
@@ -1478,3 +1513,17 @@ class TestAnswersUnchanged:
             document = bnb_search(parse_system(instance.text))[0].document._replace(stats=None)
             digest.update(render_result(document, "structured").encode())
         assert digest.hexdigest() == CORPUS_SHA256
+
+    def test_stats_hash_to_the_pin(self, worked_systems, soundness_corpus):
+        systems = ([benchmark_system(family, n) for family in ("cubic_cycle", "cubic_bicycle")
+                    for n in (5, 6)]
+                   + [benchmark_system("rf"), parse_system(allen_cahn_text(10))]
+                   + list(worked_systems.values()) + soundness_corpus)
+        digest = hashlib.sha256()
+        for system in systems:
+            digest.update(repr(tuple(bnb_search(system)[1])).encode())
+        roots = closed_systems(60) + [parse_system(instance.text)
+                                      for instance in benchmark_workloads().corpus(11)]
+        for system in roots:
+            digest.update(repr(lower_bound(SearchState.initial(system), {})).encode())
+        assert digest.hexdigest() == STATS_SHA256
