@@ -17,10 +17,9 @@ times, are machine independent.
 
 The paper's graph bound, which sharpens the pair-product term with the
 exact maximum edge count of graphs without a closed 4-edge walk (see
-demos/04_graph_capacity.py), now acts only at the root, as one term of the
-root lower bound below: at the nodes under it the exact tests for one and
-two more variables and the pair-count rule leave it nothing to prune, so
-it has no column here.
+demos/04_graph_capacity.py), is no part of the search, so it has no column
+here: the exact tests and the pair-count rule leave it nothing to prune,
+at the root or below it.
 
 bnb_search always runs both rules, since neither changes the answer.  To
 measure each, this demo switches a rule off by substituting it in

@@ -1,4 +1,4 @@
-"""The edge-capacity table behind the second pruning rule.
+"""The edge-capacity table behind the paper's graph bound.
 
 Covering leftover nonsquares by products of k new variables defines a graph
 on k vertices: one edge per covered monomial, a loop when the monomial is a
@@ -6,9 +6,10 @@ perfect square.  Distinct pairwise products force that graph to contain no
 closed 4-edge walk with distinct adjacent edges, so the number of coverable
 monomials is capped by the maximum edge count of such graphs -- C(k, loops).
 
-The solver ships the exact capacities for k <= 7; everything here recomputes
-the k <= 6 entries from scratch by exhaustive search and shows the analytic
-bound used beyond the table.
+quadratize.pruning ships the exact capacities for k <= 7, as a reproduction
+the search does not run (the note there gives why); everything here
+recomputes the k <= 6 entries from scratch by exhaustive search and shows
+the analytic bound used beyond the table.
 
 Run:  python demos/04_graph_capacity.py
 """

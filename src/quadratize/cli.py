@@ -54,9 +54,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _read_system(path):
+    # A text saved as "UTF-8 with BOM" starts with U+FEFF, which the parser
+    # would reject as a stray character.
     if path is None or path == "-":
-        return parse_system(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
+        return parse_system(sys.stdin.read().removeprefix("\ufeff"))
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_system(handle.read())
 
 

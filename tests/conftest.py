@@ -100,9 +100,9 @@ def rules(config):
     and need-5 steps at a visited node (node_completes) as well.  Sibling
     exclusion is no rule and stays on in every configuration; its banned
     variables act only through the packing rule.  The root lower bound
-    (pruning.lower_bound), which ends the search at an answer that meets it
-    and is the only place the graph capacity bound acts, stays on too: it
-    changes no answer.  The real rules are back on exit.
+    (pruning.lower_bound), which ends the search at an answer that meets
+    it, stays on too: it changes no answer.  The real rules are back on
+    exit.
     """
     if config not in RULE_CONFIGS:
         raise ValueError(f"unknown rule configuration {config!r}")

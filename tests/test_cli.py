@@ -50,6 +50,19 @@ class TestInputs:
         assert code == 0
         assert "z1 = x^4" in out
 
+    def test_file_with_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "sys.txt"
+        path.write_text("x' = x^5\n", encoding="utf-8-sig")
+        code, out, err = run_cli(capsys, str(path))
+        assert (code, err) == (0, "")
+        assert "z1 = x^4" in out
+
+    def test_stdin_with_byte_order_mark(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeffx' = x^5\n"))
+        code, out, err = run_cli(capsys, "-")
+        assert (code, err) == (0, "")
+        assert "z1 = x^4" in out
+
     def test_stdin_when_no_path(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("x' = x^2\n"))
         code, out, _ = run_cli(capsys)

@@ -298,9 +298,9 @@ class TestPrunedNodesAreSound:
         # from the wide-box candidates, with fewer than N variables.  The
         # packing rule also prunes children before they are extended, given
         # the parent and the child's additions; those count as nodes too.
-        # The search takes the graph capacity bound at the root only, so it
-        # is checked in the pair-count rule's place, on the states the
-        # search hands to that rule, with both rules off.
+        # The search does not run the paper's graph rule, so it is checked in
+        # the pair-count rule's place, on the states the search hands to
+        # that rule, with both rules off.
         pruned = []
         original = getattr(quadratize.pruning, rule)
         slot = "prune_by_quadratic_bound" if rule == "prune_by_c4_bound" else rule
@@ -346,9 +346,9 @@ DENSE_SEARCHES = ((10, 8), (42, 8), (50, 8))
 def packing_calls(soundness_corpus, later_corpus, stream_tail):
     """Every call of the packing rule at need 2 or 3, as (need, system,
     new_vars, added, banned, nonsquares of the state, pruned), and (need,
-    pruned) for every call of the pair-count rule and for the graph
-    capacity bound, which the search takes at the root only, on the state
-    of each such call that the pair-count rule keeps, over corpus
+    pruned) for every call of the pair-count rule and for the paper's graph
+    rule, which the search does not run, on the state of each such call
+    that the pair-count rule keeps, over corpus
     seeds 11 and 12 of the benchmark, cubic_cycle(4..6), the soundness
     corpus, the later corpus, the stream's tail and CLOSED_SEARCHES; and
     those searches, as (system, max_order_cap)."""

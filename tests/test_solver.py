@@ -11,7 +11,6 @@ from itertools import chain, combinations, combinations_with_replacement, permut
 import pytest
 
 import quadratize.polynomials
-import quadratize.pruning
 import quadratize.solver
 from quadratize.bruteforce import (
     box_candidates,
@@ -37,7 +36,6 @@ from quadratize.polynomials import (
     variable_monomial,
 )
 from quadratize.pruning import (
-    c4_bound,
     lower_bound,
     node_completes,
     prune_by_c4_bound,
@@ -242,6 +240,15 @@ class TestInitialIncumbent:
             assert order <= descent
             swapped += order < descent
         assert (len(systems), swapped) == (173, 27)
+
+    def test_a_swap_for_a_degree_two_variable(self):
+        # On permutation-closed system 17 a swap's replacement has degree 2,
+        # the least the pair scan's degree pre-filter lets through: a filter
+        # that passed over such pairs too would stop at order 31.
+        system = closed_systems(18)[17]
+        assert lower_bound(SearchState.initial(system), {}) == 5
+        assert descent_incumbent(system)[1] == 35
+        assert initial_incumbent(system, 5)[1] == initial_incumbent(system)[1] == 28
 
     def test_closed_form_order_counts_the_box(self, systems):
         # The closed form that bounds the greedy order above counts the
@@ -1412,13 +1419,14 @@ class TestRootLowerBound:
                    for n in range(2, 7)])
 
     def test_the_rules_prune_the_root_exactly_up_to_it(self, systems):
-        # So the search checks the root against it in place of the two rules,
-        # the need-4 and need-5 steps and the graph capacity bound.  Of the
-        # 60 permutation-closed roots that random.Random(14) draws, the
-        # packing count tops the exact steps on none, the pair-count rule
-        # tops both on 1 and the graph bound tops all three on none; none of
-        # the other systems has either counting term on top.  They are not
-        # in `systems`: many of their searches are slow.
+        # So the search checks the root against it in place of the two rules
+        # and the need-4 and need-5 steps.  The paper's graph rule, which the
+        # search does not run, lifts none of these roots: it prunes none
+        # above the bound either.  Of the 60 permutation-closed roots that
+        # random.Random(14) draws, the packing count tops the exact steps on
+        # none and the pair-count rule tops both on 1; none of the other
+        # systems has either counting term on top.  They are not in
+        # `systems`: many of their searches are slow.
         for system in systems + closed_systems(60):
             root = SearchState.initial(system)
             floor = lower_bound(root, {})
@@ -1430,19 +1438,17 @@ class TestRootLowerBound:
                               system, root.vars_set, (), root.nonsquares, (), bound - 1, {}))
                 assert pruned == (bound <= floor), (system, bound, floor)
 
-    def test_the_need_four_step_matches_the_graph_bound(self, monkeypatch):
-        # The graph capacity bound acts only as a term of the root lower
-        # bound.  On permutation-closed systems 7 and 27, counted from 0 in
-        # the order random.Random(14) draws them, it is 4, above the
-        # pair-count rule's 3; the need-4 step proves 4 by itself, and the
-        # need-5 step then 5, so the root bound is 5 without the graph term
-        # too.
+    def test_the_need_four_step_matches_the_graph_bound(self):
+        # Permutation-closed systems 7 and 27, counted from 0 in the order
+        # random.Random(14) draws them, are the last roots the paper's graph
+        # rule lifted: it proves 4, above the pair-count rule's 3.  The
+        # need-4 step proves 4 by itself, and the need-5 step then 5, so the
+        # root lower bound needs no graph term.
         drawn = closed_systems(28)
         roots = [SearchState.initial(drawn[i]) for i in (7, 27)]
-        assert [(lower_bound(root, {}), quadratic_bound(root), c4_bound(root))
-                for root in roots] == [(5, 3, 4)] * 2
-        monkeypatch.setattr(quadratize.pruning, "c4_bound", lambda state: 0)
-        assert [lower_bound(root, {}) for root in roots] == [5, 5]
+        assert [(lower_bound(root, {}), quadratic_bound(root),
+                 prune_by_c4_bound(root, 4), prune_by_c4_bound(root, 5))
+                for root in roots] == [(5, 3, True, False)] * 2
 
     def test_the_stop_changes_no_answer(self, systems, monkeypatch):
         # Only the nodes after the answer go: a later incumbent would have
