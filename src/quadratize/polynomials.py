@@ -95,13 +95,15 @@ def variable_monomial(num_vars: int, index: int) -> Monomial:
 
 
 # The monomial kernel: every exponent-wise operation of the search goes
-# through these functions, and no other module reads the exponents of the
-# monomials the search works on (its new variables, nonsquares, children
-# and orbit keys).  Outside it only the input edge reads exponents: the
-# parser builds them, ODESystem and SearchState.extended check them,
-# solver.automorphisms and solver.per_variable_degrees read the input's
-# terms, and output.format_monomial prints them; bruteforce.py stays
-# independent of the kernel on purpose.  Monomials compare as tuples, and
+# through these functions (products, quotients, divisibility, gcds,
+# degrees, divisors, partners and images), and no other module reads the
+# exponents of the monomials the search works on (its new variables,
+# nonsquares, children and orbit keys).  Outside it only the input edge
+# reads exponents: the parser builds them, ODESystem and
+# SearchState.extended check them, solver.automorphisms and
+# solver.per_variable_degrees read the input's terms, and
+# output.format_monomial prints them; bruteforce.py stays independent of
+# the kernel on purpose.  Monomials compare as tuples, and
 # `<` and sorted on them elsewhere rely on that order.
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -126,6 +128,12 @@ def is_nonnegative(m: Monomial) -> bool:
 
 def degree(m: Monomial) -> int:
     return sum(m)
+
+
+def monomial_gcd(monomials) -> Monomial:
+    """The greatest common divisor of one or more monomials: each exponent
+    is the least of theirs."""
+    return tuple(map(min, zip(*monomials)))
 
 
 def is_square(m: Monomial) -> bool:

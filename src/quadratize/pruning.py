@@ -158,13 +158,13 @@ def packs(sets, need: int) -> int:
     """How many pairwise disjoint sets greedy packing keeps, at most `need`.
 
     `sets` holds (C, m) pairs.  They are taken in order of (size of C,
-    graded-lex m), and each C disjoint from those kept is kept; the count
-    stops at `need`.  An empty C comes first and counts as `need`: nothing
-    can cover its m.
+    graded-lex m) (ranked), and each C disjoint from those kept is kept;
+    the count stops at `need`.  An empty C comes first and counts as
+    `need`: nothing can cover its m.
     """
     packed: set[Monomial] = set()
     count = 0
-    for cover, _ in sorted(sets, key=lambda c: (len(c[0]), grlex_key(c[1]))):
+    for cover, _ in ranked(sets):
         if not cover:
             return need
         if packed.isdisjoint(cover):

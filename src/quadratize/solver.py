@@ -97,10 +97,12 @@ from .parsing import parse_system
 from .polynomials import (
     Monomial,
     ODESystem,
+    degree,
     divides,
     grlex_key,
     image,
     lie_derivative_support,
+    monomial_gcd,
     monomial_mul,
     monomial_quotient,
     orbit_key,
@@ -173,16 +175,19 @@ def initial_incumbent(system: ODESystem, floor: int = 0) -> tuple[tuple[Monomial
     other goes: a swap can leave a variable that the rest can do without,
     and the pair of it and any other variable v then goes for v.  z divides
     each of those monomials and has degree 2 or more, so a pair whose
-    uncovered monomials have no common divisor of degree 2 is passed over
-    without the probe.  The uncovered monomials come from one pass per round
-    over the products of a kept variable and a generalized variable that are
-    monomials of the derivatives: dropping {a, b} uncovers such a monomial
-    m, unless m is a product of 1 and the x_i, exactly when each of its
-    factor pairs holds a or b and m lies in the derivative of a variable
-    other than a and b.  Each change lowers the order, so the step ends,
-    within as many rounds as the descent's order, at a quadratization from
-    which no variable can be dropped and no pair traded for at most one
-    variable.  The descent stays in the box; the final set need not.
+    uncovered monomials have a gcd of degree below 2 (monomial_gcd) is
+    passed over without the probe.  Dropping {a, b} uncovers a monomial m
+    of the derivatives, unless m is a product of 1 and the x_i, exactly
+    when each of its factor pairs holds a or b and m lies in the derivative
+    of a variable other than a and b.  One pass per round over the products
+    of a kept variable and a generalized variable that are monomials of the
+    derivatives fills one map for every pair: under {a} the monomials each
+    factor pair of which holds a, under {a, b} those each factor pair of
+    which holds a or b, and the pair {a, b} reads its monomials off {a, b},
+    {a} and {b}.  Each change lowers the order, so the step ends, within as
+    many rounds as the descent's order, at a quadratization from which no
+    variable can be dropped and no pair traded for at most one variable.
+    The descent stays in the box; the final set need not.
 
     It leaves the supports it derives in the system's memo
     (lie_derivative_support), unlike bnb_search and laurent_quadratize:
@@ -223,25 +228,23 @@ def initial_incumbent(system: ODESystem, floor: int = 0) -> tuple[tuple[Monomial
             for w in vars_set:
                 if (m := monomial_mul(z, w)) in owners:
                     factor_pairs.setdefault(m, []).append((z, w))
-        # Of the monomials that are no product of 1 and the x_i, alone[a]
-        # holds those each factor pair of which holds a, and joint[{a, b}]
+        # Of the monomials that are no product of 1 and the x_i, hits[{a}]
+        # holds those each factor pair of which holds a, and hits[{a, b}]
         # those each factor pair of which holds a or b.
-        alone, joint = {}, {}
+        hits = {}
         for m, pairs in factor_pairs.items():
             if is_product(m, base, ()):
                 continue  # a product whatever goes
             for a in kept.intersection(pairs[0]):
                 rest = [pair for pair in pairs if a not in pair]
-                if not rest:
-                    alone.setdefault(a, set()).add(m)
-                    continue
-                for b in kept.intersection(*rest):
-                    joint.setdefault(frozenset((a, b)), set()).add(m)
+                for b in kept.intersection(*rest) if rest else (a,):
+                    hits.setdefault(frozenset((a, b)), set()).add(m)
         for a, b in combinations(sorted(kept, key=grlex_key), 2):
             out = {a, b}
-            found = joint.get(frozenset(out), set()).union(alone.get(a, ()), alone.get(b, ()))
+            found = hits.get(frozenset(out), set()).union(hits.get(frozenset((a,)), ()),
+                                                          hits.get(frozenset((b,)), ()))
             left = [m for m in found if not owners[m] <= out]  # uncovered and still needed
-            if left and sum(map(min, zip(*left))) < 2:
+            if left and degree(monomial_gcd(left)) < 2:
                 continue  # a replacement has degree 2 or more, and divides each
             # z may be a or b: then only the other goes.
             completion = one_variable_completes(system, vars_set - out, kept - out, left, ())
@@ -260,7 +263,7 @@ class NoQuadratizationWithinCap(ValueError):
     and the message names both the cap and it.
     """
 
-    def __init__(self, cap: int, floor: int = 0):
+    def __init__(self, cap: int, floor: int):
         self.lower_bound = max(cap + 1, floor)
         super().__init__(f"no monomial quadratization with at most {cap} new variables; "
                          f"every one has at least {self.lower_bound}")
@@ -308,16 +311,13 @@ def automorphisms(system: ODESystem) -> tuple[tuple[int, ...], ...]:
     checks = [[] for _ in range(n)]
     for term in terms:
         i, sparse, params, coeff = term
-        degree = sum(e for _, e in sparse)
-        invariants[i].append((0, degree, params, coeff))
+        total = sum(e for _, e in sparse)
+        invariants[i].append((0, total, params, coeff))
         for j, e in sparse:
-            invariants[j].append((e, degree, params, coeff, j == i))
+            invariants[j].append((e, total, params, coeff, j == i))
         checks[max([i] + [j for j, _ in sparse])].append(term)
-    invariants = [tuple(sorted(inv)) for inv in invariants]
-    classes = {}
-    for v, inv in enumerate(invariants):
-        classes.setdefault(inv, []).append(v)
-    kind = [classes[inv][0] for inv in invariants]  # the least variable of the class
+    least = {}  # each class of invariants to its least variable
+    kind = [least.setdefault(tuple(sorted(inv)), v) for v, inv in enumerate(invariants)]
 
     def hole(term, v, sigma):
         """The term renamed by sigma, with -1 wherever variable v stands."""
@@ -345,7 +345,7 @@ def automorphisms(system: ODESystem) -> tuple[tuple[int, ...], ...]:
             # A term of checks[level] holds `level`, and its other variables
             # are assigned.
             candidates = (fillers.get(hole(checks[level][0], level, images), ())
-                          if checks[level] else classes[invariants[level]])
+                          if checks[level] else range(n))
             for t in candidates:
                 if used >> t & 1 or kind[t] != kind[level]:
                     continue
@@ -368,39 +368,23 @@ def bnb_search(system: ODESystem, *,
                max_order_cap: int | None = None) -> tuple[QuadratizationResult, SearchStats]:
     """Find a minimal-order monomial quadratization by branch and bound.
 
-    A node's children are drawn until the first one whose size, its number
-    of new variables, reaches the bound; that one and every later sibling
-    are at least as large, so none of them is drawn.  Before a child is
-    extended it is skipped when its variables contain a forbidden set: the
-    additions of an earlier sibling of it or of an ancestor and their
-    images under the stabilizer of that sibling's parent (the group
-    elements that map the parent's set of new variables onto itself),
-    forbidden once that sibling's subtree is done; or when the
-    packing rule proves from the parent and the child's additions that
-    every completion of the child that avoids the banned variables (the
-    forbidden sets of one variable) has at least `bound` variables
-    (prune_by_packing_bound).  So no skip loses a strictly better
-    incumbent (the module docstring gives the exclusion argument).
-    Skipped children are counted in no statistic and never enter the
-    orbit table, which so holds visited sets only, as the module
-    docstring's argument needs; under the identity alone there is none.
-    The root is visited without either test and takes no orbit key.
-
-    Every visited node other than the root that is not a quadratization
-    goes through the packing rule, with the node's banned variables, then
-    the pair-count rule, and at need 4 or 5 (bound - new variables) then
-    the packing rule's exact step, node_completes, for need - 1 more
-    variables and with the same banned variables; its prunes count in
-    pruned_by_packing.  A child at need 4 or 5 is skipped before extension
-    by greedy packing only (pruning's module docstring gives the need
-    ladder and why).  One dict of divisor sets serves every packing call of the
-    search, the packing inside those steps and the root lower bound.  The
-    root is visited only when the root lower bound is below the bound, and
-    takes no rule (pruning's module docstring gives why).  Both rules are
-    sound lower bounds, so they change only the number of nodes visited,
-    never the answer.  The packing rule prunes a node with a nonsquare left
-    one short of the bound, so a node the rules keep has depth + 1 < bound,
-    and no separate depth cutoff is needed.
+    The module docstring gives how a node's children are drawn, which of
+    them are skipped before extension (the size test, sibling and
+    stabilizer exclusion, the packing rule on the parent, the orbit table)
+    and why no skip loses a strictly better incumbent.  Pruning's module
+    docstring gives the rules that every visited node other than the root
+    takes, unless it is a quadratization, and why: the packing rule with
+    the node's banned variables, then the pair-count rule, then at needs 4
+    and 5 node_completes, whose prunes count in pruned_by_packing.  The
+    root takes none of the skips' tests, no orbit key and, as pruning's
+    module docstring gives why, no rule.  Skipped children count in no
+    statistic but pruned_by_symmetry, which counts the orbit table's
+    skips.  One dict of divisor sets serves every packing call of the
+    search, the exact steps and the root lower bound.  The rules are sound
+    lower bounds, so they change only nodes_visited and the prune counts,
+    never the answer.  At need 1 any nonsquare left prunes, so a node the
+    rules keep has depth + 1 < bound, and no separate depth cutoff is
+    needed.
 
     The root lower bound is taken first: a max_order_cap below it raises
     NoQuadratizationWithinCap before the greedy descent, and it is
@@ -589,26 +573,20 @@ def laurent_quadratize(system: ODESystem) -> QuadratizationResult:
         system._lie_cache.clear()
 
 
+# Each built-in family that takes a size: (its least size, what the size
+# is, the source text for size n).
+BENCHMARK_FAMILIES = {
+    "scalar_power": (1, "an exponent n >= 1", lambda n: f"x' = x^{n}"),
+    "cubic_cycle": (2, "a size n > 1", lambda n: "\n".join(
+        f"x{i}' = x{i % n + 1}^3" for i in range(1, n + 1))),
+    "cubic_bicycle": (2, "a size n > 1", lambda n: "\n".join(
+        f"x{i}' = x{(i - 2) % n + 1}^3 + x{i % n + 1}^3" for i in range(1, n + 1))),
+}
+
+
 def benchmark_system(name: str, n: int | None = None) -> ODESystem:
-    """Built-in benchmark families, generated as source text and parsed."""
-    if name == "scalar_power":
-        if n is None or n < 1:
-            raise ValueError("scalar_power needs an exponent n >= 1")
-        return parse_system(f"x' = x^{n}" if n > 1 else "x' = x")
-    if name == "cubic_cycle":
-        if n is None or n < 2:
-            raise ValueError("cubic_cycle needs a size n > 1")
-        lines = [f"x{i}' = x{i % n + 1}^3" for i in range(1, n + 1)]
-        return parse_system("\n".join(lines))
-    if name == "cubic_bicycle":
-        if n is None or n < 2:
-            raise ValueError("cubic_bicycle needs a size n > 1")
-        lines = []
-        for i in range(1, n + 1):
-            left = (i - 2) % n + 1
-            right = i % n + 1
-            lines.append(f"x{i}' = x{left}^3 + x{right}^3")
-        return parse_system("\n".join(lines))
+    """Built-in benchmark families, generated as source text and parsed:
+    rf, and the families of BENCHMARK_FAMILIES for a size n."""
     if name == "rf":
         if n is not None:
             raise ValueError("rf does not take a size")
@@ -617,4 +595,9 @@ def benchmark_system(name: str, n: int | None = None) -> ODESystem:
             "y' = x*(3*z + 1 - x^2) + a*y\n"
             "z' = -2*z*(b + x*y)\n"
         )
-    raise ValueError(f"unknown benchmark {name!r}")
+    if name not in BENCHMARK_FAMILIES:
+        raise ValueError(f"unknown benchmark {name!r}")
+    least, what, text = BENCHMARK_FAMILIES[name]
+    if n is None or n < least:
+        raise ValueError(f"{name} needs {what}")
+    return parse_system(text(n))

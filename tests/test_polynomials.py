@@ -22,6 +22,7 @@ from quadratize.polynomials import (
     is_nonnegative,
     is_square,
     lie_derivative,
+    monomial_gcd,
     monomial_mul,
     monomial_quotient,
     partners,
@@ -103,6 +104,15 @@ class TestMonomialOps:
         # Laurent monomials have a negative exponent; an empty tuple, the
         # parameter exponents of a system without parameters, has none.
         assert is_nonnegative(m) is expected
+
+    @pytest.mark.parametrize("monomials,expected", [
+        ([(2, 0, 3)], (2, 0, 3)),  # one monomial is its own gcd
+        ([(2, 1), (1, 3)], (1, 1)),  # x^2*y and x*y^3 give x*y
+        ([(2, 0, 0), (0, 1, 4)], (0, 0, 0)),  # disjoint supports give 1
+        ([(3, 2), (5, 1), (4, 4)], (3, 1)),  # the least exponent of three
+    ])
+    def test_monomial_gcd(self, monomials, expected):
+        assert monomial_gcd(monomials) == expected
 
 
 class TestPartners:
