@@ -7,9 +7,10 @@ Each rule computes a lower bound on how many variables any completion still
 needs and cuts the subtree when the bound meets the incumbent.  The packing
 rule finds nonsquares whose factors outside the current variables form
 pairwise disjoint sets: a completion needs a new variable in each set.
-Where the incumbent leaves room for one to four more variables, it
-decides exactly whether that many finish the node; for three or four,
-only at a node it visits and once the pair-count rule has kept it too
+Where the incumbent leaves room for one to five more variables, it
+decides exactly whether that many finish the node; for three to five,
+only at a node it visits and once the pair-count rule has kept it too,
+and for five only where greedy packing came close
 (src/quadratize/pruning.py's module docstring gives the argument).  The
 pair-count rule uses a counting argument (k new variables cover at most
 k(k+1)/2 pair products).  Node counts, unlike wall
@@ -28,7 +29,7 @@ packing rule on a parent and a child's additions before it extends the
 child, and skips the child when the parent's nonsquares it leaves
 uncovered already need enough variables to reach the incumbent's order;
 switching the packing rule off switches that skip and the tests for three
-and four off too.  Two checks before a child is
+to five off too.  Two checks before a child is
 extended are not rules and stay on in every column, "no pruning" included:
 a child as large as the incumbent ends its parent's list of children,
 since the later ones are no smaller, and a child is skipped that contains
@@ -52,9 +53,13 @@ Run:  python demos/02_pruning_rules.py
 import quadratize.solver as solver
 from quadratize import benchmark_system, bnb_search
 
-packing_rule = solver.prune_by_packing_bound
+packing_count = solver.packing_count
 few_complete = solver.node_completes
 pair_count_rule = solver.prune_by_quadratic_bound
+
+
+def nothing(state, bound, *args):
+    return 0
 
 
 def never(state, bound, *args):
@@ -65,13 +70,13 @@ def always(*args):
     return True
 
 
-# (label, packing rule, its tests for three and four more variables,
+# (label, packing rule's count, its tests for three to five more variables,
 # pair-count rule); the last one restores the real rules.
 CONFIGS = [
-    ("no pruning", never, always, never),
-    ("packing rule", packing_rule, few_complete, never),
-    ("pair-count rule", never, always, pair_count_rule),
-    ("all rules", packing_rule, few_complete, pair_count_rule),
+    ("no pruning", nothing, always, never),
+    ("packing rule", packing_count, few_complete, never),
+    ("pair-count rule", nothing, always, pair_count_rule),
+    ("all rules", packing_count, few_complete, pair_count_rule),
 ]
 
 print(f"{'system':>18} {'order':>5} | " +
@@ -83,7 +88,7 @@ for family in ("cubic_cycle", "cubic_bicycle"):
         cells = []
         order = None
         for _, *rules in CONFIGS:
-            (solver.prune_by_packing_bound, solver.node_completes,
+            (solver.packing_count, solver.node_completes,
              solver.prune_by_quadratic_bound) = rules
             result, stats = bnb_search(system)
             cells.append(f"{stats.nodes_visited} [{stats.pruned_by_symmetry}]")

@@ -25,12 +25,12 @@ there and only on demand: x^1000000 has a million divisors.  This module
 is the only one that builds a factor set.
 
 The exact step (node_completes).  It decides whether at most k more
-variables, k from 0 to 4, complete a state: cover every nonsquare and
-every monomial of their own derivatives.  A nonsquare stays one until a
-new variable covers it, so with k = 0 the step holds exactly when none is
-left.  With k = 1 the new z covers every nonsquare m, so it is a partner
-of each (one_variable_completes, whose docstring gives why,
-polynomials.partners).  With k from 2 to 4 a completion covers the
+variables, k from 0 to 5 (EXACT_COUNT), complete a state: cover every
+nonsquare and every monomial of their own derivatives.  A nonsquare stays
+one until a new variable covers it, so with k = 0 the step holds exactly
+when none is left.  With k = 1 the new z covers every nonsquare m, so it
+is a partner of each (one_variable_completes, whose docstring gives why,
+polynomials.partners).  With k from 2 to 5 a completion covers the
 nonsquare m1 with the fewest partners in one of two ways
 (two_variables_complete's docstring gives both): as z * w with z a new
 partner of m1, or as p * q with p and q new.  Each leaves the state with
@@ -40,24 +40,31 @@ no other nonsquare names a factor of a completion {p, m / p} of two new
 factors, so the step walks the factor pairs of m, half of D(m), and builds
 no set.  The search pays as much without it: a node it keeps is branched
 on m, generate_children lists the same divisors, and each child of two new
-factors is extended, which takes both derivatives.
+factors is extended, which takes both derivatives.  From k = 3 on, where
+m1 has more than MAX_WALKED_DIVISORS divisors, the step answers that the
+state may complete rather than walk half of them for each nested state:
+that only keeps a node or lowers the root bound, and no search of the
+benchmark's workloads, the cubic families or the dense capped searches
+meets such an m1, so there the step is exact.
 
-Before the step asks about a nested state that may add two or three more
+Before the step asks about a nested state that may add two or more
 variables, it packs the monomials it holds that the new variables leave
 uncovered, nonsquares of the nested state and so a subset again: one
 disjoint C(m) more than it may add refutes it with no derivative taken
 (packs_past).  The step stays exact, so the packing's order changes no
 answer; it goes fewest divisors first, tests the last set it needs by
 divisibility and so never builds the largest set, and fills the search's
-divisor memo.  Nearly every need-5 call at a visited node refutes (716 of
-717 on cubic_cycle(9)), and most of a refutation went to the nested states
-with a partner z: the partner sets and cover tests of the monomials of z'.
-Without the packing the need-5 step cost the cubic families about 15% more
-time; with it they are no slower.
+divisor memo.  Nearly every need-5 and need-6 call at a visited node
+refutes (on cubic_cycle(9), 716 of 717 need-5 calls before the need-6
+step, and 675 of 676 need-6 calls with it), and most of a refutation went
+to the nested states with a partner z: the partner sets and cover tests
+of the monomials of z'.  Without the packing the need-5 step cost the
+cubic families about 15% more time; with it they are no slower.
 
 The need ladder.  need = N - |new variables| - |A| is how many more
 variables a completion below N may have, plus one, and rule 1 acts by
-need (prune_by_packing_bound):
+need (packing_count, which counts the variables the rule proves, and
+prune_by_packing_bound, which compares that count with need):
 - need 0 or less: the state is too large already, and the rule prunes.
 - needs 1 to 3: the exact step with k = need - 1.  At need 1 any
   nonsquare left prunes: every C(m) holds m itself.  At need 2 two
@@ -65,11 +72,17 @@ need (prune_by_packing_bound):
 - need 4 or more: greedy packing, k disjoint sets need k more variables,
   and a nonsquare left with an empty set prunes at once.  k never exceeds
   the number of sets, so no set is built when there are too few.
-- needs 4 and 5 at a visited node, once greedy packing and then rule 2
+- needs 4 to 6 at a visited node, once greedy packing and then rule 2
   have kept it: the search asks the exact step with k = need - 1, and
   counts a node it refutes as pruned by rule 1.  So rule 1 is exact at a
-  visited node through need 5.  Three other places cost more than they
-  save:
+  visited node through need 5, and through need 6 where the step runs.
+  At need 6 it runs only where greedy packing came close: where it found
+  at least 3 disjoint sets (solver.TOP_STEP_PACKED), or where it did not
+  pack, since fewer nonsquares are left than 6.  Where the sets overlap,
+  as on dense systems, a need-6 call took 10 to 70 ms, against about 1 ms
+  on the cubic families, and the nodes it pruned saved less than that.
+  A probe skipped only keeps a node, so the answer stays optimal.  Three
+  other places cost more than they save:
   - before extension too: there the step mostly refutes children that
     building and then packing would prune anyway, so it removes about as
     many nodes as it prunes and runs on every child;
@@ -97,15 +110,17 @@ two new variables cover at most r(r+1)/2 more.
 The root lower bound, and why the root takes no rule.  lower_bound is the
 largest N at which the rules prune a state with no additions and no
 banned variables.  It raises its bound while the exact step refutes the
-state with k from 0 to 4, the steps of needs 1 to 5, before any greedy
-packing count: so it is exact through need 5 by construction, on every
-root.  Then, only when there are more nonsquares than the variables
-proven so far, it takes the greedy packing count and the k of rule 2:
-neither exceeds the number of nonsquares.  So rule 1 with its need-4 and
-need-5 steps and rule 2 together prune the state at N exactly when N is
-at most lower_bound.  The search takes it once, at the root, and visits
-the root only when it is below the search's bound, where the rules would
-keep the root: so the root takes no rule.
+state with k from 0 to 5, the steps of needs 1 to 6, before any greedy
+packing count: so it is exact through need 6 by construction, on every
+root.  From k = 2 on the steps share one set of partner groups.  Then,
+only when there are more nonsquares than the variables proven so far, it
+takes the greedy packing count and the k of rule 2: neither exceeds the
+number of nonsquares.  So rule 1 with its steps at needs 4 to 6, the
+need-6 step run whatever packing finds, and rule 2 together prune the
+state at N exactly when N is at most lower_bound.  The search takes it
+once, at the root, and visits the root only when it is below the
+search's bound, where the rules would keep the root: so the root takes
+no rule.
 
 The paper's graph capacity rule (prune_by_c4_bound) is reproduced at the
 end of the module, and the search does not run it; the note there gives
@@ -133,6 +148,22 @@ from .polynomials import (
     partners,
 )
 from .state import SearchState, is_product
+
+# The largest count the exact step (node_completes) decides: the root lower
+# bound's ladder runs it through this count, and the search at a visited
+# node at needs 4 to EXACT_COUNT + 1.
+EXACT_COUNT = 5
+
+# Case B of more_variables_complete walks half of D(m1), and each pair asks
+# about a nested state.  Where m1 has more divisors than this the probe
+# answers that the state may complete, which only keeps a node or lowers
+# the root lower bound.  On x' = y^200, y' = x^200 the count-5 rung at the
+# root meets nested states whose m1, a monomial of the derivative of a new
+# variable, has 20,100 to 40,200 divisors, and took 2.4 s; no probe of the
+# benchmark's workloads, the cubic families to size 8 or the dense capped
+# searches meets an m1 with more than 210.
+MAX_WALKED_DIVISORS = 10_000
+
 
 def quotient_multiplicities(targets, var_monomials) -> list[int]:
     """Multiplicities of the quotient multiset {t/v : v divides t}, descending.
@@ -375,12 +406,13 @@ def two_variables_complete(system, vars_set, introduced, groups, banned) -> bool
 
 def more_variables_complete(system, vars_set, introduced, groups, banned, more: int,
                             divisor_sets: dict) -> bool:
-    """Whether at most `more` more variables, 3 or 4, not in vars_set nor
-    banned, cover every monomial m of the (P(m), m) pairs `groups` and
-    their own derivatives; vars_set is 1, the x_i and the `introduced`
-    monomials, the monomials of the groups are every monomial of their
-    derivatives that is no product over it, the nonsquares of a state, and
-    P(m) is partners(m) over it.  It answers True when there are none.
+    """Whether at most `more` more variables, 3 to EXACT_COUNT, not in
+    vars_set nor banned, cover every monomial m of the (P(m), m) pairs
+    `groups` and their own derivatives; vars_set is 1, the x_i and the
+    `introduced` monomials, the monomials of the groups are every monomial
+    of their derivatives that is no product over it, the nonsquares of a
+    state, and P(m) is partners(m) over it.  It answers True when there
+    are none, and when m1 below has more than MAX_WALKED_DIVISORS divisors.
 
     Let m1 be the monomial with the fewest partners (graded-lex order
     breaks ties).  As in two_variables_complete, a completion covers it in
@@ -388,14 +420,15 @@ def more_variables_complete(system, vars_set, introduced, groups, banned, more: 
     A), or the two new factors p and q of m1 (case B), the pairs of
     new_factor_pairs, walked lazily, since the other variables may cover
     every other monomial and so none names p.  Then at most more - |new|
-    complete the state with them, which the probe for that count decides.
+    complete the state with them, which the probe for that count decides
+    (groups_complete): more - 1 for case A, more - 2 for case B.
     Its monomials are those of the groups that the new variables leave
     uncovered and those of their derivatives that are no product over
     vars_set and them.  With one more allowed they are read lazily, those
     of the groups first; otherwise they come with their partner sets, the
     held ones updated for each new variable (uncovered_groups).  Before
-    the probe asks about a state that may add two or three more variables,
-    the held monomials that the new variables leave uncovered are packed
+    the probe asks about a state that may add two or more variables, the
+    held monomials that the new variables leave uncovered are packed
     (packs_past, with D(m) from divisor_sets, the search's memo): one
     disjoint set more than it may add refutes it before any derivative of
     the new variables is taken.
@@ -403,6 +436,8 @@ def more_variables_complete(system, vars_set, introduced, groups, banned, more: 
     if not groups:
         return True
     (first, m1), *rest = ranked(groups)
+    if divisor_count(m1) > MAX_WALKED_DIVISORS:
+        return True
     held = {m for _, m in groups}
     # Case A's (z,) for each partner z of m1, then case B's pairs (p, q).
     for new in chain(zip(first), new_factor_pairs(m1, vars_set, banned)):
@@ -421,59 +456,67 @@ def more_variables_complete(system, vars_set, introduced, groups, banned, more: 
                 continue
             # p' and q' may share a monomial: each is one group.
             inner.extend((partners(d, after, grown, banned), d) for d in dict.fromkeys(fresh))
-            completes = (two_variables_complete(system, after, grown, inner, banned) if count == 2
-                         else more_variables_complete(system, after, grown, inner, banned, count,
-                                                      divisor_sets))
+            completes = groups_complete(system, after, grown, inner, banned, count, divisor_sets)
         if completes:
             return True
     return False
 
 
-def node_completes(system, vars_set, introduced, left, banned, more: int,
-                   divisor_sets: dict) -> bool:
-    """Whether at most `more` more variables, 0 to 4, not in vars_set nor
-    banned, cover every monomial of `left` and their own derivatives: the
-    exact step of the module docstring.  vars_set is 1, the x_i and the
-    `introduced` monomials, and `left`, which may be an iterator, holds
-    every monomial of the derivatives that is no product over vars_set, the
-    nonsquares of a state.  From 2 on, the probe gets the partner groups of
-    `left` (polynomials.partners); divisor_sets is the search's memo."""
-    if more == 0:
-        return not any(True for _ in left)
-    if more == 1:
-        return one_variable_completes(system, vars_set, introduced, left, banned) is not None
-    groups = [(partners(m, vars_set, introduced, banned), m) for m in left]
+def groups_complete(system, vars_set, introduced, groups, banned, more: int,
+                    divisor_sets: dict) -> bool:
+    """node_completes for a count of 2 or more, given the (P(m), m) partner
+    groups of its monomials: the probe for that count."""
     if more == 2:
         return two_variables_complete(system, vars_set, introduced, groups, banned)
     return more_variables_complete(system, vars_set, introduced, groups, banned, more,
                                    divisor_sets)
 
 
-def prune_by_packing_bound(state: SearchState, incumbent_order: int,
-                           added: tuple[Monomial, ...] = (),
-                           divisor_sets: dict | None = None,
-                           banned=frozenset()) -> bool:
-    """Same contract as prune_by_quadratic_bound for state.extended(added),
-    decided without building that state.
+def node_completes(system, vars_set, introduced, left, banned, more: int,
+                   divisor_sets: dict) -> bool:
+    """Whether at most `more` more variables, 0 to EXACT_COUNT, not in
+    vars_set nor banned, cover every monomial of `left` and their own
+    derivatives: the exact step of the module docstring.  vars_set is 1,
+    the x_i and the `introduced` monomials, and `left`, which may be an
+    iterator, holds every monomial of the derivatives that is no product
+    over vars_set, the nonsquares of a state.  From 2 on, the probe gets
+    the partner groups of `left` (polynomials.partners); divisor_sets is
+    the search's memo."""
+    if more == 0:
+        return not any(True for _ in left)
+    if more == 1:
+        return one_variable_completes(system, vars_set, introduced, left, banned) is not None
+    return groups_complete(system, vars_set, introduced,
+                           [(partners(m, vars_set, introduced, banned), m) for m in left],
+                           banned, more, divisor_sets)
+
+
+def packing_count(state: SearchState, incumbent_order: int,
+                  added: tuple[Monomial, ...] = (), divisor_sets: dict | None = None,
+                  banned=frozenset()) -> int:
+    """How many more variables rule 1 proves that every completion of
+    state.extended(added) needs, decided without building that state and
+    counted up to need = incumbent_order - |new_vars| - |added|: the rule
+    prunes exactly when the count is at least need.
 
     It bounds the nonsquares of the state that the additions leave
     uncovered (is_product with the additions), and only the completions
     that avoid the banned variables, which the caller guarantees no
     completion below incumbent_order contains; with no additions and none
-    banned it is the rule on the state itself.  How it bounds them depends
-    on need = incumbent_order - |new_vars| - |added|: the module docstring
-    gives the need ladder, and the argument for each step, for the
-    additions and for the banned variables.
-    divisor_sets maps m to D(m) and is filled here; the search passes one
-    per search, and without it each call uses a fresh one, with the same
-    answer.  Only packing builds a divisor set.
+    banned it is the rule on the state itself.  The module docstring gives
+    the need ladder, and the argument for each step, for the additions and
+    for the banned variables: at needs 1 to 3 the count is need or 0, and
+    from need 4 on it is the greedy packing count, 0 when fewer nonsquares
+    are left than need.  divisor_sets maps m to D(m) and is filled here;
+    the search passes one per search, and without it each call uses a
+    fresh one, with the same answer.  Only packing builds a divisor set.
     """
     introduced = state.new_vars + added
     need = incumbent_order - len(introduced)
     if need <= 0:
-        return True
+        return 0
     if need > 3 and len(state.nonsquares) < need:
-        return False
+        return 0
     left = state.nonsquares
     vars_set = state.vars_set
     if added:
@@ -482,12 +525,22 @@ def prune_by_packing_bound(state: SearchState, incumbent_order: int,
     if divisor_sets is None:
         divisor_sets = {}
     if need <= 3:
-        return not node_completes(state.system, vars_set, introduced, left, banned, need - 1,
-                                  divisor_sets)
+        return 0 if node_completes(state.system, vars_set, introduced, left, banned, need - 1,
+                                   divisor_sets) else need
     left = list(left)
     if len(left) < need:
-        return False
-    return packs(factor_sets(left, vars_set, banned, divisor_sets), need) == need
+        return 0
+    return packs(factor_sets(left, vars_set, banned, divisor_sets), need)
+
+
+def prune_by_packing_bound(state: SearchState, incumbent_order: int,
+                           added: tuple[Monomial, ...] = (),
+                           divisor_sets: dict | None = None,
+                           banned=frozenset()) -> bool:
+    """Same contract as prune_by_quadratic_bound for state.extended(added):
+    whether packing_count reaches the need."""
+    need = incumbent_order - len(state.new_vars) - len(added)
+    return packing_count(state, incumbent_order, added, divisor_sets, banned) >= need
 
 
 def quadratic_bound(state: SearchState) -> int:
@@ -509,22 +562,31 @@ def lower_bound(state: SearchState, divisor_sets: dict) -> int:
     rules' bounds.
 
     It raises the bound while the exact step (node_completes) refutes the
-    state with 0 to 4 more variables, so the bound is the optimum whenever
-    the optimum has at most four variables more than the state.  Then it
-    takes the greedy packing count and the pair-count rule's k when there
-    are more nonsquares than that: neither exceeds the number of
+    state with 0 to EXACT_COUNT more variables, so the bound is the optimum
+    whenever the optimum has at most five variables more than the state;
+    from a count of 2 on the probes share one list of partner groups.
+    Then it takes the greedy packing count and the pair-count rule's k when
+    there are more nonsquares than that: neither exceeds the number of
     nonsquares.  Every divisor set it builds goes to divisor_sets, the
     search's memo.  So, with no banned variables, the two rules and the
-    need-4 and need-5 steps together prune the state at bound N exactly
+    steps at needs 4 to 6 together prune the state at bound N exactly
     when N is at most this (the module docstring gives why, and why the
     root takes no rule).
     """
-    left, new, more = state.nonsquares, len(state.new_vars), 0
-    while more < 5 and not node_completes(state.system, state.vars_set, state.new_vars, left, (),
-                                          more, divisor_sets):
+    system, vars_set, introduced = state.system, state.vars_set, state.new_vars
+    left, more = state.nonsquares, 0
+    while more < 2 and not node_completes(system, vars_set, introduced, left, (), more,
+                                          divisor_sets):
         more += 1
+    if more == 2:
+        # The partner groups, built once for every count from 2 on.
+        groups = [(partners(m, vars_set, introduced, ()), m) for m in left]
+        while more <= EXACT_COUNT and not groups_complete(system, vars_set, introduced, groups,
+                                                          (), more, divisor_sets):
+            more += 1
+    new = len(introduced)
     if len(left) > more:
-        packed = packs(factor_sets(left, state.vars_set, (), divisor_sets), len(left))
+        packed = packs(factor_sets(left, vars_set, (), divisor_sets), len(left))
         return max(new + more, new + packed, quadratic_bound(state))
     return new + more
 

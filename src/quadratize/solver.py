@@ -32,7 +32,7 @@ skipped before they are extended, decided from the parent alone.  A child
 is skipped when it contains a forbidden set (sibling exclusion, below).
 And a child is skipped when the packing rule, applied to the parent's
 nonsquares that the child's additions leave uncovered, needs as many more
-variables as the child is short of the bound (prune_by_packing_bound;
+variables as the child is short of the bound (pruning.packing_count;
 pruning's module docstring gives its need ladder and the argument for
 each step).  Neither changes the answer.
 
@@ -112,11 +112,12 @@ from .polynomials import (
 # The search never calls prune_by_c4_bound; the benchmark's tracer wraps
 # it here by name, and the import goes when the tracer reads an observer.
 from .pruning import (
+    EXACT_COUNT,
     lower_bound,
     node_completes,
     one_variable_completes,
+    packing_count,
     prune_by_c4_bound,
-    prune_by_packing_bound,
     prune_by_quadratic_bound,
 )
 from .state import SearchState, is_product
@@ -269,6 +270,16 @@ class NoQuadratizationWithinCap(ValueError):
                          f"every one has at least {self.lower_bound}")
 
 
+# At a visited node's top need, EXACT_COUNT + 1, the search runs the exact
+# step only where greedy packing found at least this many disjoint factor
+# sets, or did not pack, since fewer nonsquares are left than the need.
+# Where it finds fewer the sets overlap, as on the dense capped searches,
+# where a need-6 probe took 10 to 70 ms; on the cubic families packing
+# finds 3 to 5 sets and a probe takes about 1 ms.  A skipped probe only
+# keeps a node.
+TOP_STEP_PACKED = 3
+
+
 # The key of a set costs one image per group element, so a larger group is
 # replaced by the identity; so is one whose search takes more steps.
 MAX_GROUP_ORDER = 64
@@ -375,9 +386,10 @@ def bnb_search(system: ODESystem, *,
     docstring gives the rules that every visited node other than the root
     takes, unless it is a quadratization, and why: the packing rule with
     the node's banned variables, then the pair-count rule, then at needs 4
-    and 5 node_completes, whose prunes count in pruned_by_packing.  The
-    root takes none of the skips' tests, no orbit key and, as pruning's
-    module docstring gives why, no rule.  Skipped children count in no
+    to 6 node_completes, whose prunes count in pruned_by_packing; at need 6
+    only where packing came close (TOP_STEP_PACKED).  The root takes none
+    of the skips' tests, no orbit key and, as pruning's module docstring
+    gives why, no rule.  Skipped children count in no
     statistic but pruned_by_symmetry, which counts the orbit table's
     skips.  One dict of divisor sets serves every packing call of the
     search, the exact steps and the root lower bound.  The rules are sound
@@ -495,7 +507,7 @@ def bnb_search(system: ODESystem, *,
                 if any(b in added or b in parent.vars_set for a in added for b in partners.get(a, ())):
                     continue  # forbidding it excludes nothing new: it holds a forbidden set
                 pending.append(added)
-                if prune_by_packing_bound(parent, bound, added, divisor_sets, partners[unit]):
+                if packing_count(parent, bound, added, divisor_sets, partners[unit]) >= bound - size:
                     continue
                 if seen is not None:
                     key = orbit_key(parent.new_vars + added, group)
@@ -513,15 +525,20 @@ def bnb_search(system: ODESystem, *,
                     break
                 continue
             if added:  # the root was checked against floor
-                if prune_by_packing_bound(state, bound, (), divisor_sets, partners[unit]):
+                need = bound - size
+                packed = packing_count(state, bound, (), divisor_sets, partners[unit])
+                if packed >= need:
                     pruned_packing += 1
                     continue
                 if prune_by_quadratic_bound(state, bound):
                     pruned_quadratic += 1
                     continue
-                if (need := bound - len(state.new_vars)) in (4, 5) and not node_completes(
-                        system, state.vars_set, state.new_vars, state.nonsquares,
-                        partners[unit], need - 1, divisor_sets):
+                if (4 <= need <= EXACT_COUNT + 1
+                        and (need <= EXACT_COUNT or packed >= TOP_STEP_PACKED
+                             or len(state.nonsquares) < need)
+                        and not node_completes(system, state.vars_set, state.new_vars,
+                                               state.nonsquares, partners[unit], need - 1,
+                                               divisor_sets)):
                     pruned_packing += 1
                     continue
             # The elements that map the set of new variables onto itself;

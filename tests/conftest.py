@@ -1,7 +1,8 @@
 """Shared fixtures: worked example systems, the random test corpus, the
 factorizations of a monomial, and the nonsquares of a state and the
 packing rule's factor sets from the definition, the pruning-rule
-configurations of the ablation, the degree-box quadratization, and a
+configurations of the ablation, the search without its count-5 exact
+step, the degree-box quadratization, and a
 record of the bound the search starts from, the benchmark's workloads and
 random systems that a permutation of their variables maps onto
 themselves."""
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import quadratize.pruning
 import quadratize.solver
 from quadratize.bruteforce import MAX_POOL, box_candidates
 from quadratize.parsing import parse_system
@@ -30,6 +32,7 @@ from quadratize.polynomials import (
     unit_monomial,
     variable_monomial,
 )
+from quadratize.pruning import EXACT_COUNT
 from quadratize.solver import bnb_search, per_variable_degrees
 
 WORKED_EXAMPLES = {
@@ -94,22 +97,23 @@ def rules(config):
     """Run bnb_search with only the pruning rules that `config` names.
 
     The search always calls both rules, so a rule is switched off by
-    substituting it in quadratize.solver by one that never prunes.  The
+    substituting it in quadratize.solver by one that never prunes: the
+    packing rule's count (packing_count) by one that proves nothing.  The
     search also calls the packing rule to skip children before extending
-    them, so switching it off switches that skip off too, and its need-4
-    and need-5 steps at a visited node (node_completes) as well.  Sibling
-    exclusion is no rule and stays on in every configuration; its banned
-    variables act only through the packing rule.  The root lower bound
-    (pruning.lower_bound), which ends the search at an answer that meets
-    it, stays on too: it changes no answer.  The real rules are back on
-    exit.
+    them, so switching it off switches that skip off too, and its exact
+    steps at needs 4 to 6 at a visited node (node_completes) as well.
+    Sibling exclusion is no rule and stays on in every configuration; its
+    banned variables act only through the packing rule.  The root lower
+    bound (pruning.lower_bound), which ends the search at an answer that
+    meets it, stays on too: it changes no answer.  The real rules are back
+    on exit.
     """
     if config not in RULE_CONFIGS:
         raise ValueError(f"unknown rule configuration {config!r}")
-    names = ("prune_by_packing_bound", "node_completes", "prune_by_quadratic_bound")
+    names = ("packing_count", "node_completes", "prune_by_quadratic_bound")
     saved = [getattr(quadratize.solver, name) for name in names]
     if config not in ("packing", "all"):
-        quadratize.solver.prune_by_packing_bound = lambda state, bound, *args: False
+        quadratize.solver.packing_count = lambda state, bound, *args: 0
         quadratize.solver.node_completes = lambda *args: True
     if config not in ("quadratic", "all"):
         quadratize.solver.prune_by_quadratic_bound = lambda state, bound: False
@@ -118,6 +122,27 @@ def rules(config):
     finally:
         for name, rule in zip(names, saved):
             setattr(quadratize.solver, name, rule)
+
+
+@contextmanager
+def without_the_count_five_step():
+    """Run bnb_search without the exact step at a count of EXACT_COUNT: the
+    root lower bound's ladder stops a count lower (pruning.EXACT_COUNT,
+    which it reads when called), and node_completes with that count keeps
+    every visited node, as at need 6.  So the search is the one that ran
+    before the step went up to that count.  The step prunes most of the
+    nodes at which the brute-force soundness tests check the other rules
+    and steps, so their searches run without it and keep their reach; the
+    tests of the step itself run the search as it is.  The real step is
+    back on exit."""
+    real = quadratize.solver.node_completes
+    quadratize.pruning.EXACT_COUNT = EXACT_COUNT - 1
+    quadratize.solver.node_completes = lambda *args: args[5] == EXACT_COUNT or real(*args)
+    try:
+        yield
+    finally:
+        quadratize.pruning.EXACT_COUNT = EXACT_COUNT
+        quadratize.solver.node_completes = real
 
 
 def degree_box_incumbent(system, floor=0):

@@ -120,7 +120,7 @@ class TestPartners:
     # banned with m = z * w for some w in vars_set or w = z, read off the
     # factorizations of m.  Checked on every call the search makes, the
     # greedy swap step's among them.  The root ladder builds the root's
-    # partner sets once for each count from 2 to 4 that it asks about.
+    # partner sets once, for every count from 2 to 5 that it asks about.
 
     @pytest.fixture(scope="class")
     def calls(self, later_corpus, stream_tail):
@@ -151,8 +151,8 @@ class TestPartners:
             expected = {z for a, b in factor_pairs(m) for z, w in ((a, b), (b, a))
                         if w in vars_set or w == z}
             assert found == expected - vars_set - banned, (m, introduced, banned)
-        assert len(calls) == 10419
-        assert sum(bool(banned) for *_, banned, _ in calls) == 3608
+        assert len(calls) == 11207
+        assert sum(bool(banned) for *_, banned, _ in calls) == 3372
 
 
 class TestPolynomial:

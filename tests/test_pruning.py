@@ -15,6 +15,7 @@ from quadratize.bruteforce import (
     is_quadratization,
     quadratization_violations,
 )
+from quadratize.output import render_result
 from quadratize.parsing import parse_system
 from quadratize.polynomials import (
     divisor_count,
@@ -26,6 +27,8 @@ from quadratize.polynomials import (
 )
 from quadratize.pruning import (
     C4_CAPACITY_TABLE,
+    EXACT_COUNT,
+    MAX_WALKED_DIVISORS,
     build_squarefree_subset,
     c4_capacity,
     lower_bound,
@@ -44,6 +47,7 @@ from conftest import (
     definition_factor_set,
     rules,
     wide_box,
+    without_the_count_five_step,
 )
 
 
@@ -293,7 +297,9 @@ class TestPrunedNodesAreSound:
     def test_no_smaller_completion_in_the_wide_box(self, soundness_corpus, later_corpus,
                                                    stream_tail, rule, config, count):
         # Every node a rule prunes at bound N, with the other rules off (or,
-        # under "all", in the search as it runs): the brute-force checker
+        # under "all", in the search as it runs), and the exact step at a
+        # count of 5 off (without_the_count_five_step), since it leaves
+        # fewer nodes to the rules: the brute-force checker
         # finds no quadratization among the supersets of its variables, drawn
         # from the wide-box candidates, with fewer than N variables.  The
         # packing rule also prunes children before they are extended, given
@@ -301,21 +307,25 @@ class TestPrunedNodesAreSound:
         # The search does not run the paper's graph rule, so it is checked in
         # the pair-count rule's place, on the states the search hands to
         # that rule, with both rules off.
+        # The search asks the packing rule for its count (packing_count),
+        # which prunes when it reaches the need, and hands the count on.
         pruned = []
         original = getattr(quadratize.pruning, rule)
-        slot = "prune_by_quadratic_bound" if rule == "prune_by_c4_bound" else rule
+        slot = {"prune_by_c4_bound": "prune_by_quadratic_bound",
+                "prune_by_packing_bound": "packing_count"}.get(rule, rule)
+        real_count = quadratize.pruning.packing_count
 
         def recording(state, bound, *args):
-            if original(state, bound, *args):
+            prunes = original(state, bound, *args)
+            if prunes:
                 added = args[0] if args else ()
                 pruned.append((state.new_vars + added, bound))
-                return True
-            return False
+            return real_count(state, bound, *args) if slot == "packing_count" else prunes
 
         checked = 0
         for system in soundness_corpus + later_corpus + stream_tail:
             pruned.clear()
-            with rules(config):
+            with rules(config), without_the_count_five_step():
                 setattr(quadratize.solver, slot, recording)
                 bnb_search(system)
             pool = box_candidates(system, wide_box(system))
@@ -329,6 +339,11 @@ class TestPrunedNodesAreSound:
                 checked += 1
         assert checked == count
 
+
+# x_i' = prod_{j != i} x_j^2 for i = 1..4: a dense system whose factor sets
+# overlap.
+PRODUCT4 = parse_system("\n".join(
+    f"x{i}' = " + "*".join(f"x{j}^2" for j in range(1, 5) if j != i) for i in range(1, 5)))
 
 # Searches of permutation-closed systems, as (index in conftest.closed_systems
 # and max_order_cap or None), that visit nodes at needs 2 to 4: the root
@@ -350,19 +365,21 @@ def packing_calls(soundness_corpus, later_corpus, stream_tail):
     rule, which the search does not run, on the state of each such call
     that the pair-count rule keeps, over corpus
     seeds 11 and 12 of the benchmark, cubic_cycle(4..6), the soundness
-    corpus, the later corpus, the stream's tail and CLOSED_SEARCHES; and
-    those searches, as (system, max_order_cap)."""
+    corpus, the later corpus, the stream's tail and CLOSED_SEARCHES, run
+    without the count-5 step (conftest.without_the_count_five_step), which
+    would leave these rules fewer nodes; and those searches, as (system,
+    max_order_cap)."""
     calls = []
     other_calls = []
-    real_packing = quadratize.solver.prune_by_packing_bound
+    real_packing = quadratize.solver.packing_count
 
     def recording_packing(state, bound, added, divisor_sets, banned):
-        pruned = real_packing(state, bound, added, divisor_sets, banned)
+        count = real_packing(state, bound, added, divisor_sets, banned)
         need = bound - len(state.new_vars) - len(added)
         if need in (2, 3):
             calls.append((need, state.system, state.new_vars, added, frozenset(banned),
-                          len(state.nonsquares), pruned))
-        return pruned
+                          len(state.nonsquares), count >= need))
+        return count
 
     def recording_quadratic(state, bound):
         need = bound - len(state.new_vars)
@@ -379,8 +396,9 @@ def packing_calls(soundness_corpus, later_corpus, stream_tail):
     closed = closed_systems(max(i for i, _ in CLOSED_SEARCHES) + 1)
     searches = ([(system, None) for system in systems]
                 + [(closed[i], cap) for i, cap in CLOSED_SEARCHES])
-    with mock.patch.multiple(quadratize.solver, prune_by_packing_bound=recording_packing,
-                             prune_by_quadratic_bound=recording_quadratic):
+    with mock.patch.multiple(quadratize.solver, packing_count=recording_packing,
+                             prune_by_quadratic_bound=recording_quadratic), \
+            without_the_count_five_step():
         for system, cap in searches:
             with suppress(NoQuadratizationWithinCap):
                 bnb_search(system, max_order_cap=cap)
@@ -446,6 +464,52 @@ class TestNeedTwoIsExact:
         _, other_calls = need_two
         assert sum(need == 2 for need, _ in other_calls) == 946
         assert not any(pruned for need, pruned in other_calls if need == 2)
+
+
+def root_step_calls(count, systems):
+    """(system, completes) for each call of the exact step with `count`
+    that the root lower bound of one of `systems` makes, not nested in a
+    step with a larger count."""
+    calls = []
+    under_way = []
+    real_probe = quadratize.pruning.more_variables_complete
+
+    def recording_probe(system, vars_set, introduced, groups, banned, more, divisor_sets):
+        under_way.append(more)
+        try:
+            completes = real_probe(system, vars_set, introduced, groups, banned, more,
+                                   divisor_sets)
+        finally:
+            under_way.pop()
+        if not under_way and more == count:
+            calls.append((system, completes))
+        return completes
+
+    with mock.patch.object(quadratize.pruning, "more_variables_complete", recording_probe):
+        for system in systems:
+            lower_bound(SearchState.initial(system), {})
+    return calls
+
+
+def visited_step_calls(count, searches):
+    """(system, new_vars, banned, completes) for each call of the exact step
+    with `count` at a visited node of `searches`, (system, max_order_cap)
+    pairs.  It wraps the step quadratize.solver holds when it starts, a
+    substitute one under without_the_count_five_step."""
+    calls = []
+    real_step = quadratize.solver.node_completes
+
+    def recording_step(system, vars_set, introduced, left, banned, more, divisor_sets):
+        completes = real_step(system, vars_set, introduced, left, banned, more, divisor_sets)
+        if more == count:
+            calls.append((system, introduced, frozenset(banned), completes))
+        return completes
+
+    with mock.patch.object(quadratize.solver, "node_completes", recording_step):
+        for system, cap in searches:
+            with suppress(NoQuadratizationWithinCap):
+                bnb_search(system, max_order_cap=cap)
+    return calls
 
 
 def completes_within(system, new_vars, banned, more, refuted=None):
@@ -569,7 +633,8 @@ class TestNeedFourIsExact:
         leave, whether it packed, whether it probed); and (monomial,
         partner set handed on, partners recomputed) for every group of the
         need-3, need-4 and need-5 probes, the root's need-5 step included,
-        over the searches of packing_calls."""
+        over the searches of packing_calls.  The searches run without the
+        count-5 step, as in packing_calls."""
         _, _, searches = packing_calls
         calls, children, inside, groups_seen = [], [], [], []
         under_way = []  # the counts of the probes under way, outermost first
@@ -578,7 +643,7 @@ class TestNeedFourIsExact:
         real_probe = quadratize.pruning.more_variables_complete
         real_need_three = quadratize.pruning.two_variables_complete
         real_packs = quadratize.pruning.packs
-        real_rule = quadratize.solver.prune_by_packing_bound
+        real_rule = quadratize.solver.packing_count
         real_floor = quadratize.solver.lower_bound
 
         def recording_need_three(system, vars_set, introduced, groups, banned):
@@ -628,11 +693,12 @@ class TestNeedFourIsExact:
 
         closed = closed_systems(max(i for i, _ in DENSE_SEARCHES) + 1)
         dense = [(closed[i], cap) for i, cap in DENSE_SEARCHES]
-        with mock.patch.multiple(quadratize.solver, prune_by_packing_bound=recording_rule,
+        with mock.patch.multiple(quadratize.solver, packing_count=recording_rule,
                                  lower_bound=recording_floor), \
                 mock.patch.multiple(quadratize.pruning, packs=recording_packs,
                                     more_variables_complete=recording_probe,
-                                    two_variables_complete=recording_need_three):
+                                    two_variables_complete=recording_need_three), \
+                without_the_count_five_step():
             for system, cap in searches:
                 with suppress(NoQuadratizationWithinCap):
                     bnb_search(system, max_order_cap=cap)
@@ -722,28 +788,9 @@ class TestNeedFiveAtTheRoot:
     @pytest.fixture(scope="class")
     def need_five(self, soundness_corpus):
         """(system, completes) for each call of the need-5 step."""
-        calls = []
-        under_way = []
-        real_probe = quadratize.pruning.more_variables_complete
-
-        def recording_probe(system, vars_set, introduced, groups, banned, more, divisor_sets):
-            under_way.append(more)
-            try:
-                completes = real_probe(system, vars_set, introduced, groups, banned, more,
-                                       divisor_sets)
-            finally:
-                under_way.pop()
-            if not under_way and more == 4:
-                calls.append((system, completes))
-            return completes
-
-        systems = ([parse_system(instance.text)
-                    for seed in (11, 12) for instance in benchmark_workloads().corpus(seed)]
-                   + soundness_corpus)
-        with mock.patch.object(quadratize.pruning, "more_variables_complete", recording_probe):
-            for system in systems:
-                lower_bound(SearchState.initial(system), {})
-        return calls
+        return root_step_calls(4, [parse_system(instance.text) for seed in (11, 12)
+                                   for instance in benchmark_workloads().corpus(seed)]
+                               + soundness_corpus)
 
     def test_refuted_roots_have_no_four_variable_completion(self, need_five):
         refuted = [system for system, completes in need_five if not completes]
@@ -776,11 +823,11 @@ class TestNeedFiveAtTheRoot:
     def test_it_lifts_product4_and_permutation_closed_roots(self, monkeypatch):
         # x_i' = prod_{j != i} x_j^2 for i = 1..4 (product4), and 37 of the
         # 60 permutation-closed roots that random.Random(14) draws, go from
-        # 4 to 5; without the step the ladder stops at the need-4 step.
-        product4 = parse_system("\n".join(
-            f"x{i}' = " + "*".join(f"x{j}^2" for j in range(1, 5) if j != i)
-            for i in range(1, 5)))
-        roots = [SearchState.initial(system) for system in [product4] + closed_systems(60)]
+        # 4 to 5 with the ladder stopped at this step (the need-6 step goes
+        # on, TestNeedSixAtTheRoot); without the step the ladder stops at
+        # the need-4 step.
+        monkeypatch.setattr(quadratize.pruning, "EXACT_COUNT", 4)
+        roots = [SearchState.initial(system) for system in [PRODUCT4] + closed_systems(60)]
         bounds = [lower_bound(root, {}) for root in roots]
         real_probe = quadratize.pruning.more_variables_complete
         monkeypatch.setattr(quadratize.pruning, "more_variables_complete",
@@ -807,21 +854,14 @@ class TestNeedFiveAtVisitedNodes:
     # brute force (completes_within) over corpus seed 11 of the benchmark,
     # cubic_cycle(6), cubic_bicycle(6) and the permutation-closed searches
     # of packing_calls and DENSE_SEARCHES but systems 10 and 42 capped at 8:
-    # on their refuted nodes the check takes about 4 and 35 s.
+    # on their refuted nodes the check takes about 4 and 35 s.  The
+    # searches run without the count-5 step, which would refute most of
+    # these nodes first (conftest.without_the_count_five_step).
 
     @pytest.fixture(scope="class")
     def need_five(self):
         """(system, new_vars, banned, completes) for each call of the
         need-5 step at a visited node."""
-        calls = []
-        real_step = quadratize.solver.node_completes
-
-        def recording_step(system, vars_set, introduced, left, banned, more, divisor_sets):
-            completes = real_step(system, vars_set, introduced, left, banned, more, divisor_sets)
-            if more == 4:
-                calls.append((system, introduced, frozenset(banned), completes))
-            return completes
-
         closed = closed_systems(max(i for i, _ in CLOSED_SEARCHES + DENSE_SEARCHES) + 1)
         searches = ([(parse_system(instance.text), None)
                      for instance in benchmark_workloads().corpus(11)]
@@ -829,11 +869,8 @@ class TestNeedFiveAtVisitedNodes:
                        for family in ("cubic_cycle", "cubic_bicycle")]
                     + [(closed[i], cap) for i, cap in CLOSED_SEARCHES + DENSE_SEARCHES
                        if i not in (10, 42)])
-        with mock.patch.object(quadratize.solver, "node_completes", recording_step):
-            for system, cap in searches:
-                with suppress(NoQuadratizationWithinCap):
-                    bnb_search(system, max_order_cap=cap)
-        return calls
+        with without_the_count_five_step():
+            return visited_step_calls(4, searches)
 
     def test_refuted_nodes_have_no_four_variable_completion(self, need_five):
         refuted = [call for call in need_five if not call[-1]]
@@ -849,7 +886,7 @@ class TestNeedFiveAtVisitedNodes:
                 f"kept {new_vars} at need 5, but no four variables complete it")
         assert len(kept) == 24
 
-    @pytest.mark.parametrize("cubes", [3, 4])
+    @pytest.mark.parametrize("cubes", [3, 4, 5])
     def test_a_huge_power_gets_no_factor_set(self, cubes, monkeypatch):
         # x^100000 has 100,001 divisors.  The probe's packing takes its
         # monomials fewest divisors first and tests the last set it needs
@@ -857,7 +894,7 @@ class TestNeedFiveAtVisitedNodes:
         # other rule of the search build it.  Every factor set is taken
         # from a divisor set (divisor_set).
         system = parse_system("x' = x^100000\n" + "\n".join(
-            f"{v}' = {v}^3" for v in "yzwu"[:cubes]))
+            f"{v}' = {v}^3" for v in "yzwuv"[:cubes]))
         real_divisor_set = quadratize.pruning.divisor_set
         built = set()
 
@@ -870,6 +907,165 @@ class TestNeedFiveAtVisitedNodes:
         assert (result.order, stats.nodes_visited) == (cubes + 1, cubes + 3)
         assert built
         assert (100000,) + (0,) * cubes not in built
+
+
+class TestNeedSixAtTheRoot:
+    # A root that the need-5 step refutes goes on to the need-6 step: the
+    # root lower bound asks more_variables_complete whether at most five
+    # more variables complete it, and takes 6 when not.  Checked by brute
+    # force (completes_within) on every root of corpus seeds 11 and 12 and
+    # of the soundness corpus whose ladder reaches that step.
+
+    @pytest.fixture(scope="class")
+    def need_six(self, soundness_corpus):
+        """(system, completes) for each call of the need-6 step."""
+        return root_step_calls(EXACT_COUNT, [parse_system(instance.text) for seed in (11, 12)
+                                             for instance in benchmark_workloads().corpus(seed)]
+                               + soundness_corpus)
+
+    def test_refuted_roots_have_no_five_variable_completion(self, need_six):
+        refuted = [system for system, completes in need_six if not completes]
+        for system in refuted:
+            assert not completes_within(system, (), frozenset(), 5), system
+        assert len(refuted) == 13
+
+    def test_kept_roots_have_one(self, need_six):
+        kept = [system for system, completes in need_six if completes]
+        for system in kept:
+            assert completes_within(system, (), frozenset(), 5), system
+        assert len(kept) == 23
+
+    def test_two_new_factors_of_the_first_nonsquare_complete(self):
+        # As in TestNeedFiveAtTheRoot, with a third block: x^2*y^2 has the
+        # fewest partners of the four nonsquares, and no partner of it is in
+        # a completion of five, so case B of the need-6 step, x^2 and y^2,
+        # keeps the root at 5.
+        system = parse_system("x' = y^2\ny' = x^2\nz' = x^2*y^2\nt' = u*v*w*t\nu' = u\nv' = v\n"
+                              "w' = w\nr' = e*f*g*r\ne' = e\nf' = f\ng' = g\ns' = a*b*c*s\n"
+                              "a' = a\nb' = b\nc' = c")
+        root = SearchState.initial(system)
+        assert completes_within(system, (), frozenset(), 5)
+        assert not completes_within(system, (), frozenset(), 4)
+        assert lower_bound(root, {}) == bnb_search(system)[0].order == 5
+        m1 = (2, 2) + (0,) * (system.num_vars - 2)
+        assert m1 in root.nonsquares
+        assert not any(completes_within(system, (z,), frozenset(), 4)
+                       for z in partners(m1, root.vars_set, (), ()))
+
+    def test_it_lifts_product4_and_permutation_closed_roots(self, monkeypatch):
+        # product4, and 37 of the 39 permutation-closed roots that
+        # random.Random(14) draws with bound 5 before this step, go from 5
+        # to 6; without the step the ladder stops at the need-5 step.
+        roots = [SearchState.initial(system) for system in [PRODUCT4] + closed_systems(60)]
+        bounds = [lower_bound(root, {}) for root in roots]
+        monkeypatch.setattr(quadratize.pruning, "EXACT_COUNT", EXACT_COUNT - 1)
+        without = [lower_bound(root, {}) for root in roots]
+        assert (without[0], bounds[0]) == (5, 6)
+        assert sum(old == 5 for old in without[1:]) == 39
+        lifted = [(old, new) for old, new in zip(without[1:], bounds[1:]) if old != new]
+        assert lifted == [(5, 6)] * 37
+
+    def test_a_huge_power_builds_no_divisor_set(self):
+        # x^100000 has 100,001 divisors.  The need-6 step proves 6, the
+        # optimum, before any greedy packing count would list them.
+        system = parse_system("x' = x^100000\n" + "\n".join(f"{v}' = {v}^3" for v in "yzwuv"))
+        divisor_sets = {}
+        assert lower_bound(SearchState.initial(system), divisor_sets) == 6
+        assert (100000, 0, 0, 0, 0, 0) not in divisor_sets
+
+    def test_a_first_monomial_past_the_walk_cap_keeps_the_root(self):
+        # On x' = y^200, y' = x^200 the need-6 step meets nested states
+        # whose first monomial m1 has more than MAX_WALKED_DIVISORS
+        # divisors, where case B would walk half of them.  The probe answers
+        # that such a state may complete, so the root keeps the 5 of the
+        # need-5 step.
+        system = parse_system("x' = y^200\ny' = x^200")
+        firsts = []
+        real_ranked = quadratize.pruning.ranked
+
+        def recording_ranked(groups):
+            ranked = real_ranked(groups)
+            if ranked:
+                firsts.append(divisor_count(ranked[0][1]))
+            return ranked
+
+        with mock.patch.object(quadratize.pruning, "ranked", recording_ranked):
+            assert lower_bound(SearchState.initial(system), {}) == 5
+        assert max(firsts) > MAX_WALKED_DIVISORS
+
+
+class TestNeedSixAtVisitedNodes:
+    # With five more variables allowed below the bound (need 6), the search
+    # asks the need-6 step (node_completes with a count of 5) about a
+    # visited node that greedy packing and the pair-count rule keep, where
+    # packing found at least TOP_STEP_PACKED disjoint sets or fewer
+    # nonsquares are left than 6, and counts a node it refutes as pruned
+    # by the packing rule; checked by brute force (completes_within) over
+    # corpus seed 11 of the benchmark and cubic_cycle and cubic_bicycle of
+    # sizes 4 to 6.
+
+    @pytest.fixture(scope="class")
+    def need_six(self):
+        """(system, new_vars, banned, completes) for each call of the
+        need-6 step at a visited node."""
+        return visited_step_calls(EXACT_COUNT, [
+            (parse_system(instance.text), None) for instance in benchmark_workloads().corpus(11)]
+            + [(benchmark_system(family, n), None) for family in ("cubic_cycle", "cubic_bicycle")
+               for n in (4, 5, 6)])
+
+    def test_refuted_nodes_have_no_five_variable_completion(self, need_six):
+        refuted = [call for call in need_six if not call[-1]]
+        for system, new_vars, banned, _ in refuted:
+            assert not completes_within(system, new_vars, banned, 5), (
+                f"refuted {new_vars} at need 6, but five variables complete it")
+        assert len(refuted) == 45
+
+    def test_kept_nodes_have_one(self, need_six):
+        kept = [call for call in need_six if call[-1]]
+        for system, new_vars, banned, _ in kept:
+            assert completes_within(system, new_vars, banned, 5), (
+                f"kept {new_vars} at need 6, but no five variables complete it")
+        assert len(kept) == 12
+
+    def test_the_gate_open_keeps_the_answers_with_no_more_nodes(self, monkeypatch):
+        # With the gate open (TOP_STEP_PACKED 0) the need-6 step runs at
+        # every visited node that reaches it, and a step refutes only nodes
+        # with no completion below the bound: the answers are the same, and
+        # no search visits more nodes.  The gate skips steps on the dense
+        # capped search of permutation-closed system 55.
+        closed = closed_systems(56)
+        searches = ([(parse_system(instance.text), None)
+                     for instance in benchmark_workloads().corpus(11)]
+                    + [(benchmark_system(family, n), None)
+                       for family in ("cubic_cycle", "cubic_bicycle") for n in (4, 5, 6)]
+                    + [(closed[55], 8)])
+        real_step = quadratize.solver.node_completes
+        steps = []
+
+        def counting_step(*args):
+            steps[-1] += args[5] == EXACT_COUNT
+            return real_step(*args)
+
+        def solve(system, cap):
+            """The answer, the nodes visited and the need-6 steps taken."""
+            steps.append(0)
+            try:
+                result, stats = bnb_search(system, max_order_cap=cap)
+            except NoQuadratizationWithinCap as err:
+                return err.lower_bound, None, steps[-1]
+            document = render_result(result.document._replace(stats=None), "structured")
+            return document, stats.nodes_visited, steps[-1]
+
+        monkeypatch.setattr(quadratize.solver, "node_completes", counting_step)
+        gated = [solve(system, cap) for system, cap in searches]
+        monkeypatch.setattr(quadratize.solver, "TOP_STEP_PACKED", 0)
+        opened = [solve(system, cap) for system, cap in searches]
+        assert [answer for answer, *_ in opened] == [answer for answer, *_ in gated]
+        assert all(nodes <= gated_nodes for (_, nodes, _), (_, gated_nodes, _)
+                   in zip(opened[:-1], gated[:-1]))
+        assert (sum(nodes for _, nodes, _ in opened[:-1]),
+                sum(nodes for _, nodes, _ in gated[:-1])) == (914, 922)
+        assert (opened[-1][2], gated[-1][2]) == (30, 1)
 
 
 def two_variable_completions(system):

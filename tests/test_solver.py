@@ -36,6 +36,7 @@ from quadratize.polynomials import (
     variable_monomial,
 )
 from quadratize.pruning import (
+    EXACT_COUNT,
     lower_bound,
     node_completes,
     prune_by_c4_bound,
@@ -68,6 +69,7 @@ from conftest import (
     permuted_monomial,
     rules,
     wide_box,
+    without_the_count_five_step,
 )
 
 
@@ -246,9 +248,9 @@ class TestInitialIncumbent:
         # the least the pair scan's degree pre-filter lets through: a filter
         # that passed over such pairs too would stop at order 31.
         system = closed_systems(18)[17]
-        assert lower_bound(SearchState.initial(system), {}) == 5
+        assert lower_bound(SearchState.initial(system), {}) == 6
         assert descent_incumbent(system)[1] == 35
-        assert initial_incumbent(system, 5)[1] == initial_incumbent(system)[1] == 28
+        assert initial_incumbent(system, 6)[1] == initial_incumbent(system)[1] == 28
 
     def test_closed_form_order_counts_the_box(self, systems):
         # The closed form that bounds the greedy order above counts the
@@ -383,8 +385,8 @@ class TestMaxOrderCap:
     def test_no_answer_without_a_cap_names_the_broken_invariant(self, monkeypatch):
         # Without a cap the greedy order is within the bound, so a search that
         # finds nothing has an unsound rule, here one that prunes every node.
-        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound",
-                            lambda state, bound, *args: True)
+        monkeypatch.setattr(quadratize.solver, "packing_count",
+                            lambda state, bound, *args: bound)
         with pytest.raises(RuntimeError, match="order 1: a pruning rule is unsound"):
             bnb_search(parse_system("x' = x^5"))
 
@@ -501,7 +503,7 @@ class TestExponentBound:
 
 class TestRuleConfigurations:
     def test_rules_are_restored_after_an_error(self):
-        names = ("prune_by_packing_bound", "node_completes", "prune_by_quadratic_bound")
+        names = ("packing_count", "node_completes", "prune_by_quadratic_bound")
         real = [getattr(quadratize.solver, name) for name in names]
         with pytest.raises(RuntimeError):
             with rules("none"):
@@ -934,7 +936,8 @@ class TestSkippedChildrenAreSound:
         for system in systems:
             skipped.clear()
             tracked.update(seen=set())
-            _, stats = bnb_search(system)
+            with without_the_count_five_step():
+                _, stats = bnb_search(system)
             assert len(skipped) == stats.pruned_by_symmetry
             pool = box_candidates(system, wide_box(system))
             for new_vars, bound in skipped:
@@ -1011,7 +1014,8 @@ class TestChildrenSkippedBeforeExtensionAreSound:
             # The root's child is not pulled from generate_children, and it
             # is always extended, so its bound is never read.
             pulled[:] = [[SearchState.initial(system), (), None, False]]
-            _, stats = bnb_search(system)
+            with without_the_count_five_step():
+                _, stats = bnb_search(system)
             # The last call extends the root by the answer, for the document.
             search_extensions = extensions[:-1]
             assert len(search_extensions) == stats.nodes_visited
@@ -1049,7 +1053,7 @@ class TestExcludedChildrenAreSound:
         # parent stays alive in `pulled`, so its id is never reused.
         entry_of = {}
         original_children = quadratize.solver.generate_children
-        original_rule = quadratize.solver.prune_by_packing_bound
+        original_rule = quadratize.solver.packing_count
         original_extended = SearchState.extended
 
         def recording_children(state):
@@ -1083,7 +1087,7 @@ class TestExcludedChildrenAreSound:
             return indices
 
         monkeypatch.setattr(quadratize.solver, "generate_children", recording_children)
-        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", recording_rule)
+        monkeypatch.setattr(quadratize.solver, "packing_count", recording_rule)
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
         follow_incumbent(monkeypatch, tracked)
         checked = by_image = 0
@@ -1097,7 +1101,8 @@ class TestExcludedChildrenAreSound:
         for system in systems:
             pulled.clear()
             entry_of.clear()
-            bnb_search(system)
+            with without_the_count_five_step():
+                bnb_search(system)
             pool = box_candidates(system, wide_box(system))
             for i, (parent, added, bound, packed) in enumerate(pulled):
                 if packed or len(parent.new_vars) + len(added) >= bound:
@@ -1125,16 +1130,16 @@ class TestExcludedChildrenAreSound:
         # variables but would keep the node without them, whether for a
         # visited node or for a child before it is extended.
         pruned = []  # (new variables, bound, visited)
-        original_rule = quadratize.solver.prune_by_packing_bound
+        original_rule = quadratize.solver.packing_count
 
         def recording_rule(state, bound, added, divisor_sets, banned):
-            if not original_rule(state, bound, added, divisor_sets, banned):
-                return False
-            if not original_rule(state, bound, added, divisor_sets):
+            need = bound - len(state.new_vars) - len(added)
+            count = original_rule(state, bound, added, divisor_sets, banned)
+            if count >= need and original_rule(state, bound, added, divisor_sets) < need:
                 pruned.append((state.new_vars + added, bound, not added))
-            return True
+            return count
 
-        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", recording_rule)
+        monkeypatch.setattr(quadratize.solver, "packing_count", recording_rule)
         visited = skipped = 0
         systems = soundness_corpus + [
             benchmark_system("cubic_cycle", 4), benchmark_system("cubic_bicycle", 3),
@@ -1150,7 +1155,7 @@ class TestExcludedChildrenAreSound:
         searches.append((closed[41], 8))
         for system, cap in searches:
             pruned.clear()
-            with suppress(NoQuadratizationWithinCap):
+            with suppress(NoQuadratizationWithinCap), without_the_count_five_step():
                 bnb_search(system, max_order_cap=cap)
             pool = box_candidates(system, wide_box(system))
             for new_vars, bound, is_visited in pruned:
@@ -1205,7 +1210,7 @@ class TestFrameEnds:
         unextended = {}  # id of a state the rule saw with no additions, to it
         twice = []  # the new variables of each state the rule saw so twice
         original_children = quadratize.solver.generate_children
-        original_rule = quadratize.solver.prune_by_packing_bound
+        original_rule = quadratize.solver.packing_count
         original_extended = SearchState.extended
 
         def recording_children(state):
@@ -1236,7 +1241,7 @@ class TestFrameEnds:
             return child
 
         monkeypatch.setattr(quadratize.solver, "generate_children", recording_children)
-        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", recording_rule)
+        monkeypatch.setattr(quadratize.solver, "packing_count", recording_rule)
         monkeypatch.setattr(SearchState, "extended", bounding_extended)
         follow_incumbent(monkeypatch, tracked)
         systems = soundness_corpus + list(worked_systems.values()) + [
@@ -1251,7 +1256,8 @@ class TestFrameEnds:
         calls = kept = 0
         for system in systems:
             unextended.clear()
-            _, stats = bnb_search(system)
+            with without_the_count_five_step():
+                _, stats = bnb_search(system)
             calls += len(unextended)
             kept += stats.nodes_visited - stats.incumbent_updates
             kept -= bool(SearchState.initial(system).nonsquares)  # the root
@@ -1315,8 +1321,8 @@ class TestNoSetVisitedTwice:
 
 class TestSkippingKeepsTheAnswer:
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 5, SearchStats(70, 33, 0, 0, 1, 10)),
-        ("cubic_bicycle", 5, SearchStats(68, 31, 0, 0, 1, 10)),
+        ("cubic_cycle", 5, SearchStats(40, 18, 0, 0, 1, 10)),
+        ("cubic_bicycle", 5, SearchStats(39, 17, 0, 0, 1, 10)),
     ])
     def test_without_matches_the_stats_are_those_of_the_plain_search(
             self, monkeypatch, name, n, stats):
@@ -1358,8 +1364,8 @@ class TestSkippingKeepsTheAnswer:
         assert capped.new_vars == result.new_vars
 
     @pytest.mark.parametrize("name,n,stats", [
-        ("cubic_cycle", 6, SearchStats(113, 56, 0, 19, 1, 12)),
-        ("cubic_bicycle", 6, SearchStats(73, 22, 0, 4, 1, 12)),
+        ("cubic_cycle", 6, SearchStats(58, 14, 0, 19, 1, 12)),
+        ("cubic_bicycle", 6, SearchStats(52, 12, 0, 4, 1, 12)),
     ])
     def test_pinned_node_counts(self, name, n, stats):
         assert bnb_search(benchmark_system(name, n))[1] == stats
@@ -1410,7 +1416,7 @@ class TestRootLowerBound:
             order = bnb_search(system)[0].order
             assert floor <= order
             proven += floor == order
-        assert (len(systems), proven) == (109, 105)
+        assert (len(systems), proven) == (109, 107)
 
     @pytest.fixture(scope="class")
     def systems(self, soundness_corpus):
@@ -1420,13 +1426,14 @@ class TestRootLowerBound:
 
     def test_the_rules_prune_the_root_exactly_up_to_it(self, systems):
         # So the search checks the root against it in place of the two rules
-        # and the need-4 and need-5 steps.  The paper's graph rule, which the
-        # search does not run, lifts none of these roots: it prunes none
-        # above the bound either.  Of the 60 permutation-closed roots that
-        # random.Random(14) draws, the packing count tops the exact steps on
-        # none and the pair-count rule tops both on 1; none of the other
-        # systems has either counting term on top.  They are not in
-        # `systems`: many of their searches are slow.
+        # and the steps at needs 4 to 6, the need-6 step taken whatever
+        # packing finds.  The paper's graph rule, which the search does not
+        # run, lifts none of these roots: it prunes none above the bound
+        # either.  Of the 60 permutation-closed roots that random.Random(14)
+        # draws, neither counting term tops the exact steps (the pair-count
+        # rule topped them on 1 before the count-5 step), nor on any of the
+        # other systems.  They are not in `systems`: many of their searches
+        # are slow.
         for system in systems + closed_systems(60):
             root = SearchState.initial(system)
             floor = lower_bound(root, {})
@@ -1434,7 +1441,7 @@ class TestRootLowerBound:
                 pruned = (prune_by_packing_bound(root, bound)
                           or prune_by_quadratic_bound(root, bound)
                           or prune_by_c4_bound(root, bound)
-                          or bound in (4, 5) and not node_completes(
+                          or 4 <= bound <= EXACT_COUNT + 1 and not node_completes(
                               system, root.vars_set, (), root.nonsquares, (), bound - 1, {}))
                 assert pruned == (bound <= floor), (system, bound, floor)
 
@@ -1442,13 +1449,13 @@ class TestRootLowerBound:
         # Permutation-closed systems 7 and 27, counted from 0 in the order
         # random.Random(14) draws them, are the last roots the paper's graph
         # rule lifted: it proves 4, above the pair-count rule's 3.  The
-        # need-4 step proves 4 by itself, and the need-5 step then 5, so the
-        # root lower bound needs no graph term.
+        # need-4 step proves 4 by itself, the need-5 step then 5 and the
+        # need-6 step 6, so the root lower bound needs no graph term.
         drawn = closed_systems(28)
         roots = [SearchState.initial(drawn[i]) for i in (7, 27)]
         assert [(lower_bound(root, {}), quadratic_bound(root),
                  prune_by_c4_bound(root, 4), prune_by_c4_bound(root, 5))
-                for root in roots] == [(5, 3, True, False)] * 2
+                for root in roots] == [(6, 3, True, False)] * 2
 
     def test_the_stop_changes_no_answer(self, systems, monkeypatch):
         # Only the nodes after the answer go: a later incumbent would have
@@ -1465,11 +1472,11 @@ class TestRootLowerBound:
                     == render_result(plain.document._replace(stats=None), "structured"))
             assert stats.nodes_visited <= plain_stats.nodes_visited
             fewer += stats.nodes_visited < plain_stats.nodes_visited
-        assert fewer == 46
+        assert fewer == 49
 
     def test_benchmark_corpus_node_count(self, monkeypatch):
-        # The benchmark's corpus at seed 11: the root lower bound proves 194
-        # of the 200 optima, and the search visits 136 fewer nodes.  The
+        # The benchmark's corpus at seed 11: the root lower bound proves 198
+        # of the 200 optima, and the search visits 157 fewer nodes.  The
         # swap step, which runs while the greedy order is above that bound
         # (above 0 without it), starts 11 searches one lower than the descent.
         systems = [parse_system(instance.text) for instance in benchmark_workloads().corpus(11)]
@@ -1478,9 +1485,9 @@ class TestRootLowerBound:
             result, stats = bnb_search(system)
             nodes += stats.nodes_visited
             proven += lower_bound(SearchState.initial(system), {}) == result.order
-        assert (nodes, proven) == (752, 194)
+        assert (nodes, proven) == (727, 198)
         monkeypatch.setattr(quadratize.solver, "lower_bound", no_root_lower_bound)
-        assert sum(bnb_search(system)[1].nodes_visited for system in systems) == 888
+        assert sum(bnb_search(system)[1].nodes_visited for system in systems) == 884
 
 
 # SHA-256 over the answers for the systems of test_documents_hash_to_the_pin:
@@ -1497,7 +1504,7 @@ CORPUS_SHA256 = "0907909a1f053f8abc17e21810b69a64540de6b64a6e887d31bd12cd4952fdd
 # test_documents_hash_to_the_pin in turn, then the root lower bound of each
 # of the 60 permutation-closed systems and of the benchmark's corpus at seed
 # 11.  A refactor that keeps every node count and root bound keeps the pin.
-STATS_SHA256 = "ff70ae0ede9f0ac602326243285fef563469cc2bbdcc4e55b05fa58528e91912"
+STATS_SHA256 = "ea9c20b2bbe863cc46cd9ba4c62f9b7261a3398bbb3d07f06e458fa4f8db4df6"
 
 
 class TestAnswersUnchanged:

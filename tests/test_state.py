@@ -27,6 +27,7 @@ from conftest import (
     factor_pairs,
     follow_incumbent,
     random_polynomial_system,
+    without_the_count_five_step,
 )
 
 
@@ -317,7 +318,7 @@ class TestEveryVisitedNode:
         # nonsquares; the need-3 probe builds no set, and the need-4 and
         # need-5 probes build sets only for monomials of their groups, in
         # the search's memo, to pack them (packs_past).
-        real_rule = quadratize.solver.prune_by_packing_bound
+        real_rule = quadratize.solver.packing_count
         real_floor = quadratize.solver.lower_bound
         real_packs = quadratize.pruning.packs
         real_divisors = quadratize.pruning.divisors
@@ -333,10 +334,10 @@ class TestEveryVisitedNode:
         def tracking_rule(state, bound, added, divisor_sets, banned):
             context[:] = state, added, banned
             memo = dict(divisor_sets)
-            pruned = real_rule(state, bound, added, divisor_sets, banned)
+            count = real_rule(state, bound, added, divisor_sets, banned)
             if bound - len(state.new_vars) - len(added) <= 3:
                 assert divisor_sets == memo, (state.new_vars, added, bound)
-            return pruned
+            return count
 
         def tracking_floor(root, divisor_sets):
             context[:] = root, (), frozenset()
@@ -389,7 +390,7 @@ class TestEveryVisitedNode:
             finally:
                 probing.pop()
 
-        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", tracking_rule)
+        monkeypatch.setattr(quadratize.solver, "packing_count", tracking_rule)
         monkeypatch.setattr(quadratize.solver, "lower_bound", tracking_floor)
         monkeypatch.setattr(quadratize.pruning, "packs", checking_packs)
         monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
@@ -399,7 +400,8 @@ class TestEveryVisitedNode:
         for system in random_corpus + [benchmark_system("cubic_cycle", n) for n in (4, 5)] + [
                 benchmark_system("cubic_bicycle", 4)] + stream_tail:
             builds.clear()
-            bnb_search(system)
+            with without_the_count_five_step():
+                bnb_search(system)
             assert set(builds.values()) <= {1}
         assert (checked, walks, probe_builds) == (253, 197, 93)
 
@@ -411,7 +413,7 @@ class TestEveryVisitedNode:
         # variable (every C(m) holds m itself), nor at need 2 or 3, where it
         # looks for the one or two more variables among the quotients by the
         # variables and, for a lone nonsquare, among its factor pairs.
-        real_rule = quadratize.solver.prune_by_packing_bound
+        real_rule = quadratize.solver.packing_count
         lazy_calls = 0
 
         def checking_rule(state, bound, added, divisor_sets, banned):
@@ -420,16 +422,17 @@ class TestEveryVisitedNode:
             vars_set = state.vars_set.union(added)
             left = [m for m in state.nonsquares if not is_product(m, vars_set, added)]
             before = dict(divisor_sets)
-            pruned = real_rule(state, bound, added, divisor_sets, banned)
+            count = real_rule(state, bound, added, divisor_sets, banned)
             if need <= 3 or len(left) < need:
                 assert divisor_sets == before, (state.new_vars, added, bound)
                 lazy_calls += 1
-            return pruned
+            return count
 
-        monkeypatch.setattr(quadratize.solver, "prune_by_packing_bound", checking_rule)
+        monkeypatch.setattr(quadratize.solver, "packing_count", checking_rule)
         for system in (random_corpus + [benchmark_system("cubic_cycle", 4)] + later_corpus
                        + stream_tail):
-            bnb_search(system)
+            with without_the_count_five_step():
+                bnb_search(system)
         assert lazy_calls == 1728
 
         real_divisors = quadratize.pruning.divisors
@@ -444,14 +447,15 @@ class TestEveryVisitedNode:
         # The set of x^100000 would hold 10^5 divisors.
         state = SearchState.initial(parse_system("x' = x^100000"))
         assert len(state.nonsquares) == 1
-        assert not real_rule(state, 2)
-        assert real_rule(state, 0)
-        assert real_rule(state, 1)
+        rule = quadratize.pruning.prune_by_packing_bound
+        assert not rule(state, 2)
+        assert rule(state, 0)
+        assert rule(state, 1)
         assert builds == 0
         state = SearchState.initial(parse_system("x' = x^100000 + x^5 + x^4 + x^3"))
         assert len(state.nonsquares) == 4
-        real_rule(state, 2)
-        real_rule(state, 3)
+        rule(state, 2)
+        rule(state, 3)
         assert builds == 0
-        real_rule(state, 4)
+        rule(state, 4)
         assert builds == 4
