@@ -1,8 +1,8 @@
-"""Branching: pick the cheapest nonsquare and split over its factorizations."""
+"""Branching: pick the cheapest nonsquare and split over its covers."""
 
 from __future__ import annotations
 
-from .polynomials import Monomial, divisor_count, divisors, grlex_key, monomial_quotient
+from .polynomials import Monomial, divisor_count, grlex_key, new_factor_pairs, partners
 from .state import SearchState
 
 
@@ -14,33 +14,20 @@ def select_branch_monomial(state: SearchState) -> Monomial:
 
 
 def generate_children(state: SearchState) -> list[tuple[Monomial, ...]]:
-    """One child per factorization of the selected nonsquare m, fewest new
-    variables first, then in graded-lex order.
+    """One child per cover of the selected nonsquare m (the covering
+    argument at polynomials.partners), fewest new variables first: (z,)
+    for each partner z of m, then (p, q) for each new factor pair of m,
+    each pair and each of the two lists in graded-lex order.
 
-    A factorization is an unordered pair {d, m / d} of divisors of m.  Its
-    child is the tuple of the factors not already among the generalized
-    variables, in graded-lex order.  Since m is a nonsquare, no pair lies
-    inside them, so every child adds one or two variables.  Two
-    factorizations never give the same child: a child of two factors is the
-    pair itself, and a child of one factor f comes only from the pair
-    {f, m / f}.
+    This is one child per factorization {d, m / d} of m: the factors of
+    the pair that are not generalized variables yet.  Since m is a
+    nonsquare, at most one of them is.  A pair with one gives the other, a
+    partner of m, and so does {r, r} for a square m = r * r; a pair with
+    none gives both, a new factor pair.  So every child adds one or two
+    variables, and no two factorizations give the same child: a partner z
+    comes only from the pair {z, m / z}.
     """
     m = select_branch_monomial(state)
-    vars_set = state.vars_set
-    # (sort key, child), one list per number of additions.  Each key is taken
-    # once, so sorting the pairs sorts by key alone.
-    ones, twos = [], []
-    for d in divisors(m):
-        rest = monomial_quotient(m, d)
-        if d > rest:
-            continue
-        if d == rest or rest in vars_set:
-            ones.append((grlex_key(d), (d,)))
-        elif d in vars_set:
-            ones.append((grlex_key(rest), (rest,)))
-        else:
-            kd, kr = grlex_key(d), grlex_key(rest)
-            twos.append(((kd, kr), (d, rest)) if kd < kr else ((kr, kd), (rest, d)))
-    ones.sort()
-    twos.sort()
-    return [child for _, child in ones + twos]
+    ones = sorted(partners(m, state.vars_set, state.new_vars, ()), key=grlex_key)
+    twos = sorted(sorted(map(grlex_key, pair)) for pair in new_factor_pairs(m, state.vars_set, ()))
+    return [(z,) for z in ones] + [(p, q) for (_, p), (_, q) in twos]

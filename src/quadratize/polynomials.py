@@ -49,10 +49,10 @@ TermKey = tuple[Monomial, ParamExponents]
 MAX_COEFFICIENT_DIGITS = 4_000
 _COEFFICIENT_LIMIT = 10 ** MAX_COEFFICIENT_DIGITS
 
-# Branching enumerates the divisors of a nonsquare, which are its possible
-# factors: x' = x^1000000 takes about 3 s and 0.3 GB from the command line
-# on 2 vCPUs (Python 3.11, the least of four runs), while a term
-# x^100*y^100*z^100, with 1,030,301 divisors, did not finish in 120 s.
+# Branching walks the factor pairs of a nonsquare, half of its divisors
+# (new_factor_pairs): x' = x^1000000 takes about 3 s and 0.3 GB from the
+# command line on 2 vCPUs (Python 3.11, the least of four runs), while a
+# term x^100*y^100*z^100, with 1,030,301 divisors, did not finish in 120 s.
 MAX_EXPONENT = 1_000_000
 
 
@@ -96,15 +96,18 @@ def variable_monomial(num_vars: int, index: int) -> Monomial:
 
 # The monomial kernel: every exponent-wise operation of the search goes
 # through these functions (products, quotients, divisibility, gcds,
-# degrees, divisors, partners and images), and no other module reads the
-# exponents of the monomials the search works on (its new variables,
-# nonsquares, children and orbit keys).  Outside it only the input edge
-# reads exponents: the parser builds them, ODESystem and
-# SearchState.extended check them, solver.automorphisms and
-# solver.per_variable_degrees read the input's terms, and
-# output.format_monomial prints them; bruteforce.py stays independent of
-# the kernel on purpose.  Monomials compare as tuples, and
-# `<` and sorted on them elsewhere rely on that order.
+# degrees, divisors, the two covers of a monomial, partners and
+# new_factor_pairs, and images), and no other module reads the exponents
+# of the monomials the search works on (its new variables, nonsquares,
+# children and orbit keys).  Outside it only the input edge reads
+# exponents: the parser builds them, ODESystem and SearchState.extended
+# check them, solver.automorphisms and solver.per_variable_degrees read
+# the input's terms, and output.format_monomial prints them; bruteforce.py
+# stays independent of the kernel on purpose.  Monomials compare as
+# tuples, and grlex_key and orbit_key rely on that order.  Outside a sort
+# by grlex_key, only new_factor_pairs, which halves D(m) by it, and the
+# sort key of the graph rule's reproduction in pruning.py compare two
+# monomials.
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
@@ -159,10 +162,24 @@ def divisors(m: Monomial):
     return product(*(range(e + 1) for e in m))
 
 
+# The two covers of a monomial m that is no product over vars_set (1, the
+# x_i and the introduced monomials), as a nonsquare of a state is not.  Let
+# T be a set of generalized variables that contains vars_set, avoids the
+# banned monomials and holds two members a and b with m = a * b.  They are
+# not both in vars_set, so T covers m in one of two ways:
+# - one factor w is in vars_set or equals the other, and the other z is
+#   not in vars_set: m = z * w, and z is in partners(m);
+# - a and b are distinct and neither is in vars_set: they are a pair of
+#   new_factor_pairs(m).
+# So T holds a partner of m or both members of a new factor pair of m.
+# The search's children of a node are these covers of its branch monomial
+# (branching.generate_children), and the exact probes split on them
+# (pruning.two_variables_complete).
+
 def partners(m: Monomial, vars_set, introduced, banned) -> set[Monomial]:
     """P(m): the z outside vars_set and not banned with m = z * w for some
     w in vars_set or w = z, as a new set; vars_set is 1, the x_i and the
-    `introduced` monomials.
+    `introduced` monomials.  The first cover of m (above).
 
     They are the quotients of m by the members of vars_set that divide it:
     m itself, m / x_i for each x_i in m, and m / v for each introduced v
@@ -175,6 +192,23 @@ def partners(m: Monomial, vars_set, introduced, banned) -> set[Monomial]:
         found.add(tuple(e // 2 for e in m))
     found.difference_update(vars_set, banned)
     return found
+
+
+def new_factor_pairs(m: Monomial, vars_set, banned):
+    """The pairs (p, q) with m = p * q, p below q in tuple order and neither
+    in vars_set nor banned, each unordered pair once, walked lazily: the
+    second cover of m (above).
+
+    The divisors of m come in ascending tuple order and m / p descends as p
+    ascends, so the walk stops where m / p is no longer above p, half way
+    through D(m), and builds no set.
+    """
+    for p in divisors(m):
+        q = monomial_quotient(m, p)
+        if not p < q:
+            return
+        if not (p in vars_set or q in vars_set or p in banned or q in banned):
+            yield p, q
 
 
 def image(monomials, sigma):

@@ -39,13 +39,13 @@ step for that smaller count decides exactly.  With one nonsquare m left,
 no other nonsquare names a factor of a completion {p, m / p} of two new
 factors, so the step walks the factor pairs of m, half of D(m), and builds
 no set.  The search pays as much without it: a node it keeps is branched
-on m, generate_children lists the same divisors, and each child of two new
-factors is extended, which takes both derivatives.  From k = 3 on, where
-m1 has more than MAX_WALKED_DIVISORS divisors, the step answers that the
-state may complete rather than walk half of them for each nested state:
-that only keeps a node or lowers the root bound, and no search of the
-benchmark's workloads, the cubic families or the dense capped searches
-meets such an m1, so there the step is exact.
+on m, generate_children lists the same pairs, from the same function, and
+each child of two new factors is extended, which takes both derivatives.
+From k = 3 on, where m1 has more than MAX_WALKED_DIVISORS divisors, the
+step answers that the state may complete rather than walk half of them
+for each nested state: that only keeps a node or lowers the root bound,
+and no search of the benchmark's workloads, the cubic families or the
+dense capped searches meets such an m1, so there the step is exact.
 
 Before the step asks about a nested state that may add two or more
 variables, it packs the monomials it holds that the new variables leave
@@ -63,8 +63,8 @@ cubic families about 15% more time; with it they are no slower.
 
 The need ladder.  need = N - |new variables| - |A| is how many more
 variables a completion below N may have, plus one, and rule 1 acts by
-need (packing_count, which counts the variables the rule proves, and
-prune_by_packing_bound, which compares that count with need):
+need (packing_count counts the variables the rule proves, and the rule
+prunes where that count reaches need):
 - need 0 or less: the state is too large already, and the rule prunes.
 - needs 1 to 3: the exact step with k = need - 1.  At need 1 any
   nonsquare left prunes: every C(m) holds m itself.  At need 2 two
@@ -145,6 +145,7 @@ from .polynomials import (
     lie_derivative_support,
     monomial_mul,
     monomial_quotient,
+    new_factor_pairs,
     partners,
 )
 from .state import SearchState, is_product
@@ -266,22 +267,6 @@ def covered(d: Monomial, vars_set, introduced, fresh) -> bool:
     return covered_by(d, vars_set, fresh) or is_product(d, vars_set, introduced)
 
 
-def new_factor_pairs(m: Monomial, vars_set, banned):
-    """The pairs (p, q) with m = p * q, p below q in tuple order and neither
-    in vars_set nor banned, each unordered pair once, walked lazily.
-
-    The divisors of m come in ascending tuple order and m / p descends as p
-    ascends, so the walk stops where m / p is no longer above p, half way
-    through D(m), and builds no set.
-    """
-    for p in divisors(m):
-        q = monomial_quotient(m, p)
-        if not p < q:
-            return
-        if not (p in vars_set or q in vars_set or p in banned or q in banned):
-            yield p, q
-
-
 def one_variable_completes(system, vars_set, introduced, left,
                            banned) -> tuple[Monomial, ...] | None:
     """The at most one more variable z, not in vars_set nor banned, that
@@ -340,14 +325,15 @@ def two_variables_complete(system, vars_set, introduced, groups, banned) -> bool
     True when there are none.
 
     Let m1 be the monomial with the fewest partners (graded-lex order
-    breaks ties).  A completion covers it in one of two ways.  Case A:
-    m1 = z * w with z new and w in vars_set or w = z, so z is in
-    partners(m1).  Every other m that z does not cover is z2 * w with w in
-    vars_set, z or z2, so a second variable z2 lies in partners(m), or is
-    m / z; so does every monomial of z' that is not covered over vars_set
-    and z.  z completes alone when no monomial asks for a z2; otherwise a
-    candidate z2 completes when its own derivative is covered over
-    vars_set, z and z2.  Case B: m1 = p * q with both new and distinct,
+    breaks ties).  A completion covers it in one of two ways, the covers
+    of polynomials.partners and new_factor_pairs (the covering argument
+    there).  Case A: m1 = z * w with z new and w in vars_set or w = z, so
+    z is in partners(m1).  Every other m that z does not cover is z2 * w
+    with w in vars_set, z or z2, so a second variable z2 lies in
+    partners(m), or is m / z; so does every monomial of z' that is not
+    covered over vars_set and z.  z completes alone when no monomial asks
+    for a z2; otherwise a candidate z2 completes when its own derivative
+    is covered over vars_set, z and z2.  Case B: m1 = p * q with both new and distinct,
     which covers m1.  A next monomial m2 is no product of the two, which is
     m1, so it is p * w, say, with w in vars_set or w = p, and p is in
     partners(m2) and divides m1: so p runs over those partners and
@@ -491,9 +477,8 @@ def node_completes(system, vars_set, introduced, left, banned, more: int,
                            banned, more, divisor_sets)
 
 
-def packing_count(state: SearchState, incumbent_order: int,
-                  added: tuple[Monomial, ...] = (), divisor_sets: dict | None = None,
-                  banned=frozenset()) -> int:
+def packing_count(state: SearchState, incumbent_order: int, added: tuple[Monomial, ...],
+                  divisor_sets: dict, banned) -> int:
     """How many more variables rule 1 proves that every completion of
     state.extended(added) needs, decided without building that state and
     counted up to need = incumbent_order - |new_vars| - |added|: the rule
@@ -508,8 +493,7 @@ def packing_count(state: SearchState, incumbent_order: int,
     for the banned variables: at needs 1 to 3 the count is need or 0, and
     from need 4 on it is the greedy packing count, 0 when fewer nonsquares
     are left than need.  divisor_sets maps m to D(m) and is filled here;
-    the search passes one per search, and without it each call uses a
-    fresh one, with the same answer.  Only packing builds a divisor set.
+    the search passes one per search.  Only packing builds a divisor set.
     """
     introduced = state.new_vars + added
     need = incumbent_order - len(introduced)
@@ -522,8 +506,6 @@ def packing_count(state: SearchState, incumbent_order: int,
     if added:
         vars_set = vars_set.union(added)
         left = (m for m in left if not is_product(m, vars_set, added))
-    if divisor_sets is None:
-        divisor_sets = {}
     if need <= 3:
         return 0 if node_completes(state.system, vars_set, introduced, left, banned, need - 1,
                                    divisor_sets) else need
@@ -531,16 +513,6 @@ def packing_count(state: SearchState, incumbent_order: int,
     if len(left) < need:
         return 0
     return packs(factor_sets(left, vars_set, banned, divisor_sets), need)
-
-
-def prune_by_packing_bound(state: SearchState, incumbent_order: int,
-                           added: tuple[Monomial, ...] = (),
-                           divisor_sets: dict | None = None,
-                           banned=frozenset()) -> bool:
-    """Same contract as prune_by_quadratic_bound for state.extended(added):
-    whether packing_count reaches the need."""
-    need = incumbent_order - len(state.new_vars) - len(added)
-    return packing_count(state, incumbent_order, added, divisor_sets, banned) >= need
 
 
 def quadratic_bound(state: SearchState) -> int:

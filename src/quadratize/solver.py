@@ -37,13 +37,15 @@ pruning's module docstring gives its need ladder and the argument for
 each step).  Neither changes the answer.
 
 Sibling exclusion.  The children of a node P cover every quadratization
-T that contains P: T covers the branch monomial, so it contains one of
-the children.  Depth first, the child P + A is handled (skipped, pruned,
-or visited with its whole subtree) before the next child is drawn, and
-after that no quadratization containing P + A is smaller than the bound,
-which only falls.  So in the subtrees of P's later children a set that
-contains A cannot beat the bound: A is forbidden there, and a child whose
-variables contain a forbidden set is skipped.  A forbidden set of one
+T that contains P: T covers the branch monomial, so it holds a partner of
+it or both members of a new factor pair of it (the covering argument at
+polynomials.partners), and so it contains one of the children.  Depth
+first, the child P + A is handled (skipped, pruned, or visited with its
+whole subtree) before the next child is drawn, and after that no
+quadratization containing P + A is smaller than the bound, which only
+falls.  So in the subtrees of P's later children a set that contains A
+cannot beat the bound: A is forbidden there, and a child whose variables
+contain a forbidden set is skipped.  A forbidden set of one
 variable z bans z: a completion that beats the bound avoids z, so the
 packing rule leaves z out of every factor set, in both of its calls.  A
 child's forbidden sets are its parent's plus the additions of its earlier
@@ -603,7 +605,9 @@ BENCHMARK_FAMILIES = {
 
 def benchmark_system(name: str, n: int | None = None) -> ODESystem:
     """Built-in benchmark families, generated as source text and parsed:
-    rf, and the families of BENCHMARK_FAMILIES for a size n."""
+    rf, and the families of BENCHMARK_FAMILIES for a size n, an int at
+    least the family's least size (a bool is not one); any other n raises
+    the family's ValueError."""
     if name == "rf":
         if n is not None:
             raise ValueError("rf does not take a size")
@@ -615,6 +619,6 @@ def benchmark_system(name: str, n: int | None = None) -> ODESystem:
     if name not in BENCHMARK_FAMILIES:
         raise ValueError(f"unknown benchmark {name!r}")
     least, what, text = BENCHMARK_FAMILIES[name]
-    if n is None or n < least:
+    if type(n) is not int or n < least:
         raise ValueError(f"{name} needs {what}")
     return parse_system(text(n))

@@ -1,8 +1,8 @@
 """Shared fixtures: worked example systems, the random test corpus, the
 factorizations of a monomial, and the nonsquares of a state and the
-packing rule's factor sets from the definition, the pruning-rule
-configurations of the ablation, the search without its count-5 exact
-step, the degree-box quadratization, and a
+packing rule's factor sets from the definition, whether the packing rule
+prunes, the pruning-rule configurations of the ablation, the search
+without its count-5 exact step, the degree-box quadratization, and a
 record of the bound the search starts from, the benchmark's workloads and
 random systems that a permutation of their variables maps onto
 themselves."""
@@ -32,7 +32,7 @@ from quadratize.polynomials import (
     unit_monomial,
     variable_monomial,
 )
-from quadratize.pruning import EXACT_COUNT
+from quadratize.pruning import EXACT_COUNT, packing_count
 from quadratize.solver import bnb_search, per_variable_degrees
 
 WORKED_EXAMPLES = {
@@ -87,6 +87,14 @@ def definition_factor_set(m, vars_set):
     """C(m) straight from the definition: the factors of m's factorizations
     that are not in vars_set."""
     return {f for pair in factor_pairs(m) for f in pair} - set(vars_set)
+
+
+def packing_prunes(state, bound, added=(), banned=frozenset()):
+    """Whether the packing rule prunes state.extended(added) at bound: its
+    count (pruning.packing_count, with a fresh divisor memo) reaches the
+    need, bound - |new_vars| - |added|."""
+    need = bound - len(state.new_vars) - len(added)
+    return packing_count(state, bound, added, {}, banned) >= need
 
 
 RULE_CONFIGS = ("none", "packing", "quadratic", "all")

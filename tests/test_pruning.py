@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadratize.polynomials
 import quadratize.pruning
 import quadratize.solver
 from quadratize.bruteforce import (
@@ -33,7 +34,6 @@ from quadratize.pruning import (
     c4_capacity,
     lower_bound,
     prune_by_c4_bound,
-    prune_by_packing_bound,
     prune_by_quadratic_bound,
     quotient_multiplicities,
     smallest_k,
@@ -45,6 +45,7 @@ from conftest import (
     benchmark_workloads,
     closed_systems,
     definition_factor_set,
+    packing_prunes,
     rules,
     wide_box,
     without_the_count_five_step,
@@ -154,7 +155,7 @@ class TestCapacity:
 class TestPruneRules:
     def test_two_term_scalar_root_not_pruned(self):
         state = SearchState.initial(parse_system("x' = x^4 + x^3"))
-        assert not prune_by_packing_bound(state, 3)
+        assert not packing_prunes(state, 3)
         assert not prune_by_quadratic_bound(state, 3)
         assert not prune_by_c4_bound(state, 3)
 
@@ -162,7 +163,7 @@ class TestPruneRules:
         system = parse_system("x' = x^4 + x^3")
         state = SearchState.initial(system)
         # Every rule finds k = 1 here, so any incumbent order <= 1 prunes.
-        assert prune_by_packing_bound(state, 1)
+        assert packing_prunes(state, 1)
         assert prune_by_quadratic_bound(state, 1)
         assert prune_by_c4_bound(state, 1)
         # No single variable quadratizes the system, and at incumbent order
@@ -170,13 +171,13 @@ class TestPruneRules:
         # still find k = 1.
         pool = box_candidates(system, wide_box(system))
         assert not any(is_quadratization(system, (z,)) for z in pool)
-        assert prune_by_packing_bound(state, 2)
+        assert packing_prunes(state, 2)
         assert not prune_by_quadratic_bound(state, 2)
         assert not prune_by_c4_bound(state, 2)
 
     def test_empty_nonsquares(self):
         state = SearchState.initial(parse_system("x' = x^2"))
-        for rule in (prune_by_packing_bound, prune_by_quadratic_bound, prune_by_c4_bound):
+        for rule in (packing_prunes, prune_by_quadratic_bound, prune_by_c4_bound):
             assert rule(state, 0)
             assert not rule(state, 1)
 
@@ -196,7 +197,7 @@ class TestPruneRules:
             if not state.nonsquares:
                 continue
             checked += 1
-            for rule in (prune_by_packing_bound, prune_by_quadratic_bound, prune_by_c4_bound):
+            for rule in (packing_prunes, prune_by_quadratic_bound, prune_by_c4_bound):
                 fired = [n for n in range(0, 8) if rule(state, n)]
                 # if it fires for N it fires for every smaller N
                 assert fired == list(range(0, len(fired)))
@@ -205,7 +206,7 @@ class TestPruneRules:
 def packing_root_bound(system):
     """The largest N at which the packing rule prunes the root."""
     root = SearchState.initial(system)
-    return max(n for n in range(len(root.nonsquares) + 1) if prune_by_packing_bound(root, n))
+    return max(n for n in range(len(root.nonsquares) + 1) if packing_prunes(root, n))
 
 
 MONOMIALS = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
@@ -236,7 +237,7 @@ class TestPackingBound:
 
         real_packs = quadratize.pruning.packs
         with mock.patch.object(quadratize.pruning, "packs", recording):
-            prune_by_packing_bound(state, len(added) + 4, added)
+            packing_prunes(state, len(added) + 4, added)
         assert sorted(m for _, m in packed) == (sorted(left) if len(left) >= 4 else [])
         for cover, m in packed:
             assert cover == definition_factor_set(m, after), m
@@ -254,7 +255,7 @@ class TestPackingBound:
         # six cubes x_i^3 with disjoint factor sets {x_i^2, x_i^3}; the
         # other two rules stop at 3
         state = SearchState.initial(benchmark_system("cubic_cycle", 6))
-        assert prune_by_packing_bound(state, 6)
+        assert packing_prunes(state, 6)
         assert not prune_by_quadratic_bound(state, 4)
         assert not prune_by_c4_bound(state, 4)
 
@@ -263,18 +264,18 @@ class TestPackingBound:
         # variable does, so banning x^4 prunes the root at incumbent order
         # 2 and banning x^5 does not.
         state = SearchState.initial(parse_system("x' = x^5"))
-        assert not prune_by_packing_bound(state, 2)
-        assert not prune_by_packing_bound(state, 2, (), {}, {(5,)})
-        assert prune_by_packing_bound(state, 2, (), {}, {(4,)})
+        assert not packing_prunes(state, 2)
+        assert not packing_prunes(state, 2, banned={(5,)})
+        assert packing_prunes(state, 2, banned={(4,)})
         # At need 3: x*y and z^2 quadratize x' = x^2*y, y' = x*y^2,
         # z' = z^3.  z^3 needs z^2 or z^3, and neither covers x^2*y, whose
         # other partners, x^2 and x^2*y, cover no x*y^2, so banning x*y
         # prunes; so does banning z^2 and z^3, which leaves z^3 uncovered.
         state = SearchState.initial(parse_system("x' = x^2*y\ny' = x*y^2\nz' = z^3"))
         assert sorted(state.nonsquares) == [(0, 0, 3), (1, 2, 0), (2, 1, 0)]
-        assert not prune_by_packing_bound(state, 3)
-        assert prune_by_packing_bound(state, 3, (), {}, {(1, 1, 0)})
-        assert prune_by_packing_bound(state, 3, (), {}, {(0, 0, 2), (0, 0, 3)})
+        assert not packing_prunes(state, 3)
+        assert packing_prunes(state, 3, banned={(1, 1, 0)})
+        assert packing_prunes(state, 3, banned={(0, 0, 2), (0, 0, 3)})
         # At need 4, with w' = w^3 too: x^2*y and x*y^2 have the sets
         # {x*y, x^2, x^2*y} and {x*y, y^2, x*y^2}, which meet in x*y, and
         # z^3 and w^3 have {z^2, z^3} and {w^2, w^3}, so they pack 3, short
@@ -282,15 +283,16 @@ class TestPackingBound:
         # empties the last set, and no completion that avoids them exists.
         state = SearchState.initial(parse_system("x' = x^2*y\ny' = x*y^2\nz' = z^3\nw' = w^3"))
         assert len(state.nonsquares) == 4
-        assert not prune_by_packing_bound(state, 4)
-        assert prune_by_packing_bound(state, 4, (), {}, {(1, 1, 0, 0)})
-        assert prune_by_packing_bound(state, 4, (), {}, {(0, 0, 0, 2), (0, 0, 0, 3)})
+        assert not packing_prunes(state, 4)
+        assert packing_prunes(state, 4, banned={(1, 1, 0, 0)})
+        assert packing_prunes(state, 4, banned={(0, 0, 0, 2), (0, 0, 0, 3)})
 
 
 class TestPrunedNodesAreSound:
     @pytest.mark.parametrize("rule,config,count", [
-        ("prune_by_packing_bound", "packing", 454),
-        ("prune_by_packing_bound", "all", 454),
+        # The packing rows keep the ids other runs of this suite know them by.
+        pytest.param("packing_count", "packing", 454, id="prune_by_packing_bound-packing-454"),
+        pytest.param("packing_count", "all", 454, id="prune_by_packing_bound-all-454"),
         ("prune_by_quadratic_bound", "quadratic", 2690),
         ("prune_by_c4_bound", "none", 2288),
     ])
@@ -310,17 +312,16 @@ class TestPrunedNodesAreSound:
         # The search asks the packing rule for its count (packing_count),
         # which prunes when it reaches the need, and hands the count on.
         pruned = []
-        original = getattr(quadratize.pruning, rule)
-        slot = {"prune_by_c4_bound": "prune_by_quadratic_bound",
-                "prune_by_packing_bound": "packing_count"}.get(rule, rule)
-        real_count = quadratize.pruning.packing_count
+        rule_fn = getattr(quadratize.pruning, rule)
+        slot = {"prune_by_c4_bound": "prune_by_quadratic_bound"}.get(rule, rule)
 
         def recording(state, bound, *args):
-            prunes = original(state, bound, *args)
-            if prunes:
-                added = args[0] if args else ()
+            result = rule_fn(state, bound, *args)
+            added = args[0] if args else ()
+            if (result >= bound - len(state.new_vars) - len(added) if rule == "packing_count"
+                    else result):
                 pruned.append((state.new_vars + added, bound))
-            return real_count(state, bound, *args) if slot == "packing_count" else prunes
+            return result
 
         checked = 0
         for system in soundness_corpus + later_corpus + stream_tail:
@@ -601,7 +602,7 @@ class TestNeedThreeIsExact:
         for system, _ in searches:
             root = SearchState.initial(system)
             if len(root.nonsquares) == 1:
-                lone.append((system, (), frozenset(), prune_by_packing_bound(root, 3)))
+                lone.append((system, (), frozenset(), packing_prunes(root, 3)))
         for system, new_vars, banned, pruned in lone:
             assert pruned != completes_within(system, new_vars, banned, 2), (
                 f"{'pruned' if pruned else 'kept'} {new_vars} at need 3 with one nonsquare")
@@ -1116,7 +1117,7 @@ class TestLoneRootNonsquare:
         # With the walk over m's factor pairs taken out, only case A is
         # left: it still completes the case-A root, and the case-B root
         # then seems to need three.
-        with mock.patch.object(quadratize.pruning, "divisors", lambda m: iter(())):
+        with mock.patch.object(quadratize.polynomials, "divisors", lambda m: iter(())):
             assert lower_bound(root, {}) == optimum + (case == "B")
 
     def test_each_lone_call_walks_the_divisors_once(self):
@@ -1125,7 +1126,7 @@ class TestLoneRootNonsquare:
         # stops past the middle, where m / p falls below p.
         system = parse_system("x' = x^720*y^3\ny' = x^5")
         real_probe = quadratize.pruning.two_variables_complete
-        real_divisors = quadratize.pruning.divisors
+        real_divisors = quadratize.polynomials.divisors
         calls = []  # (left, whether it completes, [[m, divisors listed]])
         active = []  # the walks of the call under way, if any
 
@@ -1147,12 +1148,13 @@ class TestLoneRootNonsquare:
             calls.append((tuple(m for _, m in groups), completes, walks))
             return completes
 
-        with mock.patch.multiple(quadratize.pruning, divisors=counting_divisors,
-                                 two_variables_complete=recording_probe):
+        with mock.patch.object(quadratize.polynomials, "divisors", counting_divisors), \
+                mock.patch.object(quadratize.pruning, "two_variables_complete", recording_probe):
             result, stats = bnb_search(system)
         assert (result.order, stats.nodes_visited) == (4, 5)
         lone = [call for call in calls if len(call[0]) == 1]
         assert sorted(divisor_count(m) for (m,), completes, _ in lone if not completes) == [2896]
+        assert [divisor_count(walked) for (m,), _, walks in lone for walked, _ in walks] == [2896]
         for (m,), _, walks in lone:
             assert len(walks) <= 1
             for walked, count in walks:

@@ -40,7 +40,6 @@ from quadratize.pruning import (
     lower_bound,
     node_completes,
     prune_by_c4_bound,
-    prune_by_packing_bound,
     prune_by_quadratic_bound,
     quadratic_bound,
 )
@@ -65,6 +64,7 @@ from conftest import (
     definition_nonsquares,
     degree_box_incumbent,
     follow_incumbent,
+    packing_prunes,
     permutation_closed_system,
     permuted_monomial,
     rules,
@@ -438,6 +438,21 @@ class TestMaxOrderCap:
     def test_cap_is_keyword_only(self):
         with pytest.raises(TypeError):
             bnb_search(parse_system("x' = x^5"), 1)
+
+
+class TestBenchmarkSystem:
+    @pytest.mark.parametrize("name,n,message", [
+        ("cubic_cycle", 3.0, "cubic_cycle needs a size n > 1"),
+        ("cubic_bicycle", "4", "cubic_bicycle needs a size n > 1"),
+        ("scalar_power", True, "scalar_power needs an exponent n >= 1"),
+        ("scalar_power", 2.5, "scalar_power needs an exponent n >= 1"),
+    ])
+    def test_rejects_sizes_that_are_not_ints(self, name, n, message):
+        # As for the cap, a bool is not an int here.
+        with pytest.raises(ValueError) as err:
+            benchmark_system(name, n)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
 
 
 class TestLieMemo:
@@ -1135,7 +1150,7 @@ class TestExcludedChildrenAreSound:
         def recording_rule(state, bound, added, divisor_sets, banned):
             need = bound - len(state.new_vars) - len(added)
             count = original_rule(state, bound, added, divisor_sets, banned)
-            if count >= need and original_rule(state, bound, added, divisor_sets) < need:
+            if count >= need and original_rule(state, bound, added, divisor_sets, ()) < need:
                 pruned.append((state.new_vars + added, bound, not added))
             return count
 
@@ -1438,7 +1453,7 @@ class TestRootLowerBound:
             root = SearchState.initial(system)
             floor = lower_bound(root, {})
             for bound in range(floor + 3):
-                pruned = (prune_by_packing_bound(root, bound)
+                pruned = (packing_prunes(root, bound)
                           or prune_by_quadratic_bound(root, bound)
                           or prune_by_c4_bound(root, bound)
                           or 4 <= bound <= EXACT_COUNT + 1 and not node_completes(

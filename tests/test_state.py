@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import quadratize.polynomials
 import quadratize.pruning
 import quadratize.solver
 import quadratize.state
@@ -26,6 +27,7 @@ from conftest import (
     explicit_product_set,
     factor_pairs,
     follow_incumbent,
+    packing_prunes,
     random_polynomial_system,
     without_the_count_five_step,
 )
@@ -317,11 +319,16 @@ class TestEveryVisitedNode:
         # too, and the need-4 and need-5 probes those of one of their
         # nonsquares; the need-3 probe builds no set, and the need-4 and
         # need-5 probes build sets only for monomials of their groups, in
-        # the search's memo, to pack them (packs_past).
+        # the search's memo, to pack them (packs_past).  The probes walk
+        # with polynomials.new_factor_pairs, which is lazy, so a walk is
+        # counted when it first asks for the divisors; branching walks the
+        # monomial it branches on with it too, which is not counted.
         real_rule = quadratize.solver.packing_count
         real_floor = quadratize.solver.lower_bound
         real_packs = quadratize.pruning.packs
         real_divisors = quadratize.pruning.divisors
+        real_walk = quadratize.polynomials.divisors
+        real_children = quadratize.solver.generate_children
         real_divisor_set = quadratize.pruning.divisor_set
         real_probe = quadratize.pruning.two_variables_complete
         real_more = quadratize.pruning.more_variables_complete
@@ -329,6 +336,7 @@ class TestEveryVisitedNode:
         builds = Counter()
         probing = []
         building = []
+        branching = []
         checked = walks = probe_builds = 0
 
         def tracking_rule(state, bound, added, divisor_sets, banned):
@@ -366,13 +374,23 @@ class TestEveryVisitedNode:
                 building.pop()
 
         def counting_divisors(m):
+            assert building, m
+            builds[m] += 1
+            return real_divisors(m)
+
+        def counting_walks(m):
             nonlocal walks
-            if building:
-                builds[m] += 1
-            else:
+            if not branching:
                 assert probing and m in probing[-1], (probing[-1] if probing else None, m)
                 walks += 1
-            return real_divisors(m)
+            return real_walk(m)
+
+        def tracking_children(state):
+            branching.append(state)
+            try:
+                return real_children(state)
+            finally:
+                branching.pop()
 
         def tracking_probe(system, vars_set, introduced, groups, banned):
             # The need-3 probe walks the divisors of a lone nonsquare only,
@@ -394,6 +412,8 @@ class TestEveryVisitedNode:
         monkeypatch.setattr(quadratize.solver, "lower_bound", tracking_floor)
         monkeypatch.setattr(quadratize.pruning, "packs", checking_packs)
         monkeypatch.setattr(quadratize.pruning, "divisors", counting_divisors)
+        monkeypatch.setattr(quadratize.polynomials, "divisors", counting_walks)
+        monkeypatch.setattr(quadratize.solver, "generate_children", tracking_children)
         monkeypatch.setattr(quadratize.pruning, "divisor_set", tracking_divisor_set)
         monkeypatch.setattr(quadratize.pruning, "two_variables_complete", tracking_probe)
         monkeypatch.setattr(quadratize.pruning, "more_variables_complete", tracking_more)
@@ -447,7 +467,7 @@ class TestEveryVisitedNode:
         # The set of x^100000 would hold 10^5 divisors.
         state = SearchState.initial(parse_system("x' = x^100000"))
         assert len(state.nonsquares) == 1
-        rule = quadratize.pruning.prune_by_packing_bound
+        rule = packing_prunes
         assert not rule(state, 2)
         assert rule(state, 0)
         assert rule(state, 1)
